@@ -176,17 +176,19 @@ static int32_t ih_pop(iheap *h) {
  * (task order, dependency order).  Kind codes follow the KernelKind
  * declaration order: GEQRT=0 UNMQR=1 TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
  *
- * Output arrays must be pre-sized by the caller: ntasks entries for the
- * per-task fields, 3*ntasks for pred_idx (each task has <= 3 deps).
- * Returns the number of predecessor edges written, or -1 on error.
+ * One loop serves two passes: with write == 0 it only counts (the output
+ * arrays are not touched and may be NULL), with write == 1 it fills arrays
+ * the caller sized from the counting pass.  Returns the number of
+ * predecessor edges (the task count lands in *out_ntasks), or -1 on
+ * allocation failure.
  * ------------------------------------------------------------------ */
 int64_t hqr_build_dag(
+    int32_t write,
     int32_t m, int32_t n, int64_t nelims,
     const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
     const uint8_t *e_ts,
-    int64_t ntasks,
     int8_t *kind, int32_t *row, int32_t *panel, int32_t *col, int32_t *killer,
-    int64_t *pred_ptr, int32_t *pred_idx)
+    int64_t *pred_ptr, int32_t *pred_idx, int64_t *out_ntasks)
 {
     int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
     uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
@@ -199,34 +201,50 @@ int64_t hqr_build_dag(
         last_writer[i] = -1;
 
     int64_t tid = 0;   /* next task id */
-    int64_t ne = 0;    /* predecessor edges written */
-    pred_ptr[0] = 0;
+    int64_t ne = 0;    /* predecessor edges so far */
+    if (write)
+        pred_ptr[0] = 0;
 
-#define EMIT(KIND, ROW, PANEL, KILLER, COL)                                   \
+#define DEP(W)                                                                \
     do {                                                                      \
-        int32_t c_ = (COL) < 0 ? (PANEL) : (COL);                             \
-        int64_t dep0_ = ne;                                                   \
+        if (write)                                                            \
+            pred_idx[ne] = (W);                                               \
+        ne++;                                                                 \
+    } while (0)
+
+#define TASK(KIND, ROW, PANEL, COL, KILLER)                                   \
+    do {                                                                      \
+        if (write) {                                                          \
+            kind[tid] = (KIND);                                               \
+            row[tid] = (ROW);                                                 \
+            panel[tid] = (PANEL);                                             \
+            col[tid] = (COL);                                                 \
+            killer[tid] = (KILLER);                                           \
+            pred_ptr[tid + 1] = ne;                                           \
+        }                                                                     \
+        tid++;                                                                \
+    } while (0)
+
+/* factorization kernel on column PANEL: depends on the last writers of
+ * its killer tile (if any) and its own tile, listed once if they agree */
+#define EMIT(KIND, ROW, PANEL, KILLER)                                        \
+    do {                                                                      \
+        int32_t first_ = -1;                                                  \
         if ((KILLER) >= 0) {                                                  \
-            int64_t idx_ = (int64_t)(KILLER) * n + c_;                        \
-            int32_t w_ = last_writer[idx_];                                   \
-            if (w_ >= 0)                                                      \
-                pred_idx[ne++] = w_;                                          \
+            int64_t idx_ = (int64_t)(KILLER) * n + (PANEL);                   \
+            first_ = last_writer[idx_];                                       \
+            if (first_ >= 0)                                                  \
+                DEP(first_);                                                  \
             last_writer[idx_] = (int32_t)tid;                                 \
         }                                                                     \
         {                                                                     \
-            int64_t idx_ = (int64_t)(ROW) * n + c_;                           \
+            int64_t idx_ = (int64_t)(ROW) * n + (PANEL);                      \
             int32_t w_ = last_writer[idx_];                                   \
-            if (w_ >= 0 && (ne == dep0_ || w_ != pred_idx[ne - 1]))           \
-                pred_idx[ne++] = w_;                                          \
+            if (w_ >= 0 && w_ != first_)                                      \
+                DEP(w_);                                                      \
             last_writer[idx_] = (int32_t)tid;                                 \
         }                                                                     \
-        kind[tid] = (KIND);                                                   \
-        row[tid] = (ROW);                                                     \
-        panel[tid] = (PANEL);                                                 \
-        col[tid] = (COL);                                                     \
-        killer[tid] = (KILLER);                                               \
-        tid++;                                                                \
-        pred_ptr[tid] = ne;                                                   \
+        TASK((KIND), (ROW), (PANEL), -1, (KILLER));                           \
     } while (0)
 
 /* triangularize(row, panel): GEQRT + UNMQR row sweep, if not yet done */
@@ -236,21 +254,15 @@ int64_t hqr_build_dag(
         if (!triangled[tix_]) {                                               \
             triangled[tix_] = 1;                                              \
             int32_t fact_ = (int32_t)tid;                                     \
-            EMIT(0, (ROW), (PANEL), -1, -1); /* GEQRT */                      \
+            EMIT(0, (ROW), (PANEL), -1); /* GEQRT */                          \
             for (int32_t col_ = (PANEL) + 1; col_ < n; col_++) {              \
                 int64_t idx_ = (int64_t)(ROW) * n + col_;                     \
                 int32_t w_ = last_writer[idx_];                               \
-                pred_idx[ne++] = fact_;                                       \
+                DEP(fact_);                                                   \
                 if (w_ >= 0)                                                  \
-                    pred_idx[ne++] = w_;                                      \
+                    DEP(w_);                                                  \
                 last_writer[idx_] = (int32_t)tid;                             \
-                kind[tid] = 1; /* UNMQR */                                    \
-                row[tid] = (ROW);                                             \
-                panel[tid] = (PANEL);                                         \
-                col[tid] = col_;                                              \
-                killer[tid] = -1;                                             \
-                tid++;                                                        \
-                pred_ptr[tid] = ne;                                           \
+                TASK(1, (ROW), (PANEL), col_, -1); /* UNMQR */                \
             }                                                                 \
         }                                                                     \
     } while (0)
@@ -268,26 +280,20 @@ int64_t hqr_build_dag(
             kupd = 5;   /* TTMQR */
         }
         int32_t kid = (int32_t)tid;
-        EMIT(kkill, victim, pan, kil, -1);
+        EMIT(kkill, victim, pan, kil);
         for (int32_t c = pan + 1; c < n; c++) {
-            pred_idx[ne++] = kid;
+            DEP(kid);
             int64_t idx_k = (int64_t)kil * n + c;
             int32_t w = last_writer[idx_k];
             if (w >= 0)
-                pred_idx[ne++] = w;
+                DEP(w);
             last_writer[idx_k] = (int32_t)tid;
             int64_t idx_v = (int64_t)victim * n + c;
             w = last_writer[idx_v];
             if (w >= 0)
-                pred_idx[ne++] = w;
+                DEP(w);
             last_writer[idx_v] = (int32_t)tid;
-            kind[tid] = kupd;
-            row[tid] = victim;
-            panel[tid] = pan;
-            col[tid] = c;
-            killer[tid] = kil;
-            tid++;
-            pred_ptr[tid] = ne;
+            TASK(kupd, victim, pan, c, kil);
         }
     }
 
@@ -296,12 +302,91 @@ int64_t hqr_build_dag(
 
 #undef TRIANGULARIZE
 #undef EMIT
+#undef TASK
+#undef DEP
 
     free(last_writer);
     free(triangled);
-    if (tid != ntasks)
-        return -2; /* caller's task count disagrees: bug */
+    *out_ntasks = tid;
     return ne;
+}
+
+/* ------------------------------------------------------------------ *
+ * Finish pass: successor CSR and message slots of a built graph, O(E).
+ *
+ * succ_ptr/succ_idx reverse the predecessor CSR by counting sort; walking
+ * consumers in ascending order keeps every successor list ascending (the
+ * order a stable argsort over pred_idx gives).  edge_slot is aligned with
+ * succ_idx: -1 for a node-local edge, otherwise the index of the edge's
+ * (producer, destination node) pair among all distinct cross-node pairs
+ * in ascending (producer, destination) order.  Returns the number of
+ * slots, or -1 on allocation failure or out-of-range input.
+ * ------------------------------------------------------------------ */
+int64_t hqr_finish_graph(
+    int64_t ntasks, const int64_t *pred_ptr, const int32_t *pred_idx,
+    const int32_t *node, int32_t nnodes,
+    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+{
+    int64_t nedges = pred_ptr[ntasks];
+    for (int64_t t = 0; t < ntasks; t++)
+        if (node[t] < 0 || node[t] >= nnodes)
+            return -1;
+    memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int64_t));
+    for (int64_t e = 0; e < nedges; e++) {
+        if (pred_idx[e] < 0 || pred_idx[e] >= ntasks)
+            return -1;
+        succ_ptr[pred_idx[e] + 1]++;
+    }
+    for (int64_t t = 0; t < ntasks; t++)
+        succ_ptr[t + 1] += succ_ptr[t];
+
+    int64_t *cursor = (int64_t *)malloc((size_t)(ntasks + 1) * sizeof(int64_t));
+    /* per destination node: the producer that last marked it, its slot */
+    int64_t *marked_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
+    int32_t *slot_of = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+    int32_t *dests = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+    int64_t nslots = -1;
+    if (!cursor || !marked_by || !slot_of || !dests)
+        goto done;
+
+    memcpy(cursor, succ_ptr, (size_t)(ntasks + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < ntasks; t++)
+        for (int64_t e = pred_ptr[t]; e < pred_ptr[t + 1]; e++)
+            succ_idx[cursor[pred_idx[e]]++] = (int32_t)t;
+
+    for (int32_t i = 0; i < nnodes; i++)
+        marked_by[i] = -1;
+    nslots = 0;
+    for (int64_t t = 0; t < ntasks; t++) {
+        int32_t home = node[t];
+        int32_t nd = 0;
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t d = node[succ_idx[i]];
+            if (d != home && marked_by[d] != t) {
+                marked_by[d] = t;
+                /* insertion into the sorted distinct destinations */
+                int32_t j = nd++;
+                while (j > 0 && dests[j - 1] > d) {
+                    dests[j] = dests[j - 1];
+                    j--;
+                }
+                dests[j] = d;
+            }
+        }
+        for (int32_t j = 0; j < nd; j++)
+            slot_of[dests[j]] = (int32_t)(nslots++);
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t d = node[succ_idx[i]];
+            edge_slot[i] = d != home ? slot_of[d] : -1;
+        }
+    }
+
+done:
+    free(cursor);
+    free(marked_by);
+    free(slot_of);
+    free(dests);
+    return nslots;
 }
 
 /* ------------------------------------------------------------------ *
@@ -831,8 +916,12 @@ def _build() -> ctypes.CDLL | None:
 
     lib.hqr_build_dag.restype = i64
     lib.hqr_build_dag.argtypes = [
-        i32, i32, i64, i32p, i32p, i32p, u8p,
-        i64, i8p, i32p, i32p, i32p, i32p, i64p, i32p,
+        i32, i32, i32, i64, i32p, i32p, i32p, u8p,
+        i8p, i32p, i32p, i32p, i32p, i64p, i32p, i64p,
+    ]
+    lib.hqr_finish_graph.restype = i64
+    lib.hqr_finish_graph.argtypes = [
+        i64, i64p, i32p, i32p, i32, i64p, i32p, i32p,
     ]
     lib.hqr_simulate_cluster.restype = i32
     lib.hqr_simulate_cluster.argtypes = [

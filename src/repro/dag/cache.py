@@ -408,15 +408,19 @@ class CompiledGraphCache:
             return cg
         with self._lock:
             gate = self._building.setdefault(key, threading.Lock())
-        with gate:
-            # losers of the race find the winner's entry here — probed
-            # without counting, so one logical miss stays one miss
-            cg = self._lookup(key, count=False)
-            if cg is None:
-                cg = builder()
-                self.put(key, cg)
-        with self._lock:
-            self._building.pop(key, None)
+        try:
+            with gate:
+                # losers of the race find the winner's entry here — probed
+                # without counting, so one logical miss stays one miss
+                cg = self._lookup(key, count=False)
+                if cg is None:
+                    cg = builder()
+                    self.put(key, cg)
+        finally:
+            # also when the builder raises: a leaked gate would outlive
+            # the failed key for the life of the process
+            with self._lock:
+                self._building.pop(key, None)
         return cg
 
     def stats(self) -> dict[str, int]:

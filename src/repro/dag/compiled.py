@@ -6,9 +6,12 @@ codes, CSR predecessor/successor adjacency, per-task node placement, a
 cross-node edges — so the event-loop core (:mod:`repro.runtime.compiled`)
 touches only flat arrays and scalar ints.  Graphs can be compiled from an
 existing :class:`~repro.dag.graph.TaskGraph` or built directly from an
-elimination list (bypassing per-task Python objects entirely; a native C
-builder is used when available).  Compiled graphs are cacheable — see
-:mod:`repro.dag.cache`.
+elimination list (bypassing per-task Python objects entirely).  With the
+native core the elimination arrays go straight to a C counting pre-pass and
+builder, and a C finish pass derives the successor CSR and message slots in
+O(E); without a compiler the pure-Python builder and the numpy
+``_succ_csr`` / ``_edge_slots`` produce the same arrays bit for bit.
+Compiled graphs are cacheable — see :mod:`repro.dag.cache`.
 
 Kind codes follow the :class:`~repro.kernels.weights.KernelKind`
 declaration order: GEQRT=0, UNMQR=1, TSQRT=2, TSMQR=3, TTQRT=4, TTMQR=5.
@@ -28,7 +31,7 @@ from repro.dag.graph import TaskGraph
 from repro.kernels.weights import WEIGHTS, KernelKind
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
-from repro.trees.base import Elimination
+from repro.trees.base import Elimination, EliminationArray
 
 #: kernel kinds in code order (index == code)
 KIND_ORDER: tuple[KernelKind, ...] = tuple(KernelKind)
@@ -161,6 +164,35 @@ def _edge_slots(
     return np.ascontiguousarray(edge_slot), nslots
 
 
+def _ptr(arr: np.ndarray, typ):
+    return arr.ctypes.data_as(ctypes.POINTER(typ))
+
+
+def _finish_native(
+    pred_ptr: np.ndarray, pred_idx: np.ndarray, node: np.ndarray, nnodes: int
+) -> tuple | None:
+    """``_succ_csr`` + ``_edge_slots`` in one O(E) native pass, or ``None``
+    (no native core, or inputs it refuses) for the numpy fallback."""
+    lib = _ccore.get_lib()
+    if lib is None:
+        return None
+    ntasks = len(node)
+    pred_ptr = np.ascontiguousarray(pred_ptr, np.int64)
+    pred_idx = np.ascontiguousarray(pred_idx, np.int32)
+    node = np.ascontiguousarray(node, np.int32)
+    succ_ptr = np.empty(ntasks + 1, np.int64)
+    succ_idx = np.empty(len(pred_idx), np.int32)
+    edge_slot = np.empty(len(pred_idx), np.int32)
+    i32, i64 = ctypes.c_int32, ctypes.c_int64
+    nslots = lib.hqr_finish_graph(
+        ntasks, _ptr(pred_ptr, i64), _ptr(pred_idx, i32), _ptr(node, i32), nnodes,
+        _ptr(succ_ptr, i64), _ptr(succ_idx, i32), _ptr(edge_slot, i32),
+    )
+    if nslots < 0:
+        return None
+    return succ_ptr, succ_idx, edge_slot, nslots
+
+
 def _finish(
     m: int,
     n: int,
@@ -175,10 +207,13 @@ def _finish(
     machine: Machine,
     b: int,
 ) -> CompiledGraph:
-    ntasks = len(kind)
-    succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, ntasks)
     node = placement_array(layout, row, panel, col)
-    edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
+    finished = _finish_native(pred_ptr, pred_idx, node, machine.nodes)
+    if finished is None:
+        succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
+        edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
+    else:
+        succ_ptr, succ_idx, edge_slot, nslots = finished
     return CompiledGraph(
         m=m,
         n=n,
@@ -232,61 +267,58 @@ def compile_graph(
 # --------------------------------------------------------------------- #
 def count_tasks(elims: Sequence[Elimination], m: int, n: int) -> int:
     """Exact task count of ``TaskGraph.from_eliminations`` without building
-    it — drives array preallocation for the native builder."""
-    tri = bytearray(m * n)
-    ntasks = 0
-    for e in elims:
-        upd = n - 1 - e.panel
-        idx = e.killer * n + e.panel
-        if not tri[idx]:
-            tri[idx] = 1
-            ntasks += 1 + upd
-        if not e.ts:
-            idx = e.victim * n + e.panel
-            if not tri[idx]:
-                tri[idx] = 1
-                ntasks += 1 + upd
-        ntasks += 1 + upd
-    if m <= n and not tri[(m - 1) * n + (m - 1)]:
+    it — the closed form of what the native counting pre-pass counts.
+
+    A kernel on panel ``k`` brings its ``n - 1 - k`` trailing updates, so
+    every elimination, and every tile triangularized on first use (each
+    killer's, each TT victim's), contributes ``n - k`` tasks.
+    """
+    elims = EliminationArray.of(elims)
+    panel = elims.panel.astype(np.int64)
+    tiles = np.unique(np.concatenate((
+        elims.killer * np.int64(n) + panel,
+        (elims.victim * np.int64(n) + panel)[elims.ts == 0],
+    )))
+    ntasks = int((n - panel).sum() + (n - tiles % n).sum())
+    if m <= n and (m - 1) * (n + 1) not in tiles:
         ntasks += 1 + (n - m)
     return ntasks
 
 
-def _build_arrays_native(
-    elims: Sequence[Elimination], m: int, n: int
-) -> tuple | None:
+def _build_arrays_native(elims: EliminationArray, m: int, n: int) -> tuple | None:
     lib = _ccore.get_lib()
     if lib is None:
         return None
-    nelims = len(elims)
-    e_panel = np.fromiter((e.panel for e in elims), np.int32, nelims)
-    e_victim = np.fromiter((e.victim for e in elims), np.int32, nelims)
-    e_killer = np.fromiter((e.killer for e in elims), np.int32, nelims)
-    e_ts = np.fromiter((e.ts for e in elims), np.uint8, nelims)
-    ntasks = count_tasks(elims, m, n)
+    i8, u8 = ctypes.c_int8, ctypes.c_uint8
+    i32, i64 = ctypes.c_int32, ctypes.c_int64
+    shape_and_elims = (
+        m, n, len(elims), _ptr(elims.panel, i32), _ptr(elims.victim, i32),
+        _ptr(elims.killer, i32), _ptr(elims.ts, u8),
+    )
+    counted = i64()
+    # counting pre-pass (write = 0): sizes every array exactly
+    nedges = lib.hqr_build_dag(
+        0, *shape_and_elims, *[None] * 7, ctypes.byref(counted)
+    )
+    if nedges < 0:  # pragma: no cover - allocation failure
+        return None
+    ntasks = counted.value
     kind = np.empty(ntasks, np.int8)
     row = np.empty(ntasks, np.int32)
     panel = np.empty(ntasks, np.int32)
     col = np.empty(ntasks, np.int32)
     killer = np.empty(ntasks, np.int32)
     pred_ptr = np.empty(ntasks + 1, np.int64)
-    pred_idx = np.empty(max(3 * ntasks, 1), np.int32)
-
-    def p(arr, typ):
-        return arr.ctypes.data_as(ctypes.POINTER(typ))
-
-    i8, u8 = ctypes.c_int8, ctypes.c_uint8
-    i32, i64, = ctypes.c_int32, ctypes.c_int64
-    nedges = lib.hqr_build_dag(
-        i32(m), i32(n), i64(nelims),
-        p(e_panel, i32), p(e_victim, i32), p(e_killer, i32), p(e_ts, u8),
-        i64(ntasks),
-        p(kind, i8), p(row, i32), p(panel, i32), p(col, i32), p(killer, i32),
-        p(pred_ptr, i64), p(pred_idx, i32),
+    pred_idx = np.empty(nedges, np.int32)
+    built = lib.hqr_build_dag(
+        1, *shape_and_elims,
+        _ptr(kind, i8), _ptr(row, i32), _ptr(panel, i32), _ptr(col, i32),
+        _ptr(killer, i32), _ptr(pred_ptr, i64), _ptr(pred_idx, i32),
+        ctypes.byref(counted),
     )
-    if nedges < 0:  # pragma: no cover - allocation failure / count bug
+    if built < 0:  # pragma: no cover - allocation failure
         return None
-    return kind, row, panel, col, killer, pred_ptr, pred_idx[:nedges].copy()
+    return kind, row, panel, col, killer, pred_ptr, pred_idx
 
 
 @dataclass
@@ -411,14 +443,16 @@ def _expand_elims(
             triangled=bytes(triangled),
         )
 
+    elims = EliminationArray.of(elims)
+    victims, killers = elims.victim.tolist(), elims.killer.tolist()
+    panels, ts = elims.panel.tolist(), elims.ts.tolist()
     snap: BuildSnapshot | None = None
     for ei in range(start, len(elims)):
         if ei == checkpoint_at:
             snap = snapshot(ei)
-        e = elims[ei]
-        victim, killer, panel = e.victim, e.killer, e.panel
+        victim, killer, panel = victims[ei], killers[ei], panels[ei]
         triangularize(killer, panel)
-        if e.ts:
+        if ts[ei]:
             kill, update = 2, 3  # TSQRT, TSMQR
         else:
             triangularize(victim, panel)
@@ -534,9 +568,18 @@ def compiled_from_eliminations(
     """Expand an elimination list straight into a :class:`CompiledGraph`.
 
     Identical task/dependency order to ``TaskGraph.from_eliminations``,
-    without materializing Task objects.  Uses the native builder when
-    available.
+    without materializing Task objects.  An
+    :class:`~repro.trees.base.EliminationArray` is consumed as is (any other
+    sequence is converted once); its arrays feed the native builder when
+    available, the pure-Python builder otherwise.
     """
+    elims = EliminationArray.of(elims)
+    if len(elims) and not (
+        0 <= elims.panel.min()
+        and elims.panel.max() < n
+        and max(elims.victim.max(), elims.killer.max()) < m
+    ):
+        raise ValueError(f"elimination list does not fit {m} x {n} tiles")
     arrays = _build_arrays_native(elims, m, n)
     if arrays is None:
         arrays = _build_arrays_py(elims, m, n)

@@ -18,13 +18,24 @@ For every panel ``k`` and every virtual cluster ``r`` (rows ``i ≡ r mod p``):
 The list is emitted panel-major with levels ordered 0,1,2,3 inside a panel,
 which is always a valid sequential order (killers die only after their last
 kill; rows are zeroed in column order).
+
+Everything is computed on arrays: levels 0-2 of a cluster depend only on its
+local row range ``(base, ltop, lmax)``, so that *local structure* is built
+once per distinct range (in local rows times ``p``) and shifted by the
+cluster index ``r``; the trees contribute their cached positional
+:meth:`~repro.trees.base.PanelTree.pairs`.  The result is an
+:class:`~repro.trees.base.EliminationArray`.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+import numpy as np
+
 from repro.hqr.config import HQRConfig
 from repro.hqr.levels import top_local_row
-from repro.trees.base import Elimination, PanelTree
+from repro.trees.base import EliminationArray, PanelTree
 
 
 class HQRTree:
@@ -43,7 +54,9 @@ class HQRTree:
         self._low: PanelTree = config.low
         self._high: PanelTree = config.high
         self._panels = min(n, m - 1)
-        self._cache: dict[int, list[Elimination]] = {}
+        self._cache: dict[int, EliminationArray] = {}
+        #: (base, ltop, lmax) -> levels 0-2 of a cluster with that row range
+        self._local: dict[tuple[int, int, int], tuple] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -51,76 +64,97 @@ class HQRTree:
         """Number of panels with at least one elimination."""
         return self._panels
 
-    def panel_eliminations(self, k: int) -> list[Elimination]:
+    def panel_eliminations(self, k: int) -> EliminationArray:
         """Ordered eliminations of panel ``k`` (levels 0, 1, 2, 3)."""
         if not 0 <= k < self._panels:
             raise ValueError(f"panel {k} out of range [0, {self._panels})")
         if k not in self._cache:
-            self._cache[k] = self._build_panel(k)
+            self._cache[k] = self._assemble((k,))
         return self._cache[k]
 
-    def elimination_list(self) -> list[Elimination]:
+    def elimination_list(self) -> EliminationArray:
         """The full panel-major elimination list."""
-        out: list[Elimination] = []
-        for k in range(self._panels):
-            out.extend(self.panel_eliminations(k))
-        return out
+        return self._assemble(range(self._panels))
 
     def killer(self, i: int, k: int) -> int:
         """The paper's ``killer(i, k)`` oracle for tile ``(i, k)``, ``i > k``."""
         if not (0 <= k < self.n and k < i < self.m):
             raise ValueError(f"need k < i, 0 <= k < n, i < m; got i={i}, k={k}")
-        for e in self.panel_eliminations(k):
-            if e.victim == i:
-                return e.killer
-        raise AssertionError(f"tile ({i}, {k}) never eliminated")  # pragma: no cover
+        panel = self.panel_eliminations(k)
+        return int(panel.killer[panel.victim == i][0])
 
     # ------------------------------------------------------------------ #
-    def _build_panel(self, k: int) -> list[Elimination]:
-        p, a, domino = self.config.p, self.config.a, self.config.domino
-        m = self.m
-        level0: list[Elimination] = []
-        level1: list[Elimination] = []
-        level2: list[Elimination] = []
-        top_rows: list[int] = []
-        for r in range(p):
-            ltop = top_local_row(k, r, p)
-            if ltop * p + r >= m:
-                continue  # cluster has no rows on/below the diagonal
-            top_rows.append(ltop * p + r)
-            lmax = (m - 1 - r) // p
-            base = min(k, lmax) if domino else ltop
-            # --- level 0: TS domains over participants [base, lmax] ----- #
-            leaders: list[int] = []
-            for d in range(base // a, lmax // a + 1):
-                start = max(base, d * a)
-                end = min(lmax, d * a + a - 1)
-                if start > end:
-                    continue  # domain entirely above the reduction base
-                leaders.append(start)
-                killer = start * p + r
-                for loc in range(start + 1, end + 1):
-                    level0.append(
-                        Elimination(panel=k, victim=loc * p + r, killer=killer, ts=True)
-                    )
-            # --- level 1: low tree over the acting leaders -------------- #
-            for victim, killer in self._low.eliminations([loc * p + r for loc in leaders]):
-                level1.append(Elimination(panel=k, victim=victim, killer=killer))
-            # --- level 2: domino, top tile kills (ltop, base] ------------ #
-            if domino:
-                killer = ltop * p + r
-                for loc in range(ltop + 1, base + 1):
-                    level2.append(
-                        Elimination(panel=k, victim=loc * p + r, killer=killer)
-                    )
-        # --- level 3: high tree over the top tiles ----------------------- #
-        level3 = [
-            Elimination(panel=k, victim=victim, killer=killer)
-            for victim, killer in self._high.eliminations(sorted(top_rows))
-        ]
-        return level0 + level1 + level2 + level3
+    def _cluster(self, base: int, ltop: int, lmax: int) -> tuple:
+        """Levels 0-2 of a cluster whose participants are local rows
+        ``[base, lmax]`` under top tile ``ltop``: per level a ``(victims,
+        killers)`` pair in local rows times ``p`` (add ``r`` for tile rows)."""
+        key = (base, ltop, lmax)
+        levels = self._local.get(key)
+        if levels is None:
+            p, a = self.config.p, self.config.a
+            # level 0: every participant but its domain's acting leader (the
+            # domain's first participant) is TS-killed by that leader
+            loc = np.arange(base, lmax + 1, dtype=np.int32)
+            leader = np.maximum(loc // a * a, base)
+            killed = loc != leader
+            # level 1: low tree over the acting leaders
+            leaders = loc[~killed] * p
+            low_v, low_k = self._low.pairs(len(leaders))
+            # level 2: domino, top tile kills (ltop, base]; empty without
+            # domino, where base == ltop
+            coupled = np.arange(ltop + 1, base + 1, dtype=np.int32) * p
+            levels = self._local[key] = (
+                (loc[killed] * p, leader[killed] * p),
+                (leaders[low_v], leaders[low_k]),
+                (coupled, np.full(len(coupled), ltop * p, dtype=np.int32)),
+            )
+        return levels
+
+    def _assemble(self, panels: Iterable[int]) -> EliminationArray:
+        """The eliminations of ``panels``, in order, as one array list."""
+        p, m, domino = self.config.p, self.m, self.config.domino
+        # one piece per (panel, level, cluster): local rows, cluster shift
+        victims: list[np.ndarray] = []
+        killers: list[np.ndarray] = []
+        shift: list[int] = []
+        panel_of: list[int] = []
+        ts_of: list[bool] = []
+        for k in panels:
+            clusters = []
+            tops = []
+            for r in range(p):
+                ltop = top_local_row(k, r, p)
+                if ltop * p + r >= m:
+                    continue  # cluster has no rows on/below the diagonal
+                lmax = (m - 1 - r) // p
+                base = min(k, lmax) if domino else ltop
+                clusters.append((r, self._cluster(base, ltop, lmax)))
+                tops.append(ltop * p + r)
+            for level in range(3):
+                victims += [levels[level][0] for _, levels in clusters]
+                killers += [levels[level][1] for _, levels in clusters]
+                shift += [r for r, _ in clusters]
+                ts_of += [level == 0] * len(clusters)
+            # --- level 3: high tree over the top tiles ------------------- #
+            top_rows = np.array(sorted(tops), dtype=np.int32)
+            high_v, high_k = self._high.pairs(len(top_rows))
+            victims.append(top_rows[high_v])
+            killers.append(top_rows[high_k])
+            shift.append(0)
+            ts_of.append(False)
+            panel_of += [k] * (3 * len(clusters) + 1)
+        if not victims:
+            return EliminationArray((), (), (), ())
+        sizes = np.fromiter(map(len, victims), np.int64, len(victims))
+        offset = np.repeat(np.array(shift, dtype=np.int32), sizes)
+        return EliminationArray(
+            np.repeat(np.array(panel_of, dtype=np.int32), sizes),
+            np.concatenate(victims) + offset,
+            np.concatenate(killers) + offset,
+            np.repeat(np.array(ts_of, dtype=np.uint8), sizes),
+        )
 
 
-def hqr_elimination_list(m: int, n: int, config: HQRConfig) -> list[Elimination]:
+def hqr_elimination_list(m: int, n: int, config: HQRConfig) -> EliminationArray:
     """Convenience: the full HQR elimination list for an ``m x n`` tile matrix."""
     return HQRTree(m, n, config).elimination_list()

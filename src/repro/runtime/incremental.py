@@ -57,6 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dag.compiled import CompiledGraph
 from repro.obs.events import active as _obs_active
 from repro.obs.profile import stage
@@ -67,6 +69,7 @@ from repro.runtime.core import (  # noqa: F401  (SimCheckpoint re-exported)
 )
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import SimulationResult, qr_flops
+from repro.trees.base import EliminationArray
 
 __all__ = [
     "IncrementalStats",
@@ -84,12 +87,12 @@ MIN_PREFIX_FRAC = 0.25
 
 def common_prefix_len(a, b) -> int:
     """Length of the common leading run of two elimination lists."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+    a, b = EliminationArray.of(a), EliminationArray.of(b)
+    n = min(len(a), len(b))
+    differ = np.zeros(n, dtype=bool)
+    for name in EliminationArray.__slots__:
+        differ |= getattr(a, name)[:n] != getattr(b, name)[:n]
+    return int(differ.argmax()) if differ.any() else n
 
 
 def simulate_guarded(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -39,21 +41,131 @@ class Elimination:
         return f"elim({self.victim} <- {self.killer}, panel {self.panel}, {kind})"
 
 
+class EliminationArray(Sequence):
+    """An immutable elimination list held as four contiguous arrays.
+
+    ``panel``/``victim``/``killer`` are int32 and ``ts`` uint8, one entry
+    per elimination in list order.  It is a ``Sequence[Elimination]``:
+    ``len``, iteration, indexing, slicing and ``==`` against any other
+    sequence of eliminations behave like the equivalent ``list``, with
+    :class:`Elimination` objects materialised only on access.  The
+    :class:`Elimination` invariants are checked over the whole arrays on
+    construction and raise the same ``ValueError``.
+    """
+
+    __slots__ = ("panel", "victim", "killer", "ts")
+
+    def __init__(self, panel, victim, killer, ts) -> None:
+        self.panel = np.ascontiguousarray(panel, dtype=np.int32)
+        self.victim = np.ascontiguousarray(victim, dtype=np.int32)
+        self.killer = np.ascontiguousarray(killer, dtype=np.int32)
+        self.ts = np.ascontiguousarray(ts, dtype=np.uint8)
+        if not (
+            self.panel.shape == self.victim.shape == self.killer.shape
+            == self.ts.shape == (len(self.panel),)
+        ):
+            raise ValueError("elimination arrays must be 1-D of equal length")
+        bad = (
+            (self.victim == self.killer)
+            | (self.victim <= self.panel)
+            | (self.killer < self.panel)
+        )
+        if bad.any():
+            self[int(bad.argmax())]  # raises the matching Elimination error
+        for arr in (self.panel, self.victim, self.killer, self.ts):
+            arr.flags.writeable = False
+
+    @classmethod
+    def of(cls, elims: Sequence[Elimination]) -> "EliminationArray":
+        """``elims`` itself when already array-backed, else its array form."""
+        if isinstance(elims, cls):
+            return elims
+        count = len(elims)
+        return cls(
+            np.fromiter((e.panel for e in elims), np.int32, count),
+            np.fromiter((e.victim for e in elims), np.int32, count),
+            np.fromiter((e.killer for e in elims), np.int32, count),
+            np.fromiter((e.ts for e in elims), np.uint8, count),
+        )
+
+    def __len__(self) -> int:
+        return len(self.panel)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EliminationArray(
+                self.panel[index], self.victim[index],
+                self.killer[index], self.ts[index],
+            )
+        return Elimination(
+            int(self.panel[index]), int(self.victim[index]),
+            int(self.killer[index]), bool(self.ts[index]),
+        )
+
+    def __iter__(self) -> Iterator[Elimination]:
+        return map(
+            Elimination, self.panel.tolist(), self.victim.tolist(),
+            self.killer.tolist(), self.ts.astype(bool).tolist(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EliminationArray):
+            return all(
+                np.array_equal(getattr(self, field), getattr(other, field))
+                for field in self.__slots__
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # mutable-list semantics: compares by value, unhashable
+
+    def __repr__(self) -> str:
+        return f"EliminationArray({list(self)!r})"
+
+
 class PanelTree(ABC):
     """A reduction structure over an ordered set of rows.
 
-    ``eliminations(rows)`` reduces ``rows`` (any sorted sequence of distinct
-    row indices) down to its *first* element, returning ``(victim, killer)``
-    pairs in a dependency-respecting sequential order (every pair's killer is
-    still alive when the pair executes, and each victim dies exactly once).
+    A tree is a pure function of a row's *position* in the reduction:
+    :meth:`pairs` gives, for ``q`` rows, the ``(victim, killer)`` positions
+    in a dependency-respecting sequential order (every pair's killer is
+    still alive when the pair executes, each victim dies exactly once, and
+    position 0 survives).  ``eliminations(rows)`` applies those positions
+    to any sorted sequence of distinct row indices.
     """
 
     #: human-readable identifier ("flat", "binary", "greedy", "fibonacci")
     name: str = "?"
 
+    def __init__(self) -> None:
+        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
     @abstractmethod
+    def _positions(self, q: int) -> tuple[Sequence[int], Sequence[int]]:
+        """Ordered victim and killer positions reducing ``q >= 2`` rows."""
+
+    def pairs(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cached read-only int32 ``(victim_pos, killer_pos)`` for ``q`` rows."""
+        found = self._pairs.get(q)
+        if found is None:
+            victims, killers = self._positions(q) if q > 1 else ((), ())
+            found = (
+                np.array(victims, dtype=np.int32),
+                np.array(killers, dtype=np.int32),
+            )
+            for arr in found:
+                arr.flags.writeable = False
+            self._pairs[q] = found
+        return found
+
     def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
         """Ordered ``(victim, killer)`` pairs reducing ``rows`` to ``rows[0]``."""
+        rows = np.array(self._check_rows(rows), dtype=np.int64)
+        victims, killers = self.pairs(len(rows))
+        return list(zip(rows[victims].tolist(), rows[killers].tolist()))
 
     @staticmethod
     def _check_rows(rows: Sequence[int]) -> list[int]:

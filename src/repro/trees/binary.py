@@ -8,8 +8,6 @@ the "bumps" of Table III.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.trees.base import PanelTree
 
 
@@ -18,13 +16,13 @@ class BinaryTree(PanelTree):
 
     name = "binary"
 
-    def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
-        rows = self._check_rows(rows)
-        q = len(rows)
-        out: list[tuple[int, int]] = []
+    def _positions(self, q: int) -> tuple[list[int], list[int]]:
+        victims: list[int] = []
+        killers: list[int] = []
         stride = 1
         while stride < q:
-            for lo in range(stride, q, 2 * stride):
-                out.append((rows[lo], rows[lo - stride]))
+            round_victims = range(stride, q, 2 * stride)
+            victims.extend(round_victims)
+            killers.extend(lo - stride for lo in round_victims)
             stride *= 2
-        return out
+        return victims, killers

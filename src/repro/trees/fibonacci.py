@@ -13,8 +13,6 @@ implementation favours it for the distributed high-level tree.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.trees.base import PanelTree
 
 
@@ -40,25 +38,19 @@ class FibonacciTree(PanelTree):
 
     name = "fibonacci"
 
-    def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
-        rows = self._check_rows(rows)
-        q = len(rows)
-        if q <= 1:
-            return []
-        sizes = fibonacci_groups(q - 1)
-        # groups[g] holds local victim indices (1-based below the survivor)
-        groups: list[list[int]] = []
+    def _positions(self, q: int) -> tuple[list[int], list[int]]:
+        # groups[g] holds victim positions (1-based below the survivor)
+        groups: list[range] = []
         start = 1
-        for size in sizes:
-            groups.append(list(range(start, start + size)))
+        for size in fibonacci_groups(q - 1):
+            groups.append(range(start, start + size))
             start += size
-        out: list[tuple[int, int]] = []
+        victims: list[int] = []
+        killers: list[int] = []
         # Bottom groups are killed first; emit in execution order.  Killers
         # for the (possibly clipped) last group fall back to "size of its
         # own group" above, which stays within earlier groups.
-        for g in reversed(range(len(groups))):
-            size = len(groups[g])
-            for local in groups[g]:
-                killer_local = local - size
-                out.append((rows[local], rows[killer_local]))
-        return out
+        for group in reversed(groups):
+            victims.extend(group)
+            killers.extend(pos - len(group) for pos in group)
+        return victims, killers

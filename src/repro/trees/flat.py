@@ -7,8 +7,6 @@ is the only tree compatible with TS kernels, since victims stay square.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.trees.base import PanelTree
 
 
@@ -17,7 +15,5 @@ class FlatTree(PanelTree):
 
     name = "flat"
 
-    def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
-        rows = self._check_rows(rows)
-        survivor = rows[0]
-        return [(victim, survivor) for victim in rows[1:]]
+    def _positions(self, q: int) -> tuple[range, list[int]]:
+        return range(1, q), [0] * (q - 1)

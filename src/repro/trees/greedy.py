@@ -13,8 +13,6 @@ column ``k-1``), which interleaves panels and preserves pipelining.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.trees.base import Elimination, PanelTree
 
 
@@ -23,17 +21,16 @@ class GreedyTree(PanelTree):
 
     name = "greedy"
 
-    def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
-        rows = self._check_rows(rows)
-        alive = list(rows)
-        out: list[tuple[int, int]] = []
-        while len(alive) > 1:
-            z = len(alive) // 2
-            killers = alive[-2 * z : -z]
-            victims = alive[-z:]
-            out.extend(zip(victims, killers))
-            alive = alive[:-z]
-        return out
+    def _positions(self, q: int) -> tuple[list[int], list[int]]:
+        victims: list[int] = []
+        killers: list[int] = []
+        alive = q  # positions 0 .. alive-1 are still live
+        while alive > 1:
+            z = alive // 2
+            victims.extend(range(alive - z, alive))
+            killers.extend(range(alive - 2 * z, alive - z))
+            alive -= z
+        return victims, killers
 
 
 def greedy_elimination_list(

@@ -165,6 +165,26 @@ def test_get_or_build_builds_once(tmp_path):
     assert len(calls) == 1
 
 
+def test_get_or_build_releases_gate_when_builder_raises(tmp_path):
+    """A raising builder must not leak its per-key gate (the daemon's
+    long-lived cache would keep one lock per failed key), and the key
+    stays buildable."""
+    cache = CompiledGraphCache(root=tmp_path)
+    key = base_key()
+
+    def broken():
+        raise RuntimeError("planner blew up")
+
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="planner blew up"):
+            cache.get_or_build(key, broken)
+        assert cache._building == {}
+    cg = cache.get_or_build(key, build_graph)
+    assert cache._building == {}
+    assert cache.get(key) is cg
+    assert cache.stats()["store"] == 1
+
+
 def test_stale_version_rejected(tmp_path, monkeypatch):
     cache = CompiledGraphCache(root=tmp_path)
     key = base_key()
