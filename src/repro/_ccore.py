@@ -33,7 +33,8 @@ __all__ = ["cache_root", "get_lib", "native_available", "openmp_available"]
 
 
 def cache_root() -> Path:
-    """Root directory for on-disk caches (compiled graphs, native core).
+    """Root directory of what the package writes to disk: the compiled
+    native core (``ccore/``) and nothing else.
 
     ``REPRO_CACHE_DIR`` overrides; the default follows the XDG convention.
     """
@@ -393,10 +394,15 @@ done:
  * Cluster event loop.  Mirrors ClusterSimulator.run exactly.
  * Event codes: task id t for "t finished", ntasks + t for "data arrival
  * completed t's inputs".  Returns 0 (ok), 1 (stalled), -1 (alloc fail).
+ *
+ * Reads the graph's own arrays in place: wait counts come from pred_ptr,
+ * a task's duration is dur_table[kind[t]], and rank == NULL (with
+ * task_of_rank == NULL) means program order, i.e. identity ranks.
  * ------------------------------------------------------------------ */
-int32_t hqr_simulate_cluster(
+static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
-    const double *dur, const int32_t *node_of, const int32_t *waiting_init,
+    const double *dur_table, const int8_t *kind, const int32_t *node_of,
+    const int64_t *pred_ptr,
     const int64_t *succ_ptr, const int32_t *succ_idx,
     const int32_t *edge_slot, int64_t nslots,
     const int32_t *rank, const int32_t *task_of_rank,
@@ -425,7 +431,8 @@ int32_t hqr_simulate_cluster(
         !state || !ready || !ev.t || !ev.c)
         goto done;
 
-    memcpy(waiting, waiting_init, (size_t)ntasks * sizeof(int32_t));
+    for (int64_t t = 0; t < ntasks; t++)
+        waiting[t] = (int32_t)(pred_ptr[t + 1] - pred_ptr[t]);
     for (int32_t i = 0; i < nnodes; i++)
         free_cores[i] = cores_per_node;
     for (int64_t i = 0; i < nslots; i++)
@@ -434,11 +441,14 @@ int32_t hqr_simulate_cluster(
     double busy = 0.0, finish_time = 0.0;
     int64_t messages = 0;
 
+#define RANK(T) (rank ? rank[T] : (int32_t)(T))
+
 #define LAUNCH(T, START)                                                      \
     do {                                                                      \
         state[T] = 2;                                                         \
-        double end_ = (START) + dur[T];                                       \
-        busy += dur[T];                                                       \
+        double dur_ = dur_table[kind[T]];                                     \
+        double end_ = (START) + dur_;                                         \
+        busy += dur_;                                                         \
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
         ev_push(&ev, end_, (int64_t)(T));                                     \
@@ -453,7 +463,7 @@ int32_t hqr_simulate_cluster(
             LAUNCH(T, start_);                                                \
         } else {                                                              \
             state[T] = 1;                                                     \
-            if (ih_push(&ready[node_], rank[T]) < 0)                          \
+            if (ih_push(&ready[node_], RANK(T)) < 0)                          \
                 goto done;                                                    \
         }                                                                     \
     } while (0)
@@ -477,7 +487,7 @@ int32_t hqr_simulate_cluster(
                     int32_t s = succ_idx[i];
                     if (state[s] == 1 && node_of[s] == node &&
                         data_ready[s] <= now &&
-                        (best < 0 || rank[s] < rank[best]))
+                        (best < 0 || RANK(s) < RANK(best)))
                         best = s;
                 }
                 nxt = best;
@@ -485,7 +495,9 @@ int32_t hqr_simulate_cluster(
             if (nxt < 0) {
                 iheap *h = &ready[node];
                 while (h->len > 0) {
-                    int32_t cand = task_of_rank[ih_pop(h)];
+                    int32_t cand = ih_pop(h);
+                    if (task_of_rank)
+                        cand = task_of_rank[cand];
                     if (state[cand] == 1) {
                         nxt = cand;
                         break;
@@ -549,6 +561,7 @@ int32_t hqr_simulate_cluster(
 
 #undef TRY_START
 #undef LAUNCH
+#undef RANK
 
     rc = 0;
     for (int64_t t = 0; t < ntasks; t++)
@@ -577,31 +590,27 @@ done:
 }
 
 /* ------------------------------------------------------------------ *
- * Batched cluster loop: many independent sweep points in one call.
+ * Batched cluster loop: many independent graphs in one call, read in
+ * place.  Every per-graph argument is a table of npoints pointers into
+ * the caller's own arrays (nothing is packed or copied); ntasks/nslots
+ * give each graph's sizes.  An entry of rank/task_of_rank may be NULL:
+ * that graph runs in program order.  An empty graph is skipped.
  *
- * The points share one concatenated structure-of-arrays arena:
- * task_off/edge_off/slot_off are (npoints+1) prefix-sum offsets into the
- * per-task, per-edge and per-slot arrays; point p's succ_ptr slice lives
- * at succ_ptr + task_off[p] + p (each point contributes ntasks+1
- * entries) and holds point-local edge indices.  Durations are gathered
- * per point from a shared npoints x 6 kernel-kind table, so the caller
- * ships 6 doubles per point instead of ntasks.
- *
- * Each point runs the exact scalar hqr_simulate_cluster — points are
- * fully independent, so the OpenMP fan-out (enabled when the library was
- * built with -fopenmp; nthreads <= 0 means the OpenMP default) is
- * bit-identical to the serial loop.  Per-point rc codes land in out_rc;
- * the return value is 0 only when every point succeeded.
+ * Graphs are fully independent, so the OpenMP fan-out (enabled when the
+ * library was built with -fopenmp; nthreads <= 0 means the OpenMP
+ * default) is bit-identical to the serial loop; a single graph, i.e. a
+ * served request, starts no thread team.  Per-graph rc codes land in
+ * out_rc; the return value is 0 only when every graph succeeded.
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_cluster_batch(
     int64_t npoints, int32_t nthreads,
-    const int64_t *task_off, const int64_t *edge_off, const int64_t *slot_off,
+    const int64_t *ntasks, const int64_t *nslots,
+    const double *const *dur_table, const int8_t *const *kind,
+    const int32_t *const *node_of, const int64_t *const *pred_ptr,
+    const int64_t *const *succ_ptr, const int32_t *const *succ_idx,
+    const int32_t *const *edge_slot,
+    const int32_t *const *rank, const int32_t *const *task_of_rank,
     int32_t nnodes, int32_t cores_per_node,
-    const double *dur_tables, const int8_t *kind,
-    const int32_t *node_of, const int32_t *waiting_init,
-    const int64_t *succ_ptr, const int32_t *succ_idx,
-    const int32_t *edge_slot,
-    const int32_t *rank, const int32_t *task_of_rank,
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
     const int32_t *site_of, int32_t data_reuse,
@@ -611,31 +620,24 @@ int32_t hqr_simulate_cluster_batch(
     int64_t p;
 #ifdef _OPENMP
     int nt = nthreads > 0 ? nthreads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
+#pragma omp parallel for schedule(dynamic) num_threads(nt) if(npoints > 1)
 #endif
     for (p = 0; p < npoints; p++) {
-        int64_t t0 = task_off[p];
-        int64_t ntasks = task_off[p + 1] - t0;
-        const double *table = dur_tables + 6 * p;
-        double *dur =
-            (double *)malloc((size_t)(ntasks > 0 ? ntasks : 1) * sizeof(double));
-        if (!dur) {
-            out_rc[p] = -1;
+        if (ntasks[p] == 0) {
+            out_makespan[p] = out_busy[p] = 0.0;
+            out_messages[p] = 0;
+            out_rc[p] = 0;
             continue;
         }
-        for (int64_t t = 0; t < ntasks; t++)
-            dur[t] = table[kind[t0 + t]];
         out_rc[p] = hqr_simulate_cluster(
-            ntasks, nnodes, cores_per_node, dur,
-            node_of + t0, waiting_init + t0,
-            succ_ptr + t0 + p, succ_idx + edge_off[p],
-            edge_slot + edge_off[p], slot_off[p + 1] - slot_off[p],
-            rank + t0, task_of_rank + t0,
+            ntasks[p], nnodes, cores_per_node,
+            dur_table[p], kind[p], node_of[p], pred_ptr[p],
+            succ_ptr[p], succ_idx[p], edge_slot[p], nslots[p],
+            rank[p], task_of_rank[p],
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
             site_of, data_reuse,
             out_makespan + p, out_busy + p, out_messages + p);
-        free(dur);
     }
     for (p = 0; p < npoints; p++)
         if (out_rc[p] != 0)
@@ -923,20 +925,15 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_finish_graph.argtypes = [
         i64, i64p, i32p, i32p, i32, i64p, i32p, i32p,
     ]
-    lib.hqr_simulate_cluster.restype = i32
-    lib.hqr_simulate_cluster.argtypes = [
-        i64, i32, i32, f64p, i32p, i32p, i64p, i32p, i32p, i64,
-        i32p, i32p, i32, i32, f64, f64, f64, f64, i32p, i32,
-        f64p, f64p, i64p,
-    ]
     lib.hqr_openmp.restype = i32
     lib.hqr_openmp.argtypes = []
     lib.hqr_simulate_cluster_batch.restype = i32
+    # every array goes over as a plain address (``arr.ctypes.data``): the
+    # two size vectors, nine per-graph pointer tables, site_of, four outputs
+    vp = ctypes.c_void_p
     lib.hqr_simulate_cluster_batch.argtypes = [
-        i64, i32, i64p, i64p, i64p, i32, i32,
-        f64p, i8p, i32p, i32p, i64p, i32p, i32p,
-        i32p, i32p, i32, i32, f64, f64, f64, f64, i32p, i32,
-        f64p, f64p, i64p, i32p,
+        i64, i32, *[vp] * 11,
+        i32, i32, i32, i32, f64, f64, f64, f64, vp, i32, *[vp] * 4,
     ]
     lib.hqr_simulate_acc.restype = i32
     lib.hqr_simulate_acc.argtypes = [

@@ -197,27 +197,21 @@ def parallel_map(
     ``fn`` must be picklable (module-level) for the parallel path.
     ``transport`` overrides the label in the once-per-sweep transport log
     (the batched sweep passes ``shared-memory`` when items are arena
-    handles rather than pickled configs); an empty string suppresses the
-    log entirely — for auxiliary fan-outs, like the batched sweep's
-    cold-cache build phase, that are not the sweep's point transport.
+    handles rather than pickled configs).
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
     if workers is None:
         workers = default_workers()
     workers = min(workers, len(seq))
     if workers <= 1:
-        if transport != "":
-            log_transport(transport or "serial", workers=1, points=len(seq))
+        log_transport(transport or "serial", workers=1, points=len(seq))
         results, seconds = _serial_map(fn, seq)
         _report_timings(seconds)
         return results
     from concurrent.futures import BrokenExecutor
 
     try:
-        if transport != "":
-            log_transport(
-                transport or "pickle", workers=workers, points=len(seq)
-            )
+        log_transport(transport or "pickle", workers=workers, points=len(seq))
         with _make_pool(workers) as pool:
             pairs = list(pool.map(_timed_call, [(fn, item) for item in seq]))
     except (OSError, ImportError, BrokenExecutor) as exc:

@@ -123,14 +123,13 @@ def compiled_graph_for(
     machine: Machine,
     b: int,
 ):
-    """Build (or fetch from the two-level cache) one compiled graph.
+    """Build (or fetch from the in-memory cache) one compiled graph.
 
     The shared build path of :func:`run_config`, the batched sweep, and
     the :mod:`repro.tune` energy evaluator: fingerprint the inputs,
     consult the process-wide :func:`~repro.dag.cache.default_cache`, and
     fall back to an uncached build for layouts whose attributes have no
-    stable serialization (caching under an unstable key would silently
-    defeat the disk cache).
+    stable serialization (there is no stable key to cache them under).
     """
     from repro.dag.cache import default_cache, fingerprint
     from repro.dag.compiled import compiled_from_eliminations
@@ -184,18 +183,6 @@ def _run_point(item) -> SimulationResult:
     return run_config(m, n, config, setup=setup, layout=layout)
 
 
-def _build_point(item) -> None:
-    """Build one point's graph into the shared disk cache (no simulate).
-
-    Module-level and picklable: the batched sweep fans the cold-cache
-    build phase out over the pool, then the parent loads every graph
-    back through the memory-mapped cache.
-    """
-    m, n, config, setup, layout = item
-    lay = layout if layout is not None else setup.layout
-    compiled_graph_for(m, n, config, lay, setup.machine, setup.b)
-
-
 def _sim_arena_point(item) -> SimulationResult:
     """Simulate one point against the attached shared-memory arena."""
     handle, index, machine, b = item
@@ -227,11 +214,11 @@ def run_config_sweep(
       pool worker as a pickled ``(m, n, config)`` tuple and built +
       simulated there.
     * ``batch=True`` (default, ``REPRO_BENCH_BATCH=0`` reverts) — graphs
-      are built once (cold points fan the *build* out over the pool,
-      then load back through the memory-mapped cache) and simulated via
-      the cheapest available transport: one batched C call
-      (``simulate_compiled_batch``), a shared-memory arena fanned over
-      the pool for the pure-Python core, or the serial incremental
+      are built once, in this process (cold points in line: a build is
+      cheaper than shipping its arrays between processes), and simulated
+      where they lie via the cheapest available transport: one batched C
+      call (``simulate_compiled_batch``), a shared-memory arena fanned
+      over the pool for the pure-Python core, or the serial incremental
       sweep.
 
     The reference engine (``REPRO_SIM_CORE=reference``) always uses the
@@ -250,7 +237,6 @@ def run_config_sweep(
 
 def _sweep_batched(points, setup, workers) -> list[SimulationResult]:
     from repro.bench.parallel import default_workers, log_transport
-    from repro.dag.cache import default_cache, fingerprint
     from repro.obs.events import active as _obs_active
     from repro.runtime.core import _pick_engine, run_core_batch
     from repro.runtime.incremental import run_sweep_incremental
@@ -267,23 +253,7 @@ def _sweep_batched(points, setup, workers) -> list[SimulationResult]:
         log_transport("incremental", workers=1, points=len(points))
         return run_sweep_incremental(points, setup)
 
-    # -- build every graph once (parent-side, pool-assisted when cold) --
-    cache = default_cache()
-    keys = []
-    for m, n, cfg in points:
-        try:
-            keys.append(fingerprint(m, n, cfg, setup.layout, machine, b))
-        except TypeError:
-            keys.append(None)
-    cold = [
-        i for i, key in enumerate(keys)
-        if key is not None and not cache.contains(key)
-    ]
-    if cold and eff_workers > 1 and len(cold) > 1:
-        items = [(*points[i], setup, None) for i in cold]
-        # transport="" : build fan-out, not the sweep's point transport
-        parallel_map(_build_point, items, workers=workers, transport="")
-        cache.clear_memory()  # reload below through the mmap path
+    # -- build every graph once, in line ------------------------------- #
     graphs = [
         compiled_graph_for(m, n, cfg, setup.layout, machine, b)
         for m, n, cfg in points

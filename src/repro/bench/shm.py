@@ -1,10 +1,9 @@
 """Zero-copy :class:`CompiledGraph` transport for pool workers.
 
 The legacy sweep path ships ``(m, n, config)`` tuples and has every
-worker rebuild (or re-read from the disk cache) its own copy of each
-compiled graph.  The batched sweep builds the graphs once in the parent
-and publishes their arrays into a single
-:class:`multiprocessing.shared_memory.SharedMemory` block; workers
+worker rebuild its own copy of each compiled graph.  The batched sweep
+builds the graphs once in the parent and publishes their arrays into a
+single :class:`multiprocessing.shared_memory.SharedMemory` block; workers
 attach numpy *views* over the same physical pages — no pickling, no
 per-point deserialization, one copy of the arena per machine.
 

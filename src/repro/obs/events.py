@@ -121,7 +121,7 @@ class Recorder:
             self.dropped_events["faults"] += 1
 
     def cache_event(self, event: str, key: str) -> None:
-        """``event`` ∈ hit-memory / hit-disk / miss / store."""
+        """``event`` ∈ hit-memory / miss / store."""
         if len(self.cache) < self.max_events:
             self.cache.append((event, key))
         else:
@@ -147,7 +147,7 @@ class Recorder:
         return self.level == "tasks"
 
     def cache_counts(self) -> dict[str, int]:
-        """Cache event totals by kind (hit-memory/hit-disk/miss/store)."""
+        """Cache event totals by kind (hit-memory/miss/store)."""
         out: dict[str, int] = {}
         for event, _ in self.cache:
             out[event] = out.get(event, 0) + 1

@@ -431,7 +431,7 @@ def cache_metrics_into(reg: MetricsRegistry, stats: dict[str, int]) -> None:
     )
     for event, count in sorted(stats.items()):
         ops.inc(count, event=event)
-    hits = stats.get("hit_memory", 0) + stats.get("hit_disk", 0)
+    hits = stats.get("hit_memory", 0)
     lookups = hits + stats.get("miss", 0)
     if lookups:
         reg.gauge(

@@ -119,10 +119,9 @@ def profile_run(
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
     run_config_sweep` twice — per-point (``sweep_parallel``) and batched
-    (``dispatch``, whose ``dispatch_pack``/``dispatch_compute``
-    sub-stages split the batched path into setup, arena packing, and
-    compute) — to attribute sweep fan-out overhead/speedup.  Returns a
-    JSON-ready report.
+    (``dispatch``, whose ``dispatch_compute`` sub-stage splits the
+    batched path into setup and compute) — to attribute sweep fan-out
+    overhead/speedup.  Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
     from repro.hqr.config import HQRConfig
@@ -156,15 +155,13 @@ def profile_run(
     report["serial_wall_s"] = serial_s
     report["sweep_parallel_s"] = sp.seconds("sweep_parallel")
     dispatch_s = sp.seconds("dispatch")
-    pack_s = sp.seconds("dispatch_pack")
     compute_s = sp.seconds("dispatch_compute")
     report["dispatch"] = {
         "total_s": dispatch_s,
-        "pack_s": pack_s,
         "compute_s": compute_s,
-        # graph loading, engine pick, result assembly — everything that
-        # is neither arena packing nor the simulation itself
-        "setup_s": max(0.0, dispatch_s - pack_s - compute_s),
+        # graph lookup, engine pick, result assembly — everything that
+        # is not the simulation itself
+        "setup_s": max(0.0, dispatch_s - compute_s),
     }
     graph_s = sp.seconds("graph")
     report["cache_overhead_s"] = max(
@@ -231,7 +228,6 @@ def format_profile(report: dict) -> str:
         lines.append(
             f"  batched dispatch: {dispatch['total_s']:.3f}s "
             f"(setup {dispatch['setup_s']:.3f}s, "
-            f"pack {dispatch['pack_s']:.3f}s, "
             f"compute {dispatch['compute_s']:.3f}s)"
         )
     for row in report.get("cprofile_top", [])[:10]:

@@ -780,31 +780,86 @@ def _py_loop(
 # --------------------------------------------------------------------- #
 # native inner loop
 # --------------------------------------------------------------------- #
-def _c_cluster(
-    lib, ntasks, nnodes, cores_per_node, dur, node, waiting,
-    succ_ptr, succ_idx, edge_slot, nslots, rank, task_of_rank,
-    serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter,
-    site_of, data_reuse,
-):
-    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-    out_mk, out_busy = f64(0.0), f64(0.0)
-    out_msgs = i64(0)
-    rc = lib.hqr_simulate_cluster(
-        i64(ntasks), i32(nnodes), i32(cores_per_node),
-        _ptr(dur, f64), _ptr(node, i32), _ptr(waiting, i32),
-        _ptr(succ_ptr, i64), _ptr(succ_idx, i32),
-        _ptr(edge_slot, i32), i64(nslots),
-        _ptr(rank, i32), _ptr(task_of_rank, i32),
-        i32(1 if serialized else 0), i32(1 if hierarchical else 0),
-        f64(lat_intra), f64(bwt_intra), f64(lat_inter), f64(bwt_inter),
-        _ptr(site_of, i32), i32(1 if data_reuse else 0),
-        ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),
+#: CompiledGraph arrays the native loop reads in place, with the dtype it
+#: expects of each (argument order of ``hqr_simulate_cluster_batch``)
+_NATIVE_FIELDS = (
+    ("dur_table", np.float64),
+    ("kind", np.int8),
+    ("node", np.int32),
+    ("pred_ptr", np.int64),
+    ("succ_ptr", np.int64),
+    ("succ_idx", np.int32),
+    ("edge_slot", np.int32),
+)
+
+
+def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
+    """One Python->C call over ``graphs``, each read where it lies.
+
+    The C entry takes one table of array addresses per field, so nothing
+    is packed or copied: an array that is already C-contiguous and of the
+    expected dtype (every builder's output) is handed over as is, any
+    other is normalised first.  ``columns`` keeps every array whose
+    address was taken referenced until the call returns.  Returns
+    ``(makespans, busys, messages)`` arrays, or ``None`` after an
+    allocation failure (the caller retries in Python).
+    """
+    npoints = len(graphs)
+    columns = [
+        [np.ascontiguousarray(getattr(cg, name), dtype) for cg in graphs]
+        for name, dtype in _NATIVE_FIELDS
+    ]
+    dur_table, kind, node, pred_ptr, succ_ptr, succ_idx, edge_slot = columns
+    for j in range(npoints):
+        nt, ne = len(kind[j]), len(succ_idx[j])
+        if not (
+            len(dur_table[j]) == 6
+            and len(node[j]) == nt
+            and len(pred_ptr[j]) == len(succ_ptr[j]) == nt + 1
+            and len(edge_slot[j]) == ne
+            and succ_ptr[j][nt] == ne
+        ):
+            raise ValueError(
+                f"graph {j}: array lengths do not describe one graph "
+                f"({nt} tasks, {ne} successor edges)"
+            )
+    # only an explicit priority vector costs a rank permutation; address 0
+    # (NULL) tells the C loop to run that graph in program order
+    columns.extend(zip(*(
+        (None, None) if prio is None else priority_ranks(prio, len(kind[j]))
+        for j, prio in enumerate(prios)
+    )))  # the rank column, then the task_of_rank column
+    # row k: the addresses of field k's arrays, one per graph
+    tables = np.array(
+        [[0 if a is None else a.ctypes.data for a in col] for col in columns],
+        dtype=np.uintp,
     )
-    if rc == 1:  # pragma: no cover - cycle guard
-        raise RuntimeError("simulation stalled with unfinished tasks")
-    if rc != 0:  # pragma: no cover - allocation failure: retry in Python
-        return None
-    return out_mk.value, out_busy.value, out_msgs.value
+    ntasks = np.array([len(k) for k in kind], dtype=np.int64)
+    nslots = np.array([cg.nslots for cg in graphs], dtype=np.int64)
+    (
+        nnodes, cores_per_node, serialized, hierarchical,
+        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+    ) = _machine_params(machine, b)
+    site_of = np.asarray(site, dtype=np.int32)
+    out_mk = np.zeros(npoints, dtype=np.float64)
+    out_busy = np.zeros(npoints, dtype=np.float64)
+    out_msgs = np.zeros(npoints, dtype=np.int64)
+    out_rc = np.zeros(npoints, dtype=np.int32)
+    rc = lib.hqr_simulate_cluster_batch(
+        npoints, sim_threads(), ntasks.ctypes.data, nslots.ctypes.data,
+        *[tables[k].ctypes.data for k in range(len(columns))],
+        nnodes, cores_per_node,
+        1 if serialized else 0, 1 if hierarchical else 0,
+        lat_intra, bwt_intra, lat_inter, bwt_inter,
+        site_of.ctypes.data, 1 if data_reuse else 0,
+        out_mk.ctypes.data, out_busy.ctypes.data, out_msgs.ctypes.data,
+        out_rc.ctypes.data,
+    )
+    if rc != 0:
+        if np.any(out_rc == 1):  # pragma: no cover - cycle guard
+            raise RuntimeError("simulation stalled with unfinished tasks")
+        return None  # allocation failure somewhere: retry in Python
+    return out_mk, out_busy, out_msgs
 
 
 # --------------------------------------------------------------------- #
@@ -855,15 +910,6 @@ def run_core(
             ),
         )
 
-    dur = np.ascontiguousarray(cg.dur_table[cg.kind])
-    waiting = np.ascontiguousarray(cg.pred_counts)
-    rank, task_of_rank = priority_ranks(prio, ntasks)
-    (
-        nnodes, cores_per_node, serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    ) = _machine_params(machine, b)
-    site_of = np.asarray(site, dtype=np.int32)
-
     lib = None
     if not record_trace and fault is None:
         lib = _pick_engine(core)
@@ -873,67 +919,47 @@ def run_core(
             # loop instead (one note per demoted graph, in every path)
             rec.note("engine_fallback", reason="task-level recording", frm="c")
             lib = None
+    # the batch of one: the C entry derives wait counts, durations and
+    # identity ranks itself, so a request prepares no per-task array
+    out = None
     if lib is not None:
-        out = _c_cluster(
-            lib, ntasks, nnodes, cores_per_node, dur, cg.node, waiting,
-            cg.succ_ptr, cg.succ_idx, cg.edge_slot, cg.nslots,
-            rank, task_of_rank, serialized, hierarchical,
-            lat_intra, bwt_intra, lat_inter, bwt_inter, site_of, data_reuse,
-        )
-        if out is not None:
-            makespan, busy, messages = out
-            if rec is not None:
-                rec.run(
-                    engine="c",
-                    loop="cluster",
-                    wall_s=time.perf_counter() - wall0,
-                    makespan=makespan,
-                    busy_seconds=busy,
-                    messages=messages,
-                    ntasks=ntasks,
-                )
-            if hook is not None:
-                hook(
-                    "simulate", span0, time.monotonic(),
-                    {"engine": "c", "ntasks": ntasks},
-                )
-            return CoreOutcome(
-                result=SimulationResult(
-                    makespan=makespan,
-                    flops=qr_flops(M, N),
-                    messages=messages,
-                    bytes_sent=messages * tile_bytes,
-                    busy_seconds=busy,
-                    cores=machine.cores,
-                    trace=None,
-                ),
-                engine="c",
+        out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse)
+    if out is not None:
+        makespan, busy = float(out[0][0]), float(out[1][0])
+        messages = int(out[2][0])
+        trace = comm = fault_out = None
+        engine = label = "c"
+    else:
+        rank, task_of_rank = priority_ranks(prio, ntasks)
+        (
+            nnodes, cores_per_node, serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+        ) = _machine_params(machine, b)
+        kw = {}
+        if fault is not None:
+            kw = dict(
+                fault=fault,
+                pred_ptr=cg.pred_ptr.tolist(),
+                pred_idx=cg.pred_idx.tolist(),
             )
-
-    kw = {}
-    if fault is not None:
-        kw = dict(
-            fault=fault,
-            pred_ptr=cg.pred_ptr.tolist(),
-            pred_idx=cg.pred_idx.tolist(),
+        makespan, busy, messages, trace, comm, fault_out, _, _ = _py_loop(
+            ntasks, nnodes, cores_per_node,
+            cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
+            cg.pred_counts.tolist(),
+            cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
+            cg.edge_slot.tolist() if fault is None else None,
+            cg.nslots if fault is None else 0,
+            rank.tolist(), task_of_rank.tolist(),
+            serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+            data_reuse,
+            rec=rec, nbytes=tile_bytes, record_trace=record_trace,
+            **kw,
         )
-    makespan, busy, messages, trace, comm, fault_out, _, _ = _py_loop(
-        ntasks, nnodes, cores_per_node,
-        dur.tolist(), cg.node.tolist(), waiting.tolist(),
-        cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-        cg.edge_slot.tolist() if fault is None else None,
-        cg.nslots if fault is None else 0,
-        rank.tolist(), task_of_rank.tolist(),
-        serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-        data_reuse,
-        rec=rec, nbytes=tile_bytes, record_trace=record_trace,
-        **kw,
-    )
-    engine = engine_label or "python"
+        engine, label = "python", engine_label or "python"
     if fault is None and rec is not None:
         rec.run(
-            engine=engine,
+            engine=label,
             loop="cluster",
             wall_s=time.perf_counter() - wall0,
             makespan=makespan,
@@ -944,7 +970,7 @@ def run_core(
     if hook is not None:
         hook(
             "simulate", span0, time.monotonic(),
-            {"engine": engine, "ntasks": ntasks},
+            {"engine": label, "ntasks": ntasks},
         )
     return CoreOutcome(
         result=SimulationResult(
@@ -958,7 +984,7 @@ def run_core(
             comm_trace=comm,
         ),
         fault=fault_out,
-        engine="python",
+        engine=engine,
     )
 
 
@@ -1047,13 +1073,13 @@ def run_core_batch(
 
     All graphs share the machine, tile size, and data-reuse flag (one
     sweep); ``prios`` is an optional per-graph priority-vector list.  The
-    C path concatenates every graph into one structure-of-arrays arena
-    and makes a *single* Python->C call (``hqr_simulate_cluster_batch``),
-    fanned out over points with OpenMP when the core was built with it
-    (``REPRO_SIM_THREADS`` overrides the thread count).  Results are
-    bit-identical to calling :func:`run_core` per graph — the C side
-    runs the exact scalar loop on per-point array slices, and the
-    fallback path *is* the per-graph loop.
+    C path makes a *single* Python->C call
+    (``hqr_simulate_cluster_batch``) that reads every graph's arrays in
+    place through per-graph pointer tables, fanned out over points with
+    OpenMP when the core was built with it (``REPRO_SIM_THREADS``
+    overrides the thread count).  Results are bit-identical to calling
+    :func:`run_core` per graph — that *is* this call with one graph, and
+    the fallback path *is* the per-graph loop.
     """
     npoints = len(graphs)
     if npoints == 0:
@@ -1076,146 +1102,52 @@ def run_core_batch(
         # loop; the per-point fallback below emits one engine_fallback
         # note per graph — identical attribution to the scalar path
         lib = None
-    results: list[SimulationResult | None] = [None] * npoints
-    # empty graphs never reach the C core: malloc(0) is allowed to return
-    # NULL, which the scalar loop would misread as allocation failure
-    live = [i for i in range(npoints) if graphs[i].ntasks > 0]
-    for i in range(npoints):
-        if graphs[i].ntasks == 0:
-            results[i] = SimulationResult(
-                0.0, 0.0, 0, 0, 0.0, machine.cores, None
-            )
-
-    batch = None
-    if lib is not None and live:
-        with stage("dispatch_pack"):
-            batch = _pack_batch(graphs, prios, live)
-    if batch is not None:
+    out = None
+    if lib is not None:
         with stage("dispatch_compute"):
-            out = _c_cluster_batch(lib, batch, machine, b, data_reuse)
-        if out is None:
-            batch = None  # allocation failure: retry per point in Python
-        else:
-            makespans, busys, msgs = out
-            for j, i in enumerate(live):
-                cg = graphs[i]
-                results[i] = SimulationResult(
-                    makespan=float(makespans[j]),
-                    flops=qr_flops(cg.m * b, cg.n * b),
-                    messages=int(msgs[j]),
-                    bytes_sent=int(msgs[j]) * tile_bytes,
-                    busy_seconds=float(busys[j]),
-                    cores=machine.cores,
-                    trace=None,
-                )
-            if rec is not None:
-                rec.run(
-                    engine="c-batch",
-                    loop="cluster",
-                    wall_s=time.perf_counter() - wall0,
-                    points=len(live),
-                    ntasks=int(batch["task_off"][-1]),
-                    threads=sim_threads(),
-                    openmp=_ccore.openmp_available(),
-                )
-            if hook is not None:
-                # one span for the whole fused dispatch; the per-point
-                # fallback below goes through run_core, which emits its
-                # own per-graph spans
-                hook(
-                    "simulate", span0, time.monotonic(),
-                    {"engine": "c-batch", "points": len(live)},
-                )
-    if batch is None and live:
+            out = _c_cluster_batch(lib, graphs, prios, machine, b, data_reuse)
+    if out is None:
         # bit-identical fallback: the scalar path per point (pure-Python
-        # core, or C per point when only the batch packing failed)
+        # core, or C per point after an allocation failure in the batch)
         with stage("dispatch_compute"):
-            for i in live:
-                results[i] = run_core(
-                    graphs[i], machine, b,
-                    prio=prios[i], data_reuse=data_reuse, core=core,
+            return [
+                run_core(
+                    cg, machine, b,
+                    prio=prio, data_reuse=data_reuse, core=core,
                 ).result
-    return results  # type: ignore[return-value]
-
-
-def _pack_batch(graphs, prios, live) -> dict:
-    """Concatenate per-point graph arrays into one batch arena."""
-    npoints = len(live)
-    task_off = np.zeros(npoints + 1, dtype=np.int64)
-    edge_off = np.zeros(npoints + 1, dtype=np.int64)
-    slot_off = np.zeros(npoints + 1, dtype=np.int64)
-    for j, i in enumerate(live):
-        cg = graphs[i]
-        task_off[j + 1] = task_off[j] + cg.ntasks
-        edge_off[j + 1] = edge_off[j] + len(cg.succ_idx)
-        slot_off[j + 1] = slot_off[j] + cg.nslots
-    cat = np.concatenate
-    ranks = []
-    orders = []
-    for j, i in enumerate(live):
-        r, o = priority_ranks(prios[i], graphs[i].ntasks)
-        ranks.append(r)
-        orders.append(o)
-    live_graphs = [graphs[i] for i in live]
-    dur_tables = np.ascontiguousarray(
-        np.stack([cg.dur_table for cg in live_graphs]).ravel(), dtype=np.float64
-    )
-    return {
-        "task_off": task_off,
-        "edge_off": edge_off,
-        "slot_off": slot_off,
-        "dur_tables": dur_tables,
-        "kind": np.ascontiguousarray(cat([cg.kind for cg in live_graphs])),
-        "node": np.ascontiguousarray(cat([cg.node for cg in live_graphs])),
-        "waiting": np.ascontiguousarray(
-            cat([cg.pred_counts for cg in live_graphs])
-        ),
-        "succ_ptr": np.ascontiguousarray(
-            cat([cg.succ_ptr for cg in live_graphs])
-        ),
-        "succ_idx": np.ascontiguousarray(
-            cat([cg.succ_idx for cg in live_graphs])
-        ),
-        "edge_slot": np.ascontiguousarray(
-            cat([cg.edge_slot for cg in live_graphs])
-        ),
-        "rank": np.ascontiguousarray(cat(ranks)),
-        "task_of_rank": np.ascontiguousarray(cat(orders)),
-    }
-
-
-def _c_cluster_batch(lib, batch, machine: Machine, b: int, data_reuse: bool):
-    npoints = len(batch["task_off"]) - 1
-    (
-        nnodes, cores_per_node, serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    ) = _machine_params(machine, b)
-    site_of = np.asarray(site, dtype=np.int32)
-    out_mk = np.zeros(npoints, dtype=np.float64)
-    out_busy = np.zeros(npoints, dtype=np.float64)
-    out_msgs = np.zeros(npoints, dtype=np.int64)
-    out_rc = np.zeros(npoints, dtype=np.int32)
-    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-    rc = lib.hqr_simulate_cluster_batch(
-        i64(npoints), i32(sim_threads()),
-        _ptr(batch["task_off"], i64), _ptr(batch["edge_off"], i64),
-        _ptr(batch["slot_off"], i64),
-        i32(nnodes), i32(cores_per_node),
-        _ptr(batch["dur_tables"], f64),
-        _ptr(batch["kind"], ctypes.c_int8),
-        _ptr(batch["node"], i32), _ptr(batch["waiting"], i32),
-        _ptr(batch["succ_ptr"], i64), _ptr(batch["succ_idx"], i32),
-        _ptr(batch["edge_slot"], i32),
-        _ptr(batch["rank"], i32), _ptr(batch["task_of_rank"], i32),
-        i32(1 if serialized else 0), i32(1 if hierarchical else 0),
-        f64(lat_intra), f64(bwt_intra),
-        f64(lat_inter), f64(bwt_inter),
-        _ptr(site_of, i32), i32(1 if data_reuse else 0),
-        _ptr(out_mk, f64), _ptr(out_busy, f64), _ptr(out_msgs, i64),
-        _ptr(out_rc, i32),
-    )
-    if rc != 0:
-        if np.any(out_rc == 1):  # pragma: no cover - cycle guard
-            raise RuntimeError("simulation stalled with unfinished tasks")
-        return None  # allocation failure somewhere: retry in Python
-    return out_mk, out_busy, out_msgs
+                for cg, prio in zip(graphs, prios)
+            ]
+    makespans, busys, msgs = out
+    results = [
+        SimulationResult(
+            makespan=float(makespans[i]),
+            # an empty graph reports no work, as run_core does
+            flops=qr_flops(cg.m * b, cg.n * b) if cg.ntasks else 0.0,
+            messages=int(msgs[i]),
+            bytes_sent=int(msgs[i]) * tile_bytes,
+            busy_seconds=float(busys[i]),
+            cores=machine.cores,
+            trace=None,
+        )
+        for i, cg in enumerate(graphs)
+    ]
+    if rec is not None or hook is not None:
+        live = sum(1 for cg in graphs if cg.ntasks)
+    if rec is not None:
+        rec.run(
+            engine="c-batch",
+            loop="cluster",
+            wall_s=time.perf_counter() - wall0,
+            points=live,
+            ntasks=sum(cg.ntasks for cg in graphs),
+            threads=sim_threads(),
+            openmp=_ccore.openmp_available(),
+        )
+    if hook is not None:
+        # one span for the whole fused dispatch; the per-point fallback
+        # above goes through run_core, which emits its own per-graph spans
+        hook(
+            "simulate", span0, time.monotonic(),
+            {"engine": "c-batch", "points": live},
+        )
+    return results

@@ -105,14 +105,23 @@ class EnergyEvaluator:
     #: proposals answered from the per-run energy memo
     memo_hits: int = 0
     _memo: dict[str, float] = field(default_factory=dict)
+    _keys: dict[VerifyCase, str] = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
-        """Memo key: the compiled-graph cache fingerprint of the case."""
-        from repro.dag.cache import fingerprint
+        """Memo key: the compiled-graph cache fingerprint of the case.
 
-        return fingerprint(
-            self.m, self.n, case.config(), case.layout(), self.machine, self.b
-        )
+        Kept per case: a chain revisits most cases, and the annealer asks
+        again for every case :meth:`evaluate` has just keyed.
+        """
+        key = self._keys.get(case)
+        if key is None:
+            from repro.dag.cache import fingerprint
+
+            key = self._keys[case] = fingerprint(
+                self.m, self.n, case.config(), case.layout(), self.machine,
+                self.b,
+            )
+        return key
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
         """Simulated makespan per case, one batched dispatch per call."""

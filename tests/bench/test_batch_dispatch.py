@@ -127,6 +127,24 @@ def test_sweep_batched_matches_legacy(core, fresh_cache, monkeypatch):
         assert got == legacy, f"core={core} workers={workers}"
 
 
+def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
+    """Cold points are built in line by the parent: ``workers=2`` on an
+    empty cache must give what ``workers=1`` gives, and write no file."""
+    from repro.dag import cache as cache_mod
+
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    setup = small_setup()
+    points = _points()
+    got = {}
+    for workers in (1, 2):
+        cache = cache_mod.CompiledGraphCache(tmp_path / f"graphs-{workers}")
+        monkeypatch.setattr(cache_mod, "_default", cache)
+        got[workers] = run_config_sweep(points, setup, workers=workers)
+        assert cache.stats()["miss"] == cache.stats()["store"] == len(points)
+        assert not cache.root.exists()
+    assert got[2] == got[1]
+
+
 def test_sweep_batch_env_default(monkeypatch):
     from repro.bench.runner import batch_default
 

@@ -191,31 +191,3 @@ def test_recycled_pool_still_correct(monkeypatch):
     assert parallel_map(_square, list(range(6)), workers=2) == [
         x * x for x in range(6)
     ]
-
-
-def test_mmap_cache_load(tmp_path, monkeypatch):
-    """Disk-cache hits come back as read-only mmap views by default and
-    as writable copies with REPRO_CACHE_MMAP=0 — identical either way."""
-    from repro.dag import cache as cache_mod
-
-    setup = small_setup()
-    cg = _graphs(setup, count=1)[0]
-    store = cache_mod.CompiledGraphCache(tmp_path / "graphs")
-    store.put("k1", cg)
-    store.clear_memory()
-
-    monkeypatch.delenv("REPRO_CACHE_MMAP", raising=False)
-    mapped = store.get("k1")
-    assert mapped is not None
-    assert not mapped.kind.flags.writeable
-    store.clear_memory()
-
-    monkeypatch.setenv("REPRO_CACHE_MMAP", "0")
-    copied = store.get("k1")
-    assert copied is not None
-    assert copied.kind.flags.writeable
-    for field in _ARRAY_FIELDS:
-        np.testing.assert_array_equal(getattr(mapped, field), getattr(copied, field))
-    assert simulate_compiled(
-        mapped, setup.machine, setup.b
-    ) == simulate_compiled(cg, setup.machine, setup.b)

@@ -92,6 +92,30 @@ def test_check_links_flags_dead_relative_target(tmp_path):
     assert "missing.md" in problems[0]
 
 
+def test_env_vars_must_be_both_documented_and_read(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Set `REPRO_KEPT=1`, or the deleted\n`REPRO_GONE`.\n", encoding="utf-8"
+    )
+    src = tmp_path / "mod.py"
+    src.write_text(
+        '"""REPRO_ONLY_MENTIONED in a docstring is not a read."""\n'
+        'import os\n'
+        'a = os.environ.get("REPRO_KEPT", "0")\n'
+        'b = os.environ.get(\n    "REPRO_SECRET"\n)\n'
+        'c = os.environ["REPRO_KEPT"]\n',
+        encoding="utf-8",
+    )
+    documented = check_docs.env_vars([doc], check_docs._ENV_VAR)
+    read = check_docs.env_vars([src], check_docs._ENV_READ)
+    assert set(documented) == {"REPRO_KEPT", "REPRO_GONE"}
+    assert set(read) == {"REPRO_KEPT", "REPRO_SECRET"}
+    problems = check_docs.check_env_vars(documented, read)
+    assert len(problems) == 2
+    assert "doc.md:2: REPRO_GONE is documented but read nowhere" in problems[0]
+    assert "mod.py:4: REPRO_SECRET is read but documented" in problems[1]
+
+
 # ---------------------------------------- the real docs, in-process
 
 

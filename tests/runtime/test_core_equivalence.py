@@ -9,13 +9,16 @@ empty-schedule ``force_fault_loop`` identity that used to be its own
 verify engine.
 """
 
+import dataclasses
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro._ccore import native_available
 from repro.dag.compiled import compile_graph
+from repro.dag.graph import TaskGraph
 from repro.obs.events import recording, uninstall
 from repro.runtime.core import (
     FaultHooks,
@@ -136,6 +139,71 @@ def test_batched_dispatch_matches_golden(core):
         )
         for name, res in zip(names, results):
             _assert_scalar(res, FIXTURE["scalar"][name])
+
+
+def _foreign(cg):
+    """``cg`` with every array the native loop reads given the wrong
+    dtype or a non-contiguous stride — same values, normalised per call."""
+
+    def strided(arr):
+        return np.repeat(arr, 2)[::2]
+
+    return dataclasses.replace(
+        cg,
+        kind=strided(cg.kind),
+        node=cg.node.astype(np.int64),
+        pred_ptr=strided(cg.pred_ptr.astype(np.int32)),
+        succ_ptr=strided(cg.succ_ptr),
+        succ_idx=strided(cg.succ_idx.astype(np.int64)),
+        edge_slot=cg.edge_slot.astype(np.int64),
+        dur_table=strided(cg.dur_table),
+    )
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+@pytest.mark.parametrize("core", ["python", "c"])
+@pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
+def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
+    """run_core_batch == run_core per graph == the frozen fixture, with the
+    batch holding foreign-typed arrays, an empty graph in the middle, and an
+    explicit priority vector next to ``None``."""
+    if core == "c" and not native_available():
+        pytest.skip("no C toolchain")
+    if threads is None:
+        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+    case = CASES[name]
+    _, sim, cg, prio = _compiled(case)
+    empty = compile_graph(
+        TaskGraph(1, 1, [], []), sim.layout, sim.machine, case.b
+    )
+    graphs = [_foreign(cg), empty, cg, cg]
+    prios = [prio, None, prio, None]
+    kw = dict(data_reuse=case.data_reuse, core=core)
+    batch = run_core_batch(graphs, case.machine, case.b, prios=prios, **kw)
+    single = [
+        run_core(g, case.machine, case.b, prio=p, **kw).result
+        for g, p in zip(graphs, prios)
+    ]
+    assert batch == single
+    frozen = FIXTURE["scalar"][name]
+    _assert_scalar(batch[0], frozen)
+    _assert_scalar(batch[2], frozen)
+    assert (batch[1].makespan, batch[1].messages, batch[1].flops) == (0.0, 0, 0.0)
+    if prio is None:
+        _assert_scalar(batch[3], frozen)
+
+
+def test_batch_refuses_arrays_that_do_not_fit_together():
+    """Lengths are checked before any address reaches the C loop."""
+    if not native_available():
+        pytest.skip("no C toolchain")
+    case = CASES["flat-serialized"]
+    _, _, cg, _ = _compiled(case)
+    short = dataclasses.replace(cg, node=cg.node[:-1])
+    with pytest.raises(ValueError, match="graph 1"):
+        run_core_batch([cg, short], case.machine, case.b, core="c")
 
 
 @pytest.mark.parametrize("level", ["summary", "tasks"])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation accuracy checker (the ``docs-check`` CI job).
 
-Two classes of doc rot this catches:
+Three classes of doc rot this catches:
 
 1. **Stale CLI invocations** — every ``repro ...`` / ``python -m repro
    ...`` command inside a fenced code block of ``README.md`` and
@@ -13,6 +13,11 @@ Two classes of doc rot this catches:
 
 2. **Dead intra-repo links** — every relative markdown link in the
    scanned files must resolve to an existing file.
+
+3. **Environment knobs out of step** — a ``REPRO_*`` variable named in
+   the scanned files but read nowhere under ``src/`` (a deleted knob
+   lingering in the docs), or read under ``src/`` but documented in none
+   of them.
 
 Usage: ``python tools/check_docs.py [--verbose]`` from the repo root
 (or anywhere; paths are resolved relative to this file).  Exit 0 =
@@ -39,6 +44,11 @@ _FENCE = re.compile(r"^(`{3,}|~{3,})")
 _LINK = re.compile(r"\[[^\]^\[]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 #: an environment-variable assignment prefix (VAR=value cmd ...)
 _ENV_PREFIX = re.compile(r"^[A-Z_][A-Z0-9_]*=\S+$")
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+#: how ``src/`` reads one: environ.get("X"), environ["X"], getenv("X")
+_ENV_READ = re.compile(
+    r"""(?:environ(?:\.get)?\s*[\[(]|getenv\s*\()\s*["'](REPRO_[A-Z0-9_]+)["']"""
+)
 
 
 def doc_files() -> list[Path]:
@@ -159,6 +169,33 @@ def check_links(path: Path, text: str) -> list[str]:
     return problems
 
 
+def env_vars(paths, pattern: re.Pattern) -> dict[str, str]:
+    """``REPRO_*`` name -> ``file:line`` of its first match in ``paths``."""
+    found: dict[str, str] = {}
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for m in pattern.finditer(text):
+            name = m.group(m.lastindex or 0)
+            lineno = text.count("\n", 0, m.start()) + 1
+            found.setdefault(name, f"{_rel(path)}:{lineno}")
+    return found
+
+
+def check_env_vars(documented: dict[str, str], read: dict[str, str]) -> list[str]:
+    problems = [
+        f"{where}: {name} is documented but read nowhere under src/"
+        for name, where in sorted(documented.items())
+        if name not in read
+    ]
+    problems += [
+        f"{where}: {name} is read but documented in none of "
+        f"{', '.join(DOC_GLOBS)}"
+        for name, where in sorted(read.items())
+        if name not in documented
+    ]
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     opts = argparse.ArgumentParser(description=__doc__)
     opts.add_argument("--verbose", action="store_true")
@@ -183,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
             elif args.verbose:
                 print(f"ok: {_rel(path)}:{lineno}: {cmd}")
         problems.extend(check_links(path, text))
+    problems.extend(check_env_vars(
+        env_vars(doc_files(), _ENV_VAR),
+        env_vars(sorted((REPO / "src").rglob("*.py")), _ENV_READ),
+    ))
 
     for problem in problems:
         print(problem)
