@@ -12,11 +12,14 @@ which implement exactly the same algorithms.
 
 Bit-exactness: the C event loops perform the same double-precision
 operations in the same order as the reference Python simulators, and every
-heap key is distinct (event codes and priority ranks are unique), so heap
-pop order is fully determined by the key total order — the C binary heap
-and Python's ``heapq`` produce identical schedules.  The library is built
-with ``-ffp-contract=off`` (no FMA contraction) to keep arithmetic
-IEEE-identical to CPython's.
+queue key is distinct (event codes and priority ranks are unique), so pop
+order is fully determined by the key total order and any correct priority
+queue produces the same schedule as Python's ``heapq``.  The cluster loop
+uses that freedom: finish events sit in one sorted ring per kernel kind,
+data-arrival events in a binary heap, and the next event is the
+``(time, code)`` minimum over the ring heads and the heap top.  The
+library is built with ``-ffp-contract=off`` (no FMA contraction) to keep
+arithmetic IEEE-identical to CPython's.
 """
 
 from __future__ import annotations
@@ -116,6 +119,28 @@ static void ev_pop(evheap *h, double *time, int64_t *code) {
     }
     h->t[i] = t;
     h->c[i] = c;
+}
+
+/* ------------------------------------------------------------------ *
+ * Finish ring: a circular buffer of (time, code) keys kept sorted by
+ * backward insertion, so a correct priority queue for any input and O(1)
+ * when keys arrive in order.  head and tail count pops and pushes and
+ * are reduced modulo the power-of-two capacity (mask + 1) on access.
+ * ------------------------------------------------------------------ */
+typedef struct { double t; int64_t c; } evkey;
+typedef struct { evkey *k; int64_t head, tail; } evring;
+
+static void ring_push(evring *r, int64_t mask, double time, int64_t code) {
+    int64_t i = r->tail++;
+    while (i > r->head) {
+        evkey p = r->k[(i - 1) & mask];
+        if (p.t < time || (p.t == time && p.c < code))
+            break;
+        r->k[i & mask] = p;
+        i--;
+    }
+    r->k[i & mask].t = time;
+    r->k[i & mask].c = code;
 }
 
 /* ------------------------------------------------------------------ *
@@ -393,11 +418,20 @@ done:
 /* ------------------------------------------------------------------ *
  * Cluster event loop.  Mirrors ClusterSimulator.run exactly.
  * Event codes: task id t for "t finished", ntasks + t for "data arrival
- * completed t's inputs".  Returns 0 (ok), 1 (stalled), -1 (alloc fail).
+ * completed t's inputs".  Returns 0 (ok), 1 (stalled), 2 (a kind outside
+ * [0, 6) or a node outside [0, nnodes)), -1 (alloc fail).
  *
  * Reads the graph's own arrays in place: wait counts come from pred_ptr,
  * a task's duration is dur_table[kind[t]], and rank == NULL (with
  * task_of_rank == NULL) means program order, i.e. identity ranks.
+ *
+ * The event queue has two tiers under one (time, code) order: a finish
+ * event goes into the ring of its kernel kind (a task starts at the
+ * current event time and a kind has one duration, so each ring receives
+ * its keys almost in order), a data-arrival event (non-monotone under
+ * serialized channels) into the binary heap, and the next event is the
+ * minimum over the six ring heads and the heap top.  Keys are unique, so
+ * this pops in the order of the reference loop's single heapq.
  * ------------------------------------------------------------------ */
 static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
@@ -417,6 +451,13 @@ static int32_t hqr_simulate_cluster(
     uint8_t *state = NULL;
     iheap *ready = NULL;
     evheap ev = {NULL, NULL, 0};
+    evring fin[6];
+    evkey *ring_keys = NULL;
+    /* a finish event holds a core until it pops: at most cores in flight */
+    int64_t ring_cap = 1;
+    while (ring_cap < ntasks && ring_cap < (int64_t)nnodes * cores_per_node)
+        ring_cap <<= 1;
+    int64_t mask = ring_cap - 1;
 
     waiting = (int32_t *)malloc((size_t)ntasks * sizeof(int32_t));
     data_ready = (double *)calloc((size_t)ntasks, sizeof(double));
@@ -425,14 +466,25 @@ static int32_t hqr_simulate_cluster(
     slot_arrival = (double *)malloc((size_t)(nslots > 0 ? nslots : 1) * sizeof(double));
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    ev.t = (double *)malloc((size_t)(2 * ntasks + 4) * sizeof(double));
-    ev.c = (int64_t *)malloc((size_t)(2 * ntasks + 4) * sizeof(int64_t));
+    /* at most one arrival event per task */
+    ev.t = (double *)malloc((size_t)ntasks * sizeof(double));
+    ev.c = (int64_t *)malloc((size_t)ntasks * sizeof(int64_t));
+    ring_keys = (evkey *)malloc((size_t)(6 * ring_cap) * sizeof(evkey));
     if (!waiting || !data_ready || !free_cores || !chan_free || !slot_arrival ||
-        !state || !ready || !ev.t || !ev.c)
+        !state || !ready || !ev.t || !ev.c || !ring_keys)
         goto done;
 
-    for (int64_t t = 0; t < ntasks; t++)
+    for (int64_t t = 0; t < ntasks; t++) {
+        if (kind[t] < 0 || kind[t] >= 6 || node_of[t] < 0 || node_of[t] >= nnodes) {
+            rc = 2;
+            goto done;
+        }
         waiting[t] = (int32_t)(pred_ptr[t + 1] - pred_ptr[t]);
+    }
+    for (int k = 0; k < 6; k++) {
+        fin[k].k = ring_keys + k * ring_cap;
+        fin[k].head = fin[k].tail = 0;
+    }
     for (int32_t i = 0; i < nnodes; i++)
         free_cores[i] = cores_per_node;
     for (int64_t i = 0; i < nslots; i++)
@@ -451,7 +503,7 @@ static int32_t hqr_simulate_cluster(
         busy += dur_;                                                         \
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
-        ev_push(&ev, end_, (int64_t)(T));                                     \
+        ring_push(&fin[kind[T]], mask, end_, (int64_t)(T));                   \
     } while (0)
 
 #define TRY_START(T, NOW)                                                     \
@@ -472,11 +524,25 @@ static int32_t hqr_simulate_cluster(
         if (waiting[t] == 0)
             TRY_START(t, 0.0);
 
-    while (ev.len > 0) {
-        double now;
-        int64_t code;
-        ev_pop(&ev, &now, &code);
-        if (code < ntasks) {
+    for (;;) {
+        /* src: the ring holding the minimum key, 6 for the heap */
+        evkey top = {ev.len ? ev.t[0] : 0.0, ev.len ? ev.c[0] : 0};
+        int src = ev.len ? 6 : -1;
+        for (int k = 0; k < 6; k++) {
+            if (fin[k].head == fin[k].tail)
+                continue;
+            evkey h = fin[k].k[fin[k].head & mask];
+            if (src < 0 || h.t < top.t || (h.t == top.t && h.c < top.c)) {
+                top = h;
+                src = k;
+            }
+        }
+        if (src < 0)
+            break;
+        double now = top.t;
+        int64_t code = top.c;
+        if (src < 6) {
+            fin[src].head++;
             /* task finished: free the core or start the next ready task */
             int64_t t = code;
             int32_t node = node_of[t];
@@ -554,6 +620,7 @@ static int32_t hqr_simulate_cluster(
                 }
             }
         } else {
+            ev_pop(&ev, &now, &code);
             int64_t t = code - ntasks;
             TRY_START(t, now);
         }
@@ -586,6 +653,7 @@ done:
     free(state);
     free(ev.t);
     free(ev.c);
+    free(ring_keys);
     return rc;
 }
 

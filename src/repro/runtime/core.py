@@ -802,7 +802,9 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     other is normalised first.  ``columns`` keeps every array whose
     address was taken referenced until the call returns.  Returns
     ``(makespans, busys, messages)`` arrays, or ``None`` after an
-    allocation failure (the caller retries in Python).
+    allocation failure (the caller retries in Python).  A graph whose
+    ``kind`` or ``node`` values the loop refuses to index with raises
+    ``ValueError``: that is bad input, not a reason to fall back.
     """
     npoints = len(graphs)
     columns = [
@@ -856,6 +858,12 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
         out_rc.ctypes.data,
     )
     if rc != 0:
+        bad = np.flatnonzero(out_rc == 2)
+        if len(bad):
+            raise ValueError(
+                f"graph {bad[0]}: a task kind outside [0, 6) or a node "
+                f"outside [0, {nnodes})"
+            )
         if np.any(out_rc == 1):  # pragma: no cover - cycle guard
             raise RuntimeError("simulation stalled with unfinished tasks")
         return None  # allocation failure somewhere: retry in Python

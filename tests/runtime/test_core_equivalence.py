@@ -34,7 +34,9 @@ from repro.runtime.golden import (
     golden_cases,
     trace_digest,
 )
+from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator
+from repro.tiles.layout import BlockCyclic2D
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).resolve().parents[2] / GOLDEN_RELPATH).read_text()
@@ -160,6 +162,14 @@ def _foreign(cg):
     )
 
 
+def _set_threads(monkeypatch, threads):
+    """``REPRO_SIM_THREADS`` = ``threads``, or unset for ``None``."""
+    if threads is None:
+        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+
+
 @pytest.mark.parametrize("threads", [None, "1"])
 @pytest.mark.parametrize("core", ["python", "c"])
 @pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
@@ -169,10 +179,7 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
     explicit priority vector next to ``None``."""
     if core == "c" and not native_available():
         pytest.skip("no C toolchain")
-    if threads is None:
-        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+    _set_threads(monkeypatch, threads)
     case = CASES[name]
     _, sim, cg, prio = _compiled(case)
     empty = compile_graph(
@@ -196,14 +203,73 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
 
 
 def test_batch_refuses_arrays_that_do_not_fit_together():
-    """Lengths are checked before any address reaches the C loop."""
+    """Lengths are checked before any address reaches the C loop; a kind
+    or node the loop cannot index with (its finish rings are per kind, its
+    cores per node) is refused inside it.  Either is a ValueError naming
+    the graph, alone and mid-batch, never a fallback to Python."""
     if not native_available():
         pytest.skip("no C toolchain")
     case = CASES["flat-serialized"]
+    assert case.machine.nodes == 8
     _, _, cg, _ = _compiled(case)
     short = dataclasses.replace(cg, node=cg.node[:-1])
     with pytest.raises(ValueError, match="graph 1"):
         run_core_batch([cg, short], case.machine, case.b, core="c")
+    for name, value in [("kind", 6), ("kind", -1), ("node", 8), ("node", -1)]:
+        arr = getattr(cg, name).copy()
+        arr[len(arr) // 2] = value
+        bad = dataclasses.replace(cg, **{name: arr})
+        with pytest.raises(ValueError, match="graph 0"):
+            run_core(bad, case.machine, case.b, core="c")
+        with pytest.raises(ValueError, match="graph 1"):
+            run_core_batch([cg, bad, cg], case.machine, case.b, core="c")
+
+
+# the C loop keeps finish events in one sorted ring per kernel kind, which
+# is fastest when each kind's finish times arrive in order; these inputs
+# are where that order is least assured, and the ring must still pop in
+# the (time, code) order of the Python loop's heapq
+_QUEUE_DURS = {
+    "native": None,
+    "equal": [1.0e-3] * 6,
+    "zero": [2.0e-3, 0.0, 3.0e-3, 1.0e-3, 2.5e-3, 1.5e-3],
+    "decreasing": [6.0e-3, 5.0e-3, 4.0e-3, 3.0e-3, 2.0e-3, 1.0e-3],
+}
+_QUEUE_MACHINES = {
+    "base": (CASES["flat-serialized"].machine, (4, 2)),
+    "one-core": (Machine(nodes=1, cores_per_node=1), (1, 1)),  # ring of 1
+    "ideal": (Machine.ideal(nodes=8, cores_per_node=3), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+@pytest.mark.parametrize("reverse_prio", [False, True])
+@pytest.mark.parametrize("machine", sorted(_QUEUE_MACHINES))
+@pytest.mark.parametrize("durs", sorted(_QUEUE_DURS))
+def test_event_queue_orders_like_heapq(
+    durs, machine, reverse_prio, threads, monkeypatch
+):
+    if not native_available():
+        pytest.skip("no C toolchain")
+    _set_threads(monkeypatch, threads)
+    case = CASES["flat-serialized"]
+    mach, grid = _QUEUE_MACHINES[machine]
+    cg = compile_graph(case.graph(), BlockCyclic2D(*grid), mach, case.b)
+    if _QUEUE_DURS[durs] is not None:
+        cg = dataclasses.replace(cg, dur_table=np.array(_QUEUE_DURS[durs]))
+    # reversed: equal-time finish events enter a ring in descending code
+    prio = list(range(cg.ntasks, 0, -1)) if reverse_prio else None
+    for reuse in (False, True):
+        kw = dict(prio=prio, data_reuse=reuse)
+        ref = run_core(cg, mach, case.b, core="python", **kw)
+        out = run_core(cg, mach, case.b, core="c", **kw)
+        assert (ref.engine, out.engine) == ("python", "c")
+        assert out.result == ref.result
+        batch = run_core_batch(
+            [cg, cg], mach, case.b, prios=[prio, prio],
+            data_reuse=reuse, core="c",
+        )
+        assert batch == [ref.result, ref.result]
 
 
 @pytest.mark.parametrize("level", ["summary", "tasks"])
