@@ -46,10 +46,8 @@ SLOW_POINT_FACTOR = 8.0
 def log_transport(transport: str, *, workers: int, points: int) -> None:
     """Announce the sweep's point-distribution transport, once per sweep.
 
-    ``transport`` is one of ``shared-memory`` (graphs published to pool
-    workers via one shm arena), ``batched-c`` (single in-process C call),
-    ``pickle`` (legacy per-point process pool), ``serial`` (in-process
-    loop), or ``incremental`` (serial with prefix reuse).
+    ``transport`` is one of ``batched-c`` (single in-process C call),
+    ``pickle`` (per-point process pool) or ``serial`` (in-process loop).
     """
     jsonlog(
         "sweep_transport", logger=log,
@@ -57,56 +55,6 @@ def log_transport(transport: str, *, workers: int, points: int) -> None:
             f"({workers} workers, {points} points)",
         transport=transport, workers=workers, points=points,
     )
-
-
-def recycle_tasks() -> int:
-    """Worker recycling period: ``REPRO_BENCH_RECYCLE`` tasks per child.
-
-    0 (the default) disables recycling and keeps the platform-default
-    start method; a positive value bounds each worker to that many
-    points before it is replaced, capping allocator growth on very long
-    sweeps.
-    """
-    env = os.environ.get("REPRO_BENCH_RECYCLE")
-    if not env:
-        return 0
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BENCH_RECYCLE must be an integer, got {env!r}"
-        ) from None
-
-
-def _make_pool(workers: int):
-    """Sized process pool, with worker recycling when requested.
-
-    ``max_tasks_per_child`` needs a spawn/forkserver start method and a
-    new-enough Python — both guarded: anything unsupported degrades to
-    the plain pool, loudly.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = recycle_tasks()
-    if tasks > 0:
-        try:
-            import multiprocessing as mp
-
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp.get_context("forkserver"),
-                max_tasks_per_child=tasks,
-            )
-        except (TypeError, ValueError) as exc:
-            # TypeError: Python without max_tasks_per_child;
-            # ValueError: platform without the forkserver start method
-            jsonlog(
-                "recycle_unavailable", level="warning", logger=log,
-                msg=f"worker recycling unavailable "
-                    f"({type(exc).__name__}: {exc}); using plain pool",
-                error=type(exc).__name__,
-            )
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def default_workers() -> int:
@@ -188,31 +136,27 @@ def parallel_map(
     items: Iterable[T],
     *,
     workers: int | None = None,
-    transport: str | None = None,
 ) -> list[R]:
     """Map ``fn`` over ``items``, preserving order.
 
     Fans out over a process pool when more than one worker is available
     and there is more than one item; otherwise runs serially in-process.
     ``fn`` must be picklable (module-level) for the parallel path.
-    ``transport`` overrides the label in the once-per-sweep transport log
-    (the batched sweep passes ``shared-memory`` when items are arena
-    handles rather than pickled configs).
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
     if workers is None:
         workers = default_workers()
     workers = min(workers, len(seq))
     if workers <= 1:
-        log_transport(transport or "serial", workers=1, points=len(seq))
+        log_transport("serial", workers=1, points=len(seq))
         results, seconds = _serial_map(fn, seq)
         _report_timings(seconds)
         return results
-    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
-        log_transport(transport or "pickle", workers=workers, points=len(seq))
-        with _make_pool(workers) as pool:
+        log_transport("pickle", workers=workers, points=len(seq))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_timed_call, [(fn, item) for item in seq]))
     except (OSError, ImportError, BrokenExecutor) as exc:
         # pool cannot start (no /dev/shm etc.) or a worker died mid-map

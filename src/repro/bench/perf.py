@@ -135,18 +135,12 @@ def bench_report(
     skip_reference: bool = False,
     workers: int | None = None,
     setup: BenchSetup | None = None,
-    batch: bool = True,
 ) -> dict:
-    """Full pipeline benchmark: staged timings + parallel-sweep wall time.
+    """Full pipeline benchmark: staged timings + sweep wall time.
 
     The staged sections time both pipelines serially over the Figure 6
     point set; ``sweep_wall_s`` is the same point set end-to-end through
-    the legacy per-point ``run_config_sweep`` (exercising the cache and
-    the parallel engine).  With ``batch`` (the default), the batched
-    dispatch path is timed over the same points as
-    ``sweep_batched_wall_s`` and its makespans are cross-checked against
-    the per-point run — any disagreement lands in ``batch_mismatches``
-    and fails ``repro bench``.
+    ``run_config_sweep`` (cache, dispatch and event loop together).
     """
     from repro._ccore import native_available
     from repro.obs.regression import run_metadata
@@ -197,39 +191,8 @@ def bench_report(
     report["stages"] = stages
 
     t0 = time.perf_counter()
-    per_point = run_config_sweep(points, setup, workers=workers, batch=False)
+    run_config_sweep(points, setup, workers=workers)
     report["sweep_wall_s"] = time.perf_counter() - t0
-
-    if batch:
-        from repro._ccore import openmp_available
-        from repro.runtime.core import sim_threads
-
-        t0 = time.perf_counter()
-        batched = run_config_sweep(points, setup, workers=workers, batch=True)
-        wall = time.perf_counter() - t0
-        report["sweep_batched_wall_s"] = wall
-        report["batched"] = {
-            "wall_s": wall,
-            "n_points": len(points),
-            "openmp": openmp_available(),
-            "threads": sim_threads(),
-            "speedup_vs_per_point": (
-                report["sweep_wall_s"] / wall if wall > 0 else float("inf")
-            ),
-        }
-        diverging = [
-            {
-                "m": m,
-                "n": n,
-                "config": str(cfg),
-                "per_point_makespan": pp.makespan,
-                "batched_makespan": bt.makespan,
-            }
-            for (m, n, cfg), pp, bt in zip(points, per_point, batched)
-            if pp.makespan != bt.makespan or pp.messages != bt.messages
-        ]
-        if diverging:
-            report["batch_mismatches"] = diverging
 
     report["micro"] = micro_benchmark(setup)
     return report
@@ -253,14 +216,6 @@ def format_report(report: dict) -> str:
     if "speedup_total" in report:
         lines.append(f"  end-to-end speedup: {report['speedup_total']:.1f}x")
     lines.append(f"  cached parallel sweep: {report['sweep_wall_s']:.3f}s")
-    batched = report.get("batched")
-    if batched is not None:
-        threads = batched["threads"] or "auto"
-        lines.append(
-            f"  batched sweep: {batched['wall_s']:.3f}s "
-            f"({batched['speedup_vs_per_point']:.1f}x vs per-point, "
-            f"openmp={batched['openmp']}, threads={threads})"
-        )
     micro = report["micro"]
     lines.append(
         f"  micro (m={micro['m']}, n={micro['n']}): "
@@ -272,7 +227,7 @@ def format_report(report: dict) -> str:
 
 
 def format_mismatches(report: dict) -> str | None:
-    """Engine-disagreement diff, or None when every path agrees."""
+    """Engine-disagreement diff, or None when both engines agree."""
     lines: list[str] = []
     mismatches = report.get("mismatches")
     if mismatches:
@@ -285,18 +240,6 @@ def format_mismatches(report: dict) -> str | None:
                 f"  m={d['m']:>4} n={d['n']:>3} {d['config']}: "
                 f"reference {d['reference_makespan']!r} != "
                 f"compiled {d['compiled_makespan']!r}"
-            )
-    batch_mismatches = report.get("batch_mismatches")
-    if batch_mismatches:
-        lines.append(
-            f"BATCH MISMATCH: batched and per-point dispatch disagree on "
-            f"{len(batch_mismatches)} of {report['n_points']} points:"
-        )
-        for d in batch_mismatches:
-            lines.append(
-                f"  m={d['m']:>4} n={d['n']:>3} {d['config']}: "
-                f"per-point {d['per_point_makespan']!r} != "
-                f"batched {d['batched_makespan']!r}"
             )
     return "\n".join(lines) if lines else None
 

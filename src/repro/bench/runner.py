@@ -183,105 +183,46 @@ def _run_point(item) -> SimulationResult:
     return run_config(m, n, config, setup=setup, layout=layout)
 
 
-def _sim_arena_point(item) -> SimulationResult:
-    """Simulate one point against the attached shared-memory arena."""
-    handle, index, machine, b = item
-    from repro.bench.shm import attach
-    from repro.runtime.core import run_core
-
-    cg = attach(handle)[index]
-    with stage("simulate"):
-        return run_core(cg, machine, b).result
-
-
-def batch_default() -> bool:
-    """Batched dispatch is the default; ``REPRO_BENCH_BATCH=0`` opts out."""
-    return os.environ.get("REPRO_BENCH_BATCH", "1") != "0"
-
-
 def run_config_sweep(
     points,
     setup: BenchSetup | None = None,
     *,
     workers: int | None = None,
-    batch: bool | None = None,
 ) -> list[SimulationResult]:
     """Simulate many ``(m, n, config)`` points, preserving input order.
 
-    Two dispatch modes, bit-identical in results:
+    Two paths, bit-identical in results and chosen from what the code can
+    observe, never from a switch:
 
-    * ``batch=False`` — the legacy engine: each point is shipped to a
-      pool worker as a pickled ``(m, n, config)`` tuple and built +
-      simulated there.
-    * ``batch=True`` (default, ``REPRO_BENCH_BATCH=0`` reverts) — graphs
-      are built once, in this process (cold points in line: a build is
-      cheaper than shipping its arrays between processes), and simulated
-      where they lie via the cheapest available transport: one batched C
-      call (``simulate_compiled_batch``), a shared-memory arena fanned
-      over the pool for the pure-Python core, or the serial incremental
-      sweep.
-
-    The reference engine (``REPRO_SIM_CORE=reference``) always uses the
-    legacy per-point path — there is no compiled graph to share.
+    * the native core is loaded, the engine is not ``reference`` and no
+      task-level recorder is installed — every graph is built in line
+      (through the cache; a build is cheaper than shipping its arrays
+      between processes) and the whole sweep is one batched C call
+      (:func:`~repro.runtime.core.run_core_batch`);
+    * otherwise — the per-point map: :func:`run_config` per point over
+      :func:`~repro.bench.parallel.parallel_map`, a process pool at
+      ``workers > 1`` and the in-process loop at ``workers <= 1``.  A
+      task-level recorder forces the in-process loop: events recorded in
+      a pool worker would die with it.
     """
-    from repro.runtime.core import core_mode
+    from repro.bench.parallel import log_transport
+    from repro.obs.events import active as _obs_active
+    from repro.runtime.core import _pick_engine, core_mode, run_core_batch
 
     setup = setup or BenchSetup()
-    if batch is None:
-        batch = batch_default()
-    if not batch or core_mode() == "reference" or not points:
-        items = [(m, n, cfg, setup, None) for m, n, cfg in points]
-        return parallel_map(_run_point, items, workers=workers)
-    return _sweep_batched(list(points), setup, workers)
-
-
-def _sweep_batched(points, setup, workers) -> list[SimulationResult]:
-    from repro.bench.parallel import default_workers, log_transport
-    from repro.obs.events import active as _obs_active
-    from repro.runtime.core import _pick_engine, run_core_batch
-    from repro.runtime.incremental import run_sweep_incremental
-
-    machine, b = setup.machine, setup.b
-    eff_workers = workers if workers is not None else default_workers()
+    points = list(points)
     rec = _obs_active()
     want_tasks = rec is not None and rec.want_tasks
-    c_lib = _pick_engine(None) if not want_tasks else None
-
-    if c_lib is None and eff_workers <= 1:
-        # pure-Python serial sweep: the incremental engine reuses DAG
-        # prefixes and event-heap state between compatible neighbors
-        log_transport("incremental", workers=1, points=len(points))
-        return run_sweep_incremental(points, setup)
-
-    # -- build every graph once, in line ------------------------------- #
-    graphs = [
-        compiled_graph_for(m, n, cfg, setup.layout, machine, b)
-        for m, n, cfg in points
-    ]
-
-    # -- dispatch ------------------------------------------------------ #
-    if c_lib is not None:
+    if (
+        core_mode() != "reference"
+        and not want_tasks
+        and _pick_engine(None) is not None
+    ):
+        graphs = [
+            compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b)
+            for m, n, cfg in points
+        ]
         log_transport("batched-c", workers=1, points=len(points))
-        return run_core_batch(graphs, machine, b)
-
-    if eff_workers > 1 and len(points) > 1:
-        from concurrent.futures import BrokenExecutor
-
-        from repro.bench.shm import GraphArena
-
-        with GraphArena.publish(graphs) as arena:
-            items = [
-                (arena.handle, i, machine, b) for i in range(len(points))
-            ]
-            try:
-                return parallel_map(
-                    _sim_arena_point, items,
-                    workers=workers, transport="shared-memory",
-                )
-            except (OSError, BrokenExecutor):  # pragma: no cover
-                pass  # fall through to the serial path below
-    log_transport("serial", workers=1, points=len(points))
-    from repro.runtime.core import run_core
-
-    with stage("dispatch_compute"):
-        return [run_core(cg, machine, b).result for cg in graphs]
+        return run_core_batch(graphs, setup.machine, setup.b)
+    items = [(m, n, cfg, setup, None) for m, n, cfg in points]
+    return parallel_map(_run_point, items, workers=1 if want_tasks else workers)

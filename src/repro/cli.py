@@ -415,8 +415,7 @@ def cmd_serve(args) -> int:
         daemon.serve_until(args.duration)
     finally:
         drain = daemon.shutdown()
-        print(f"drained={drain['drained']} "
-              f"disposed_segments={drain['disposed_segments']}")
+        print(f"drained={drain['drained']}")
     return 0
 
 
@@ -451,7 +450,6 @@ def cmd_bench(args) -> int:
         report = bench_report(
             skip_reference=args.skip_reference,
             workers=args.workers,
-            batch=args.batch,
         )
     print(format_report(report))
     if args.json:
@@ -948,20 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, help="parallel sweep workers (default: CPUs)"
-    )
-    batch = p.add_mutually_exclusive_group()
-    batch.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help="also time the batched dispatch path (default)",
-    )
-    batch.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="per-point dispatch only (skip the batched section)",
     )
     p.add_argument(
         "--engine",

@@ -321,65 +321,14 @@ def _build_arrays_native(elims: EliminationArray, m: int, n: int) -> tuple | Non
     return kind, row, panel, col, killer, pred_ptr, pred_idx
 
 
-@dataclass
-class BuildSnapshot:
-    """Pure-Python builder state after an elimination-list prefix.
-
-    Everything the expansion loop carries across eliminations: how many
-    eliminations and tasks/edges were emitted, plus copies of the
-    ``last_writer`` table and the ``triangled`` mask.  Together with the
-    prefix slices of a previous build's raw arrays this resumes the build
-    mid-list (:func:`build_arrays_resumed`) — the incremental path for
-    sweep points sharing a schedule prefix.
-    """
-
-    nelims: int
-    ntasks: int
-    nedges: int
-    last_writer: list[int]
-    triangled: bytes
-
-
-def _new_build_state(m: int, n: int) -> tuple:
-    return ([], [], [], [], [], [0], [], [-1] * (m * n), bytearray(m * n))
-
-
-def _state_arrays(state: tuple) -> tuple:
-    kind_l, row_l, panel_l, col_l, killer_l, pred_ptr_l, pred_idx_l = state[:7]
-    return (
-        np.array(kind_l, np.int8),
-        np.array(row_l, np.int32),
-        np.array(panel_l, np.int32),
-        np.array(col_l, np.int32),
-        np.array(killer_l, np.int32),
-        np.array(pred_ptr_l, np.int64),
-        np.array(pred_idx_l, np.int32),
-    )
-
-
-def _expand_elims(
-    elims: Sequence[Elimination],
-    m: int,
-    n: int,
-    state: tuple,
-    *,
-    start: int = 0,
-    checkpoint_at: int | None = None,
-    finalize: bool = True,
-) -> BuildSnapshot | None:
-    """Expansion loop of the pure-Python builder — same emission order as
+def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
+    """Pure-Python array builder — same emission order as
     ``TaskGraph.from_eliminations``, appending plain ints instead of
-    creating :class:`Task` objects.
-
-    Processes ``elims[start:]`` against mutable builder ``state``;
-    optionally captures a :class:`BuildSnapshot` once ``checkpoint_at``
-    eliminations (of the whole list) have been consumed.  ``finalize``
-    applies the trailing ``m <= n`` triangularization.
-    """
-    (
-        kind_l, row_l, panel_l, col_l, killer_l,
-        pred_ptr_l, pred_idx_l, last_writer, triangled,
-    ) = state
+    creating :class:`Task` objects."""
+    kind_l, row_l, panel_l, col_l, killer_l = [], [], [], [], []
+    pred_ptr_l, pred_idx_l = [0], []
+    last_writer = [-1] * (m * n)
+    triangled = bytearray(m * n)
 
     kind_append = kind_l.append
     row_append = row_l.append
@@ -434,25 +383,13 @@ def _expand_elims(
             killer_append(-1)
             ptr_append(len(pred_idx_l))
 
-    def snapshot(nelims: int) -> BuildSnapshot:
-        return BuildSnapshot(
-            nelims=nelims,
-            ntasks=len(kind_l),
-            nedges=len(pred_idx_l),
-            last_writer=last_writer.copy(),
-            triangled=bytes(triangled),
-        )
-
     elims = EliminationArray.of(elims)
-    victims, killers = elims.victim.tolist(), elims.killer.tolist()
-    panels, ts = elims.panel.tolist(), elims.ts.tolist()
-    snap: BuildSnapshot | None = None
-    for ei in range(start, len(elims)):
-        if ei == checkpoint_at:
-            snap = snapshot(ei)
-        victim, killer, panel = victims[ei], killers[ei], panels[ei]
+    for victim, killer, panel, ts in zip(
+        elims.victim.tolist(), elims.killer.tolist(),
+        elims.panel.tolist(), elims.ts.tolist(),
+    ):
         triangularize(killer, panel)
-        if ts[ei]:
+        if ts:
             kill, update = 2, 3  # TSQRT, TSMQR
         else:
             triangularize(victim, panel)
@@ -478,83 +415,17 @@ def _expand_elims(
             killer_append(killer)
             ptr_append(len(pred_idx_l))
 
-    if checkpoint_at is not None and checkpoint_at == len(elims):
-        snap = snapshot(len(elims))
-    if finalize and m <= n:
+    if m <= n:
         triangularize(m - 1, m - 1)
-    return snap
-
-
-def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
-    """Pure-Python array builder (see :func:`_expand_elims`)."""
-    state = _new_build_state(m, n)
-    _expand_elims(elims, m, n, state)
-    return _state_arrays(state)
-
-
-def build_arrays_checkpointed(
-    elims: Sequence[Elimination], m: int, n: int, checkpoint_at: int
-) -> tuple[tuple, BuildSnapshot]:
-    """Full pure-Python build plus a :class:`BuildSnapshot` taken after
-    ``checkpoint_at`` eliminations — the donor side of an incremental
-    rebuild."""
-    if not 0 <= checkpoint_at <= len(elims):
-        raise ValueError(
-            f"checkpoint_at {checkpoint_at} out of range "
-            f"for {len(elims)} eliminations"
-        )
-    state = _new_build_state(m, n)
-    snap = _expand_elims(elims, m, n, state, checkpoint_at=checkpoint_at)
-    assert snap is not None
-    return _state_arrays(state), snap
-
-
-def build_arrays_resumed(
-    snap: BuildSnapshot,
-    prefix_arrays: tuple,
-    elims: Sequence[Elimination],
-    m: int,
-    n: int,
-) -> tuple:
-    """Build a new elimination list that shares its first ``snap.nelims``
-    eliminations with a previous build, re-expanding only the suffix.
-
-    ``prefix_arrays`` are the previous build's raw arrays (their task and
-    edge prefixes are, by determinism of the expansion, exactly the
-    arrays the shared elimination prefix produces).  The result is
-    bit-identical to a from-scratch :func:`_build_arrays_py` of
-    ``elims``.
-
-    ``m`` may differ from the donor's: the tables are row-major, and a
-    prefix legal for both shapes only touches rows below both ``m``
-    values, so rows are padded (``-1`` / untriangled) or dropped freely.
-    ``n`` must match the donor (it changes the row stride *and* the
-    trailing-update emission of every prefix task).
-    """
-    kind, row, panel, col, killer, pred_ptr, pred_idx = prefix_arrays
-    nt, ne = snap.ntasks, snap.nedges
-    last_writer = list(snap.last_writer)
-    triangled = bytearray(snap.triangled)
-    want = m * n
-    if len(last_writer) < want:
-        last_writer.extend([-1] * (want - len(last_writer)))
-        triangled.extend(bytes(want - len(triangled)))
-    elif len(last_writer) > want:
-        del last_writer[want:]
-        del triangled[want:]
-    state = (
-        kind[:nt].tolist(),
-        row[:nt].tolist(),
-        panel[:nt].tolist(),
-        col[:nt].tolist(),
-        killer[:nt].tolist(),
-        pred_ptr[: nt + 1].tolist(),
-        pred_idx[:ne].tolist(),
-        last_writer,
-        triangled,
+    return (
+        np.array(kind_l, np.int8),
+        np.array(row_l, np.int32),
+        np.array(panel_l, np.int32),
+        np.array(col_l, np.int32),
+        np.array(killer_l, np.int32),
+        np.array(pred_ptr_l, np.int64),
+        np.array(pred_idx_l, np.int32),
     )
-    _expand_elims(elims, m, n, state, start=snap.nelims)
-    return _state_arrays(state)
 
 
 def compiled_from_eliminations(

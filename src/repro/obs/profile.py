@@ -118,9 +118,8 @@ def profile_run(
     (elimination list), ``dag_build`` (compiled-graph construction),
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
-    run_config_sweep` twice — per-point (``sweep_parallel``) and batched
-    (``dispatch``, whose ``dispatch_compute`` sub-stage splits the
-    batched path into setup and compute) — to attribute sweep fan-out
+    run_config_sweep` (``sweep``, whose ``dispatch_compute`` sub-stage
+    is the batched event loop) to attribute sweep dispatch
     overhead/speedup.  Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
@@ -147,22 +146,11 @@ def profile_run(
             prof_ctx.disable()
         serial_s = time.perf_counter() - t0
 
-        with stage("sweep_parallel"):
-            run_config_sweep(points, setup, batch=False)
-        with stage("dispatch"):
-            run_config_sweep(points, setup, batch=True)
+        with stage("sweep"):
+            run_config_sweep(points, setup)
     report["stages"] = sp.to_dict()
     report["serial_wall_s"] = serial_s
-    report["sweep_parallel_s"] = sp.seconds("sweep_parallel")
-    dispatch_s = sp.seconds("dispatch")
-    compute_s = sp.seconds("dispatch_compute")
-    report["dispatch"] = {
-        "total_s": dispatch_s,
-        "compute_s": compute_s,
-        # graph lookup, engine pick, result assembly — everything that
-        # is not the simulation itself
-        "setup_s": max(0.0, dispatch_s - compute_s),
-    }
+    report["sweep_wall_s"] = sp.seconds("sweep")
     graph_s = sp.seconds("graph")
     report["cache_overhead_s"] = max(
         0.0, graph_s - sp.seconds("elim") - sp.seconds("dag_build")
@@ -217,18 +205,11 @@ def format_profile(report: dict) -> str:
         f"  cache overhead (graph - elim - dag_build): "
         f"{report['cache_overhead_s']:.3f}s"
     )
-    if report.get("sweep_parallel_s", 0) > 0:
-        speedup = report["serial_wall_s"] / report["sweep_parallel_s"]
+    if report.get("sweep_wall_s", 0) > 0:
+        speedup = report["serial_wall_s"] / report["sweep_wall_s"]
         lines.append(
-            f"  parallel sweep: {report['sweep_parallel_s']:.3f}s "
+            f"  sweep: {report['sweep_wall_s']:.3f}s "
             f"({speedup:.1f}x vs serial; includes cache hits)"
-        )
-    dispatch = report.get("dispatch")
-    if dispatch is not None and dispatch["total_s"] > 0:
-        lines.append(
-            f"  batched dispatch: {dispatch['total_s']:.3f}s "
-            f"(setup {dispatch['setup_s']:.3f}s, "
-            f"compute {dispatch['compute_s']:.3f}s)"
         )
     for row in report.get("cprofile_top", [])[:10]:
         lines.append(

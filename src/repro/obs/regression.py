@@ -39,7 +39,6 @@ GATED_METRICS = (
     "micro.compiled_s",
     "micro.reference_s",
     "sweep_wall_s",
-    "sweep_batched_wall_s",
     "serve_wall_s",
     "tune_wall_s",
 )

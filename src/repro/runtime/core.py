@@ -1,16 +1,15 @@
 """The unified event-loop core — every simulator engine's single source.
 
 Historically the repo carried four bitwise-equivalent copies of the
-cluster event loop (reference, compiled-python, compiled-C, resilient)
-plus guarded/resumed variants for incremental re-simulation; every
-scheduling invariant had to be maintained in each copy, and every recent
+cluster event loop (reference, compiled-python, compiled-C, resilient);
+every scheduling invariant had to be maintained in each copy, and every
 divergence bug was a cross-copy drift.  This module states the loop
 **once**, parameterized by capability flags:
 
 * **inner loop** — the native C core (:mod:`repro._ccore`) or the
   pure-Python loop below, selected by ``REPRO_SIM_CORE`` / the ``core``
   argument; the C core is used only when no Python-visible capability
-  (tracing, fault hooks, checkpoints, task-level recording) is active;
+  (tracing, fault hooks, task-level recording) is active;
 * **tracing** — ``record_trace=True`` captures the task trace and (in
   fault-free runs) the comm trace consumed by the verify oracle;
 * **observability** — a :mod:`repro.obs` recorder at ``tasks`` level
@@ -21,10 +20,7 @@ divergence bug was a cross-copy drift.  This module states the loop
   callback) turns on the failure-aware branch: per-edge satisfaction,
   generation counters, lineage-cone recovery, message drops.  With an
   *empty* schedule the fault branch is bit-identical to the fault-free
-  branch (asserted by ``tests/runtime/test_core_equivalence.py``);
-* **checkpoint hooks** — guard/resume captures for incremental
-  re-simulation of sweep points sharing a schedule prefix
-  (:mod:`repro.runtime.incremental` plans the pairs).
+  branch (asserted by ``tests/runtime/test_core_equivalence.py``).
 
 Event encoding is uniform across all modes: heap entries are
 ``(time, code, gen)`` where ``code = task`` for a finish,
@@ -41,10 +37,8 @@ scheduler's tie-breaking exactly, and ``prio=None`` (program order)
 makes ranks the identity.
 
 Front ends (:mod:`repro.runtime.simulator`, :mod:`repro.runtime.
-compiled`, :mod:`repro.resilience.simulate`, :mod:`repro.runtime.
-incremental`) are thin adapters over :func:`run_core`,
-:func:`run_core_batch`, :func:`run_core_guarded`, and
-:func:`run_core_resumed`.
+compiled`, :mod:`repro.resilience.simulate`) are thin adapters over
+:func:`run_core` and :func:`run_core_batch`.
 """
 
 from __future__ import annotations
@@ -70,13 +64,10 @@ __all__ = [
     "CoreOutcome",
     "FaultHooks",
     "FaultOutcome",
-    "SimCheckpoint",
     "core_mode",
     "priority_ranks",
     "run_core",
     "run_core_batch",
-    "run_core_guarded",
-    "run_core_resumed",
     "sim_threads",
 ]
 
@@ -199,34 +190,6 @@ class CoreOutcome:
     engine: str = "python"  # inner loop actually used ("c" or "python")
 
 
-@dataclass
-class SimCheckpoint:
-    """Event-loop state restricted to the shared task prefix.
-
-    ``phase`` records where the capture happened (``scan`` = ck0,
-    ``loop`` = ck1).  All prefix-indexed arrays are sliced to
-    ``suffix_start``; ``slot_pairs`` maps touched message slots to their
-    arrival times by graph-independent ``(producer, dest-node)`` keys;
-    ``events`` still carries donor-graph arrival codes (re-based against
-    ``ntasks`` on resume).
-    """
-
-    suffix_start: int
-    ntasks: int
-    phase: str
-    events: list
-    data_ready: list
-    waiting: list
-    state: bytes
-    free_cores: list
-    ready: list
-    chan_free: list
-    slot_pairs: dict
-    busy: float
-    finish_time: float
-    messages: int
-
-
 def _machine_params(machine: Machine, b: int):
     """Flattened link/topology parameters shared by every loop mode."""
     tile_bytes = machine.tile_bytes(b)
@@ -253,23 +216,6 @@ def _machine_params(machine: Machine, b: int):
     )
 
 
-def _slot_pair_arrays(cg: CompiledGraph) -> tuple[list, list]:
-    """Per-slot ``(producer task, destination node)`` — the
-    graph-independent identity of each message slot."""
-    nslots = cg.nslots
-    prod = np.zeros(nslots, dtype=np.int64)
-    dest = np.zeros(nslots, dtype=np.int64)
-    if nslots:
-        producer = np.repeat(
-            np.arange(cg.ntasks, dtype=np.int64), np.diff(cg.succ_ptr)
-        )
-        mask = cg.edge_slot >= 0
-        slots = cg.edge_slot[mask]
-        prod[slots] = producer[mask]
-        dest[slots] = cg.node[cg.succ_idx[mask]]
-    return prod.tolist(), dest.tolist()
-
-
 # --------------------------------------------------------------------- #
 # the single Python event loop
 # --------------------------------------------------------------------- #
@@ -285,68 +231,28 @@ def _py_loop(
     fault: FaultHooks | None = None,
     pred_ptr=None,
     pred_idx=None,
-    suffix_start=None,
-    frontier=None,
-    resume_from: SimCheckpoint | None = None,
-    pair_prod=None,
-    pair_dest=None,
 ):
     """The unified cluster event loop (pure-Python inner loop).
 
     One body serves every capability combination; each per-mode branch
     states an invariant exactly once.  All inputs are plain lists/ints so
     the hot loop never touches numpy.  Returns
-    ``(finish_time, busy, messages, trace, comm, fault_out, ck0, ck1)``.
+    ``(finish_time, busy, messages, trace, comm, fault_out)``.
     """
     faulty = fault is not None
     observe = rec is not None and rec.want_tasks
     push, pop = heapq.heappush, heapq.heappop
-    guard = resume_from is None and suffix_start is not None
 
-    if resume_from is not None:
-        ck = resume_from
-        tc0 = ck.suffix_start
-        if tc0 > ntasks:
-            raise ValueError(
-                f"checkpoint prefix {tc0} exceeds graph size {ntasks}"
-            )
-        waiting = list(ck.waiting) + waiting[tc0:]
-        data_ready = list(ck.data_ready) + [0.0] * (ntasks - tc0)
-        state = bytearray(ck.state) + bytearray(ntasks - tc0)
-        free_cores = list(ck.free_cores)
-        ready = [list(h) for h in ck.ready]
-        chan_free = list(ck.chan_free)
-        slot_arrival = [-1.0] * nslots
-        if ck.slot_pairs:
-            pair_to_slot = {
-                (pair_prod[s], pair_dest[s]): s for s in range(nslots)
-            }
-            for pair, arr in ck.slot_pairs.items():
-                slot_arrival[pair_to_slot[pair]] = arr
-        # re-base arrival codes from the donor's ntasks; finish codes are
-        # task ids below both sizes, so every heap comparison — and hence
-        # the pop order — is unchanged
-        shift = ntasks - ck.ntasks
-        events = [
-            (tm, code if code < ck.ntasks else code + shift, g)
-            for tm, code, g in ck.events
-        ]
-        busy = ck.busy
-        finish_time = ck.finish_time
-        messages = ck.messages
-        scan_from = tc0
-    else:
-        data_ready = [0.0] * ntasks
-        free_cores = [cores_per_node] * nnodes
-        ready = [[] for _ in range(nnodes)]
-        chan_free = [0.0] * nnodes
-        slot_arrival = [-1.0] * nslots
-        state = bytearray(ntasks)  # 0 new, 1 queued, 2 launched
-        events: list[tuple[float, int, int]] = []
-        busy = 0.0
-        finish_time = 0.0
-        messages = 0
-        scan_from = 0
+    data_ready = [0.0] * ntasks
+    free_cores = [cores_per_node] * nnodes
+    ready = [[] for _ in range(nnodes)]
+    chan_free = [0.0] * nnodes
+    slot_arrival = [-1.0] * nslots
+    state = bytearray(ntasks)  # 0 new, 1 queued, 2 launched
+    events: list[tuple[float, int, int]] = []
+    busy = 0.0
+    finish_time = 0.0
+    messages = 0
 
     trace = [] if record_trace else None
     comm = [] if (record_trace and not faulty) else None
@@ -576,59 +482,16 @@ def _py_loop(
             if observe:
                 rec.task(t, node[t], start, end)
 
-    def snapshot(phase: str) -> SimCheckpoint:
-        cut = suffix_start
-        touched = {}
-        for s, arr in enumerate(slot_arrival):
-            if arr >= 0.0:
-                touched[(pair_prod[s], pair_dest[s])] = arr
-        return SimCheckpoint(
-            suffix_start=cut,
-            ntasks=ntasks,
-            phase=phase,
-            events=list(events),
-            data_ready=data_ready[:cut],
-            waiting=waiting[:cut],
-            state=bytes(state[:cut]),
-            free_cores=list(free_cores),
-            ready=[list(h) for h in ready],
-            chan_free=list(chan_free),
-            slot_pairs=touched,
-            busy=busy,
-            finish_time=finish_time,
-            messages=messages,
-        )
-
     # seed roots (and, under fault hooks, the crash events)
-    ck0 = None
-    suffix_seeded = False
-    for t in range(scan_from, ntasks):
-        if guard and t == suffix_start:
-            ck0 = snapshot("scan")
+    for t in range(ntasks):
         if waiting[t] == 0:
-            if guard and t >= suffix_start:
-                # a zero-predecessor *suffix* task enters the schedule at
-                # t=0: everything from here on (busy time, core occupancy,
-                # its finish event) belongs to this graph's suffix, so no
-                # loop-phase checkpoint can be resumed onto another graph
-                suffix_seeded = True
             try_start(t, 0.0)
-    if guard and ck0 is None:  # suffix_start == ntasks
-        ck0 = snapshot("scan")
     if faulty:
         for ci, c in enumerate(schedule.crashes):
             push(events, (c.time, 2 * ntasks + ci, 0))
 
-    ck1 = None
     two_n = 2 * ntasks
     while events:
-        if guard:
-            code0 = events[0][1]  # peek: heap root is the next pop
-            tq = code0 - ntasks if code0 >= ntasks else code0
-            if tq >= suffix_start or (code0 < ntasks and tq in frontier):
-                if not suffix_seeded:
-                    ck1 = snapshot("loop")
-                guard = False
         now, code, g = pop(events)
         if code >= ntasks:
             if code >= two_n:  # crash event (fault hooks only)
@@ -774,7 +637,7 @@ def _py_loop(
         if any(w > 0 for w in waiting):  # pragma: no cover - cycle guard
             raise RuntimeError("simulation stalled with unfinished tasks")
         fault_out = None
-    return finish_time, busy, messages, trace, comm, fault_out, ck0, ck1
+    return finish_time, busy, messages, trace, comm, fault_out
 
 
 # --------------------------------------------------------------------- #
@@ -950,7 +813,7 @@ def run_core(
                 pred_ptr=cg.pred_ptr.tolist(),
                 pred_idx=cg.pred_idx.tolist(),
             )
-        makespan, busy, messages, trace, comm, fault_out, _, _ = _py_loop(
+        makespan, busy, messages, trace, comm, fault_out = _py_loop(
             ntasks, nnodes, cores_per_node,
             cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
             cg.pred_counts.tolist(),
@@ -994,75 +857,6 @@ def run_core(
         fault=fault_out,
         engine=engine,
     )
-
-
-def run_core_guarded(
-    cg: CompiledGraph,
-    machine: Machine,
-    b: int,
-    *,
-    suffix_start: int,
-    frontier: set,
-    data_reuse: bool = False,
-):
-    """Program-order python event loop capturing resume checkpoints.
-
-    Bit-identical to ``run_core(..., prio=None, core="python")`` — the
-    checkpoint captures are pure state copies taken between events.
-    Returns ``((makespan, busy, messages), ck0, ck1)``; ``ck1`` is None
-    when the heap drains before any frontier finish (empty frontier) or
-    when this graph's suffix contains a zero-predecessor task (its t=0
-    launch contaminates the loop state, see
-    :mod:`repro.runtime.incremental`).
-    """
-    ident = list(range(cg.ntasks))
-    params = _machine_params(machine, b)
-    pair_prod, pair_dest = _slot_pair_arrays(cg)
-    mk, busy, messages, _, _, _, ck0, ck1 = _py_loop(
-        cg.ntasks, *params[:2],
-        cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
-        cg.pred_counts.tolist(),
-        cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-        cg.edge_slot.tolist(), cg.nslots,
-        ident, ident,
-        *params[2:],
-        data_reuse,
-        suffix_start=suffix_start, frontier=frontier,
-        pair_prod=pair_prod, pair_dest=pair_dest,
-    )
-    return (mk, busy, messages), ck0, ck1
-
-
-def run_core_resumed(
-    cg: CompiledGraph,
-    machine: Machine,
-    b: int,
-    ck: SimCheckpoint,
-    *,
-    data_reuse: bool = False,
-):
-    """Continue a checkpoint on a graph sharing the checkpoint's prefix.
-
-    Returns ``(makespan, busy, messages)`` — bit-identical to a fresh
-    run of ``cg`` when the caller honored the ck0/ck1 selection rule
-    (ck1 only when the new suffix has no zero-predecessor tasks).
-    """
-    ident = list(range(cg.ntasks))
-    params = _machine_params(machine, b)
-    pair_prod, pair_dest = _slot_pair_arrays(cg)
-    mk, busy, messages, _, _, _, _, _ = _py_loop(
-        cg.ntasks, *params[:2],
-        cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
-        cg.pred_counts.tolist(),
-        cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-        cg.edge_slot.tolist(), cg.nslots,
-        ident, ident,
-        *params[2:],
-        data_reuse,
-        resume_from=ck,
-        pair_prod=pair_prod, pair_dest=pair_dest,
-    )
-    return (mk, busy, messages)
 
 
 # --------------------------------------------------------------------- #

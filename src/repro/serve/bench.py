@@ -327,7 +327,6 @@ def _live_smoke(arrivals) -> dict:
         "breakdown_ok": breakdown_ok,
         "flight_dumped": flight_dumped,
         "drained": drain["drained"],
-        "disposed_segments": drain["disposed_segments"],
         "wall_s": time.perf_counter() - t0,
     }
 

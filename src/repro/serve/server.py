@@ -27,8 +27,7 @@ degradation, or a worker exception.
 
 Graceful shutdown (SIGINT/SIGTERM or :meth:`PlanningDaemon.shutdown`):
 stop admitting (503), drain queued and in-flight jobs, flush the obs
-recorder, dispose any shared-memory graph arenas, then stop — so a
-killed daemon leaves no ``/dev/shm`` leak and no half-answered client.
+recorder, then stop — so a killed daemon leaves no half-answered client.
 """
 
 from __future__ import annotations
@@ -181,16 +180,15 @@ class PlanningDaemon:
 
         Order matters: stop admitting first (new offers get 503), let
         the workers empty the queues and finish in-flight plans, then
-        stop the workers and the HTTP listener, flush the observability
-        recorder, and dispose any shared-memory segments this process
-        still owns.
+        stop the workers and the HTTP listener and flush the
+        observability recorder.
         """
         with self._cond:
             already = self._stopping and self._draining
             self._draining = True
             self._cond.notify_all()
         if already:
-            return {"drained": True, "disposed_segments": 0}
+            return {"drained": True}
         deadline = time.monotonic() + drain_timeout
         drained = True
         with self._cond:
@@ -210,8 +208,7 @@ class PlanningDaemon:
         if self._hook_installed:
             uninstall_core_hook()
             self._hook_installed = False
-        # flush observability + shared memory before the process exits
-        from repro.bench.shm import dispose_owned
+        # flush observability before the process exits
         from repro.obs.events import active as _obs_active
 
         rec = _obs_active()
@@ -222,8 +219,7 @@ class PlanningDaemon:
                 **{k: int(v) for k, v in self.service.counters().items()
                    if k != "plan_wall_s"},
             )
-        disposed = dispose_owned()
-        return {"drained": drained, "disposed_segments": disposed}
+        return {"drained": drained}
 
     # -- scheduling ---------------------------------------------------- #
     def _worker(self) -> None:

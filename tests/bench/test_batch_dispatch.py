@@ -1,8 +1,10 @@
 """Batched dispatch: bitwise equivalence with the per-point paths."""
 
+import logging
+
 import pytest
 
-from repro.bench.runner import BenchSetup, run_config_sweep
+from repro.bench.runner import BenchSetup, run_config, run_config_sweep
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
@@ -116,15 +118,52 @@ def _points():
     ]
 
 
-@pytest.mark.parametrize("core", ["auto", "python"])
-def test_sweep_batched_matches_legacy(core, fresh_cache, monkeypatch):
+def _key(result):
+    return result.makespan, result.messages, result.busy_seconds
+
+
+@pytest.mark.parametrize("core", ["auto", "python", "reference"])
+def test_sweep_batched_matches_legacy(core, fresh_cache, caplog, monkeypatch):
+    """Either sweep path returns what the ``run_config`` loop returns, and
+    says once which transport carried it."""
+    from repro._ccore import native_available
+
     monkeypatch.setenv("REPRO_SIM_CORE", core)
     setup = small_setup()
     points = _points()
-    legacy = run_config_sweep(points, setup, workers=1, batch=False)
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     for workers in (1, 2):
-        got = run_config_sweep(points, setup, workers=workers, batch=True)
-        assert got == legacy, f"core={core} workers={workers}"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.bench.parallel"):
+            got = run_config_sweep(points, setup, workers=workers)
+        assert [_key(r) for r in got] == [_key(r) for r in want], (
+            f"core={core} workers={workers}"
+        )
+        lines = [
+            r.message for r in caplog.records if "sweep transport" in r.message
+        ]
+        assert len(lines) == 1
+        if core == "auto" and native_available():
+            transport = "batched-c"
+        else:
+            transport = "pickle" if workers == 2 else "serial"
+        assert transport in lines[0]
+
+
+def test_task_recorder_keeps_the_sweep_in_process(fresh_cache, monkeypatch):
+    """Task events recorded in a pool worker would die with it, so a
+    ``tasks``-level recorder gets the same events at any worker count."""
+    from repro.obs.events import recording
+
+    monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")  # what workers=None means
+    setup = small_setup()
+    seen = {}
+    for workers in (1, 2, None):
+        with recording("tasks") as rec:
+            run_config_sweep(_points(), setup, workers=workers)
+        seen[workers] = len(rec.tasks)
+    assert seen[1] > 0
+    assert seen[2] == seen[None] == seen[1]
 
 
 def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
@@ -143,49 +182,6 @@ def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
         assert cache.stats()["miss"] == cache.stats()["store"] == len(points)
         assert not cache.root.exists()
     assert got[2] == got[1]
-
-
-def test_sweep_batch_env_default(monkeypatch):
-    from repro.bench.runner import batch_default
-
-    monkeypatch.delenv("REPRO_BENCH_BATCH", raising=False)
-    assert batch_default() is True
-    monkeypatch.setenv("REPRO_BENCH_BATCH", "0")
-    assert batch_default() is False
-
-
-def test_bench_report_batched_section(fresh_cache, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
-    from repro.bench.perf import bench_report, format_report
-
-    report = bench_report(
-        workers=1, setup=small_setup(), skip_reference=True, batch=True
-    )
-    assert "batch_mismatches" not in report
-    batched = report["batched"]
-    assert batched["wall_s"] == report["sweep_batched_wall_s"] > 0
-    assert batched["n_points"] == report["n_points"]
-    assert isinstance(batched["openmp"], bool)
-    assert "batched sweep" in format_report(report)
-
-
-def test_format_batch_mismatches():
-    from repro.bench.perf import format_mismatches
-
-    report = {
-        "n_points": 2,
-        "batch_mismatches": [
-            {
-                "m": 12,
-                "n": 4,
-                "config": "HQR(...)",
-                "per_point_makespan": 1.0,
-                "batched_makespan": 2.0,
-            }
-        ],
-    }
-    text = format_mismatches(report)
-    assert "BATCH MISMATCH" in text
 
 
 def test_verify_case_batched_roundtrip():

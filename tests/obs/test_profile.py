@@ -59,7 +59,7 @@ class TestProfileRun:
         for name in ("graph", "simulate"):
             assert name in stages, f"missing stage {name}"
         assert report["serial_wall_s"] > 0
-        assert report["sweep_parallel_s"] >= 0
+        assert report["sweep_wall_s"] >= 0
         assert report["cache_overhead_s"] >= 0
         assert "cprofile_top" not in report
 

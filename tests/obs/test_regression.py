@@ -129,7 +129,17 @@ class TestGateOnCommittedBaseline:
         )
 
     def test_baseline_passes_against_itself(self, baseline, tmp_path):
-        p = tmp_path / "BENCH.json"
-        p.write_text(json.dumps(baseline))
-        out = gate_files(p, p)
-        assert out["ok"]  # identical files: same machine stamp, ratio 1
+        """Same numbers, as committed and in the one-sweep shape ``repro
+        bench`` writes now: a key absent on one side is skipped, not failed."""
+        base = tmp_path / "BENCH.json"
+        base.write_text(json.dumps(baseline))
+        cur = tmp_path / "BENCH_current.json"
+        for dropped in ((), ("batched", "sweep_batched_wall_s")):
+            cur.write_text(json.dumps(
+                {k: v for k, v in baseline.items() if k not in dropped}
+            ))
+            out = gate_files(cur, base)
+            assert out["ok"]  # same machine stamp, every ratio 1
+            assert [c["metric"] for c in out["checked"]] == [
+                "micro.compiled_s", "micro.reference_s", "sweep_wall_s"
+            ]

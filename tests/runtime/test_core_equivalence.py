@@ -3,10 +3,9 @@
 Every capability combination of :func:`repro.runtime.core.run_core` must
 reproduce — bitwise — the values captured from the PRE-unification
 engines (``tests/runtime/fixtures/golden_core.json``): Python and C
-inner loops, trace recording, obs recording at both levels, checkpoint
-(guarded) hooks, batched dispatch, and fault hooks — including the
-empty-schedule ``force_fault_loop`` identity that used to be its own
-verify engine.
+inner loops, trace recording, obs recording at both levels, batched
+dispatch, and fault hooks — including the empty-schedule
+``force_fault_loop`` identity that used to be its own verify engine.
 """
 
 import dataclasses
@@ -24,7 +23,6 @@ from repro.runtime.core import (
     FaultHooks,
     run_core,
     run_core_batch,
-    run_core_guarded,
 )
 from repro.runtime.golden import (
     GOLDEN_RELPATH,
@@ -348,30 +346,6 @@ def test_tracing_span_hook_is_bitwise_neutral_batched():
     for name, res in zip(names, results):
         _assert_scalar(res, FIXTURE["scalar"][name])
     assert any(s.name == "simulate" for s in trace.root.children)
-
-
-@pytest.mark.parametrize(
-    "name", ["flat-serialized", "flat-unserialized", "hierarchical"]
-)
-def test_guarded_checkpoint_hooks_are_bitwise_neutral(name):
-    """The checkpoint capability (guarded run) must not perturb results.
-
-    Guarded runs require program-order priorities, so only prio=None
-    golden cases participate.
-    """
-    case = CASES[name]
-    assert case.priority is None
-    _, _, cg, _ = _compiled(case)
-    (mk, busy, messages), ck0, _ = run_core_guarded(
-        cg, case.machine, case.b,
-        suffix_start=cg.ntasks // 2, frontier=set(),
-        data_reuse=case.data_reuse,
-    )
-    frozen = FIXTURE["scalar"][name]
-    assert float_hex(mk) == frozen["makespan"]
-    assert float_hex(busy) == frozen["busy_seconds"]
-    assert messages == frozen["messages"]
-    assert ck0 is not None  # the snapshot hook did fire
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["faulty"]))
