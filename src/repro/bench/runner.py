@@ -14,6 +14,8 @@ variable ``REPRO_BENCH_SCALE=full`` to simulate every published point (or
 from __future__ import annotations
 
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 from repro.bench.parallel import parallel_map
@@ -183,6 +185,74 @@ def _run_point(item) -> SimulationResult:
     return run_config(m, n, config, setup=setup, layout=layout)
 
 
+def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
+    """The ``batched-c`` sweep body: plan here, simulate beside it.
+
+    This thread plans in point order — every planning memo (the tree
+    caches, the graph LRU) is still touched by one thread and needs no
+    lock — and queues each finished graph; one helper thread takes
+    *everything queued so far* as one ordinary
+    :func:`~repro.runtime.core.run_core_batch` call (the C loop releases
+    the GIL, OpenMP fans a multi-graph chunk out) and appends its results
+    in FIFO order, so output order is input order.  Chunk boundaries
+    depend on timing; results do not.  An error on either side stops the
+    other, and the helper is joined before this returns or raises — a
+    second interrupt *during that join* escapes it and leaves the daemon
+    helper to end with its current chunk.  The caller's request trace is
+    re-attached in the helper, but not its open span: the ``simulate``
+    spans (one per chunk) hang off the trace root.
+    """
+    from repro.obs.tracing import attach, current_trace
+    from repro.runtime.core import run_core_batch
+
+    planned = queue.SimpleQueue()  # graphs in point order, then None
+    results: list[SimulationResult] = []
+    failure: list[BaseException] = []
+    trace = current_trace()  # thread-local: carry it over for the spans
+
+    def simulate() -> None:
+        try:
+            with attach(trace):
+                last = False
+                while not last:
+                    chunk = [planned.get()]
+                    while not planned.empty():
+                        chunk.append(planned.get())
+                    last = chunk[-1] is None
+                    if last:
+                        chunk.pop()
+                    if failure:  # planning failed: drop what is queued
+                        return
+                    results.extend(
+                        run_core_batch(chunk, setup.machine, setup.b)
+                    )
+        except BaseException as exc:  # re-raised by the caller below
+            failure.append(exc)
+
+    helper = threading.Thread(
+        target=simulate, name="repro-sweep-simulate", daemon=True
+    )
+    helper.start()
+    try:
+        for m, n, cfg in points:
+            if failure:
+                break
+            planned.put(
+                compiled_graph_for(
+                    m, n, cfg, setup.layout, setup.machine, setup.b
+                )
+            )
+    except BaseException as exc:
+        failure.append(exc)
+        raise
+    finally:
+        planned.put(None)
+        helper.join()
+    if failure:
+        raise failure[0]
+    return results
+
+
 def run_config_sweep(
     points,
     setup: BenchSetup | None = None,
@@ -197,8 +267,10 @@ def run_config_sweep(
     * the native core is loaded, the engine is not ``reference`` and no
       task-level recorder is installed — every graph is built in line
       (through the cache; a build is cheaper than shipping its arrays
-      between processes) and the whole sweep is one batched C call
-      (:func:`~repro.runtime.core.run_core_batch`);
+      between processes) while a helper thread runs the graphs built so
+      far through the batched C loop
+      (:func:`~repro.runtime.core.run_core_batch`), so planning and
+      simulation overlap instead of fork-joining;
     * otherwise — the per-point map: :func:`run_config` per point over
       :func:`~repro.bench.parallel.parallel_map`, a process pool at
       ``workers > 1`` and the in-process loop at ``workers <= 1``.  A
@@ -207,7 +279,7 @@ def run_config_sweep(
     """
     from repro.bench.parallel import log_transport
     from repro.obs.events import active as _obs_active
-    from repro.runtime.core import _pick_engine, core_mode, run_core_batch
+    from repro.runtime.core import _pick_engine, core_mode
 
     setup = setup or BenchSetup()
     points = list(points)
@@ -218,11 +290,7 @@ def run_config_sweep(
         and not want_tasks
         and _pick_engine(None) is not None
     ):
-        graphs = [
-            compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b)
-            for m, n, cfg in points
-        ]
         log_transport("batched-c", workers=1, points=len(points))
-        return run_core_batch(graphs, setup.machine, setup.b)
+        return _plan_and_simulate(points, setup) if points else []
     items = [(m, n, cfg, setup, None) for m, n, cfg in points]
     return parallel_map(_run_point, items, workers=1 if want_tasks else workers)

@@ -17,6 +17,11 @@ sweep fan-out.  Two mechanisms:
 Nesting: stages nest freely and each level accumulates its own wall
 time, so ``graph`` (cache lookup + possible build) *contains* ``elim``
 and ``dag_build`` — subtracting them out yields pure cache overhead.
+
+Threads: a stage is busy time on whichever thread ran it.  The batched
+sweep runs ``dispatch_compute`` (the C event loop, on its helper thread)
+beside ``elim`` / ``dag_build`` (on the caller), so the stages inside a
+``sweep`` may sum past its wall time; the excess is the overlap.
 """
 
 from __future__ import annotations
@@ -119,8 +124,9 @@ def profile_run(
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
     run_config_sweep` (``sweep``, whose ``dispatch_compute`` sub-stage
-    is the batched event loop) to attribute sweep dispatch
-    overhead/speedup.  Returns a JSON-ready report.
+    is the batched event loop, overlapped with any planning the sweep
+    still has to do) to attribute sweep dispatch overhead/speedup.
+    Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
     from repro.hqr.config import HQRConfig

@@ -9,13 +9,15 @@ of Table III) emerges from :func:`repro.trees.schedule.coarse_schedule`.
 
 from __future__ import annotations
 
-from repro.trees.base import Elimination, PanelTree
+import numpy as np
+
+from repro.trees.base import EliminationArray, PanelTree
 from repro.trees.flat import FlatTree
 
 
 def panel_elimination_list(
     m: int, n: int, tree: PanelTree, *, ts: bool | None = None
-) -> list[Elimination]:
+) -> EliminationArray:
     """Elimination list applying ``tree`` independently to each panel.
 
     Parameters
@@ -34,9 +36,14 @@ def panel_elimination_list(
         raise ValueError(f"m and n must be positive, got m={m}, n={n}")
     if ts is None:
         ts = isinstance(tree, FlatTree)
-    elims: list[Elimination] = []
-    for k in range(min(n, m - 1)):
-        rows = list(range(k, m))
-        for victim, killer in tree.eliminations(rows):
-            elims.append(Elimination(panel=k, victim=victim, killer=killer, ts=ts))
-    return elims
+    # panel k reduces rows k .. m-1: the tree's positions for m - k rows,
+    # shifted by k
+    pairs = [tree.pairs(m - k) for k in range(min(n, m - 1))]
+    none = np.empty(0, dtype=np.int32)  # keeps concatenate legal at m == 1
+    panel = np.repeat(
+        np.arange(len(pairs), dtype=np.int32),
+        np.array([len(victims) for victims, _ in pairs], dtype=np.intp),
+    )
+    victim = np.concatenate([none] + [victims for victims, _ in pairs]) + panel
+    killer = np.concatenate([none] + [killers for _, killers in pairs]) + panel
+    return EliminationArray(panel, victim, killer, np.full(len(panel), ts))

@@ -192,10 +192,12 @@ def _rng_state_from_json(state) -> tuple:
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
+    # no indent: json's C encoder only runs for the compact form, and a
+    # checkpoint carries the 625-word RNG state every batch
+    text = json.dumps(payload, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
 
 

@@ -1,6 +1,8 @@
 """Batched dispatch: bitwise equivalence with the per-point paths."""
 
+import dataclasses
 import logging
+import threading
 
 import pytest
 
@@ -218,3 +220,153 @@ def test_verify_batched_engines_agree():
         if found >= 3:
             break
     assert found > 0
+
+
+# --------------------------------------------------------------------- #
+# the overlapped sweep: planning on the caller, the C loop on a helper
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def batched_path(fresh_cache, monkeypatch):
+    """The ``batched-c`` sweep path on an isolated cache, or skip."""
+    from repro._ccore import native_available
+
+    if not native_available():
+        pytest.skip("no C toolchain")
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    return fresh_cache
+
+
+def _many_points():
+    return [
+        (m, 4, HQRConfig(p=4, q=2, a=a, high_tree=high))
+        for m in (8, 12, 20)
+        for a in (1, 2)
+        for high in ("flat", "greedy", "fibonacci")
+    ]
+
+
+def _sweep_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-")]
+
+
+def test_overlapped_sweep_equals_the_run_config_loop(batched_path, monkeypatch):
+    """Cold, half-warm and warm caches, repeated points, any OpenMP team:
+    chunk boundaries move with timing, results and their order do not."""
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+
+    batched_path.clear_memory()
+    assert run_config_sweep(points, setup) == want  # cold
+    assert run_config_sweep(points, setup) == want  # warm
+    batched_path.clear_memory()
+    assert run_config_sweep(points[::2], setup) == want[::2]
+    assert run_config_sweep(points, setup) == want  # half warm
+
+    again = points + points[:3] + [points[0]] * 2
+    batched_path.clear_memory()
+    assert run_config_sweep(again, setup) == want + want[:3] + [want[0]] * 2
+
+    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+    batched_path.clear_memory()
+    assert run_config_sweep(points, setup) == want
+    assert _sweep_threads() == []
+
+
+def test_overlapped_sweep_planning_error_propagates(batched_path, monkeypatch):
+    """A builder that raises on point k: the same exception reaches the
+    caller, the helper is gone, and the cache holds no build gate."""
+    from repro.bench import runner
+
+    boom = RuntimeError("elimination list refused")
+    calls = []
+
+    def flaky(m, n, config):
+        calls.append((m, n))
+        if len(calls) == 4:
+            raise boom
+        return hqr_elimination_list(m, n, config)
+
+    monkeypatch.setattr(runner, "hqr_elimination_list", flaky)
+    with pytest.raises(RuntimeError) as info:
+        run_config_sweep(_many_points(), small_setup())
+    assert info.value is boom
+    assert len(calls) == 4
+    assert _sweep_threads() == []
+    assert batched_path._building == {}
+
+
+def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
+    """A graph the C loop refuses raises on the caller, which plans no
+    further point once the helper has gone."""
+    from repro.bench import runner
+
+    real = runner.compiled_graph_for
+    calls = []
+
+    def patched(*args):
+        calls.append(args[:2])
+        cg = real(*args)
+        if len(calls) == 1:
+            kind = cg.kind.copy()
+            kind[0] = 6
+            return dataclasses.replace(cg, kind=kind)
+        for t in threading.enumerate():  # let the helper meet the graph
+            if t.name.startswith("repro-"):
+                t.join(30)
+                assert not t.is_alive()
+        return cg
+
+    monkeypatch.setattr(runner, "compiled_graph_for", patched)
+    with pytest.raises(ValueError, match="graph 0"):
+        run_config_sweep(_many_points(), small_setup())
+    assert len(calls) == 2
+    assert _sweep_threads() == []
+
+
+def test_overlapped_sweep_records_every_point_once(batched_path):
+    """Chunks are timing-dependent, their sum is not: the ``c-batch`` run
+    records add up to the sweep, and a request trace attached to the
+    caller gets the helper's ``simulate`` spans."""
+    from repro.bench.runner import compiled_graph_for
+    from repro.obs.events import recording
+    from repro.obs.tracing import (
+        RequestTrace,
+        attach,
+        install_core_hook,
+        uninstall_core_hook,
+    )
+
+    setup = small_setup()
+    points = _many_points()
+    trace = RequestTrace("0" * 31 + "1", "test", 0.0)
+    install_core_hook()
+    try:
+        with recording("summary") as rec, attach(trace):
+            run_config_sweep(points, setup)
+    finally:
+        uninstall_core_hook()
+    ntasks = sum(
+        compiled_graph_for(
+            m, n, cfg, setup.layout, setup.machine, setup.b
+        ).ntasks
+        for m, n, cfg in points
+    )
+    runs = [r for r in rec.runs if r["engine"] == "c-batch"]
+    assert len(runs) == len(rec.runs) >= 1
+    assert sum(r["points"] for r in runs) == len(points)
+    assert sum(r["ntasks"] for r in runs) == ntasks
+    spans = [s for s in trace.root.children if s.name == "simulate"]
+    assert len(spans) == len(runs)
+    assert sum(s.attrs["points"] for s in spans) == len(points)
+
+
+def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
+    from repro.bench import runner
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("an empty sweep must not start a thread")
+
+    monkeypatch.setattr(runner.threading, "Thread", no_thread)
+    assert run_config_sweep([], small_setup()) == []

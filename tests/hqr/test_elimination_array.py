@@ -11,7 +11,7 @@ from repro.dag.graph import TaskGraph
 from repro.hqr import HQRConfig, HQRTree, check_elimination_list, hqr_elimination_list
 from repro.hqr.levels import top_local_row
 from repro.io import eliminations_from_json, eliminations_to_json
-from repro.trees import TREE_NAMES, Elimination, make_tree
+from repro.trees import TREE_NAMES, Elimination, make_tree, panel_elimination_list
 from repro.trees.base import EliminationArray
 
 settings.register_profile("elim-array", max_examples=300, deadline=None)
@@ -131,6 +131,31 @@ def test_tree_pairs_gather_equals_oracle(q, name, step):
     assert victims.dtype == killers.dtype == np.int32
     assert not victims.flags.writeable and not killers.flags.writeable
     assert tree.pairs(q)[0] is victims  # one cached positional form per q
+
+
+@pytest.mark.parametrize("name", TREE_NAMES)
+@pytest.mark.parametrize("ts", [None, True, False])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (5, 5), (6, 9), (13, 4), (40, 7)])
+def test_pipelined_list_equals_object_oracle(name, ts, m, n):
+    """``panel_elimination_list`` as it was: one tree per panel over rows
+    ``k .. m-1``, one frozen Elimination per kill, TS only by default on
+    the flat tree."""
+    want_ts = (name == "flat") if ts is None else ts
+    want = [
+        Elimination(k, victim, killer, ts=want_ts)
+        for k in range(min(n, m - 1))
+        for victim, killer in _oracle_tree(name, list(range(k, m)))
+    ]
+    got = panel_elimination_list(m, n, make_tree(name), ts=ts)
+    assert isinstance(got, EliminationArray)
+    assert got == want and list(got) == want
+    assert got.ts.tolist() == [e.ts for e in want]
+
+
+def test_pipelined_list_rejects_empty_matrices():
+    for m, n in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            panel_elimination_list(m, n, make_tree("greedy"))
 
 
 # --------------------------------------------------------------------- #

@@ -139,6 +139,15 @@ def test_best_is_sorted_and_truncated(tmp_path):
 
 
 def test_stop_then_resume_is_bitwise_identical(tmp_path):
+    _stop_then_resume(tmp_path, indented=False)
+
+
+def test_resume_reads_an_indented_checkpoint(tmp_path):
+    """Checkpoints written before the compact form still resume bitwise."""
+    _stop_then_resume(tmp_path, indented=True)
+
+
+def _stop_then_resume(tmp_path, indented):
     # uninterrupted reference
     ref = make_annealer(tmp_path / "ref").run()
     ref_stream = (tmp_path / "ref" / "samples.jsonl").read_bytes()
@@ -156,6 +165,12 @@ def test_stop_then_resume_is_bitwise_identical(tmp_path):
     partial = a.run()
     assert partial.interrupted
     assert partial.proposals == 16
+    if indented:
+        path = tmp_path / "run" / "checkpoint.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
     resumed = make_annealer(tmp_path / "run", resume=True).run()
     assert not resumed.interrupted
