@@ -7,6 +7,10 @@ layout and machine.  This module caches compiled graphs, in memory only,
 under a SHA-256 fingerprint of those inputs: a bounded LRU whose entries
 are the built graphs themselves, frozen read-only, so every later stage
 (dispatch, the C event loop) reads the arrays where the builder left them.
+An entry can also carry the fault-free simulation result of its graph
+(:meth:`CompiledGraphCache.answer` / :meth:`~CompiledGraphCache.remember`):
+a makespan is a pure function of the same inputs, so the planning service
+answers a repeated question from the entry instead of re-simulating it.
 
 There is no disk tier: rebuilding a graph costs less than writing it out
 (EXPERIMENTS.md, "Zero-copy handoff"), so a new process rebuilds.
@@ -184,6 +188,10 @@ class CompiledGraphCache:
     concurrent builds of the same key so a thundering herd on a cold
     entry builds the graph once instead of once per thread.  Operation
     counters (:meth:`stats`) feed the serving cache-hit-ratio SLO.
+
+    An entry is ``[graph, answer]``: the answer lives and dies with its
+    graph, so eviction and :meth:`clear_memory` forget it too and the
+    memo needs no bound of its own.
     """
 
     def __init__(self, root: Path | None = None, memory_slots: int | None = None):
@@ -192,7 +200,7 @@ class CompiledGraphCache:
         if memory_slots is None:
             memory_slots = _default_memory_slots()
         self.memory_slots = memory_slots
-        self._memory: OrderedDict[str, CompiledGraph] = OrderedDict()
+        self._memory: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.RLock()
         self._building: dict[str, threading.Lock] = {}
         self._stats = {
@@ -201,11 +209,14 @@ class CompiledGraphCache:
             "miss": 0,
             "store": 0,
             "evict": 0,
+            "answer_hit": 0,
+            "answer_miss": 0,
         }
 
     def _lookup(self, key: str, count: bool = True) -> CompiledGraph | None:
         with self._lock:
-            cg = self._memory.get(key)
+            entry = self._memory.get(key)
+            cg = entry[0] if entry is not None else None
             if cg is not None:
                 self._memory.move_to_end(key)
             if count:
@@ -228,7 +239,7 @@ class CompiledGraphCache:
             getattr(cg, name).flags.writeable = False
         with self._lock:
             mem = self._memory
-            mem[key] = cg
+            mem[key] = [cg, None]  # a new graph starts without an answer
             mem.move_to_end(key)
             while len(mem) > self.memory_slots:
                 mem.popitem(last=False)
@@ -237,6 +248,40 @@ class CompiledGraphCache:
         rec = _obs_active()
         if rec is not None:
             rec.cache_event("store", key[:16])
+
+    def answer(self, key: str):
+        """``(resident, result)`` of one locked lookup.
+
+        ``resident`` says whether the graph of ``key`` is in memory;
+        ``result`` is what :meth:`remember` stored on that entry, else
+        ``None``.  Finding a result is a use of the entry: it counts as
+        ``hit_memory`` (and ``answer_hit``) and touches the LRU order.
+        Finding none counts ``answer_miss`` only — the caller goes on to
+        :meth:`get_or_build`, which counts the graph lookup itself.
+        """
+        with self._lock:
+            entry = self._memory.get(key)
+            result = entry[1] if entry is not None else None
+            if result is not None:
+                self._memory.move_to_end(key)
+                self._stats["hit_memory"] += 1
+                self._stats["answer_hit"] += 1
+            else:
+                self._stats["answer_miss"] += 1
+        if result is not None:
+            rec = _obs_active()
+            if rec is not None:
+                rec.cache_event("hit-memory", key[:16])
+        return entry is not None, result
+
+    def remember(self, key: str, result) -> None:
+        """Store ``result`` on the entry of ``key``; a no-op when the
+        graph is not resident (never built through the cache, or already
+        evicted), so an answer cannot outlive or precede its graph."""
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                entry[1] = result
 
     def get_or_build(
         self, key: str, builder: Callable[[], CompiledGraph]
@@ -263,8 +308,8 @@ class CompiledGraphCache:
 
     def stats(self) -> dict[str, int]:
         """Operation counters since construction (hit_memory, hit_disk,
-        miss, store, evict) — the measured source of the daemon's
-        cache-hit-ratio SLO."""
+        miss, store, evict, answer_hit, answer_miss) — the measured
+        source of the daemon's cache-hit-ratio SLO."""
         with self._lock:
             return dict(self._stats)
 
@@ -280,7 +325,8 @@ class CompiledGraphCache:
         return {k: v - snapshot.get(k, 0) for k, v in now.items()}
 
     def clear_memory(self) -> None:
-        """Drop every entry (counters stay); the next lookups rebuild."""
+        """Drop every entry, answers included (counters stay); the next
+        lookups rebuild and re-simulate."""
         with self._lock:
             self._memory.clear()
 

@@ -423,8 +423,20 @@ def cache_metrics_into(reg: MetricsRegistry, stats: dict[str, int]) -> None:
     process-wide hit/miss/store/evict counts, measured at the cache
     itself rather than inferred from recorder log lines.  Also derives
     ``repro_graph_cache_hit_ratio`` (hits over lookups) when any lookup
-    happened; the serving layer gates its cache SLO on that gauge.
+    happened; the serving layer gates its cache SLO on that gauge.  The
+    answer memo kept on the entries (``answer_hit`` / ``answer_miss``)
+    gets its own counter pair: questions answered without simulating,
+    and questions that had to simulate.
     """
+    stats = dict(stats)
+    reg.counter(
+        "repro_cache_answer_hits_total",
+        "questions answered from a cache entry without simulating",
+    ).inc(stats.pop("answer_hit", 0))
+    reg.counter(
+        "repro_cache_answer_misses_total",
+        "questions that found no remembered answer and simulated",
+    ).inc(stats.pop("answer_miss", 0))
     ops = reg.counter(
         "repro_graph_cache_ops_total",
         "compiled-graph cache operations (process-wide counters)",

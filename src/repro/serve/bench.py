@@ -293,8 +293,8 @@ def _live_smoke(arrivals) -> dict:
     daemon = PlanningDaemon(tenants=BENCH_TENANTS, port=0, workers=2)
     daemon.start()
     trace_fetched = breakdown_ok = flight_dumped = False
+    client = ServeClient(port=daemon.port)
     try:
-        client = ServeClient(port=daemon.port)
         client.wait_ready()
         tally = drive(client, list(arrivals), honor_retry_after=True)
         resp = client.plan("interactive", dict(_CATALOG["interactive"][0]))
@@ -315,6 +315,7 @@ def _live_smoke(arrivals) -> dict:
         metrics_text = client.metrics()
         stats = client.stats()
     finally:
+        client.close()
         drain = daemon.shutdown()
     return {
         "requests": tally["sent"],

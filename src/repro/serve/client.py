@@ -1,7 +1,8 @@
 """Stdlib JSON client for the planning daemon, plus a stream driver.
 
-:class:`ServeClient` wraps ``http.client`` (one connection per request,
-so it is trivially thread-safe and survives daemon restarts);
+:class:`ServeClient` wraps ``http.client`` and keeps one persistent
+connection per calling thread — thread-safe because threads never share
+a socket, and it survives daemon restarts by reconnecting once;
 :func:`drive` replays an arrival trace against a live daemon and
 tallies the outcomes — the CI ``serve-smoke`` job and the live section
 of ``repro serve --bench`` are built on it.
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 import time
 from dataclasses import dataclass
 
@@ -58,7 +61,18 @@ class PlanResponse:
 
 
 class ServeClient:
-    """Minimal client for the ``repro serve`` HTTP API."""
+    """Minimal client for the ``repro serve`` HTTP API.
+
+    Each calling thread gets its own kept-alive ``HTTPConnection``,
+    opened on first use and reopened after the daemon closes it
+    (``Connection: close``, idle timeout, restart).  A request is sent
+    again, once and on a fresh connection, only when a *reused*
+    connection failed before any byte of the response arrived — the
+    daemon had hung up on an idle socket and never saw the request.
+    Every other failure closes the connection and raises.  :meth:`close`
+    (or leaving the ``with`` block) closes every thread's connection;
+    the client stays usable and reconnects on the next call.
+    """
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8539, *,
@@ -67,27 +81,74 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        #: calling thread -> its connection
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the connections of all threads that used this client."""
+        with self._lock:
+            for conn in self._conns.values():
+                conn.close()
 
     # ------------------------------------------------------------------ #
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (not necessarily open)."""
+        me = threading.current_thread()
+        conn = self._conns.get(me)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            with self._lock:
+                # a new thread is also when threads that have ended give
+                # their sockets back
+                for gone in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(gone).close()
+                self._conns[me] = conn
+        return conn
+
     def _request(
         self, method: str, path: str, payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            body = None
-            headers = dict(headers or {})
-            if payload is not None:
-                body = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
+        body = None
+        headers = dict(headers or {})
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        conn = self._connection()
+
+        def send() -> None:
+            """Send, then wait for the first response byte without
+            consuming it: past this point the daemon has the request."""
             conn.request(method, path, body=body, headers=headers)
+            if not conn.sock.recv(1, socket.MSG_PEEK):
+                raise http.client.RemoteDisconnected(
+                    "daemon closed the connection without a response"
+                )
+
+        try:
+            reused = conn.sock is not None
+            try:
+                send()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                send()  # connects anew
             resp = conn.getresponse()
-            data = resp.read()
-            return resp.status, dict(resp.getheaders()), data
-        finally:
+            # a ``Connection: close`` reply closes conn once it is read
+            return resp.status, dict(resp.getheaders()), resp.read()
+        except BaseException:
             conn.close()
+            raise
 
     # ------------------------------------------------------------------ #
     def plan(self, tenant: str, request: dict) -> PlanResponse:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
 from contextlib import nullcontext
@@ -69,6 +70,11 @@ DEFAULT_TENANTS = (
 
 #: request body size cap (bytes)
 MAX_BODY = 64 * 1024
+
+#: seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before its handler thread closes it; a client that comes back later
+#: simply reconnects
+IDLE_TIMEOUT = 30.0
 
 
 @dataclass
@@ -124,6 +130,8 @@ class PlanningDaemon:
         self._stopping = False
         self._job_seq = 0
         self._httpd: ThreadingHTTPServer | None = None
+        #: open client sockets, one per handler thread (see shutdown)
+        self._connections: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []
         self._started_at = 0.0
         self._stop_signal = threading.Event()
@@ -203,6 +211,15 @@ class PlanningDaemon:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+        # kept-alive connections outlive the listener: end their read
+        # side so an idle handler thread sees EOF and exits now (one mid-
+        # reply still finishes writing) instead of answering for a
+        # stopped daemon until IDLE_TIMEOUT
+        for conn in list(self._connections):
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client hung up first
         for t in self._threads:
             t.join(timeout=5.0)
         if self._hook_installed:
@@ -322,7 +339,9 @@ class PlanningDaemon:
                 return (
                     503,
                     {"error": "draining", "retry_after": 1.0},
-                    {"Retry-After": "1"},
+                    # this daemon answers nothing more: send the client
+                    # off the connection, to whoever listens next
+                    {"Retry-After": "1", "Connection": "close"},
                 )
             self._job_seq += 1
             job = Job(
@@ -467,6 +486,20 @@ def _make_handler(daemon: PlanningDaemon):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = f"repro-serve/{__version__}"
+        # HTTP/1.1 keeps connections open, so a reply must leave as one
+        # segment: headers and body written apart with Nagle on stall a
+        # reused connection on the client's delayed ACK (~40 ms a reply)
+        disable_nagle_algorithm = True
+        wbufsize = -1  # buffered: _reply flushes headers + body together
+        timeout = IDLE_TIMEOUT
+
+        def setup(self) -> None:
+            super().setup()
+            daemon._connections.add(self.connection)
+
+        def finish(self) -> None:
+            daemon._connections.discard(self.connection)
+            super().finish()
 
         def log_message(self, fmt, *args):  # pragma: no cover - quiet
             pass
@@ -487,6 +520,7 @@ def _make_handler(daemon: PlanningDaemon):
                 self.send_header(k, v)
             self.end_headers()
             self.wfile.write(data)
+            self.wfile.flush()
 
         def _access_log(
             self, status: int, recv: float, trace_id: str | None = None,

@@ -244,6 +244,49 @@ def test_memory_lru_bounded(tmp_path):
     assert len(cache._memory) == 2
 
 
+def test_answer_is_kept_on_the_entry(tmp_path):
+    """``remember`` stores on a resident entry; finding the answer is a
+    use of that entry: a memory hit that also refreshes its LRU slot."""
+    cache = CompiledGraphCache(root=tmp_path, memory_slots=2)
+    cg, result = build_graph(), object()
+    assert cache.answer("k0") == (False, None)
+    cache.put("k0", cg)
+    cache.put("k1", cg)
+    assert cache.answer("k0") == (True, None)  # resident, nothing stored
+    cache.remember("k0", result)
+    assert cache.answer("k0") == (True, result)
+    stats = cache.stats()
+    assert (stats["answer_hit"], stats["answer_miss"]) == (1, 2)
+    assert (stats["hit_memory"], stats["miss"]) == (1, 0)
+    cache.put("k2", cg)  # evicts k1: the answer hit made k0 the younger
+    assert cache.contains("k0") and not cache.contains("k1")
+    assert cache.get("k0") is cg  # the graph is served as before
+
+
+def test_eviction_and_clear_memory_forget_the_answer(tmp_path):
+    cache = CompiledGraphCache(root=tmp_path, memory_slots=1)
+    cg, result = build_graph(), object()
+    cache.put("k0", cg)
+    cache.remember("k0", result)
+    cache.put("k1", cg)  # one slot: k0 and its answer go together
+    assert cache.answer("k0") == (False, None)
+    cache.put("k0", cg)  # rebuilt: a new entry starts without an answer
+    assert cache.answer("k0") == (True, None)
+    cache.remember("k0", result)
+    cache.clear_memory()
+    assert cache.answer("k0") == (False, None)
+    assert cache.stats()["answer_hit"] == 0
+
+
+def test_remember_on_a_non_resident_key_is_a_noop(tmp_path):
+    cache = CompiledGraphCache(root=tmp_path)
+    cache.remember("never-built", object())
+    assert cache.answer("never-built") == (False, None)
+    assert len(cache._memory) == 0
+    cache.put("never-built", build_graph())  # and nothing was parked for it
+    assert cache.answer("never-built") == (True, None)
+
+
 def test_run_config_uses_cache(tmp_path, monkeypatch):
     """run_config memoizes compiled graphs in the process-wide cache."""
     # the reference path legitimately bypasses the cache — force compiled
@@ -292,6 +335,7 @@ def test_stats_count_hits_misses_stores_evictions(tmp_path):
     # hit_disk stays, and stays 0 now that there is no disk tier
     assert cache.stats() == {
         "hit_memory": 1, "hit_disk": 0, "miss": 1, "store": 4, "evict": 2,
+        "answer_hit": 0, "answer_miss": 0,  # nobody asked for an answer
     }
     assert cache.stats_since(cache.stats())["hit_disk"] == 0
 
@@ -330,7 +374,9 @@ def test_get_or_build_single_flight_under_threads(tmp_path):
 
 def test_concurrent_mixed_traffic_stays_consistent(tmp_path):
     """Hammer one cache instance from many threads (distinct keys,
-    repeated gets, evictions): no exceptions, counters balance."""
+    repeated gets, evictions, answers): no exceptions, counters balance,
+    and an answer only ever comes back under the key it was stored on."""
+    import sys
     import threading
 
     cache = CompiledGraphCache(root=tmp_path, memory_slots=4)
@@ -345,14 +391,24 @@ def test_concurrent_mixed_traffic_stays_consistent(tmp_path):
                 assert got is not None
                 cache.get(key)
                 cache.contains(key)
+                cache.remember(key, key)  # evicted meanwhile: a no-op
+                resident, answer = cache.answer(key)
+                assert answer in (None, key)
+                assert resident or answer is None
         except Exception as exc:  # pragma: no cover - failure detail
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more hand-offs mid-operation
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     stats = cache.stats()
     lookups = stats["hit_memory"] + stats["hit_disk"] + stats["miss"]
@@ -373,3 +429,15 @@ def test_cache_metrics_exported_through_registry(tmp_path):
     assert 'repro_graph_cache_ops_total{event="miss"} 1' in text
     assert 'repro_graph_cache_ops_total{event="hit_memory"} 1' in text
     assert "repro_graph_cache_hit_ratio 0.5" in text
+    # the answer memo has its own pair, outside the per-event counter
+    assert "repro_cache_answer_hits_total 0" in text
+    assert 'event="answer_hit"' not in text
+    cache.remember("k", object())
+    cache.answer("k")
+    cache.answer("missing")
+    reg = MetricsRegistry()
+    cache_metrics_into(reg, cache.stats())
+    text = reg.to_prometheus()
+    assert "repro_cache_answer_hits_total 1" in text
+    assert "repro_cache_answer_misses_total 1" in text
+    assert 'repro_graph_cache_ops_total{event="hit_memory"} 2' in text

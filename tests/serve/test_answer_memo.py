@@ -1,0 +1,164 @@
+"""The planner's answer memo: a repeated question is one lookup on its
+graph's cache entry, and the stored answer lives exactly as long as the
+graph does."""
+
+import dataclasses
+import threading
+
+import pytest
+
+import repro.dag.cache as cache_mod
+import repro.serve.service as service_mod
+from _serve_testlib import TINY_REQUEST
+from repro.dag.cache import CompiledGraphCache
+from repro.serve.service import PlanRequest
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """A private process-wide cache, so other suites' graphs stay out."""
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    c = CompiledGraphCache()
+    monkeypatch.setattr(cache_mod, "_default", c)
+    return c
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Every ``run_config`` call the service makes, as (m, n) pairs."""
+    calls = []
+    real = service_mod.run_config
+
+    def counting(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return real(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "run_config", counting)
+    return calls
+
+
+def ask(service, **over):
+    return service.plan(PlanRequest.from_json({**TINY_REQUEST, **over}))
+
+
+def answer_of(result) -> dict:
+    """What the client is told, minus what legitimately differs between
+    a simulated and a remembered answer."""
+    out = dataclasses.asdict(result)
+    del out["plan_wall_s"], out["cache_hit"]
+    return out
+
+
+def test_repeat_is_answered_without_simulating(cache, simulations, service):
+    first, again = ask(service), ask(service)
+    assert simulations == [(8, 2)]
+    assert (first.cache_hit, again.cache_hit) == (False, True)
+    assert answer_of(again) == answer_of(first)
+    stats = cache.stats()
+    assert (stats["answer_miss"], stats["answer_hit"]) == (1, 1)
+    # one graph lookup per request, as before the memo
+    assert (stats["miss"], stats["store"], stats["hit_memory"]) == (1, 1, 1)
+
+
+def test_clear_memory_makes_a_hot_question_cold_again(
+    cache, simulations, service
+):
+    ask(service)
+    cache.clear_memory()
+    again = ask(service)
+    assert simulations == [(8, 2), (8, 2)]
+    assert again.cache_hit is False
+    assert cache.stats()["store"] == 2  # rebuilt, not just re-simulated
+
+
+def test_evicted_graph_takes_its_answer_along(monkeypatch, simulations, service):
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    one_slot = CompiledGraphCache(memory_slots=1)
+    monkeypatch.setattr(cache_mod, "_default", one_slot)
+    a1, _, a2 = ask(service), ask(service, m=10), ask(service)
+    assert simulations == [(8, 2), (10, 2), (8, 2)]
+    assert a2.cache_hit is False
+    assert answer_of(a2) == answer_of(a1)
+
+
+def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
+    cache, simulations, service
+):
+    """``cache_hit`` keeps its meaning — the graph was resident before
+    the request — whoever built it and whether or not it was answered."""
+    from repro.bench.runner import run_config
+    from repro.tiles.layout import BlockCyclic2D
+
+    req = PlanRequest.from_json(TINY_REQUEST)
+    run_config(
+        req.m, req.n, req.config, service.setup,
+        layout=BlockCyclic2D(req.config.p, req.config.q),
+    )  # a sweep, say: builds and simulates, remembers nothing
+    assert cache.answer(cache_mod.fingerprint(
+        req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
+        service.setup.machine, service.setup.b,
+    )) == (True, None)
+    first, again = service.plan(req), service.plan(req)
+    assert simulations == [(8, 2)]
+    assert (first.cache_hit, again.cache_hit) == (True, True)
+
+
+def test_reference_core_remembers_nothing(cache, monkeypatch, simulations, service):
+    """The reference engine never enters the graph cache, so there is no
+    entry to hold an answer: every request simulates."""
+    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
+    first, again = ask(service), ask(service)
+    assert simulations == [(8, 2), (8, 2)]
+    assert (first.cache_hit, again.cache_hit) == (False, False)
+    assert answer_of(again) == answer_of(first)
+    assert len(cache._memory) == 0
+    assert cache.stats()["answer_hit"] == 0
+
+
+@pytest.mark.parametrize("scenario", ["crash", "storm"])
+def test_faulted_answer_is_the_same_from_either_baseline(
+    cache, simulations, service, scenario
+):
+    faults = {"scenario": scenario, "seed": 3, "severity": 1.0}
+    simulated_baseline = ask(service, faults=faults)
+    remembered_baseline = ask(service, faults=faults)
+    assert simulations == [(8, 2)]
+    assert answer_of(remembered_baseline) == answer_of(simulated_baseline)
+    assert simulated_baseline.degradation >= 1.0
+    # the degraded result itself is never what gets remembered
+    assert answer_of(ask(service))["degradation"] == 1.0
+
+
+def test_two_workers_racing_one_cold_question_build_once(cache, service):
+    barrier = threading.Barrier(2)
+    results = []
+
+    def worker():
+        barrier.wait(timeout=30)
+        results.append(ask(service, m=12))
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(results) == 2
+    assert answer_of(results[0]) == answer_of(results[1])
+    assert cache.stats()["store"] == 1  # the loser waited at the gate
+    assert ask(service, m=12).cache_hit is True
+
+
+def test_auto_config_shares_the_entry_of_the_config_it_resolves_to(
+    cache, simulations, service
+):
+    auto_req = PlanRequest.from_json({"m": 8, "n": 2})
+    cfg, was_auto = service.resolve_config(auto_req)
+    assert was_auto
+    explicit_req = dataclasses.replace(auto_req, config=cfg)
+    by_rule, by_hand = service.plan(auto_req), service.plan(explicit_req)
+    assert simulations == [(8, 2)]
+    assert (by_rule.auto, by_hand.auto) == (True, False)
+    assert by_hand.cache_hit is True
+    assert by_hand.makespan == by_rule.makespan
+    assert cache.stats()["answer_hit"] == 1
+    assert len(cache._memory) == 1

@@ -23,9 +23,9 @@ def daemon():
 
 @pytest.fixture
 def client(daemon):
-    c = ServeClient(port=daemon.port, timeout=30.0)
-    c.wait_ready()
-    return c
+    with ServeClient(port=daemon.port, timeout=30.0) as c:
+        c.wait_ready()
+        yield c
 
 
 class TestHTTP:
@@ -89,8 +89,8 @@ class TestAdmissionOverHTTP:
             workers=1,
         )
         d.start()
+        c = ServeClient(port=d.port, timeout=30.0)
         try:
-            c = ServeClient(port=d.port, timeout=30.0)
             c.wait_ready()
             results = []
             lock = threading.Lock()
@@ -112,6 +112,7 @@ class TestAdmissionOverHTTP:
             assert any(r.ok for r in results)
             assert c.health()["ok"] is True  # still answering
         finally:
+            c.close()
             d.shutdown()
 
 

@@ -1,0 +1,285 @@
+"""Connection reuse end to end: replies that do not stall a kept-alive
+connection, the daemon's idle timeout and drain behaviour, and the
+client's one-connection-per-thread / retry-once rule."""
+
+import http.client
+import json
+import socket
+import struct
+import subprocess
+import sys
+import threading
+import time
+
+import pytest
+
+import repro.serve.server as server_mod
+from _serve_testlib import TENANTS, TINY_REQUEST, tiny_setup
+from repro.serve.client import ServeClient
+from repro.serve.server import PlanningDaemon
+from repro.serve.service import PlannerService
+
+
+def start_daemon(port: int = 0) -> PlanningDaemon:
+    d = PlanningDaemon(
+        PlannerService(tiny_setup()), TENANTS, port=port, workers=2
+    )
+    d.start()
+    return d
+
+
+@pytest.fixture
+def daemon():
+    d = start_daemon()
+    yield d
+    d.shutdown()
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count TCP connects made through ``http.client``."""
+    made = []
+    real = http.client.HTTPConnection.connect
+
+    def counting(self):
+        made.append(self)
+        return real(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return made
+
+
+class TestReusedConnectionDoesNotStall:
+    #: 30 replies that each wait out a delayed ACK take 30 x 40 ms
+    BUDGET_S = 0.4
+
+    def test_thirty_requests_on_one_raw_connection(self, daemon, monkeypatch):
+        # hot means answered from the cache entry: not the reference engine
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+        body = json.dumps({**TINY_REQUEST, "tenant": "gold"})
+        try:
+            conn.request("POST", "/plan", body=body)  # warm: build + simulate
+            assert conn.getresponse().read()
+            sock = conn.sock
+            t0 = time.perf_counter()
+            for _ in range(30):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())["ok"]
+            healthz_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            for _ in range(30):
+                conn.request("POST", "/plan", body=body)
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["cache_hit"] is True
+            plan_s = time.perf_counter() - t0
+            assert conn.sock is sock, "the daemon closed a kept-alive connection"
+        finally:
+            conn.close()
+        assert healthz_s < self.BUDGET_S, f"{healthz_s / 30 * 1e3:.1f} ms each"
+        assert plan_s < self.BUDGET_S, f"{plan_s / 30 * 1e3:.1f} ms each"
+
+
+class TestDaemonSide:
+    def test_idle_connection_ends_on_the_handler_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_mod, "IDLE_TIMEOUT", 0.2)
+        d = start_daemon()
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", d.port, timeout=5)
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            assert len(d._connections) == 1
+            assert conn.sock.recv(1) == b""  # blocks until the daemon hangs up
+            conn.close()
+            deadline = time.monotonic() + 5
+            while d._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not d._connections
+            # the bundled client just reconnects
+            with ServeClient(port=d.port) as client:
+                assert client.health()["ok"]
+                time.sleep(0.5)
+                assert client.health()["ok"]
+        finally:
+            d.shutdown()
+
+    def test_draining_reply_closes_the_connection(self, daemon):
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=5)
+        body = json.dumps({**TINY_REQUEST, "tenant": "gold"})
+        try:
+            conn.request("POST", "/plan", body=body)
+            first = conn.getresponse()
+            first.read()
+            assert first.status == 200 and not first.will_close
+            with daemon._cond:
+                daemon._draining = True  # the window shutdown() drains in
+            conn.request("POST", "/plan", body=body)
+            resp = conn.getresponse()
+            assert resp.status == 503
+            assert resp.getheader("Connection") == "close"
+            assert resp.getheader("Retry-After") == "1"
+            resp.read()
+            assert conn.sock is None
+        finally:
+            conn.close()
+
+    def test_shutdown_ends_kept_alive_handler_threads(self, daemon):
+        with ServeClient(port=daemon.port) as client:
+            client.health()
+            handlers = [
+                t for t in threading.enumerate()
+                if "process_request_thread" in t.name
+            ]
+            assert handlers
+            daemon.shutdown()
+            for t in handlers:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            assert not daemon._connections
+
+
+class TestServeClient:
+    def test_calls_on_one_thread_share_one_connection(self, daemon, connects):
+        with ServeClient(port=daemon.port) as client:
+            client.wait_ready()
+            for _ in range(5):
+                assert client.plan("gold", TINY_REQUEST).ok
+            client.stats()
+            client.metrics()
+            assert len(connects) == 1
+
+    def test_daemon_restart_costs_exactly_one_reconnect(self, connects):
+        first = start_daemon()
+        port = first.port
+        with ServeClient(port=port, timeout=30.0) as client:
+            before = client.plan("gold", TINY_REQUEST)
+            assert before.ok and len(connects) == 1
+            first.shutdown()
+            second = start_daemon(port)
+            try:
+                after = client.plan("gold", TINY_REQUEST)
+                assert after.ok
+                assert after.body["makespan_s"] == before.body["makespan_s"]
+                assert len(connects) == 2
+                assert client.plan("gold", TINY_REQUEST).ok
+                assert len(connects) == 2
+            finally:
+                second.shutdown()
+
+    def test_fresh_connection_failure_is_not_retried(self, connects):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]  # bound, never listening
+        with ServeClient(port=port, timeout=2.0) as client:
+            with pytest.raises(ConnectionError):
+                client.health()
+        assert len(connects) == 1
+
+    @pytest.mark.parametrize("reply", [
+        b'HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n{"ok": tr',
+        b"HTTP/1.1 2",
+    ], ids=["mid-body", "mid-status-line"])
+    def test_death_after_first_response_byte_raises_and_is_not_resent(
+        self, reply, connects
+    ):
+        """Request 1 is answered properly and keeps the connection; the
+        reply to request 2 breaks off after ``reply`` with a reset."""
+        good = json.dumps({"ok": True}).encode()
+        received = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def read_request(conn) -> None:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            received.append(data.split(b"\r\n", 1)[0])
+
+        def fake_daemon() -> None:
+            conn, _ = listener.accept()
+            read_request(conn)
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(good), good)
+            )
+            read_request(conn)
+            conn.sendall(reply)
+            time.sleep(0.05)  # let the bytes arrive ahead of the reset
+            conn.setsockopt(  # linger on, 0 s: close() sends a reset
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            conn.close()
+
+        server = threading.Thread(target=fake_daemon, daemon=True)
+        server.start()
+        try:
+            port = listener.getsockname()[1]
+            with ServeClient(port=port, timeout=5.0) as client:
+                assert client.health() == {"ok": True}
+                with pytest.raises((http.client.HTTPException, ConnectionError)):
+                    client.health()
+                assert client._connection().sock is None  # dropped, not kept
+        finally:
+            server.join(timeout=5)
+            listener.close()
+        assert not server.is_alive()
+        assert len(received) == 2  # the second request went out once
+        assert len(connects) == 1
+
+    def test_two_threads_never_share_a_socket(self, daemon):
+        client = ServeClient(port=daemon.port)
+        barrier = threading.Barrier(2)
+        socks, errors = [], []
+
+        def worker() -> None:
+            try:
+                client.health()
+                mine = client._connection().sock
+                barrier.wait(timeout=10)  # both connections open at once
+                for _ in range(20):
+                    assert client.plan("gold", TINY_REQUEST).ok
+                    assert client._connection().sock is mine
+                socks.append(mine)
+                barrier.wait(timeout=10)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        client.close()
+        assert not errors
+        assert len(socks) == 2 and socks[0] is not socks[1]
+        assert socks[0].fileno() == socks[1].fileno() == -1  # close() shut both
+
+    def test_close_leaves_no_open_socket(self, daemon):
+        """``-W error`` turns a leaked socket's ResourceWarning into
+        stderr noise at collection time; a closed client leaves none."""
+        script = f"""
+import gc, threading
+from repro.serve.client import ServeClient
+
+with ServeClient(port={daemon.port}) as client:
+    threads = [threading.Thread(target=client.health) for _ in range(2)]
+    for t in threads:
+        t.start()
+    client.plan("gold", {TINY_REQUEST!r})
+    for t in threads:
+        t.join()
+client = ServeClient(port={daemon.port})
+client.health()
+client.close()
+client.health()  # usable after close: reconnects
+client.close()
+del client
+gc.collect()
+"""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

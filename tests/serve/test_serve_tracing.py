@@ -26,9 +26,9 @@ def daemon():
 
 @pytest.fixture
 def client(daemon):
-    c = ServeClient(port=daemon.port, timeout=30.0)
-    c.wait_ready()
-    return c
+    with ServeClient(port=daemon.port, timeout=30.0) as c:
+        c.wait_ready()
+        yield c
 
 
 class TestPlanTracing:
@@ -74,9 +74,15 @@ class TestPlanTracing:
         assert len(json.loads(data)["trace_id"]) == 32
 
 
+def _service_span(tree: dict) -> dict:
+    return next(c for c in tree["root"]["children"] if c["name"] == "service")
+
+
 class TestTraceEndpoint:
     def test_span_tree_retrievable_by_job_id(self, client):
-        resp = client.plan("gold", TINY_REQUEST)
+        # a question no other test asks: only a first-seen one simulates
+        resp = client.plan("gold", {**TINY_REQUEST, "m": 11})
+        assert resp.body["cache_hit"] is False
         tree = client.trace(resp.job_id)
         assert tree["trace_id"] == resp.trace_id
         assert tree["tenant"] == "gold"
@@ -85,12 +91,30 @@ class TestTraceEndpoint:
         names = [c["name"] for c in tree["root"]["children"]]
         assert names[:2] == ["admission", "queue"]
         assert "service" in names
-        service = next(
-            c for c in tree["root"]["children"] if c["name"] == "service"
-        )
-        kids = [c["name"] for c in service.get("children", ())]
+        kids = [c["name"] for c in _service_span(tree).get("children", ())]
         assert "cache" in kids
         assert "simulate" in kids
+        assert resp.breakdown["simulate"] > 0.0
+
+    def test_repeated_question_is_a_lookup_not_a_simulation(
+        self, client, monkeypatch
+    ):
+        # the reference engine never enters the graph cache
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        question = {**TINY_REQUEST, "m": 13}
+        first = client.plan("gold", question)
+        again = client.plan("gold", question)
+        assert again.body["makespan_s"] == first.body["makespan_s"]
+        assert again.body["cache_hit"] is True
+        service = _service_span(client.trace(again.job_id))
+        kids = {c["name"]: c for c in service.get("children", ())}
+        assert "simulate" not in kids
+        assert kids["cache"]["attrs"]["hit"] is True
+        assert kids["cache"]["attrs"]["answer"] is True
+        bd = again.breakdown
+        assert bd["simulate"] == 0.0
+        staged = sum(bd[s] for s in ATTRIBUTION_STAGES)
+        assert staged == pytest.approx(bd["total"], rel=0.05)
 
     def test_unknown_job_404(self, client):
         status, _, _ = client._request("GET", "/trace/999999")
@@ -111,8 +135,8 @@ class TestTraceEndpoint:
             flight_cooldown=0.0,
         )
         d.start()
+        c = ServeClient(port=d.port, timeout=30.0)
         try:
-            c = ServeClient(port=d.port, timeout=30.0)
             c.wait_ready()
             results = []
             lock = threading.Lock()
@@ -137,6 +161,7 @@ class TestTraceEndpoint:
             assert flight["triggers"].get("shed", 0) >= len(sheds)
             assert flight["dumps"]
         finally:
+            c.close()
             d.shutdown()
 
 
