@@ -197,55 +197,244 @@ static int32_t ih_pop(iheap *h) {
 }
 
 /* ------------------------------------------------------------------ *
- * DAG builder: expand an elimination list into kernel tasks + CSR
- * predecessor arrays.  Mirrors TaskGraph.from_eliminations exactly
- * (task order, dependency order).  Kind codes follow the KernelKind
- * declaration order: GEQRT=0 UNMQR=1 TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
+ * HQR generator (section IV-B): the full panel-major elimination list of
+ * an m x n tile matrix on p virtual clusters with TS domains of a local
+ * rows.  Mirrors HQRTree._assemble exactly: per panel, levels 0, 1, 2 each
+ * over the clusters r = 0 .. p-1 that have a row on or below the diagonal,
+ * then level 3 over the top tiles.
  *
- * One loop serves two passes: with write == 0 it only counts (the output
- * arrays are not touched and may be NULL), with write == 1 it fills arrays
- * the caller sized from the counting pass.  Returns the number of
- * predecessor edges (the task count lands in *out_ntasks), or -1 on
- * allocation failure.
+ * A tree arrives as its positional pairs table: start[q] is where
+ * pairs(q), q - 1 (victim, killer) positions, begins in pos_v / pos_k, or
+ * negative when the table does not hold that q; qmax is the last index of
+ * start.  a is 64-bit: "one domain per cluster" is spelled a = 10^9.
+ *
+ * Every write is checked against cap.  Returns the number of eliminations
+ * written, or -1 when the table lacks a q some cluster needs or cap is
+ * too small; the caller compares the count with the closed form.
+ * ------------------------------------------------------------------ */
+int64_t hqr_expand(
+    int32_t m, int32_t n, int32_t p, int64_t a, int32_t domino,
+    int64_t low_qmax, const int64_t *low_start,
+    const int32_t *low_v, const int32_t *low_k,
+    int64_t high_qmax, const int64_t *high_start,
+    const int32_t *high_v, const int32_t *high_k,
+    int64_t cap,
+    int32_t *e_panel, int32_t *e_victim, int32_t *e_killer, uint8_t *e_ts)
+{
+    int64_t ne = 0;
+    int64_t panels = n < m - 1 ? n : m - 1;
+    int64_t nclusters = p < m ? p : m;  /* cluster r >= m has no row at all */
+
+#define ELIM(VICTIM, KILLER, TS)                                              \
+    do {                                                                      \
+        if (ne >= cap)                                                        \
+            return -1;                                                        \
+        e_panel[ne] = (int32_t)k;                                             \
+        e_victim[ne] = (int32_t)(VICTIM);                                     \
+        e_killer[ne] = (int32_t)(KILLER);                                     \
+        e_ts[ne] = (TS);                                                      \
+        ne++;                                                                 \
+    } while (0)
+
+    for (int64_t k = 0; k < panels; k++) {
+        for (int level = 0; level < 3; level++) {
+            for (int64_t r = 0; r < nclusters; r++) {
+                /* local rows: top tile, last row, reduction base */
+                int64_t ltop = k > r ? (k - r + p - 1) / p : 0;
+                if (ltop * p + r >= m)
+                    continue;
+                int64_t lmax = (m - 1 - r) / p;
+                int64_t base = domino ? (k < lmax ? k : lmax) : ltop;
+                if (level == 0) {
+                    /* TS: a domain's first participant kills the others;
+                     * domains start at base and at the multiples of a */
+                    int64_t leader = base, next = (base / a + 1) * a;
+                    for (int64_t loc = base + 1; loc <= lmax; loc++) {
+                        if (loc == next) {
+                            leader = loc;
+                            next += a;
+                        } else
+                            ELIM(loc * p + r, leader * p + r, 1);
+                    }
+                } else if (level == 1) {
+                    /* low tree over the leaders: position 0 is base,
+                     * position j > 0 the j-th multiple of a above it */
+                    int64_t d0 = base / a, q = 1 + lmax / a - d0;
+                    if (q > low_qmax || low_start[q] < 0)
+                        return -1;
+                    const int32_t *pv = low_v + low_start[q];
+                    const int32_t *pk = low_k + low_start[q];
+                    for (int64_t i = 0; i < q - 1; i++) {
+                        int64_t v = pv[i] ? (d0 + pv[i]) * a : base;
+                        int64_t w = pk[i] ? (d0 + pk[i]) * a : base;
+                        ELIM(v * p + r, w * p + r, 0);
+                    }
+                } else {
+                    /* domino: the top tile kills (ltop, base] */
+                    for (int64_t loc = ltop + 1; loc <= base; loc++)
+                        ELIM(loc * p + r, ltop * p + r, 0);
+                }
+            }
+        }
+        /* high tree over the top tiles: rows k .. k+q-1 */
+        int64_t q = p < m - k ? p : m - k;
+        if (q > high_qmax || high_start[q] < 0)
+            return -1;
+        const int32_t *pv = high_v + high_start[q];
+        const int32_t *pk = high_k + high_start[q];
+        for (int64_t i = 0; i < q - 1; i++)
+            ELIM(k + pv[i], k + pk[i], 0);
+    }
+#undef ELIM
+    return ne;
+}
+
+/* ------------------------------------------------------------------ *
+ * Successor CSR and message slots of a graph whose predecessor CSR and
+ * placement are known and checked, O(E).  On entry succ_ptr[0] is 0 and
+ * succ_ptr[t + 1] is t's successor count.  A prefix sum turns that into
+ * t's first position, which the scatter then advances, as t's cursor, to
+ * t's end = (t + 1)'s start; consumers are walked in ascending order, so
+ * every successor list ascends (the order a stable argsort over pred_idx
+ * gives).  edge_slot is aligned with succ_idx: -1 for a node-local edge,
+ * otherwise the index of the edge's (producer, destination node) pair
+ * among all distinct cross-node pairs in ascending (producer,
+ * destination) order.  Returns the number of slots, or -1 on allocation
+ * failure.
+ * ------------------------------------------------------------------ */
+static int64_t finish_successors(
+    int64_t ntasks, const int64_t *pred_ptr, const int32_t *pred_idx,
+    const int32_t *node, int32_t nnodes,
+    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+{
+    /* per destination node: the producer that last marked it, its slot */
+    int64_t *marked_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
+    int32_t *slot_of = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+    int32_t *dests = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
+    int64_t nslots = -1, run = 0;
+    if (!marked_by || !slot_of || !dests)
+        goto done;
+    for (int64_t t = 0; t < ntasks; t++) {
+        int64_t count = succ_ptr[t + 1];
+        succ_ptr[t + 1] = run;
+        run += count;
+    }
+    for (int64_t t = 0; t < ntasks; t++)
+        for (int64_t e = pred_ptr[t]; e < pred_ptr[t + 1]; e++)
+            succ_idx[succ_ptr[pred_idx[e] + 1]++] = (int32_t)t;
+
+    for (int32_t i = 0; i < nnodes; i++)
+        marked_by[i] = -1;
+    nslots = 0;
+    for (int64_t t = 0; t < ntasks; t++) {
+        int32_t home = node[t];
+        int32_t nd = 0;
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t d = node[succ_idx[i]];
+            if (d == home)
+                edge_slot[i] = -1;
+            else if (marked_by[d] != t) {
+                marked_by[d] = t;
+                /* insertion into the sorted distinct destinations */
+                int32_t j = nd++;
+                while (j > 0 && dests[j - 1] > d) {
+                    dests[j] = dests[j - 1];
+                    j--;
+                }
+                dests[j] = d;
+            }
+        }
+        if (nd == 0)
+            continue;  /* no remote consumer: the row is all -1 already */
+        for (int32_t j = 0; j < nd; j++)
+            slot_of[dests[j]] = (int32_t)(nslots++);
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t d = node[succ_idx[i]];
+            if (d != home)
+                edge_slot[i] = slot_of[d];
+        }
+    }
+done:
+    free(marked_by);
+    free(slot_of);
+    free(dests);
+    return nslots;
+}
+
+/* ------------------------------------------------------------------ *
+ * DAG builder: expand an elimination list into a finished graph.  Mirrors
+ * TaskGraph.from_eliminations exactly (task order, dependency order).
+ * Kind codes follow the KernelKind declaration order: GEQRT=0 UNMQR=1
+ * TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
+ *
+ * One emit loop serves two passes.  With write == 0 it only counts: no
+ * output array is touched (all may be NULL), the return value is the
+ * number of predecessor edges and the task count lands in *out_ntasks.
+ * With write == 1 it fills arrays the caller sized from those two counts
+ * (ntasks, nedges), and in the same pass places each task on
+ * owner[tile] - the m*n table of the node owning each tile, the victim
+ * row's tile in the trailing column for an update kernel, in the panel
+ * otherwise - and counts successors per edge written, which is what
+ * finish_successors starts from.  Returns the number of message slots.
+ *
+ * Refusals, all -2: an elimination outside m x n, an owner entry outside
+ * [0, nnodes), or a write pass that would produce more tasks or edges
+ * than the counts it was given, or ends with fewer - checked before each
+ * write, so a disagreement never leaves the arrays.  -1 is allocation
+ * failure.
  * ------------------------------------------------------------------ */
 int64_t hqr_build_dag(
     int32_t write,
     int32_t m, int32_t n, int64_t nelims,
     const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
     const uint8_t *e_ts,
+    const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,
     int8_t *kind, int32_t *row, int32_t *panel, int32_t *col, int32_t *killer,
-    int64_t *pred_ptr, int32_t *pred_idx, int64_t *out_ntasks)
+    int64_t *pred_ptr, int32_t *pred_idx, int32_t *node,
+    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot,
+    int64_t *out_ntasks)
 {
-    int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
-    uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
-    if (!last_writer || !triangled) {
-        free(last_writer);
-        free(triangled);
-        return -1;
-    }
-    for (int64_t i = 0; i < (int64_t)m * n; i++)
-        last_writer[i] = -1;
-
+    int64_t rc = -1;
     int64_t tid = 0;   /* next task id */
     int64_t ne = 0;    /* predecessor edges so far */
-    if (write)
+    int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
+    uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
+    if (!last_writer || !triangled)
+        goto done;
+    rc = -2;
+    for (int64_t i = 0; i < (int64_t)m * n; i++)
+        last_writer[i] = -1;
+    if (write) {
+        for (int64_t i = 0; i < (int64_t)m * n; i++)
+            if (owner[i] < 0 || owner[i] >= nnodes)
+                goto done;
+        memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int64_t));
         pred_ptr[0] = 0;
+    }
 
 #define DEP(W)                                                                \
     do {                                                                      \
-        if (write)                                                            \
+        if (write) {                                                          \
+            if (ne >= nedges)                                                 \
+                goto done;                                                    \
             pred_idx[ne] = (W);                                               \
+            succ_ptr[(W) + 1]++;                                              \
+        }                                                                     \
         ne++;                                                                 \
     } while (0)
 
 #define TASK(KIND, ROW, PANEL, COL, KILLER)                                   \
     do {                                                                      \
         if (write) {                                                          \
+            if (tid >= ntasks)                                                \
+                goto done;                                                    \
             kind[tid] = (KIND);                                               \
             row[tid] = (ROW);                                                 \
             panel[tid] = (PANEL);                                             \
             col[tid] = (COL);                                                 \
             killer[tid] = (KILLER);                                           \
+            node[tid] = owner[(int64_t)(ROW) * n +                            \
+                              ((COL) < 0 ? (PANEL) : (COL))];                 \
             pred_ptr[tid + 1] = ne;                                           \
         }                                                                     \
         tid++;                                                                \
@@ -296,6 +485,9 @@ int64_t hqr_build_dag(
     for (int64_t e = 0; e < nelims; e++) {
         int32_t victim = e_victim[e], kil = e_killer[e], pan = e_panel[e];
         int8_t kkill, kupd;
+        if (pan < 0 || pan >= n || victim < 0 || victim >= m ||
+            kil < 0 || kil >= m)
+            goto done;
         TRIANGULARIZE(kil, pan);
         if (e_ts[e]) {
             kkill = 2;  /* TSQRT */
@@ -331,22 +523,27 @@ int64_t hqr_build_dag(
 #undef TASK
 #undef DEP
 
+    *out_ntasks = tid;
+    if (!write) {
+        rc = ne;
+        goto done;
+    }
+    if (tid != ntasks || ne != nedges)
+        goto done;
+    rc = finish_successors(ntasks, pred_ptr, pred_idx, node, nnodes,
+                           succ_ptr, succ_idx, edge_slot);
+
+done:
     free(last_writer);
     free(triangled);
-    *out_ntasks = tid;
-    return ne;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ *
- * Finish pass: successor CSR and message slots of a built graph, O(E).
- *
- * succ_ptr/succ_idx reverse the predecessor CSR by counting sort; walking
- * consumers in ascending order keeps every successor list ascending (the
- * order a stable argsort over pred_idx gives).  edge_slot is aligned with
- * succ_idx: -1 for a node-local edge, otherwise the index of the edge's
- * (producer, destination node) pair among all distinct cross-node pairs
- * in ascending (producer, destination) order.  Returns the number of
- * slots, or -1 on allocation failure or out-of-range input.
+ * Finish pass for a graph built elsewhere (compile_graph over a
+ * TaskGraph): check the placement and the predecessor ids, count
+ * successors, finish_successors.  Returns the number of slots, or -1 on
+ * allocation failure or out-of-range input.
  * ------------------------------------------------------------------ */
 int64_t hqr_finish_graph(
     int64_t ntasks, const int64_t *pred_ptr, const int32_t *pred_idx,
@@ -363,56 +560,8 @@ int64_t hqr_finish_graph(
             return -1;
         succ_ptr[pred_idx[e] + 1]++;
     }
-    for (int64_t t = 0; t < ntasks; t++)
-        succ_ptr[t + 1] += succ_ptr[t];
-
-    int64_t *cursor = (int64_t *)malloc((size_t)(ntasks + 1) * sizeof(int64_t));
-    /* per destination node: the producer that last marked it, its slot */
-    int64_t *marked_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
-    int32_t *slot_of = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    int32_t *dests = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    int64_t nslots = -1;
-    if (!cursor || !marked_by || !slot_of || !dests)
-        goto done;
-
-    memcpy(cursor, succ_ptr, (size_t)(ntasks + 1) * sizeof(int64_t));
-    for (int64_t t = 0; t < ntasks; t++)
-        for (int64_t e = pred_ptr[t]; e < pred_ptr[t + 1]; e++)
-            succ_idx[cursor[pred_idx[e]]++] = (int32_t)t;
-
-    for (int32_t i = 0; i < nnodes; i++)
-        marked_by[i] = -1;
-    nslots = 0;
-    for (int64_t t = 0; t < ntasks; t++) {
-        int32_t home = node[t];
-        int32_t nd = 0;
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t d = node[succ_idx[i]];
-            if (d != home && marked_by[d] != t) {
-                marked_by[d] = t;
-                /* insertion into the sorted distinct destinations */
-                int32_t j = nd++;
-                while (j > 0 && dests[j - 1] > d) {
-                    dests[j] = dests[j - 1];
-                    j--;
-                }
-                dests[j] = d;
-            }
-        }
-        for (int32_t j = 0; j < nd; j++)
-            slot_of[dests[j]] = (int32_t)(nslots++);
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t d = node[succ_idx[i]];
-            edge_slot[i] = d != home ? slot_of[d] : -1;
-        }
-    }
-
-done:
-    free(cursor);
-    free(marked_by);
-    free(slot_of);
-    free(dests);
-    return nslots;
+    return finish_successors(ntasks, pred_ptr, pred_idx, node, nnodes,
+                             succ_ptr, succ_idx, edge_slot);
 }
 
 /* ------------------------------------------------------------------ *
@@ -977,28 +1126,32 @@ def _build() -> ctypes.CDLL | None:
     except OSError:
         return None
 
-    i8p = ctypes.POINTER(ctypes.c_int8)
     u8p = ctypes.POINTER(ctypes.c_uint8)
     i32p = ctypes.POINTER(ctypes.c_int32)
     i64p = ctypes.POINTER(ctypes.c_int64)
     f64p = ctypes.POINTER(ctypes.c_double)
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 
+    # every array of the planning and batch entry points goes over as a
+    # plain address (``arr.ctypes.data``): one attribute read per array
+    # where a typed ``data_as`` cast costs several times that per call
+    vp = ctypes.c_void_p
+    lib.hqr_expand.restype = i64
+    lib.hqr_expand.argtypes = [
+        i32, i32, i32, i64, i32, i64, vp, vp, vp, i64, vp, vp, vp,
+        i64, vp, vp, vp, vp,
+    ]
     lib.hqr_build_dag.restype = i64
     lib.hqr_build_dag.argtypes = [
-        i32, i32, i32, i64, i32p, i32p, i32p, u8p,
-        i8p, i32p, i32p, i32p, i32p, i64p, i32p, i64p,
+        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 12,
     ]
     lib.hqr_finish_graph.restype = i64
-    lib.hqr_finish_graph.argtypes = [
-        i64, i64p, i32p, i32p, i32, i64p, i32p, i32p,
-    ]
+    lib.hqr_finish_graph.argtypes = [i64, vp, vp, vp, i32, vp, vp, vp]
     lib.hqr_openmp.restype = i32
     lib.hqr_openmp.argtypes = []
     lib.hqr_simulate_cluster_batch.restype = i32
-    # every array goes over as a plain address (``arr.ctypes.data``): the
-    # two size vectors, nine per-graph pointer tables, site_of, four outputs
-    vp = ctypes.c_void_p
+    # the two size vectors, nine per-graph pointer tables, site_of, four
+    # outputs
     lib.hqr_simulate_cluster_batch.argtypes = [
         i64, i32, *[vp] * 11,
         i32, i32, i32, i32, f64, f64, f64, f64, vp, i32, *[vp] * 4,

@@ -7,10 +7,11 @@ cross-node edges — so the event-loop core (:mod:`repro.runtime.compiled`)
 touches only flat arrays and scalar ints.  Graphs can be compiled from an
 existing :class:`~repro.dag.graph.TaskGraph` or built directly from an
 elimination list (bypassing per-task Python objects entirely).  With the
-native core the elimination arrays go straight to a C counting pre-pass and
-builder, and a C finish pass derives the successor CSR and message slots in
-O(E); without a compiler the pure-Python builder and the numpy
-``_succ_csr`` / ``_edge_slots`` produce the same arrays bit for bit.
+native core the elimination arrays go to a C counting pre-pass and then one
+C write pass that emits tasks and edges, places each task from a per-tile
+owner table and finishes the successor CSR and message slots in O(E);
+without a compiler the pure-Python builder and the numpy ``_succ_csr`` /
+``_edge_slots`` produce the same arrays bit for bit.
 Compiled graphs are cacheable — see :mod:`repro.dag.cache`.
 
 Kind codes follow the :class:`~repro.kernels.weights.KernelKind`
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -40,10 +42,17 @@ KIND_CODE: dict[KernelKind, int] = {k: i for i, k in enumerate(KIND_ORDER)}
 KIND_WEIGHTS = np.array([WEIGHTS[k] for k in KIND_ORDER], dtype=np.float64)
 
 
+@lru_cache(maxsize=64)
+def _kind_seconds(machine: Machine, b: int) -> tuple[float, ...]:
+    return tuple(machine.task_seconds(k, b) for k in KIND_ORDER)
+
+
 def duration_table(machine: Machine, b: int) -> np.ndarray:
     """Per-kernel-kind execution seconds — 6 entries instead of ``ntasks``
-    calls to ``machine.task_seconds``."""
-    return np.array([machine.task_seconds(k, b) for k in KIND_ORDER])
+    calls to ``machine.task_seconds``.  The six floats are computed once
+    per ``(machine, b)``; every call returns an array of its own, so a
+    graph frozen by the cache shares no memory with the next one."""
+    return np.array(_kind_seconds(machine, b))
 
 
 @dataclass
@@ -164,10 +173,6 @@ def _edge_slots(
     return np.ascontiguousarray(edge_slot), nslots
 
 
-def _ptr(arr: np.ndarray, typ):
-    return arr.ctypes.data_as(ctypes.POINTER(typ))
-
-
 def _finish_native(
     pred_ptr: np.ndarray, pred_idx: np.ndarray, node: np.ndarray, nnodes: int
 ) -> tuple | None:
@@ -183,10 +188,10 @@ def _finish_native(
     succ_ptr = np.empty(ntasks + 1, np.int64)
     succ_idx = np.empty(len(pred_idx), np.int32)
     edge_slot = np.empty(len(pred_idx), np.int32)
-    i32, i64 = ctypes.c_int32, ctypes.c_int64
     nslots = lib.hqr_finish_graph(
-        ntasks, _ptr(pred_ptr, i64), _ptr(pred_idx, i32), _ptr(node, i32), nnodes,
-        _ptr(succ_ptr, i64), _ptr(succ_idx, i32), _ptr(edge_slot, i32),
+        ntasks, pred_ptr.ctypes.data, pred_idx.ctypes.data, node.ctypes.data,
+        nnodes, succ_ptr.ctypes.data, succ_idx.ctypes.data,
+        edge_slot.ctypes.data,
     )
     if nslots < 0:
         return None
@@ -285,40 +290,58 @@ def count_tasks(elims: Sequence[Elimination], m: int, n: int) -> int:
     return ntasks
 
 
-def _build_arrays_native(elims: EliminationArray, m: int, n: int) -> tuple | None:
+def _build_native(
+    elims: EliminationArray, m: int, n: int, layout: Layout,
+    machine: Machine, b: int,
+) -> CompiledGraph | None:
+    """The whole graph in two native calls, or ``None`` (no native core,
+    or a refusal: an owner outside the machine, a count the write pass
+    does not reproduce) for the Python builder."""
     lib = _ccore.get_lib()
     if lib is None:
         return None
-    i8, u8 = ctypes.c_int8, ctypes.c_uint8
-    i32, i64 = ctypes.c_int32, ctypes.c_int64
+    # node of every tile, by the layout's own rule: m*n entries, not ntasks
+    rows = np.repeat(np.arange(m, dtype=np.int32), n)
+    cols = np.tile(np.arange(n, dtype=np.int32), m)
+    owner = placement_array(layout, rows, cols, cols)
+    counted = ctypes.c_int64()
     shape_and_elims = (
-        m, n, len(elims), _ptr(elims.panel, i32), _ptr(elims.victim, i32),
-        _ptr(elims.killer, i32), _ptr(elims.ts, u8),
+        m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
+        elims.killer.ctypes.data, elims.ts.ctypes.data,
     )
-    counted = i64()
     # counting pre-pass (write = 0): sizes every array exactly
     nedges = lib.hqr_build_dag(
-        0, *shape_and_elims, *[None] * 7, ctypes.byref(counted)
+        0, *shape_and_elims, None, 0, 0, 0, *[None] * 11, ctypes.byref(counted)
     )
-    if nedges < 0:  # pragma: no cover - allocation failure
+    if nedges < 0:
         return None
     ntasks = counted.value
-    kind = np.empty(ntasks, np.int8)
-    row = np.empty(ntasks, np.int32)
-    panel = np.empty(ntasks, np.int32)
-    col = np.empty(ntasks, np.int32)
-    killer = np.empty(ntasks, np.int32)
-    pred_ptr = np.empty(ntasks + 1, np.int64)
-    pred_idx = np.empty(nedges, np.int32)
-    built = lib.hqr_build_dag(
-        1, *shape_and_elims,
-        _ptr(kind, i8), _ptr(row, i32), _ptr(panel, i32), _ptr(col, i32),
-        _ptr(killer, i32), _ptr(pred_ptr, i64), _ptr(pred_idx, i32),
-        ctypes.byref(counted),
+    # CompiledGraph's arrays, in the order the C signature lists them
+    arrays = {
+        name: np.empty(size, dtype)
+        for name, size, dtype in (
+            ("kind", ntasks, np.int8),
+            ("row", ntasks, np.int32),
+            ("panel", ntasks, np.int32),
+            ("col", ntasks, np.int32),
+            ("killer", ntasks, np.int32),
+            ("pred_ptr", ntasks + 1, np.int64),
+            ("pred_idx", nedges, np.int32),
+            ("node", ntasks, np.int32),
+            ("succ_ptr", ntasks + 1, np.int64),
+            ("succ_idx", nedges, np.int32),
+            ("edge_slot", nedges, np.int32),
+        )
+    }
+    nslots = lib.hqr_build_dag(
+        1, *shape_and_elims, owner.ctypes.data, machine.nodes, ntasks, nedges,
+        *[arr.ctypes.data for arr in arrays.values()], ctypes.byref(counted),
     )
-    if built < 0:  # pragma: no cover - allocation failure
+    if nslots < 0:
         return None
-    return kind, row, panel, col, killer, pred_ptr, pred_idx
+    return CompiledGraph(
+        m=m, n=n, nslots=nslots, dur_table=duration_table(machine, b), **arrays
+    )
 
 
 def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
@@ -442,7 +465,7 @@ def compiled_from_eliminations(
     without materializing Task objects.  An
     :class:`~repro.trees.base.EliminationArray` is consumed as is (any other
     sequence is converted once); its arrays feed the native builder when
-    available, the pure-Python builder otherwise.
+    available, the pure-Python builder and finish otherwise.
     """
     elims = EliminationArray.of(elims)
     if len(elims) and not (
@@ -451,11 +474,9 @@ def compiled_from_eliminations(
         and max(elims.victim.max(), elims.killer.max()) < m
     ):
         raise ValueError(f"elimination list does not fit {m} x {n} tiles")
-    arrays = _build_arrays_native(elims, m, n)
-    if arrays is None:
-        arrays = _build_arrays_py(elims, m, n)
-    kind, row, panel, col, killer, pred_ptr, pred_idx = arrays
-    return _finish(
-        m, n, kind, row, panel, col, killer, pred_ptr, pred_idx,
-        layout, machine, b,
-    )
+    built = _build_native(elims, m, n, layout, machine, b)
+    if built is None:
+        built = _finish(
+            m, n, *_build_arrays_py(elims, m, n), layout, machine, b
+        )
+    return built

@@ -19,12 +19,16 @@ The list is emitted panel-major with levels ordered 0,1,2,3 inside a panel,
 which is always a valid sequential order (killers die only after their last
 kill; rows are zeroed in column order).
 
-Everything is computed on arrays: levels 0-2 of a cluster depend only on its
-local row range ``(base, ltop, lmax)``, so that *local structure* is built
-once per distinct range (in local rows times ``p``) and shifted by the
-cluster index ``r``; the trees contribute their cached positional
-:meth:`~repro.trees.base.PanelTree.pairs`.  The result is an
-:class:`~repro.trees.base.EliminationArray`.
+The result is an :class:`~repro.trees.base.EliminationArray`, and the trees
+contribute only their cached positional
+:meth:`~repro.trees.base.PanelTree.pairs`.  The full list comes from the
+native core when there is one (``hqr_expand``: the loops above, in C, over
+the trees' flat :meth:`~repro.trees.base.PanelTree.table`).  The numpy
+generator here is the reference it must equal, and what runs without a
+compiler, under ``REPRO_SIM_CORE=python`` and for single panels: levels 0-2
+of a cluster depend only on its local row range ``(base, ltop, lmax)``, so
+that *local structure* is built once per distinct range (in local rows times
+``p``) and shifted by the cluster index ``r``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro import _ccore
 from repro.hqr.config import HQRConfig
 from repro.hqr.levels import top_local_row
 from repro.trees.base import EliminationArray, PanelTree
@@ -74,7 +79,10 @@ class HQRTree:
 
     def elimination_list(self) -> EliminationArray:
         """The full panel-major elimination list."""
-        return self._assemble(range(self._panels))
+        found = self._expand()
+        if found is None:
+            found = self._assemble(range(self._panels))
+        return found
 
     def killer(self, i: int, k: int) -> int:
         """The paper's ``killer(i, k)`` oracle for tile ``(i, k)``, ``i > k``."""
@@ -84,6 +92,43 @@ class HQRTree:
         return int(panel.killer[panel.victim == i][0])
 
     # ------------------------------------------------------------------ #
+    def _expand(self) -> EliminationArray | None:
+        """The full list from the native generator, or ``None`` (no native
+        core, parameters beyond its integer widths, or a refusal) for
+        :meth:`_assemble`."""
+        lib = _ccore.get_lib()
+        m, panels = self.m, self._panels
+        p, a = self.config.p, self.config.a
+        if lib is None or panels <= 0 or p >= 2**31 or a >= 2**63:
+            return None
+        # every panel k kills rows k+1 .. m-1
+        count = panels * (m - 1) - panels * (panels - 1) // 2
+        # the q each tree is asked for lies in a short range: a cluster's
+        # last local row is lmax or lmax - 1, its base 0 .. bmax, and it
+        # has 1 + last // a - base // a leaders; panel k has min(p, m - k)
+        # top tiles
+        lmax = (m - 1) // p
+        bmax = panels - 1 if self.config.domino else -(-(panels - 1) // p)
+        bmax = min(bmax, lmax)
+        low = self._low.table(
+            max(1 + max(lmax - 1, 0) // a - bmax // a, 1), 1 + lmax // a
+        )
+        high = self._high.table(min(p, m - panels + 1), min(p, m))
+        panel = np.empty(count, np.int32)
+        victim = np.empty(count, np.int32)
+        killer = np.empty(count, np.int32)
+        ts = np.empty(count, np.uint8)
+        written = lib.hqr_expand(
+            m, self.n, p, a, self.config.domino,
+            len(low[0]) - 1, *[arr.ctypes.data for arr in low],
+            len(high[0]) - 1, *[arr.ctypes.data for arr in high],
+            count, panel.ctypes.data, victim.ctypes.data, killer.ctypes.data,
+            ts.ctypes.data,
+        )
+        if written != count:
+            return None
+        return EliminationArray(panel, victim, killer, ts)
+
     def _cluster(self, base: int, ltop: int, lmax: int) -> tuple:
         """Levels 0-2 of a cluster whose participants are local rows
         ``[base, lmax]`` under top tile ``ltop``: per level a ``(victims,

@@ -27,8 +27,11 @@ its survivor up), which keeps the construction valid for any stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.trees.base import Elimination, PanelTree
+import numpy as np
+
+from repro.trees.base import EliminationArray, PanelTree
 from repro.trees.factory import make_tree
 
 
@@ -116,54 +119,62 @@ class MultilevelTree:
         return self._panels
 
     # ------------------------------------------------------------------ #
-    def panel_eliminations(self, k: int) -> list[Elimination]:
+    def panel_eliminations(self, k: int) -> EliminationArray:
         """Ordered eliminations of panel ``k``, leaf level first."""
         if not 0 <= k < self._panels:
             raise ValueError(f"panel {k} out of range [0, {self._panels})")
-        elims: list[Elimination] = []
-        # --- leaf level: TS domains + leaf tree, like HQR's levels 0-1 --- #
-        survivors: dict[int, int] = {}  # leaf -> surviving row
-        for leaf in range(self.leaves):
-            rows = [i for i in range(k, self.m) if i % self.leaves == leaf]
-            if not rows:
-                continue
-            leaders: list[int] = []
-            for d0 in range(0, len(rows), self.a):
-                domain = rows[d0 : d0 + self.a]
-                leaders.append(domain[0])
-                for victim in domain[1:]:
-                    elims.append(
-                        Elimination(panel=k, victim=victim, killer=domain[0], ts=True)
-                    )
-            for victim, killer in self._leaf_tree.eliminations(leaders):
-                elims.append(Elimination(panel=k, victim=victim, killer=killer))
-            survivors[leaf] = leaders[0]
-        # --- hierarchy levels, inside-out ----------------------------- #
-        # group leaves by their path prefix; the innermost level reduces
-        # groups of consecutive siblings first
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for leaf, row in survivors.items():
-            path = self.group_path(leaf)
-            groups.setdefault(path, [row])
-        current = {path: rows[0] for path, rows in groups.items()}
-        for depth in range(len(self.levels) - 1, -1, -1):
-            tree = self._level_trees[depth]
-            merged: dict[tuple[int, ...], list[int]] = {}
-            for path, row in current.items():
-                parent = path[:depth] + path[depth + 1 :]
-                merged.setdefault(parent, []).append(row)
-            nxt: dict[tuple[int, ...], int] = {}
-            for parent, rows in merged.items():
-                rows.sort()
-                for victim, killer in tree.eliminations(rows):
-                    elims.append(Elimination(panel=k, victim=victim, killer=killer))
-                nxt[parent] = rows[0]
-            current = nxt
-        return elims
+        return self._assemble((k,))
 
-    def elimination_list(self) -> list[Elimination]:
+    def elimination_list(self) -> EliminationArray:
         """Full panel-major elimination list."""
-        out: list[Elimination] = []
-        for k in range(self._panels):
-            out.extend(self.panel_eliminations(k))
-        return out
+        return self._assemble(range(self._panels))
+
+    def _assemble(self, panels: Iterable[int]) -> EliminationArray:
+        """The eliminations of ``panels``, in order, as one array list: one
+        ``(victims, killers)`` piece per leaf domain sweep and per tree,
+        each a gather of the tree's positional ``pairs(q)``."""
+        m, a, leaves = self.m, self.a, self.leaves
+        victims: list[np.ndarray] = []
+        killers: list[np.ndarray] = []
+        panel_of: list[int] = []
+        ts_of: list[bool] = []
+
+        def piece(k: int, victim: np.ndarray, killer: np.ndarray, ts: bool) -> None:
+            victims.append(victim)
+            killers.append(killer)
+            panel_of.append(k)
+            ts_of.append(ts)
+
+        for k in panels:
+            # each leaf's first row on/below the diagonal: rows k .. k+leaves-1
+            first = k + (np.arange(leaves) - k) % leaves
+            # --- leaf level: TS domains + leaf tree, like HQR's levels 0-1 - #
+            for leaf in np.flatnonzero(first < m):
+                rows = np.arange(first[leaf], m, leaves)
+                pos = np.arange(len(rows))
+                lead = pos - pos % a  # a domain is ``a`` consecutive leaf rows
+                killed = pos != lead
+                piece(k, rows[killed], rows[lead[killed]], True)
+                leaders = rows[::a]
+                low_v, low_k = self._leaf_tree.pairs(len(leaders))
+                piece(k, leaders[low_v], leaders[low_k], False)
+            # --- hierarchy levels, inside-out ------------------------- #
+            # big-endian paths make the subgroups of one group contiguous;
+            # a group's survivor is its smallest row, ``m`` marks "nobody"
+            alive = np.minimum(first, m)
+            for level, tree in zip(self.levels[::-1], self._level_trees[::-1]):
+                groups = alive.reshape(-1, level.arity)
+                for members in groups:
+                    rows = np.sort(members[members < m])
+                    high_v, high_k = tree.pairs(len(rows))
+                    piece(k, rows[high_v], rows[high_k], False)
+                alive = groups.min(axis=1)
+        if not victims:
+            return EliminationArray((), (), (), ())
+        sizes = np.fromiter(map(len, victims), np.int64, len(victims))
+        return EliminationArray(
+            np.repeat(np.array(panel_of, dtype=np.int32), sizes),
+            np.concatenate(victims),
+            np.concatenate(killers),
+            np.repeat(np.array(ts_of, dtype=np.uint8), sizes),
+        )

@@ -142,6 +142,10 @@ class PanelTree(ABC):
 
     def __init__(self) -> None:
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: see :meth:`table`; replaced whole, never edited, once published
+        self._table = (
+            np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32)
+        )
 
     @abstractmethod
     def _positions(self, q: int) -> tuple[Sequence[int], Sequence[int]]:
@@ -158,8 +162,43 @@ class PanelTree(ABC):
             )
             for arr in found:
                 arr.flags.writeable = False
-            self._pairs[q] = found
+            # two threads may get here together: both keep the first entry
+            found = self._pairs.setdefault(q, found)
         return found
+
+    def table(self, qlo: int, qhi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``pairs(q)`` for ``qlo <= q <= qhi`` (at least) as three flat
+        arrays, the form the native generator reads: ``(start, victims,
+        killers)`` where the ``q - 1`` positions of ``pairs(q)`` begin at
+        ``start[q]`` (int64; negative for a ``q`` the table does not hold).
+
+        One table per tree, grown on demand by the ``q`` a caller lacks and
+        republished by a single assignment, so a concurrent reader holds
+        either the old arrays or the new ones, never a mixture; growth lost
+        to a race is redone by whoever misses it next.
+        """
+        table = self._table
+        start = table[0]
+        if qhi >= len(start) or (start[qlo : qhi + 1] < 0).any():
+            grown = np.full(max(qhi + 1, len(start)), -1, dtype=np.int64)
+            grown[: len(start)] = start
+            victims, killers = [table[1]], [table[2]]
+            at = len(table[1])
+            for q in np.flatnonzero(grown[qlo : qhi + 1] < 0) + qlo:
+                found = self.pairs(int(q))
+                if len(found[0]) != max(q - 1, 0):
+                    raise ValueError(
+                        f"{self.name} tree kills {len(found[0])} of {q} rows"
+                    )
+                victims.append(found[0])
+                killers.append(found[1])
+                grown[q] = at
+                at += len(found[0])
+            table = (grown, np.concatenate(victims), np.concatenate(killers))
+            for arr in table:
+                arr.flags.writeable = False
+            self._table = table
+        return table
 
     def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
         """Ordered ``(victim, killer)`` pairs reducing ``rows`` to ``rows[0]``."""

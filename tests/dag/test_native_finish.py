@@ -1,6 +1,10 @@
-"""The native counting pre-pass, builder and finish pass against the
-pure-Python builder and the numpy ``_succ_csr`` / ``_edge_slots``: every
-``CompiledGraph`` field bit for bit."""
+"""The native counting pre-pass, the fused build and the stand-alone finish
+pass against the pure-Python builder and the numpy ``_succ_csr`` /
+``_edge_slots``: every ``CompiledGraph`` field bit for bit."""
+
+import ctypes
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,20 +12,24 @@ import pytest
 from repro import _ccore
 from repro.dag.cache import _ARRAY_FIELDS
 from repro.dag.compiled import (
-    _build_arrays_native,
+    CompiledGraph,
     _build_arrays_py,
+    _build_native,
     _edge_slots,
     _finish_native,
     _succ_csr,
     compile_graph,
     compiled_from_eliminations,
     count_tasks,
+    duration_table,
     placement_array,
 )
 from repro.dag.graph import TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
+from repro.kernels.weights import KernelKind
+from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
-from repro.tiles.layout import Layout, SingleNode
+from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
 from repro.trees.base import EliminationArray
 from repro.trees.random_tree import random_elimination_list
 from repro.verify.generator import LAYOUT_KINDS, generate_cases
@@ -56,6 +64,20 @@ def _cases():
             yield case.m, case.n, case.config(), DiagonalOwner(5), machine, case.b
 
 
+def _reference_graph(elims, m, n, layout, machine, b):
+    """The graph as the no-compiler path builds it, spelled out."""
+    kind, row, panel, col, killer, pred_ptr, pred_idx = _build_arrays_py(elims, m, n)
+    node = placement_array(layout, row, panel, col)
+    succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
+    edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
+    return CompiledGraph(
+        m=m, n=n, kind=kind, row=row, panel=panel, col=col, killer=killer,
+        pred_ptr=pred_ptr, pred_idx=pred_idx, succ_ptr=succ_ptr,
+        succ_idx=succ_idx, node=node, edge_slot=edge_slot, nslots=nslots,
+        dur_table=duration_table(machine, b),
+    )
+
+
 def _assert_same_graph(got, want):
     assert (got.m, got.n, got.nslots) == (want.m, want.n, want.nslots)
     assert type(got.nslots) is int
@@ -84,6 +106,35 @@ def test_native_graph_equals_python_core_graph(monkeypatch):
         # ... and the TaskGraph route lands on the same arrays
         graph = TaskGraph.from_eliminations(elims, m, n)
         _assert_same_graph(native, compile_graph(graph, layout, machine, b))
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "layout,nodes",
+    [
+        (BlockCyclic2D(3, 2), 6),
+        (Cyclic1D(4, block=2), 4),
+        (Block1D(3, 14), 3),
+        (SingleNode(), 1),
+        (DiagonalOwner(5), 5),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Layout) else None,
+)
+def test_fused_build_equals_the_reference_field_by_field(layout, nodes):
+    machine = Machine(nodes=nodes, cores_per_node=2)
+    configs = [
+        HQRConfig(p=3, q=2, a=2, low_tree="binary", high_tree="greedy"),
+        HQRConfig(p=2, a=4, low_tree="flat", high_tree="fibonacci", domino=False),
+        HQRConfig.bbd10(),
+    ]
+    for m, n in [(1, 1), (1, 4), (2, 1), (5, 5), (6, 9), (14, 4), (13, 13)]:
+        for cfg in configs:
+            elims = hqr_elimination_list(m, n, cfg)
+            got = _build_native(elims, m, n, layout, machine, 16)
+            assert got is not None
+            _assert_same_graph(
+                got, _reference_graph(elims, m, n, layout, machine, 16)
+            )
 
 
 @needs_native
@@ -121,15 +172,136 @@ def test_finish_pass_refuses_out_of_range_nodes():
 
 
 @needs_native
+def test_owner_outside_the_machine_is_refused_then_raised_by_the_loop():
+    """A layout that places tiles on nodes the machine does not have: the
+    fused pass refuses its owner table, the reference path still builds the
+    graph (as before), and the event loop raises the typed error."""
+    m, n, b = 6, 3, 16
+    elims = hqr_elimination_list(m, n, HQRConfig(p=2))
+    layout, machine = DiagonalOwner(5), Machine(nodes=3, cores_per_node=2)
+    assert _build_native(elims, m, n, layout, machine, b) is None
+    cg = compiled_from_eliminations(elims, m, n, layout, machine, b)
+    _assert_same_graph(cg, _reference_graph(elims, m, n, layout, machine, b))
+    with pytest.raises(ValueError, match=r"node outside \[0, 3\)"):
+        run_core(cg, machine, b)
+
+
+def _raw_build(lib, write, m, n, elims, owner, nnodes, ntasks, nedges, arrays):
+    counted = ctypes.c_int64()
+    rc = lib.hqr_build_dag(
+        write, m, n, len(elims), elims.panel.ctypes.data,
+        elims.victim.ctypes.data, elims.killer.ctypes.data, elims.ts.ctypes.data,
+        owner.ctypes.data, nnodes, ntasks, nedges,
+        *[a.ctypes.data for a in arrays], ctypes.byref(counted),
+    )
+    return rc, counted.value
+
+
+@needs_native
+def test_write_pass_refuses_counts_it_does_not_reproduce():
+    """Every write is checked against the sizes the caller allocated: too
+    few or too many tasks or edges is rc -2, and nothing past the arrays
+    is touched (the sanitizer build watches that)."""
+    lib = _ccore.get_lib()
+    m, n = 7, 4
+    elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
+    owner = np.zeros(m * n, np.int32)
+    nothing = [np.empty(0, np.int32)] * 11
+    nedges, ntasks = _raw_build(lib, 0, m, n, elims, owner, 1, 0, 0, nothing)
+    assert ntasks == count_tasks(elims, m, n) and nedges > ntasks
+
+    def arrays(nt, ne):
+        sizes = [nt, nt, nt, nt, nt, nt + 1, ne, nt, nt + 1, ne, ne]
+        dtypes = [np.int8] + [np.int32] * 4 + [np.int64] + [np.int32] * 2 + [
+            np.int64, np.int32, np.int32,
+        ]
+        return [np.empty(s, d) for s, d in zip(sizes, dtypes)]
+
+    assert _raw_build(
+        lib, 1, m, n, elims, owner, 1, ntasks, nedges, arrays(ntasks, nedges)
+    )[0] == 0  # one node: no slots
+    for nt, ne in [
+        (ntasks - 1, nedges), (ntasks, nedges - 1),
+        (ntasks + 1, nedges), (ntasks, nedges + 1), (0, 0),
+    ]:
+        assert _raw_build(
+            lib, 1, m, n, elims, owner, 1, nt, ne, arrays(nt, ne)
+        )[0] == -2
+    # an elimination outside the shape is refused by both passes
+    for shape in [(m - 1, n), (m, n - 1)]:
+        small = np.zeros(shape[0] * shape[1], np.int32)
+        assert _raw_build(lib, 0, *shape, elims, small, 1, 0, 0, nothing)[0] == -2
+
+
+@needs_native
 def test_prepass_sizes_the_arrays_exactly():
+    layout, machine = BlockCyclic2D(2, 2), Machine(nodes=4, cores_per_node=2)
     for seed in range(12):
         m, n = 3 + seed, 1 + seed % 5
         elims = EliminationArray.of(random_elimination_list(m, n, seed=seed))
-        native = _build_arrays_native(elims, m, n)
-        python = _build_arrays_py(elims, m, n)
-        for a, b in zip(native, python):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert native[6].base is None  # pred_idx: sized exactly, not a slice
+        native = _build_native(elims, m, n, layout, machine, 16)
+        _assert_same_graph(
+            native, _reference_graph(elims, m, n, layout, machine, 16)
+        )
+        for field in _ARRAY_FIELDS:  # sized exactly, not slices of more
+            assert getattr(native, field).base is None, field
+
+
+def test_duration_tables_are_equal_but_never_shared():
+    machine = Machine(nodes=4, cores_per_node=2)
+    first, second = duration_table(machine, 16), duration_table(machine, 16)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.dtype == np.float64 and first.shape == (6,)
+    assert first.tolist() == [machine.task_seconds(k, 16) for k in KernelKind]
+    first.flags.writeable = False  # what the graph cache does to an entry
+    second[0] = 0.0
+    assert first[0] != 0.0
+
+
+@needs_native
+def test_two_threads_plan_equal_graphs_on_cold_tables():
+    """The planner's two calls hold no lock and the daemon runs two workers:
+    with the trees' pairs tables unbuilt, both threads must come back with
+    the graph a single thread builds."""
+    from repro.trees.factory import _REGISTRY
+
+    layout, machine = BlockCyclic2D(3, 2), Machine(nodes=6, cores_per_node=2)
+    questions = [
+        (m, n, HQRConfig(p=3, q=2, a=a, low_tree=low, high_tree=high, domino=dom))
+        for (m, n), a in zip([(31, 5), (18, 18), (47, 3), (26, 9)], [1, 2, 3, 5])
+        for low, high, dom in [
+            ("greedy", "fibonacci", True), ("binary", "flat", False),
+        ]
+    ]
+
+    def plan_all(out):
+        for m, n, cfg in questions:
+            elims = hqr_elimination_list(m, n, cfg)
+            out.append(
+                (elims, compiled_from_eliminations(elims, m, n, layout, machine, 16))
+            )
+
+    for tree in _REGISTRY.values():
+        tree.__init__()  # forget pairs and tables: a cold process
+    results = [[], []]
+    threads = [threading.Thread(target=plan_all, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results[0]) == len(results[1]) == len(questions)
+    for (m, n, cfg), (elims_a, cg_a), (elims_b, cg_b) in zip(questions, *results):
+        assert elims_a == elims_b
+        _assert_same_graph(cg_a, cg_b)
+        _assert_same_graph(
+            cg_a, _reference_graph(elims_a, m, n, layout, machine, 16)
+        )
 
 
 def test_count_tasks_matches_the_builders():

@@ -113,6 +113,28 @@ def test_array_list_equals_object_oracle(m, n, cfg):
     assert got.ts.tolist() == [e.ts for e in want]
 
 
+@pytest.mark.parametrize("low,high", [("greedy", "fibonacci"), ("binary", "flat")])
+@pytest.mark.parametrize("domino", [True, False])
+@pytest.mark.parametrize(
+    "m,n,p,a",
+    [
+        (1, 1, 3, 2), (1, 6, 1, 1), (9, 1, 2, 3),  # one row, one column
+        (6, 6, 2, 2), (5, 11, 3, 1),  # m <= n
+        (4, 3, 9, 2), (7, 7, 40, 1),  # p > m: clusters with no rows
+        (30, 4, 1, 10**9), (30, 4, 4, 10**9),  # one TS domain per cluster
+        (41, 5, 3, 7), (64, 16, 15, 4),
+    ],
+)
+def test_edge_shapes_equal_object_oracle(m, n, p, a, domino, low, high):
+    """The corners the native generator special-cases nothing for: the list
+    (from C when there is a compiler) against the object oracle."""
+    cfg = HQRConfig(p=p, a=a, low_tree=low, high_tree=high, domino=domino)
+    want = _oracle_list(m, n, cfg)
+    got = hqr_elimination_list(m, n, cfg)
+    assert got == want and list(got) == want
+    assert got.ts.tolist() == [e.ts for e in want]
+
+
 @given(m=st.integers(1, 24), n=st.integers(1, 24), cfg=configs)
 def test_panels_concatenate_to_the_list(m, n, cfg):
     tree = HQRTree(m, n, cfg)

@@ -1,9 +1,72 @@
 """Generalized multi-level hierarchical trees."""
 
+import numpy as np
 import pytest
 
 from repro.hqr import check_elimination_list
 from repro.hqr.multilevel import Level, MultilevelTree
+from repro.trees import Elimination, make_tree
+from repro.trees.base import EliminationArray
+
+
+# --------------------------------------------------------------------- #
+# oracle: the generator as it was before the array form, one frozen
+# Elimination per kill, rows gathered into lists and dicts of lists
+# --------------------------------------------------------------------- #
+def _oracle_panel(tree: MultilevelTree, k: int) -> list[Elimination]:
+    elims = []
+    survivors = {}  # leaf -> surviving row
+    for leaf in range(tree.leaves):
+        rows = [i for i in range(k, tree.m) if i % tree.leaves == leaf]
+        if not rows:
+            continue
+        leaders = []
+        for d0 in range(0, len(rows), tree.a):
+            domain = rows[d0 : d0 + tree.a]
+            leaders.append(domain[0])
+            for victim in domain[1:]:
+                elims.append(Elimination(k, victim, domain[0], ts=True))
+        for victim, killer in tree._leaf_tree.eliminations(leaders):
+            elims.append(Elimination(k, victim, killer))
+        survivors[leaf] = leaders[0]
+    current = {tree.group_path(leaf): row for leaf, row in survivors.items()}
+    for depth in range(len(tree.levels) - 1, -1, -1):
+        merged = {}
+        for path, row in current.items():
+            merged.setdefault(path[:depth] + path[depth + 1 :], []).append(row)
+        current = {}
+        for parent, rows in merged.items():
+            rows.sort()
+            for victim, killer in make_tree(tree.levels[depth].tree).eliminations(rows):
+                elims.append(Elimination(k, victim, killer))
+            current[parent] = rows[0]
+    return elims
+
+
+STACKS = {
+    "two": [Level(2, "binary"), Level(3, "fibonacci")],
+    "three": [Level(2, "flat"), Level(2, "greedy"), Level(2, "binary")],
+    "wide": [Level(5, "greedy")],
+}
+
+
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("a", [1, 4])
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (1, 4), (2, 1), (4, 2), (5, 5), (6, 9), (17, 5), (40, 3)]
+)
+def test_array_list_equals_object_oracle(stack, a, m, n):
+    tree = MultilevelTree(m, n, STACKS[stack], a=a, leaf_tree="greedy")
+    want = [e for k in range(tree.panels) for e in _oracle_panel(tree, k)]
+    got = tree.elimination_list()
+    assert isinstance(got, EliminationArray)
+    assert got == want and list(got) == want
+    assert got.ts.tolist() == [e.ts for e in want]
+    assert got.panel.dtype == got.victim.dtype == got.killer.dtype == np.int32
+    for k in range(tree.panels):
+        panel = tree.panel_eliminations(k)
+        assert isinstance(panel, EliminationArray)
+        assert panel == _oracle_panel(tree, k)
 
 
 class TestConstruction:
