@@ -303,19 +303,20 @@ int64_t hqr_expand(
  * failure.
  * ------------------------------------------------------------------ */
 static int64_t finish_successors(
-    int64_t ntasks, const int64_t *pred_ptr, const int32_t *pred_idx,
+    int64_t ntasks, const int32_t *pred_ptr, const int32_t *pred_idx,
     const int32_t *node, int32_t nnodes,
-    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
 {
     /* per destination node: the producer that last marked it, its slot */
     int64_t *marked_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
     int32_t *slot_of = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
     int32_t *dests = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    int64_t nslots = -1, run = 0;
+    int64_t nslots = -1;
+    int32_t run = 0;  /* ends at nedges, which the callers bound */
     if (!marked_by || !slot_of || !dests)
         goto done;
     for (int64_t t = 0; t < ntasks; t++) {
-        int64_t count = succ_ptr[t + 1];
+        int32_t count = succ_ptr[t + 1];
         succ_ptr[t + 1] = run;
         run += count;
     }
@@ -370,18 +371,19 @@ done:
  * One emit loop serves two passes.  With write == 0 it only counts: no
  * output array is touched (all may be NULL), the return value is the
  * number of predecessor edges and the task count lands in *out_ntasks.
- * With write == 1 it fills arrays the caller sized from those two counts
- * (ntasks, nedges), and in the same pass places each task on
+ * With write == 1 it fills the seven arrays the caller sized from those
+ * two counts (ntasks, nedges), and in the same pass places each task on
  * owner[tile] - the m*n table of the node owning each tile, the victim
  * row's tile in the trailing column for an update kernel, in the panel
  * otherwise - and counts successors per edge written, which is what
- * finish_successors starts from.  Returns the number of message slots.
+ * finish_successors starts from (a task's coordinates are not stored: no
+ * loop reads them).  Returns the number of message slots.
  *
  * Refusals, all -2: an elimination outside m x n, an owner entry outside
- * [0, nnodes), or a write pass that would produce more tasks or edges
- * than the counts it was given, or ends with fewer - checked before each
- * write, so a disagreement never leaves the arrays.  -1 is allocation
- * failure.
+ * [0, nnodes), counts above INT32_MAX (the offsets are 32-bit), or a
+ * write pass that would produce more tasks or edges than the counts it
+ * was given, or ends with fewer - checked before each write, so a
+ * disagreement never leaves the arrays.  -1 is allocation failure.
  * ------------------------------------------------------------------ */
 int64_t hqr_build_dag(
     int32_t write,
@@ -389,9 +391,8 @@ int64_t hqr_build_dag(
     const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
     const uint8_t *e_ts,
     const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,
-    int8_t *kind, int32_t *row, int32_t *panel, int32_t *col, int32_t *killer,
-    int64_t *pred_ptr, int32_t *pred_idx, int32_t *node,
-    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot,
+    int8_t *kind, int32_t *pred_ptr, int32_t *pred_idx, int32_t *node,
+    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot,
     int64_t *out_ntasks)
 {
     int64_t rc = -1;
@@ -405,10 +406,12 @@ int64_t hqr_build_dag(
     for (int64_t i = 0; i < (int64_t)m * n; i++)
         last_writer[i] = -1;
     if (write) {
+        if (ntasks > INT32_MAX || nedges > INT32_MAX)
+            goto done;
         for (int64_t i = 0; i < (int64_t)m * n; i++)
             if (owner[i] < 0 || owner[i] >= nnodes)
                 goto done;
-        memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int64_t));
+        memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
         pred_ptr[0] = 0;
     }
 
@@ -423,19 +426,15 @@ int64_t hqr_build_dag(
         ne++;                                                                 \
     } while (0)
 
-#define TASK(KIND, ROW, PANEL, COL, KILLER)                                   \
+/* a task on tile (ROW, COL): COL is an update's trailing column, else the panel */
+#define TASK(KIND, ROW, COL)                                                  \
     do {                                                                      \
         if (write) {                                                          \
             if (tid >= ntasks)                                                \
                 goto done;                                                    \
             kind[tid] = (KIND);                                               \
-            row[tid] = (ROW);                                                 \
-            panel[tid] = (PANEL);                                             \
-            col[tid] = (COL);                                                 \
-            killer[tid] = (KILLER);                                           \
-            node[tid] = owner[(int64_t)(ROW) * n +                            \
-                              ((COL) < 0 ? (PANEL) : (COL))];                 \
-            pred_ptr[tid + 1] = ne;                                           \
+            node[tid] = owner[(int64_t)(ROW) * n + (COL)];                    \
+            pred_ptr[tid + 1] = (int32_t)ne;                                  \
         }                                                                     \
         tid++;                                                                \
     } while (0)
@@ -459,7 +458,7 @@ int64_t hqr_build_dag(
                 DEP(w_);                                                      \
             last_writer[idx_] = (int32_t)tid;                                 \
         }                                                                     \
-        TASK((KIND), (ROW), (PANEL), -1, (KILLER));                           \
+        TASK((KIND), (ROW), (PANEL));                                         \
     } while (0)
 
 /* triangularize(row, panel): GEQRT + UNMQR row sweep, if not yet done */
@@ -477,7 +476,7 @@ int64_t hqr_build_dag(
                 if (w_ >= 0)                                                  \
                     DEP(w_);                                                  \
                 last_writer[idx_] = (int32_t)tid;                             \
-                TASK(1, (ROW), (PANEL), col_, -1); /* UNMQR */                \
+                TASK(1, (ROW), col_); /* UNMQR */                             \
             }                                                                 \
         }                                                                     \
     } while (0)
@@ -511,7 +510,7 @@ int64_t hqr_build_dag(
             if (w >= 0)
                 DEP(w);
             last_writer[idx_v] = (int32_t)tid;
-            TASK(kupd, victim, pan, c, kil);
+            TASK(kupd, victim, c);
         }
     }
 
@@ -543,18 +542,21 @@ done:
  * Finish pass for a graph built elsewhere (compile_graph over a
  * TaskGraph): check the placement and the predecessor ids, count
  * successors, finish_successors.  Returns the number of slots, or -1 on
- * allocation failure or out-of-range input.
+ * allocation failure or out-of-range input (more than INT32_MAX tasks
+ * included: the offsets are 32-bit).
  * ------------------------------------------------------------------ */
 int64_t hqr_finish_graph(
-    int64_t ntasks, const int64_t *pred_ptr, const int32_t *pred_idx,
+    int64_t ntasks, const int32_t *pred_ptr, const int32_t *pred_idx,
     const int32_t *node, int32_t nnodes,
-    int64_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
 {
+    if (ntasks > INT32_MAX)
+        return -1;
     int64_t nedges = pred_ptr[ntasks];
     for (int64_t t = 0; t < ntasks; t++)
         if (node[t] < 0 || node[t] >= nnodes)
             return -1;
-    memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int64_t));
+    memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
     for (int64_t e = 0; e < nedges; e++) {
         if (pred_idx[e] < 0 || pred_idx[e] >= ntasks)
             return -1;
@@ -585,8 +587,8 @@ int64_t hqr_finish_graph(
 static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
     const double *dur_table, const int8_t *kind, const int32_t *node_of,
-    const int64_t *pred_ptr,
-    const int64_t *succ_ptr, const int32_t *succ_idx,
+    const int32_t *pred_ptr,
+    const int32_t *succ_ptr, const int32_t *succ_idx,
     const int32_t *edge_slot, int64_t nslots,
     const int32_t *rank, const int32_t *task_of_rank,
     int32_t serialized, int32_t hierarchical,
@@ -628,7 +630,7 @@ static int32_t hqr_simulate_cluster(
             rc = 2;
             goto done;
         }
-        waiting[t] = (int32_t)(pred_ptr[t + 1] - pred_ptr[t]);
+        waiting[t] = pred_ptr[t + 1] - pred_ptr[t];
     }
     for (int k = 0; k < 6; k++) {
         fin[k].k = ring_keys + k * ring_cap;
@@ -823,8 +825,8 @@ int32_t hqr_simulate_cluster_batch(
     int64_t npoints, int32_t nthreads,
     const int64_t *ntasks, const int64_t *nslots,
     const double *const *dur_table, const int8_t *const *kind,
-    const int32_t *const *node_of, const int64_t *const *pred_ptr,
-    const int64_t *const *succ_ptr, const int32_t *const *succ_idx,
+    const int32_t *const *node_of, const int32_t *const *pred_ptr,
+    const int32_t *const *succ_ptr, const int32_t *const *succ_idx,
     const int32_t *const *edge_slot,
     const int32_t *const *rank, const int32_t *const *task_of_rank,
     int32_t nnodes, int32_t cores_per_node,
@@ -872,7 +874,7 @@ int32_t hqr_simulate_acc(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node, int32_t accs_per_node,
     const double *cpu_dur, const double *acc_dur, const uint8_t *offload,
     const int32_t *node_of, const int32_t *waiting_init,
-    const int64_t *succ_ptr, const int32_t *succ_idx,
+    const int32_t *succ_ptr, const int32_t *succ_idx,
     const int32_t *edge_slot, int64_t nslots,
     int32_t serialized, double lat, double bwt,
     double *out_makespan, double *out_busy, int64_t *out_messages)
@@ -1143,7 +1145,7 @@ def _build() -> ctypes.CDLL | None:
     ]
     lib.hqr_build_dag.restype = i64
     lib.hqr_build_dag.argtypes = [
-        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 12,
+        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 8,
     ]
     lib.hqr_finish_graph.restype = i64
     lib.hqr_finish_graph.argtypes = [i64, vp, vp, vp, i32, vp, vp, vp]
@@ -1159,7 +1161,7 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_simulate_acc.restype = i32
     lib.hqr_simulate_acc.argtypes = [
         i64, i32, i32, i32, f64p, f64p, u8p, i32p, i32p,
-        i64p, i32p, i32p, i64, i32, f64, f64,
+        i32p, i32p, i32p, i64, i32, f64, f64,
         f64p, f64p, i64p,
     ]
     return lib

@@ -45,23 +45,15 @@ __all__ = [
     "fingerprint",
 ]
 
-#: salt of the fingerprint; bump when the CompiledGraph array layout or
-#: builder semantics change (tune checkpoints store keys derived from it)
+#: salt of the fingerprint.  An array-layout change does not bump it: with
+#: no disk tier (PR 17) no entry outlives the code that built it, and a bump
+#: rewrites every key tune wrote into ``samples.jsonl`` / checkpoints (they
+#: break best-k ties).  Bump when equal inputs stop meaning an equal graph.
 CACHE_VERSION = 1
 
-_ARRAY_FIELDS = (
-    "kind",
-    "row",
-    "panel",
-    "col",
-    "killer",
-    "pred_ptr",
-    "pred_idx",
-    "succ_ptr",
-    "succ_idx",
-    "node",
-    "edge_slot",
-    "dur_table",
+#: every array of a CompiledGraph, derived: none can be stored unfrozen
+_ARRAY_FIELDS = tuple(
+    f.name for f in dataclasses.fields(CompiledGraph) if f.type == "np.ndarray"
 )
 
 
@@ -160,7 +152,7 @@ def _default_memory_slots() -> int:
     """Cache capacity: ``REPRO_CACHE_SLOTS`` or 128 graphs.
 
     The default comfortably holds a full Figure-6 sweep (72 graphs,
-    ~110 MB of arrays), so a repeated sweep finds every graph resident.
+    ~97 MiB of arrays), so a repeated sweep finds every graph resident.
     """
     env = os.environ.get("REPRO_CACHE_SLOTS")
     if not env:

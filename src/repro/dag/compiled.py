@@ -1,17 +1,19 @@
 """Structure-of-arrays task graph for the compiled simulation pipeline.
 
 :class:`CompiledGraph` flattens a kernel DAG into numpy arrays — int8 kind
-codes, CSR predecessor/successor adjacency, per-task node placement, a
-6-entry per-kernel-kind duration table, and precomputed message slots for
-cross-node edges — so the event-loop core (:mod:`repro.runtime.compiled`)
-touches only flat arrays and scalar ints.  Graphs can be compiled from an
-existing :class:`~repro.dag.graph.TaskGraph` or built directly from an
-elimination list (bypassing per-task Python objects entirely).  With the
-native core the elimination arrays go to a C counting pre-pass and then one
-C write pass that emits tasks and edges, places each task from a per-tile
-owner table and finishes the successor CSR and message slots in O(E);
-without a compiler the pure-Python builder and the numpy ``_succ_csr`` /
-``_edge_slots`` produce the same arrays bit for bit.
+codes, CSR predecessor/successor adjacency with int32 offsets, per-task
+node placement, a 6-entry per-kernel-kind duration table, and precomputed
+message slots for cross-node edges — so the event-loop core
+(:mod:`repro.runtime.compiled`) touches only flat arrays and scalar ints.
+It holds only what the loops read, 13 bytes a task and 12 an edge; a
+task's tiles follow from the elimination list (:func:`task_coordinates`).
+Graphs can be compiled from an existing :class:`~repro.dag.graph.TaskGraph`
+or built directly from an elimination list (no per-task Python objects).
+With the native core the elimination arrays go to a C counting pre-pass and
+then one C write pass that emits tasks and edges, places each task from a
+per-tile owner table and finishes the successor CSR and message slots in
+O(E); without a compiler the pure-Python builder and the numpy
+``_succ_csr`` / ``_edge_slots`` produce the same arrays bit for bit.
 Compiled graphs are cacheable — see :mod:`repro.dag.cache`.
 
 Kind codes follow the :class:`~repro.kernels.weights.KernelKind`
@@ -65,18 +67,18 @@ class CompiledGraph:
     ``-1`` for a node-local edge, otherwise the index of the unique
     (producer, destination-node) message this edge rides on — the
     array-world replacement for the reference simulator's ``sent`` dict.
+
+    Every builder emits exactly these dtypes (int32 offsets cap a graph
+    at ``2**31 - 1`` edges); the event loops convert any other, by value.
+    Task coordinates are not stored: :func:`task_coordinates`.
     """
 
     m: int
     n: int
     kind: np.ndarray  # int8[ntasks]
-    row: np.ndarray  # int32[ntasks]
-    panel: np.ndarray  # int32[ntasks]
-    col: np.ndarray  # int32[ntasks], -1 for factorization kernels
-    killer: np.ndarray  # int32[ntasks], -1 where not applicable
-    pred_ptr: np.ndarray  # int64[ntasks+1]
-    pred_idx: np.ndarray  # int32[nedges]
-    succ_ptr: np.ndarray  # int64[ntasks+1]
+    pred_ptr: np.ndarray  # int32[ntasks+1]
+    pred_idx: np.ndarray  # int32[nedges] — read by the fault path only
+    succ_ptr: np.ndarray  # int32[ntasks+1]
     succ_idx: np.ndarray  # int32[nedges]
     node: np.ndarray  # int32[ntasks] — placement under the layout
     edge_slot: np.ndarray  # int32[nedges], aligned with succ_idx
@@ -97,8 +99,8 @@ class CompiledGraph:
 
     @property
     def pred_counts(self) -> np.ndarray:
-        """In-degree of each task (int32) — the scheduler's wait counts."""
-        return np.diff(self.pred_ptr).astype(np.int32)
+        """In-degree of each task — the scheduler's wait counts."""
+        return np.diff(self.pred_ptr)
 
     def total_flop_weight(self) -> float:
         """Sum of kernel weights in ``b^3/3`` units."""
@@ -109,16 +111,15 @@ class CompiledGraph:
 # placement
 # --------------------------------------------------------------------- #
 def placement_array(
-    layout: Layout, row: np.ndarray, panel: np.ndarray, col: np.ndarray
+    layout: Layout, row: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Vectorized task placement: node owning each task's victim-row tile.
+    """Vectorized placement: the node owning each tile ``(row, c)``.
 
-    Mirrors ``ClusterSimulator.placement`` — the column is the trailing
-    column for update kernels, the panel otherwise.  Known layouts are
-    computed with array arithmetic; unknown subclasses fall back to the
-    layout's scalar ``owner``.
+    A task's tile, as in ``ClusterSimulator.placement``, is its victim row
+    in the trailing column for update kernels, in the panel otherwise.
+    Known layouts are computed with array arithmetic; unknown subclasses
+    fall back to the layout's scalar ``owner``.
     """
-    c = np.where(col < 0, panel, col)
     if isinstance(layout, BlockCyclic2D):
         out = (row % layout.p) * layout.q + (c % layout.q)
     elif isinstance(layout, Cyclic1D):
@@ -138,6 +139,18 @@ def placement_array(
 # --------------------------------------------------------------------- #
 # CSR helpers
 # --------------------------------------------------------------------- #
+_INT32_MAX = 2**31 - 1
+
+
+def _check_int32(ntasks: int, nedges: int) -> None:
+    """Refuse, before allocating, a graph int32 offsets cannot index."""
+    if ntasks > _INT32_MAX or nedges > _INT32_MAX:
+        raise OverflowError(
+            f"graph too large for a CompiledGraph: ntasks={ntasks}, "
+            f"nedges={nedges}, both limited to {_INT32_MAX} (int32 offsets)"
+        )
+
+
 def _succ_csr(
     pred_ptr: np.ndarray, pred_idx: np.ndarray, ntasks: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +162,7 @@ def _succ_csr(
     order = np.argsort(pred_idx, kind="stable")
     succ_idx = np.ascontiguousarray(consumer[order], dtype=np.int32)
     succ_counts = np.bincount(pred_idx, minlength=ntasks)
-    succ_ptr = np.zeros(ntasks + 1, dtype=np.int64)
+    succ_ptr = np.zeros(ntasks + 1, dtype=np.int32)
     np.cumsum(succ_counts, out=succ_ptr[1:])
     return succ_ptr, succ_idx
 
@@ -182,10 +195,10 @@ def _finish_native(
     if lib is None:
         return None
     ntasks = len(node)
-    pred_ptr = np.ascontiguousarray(pred_ptr, np.int64)
+    pred_ptr = np.ascontiguousarray(pred_ptr, np.int32)
     pred_idx = np.ascontiguousarray(pred_idx, np.int32)
     node = np.ascontiguousarray(node, np.int32)
-    succ_ptr = np.empty(ntasks + 1, np.int64)
+    succ_ptr = np.empty(ntasks + 1, np.int32)
     succ_idx = np.empty(len(pred_idx), np.int32)
     edge_slot = np.empty(len(pred_idx), np.int32)
     nslots = lib.hqr_finish_graph(
@@ -199,20 +212,10 @@ def _finish_native(
 
 
 def _finish(
-    m: int,
-    n: int,
-    kind: np.ndarray,
-    row: np.ndarray,
-    panel: np.ndarray,
-    col: np.ndarray,
-    killer: np.ndarray,
-    pred_ptr: np.ndarray,
-    pred_idx: np.ndarray,
-    layout: Layout,
-    machine: Machine,
-    b: int,
+    m: int, n: int, kind: np.ndarray, node: np.ndarray,
+    pred_ptr: np.ndarray, pred_idx: np.ndarray, machine: Machine, b: int,
 ) -> CompiledGraph:
-    node = placement_array(layout, row, panel, col)
+    _check_int32(len(kind), len(pred_idx))
     finished = _finish_native(pred_ptr, pred_idx, node, machine.nodes)
     if finished is None:
         succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
@@ -220,21 +223,9 @@ def _finish(
     else:
         succ_ptr, succ_idx, edge_slot, nslots = finished
     return CompiledGraph(
-        m=m,
-        n=n,
-        kind=kind,
-        row=row,
-        panel=panel,
-        col=col,
-        killer=killer,
-        pred_ptr=pred_ptr,
-        pred_idx=pred_idx,
-        succ_ptr=succ_ptr,
-        succ_idx=succ_idx,
-        node=node,
-        edge_slot=edge_slot,
-        nslots=nslots,
-        dur_table=duration_table(machine, b),
+        m=m, n=n, kind=kind, pred_ptr=pred_ptr, pred_idx=pred_idx,
+        succ_ptr=succ_ptr, succ_idx=succ_idx, node=node, edge_slot=edge_slot,
+        nslots=nslots, dur_table=duration_table(machine, b),
     )
 
 
@@ -248,22 +239,22 @@ def compile_graph(
     including the random/baseline generators)."""
     tasks = graph.tasks
     ntasks = len(tasks)
-    code = KIND_CODE
-    kind = np.fromiter((code[t.kind] for t in tasks), np.int8, ntasks)
-    row = np.fromiter((t.row for t in tasks), np.int32, ntasks)
-    panel = np.fromiter((t.panel for t in tasks), np.int32, ntasks)
-    col = np.fromiter((t.col for t in tasks), np.int32, ntasks)
-    killer = np.fromiter((t.killer for t in tasks), np.int32, ntasks)
     preds = graph.predecessors
     counts = np.fromiter(map(len, preds), np.int64, ntasks)
-    pred_ptr = np.zeros(ntasks + 1, dtype=np.int64)
-    np.cumsum(counts, out=pred_ptr[1:])
-    pred_idx = np.fromiter(
-        chain.from_iterable(preds), np.int32, int(pred_ptr[-1])
+    nedges = int(counts.sum())
+    _check_int32(ntasks, nedges)
+    kind = np.fromiter((KIND_CODE[t.kind] for t in tasks), np.int8, ntasks)
+    # a task's tile: victim row x (trailing column if an update, else panel)
+    row = np.fromiter((t.row for t in tasks), np.int32, ntasks)
+    column = np.fromiter(
+        (t.panel if t.col < 0 else t.col for t in tasks), np.int32, ntasks
     )
+    pred_ptr = np.zeros(ntasks + 1, dtype=np.int32)
+    np.cumsum(counts, out=pred_ptr[1:])
+    pred_idx = np.fromiter(chain.from_iterable(preds), np.int32, nedges)
     return _finish(
-        graph.m, graph.n, kind, row, panel, col, killer,
-        pred_ptr, pred_idx, layout, machine, b,
+        graph.m, graph.n, kind, placement_array(layout, row, column),
+        pred_ptr, pred_idx, machine, b,
     )
 
 
@@ -296,14 +287,15 @@ def _build_native(
 ) -> CompiledGraph | None:
     """The whole graph in two native calls, or ``None`` (no native core,
     or a refusal: an owner outside the machine, a count the write pass
-    does not reproduce) for the Python builder."""
+    does not reproduce) for the Python builder; a graph past the int32
+    limit raises instead, before anything is allocated."""
     lib = _ccore.get_lib()
     if lib is None:
         return None
     # node of every tile, by the layout's own rule: m*n entries, not ntasks
     rows = np.repeat(np.arange(m, dtype=np.int32), n)
     cols = np.tile(np.arange(n, dtype=np.int32), m)
-    owner = placement_array(layout, rows, cols, cols)
+    owner = placement_array(layout, rows, cols)
     counted = ctypes.c_int64()
     shape_and_elims = (
         m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
@@ -311,24 +303,21 @@ def _build_native(
     )
     # counting pre-pass (write = 0): sizes every array exactly
     nedges = lib.hqr_build_dag(
-        0, *shape_and_elims, None, 0, 0, 0, *[None] * 11, ctypes.byref(counted)
+        0, *shape_and_elims, None, 0, 0, 0, *[None] * 7, ctypes.byref(counted)
     )
     if nedges < 0:
         return None
     ntasks = counted.value
+    _check_int32(ntasks, nedges)
     # CompiledGraph's arrays, in the order the C signature lists them
     arrays = {
         name: np.empty(size, dtype)
         for name, size, dtype in (
             ("kind", ntasks, np.int8),
-            ("row", ntasks, np.int32),
-            ("panel", ntasks, np.int32),
-            ("col", ntasks, np.int32),
-            ("killer", ntasks, np.int32),
-            ("pred_ptr", ntasks + 1, np.int64),
+            ("pred_ptr", ntasks + 1, np.int32),
             ("pred_idx", nedges, np.int32),
             ("node", ntasks, np.int32),
-            ("succ_ptr", ntasks + 1, np.int64),
+            ("succ_ptr", ntasks + 1, np.int32),
             ("succ_idx", nedges, np.int32),
             ("edge_slot", nedges, np.int32),
         )
@@ -347,7 +336,8 @@ def _build_native(
 def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
     """Pure-Python array builder — same emission order as
     ``TaskGraph.from_eliminations``, appending plain ints instead of
-    creating :class:`Task` objects."""
+    creating :class:`Task` objects.  Returns ``(kind, row, panel, col,
+    killer, pred_ptr, pred_idx)``: the one place coordinates are written."""
     kind_l, row_l, panel_l, col_l, killer_l = [], [], [], [], []
     pred_ptr_l, pred_idx_l = [0], []
     last_writer = [-1] * (m * n)
@@ -446,9 +436,20 @@ def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
         np.array(panel_l, np.int32),
         np.array(col_l, np.int32),
         np.array(killer_l, np.int32),
-        np.array(pred_ptr_l, np.int64),
+        np.array(pred_ptr_l, np.int32),
         np.array(pred_idx_l, np.int32),
     )
+
+
+def task_coordinates(
+    elims: Sequence[Elimination], m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, panel, col, killer)`` of every task, int32, in task order —
+    the fields of ``TaskGraph.from_eliminations(elims, m, n).tasks`` (``col``
+    -1 for factorization kernels, ``killer`` -1 for GEQRT / UNMQR).  No
+    event loop reads them, so a :class:`CompiledGraph` does not store them:
+    the elimination list determines them, re-derived here on demand."""
+    return _build_arrays_py(elims, m, n)[1:5]
 
 
 def compiled_from_eliminations(
@@ -476,7 +477,9 @@ def compiled_from_eliminations(
         raise ValueError(f"elimination list does not fit {m} x {n} tiles")
     built = _build_native(elims, m, n, layout, machine, b)
     if built is None:
-        built = _finish(
-            m, n, *_build_arrays_py(elims, m, n), layout, machine, b
+        kind, row, panel, col, _, pred_ptr, pred_idx = _build_arrays_py(
+            elims, m, n
         )
+        node = placement_array(layout, row, np.where(col < 0, panel, col))
+        built = _finish(m, n, kind, node, pred_ptr, pred_idx, machine, b)
     return built

@@ -145,11 +145,13 @@ def simulate_compiled_acc(
     if ntasks == 0:
         return SimulationResult(0.0, 0.0, 0, 0, 0.0, base.cores, None)
 
-    cpu_dur = np.ascontiguousarray(cg.dur_table[cg.kind])
+    # the graph's own arrays go over as they lie when they have the
+    # builders' dtypes, normalised by value otherwise (as in the batch entry)
+    cpu_dur = np.ascontiguousarray(cg.dur_table[cg.kind], np.float64)
     acc_table, elig = acc_duration_table(acc_machine, b)
     acc_dur = np.ascontiguousarray(acc_table[cg.kind])
     offload = np.ascontiguousarray(elig[cg.kind])
-    waiting = np.ascontiguousarray(cg.pred_counts)
+    waiting = np.ascontiguousarray(cg.pred_counts, np.int32)
     inf = float("inf")
     bwt = tile_bytes / base.bandwidth if base.bandwidth != inf else 0.0
 
@@ -162,11 +164,11 @@ def simulate_compiled_acc(
         cpu_dur,
         acc_dur,
         offload,
-        cg.node,
+        np.ascontiguousarray(cg.node, np.int32),
         waiting,
-        cg.succ_ptr,
-        cg.succ_idx,
-        cg.edge_slot,
+        np.ascontiguousarray(cg.succ_ptr, np.int32),
+        np.ascontiguousarray(cg.succ_idx, np.int32),
+        np.ascontiguousarray(cg.edge_slot, np.int32),
         cg.nslots,
         base.comm_serialized,
         base.latency,
@@ -215,7 +217,7 @@ def _c_acc(
         i64(ntasks), i32(nnodes), i32(cores_per_node), i32(accs),
         _ptr(cpu_dur, f64), _ptr(acc_dur, f64), _ptr(offload, u8),
         _ptr(node, i32), _ptr(waiting, i32),
-        _ptr(succ_ptr, i64), _ptr(succ_idx, i32),
+        _ptr(succ_ptr, i32), _ptr(succ_idx, i32),
         _ptr(edge_slot, i32), i64(nslots),
         i32(1 if serialized else 0), f64(lat), f64(bwt),
         ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),

@@ -649,8 +649,8 @@ _NATIVE_FIELDS = (
     ("dur_table", np.float64),
     ("kind", np.int8),
     ("node", np.int32),
-    ("pred_ptr", np.int64),
-    ("succ_ptr", np.int64),
+    ("pred_ptr", np.int32),
+    ("succ_ptr", np.int32),
     ("succ_idx", np.int32),
     ("edge_slot", np.int32),
 )

@@ -1,8 +1,12 @@
 """The native counting pre-pass, the fused build and the stand-alone finish
 pass against the pure-Python builder and the numpy ``_succ_csr`` /
-``_edge_slots``: every ``CompiledGraph`` field bit for bit."""
+``_edge_slots``: every ``CompiledGraph`` array bit for bit, dtype included,
+and — the graph no longer storing them — ``task_coordinates`` against the
+``(row, panel, col, killer)`` of ``TaskGraph.from_eliminations``, so "task
+*t* is the same kernel on the same tiles" stays pinned."""
 
 import ctypes
+import dataclasses
 import sys
 import threading
 
@@ -11,10 +15,12 @@ import pytest
 
 from repro import _ccore
 from repro.dag.cache import _ARRAY_FIELDS
+from repro.dag import compiled
 from repro.dag.compiled import (
     CompiledGraph,
     _build_arrays_py,
     _build_native,
+    _check_int32,
     _edge_slots,
     _finish_native,
     _succ_csr,
@@ -23,6 +29,7 @@ from repro.dag.compiled import (
     count_tasks,
     duration_table,
     placement_array,
+    task_coordinates,
 )
 from repro.dag.graph import TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
@@ -64,14 +71,28 @@ def _cases():
             yield case.m, case.n, case.config(), DiagonalOwner(5), machine, case.b
 
 
+#: the layout every builder emits: 13 bytes a task, 12 an edge
+DTYPES = {
+    "kind": np.int8, "pred_ptr": np.int32, "pred_idx": np.int32,
+    "succ_ptr": np.int32, "succ_idx": np.int32, "node": np.int32,
+    "edge_slot": np.int32, "dur_table": np.float64,
+}
+
+
+def _py_arrays(elims, m, n, layout):
+    """``kind, node, pred_ptr, pred_idx`` of the pure-Python builder."""
+    kind, row, panel, col, _, pred_ptr, pred_idx = _build_arrays_py(elims, m, n)
+    node = placement_array(layout, row, np.where(col < 0, panel, col))
+    return kind, node, pred_ptr, pred_idx
+
+
 def _reference_graph(elims, m, n, layout, machine, b):
     """The graph as the no-compiler path builds it, spelled out."""
-    kind, row, panel, col, killer, pred_ptr, pred_idx = _build_arrays_py(elims, m, n)
-    node = placement_array(layout, row, panel, col)
+    kind, node, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
     succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
     edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
     return CompiledGraph(
-        m=m, n=n, kind=kind, row=row, panel=panel, col=col, killer=killer,
+        m=m, n=n, kind=kind,
         pred_ptr=pred_ptr, pred_idx=pred_idx, succ_ptr=succ_ptr,
         succ_idx=succ_idx, node=node, edge_slot=edge_slot, nslots=nslots,
         dur_table=duration_table(machine, b),
@@ -83,8 +104,18 @@ def _assert_same_graph(got, want):
     assert type(got.nslots) is int
     for field in _ARRAY_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert np.array_equal(a, b), field
+        assert a.dtype == b.dtype == DTYPES[field], field
+        assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+def _assert_coordinates(elims, m, n):
+    """``task_coordinates`` == the Task objects' fields, int32, in order."""
+    tasks = TaskGraph.from_eliminations(elims, m, n).tasks
+    got = task_coordinates(elims, m, n)
+    assert len(got) == 4
+    for arr, name in zip(got, ("row", "panel", "col", "killer")):
+        assert arr.dtype == np.int32, name
+        assert arr.tolist() == [getattr(t, name) for t in tasks], name
 
 
 @needs_native
@@ -106,6 +137,7 @@ def test_native_graph_equals_python_core_graph(monkeypatch):
         # ... and the TaskGraph route lands on the same arrays
         graph = TaskGraph.from_eliminations(elims, m, n)
         _assert_same_graph(native, compile_graph(graph, layout, machine, b))
+        _assert_coordinates(elims, m, n)
 
 
 @needs_native
@@ -135,21 +167,21 @@ def test_fused_build_equals_the_reference_field_by_field(layout, nodes):
             _assert_same_graph(
                 got, _reference_graph(elims, m, n, layout, machine, 16)
             )
+            _assert_coordinates(elims, m, n)
 
 
 @needs_native
 def test_finish_pass_equals_numpy_finish():
     for m, n, cfg, layout, machine, b in _cases():
         elims = hqr_elimination_list(m, n, cfg)
-        kind, row, panel, col, _, pred_ptr, pred_idx = _build_arrays_py(elims, m, n)
-        node = placement_array(layout, row, panel, col)
+        kind, node, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
         succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
         edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
         got = _finish_native(pred_ptr, pred_idx, node, machine.nodes)
         for a, b_ in zip(got, (succ_ptr, succ_idx, edge_slot, nslots)):
             assert np.array_equal(a, b_)
         for a, b_ in zip(got[:3], (succ_ptr, succ_idx, edge_slot)):
-            assert a.dtype == b_.dtype
+            assert a.dtype == b_.dtype == np.int32
 
 
 @needs_native
@@ -165,7 +197,7 @@ def test_one_node_machine_has_no_slots():
 @needs_native
 def test_finish_pass_refuses_out_of_range_nodes():
     elims = hqr_elimination_list(6, 3, HQRConfig(p=2))
-    kind, row, panel, col, _, pred_ptr, pred_idx = _build_arrays_py(elims, 6, 3)
+    kind, _, pred_ptr, pred_idx = _py_arrays(elims, 6, 3, SingleNode())
     node = np.full(len(kind), 4, dtype=np.int32)
     assert _finish_native(pred_ptr, pred_idx, node, 4) is None
     assert _finish_native(pred_ptr, pred_idx, node - 5, 4) is None
@@ -206,16 +238,13 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
     m, n = 7, 4
     elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
     owner = np.zeros(m * n, np.int32)
-    nothing = [np.empty(0, np.int32)] * 11
+    nothing = [np.empty(0, np.int32)] * 7
     nedges, ntasks = _raw_build(lib, 0, m, n, elims, owner, 1, 0, 0, nothing)
     assert ntasks == count_tasks(elims, m, n) and nedges > ntasks
 
-    def arrays(nt, ne):
-        sizes = [nt, nt, nt, nt, nt, nt + 1, ne, nt, nt + 1, ne, ne]
-        dtypes = [np.int8] + [np.int32] * 4 + [np.int64] + [np.int32] * 2 + [
-            np.int64, np.int32, np.int32,
-        ]
-        return [np.empty(s, d) for s, d in zip(sizes, dtypes)]
+    def arrays(nt, ne):  # kind, pred_ptr, pred_idx, node, succ_*, edge_slot
+        sizes = [nt, nt + 1, ne, nt, nt + 1, ne, ne]
+        return [np.empty(s, d) for s, d in zip(sizes, [np.int8] + [np.int32] * 6)]
 
     assert _raw_build(
         lib, 1, m, n, elims, owner, 1, ntasks, nedges, arrays(ntasks, nedges)
@@ -226,6 +255,11 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
     ]:
         assert _raw_build(
             lib, 1, m, n, elims, owner, 1, nt, ne, arrays(nt, ne)
+        )[0] == -2
+    # counts the 32-bit offsets cannot hold are refused before any write
+    for nt, ne in [(2**31, nedges), (ntasks, 2**31)]:
+        assert _raw_build(
+            lib, 1, m, n, elims, owner, 1, nt, ne, nothing
         )[0] == -2
     # an elimination outside the shape is refused by both passes
     for shape in [(m - 1, n), (m, n - 1)]:
@@ -324,3 +358,92 @@ def test_list_that_does_not_fit_the_shape_is_rejected():
     for m, n in [(7, 3), (8, 2)]:
         with pytest.raises(ValueError, match="does not fit"):
             compiled_from_eliminations(elims, m, n, layout, machine, 16)
+
+
+def test_bytes_per_task():
+    """13 bytes a task, 12 an edge, two extra offsets and the six-float
+    duration table: a later change cannot widen the layout unnoticed."""
+    layout, machine = BlockCyclic2D(3, 2), Machine(nodes=6, cores_per_node=2)
+    for m, n in [(1, 1), (5, 5), (14, 4), (6, 9)]:
+        elims = hqr_elimination_list(m, n, HQRConfig(p=3, q=2, a=2))
+        graph = TaskGraph.from_eliminations(elims, m, n)
+        for cg in (
+            compiled_from_eliminations(elims, m, n, layout, machine, 16),
+            compile_graph(graph, layout, machine, 16),
+        ):
+            ntasks, nedges = cg.ntasks, len(cg.pred_idx)
+            assert ntasks == len(graph.tasks)
+            assert nedges == sum(map(len, graph.predecessors))
+            arrays = [
+                value for value in vars(cg).values()
+                if isinstance(value, np.ndarray)
+            ]
+            assert sum(a.nbytes for a in arrays) == (
+                13 * ntasks + 12 * nedges + 8 + 48
+            )
+
+
+def test_array_fields_are_every_array_of_the_dataclass():
+    """The cache's freeze list is derived, and complete: a stored graph has
+    no writable array left."""
+    assert _ARRAY_FIELDS == tuple(DTYPES)
+    assert {f.name for f in dataclasses.fields(CompiledGraph)} == set(
+        _ARRAY_FIELDS
+    ) | {"m", "n", "nslots"}
+    from repro.dag.cache import CompiledGraphCache
+
+    m, n = 6, 3
+    cg = compiled_from_eliminations(
+        hqr_elimination_list(m, n, HQRConfig(p=2)), m, n,
+        SingleNode(), Machine(nodes=1), 16,
+    )
+    CompiledGraphCache(memory_slots=1).put("k", cg)
+    for name, value in vars(cg).items():
+        if isinstance(value, np.ndarray):
+            assert name in _ARRAY_FIELDS and not value.flags.writeable, name
+
+
+def test_int32_guard_is_a_typed_error_naming_both_counts():
+    top = 2**31 - 1
+    _check_int32(top, top)
+    _check_int32(0, 0)
+    for ntasks, nedges in [(top + 1, 0), (5, top + 1), (2**40, 2**41)]:
+        with pytest.raises(OverflowError) as err:
+            _check_int32(ntasks, nedges)
+        assert f"ntasks={ntasks}" in str(err.value)
+        assert f"nedges={nedges}" in str(err.value)
+
+
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_a_graph_past_the_limit_raises_before_it_is_built(core, monkeypatch):
+    """The limit lowered to 100 (a real 2**31-edge graph cannot be allocated
+    here): every builder raises, and the native path does not fall through
+    to the Python builder on the way."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    monkeypatch.setattr(compiled, "_INT32_MAX", 100)
+    m, n = 9, 4
+    elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
+    layout, machine = SingleNode(), Machine(nodes=1)
+    graph = TaskGraph.from_eliminations(elims, m, n)
+    assert len(graph.tasks) > 100
+    with pytest.raises(OverflowError, match="ntasks="):
+        compile_graph(graph, layout, machine, 16)
+    if _ccore.get_lib() is not None:
+        def unreachable(*args):
+            raise AssertionError("fell through to the Python builder")
+
+        monkeypatch.setattr(compiled, "_build_arrays_py", unreachable)
+    with pytest.raises(OverflowError, match="nedges="):
+        compiled_from_eliminations(elims, m, n, layout, machine, 16)
+    # a graph under the limit is untouched by the guard
+    small = hqr_elimination_list(3, 2, HQRConfig(p=1))
+    assert compiled_from_eliminations(small, 3, 2, layout, machine, 16).ntasks < 100
+
+
+@needs_native
+def test_finish_pass_refuses_more_tasks_than_int32():
+    """Checked before ``pred_ptr[ntasks]`` is read, so nothing is touched."""
+    lib = _ccore.get_lib()
+    arr = np.zeros(2, np.int32)
+    addr = arr.ctypes.data
+    assert lib.hqr_finish_graph(2**31, addr, addr, addr, 1, addr, addr, addr) == -1

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro._ccore import native_available
-from repro.dag.compiled import compile_graph, compiled_from_eliminations
+from repro.dag.compiled import (
+    compile_graph,
+    compiled_from_eliminations,
+    task_coordinates,
+)
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
@@ -147,11 +151,16 @@ def test_builder_matches_taskgraph_hqr():
         elims, M_TILES, N_TILES, layout, machine, B
     )
     for field in (
-        "kind", "row", "panel", "col", "killer",
-        "pred_ptr", "pred_idx", "succ_ptr", "succ_idx", "node", "edge_slot",
+        "kind", "pred_ptr", "pred_idx", "succ_ptr", "succ_idx", "node",
+        "edge_slot",
     ):
-        assert np.array_equal(getattr(want, field), getattr(got, field)), field
+        a, b = getattr(want, field), getattr(got, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert want.nslots == got.nslots
+    # the graph stores no coordinates: derived, they are the Task fields
+    coords = task_coordinates(elims, M_TILES, N_TILES)
+    for arr, name in zip(coords, ("row", "panel", "col", "killer")):
+        assert arr.tolist() == [getattr(t, name) for t in graph.tasks], name
 
 
 def test_dispatch_env_reference(monkeypatch):

@@ -152,8 +152,8 @@ def _foreign(cg):
         cg,
         kind=strided(cg.kind),
         node=cg.node.astype(np.int64),
-        pred_ptr=strided(cg.pred_ptr.astype(np.int32)),
-        succ_ptr=strided(cg.succ_ptr),
+        pred_ptr=strided(cg.pred_ptr.astype(np.int64)),
+        succ_ptr=cg.succ_ptr.astype(np.int64),
         succ_idx=strided(cg.succ_idx.astype(np.int64)),
         edge_slot=cg.edge_slot.astype(np.int64),
         dur_table=strided(cg.dur_table),
@@ -198,6 +198,37 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
     assert (batch[1].makespan, batch[1].messages, batch[1].flops) == (0.0, 0, 0.0)
     if prio is None:
         _assert_scalar(batch[3], frozen)
+
+
+@pytest.mark.parametrize("core", ["python", "c"])
+def test_int64_offsets_give_the_same_result_by_value(core):
+    """A hand-built graph still carrying the old int64 offsets runs, and
+    equals the int32 graph, through every loop: single, batch, accelerated."""
+    if core == "c" and not native_available():
+        pytest.skip("no C toolchain")
+    from repro.runtime.accelerated import AcceleratedMachine
+    from repro.runtime.compiled import simulate_compiled_acc
+
+    case = CASES["flat-serialized"]
+    _, _, cg, prio = _compiled(case)
+    assert cg.pred_ptr.dtype == cg.succ_ptr.dtype == np.int32
+    wide = dataclasses.replace(
+        cg,
+        pred_ptr=cg.pred_ptr.astype(np.int64),
+        succ_ptr=cg.succ_ptr.astype(np.int64),
+    )
+    assert wide.pred_counts.tolist() == cg.pred_counts.tolist()
+    kw = dict(data_reuse=case.data_reuse, core=core)
+    want = run_core(cg, case.machine, case.b, prio=prio, **kw).result
+    _assert_scalar(want, FIXTURE["scalar"]["flat-serialized"])
+    assert run_core(wide, case.machine, case.b, prio=prio, **kw).result == want
+    assert run_core_batch(
+        [wide, cg], case.machine, case.b, prios=[prio, prio], **kw
+    ) == [want, want]
+    acc = AcceleratedMachine(case.machine, accelerators=1)
+    assert simulate_compiled_acc(wide, acc, case.b, core=core) == (
+        simulate_compiled_acc(cg, acc, case.b, core=core)
+    )
 
 
 def test_batch_refuses_arrays_that_do_not_fit_together():
