@@ -865,6 +865,144 @@ int32_t hqr_simulate_cluster_batch(
 }
 
 /* ------------------------------------------------------------------ *
+ * Lower bound on hqr_simulate_cluster's makespan: one forward pass over
+ * the successor CSR in program order, which must be topological (rc 3
+ * for an edge that does not point forward, 2 for a kind or node the loop
+ * could not index).  out[0 .. 5] of a graph:
+ *  0  the bound, the largest of 1 - 3;
+ *  1  the critical path with communication: a task ends at its latest
+ *     input plus its duration, a cross-node input lands at (end + lat) +
+ *     bwt of its link - the loop's own operations on the loop's own
+ *     doubles.  Rounding is monotone and the loop starts no task sooner,
+ *     so this term never exceeds the makespan, exactly;
+ *  2  the busiest node's work over cores_per_node;
+ *  3  serialized: the busiest channel, the bwt of every distinct
+ *     (producer, destination node) message its node sends or receives;
+ *  4  the total work, 5 the critical path without communication, both
+ *     summed as the object-graph models sum them.
+ * Terms 2 and 3 are sums in an order the loop does not use: scaled by
+ * (1 - 2^-30) they stay below the makespan while a graph has fewer than
+ * 2^21 tasks plus edges, and are 0 beyond.  out_load: the most messages
+ * any node sends or receives.
+ * ------------------------------------------------------------------ */
+static int32_t lower_bound_one(
+    int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
+    const double *dur_table, const int8_t *kind, const int32_t *node_of,
+    const int32_t *succ_ptr, const int32_t *succ_idx,
+    int32_t serialized, int32_t hierarchical,
+    double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
+    const int32_t *site_of, double *out, int64_t *out_load)
+{
+    int32_t rc = -1;
+    /* per task: latest input with and without communication; per node:
+     * work, channel time, message count, last producer messaging it */
+    double *ready = (double *)calloc((size_t)(2 * (ntasks + nnodes)), sizeof(double));
+    int64_t *msgs = (int64_t *)malloc((size_t)(2 * nnodes) * sizeof(int64_t));
+    if (!ready || !msgs)
+        goto done;
+    double *plain = ready + ntasks, *work = plain + ntasks, *chan = work + nnodes;
+    int64_t *marked_by = msgs + nnodes;
+    for (int32_t i = 0; i < nnodes; i++) {
+        msgs[i] = 0;
+        marked_by[i] = -1;
+    }
+    rc = 2;
+    for (int64_t t = 0; t < ntasks; t++)
+        if (kind[t] < 0 || kind[t] >= 6 || node_of[t] < 0 || node_of[t] >= nnodes)
+            goto done;
+    rc = 3;
+    double cp = 0.0, cp_plain = 0.0, total = 0.0;
+    for (int64_t t = 0; t < ntasks; t++) {
+        int32_t home = node_of[t];
+        double d = dur_table[kind[t]];
+        double fin = ready[t] + d, pfin = plain[t] + d;
+        total += d;
+        work[home] += d;
+        if (fin > cp)
+            cp = fin;
+        if (pfin > cp_plain)
+            cp_plain = pfin;
+        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
+            int32_t s = succ_idx[i];
+            if (s <= t || s >= ntasks)
+                goto done;
+            int32_t dest = node_of[s];
+            double arrival = fin;
+            if (dest != home) {
+                int inter = hierarchical && site_of[home] != site_of[dest];
+                double bwt = inter ? bwt_inter : bwt_intra;
+                arrival = fin + (inter ? lat_inter : lat_intra) + bwt;
+                if (marked_by[dest] != t) {
+                    marked_by[dest] = t;
+                    chan[home] += bwt;
+                    chan[dest] += bwt;
+                    msgs[home]++;
+                    msgs[dest]++;
+                }
+            }
+            if (arrival > ready[s])
+                ready[s] = arrival;
+            if (pfin > plain[s])
+                plain[s] = pfin;
+        }
+    }
+    int small = ntasks + succ_ptr[ntasks] < (1 << 21);
+    double margin = 1.0 - 1.0 / (double)(1 << 30);
+    out[1] = cp;
+    out[2] = out[3] = 0.0;
+    *out_load = 0;
+    for (int32_t i = 0; i < nnodes; i++) {
+        double w = work[i] / cores_per_node * margin, c = chan[i] * margin;
+        if (small && w > out[2])
+            out[2] = w;
+        if (small && serialized && c > out[3])
+            out[3] = c;
+        if (msgs[i] > *out_load)
+            *out_load = msgs[i];
+    }
+    out[0] = cp > out[2] ? cp : out[2];
+    if (out[3] > out[0])
+        out[0] = out[3];
+    out[4] = total;
+    out[5] = cp_plain;
+    rc = 0;
+done:
+    free(ready);
+    free(msgs);
+    return rc;
+}
+
+/* lower_bound_one over many graphs, the pointer tables and OpenMP fan-out
+ * of hqr_simulate_cluster_batch; six outputs and one load per graph */
+int32_t hqr_lower_bound(
+    int64_t npoints, int32_t nthreads, const int64_t *ntasks,
+    const double *const *dur_table, const int8_t *const *kind,
+    const int32_t *const *node_of, const int32_t *const *succ_ptr,
+    const int32_t *const *succ_idx,
+    int32_t nnodes, int32_t cores_per_node,
+    int32_t serialized, int32_t hierarchical,
+    double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
+    const int32_t *site_of, double *out, int64_t *out_load, int32_t *out_rc)
+{
+    int64_t p;
+#ifdef _OPENMP
+    int nt = nthreads > 0 ? nthreads : omp_get_max_threads();
+#pragma omp parallel for schedule(dynamic) num_threads(nt) if(npoints > 1)
+#endif
+    for (p = 0; p < npoints; p++)
+        out_rc[p] = lower_bound_one(
+            ntasks[p], nnodes, cores_per_node,
+            dur_table[p], kind[p], node_of[p], succ_ptr[p], succ_idx[p],
+            serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter,
+            site_of, out + 6 * p, out_load + p);
+    for (p = 0; p < npoints; p++)
+        if (out_rc[p] != 0)
+            return 1;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ *
  * Accelerated-cluster event loop.  Mirrors AcceleratedSimulator.run.
  * Event codes: t = CPU finish, ntasks+t = accelerator finish,
  * 2*ntasks+t = data arrival.  Ready-queue keys are task ids (the
@@ -1157,6 +1295,12 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_simulate_cluster_batch.argtypes = [
         i64, i32, *[vp] * 11,
         i32, i32, i32, i32, f64, f64, f64, f64, vp, i32, *[vp] * 4,
+    ]
+    lib.hqr_lower_bound.restype = i32
+    # the size vector, five per-graph pointer tables, site_of, three outputs
+    lib.hqr_lower_bound.argtypes = [
+        i64, i32, *[vp] * 6, i32, i32, i32, i32, f64, f64, f64, f64,
+        *[vp] * 4,
     ]
     lib.hqr_simulate_acc.restype = i32
     lib.hqr_simulate_acc.argtypes = [

@@ -645,8 +645,8 @@ def _tune_report(args, annealer, result, machine) -> None:
     rate = result.acceptance_rate
     print(
         f"  proposals {result.proposals}, accepted {result.accepted} "
-        f"({rate:.0%}), simulations {result.evaluations} "
-        f"(memo hits {result.memo_hits})"
+        f"({rate:.0%}), energies needed {result.evaluations} "
+        f"(memo hits {result.memo_hits}, bounded {result.bounded})"
     )
     if result.accept_history:
         curve = " ".join(
@@ -1134,8 +1134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-evals",
         type=int,
-        help="also stop after this many unique simulations "
-        "(memoized revisits are free)",
+        help="also stop after this many energies were needed "
+        "(memoized revisits and bounded rejections are free)",
     )
     p.add_argument(
         "--batch-size",

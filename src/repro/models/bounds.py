@@ -14,11 +14,18 @@ Three classical bounds apply to any execution of a tiled QR DAG:
 The simulator's makespan must dominate the max of the first two (checked
 in the test-suite), and every algorithm's measured message volume must
 dominate the bandwidth bound.
+
+The functions over a :class:`TaskGraph` are the reference the verifier
+checks against.  :func:`graph_bounds` computes the same quantities, and a
+communication-aware bound the event loop can never beat, in one pass over
+a :class:`~repro.dag.compiled.CompiledGraph` — native (``hqr_lower_bound``,
+GIL-free, batched) or, without the C core, the same pass in Python.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from repro.dag.graph import TaskGraph
 from repro.runtime.machine import Machine
@@ -98,3 +105,112 @@ def bandwidth_lower_bound_words(
     if memory_words is None:
         memory_words = 2.0 * M * N / nodes
     return flops / (nodes * math.sqrt(8.0 * memory_words))
+
+
+@dataclass(frozen=True)
+class GraphBound:
+    """What one pass over a compiled graph knows before simulating it.
+
+    ``critical_path`` (link latency and bandwidth on every cross-node
+    edge, summed as the loop sums them), ``node_work`` (the busiest
+    node's work over its cores) and ``channel`` (the busiest serialized
+    channel) can never exceed the simulated makespan; the last two carry
+    a ``1 - 2**-30`` rounding margin.  ``work``, ``plain_critical_path``
+    and ``channel_load`` (most messages any node sends or receives) are
+    the performance model's inputs.
+    """
+
+    critical_path: float
+    node_work: float
+    channel: float
+    work: float
+    plain_critical_path: float
+    channel_load: int
+
+    @property
+    def bound(self) -> float:
+        """Admissible lower bound on the simulated makespan."""
+        return max(self.critical_path, self.node_work, self.channel)
+
+    @property
+    def binding(self) -> str:
+        """The term that sets the bound (the first of equals)."""
+        terms = {
+            "critical-path": self.critical_path,
+            "node-work": self.node_work,
+            "channel": self.channel,
+        }
+        return max(terms, key=terms.get)
+
+
+def graph_bounds(graphs, machine: Machine, b: int) -> list[GraphBound]:
+    """One :class:`GraphBound` per compiled graph, all graphs in one native
+    call (the Python pass without the C core).  Raises ``ValueError`` for a
+    kind or node the event loop would refuse, or an edge that does not
+    point forward (program order is the pass's topological order)."""
+    from repro import _ccore
+    from repro.runtime.core import _c_lower_bound
+
+    lib = _ccore.get_lib()
+    out = _c_lower_bound(lib, graphs, machine, b) if lib is not None else None
+    if out is None:
+        return [_graph_bound_py(cg, machine, b) for cg in graphs]
+    terms, loads = out
+    return [
+        GraphBound(*row[1:].tolist(), int(load))
+        for row, load in zip(terms, loads)
+    ]
+
+
+def graph_lower_bound(cg, machine: Machine, b: int) -> float:
+    """Admissible lower bound on ``run_core(cg, machine, b)``'s makespan,
+    for any priority and data-reuse setting."""
+    return graph_bounds([cg], machine, b)[0].bound
+
+
+def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:
+    """``hqr_lower_bound`` in Python, operation for operation."""
+    from repro.runtime.core import _machine_params
+
+    nnodes, cores, serialized, hierarchical, *links, site = _machine_params(
+        machine, b
+    )
+    kind, node = cg.kind.tolist(), cg.node.tolist()
+    sp, si, dur = cg.succ_ptr.tolist(), cg.succ_idx.tolist(), cg.dur_table.tolist()
+    ntasks = len(kind)
+    if not all(0 <= k < 6 for k in kind) or not all(0 <= v < nnodes for v in node):
+        raise ValueError(
+            f"a task kind outside [0, 6) or a node outside [0, {nnodes})"
+        )
+    ready, plain = [0.0] * ntasks, [0.0] * ntasks
+    work, chan = [0.0] * nnodes, [0.0] * nnodes
+    msgs, marked_by = [0] * nnodes, [-1] * nnodes
+    cp = cp_plain = total = 0.0
+    for t in range(ntasks):
+        home, d = node[t], dur[kind[t]]
+        fin, pfin = ready[t] + d, plain[t] + d
+        total += d
+        work[home] += d
+        cp, cp_plain = max(cp, fin), max(cp_plain, pfin)
+        for s in si[sp[t]:sp[t + 1]]:
+            if not t < s < ntasks:
+                raise ValueError("a successor edge that does not point forward")
+            dest = node[s]
+            arrival = fin
+            if dest != home:
+                inter = hierarchical and site[home] != site[dest]
+                lat, bwt = links[2:] if inter else links[:2]
+                arrival = fin + lat + bwt
+                if marked_by[dest] != t:
+                    marked_by[dest] = t
+                    chan[home] += bwt
+                    chan[dest] += bwt
+                    msgs[home] += 1
+                    msgs[dest] += 1
+            ready[s] = max(ready[s], arrival)
+            plain[s] = max(plain[s], pfin)
+    small = ntasks + sp[-1] < 2**21
+    margin = 1.0 - 2.0**-30
+    node_term = max(w / cores * margin for w in work) if small else 0.0
+    chan_term = max(c * margin for c in chan) if small and serialized else 0.0
+    return GraphBound(cp, node_term, chan_term, total, cp_plain, max(msgs))

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.bench.parallel import parallel_map
+from repro.bench.runner import compiled_graph_for
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
@@ -23,10 +24,11 @@ from repro.tiles.layout import Layout
 
 
 def _rank_one(item) -> Prediction:
-    """Model-predict one candidate (module-level: picklable for the pool)."""
+    """Model-predict one candidate (module-level: picklable for the pool)
+    from its compiled graph, built or fetched through the graph cache."""
     m, n, machine, layout, b, cfg = item
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    return PerformanceModel(machine, layout, b).predict(graph)
+    cg = compiled_graph_for(m, n, cfg, layout, machine, b)
+    return PerformanceModel(machine, layout, b).predict(cg)
 
 
 def _verify_one(item) -> float:

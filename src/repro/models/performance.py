@@ -8,15 +8,17 @@ one linear pass, i.e. orders of magnitude faster than event simulation.
 This is deliberately an *optimistic* model (each term ignores the others'
 interference), so ``predicted <= simulated`` makespan always holds; across
 configurations the ranking correlates well with the simulator (tested),
-which is what a tuning search needs.
+which is what a tuning search needs.  All three terms come from the one
+pass of :func:`repro.models.bounds.graph_bounds` over a compiled graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dag.compiled import CompiledGraph, compile_graph
 from repro.dag.graph import TaskGraph
-from repro.models.bounds import critical_path_seconds, work_seconds
+from repro.models.bounds import graph_bounds
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import qr_flops
 from repro.tiles.layout import Layout
@@ -60,39 +62,32 @@ class PerformanceModel:
         self.layout = layout
         self.b = b
 
-    def predict(self, graph: TaskGraph, M: int | None = None, N: int | None = None) -> Prediction:
-        machine, b, layout = self.machine, self.b, self.layout
+    def predict(
+        self,
+        graph: CompiledGraph | TaskGraph,
+        M: int | None = None,
+        N: int | None = None,
+    ) -> Prediction:
+        """Predict from a compiled graph (a :class:`TaskGraph` is compiled
+        under the model's layout first)."""
+        machine, b = self.machine, self.b
+        if isinstance(graph, TaskGraph):
+            graph = compile_graph(graph, self.layout, machine, b)
         M = graph.m * b if M is None else M
         N = graph.n * b if N is None else N
-        work = work_seconds(graph, machine, b)
-        cp = critical_path_seconds(graph, machine, b)
-        # per-node channel occupancy: count cross-node dependency edges per
-        # endpoint (dedup per producer/dest like the simulator), charge the
-        # bandwidth term to both endpoints, take the busiest channel
-        owner = layout.owner
-        node_of = []
-        for t in graph.tasks:
-            col = t.panel if t.col < 0 else t.col
-            node_of.append(owner(t.row, col))
-        load = [0] * machine.nodes
-        seen: set[tuple[int, int]] = set()
-        for t, succs in enumerate(graph.successors):
-            src = node_of[t]
-            for s in succs:
-                dst = node_of[s]
-                if dst != src and (t, dst) not in seen:
-                    seen.add((t, dst))
-                    load[src] += 1
-                    load[dst] += 1
+        gb = graph_bounds([graph], machine, b)[0]
+        # busiest channel: its distinct messages (one per producer and
+        # destination node, as the simulator sends them), each charged the
+        # bandwidth term at both endpoints
         bw_time = (
             machine.tile_bytes(b) / machine.bandwidth
             if machine.bandwidth != float("inf")
             else 0.0
         )
-        comm = max(load) * bw_time if machine.comm_serialized else 0.0
+        comm = gb.channel_load * bw_time if machine.comm_serialized else 0.0
         return Prediction(
-            work_term=work / machine.cores,
-            cp_term=cp,
+            work_term=gb.work / machine.cores,
+            cp_term=gb.plain_critical_path,
             comm_term=comm,
             flops=qr_flops(M, N),
         )

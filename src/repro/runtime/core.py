@@ -29,7 +29,7 @@ Event encoding is uniform across all modes: heap entries are
 crashes and each kind by task id — exactly the total order of the
 historical per-engine encodings, so the unification is bitwise-neutral
 (proven against golden fixtures captured from the pre-refactor engines;
-see :mod:`repro.runtime.golden`).
+see ``tests/runtime/golden.py``).
 
 Ready queues hold dense priority *ranks*: the rank permutation sorts
 ``(priority, task id)``, so rank order reproduces the reference
@@ -656,26 +656,21 @@ _NATIVE_FIELDS = (
 )
 
 
-def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
-    """One Python->C call over ``graphs``, each read where it lies.
+def _graph_columns(graphs) -> list[list[np.ndarray]]:
+    """Every graph's ``_NATIVE_FIELDS`` arrays, one list per field.
 
-    The C entry takes one table of array addresses per field, so nothing
+    The C entries take one table of array addresses per field, so nothing
     is packed or copied: an array that is already C-contiguous and of the
     expected dtype (every builder's output) is handed over as is, any
-    other is normalised first.  ``columns`` keeps every array whose
-    address was taken referenced until the call returns.  Returns
-    ``(makespans, busys, messages)`` arrays, or ``None`` after an
-    allocation failure (the caller retries in Python).  A graph whose
-    ``kind`` or ``node`` values the loop refuses to index with raises
-    ``ValueError``: that is bad input, not a reason to fall back.
+    other is normalised first.  Refuses lengths that do not describe one
+    graph.  The caller keeps the lists referenced until its call returns.
     """
-    npoints = len(graphs)
     columns = [
         [np.ascontiguousarray(getattr(cg, name), dtype) for cg in graphs]
         for name, dtype in _NATIVE_FIELDS
     ]
     dur_table, kind, node, pred_ptr, succ_ptr, succ_idx, edge_slot = columns
-    for j in range(npoints):
+    for j in range(len(graphs)):
         nt, ne = len(kind[j]), len(succ_idx[j])
         if not (
             len(dur_table[j]) == 6
@@ -688,17 +683,37 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
                 f"graph {j}: array lengths do not describe one graph "
                 f"({nt} tasks, {ne} successor edges)"
             )
+    return columns
+
+
+def _address_tables(columns) -> np.ndarray:
+    """Row k: the addresses of column k's arrays, one per graph (0, i.e.
+    NULL, for ``None``); a row's own address is what a C table argument
+    takes."""
+    return np.array(
+        [[0 if a is None else a.ctypes.data for a in col] for col in columns],
+        dtype=np.uintp,
+    )
+
+
+def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
+    """One Python->C call over ``graphs``, each read where it lies.
+
+    Returns ``(makespans, busys, messages)`` arrays, or ``None`` after an
+    allocation failure (the caller retries in Python).  A graph whose
+    ``kind`` or ``node`` values the loop refuses to index with raises
+    ``ValueError``: that is bad input, not a reason to fall back.
+    """
+    npoints = len(graphs)
+    columns = _graph_columns(graphs)
+    kind = columns[1]
     # only an explicit priority vector costs a rank permutation; address 0
     # (NULL) tells the C loop to run that graph in program order
     columns.extend(zip(*(
         (None, None) if prio is None else priority_ranks(prio, len(kind[j]))
         for j, prio in enumerate(prios)
     )))  # the rank column, then the task_of_rank column
-    # row k: the addresses of field k's arrays, one per graph
-    tables = np.array(
-        [[0 if a is None else a.ctypes.data for a in col] for col in columns],
-        dtype=np.uintp,
-    )
+    tables = _address_tables(columns)
     ntasks = np.array([len(k) for k in kind], dtype=np.int64)
     nslots = np.array([cg.nslots for cg in graphs], dtype=np.int64)
     (
@@ -712,7 +727,7 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     out_rc = np.zeros(npoints, dtype=np.int32)
     rc = lib.hqr_simulate_cluster_batch(
         npoints, sim_threads(), ntasks.ctypes.data, nslots.ctypes.data,
-        *[tables[k].ctypes.data for k in range(len(columns))],
+        *[row.ctypes.data for row in tables],
         nnodes, cores_per_node,
         1 if serialized else 0, 1 if hierarchical else 0,
         lat_intra, bwt_intra, lat_inter, bwt_inter,
@@ -731,6 +746,45 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
             raise RuntimeError("simulation stalled with unfinished tasks")
         return None  # allocation failure somewhere: retry in Python
     return out_mk, out_busy, out_msgs
+
+
+def _c_lower_bound(lib, graphs, machine: Machine, b: int):
+    """``hqr_lower_bound`` over ``graphs`` in one call, GIL-free: a
+    ``(npoints, 6)`` array of terms (the C comment lists them) and the
+    per-graph channel loads, or ``None`` after an allocation failure.
+    Refuses, with ``ValueError``, what the loop refuses and a graph whose
+    successor edges do not all point forward."""
+    npoints = len(graphs)
+    dur_table, kind, node, _, succ_ptr, succ_idx, _ = _graph_columns(graphs)
+    tables = _address_tables([dur_table, kind, node, succ_ptr, succ_idx])
+    ntasks = np.array([len(k) for k in kind], dtype=np.int64)
+    (
+        nnodes, cores_per_node, serialized, hierarchical,
+        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+    ) = _machine_params(machine, b)
+    site_of = np.asarray(site, dtype=np.int32)
+    out = np.zeros((npoints, 6), dtype=np.float64)
+    out_load = np.zeros(npoints, dtype=np.int64)
+    out_rc = np.zeros(npoints, dtype=np.int32)
+    rc = lib.hqr_lower_bound(
+        npoints, sim_threads(), ntasks.ctypes.data,
+        *[row.ctypes.data for row in tables],
+        nnodes, cores_per_node,
+        1 if serialized else 0, 1 if hierarchical else 0,
+        lat_intra, bwt_intra, lat_inter, bwt_inter,
+        site_of.ctypes.data,
+        out.ctypes.data, out_load.ctypes.data, out_rc.ctypes.data,
+    )
+    if rc != 0:
+        for code, what in (
+            (2, f"a task kind outside [0, 6) or a node outside [0, {nnodes})"),
+            (3, "a successor edge that does not point forward"),
+        ):
+            bad = np.flatnonzero(out_rc == code)
+            if len(bad):
+                raise ValueError(f"graph {bad[0]}: {what}")
+        return None
+    return out, out_load
 
 
 # --------------------------------------------------------------------- #

@@ -10,20 +10,29 @@ a whole proposal batch per call:
 * graphs are built (or fetched warm) through the process-wide
   :func:`~repro.dag.cache.default_cache` via
   :func:`~repro.bench.runner.compiled_graph_for`;
-* the surviving unique graphs go through **one** batched dispatch —
+* :meth:`~EnergyEvaluator.bounds` answers with an admissible lower bound
+  (:func:`~repro.models.bounds.graph_bounds`, one native pass per graph)
+  where the energy is not known yet, so the annealer can reject a
+  proposal the bound already condemns without simulating it;
+* an energy the annealer does need comes from the graph's cache entry
+  when something (an earlier chain, the planning service) remembered
+  the answer there, else from **one** batched dispatch —
   :func:`~repro.runtime.core.run_core_batch`, a single
   Python→C call fanned out with OpenMP when the native core is present,
   bit-identical to per-point simulation otherwise.
 
 Under ``REPRO_SIM_CORE=reference`` the evaluator degrades to the
 reference event loop per point (there is no compiled graph to batch);
-energies stay bit-identical, only wall time changes.
+energies stay bit-identical, only wall time changes.  There, under
+``REPRO_SIM_CORE=python`` and without the native core, every bound is
+0.0: the annealer's filter is off and it simulates what it always did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import _ccore
 from repro.runtime.machine import Machine
 from repro.verify.generator import VerifyCase
 
@@ -100,11 +109,13 @@ class EnergyEvaluator:
     n: int
     b: int
     machine: Machine
-    #: simulator invocations (unique configs actually simulated)
+    #: energies obtained outside the run's own memo (unique configs,
+    #: simulated or answered from the graph cache)
     evaluations: int = 0
     #: proposals answered from the per-run energy memo
     memo_hits: int = 0
     _memo: dict[str, float] = field(default_factory=dict)
+    _bounds: dict[str, float] = field(default_factory=dict)
     _keys: dict[VerifyCase, str] = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
@@ -123,41 +134,80 @@ class EnergyEvaluator:
             )
         return key
 
+    def known(self, case: VerifyCase) -> float | None:
+        """The case's energy if the run's memo holds it, else ``None``."""
+        return self._memo.get(self.energy_key(case))
+
+    def bounds(self, cases: list[VerifyCase]) -> list[float]:
+        """Per case: the exact energy if memoised, else a lower bound on it.
+
+        The bound of a key is computed once, from its compiled graph
+        (built or fetched through the graph cache like a simulation's),
+        in one native call for all new keys of the call — and only when
+        the native pass is there and the core is not ``python`` or
+        ``reference``; otherwise it is 0.0, which rules nothing out.
+        """
+        from repro.runtime.core import core_mode
+
+        keys = [self.energy_key(c) for c in cases]
+        if core_mode() in ("python", "reference") or not _ccore.native_available():
+            return [self._memo.get(key, 0.0) for key in keys]
+        todo: dict[str, VerifyCase] = {}
+        for case, key in zip(cases, keys):
+            if key not in self._memo and key not in self._bounds:
+                todo.setdefault(key, case)
+        if todo:
+            from repro.models.bounds import graph_bounds
+
+            graphs = [self._graph(case) for case in todo.values()]
+            for key, gb in zip(todo, graph_bounds(graphs, self.machine, self.b)):
+                self._bounds[key] = gb.bound
+        return [self._memo.get(key, self._bounds.get(key)) for key in keys]
+
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
-        """Simulated makespan per case, one batched dispatch per call."""
+        """Exact makespan per case, one batched dispatch per call."""
         keys = [self.energy_key(c) for c in cases]
         fresh: dict[str, VerifyCase] = {}
         for case, key in zip(cases, keys):
             if key not in self._memo and key not in fresh:
                 fresh[key] = case
         if fresh:
-            self._simulate_fresh(fresh)
+            self._obtain(fresh)
         self.memo_hits += len(cases) - len(fresh)
         return [self._memo[key] for key in keys]
 
     # ------------------------------------------------------------------ #
-    def _simulate_fresh(self, fresh: dict[str, VerifyCase]) -> None:
-        from repro.runtime.core import core_mode
+    def _graph(self, case: VerifyCase):
+        from repro.bench.runner import compiled_graph_for
+
+        return compiled_graph_for(
+            self.m, self.n, case.config(), case.layout(), self.machine, self.b
+        )
+
+    def _obtain(self, fresh: dict[str, VerifyCase]) -> None:
+        """Memoise the energy of every fresh key: the graph cache's
+        remembered answer where its entry has one, else a simulation whose
+        result is then remembered there (the key is the entry's key)."""
+        from repro.dag.cache import default_cache
+        from repro.runtime.core import core_mode, run_core_batch
 
         self.evaluations += len(fresh)
         if core_mode() == "reference":
             for key, case in fresh.items():
                 self._memo[key] = self._reference_makespan(case)
             return
-        from repro.bench.runner import compiled_graph_for
-        from repro.runtime.core import run_core_batch
-
-        items = list(fresh.items())
-        graphs = [
-            compiled_graph_for(
-                self.m, self.n, case.config(), case.layout(), self.machine,
-                self.b,
-            )
-            for _, case in items
-        ]
-        results = run_core_batch(graphs, self.machine, self.b)
-        for (key, _), res in zip(items, results):
+        cache = default_cache()
+        todo = []
+        for key, case in fresh.items():
+            result = cache.answer(key)[1]
+            if result is None:
+                todo.append((key, case))
+            else:
+                self._memo[key] = result.makespan
+        graphs = [self._graph(case) for _, case in todo]
+        for (key, _), res in zip(todo, run_core_batch(graphs, self.machine, self.b)):
             self._memo[key] = res.makespan
+            cache.remember(key, res)
 
     def _reference_makespan(self, case: VerifyCase) -> float:
         from repro.dag.graph import TaskGraph

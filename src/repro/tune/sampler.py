@@ -14,6 +14,14 @@ Design points, in the order they matter:
   proposals and evaluates them through one batched C-core dispatch, then
   replays Metropolis acceptance sequentially.  Cheap wall-clock, and the
   accept/reject stream stays a pure function of ``(seed, params)``.
+* **simulate only what the chain must see** — a proposal whose energy
+  is not known yet is first met with a lower bound on it
+  (:meth:`EnergyEvaluator.bounds`).  When the bound alone makes the
+  replay draw its uniform, that uniform rejects every energy at or above
+  the bound, and the bound is above the k-th best energy, the proposal
+  is rejected unsimulated (``bounded``) — exactly what simulating it
+  would have led to, so the stream, best-k and checkpoints are those of
+  a chain that simulates everything.
 * **bounded streaming** — accepted samples accumulate in a RAM buffer
   (:class:`SampleBuffer`) and flush to ``samples.jsonl`` in chunks; when
   the kept count reaches its cap the buffer doubles its thinning stride
@@ -50,6 +58,20 @@ __all__ = [
 
 #: how many batches between forced sample-file flushes (chunked I/O)
 FLUSH_CHUNK = 64
+
+#: a bound-based rejection needs ``u >= exp(-delta / T) * _EXP_SLACK``: C99
+#: does not promise a monotone ``exp``, and the proof compares ``exp`` at
+#: the bound's delta with ``exp`` at the (larger) exact one
+_EXP_SLACK = 1.0 + 2.0**-40
+
+
+def _reject_threshold(bound: float, energy: float, e0: float, t: float):
+    """For a proposal whose energy is only known to be ``>= bound``:
+    ``None`` when the chain at ``energy`` might accept it without drawing
+    a uniform, else the value a uniform must reach to reject it whatever
+    its exact energy (the uniform is then drawn in any case)."""
+    delta = (bound - energy) / e0
+    return math.exp(-delta / t) * _EXP_SLACK if delta > 0 else None
 
 
 @dataclass(frozen=True)
@@ -172,6 +194,8 @@ class TuneResult:
     samples_path: str
     checkpoint_path: str
     wall_s: float = 0.0
+    #: proposals rejected on their energy bound alone, never simulated
+    bounded: int = 0
 
     @property
     def acceptance_rate(self) -> float:
@@ -252,8 +276,8 @@ class Annealer:
         self.top_k = top_k
         self.axes = tuple(axes) if axes else None
         self.max_a = max_a
-        #: stop once this many unique configs were simulated (memo hits
-        #: are free, so a long chain can ride on few simulations)
+        #: stop once this many energies were needed (memo hits and
+        #: bounded rejections are free, so a long chain rides on few)
         self.max_evaluations = max_evaluations
         os.makedirs(out_dir, exist_ok=True)
         self.samples_path = os.path.join(out_dir, "samples.jsonl")
@@ -266,6 +290,7 @@ class Annealer:
         self.e0 = math.nan
         self.proposals = 0
         self.accepted = 0
+        self.bounded = 0
         self.batch_idx = 0
         self.accept_history: list[dict] = []
         #: key -> {"key", "energy", "case"}; pruned to top_k each batch
@@ -335,6 +360,7 @@ class Annealer:
             "accepted": self.accepted,
             "evaluations": self.evaluator.evaluations,
             "memo_hits": self.evaluator.memo_hits,
+            "bounded": self.bounded,
             "e0": self.e0,
             "current": {
                 "case": self.current.to_dict(),
@@ -367,6 +393,7 @@ class Annealer:
         # per-process), so `evaluations` may end higher than uninterrupted
         self.evaluator.evaluations = ck["evaluations"]
         self.evaluator.memo_hits = ck["memo_hits"]
+        self.bounded = ck.get("bounded", 0)  # absent before the filter
         self.e0 = ck["e0"]
         self.current = VerifyCase.from_dict(ck["current"]["case"])
         self.energy = ck["current"]["energy"]
@@ -436,6 +463,7 @@ class Annealer:
             samples_path=self.samples_path,
             checkpoint_path=self.checkpoint_path,
             wall_s=time.perf_counter() - wall0,
+            bounded=self.bounded,
         )
 
     def _run_batch(self) -> None:
@@ -448,9 +476,101 @@ class Annealer:
                 self.current, self.rng, axis,
                 fixed_machine=True, max_a=self.max_a,
             ))
-        energies = self.evaluator.evaluate(proposals)
-        accepted_here = 0
-        for case, ep in zip(proposals, energies):
+        accepted_before = self.accepted
+        # rounds: obtain every energy the rest of the batch may need in one
+        # evaluate, then replay until a proposal can be neither decided
+        # from what is known nor ruled out by its bound
+        obtained: set[str] = set()
+        done = 0
+        while done < k:
+            needed = self._needed(proposals[done:], t)
+            if needed:
+                self.evaluator.evaluate(needed)
+                obtained.update(map(self.evaluator.energy_key, needed))
+            done = self._replay(proposals, done, t, obtained)
+        self.accept_history.append({
+            "batch": self.batch_idx,
+            "temperature": t,
+            "proposed": k,
+            "accepted": self.accepted - accepted_before,
+        })
+        self.batch_idx += 1
+
+    def _kth_best(self, energies) -> float | None:
+        """The k-th lowest of ``energies`` (one per noted key), or ``None``
+        with fewer than ``top_k``: then any energy would enter best-k."""
+        if len(energies) < self.top_k:
+            return None
+        return sorted(energies)[self.top_k - 1]
+
+    def _needed(self, cases: list[VerifyCase], t: float) -> list[VerifyCase]:
+        """The unknown proposals among ``cases`` (the rest of a batch) whose
+        energy the replay may need, one per key.
+
+        A dry run of the replay on copies of the RNG and the chain state:
+        a proposal it cannot rule out is taken to be rejected, the likely
+        outcome at a tuning temperature.  A wrong guess costs a simulation
+        or a round, never a different stream — :meth:`_replay` decides.
+        """
+        ev = self.evaluator
+        rng = random.Random()
+        rng.setstate(self.rng.getstate())
+        energy = self.energy
+        noted = {key: e["energy"] for key, e in self._best.items()}
+        needed: dict[str, VerifyCase] = {}
+        for case, value in zip(cases, ev.bounds(cases)):
+            key = ev.energy_key(case)
+            if ev.known(case) is not None:
+                noted.setdefault(key, value)
+                delta = (value - energy) / self.e0
+                if delta <= 0 or rng.random() < math.exp(-delta / t):
+                    energy = value
+                continue
+            threshold = _reject_threshold(value, energy, self.e0, t)
+            kth = self._kth_best(noted.values())
+            # drawn whenever the exact energy is above ``energy``, which is
+            # the guess when the bound cannot tell
+            u = rng.random()
+            if threshold is None or kth is None or not (
+                u >= threshold and value > kth
+            ):
+                needed.setdefault(key, case)
+        return list(needed.values())
+
+    def _replay(
+        self, proposals: list[VerifyCase], i: int, t: float, obtained: set
+    ) -> int:
+        """Metropolis over ``proposals[i:]`` as a chain that simulates every
+        proposal would run it; returns where it stopped: the end, or the
+        first unknown proposal its bound cannot rule out.
+
+        A bounded rejection consumes the uniform the unfiltered chain would
+        draw (peeked with ``getstate`` / ``setstate`` when it does not
+        reject) and is neither noted nor memoised: above the k-th best, it
+        could never change :meth:`best`.
+        """
+        ev = self.evaluator
+        for i in range(i, len(proposals)):
+            case = proposals[i]
+            ep = ev.known(case)
+            if ep is None:
+                bound = ev.bounds([case])[0]
+                threshold = _reject_threshold(bound, self.energy, self.e0, t)
+                kth = self._kth_best([e["energy"] for e in self._best.values()])
+                if threshold is None or kth is None or not bound > kth:
+                    return i
+                state = self.rng.getstate()
+                if self.rng.random() < threshold:
+                    self.rng.setstate(state)
+                    return i
+                self.proposals += 1
+                self.bounded += 1
+                continue
+            key = ev.energy_key(case)
+            if key in obtained:
+                obtained.discard(key)  # the evaluation this proposal needed
+            else:
+                ev.memo_hits += 1
             self.proposals += 1
             self._note(case, ep)
             delta = (ep - self.energy) / self.e0
@@ -458,7 +578,6 @@ class Annealer:
                 self.current = case
                 self.energy = ep
                 self.accepted += 1
-                accepted_here += 1
                 self.buffer.offer({
                     "proposal": self.proposals,
                     "batch": self.batch_idx,
@@ -466,13 +585,7 @@ class Annealer:
                     "energy": ep,
                     "case": case.to_dict(),
                 })
-        self.accept_history.append({
-            "batch": self.batch_idx,
-            "temperature": t,
-            "proposed": k,
-            "accepted": accepted_here,
-        })
-        self.batch_idx += 1
+        return len(proposals)
 
     # ------------------------------------------------------------------ #
     def metrics_into(self, reg, result: TuneResult) -> None:
@@ -485,12 +598,17 @@ class Annealer:
         ).inc(result.accepted)
         reg.counter(
             "repro_tune_evaluations_total",
-            "unique configurations simulated (post-memo)",
+            "energies needed: unique configurations simulated or answered "
+            "from the graph cache (post-memo, post-bound)",
         ).inc(result.evaluations)
         reg.counter(
             "repro_tune_energy_memo_hits_total",
             "proposals answered from the per-run energy memo",
         ).inc(result.memo_hits)
+        reg.counter(
+            "repro_tune_bounded_total",
+            "proposals rejected on their energy lower bound, unsimulated",
+        ).inc(result.bounded)
         reg.gauge(
             "repro_tune_acceptance_rate", "accepted over proposed"
         ).set(result.acceptance_rate)

@@ -24,7 +24,11 @@ from repro.runtime.core import (
     run_core,
     run_core_batch,
 )
-from repro.runtime.golden import (
+from repro.runtime.machine import Machine
+from repro.runtime.simulator import ClusterSimulator
+from repro.tiles.layout import BlockCyclic2D
+
+from golden import (
     GOLDEN_RELPATH,
     comm_digest,
     fault_golden_cases,
@@ -32,9 +36,6 @@ from repro.runtime.golden import (
     golden_cases,
     trace_digest,
 )
-from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
-from repro.tiles.layout import BlockCyclic2D
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).resolve().parents[2] / GOLDEN_RELPATH).read_text()

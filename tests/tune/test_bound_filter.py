@@ -1,0 +1,150 @@
+"""The bound filter changes what is simulated, never what the chain does.
+
+A chain with the filter (the native core) must write the accepted stream,
+acceptance history and best-k of a chain that simulates every proposal
+(``REPRO_SIM_CORE=reference``: bounds are 0.0 there, the filter is off),
+byte for byte, while needing fewer energies.
+"""
+
+import json
+
+import pytest
+
+from repro import _ccore
+from repro.dag import cache as cache_module
+from repro.runtime.machine import Machine
+from repro.tune import Annealer, CoolingSchedule, EnergyEvaluator, initial_case
+
+MACHINES = {
+    "edel": Machine.edel(),
+    "16-node": Machine(nodes=16, cores_per_node=4),
+    "unserialized": Machine(nodes=8, cores_per_node=2, comm_serialized=False),
+    "site-network": Machine(nodes=8, cores_per_node=2, site_size=4),
+    "ideal": Machine.ideal(nodes=8, cores_per_node=4),
+}
+SHAPES = ((24, 4), (32, 6), (16, 8), (40, 3))
+#: (seed, machine, shape, batch size, top_k) of the 16 chains
+CHAINS = [
+    (seed, name, SHAPES[seed % 4], 1 + (5 * seed) % 16, 1 + seed % 5)
+    for seed, name in enumerate(list(MACHINES) * 4)
+][:16]
+
+
+@pytest.fixture
+def native(monkeypatch):
+    """The default core, whatever the surrounding run selected."""
+    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+    if not _ccore.native_available():
+        pytest.skip("no native core: the filter is off everywhere")
+    # a cache of this test's own: answers left by other tests stay out
+    monkeypatch.setattr(cache_module, "_default", cache_module.CompiledGraphCache())
+
+
+def run_chain(out_dir, seed, machine, shape, batch_size, top_k):
+    m, n = shape
+    ev = EnergyEvaluator(m, n, 64, machine)
+    result = Annealer(
+        ev, initial_case(m, n, 64, machine), str(out_dir),
+        seed=seed, budget=48, batch_size=batch_size, top_k=top_k,
+        schedule=CoolingSchedule(t0=0.02, alpha=0.6, floor=1e-4),
+    ).run()
+    checkpoint = json.loads((out_dir / "checkpoint.json").read_text())
+    # every proposal is a memo hit, a bounded rejection or a needed energy
+    assert result.memo_hits + result.bounded + result.evaluations == 49
+    return {
+        "samples": (out_dir / "samples.jsonl").read_bytes(),
+        "accept_history": result.accept_history,
+        "best": result.best,
+        "checkpoint_best": checkpoint["best"],
+    }, result
+
+
+def test_filter_keeps_the_stream_bitwise(tmp_path, monkeypatch, native):
+    fewer = 0
+    for seed, name, shape, batch_size, top_k in CHAINS:
+        args = (seed, MACHINES[name], shape, batch_size, top_k)
+        monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+        on, filtered = run_chain(tmp_path / f"{seed}-on", *args)
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
+        off, plain = run_chain(tmp_path / f"{seed}-off", *args)
+        assert on == off, (seed, name)
+        assert plain.bounded == 0
+        assert filtered.evaluations <= plain.evaluations
+        fewer += filtered.evaluations < plain.evaluations
+    assert fewer > len(CHAINS) // 2
+
+
+def benchmark_chain(out_dir, seed):
+    """One of the repository benchmark's two tune chains."""
+    machine = Machine.edel()
+    start = initial_case(96, 12, 280, machine, grid_p=15, grid_q=4).replaced(
+        a=1, low_tree="greedy", high_tree="fibonacci", domino=True
+    )
+    return Annealer(
+        EnergyEvaluator(96, 12, 280, machine), start, str(out_dir),
+        seed=seed, budget=400, batch_size=8,
+        schedule=CoolingSchedule(t0=0.05, alpha=0.85, floor=1e-4),
+    ).run()
+
+
+def test_counts_do_not_depend_on_process_history(tmp_path, monkeypatch, native):
+    """Chain 12 after chain 11 takes some energies from answers chain 11
+    left on the graph cache; what it needs, and what it bounds, is what
+    chain 12 alone needs and bounds."""
+    first = benchmark_chain(tmp_path / "11", 11)
+    after = benchmark_chain(tmp_path / "12-after", 12)
+    answered = cache_module.default_cache().stats()["answer_hit"]
+    assert answered > 0
+    monkeypatch.setattr(cache_module, "_default", cache_module.CompiledGraphCache())
+    alone = benchmark_chain(tmp_path / "12-alone", 12)
+    assert cache_module.default_cache().stats()["answer_hit"] == 0
+    assert (after.evaluations, after.bounded) == (alone.evaluations, alone.bounded)
+    assert (first.evaluations, first.bounded) == (41, 195)
+    assert (alone.evaluations, alone.bounded) == (62, 219)
+    assert after.best == alone.best
+    assert (
+        (tmp_path / "12-after" / "samples.jsonl").read_bytes()
+        == (tmp_path / "12-alone" / "samples.jsonl").read_bytes()
+    )
+
+
+def test_checkpoint_without_bounded_resumes_from_zero(tmp_path, native):
+    """A checkpoint written before the filter has no ``bounded``: it
+    resumes at 0 and the stream is still the uninterrupted one."""
+    ref = benchmark_chain(tmp_path / "ref", 11)
+    machine = Machine.edel()
+    start = initial_case(96, 12, 280, machine, grid_p=15, grid_q=4).replaced(
+        a=1, low_tree="greedy", high_tree="fibonacci", domino=True
+    )
+
+    def annealer(resume):
+        return Annealer(
+            EnergyEvaluator(96, 12, 280, machine), start, str(tmp_path / "run"),
+            seed=11, budget=400, batch_size=8,
+            schedule=CoolingSchedule(t0=0.05, alpha=0.85, floor=1e-4),
+            resume=resume,
+        )
+
+    first = annealer(False)
+    run_batch = first._run_batch
+
+    def stop_after_ten():
+        run_batch()
+        if first.batch_idx == 10:
+            first.request_stop()
+
+    first._run_batch = stop_after_ten
+    partial = first.run()
+    path = tmp_path / "run" / "checkpoint.json"
+    checkpoint = json.loads(path.read_text())
+    assert checkpoint.pop("bounded") == partial.bounded
+    path.write_text(json.dumps(checkpoint))
+
+    resumed = annealer(True).run()
+    assert 0 < resumed.bounded < ref.bounded
+    assert resumed.best == ref.best
+    assert resumed.accept_history == ref.accept_history
+    assert (
+        (tmp_path / "run" / "samples.jsonl").read_bytes()
+        == (tmp_path / "ref" / "samples.jsonl").read_bytes()
+    )

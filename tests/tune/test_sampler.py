@@ -237,3 +237,4 @@ def test_metrics_export(tmp_path):
     assert "repro_tune_proposals_total 40" in prom
     assert "repro_tune_best_makespan_seconds" in prom
     assert "repro_tune_acceptance_rate" in prom
+    assert f"repro_tune_bounded_total {result.bounded}" in prom

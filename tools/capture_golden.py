@@ -11,7 +11,8 @@ makespans, busy times, message counts, task/comm-trace digests, fault
 accounting, and R-factor fingerprints for a fixed case set — captured
 from the pre-unification engines and enforced against the unified core
 by ``tests/runtime/test_core_equivalence.py`` and the
-``core-equivalence`` CI job.  See :mod:`repro.runtime.golden`.
+``core-equivalence`` CI job.  The cases and the capture live in
+``tests/runtime/golden.py``, beside the fixture.
 
 ``--check`` recomputes every value with the *current* engines and exits
 non-zero on any difference: an intentional semantic change must
@@ -27,8 +28,9 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests", "runtime"))
 
-from repro.runtime.golden import (  # noqa: E402
+from golden import (  # noqa: E402
     GOLDEN_RELPATH,
     capture_fixture,
     compare_fixture,
