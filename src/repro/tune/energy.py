@@ -11,7 +11,8 @@ a whole proposal batch per call:
   :func:`~repro.dag.cache.default_cache` via
   :func:`~repro.bench.runner.compiled_graph_for`;
 * :meth:`~EnergyEvaluator.bounds` answers with an admissible lower bound
-  (:func:`~repro.models.bounds.graph_bounds`, one native pass per graph)
+  (:func:`~repro.models.bounds.graph_bounds`, one native pass per graph,
+  kept on the graph's cache entry for every later chain of the process)
   where the energy is not known yet, so the annealer can reject a
   proposal the bound already condemns without simulating it;
 * an energy the annealer does need comes from the graph's cache entry
@@ -115,7 +116,6 @@ class EnergyEvaluator:
     #: proposals answered from the per-run energy memo
     memo_hits: int = 0
     _memo: dict[str, float] = field(default_factory=dict)
-    _bounds: dict[str, float] = field(default_factory=dict)
     _keys: dict[VerifyCase, str] = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
@@ -141,28 +141,38 @@ class EnergyEvaluator:
     def bounds(self, cases: list[VerifyCase]) -> list[float]:
         """Per case: the exact energy if memoised, else a lower bound on it.
 
-        The bound of a key is computed once, from its compiled graph
-        (built or fetched through the graph cache like a simulation's),
-        in one native call for all new keys of the call — and only when
-        the native pass is there and the core is not ``python`` or
-        ``reference``; otherwise it is 0.0, which rules nothing out.
+        The bound is a pure function of the graph-cache key, so it lives
+        on the key's cache entry: computed once per resident graph, by
+        whichever evaluator in the process asks first, in one native call
+        for all unbounded keys of the call — and only when the native pass
+        is there and the core is not ``python`` or ``reference``;
+        otherwise it is 0.0, which rules nothing out.
         """
+        from repro.dag.cache import default_cache
         from repro.runtime.core import core_mode
 
         keys = [self.energy_key(c) for c in cases]
         if core_mode() in ("python", "reference") or not _ccore.native_available():
             return [self._memo.get(key, 0.0) for key in keys]
+        cache = default_cache()
+        found: dict[str, float] = {}
         todo: dict[str, VerifyCase] = {}
         for case, key in zip(cases, keys):
-            if key not in self._memo and key not in self._bounds:
-                todo.setdefault(key, case)
+            if key in self._memo or key in found or key in todo:
+                continue
+            bound = cache.bound(key)
+            if bound is None:
+                todo[key] = case
+            else:
+                found[key] = bound
         if todo:
             from repro.models.bounds import graph_bounds
 
             graphs = [self._graph(case) for case in todo.values()]
             for key, gb in zip(todo, graph_bounds(graphs, self.machine, self.b)):
-                self._bounds[key] = gb.bound
-        return [self._memo.get(key, self._bounds.get(key)) for key in keys]
+                found[key] = gb.bound
+                cache.remember_bound(key, gb.bound)
+        return [self._memo.get(key, found.get(key)) for key in keys]
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
         """Exact makespan per case, one batched dispatch per call."""

@@ -26,13 +26,20 @@ Design points, in the order they matter:
   (:class:`SampleBuffer`) and flush to ``samples.jsonl`` in chunks; when
   the kept count reaches its cap the buffer doubles its thinning stride
   (prospectively — already-written samples are never rewritten).
-* **resumable checkpoints** — after every batch the annealer flushes the
-  buffer and atomically rewrites ``checkpoint.json`` (RNG state, current
-  chain state, counters, best-k, buffer bookkeeping).  A SIGINT-stopped
-  run resumed from its checkpoint produces the *bitwise identical*
+* **resumable checkpoints** — the annealer flushes the buffer and
+  atomically rewrites ``checkpoint.json`` (RNG state, current chain
+  state, counters, best-k, buffer bookkeeping) once the start point is
+  evaluated, after a batch once :data:`CHECKPOINT_INTERVAL_S` has passed
+  since the last write, and whenever the walk ends normally (budget,
+  ``max_evaluations`` or a requested stop) — never from an exception,
+  whose mid-batch state cannot be resumed.  A SIGINT-stopped run
+  resumed from its checkpoint produces the *bitwise identical*
   accepted-sample stream and best-k list of an uninterrupted run; only
   wall time and the evaluation count may differ (the energy memo is
-  per-process and deliberately not checkpointed).
+  per-process and deliberately not checkpointed).  A hard stop (a
+  second SIGINT mid-batch, a SIGKILL) loses at most the batches since
+  the last write: resume truncates ``samples.jsonl`` back to it and
+  replays them bitwise.
 """
 
 from __future__ import annotations
@@ -56,8 +63,12 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: how many batches between forced sample-file flushes (chunked I/O)
+#: pending samples that force a sample-file flush (chunked I/O)
 FLUSH_CHUNK = 64
+
+#: least seconds (monotonic clock) between two mid-run checkpoints; the
+#: start and every normal end of :meth:`Annealer.run` write one regardless
+CHECKPOINT_INTERVAL_S = 1.0
 
 #: a bound-based rejection needs ``u >= exp(-delta / T) * _EXP_SLACK``: C99
 #: does not promise a monotone ``exp``, and the proof compares ``exp`` at
@@ -217,7 +228,7 @@ def _rng_state_from_json(state) -> tuple:
 
 def _atomic_write_json(path: str, payload: dict) -> None:
     # no indent: json's C encoder only runs for the compact form, and a
-    # checkpoint carries the 625-word RNG state every batch
+    # checkpoint carries the 625-word RNG state
     text = json.dumps(payload, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -433,6 +444,9 @@ class Annealer:
             self._checkpoint()
         delay = float(os.environ.get("REPRO_TUNE_BATCH_DELAY", "0") or 0.0)
         interrupted = False
+        # on disk: the state after batch `saved`, written at `saved_at`; an
+        # exception leaves it alone, since mid-batch state cannot resume
+        saved, saved_at = self.batch_idx, time.monotonic()
         while self.proposals < self.budget:
             if self._stop:
                 interrupted = True
@@ -445,8 +459,11 @@ class Annealer:
             self._run_batch()
             if delay:
                 time.sleep(delay)
-            self._checkpoint()  # flushes the buffer first
-        self.buffer.flush()
+            if time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
+                self._checkpoint()  # flushes the buffer first
+                saved, saved_at = self.batch_idx, time.monotonic()
+        if saved != self.batch_idx:
+            self._checkpoint()
         return TuneResult(
             best=self.best(),
             proposals=self.proposals,

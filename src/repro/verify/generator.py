@@ -109,7 +109,8 @@ class VerifyCase:
         return case
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        # every field is a scalar: asdict's recursive deep copy buys nothing
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
         # JSON has no Infinity in strict mode; keep the payload portable
         if d["bandwidth"] == float("inf"):
             d["bandwidth"] = "inf"

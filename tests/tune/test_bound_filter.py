@@ -108,6 +108,44 @@ def test_counts_do_not_depend_on_process_history(tmp_path, monkeypatch, native):
     )
 
 
+def test_a_graph_is_bounded_once_per_process(tmp_path, monkeypatch, native):
+    """The bound lives on the graph's cache entry: a later evaluator in
+    the same process hands ``graph_bounds`` no graph an earlier one
+    bounded, and its chain is unchanged by reading theirs."""
+    from repro.models import bounds as bounds_module
+
+    passed: list[list] = []  # per call; holding the graphs keeps ids unique
+    real = bounds_module.graph_bounds
+
+    def counting(graphs, *args, **kwargs):
+        passed.append(list(graphs))
+        return real(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "graph_bounds", counting)
+
+    def bounded_ids(calls):
+        return [id(g) for call in calls for g in call]
+
+    first = benchmark_chain(tmp_path / "11", 11)
+    first_ids = bounded_ids(passed)
+    assert len(first_ids) == len(set(first_ids)) > 0
+    del passed[:]
+    again = benchmark_chain(tmp_path / "11-again", 11)
+    assert passed == []  # every key of the rerun is bounded and resident
+    assert (again.evaluations, again.bounded, again.best) == (
+        first.evaluations, first.bounded, first.best
+    )
+    after = benchmark_chain(tmp_path / "12", 12)
+    after_ids = bounded_ids(passed)
+    assert len(after_ids) == len(set(after_ids)) > 0
+    assert not set(first_ids) & set(after_ids)
+    assert (after.evaluations, after.bounded) == (62, 219)
+    assert (
+        (tmp_path / "11-again" / "samples.jsonl").read_bytes()
+        == (tmp_path / "11" / "samples.jsonl").read_bytes()
+    )
+
+
 def test_checkpoint_without_bounded_resumes_from_zero(tmp_path, native):
     """A checkpoint written before the filter has no ``bounded``: it
     resumes at 0 and the stream is still the uninterrupted one."""

@@ -1,10 +1,11 @@
-"""SIGINT-interrupted `repro tune` resumes bitwise identically.
+"""Interrupted `repro tune` resumes bitwise identically.
 
 This drives the real CLI in subprocesses: a run is interrupted with an
 actual SIGINT mid-chain (`REPRO_TUNE_BATCH_DELAY` widens the batch
-boundaries so the signal lands deterministically between checkpoints),
-then `--resume` continues it.  The resumed run's accepted-sample stream
-and best-k must equal an uninterrupted run's byte for byte.
+boundaries so the signal lands deterministically between batches), or
+SIGKILLed once an interval checkpoint has landed, then `--resume`
+continues it.  The resumed run's accepted-sample stream and best-k must
+equal an uninterrupted run's byte for byte.
 """
 
 import json
@@ -24,12 +25,14 @@ ARGS = [
 ]
 
 
-def run_tune(out_dir, json_path, *extra, env_extra=None, wait=True):
+def run_tune(
+    out_dir, json_path, *extra, env_extra=None, wait=True, args=ARGS
+):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env.update(env_extra or {})
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "tune", *ARGS,
+        [sys.executable, "-m", "repro.cli", "tune", *args,
          "--out", str(out_dir), "--json", str(json_path), *extra],
         env=env,
         cwd=str(REPO),
@@ -87,6 +90,47 @@ def test_sigint_then_resume_matches_uninterrupted(tmp_path):
         == ref["result"]["accept_history"]
     )
     assert (out / "samples.jsonl").read_bytes() == ref_stream
+
+
+def test_sigkill_after_an_interval_checkpoint_resumes_bitwise(tmp_path):
+    """A hard kill loses the batches since the last checkpoint, nothing
+    else: ``--resume`` truncates back to it and replays them bitwise."""
+    args = [*ARGS[:-1], "2"]  # batch size 2: 20 slowed batches
+    run_tune(tmp_path / "ref", tmp_path / "ref.json", args=args)
+    ref = json.loads((tmp_path / "ref.json").read_text(encoding="utf-8"))
+
+    out = tmp_path / "run"
+    proc = run_tune(
+        out, tmp_path / "killed.json", wait=False, args=args,
+        env_extra={"REPRO_TUNE_BATCH_DELAY": "0.3"},
+    )
+    ckpt = out / "checkpoint.json"
+    deadline = time.monotonic() + 60
+    batch = 0
+    while batch == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+        if ckpt.exists():  # replaced atomically: never read half-written
+            batch = json.loads(ckpt.read_text(encoding="utf-8"))["batch_idx"]
+    assert batch > 0, "no interval checkpoint appeared within 60s"
+    proc.send_signal(signal.SIGKILL)
+    proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    killed = json.loads(ckpt.read_text(encoding="utf-8"))
+    assert 0 < killed["proposals"] < 40  # stopped mid-chain, no final write
+
+    run_tune(out, tmp_path / "resumed.json", "--resume", args=args)
+    resumed = json.loads(
+        (tmp_path / "resumed.json").read_text(encoding="utf-8")
+    )
+    assert resumed["result"]["proposals"] == 40
+    assert resumed["result"]["best"] == ref["result"]["best"]
+    assert (
+        resumed["result"]["accept_history"]
+        == ref["result"]["accept_history"]
+    )
+    assert (out / "samples.jsonl").read_bytes() == (
+        tmp_path / "ref" / "samples.jsonl"
+    ).read_bytes()
 
 
 def test_resume_without_checkpoint_exits_cleanly(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.runtime.machine import Machine
 from repro.tune import Annealer, CoolingSchedule, EnergyEvaluator, SampleBuffer
+from repro.tune import sampler
 from repro.tune.energy import initial_case
 
 
@@ -178,6 +179,86 @@ def _stop_then_resume(tmp_path, indented):
     assert resumed.best == ref.best
     assert resumed.accept_history == ref.accept_history
     assert (tmp_path / "run" / "samples.jsonl").read_bytes() == ref_stream
+
+
+def _count_writes(monkeypatch):
+    """Record the batch index of every checkpoint the annealer writes."""
+    written = []
+    real = sampler._atomic_write_json
+
+    def recording(path, payload):
+        written.append(payload["batch_idx"])
+        real(path, payload)
+
+    monkeypatch.setattr(sampler, "_atomic_write_json", recording)
+    return written
+
+
+def test_checkpoints_at_start_and_end_between_intervals(tmp_path, monkeypatch):
+    """A chain shorter than the interval writes two checkpoints, and the
+    last equals what a checkpoint after every batch leaves."""
+    written = _count_writes(monkeypatch)
+    result = make_annealer(tmp_path / "clock").run()
+    assert written == [0, result.batches] and result.batches == 5
+    monkeypatch.setattr(sampler, "CHECKPOINT_INTERVAL_S", 0.0)
+    del written[:]
+    make_annealer(tmp_path / "every").run()
+    assert written == list(range(result.batches + 1))
+    for name in ("checkpoint.json", "samples.jsonl"):
+        assert (tmp_path / "clock" / name).read_bytes() == (
+            tmp_path / "every" / name
+        ).read_bytes()
+
+
+def test_requested_stop_writes_its_checkpoint(tmp_path, monkeypatch):
+    written = _count_writes(monkeypatch)
+    a = make_annealer(tmp_path)
+    orig = a._run_batch
+
+    def hooked():
+        orig()
+        if a.batch_idx == 2:
+            a.request_stop()
+
+    a._run_batch = hooked
+    assert a.run().interrupted
+    assert written == [0, 2]
+
+
+def test_a_raising_batch_leaves_the_last_clean_checkpoint(tmp_path, monkeypatch):
+    """An exception mid-batch writes nothing: the file on disk is the
+    checkpoint of the last finished batch, and it resumes bitwise."""
+    ref = make_annealer(tmp_path / "ref").run()
+    monkeypatch.setattr(sampler, "CHECKPOINT_INTERVAL_S", 0.0)
+    written = _count_writes(monkeypatch)
+    a = make_annealer(tmp_path / "run")
+    path = tmp_path / "run" / "checkpoint.json"
+    orig = a._run_batch
+    clean = []
+
+    def dies(cases):
+        raise RuntimeError("evaluator died")
+
+    def hooked():
+        if a.batch_idx == 3:
+            clean.append(path.read_bytes())
+            # asked once the batch has drawn its proposals from the RNG
+            a.evaluator.bounds = dies
+        orig()
+
+    a._run_batch = hooked
+    with pytest.raises(RuntimeError, match="evaluator died"):
+        a.run()
+    assert written == [0, 1, 2, 3]
+    assert path.read_bytes() == clean[0]
+    assert json.loads(clean[0])["batch_idx"] == 3
+    monkeypatch.setattr(sampler, "CHECKPOINT_INTERVAL_S", 1.0)
+    resumed = make_annealer(tmp_path / "run", resume=True).run()
+    assert resumed.best == ref.best
+    assert resumed.accept_history == ref.accept_history
+    assert (tmp_path / "run" / "samples.jsonl").read_bytes() == (
+        tmp_path / "ref" / "samples.jsonl"
+    ).read_bytes()
 
 
 def test_fresh_run_refuses_existing_checkpoint(tmp_path):

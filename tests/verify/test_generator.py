@@ -63,6 +63,21 @@ def test_dict_round_trip_through_strict_json():
         assert VerifyCase.from_dict(payload) == case
 
 
+def test_to_dict_is_asdict_with_the_inf_rule():
+    """The shallow field copy is what ``dataclasses.asdict`` gives, key
+    order included, with an infinite bandwidth spelled ``"inf"``."""
+    cases = list(generate_cases(5, 80))
+    assert any(c.bandwidth == float("inf") for c in cases)
+    assert any(c.priority is None for c in cases)
+    for case in cases:
+        want = dataclasses.asdict(case)
+        if want["bandwidth"] == float("inf"):
+            want["bandwidth"] = "inf"
+        got = case.to_dict()
+        assert got == want and list(got) == list(want)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def test_replaced_keeps_machine_consistent():
     base = sample_case(0, 0)
     case = dataclasses.replace(
