@@ -290,76 +290,27 @@ int64_t hqr_expand(
 }
 
 /* ------------------------------------------------------------------ *
- * Successor CSR and message slots of a graph whose predecessor CSR and
- * placement are known and checked, O(E).  On entry succ_ptr[0] is 0 and
- * succ_ptr[t + 1] is t's successor count.  A prefix sum turns that into
- * t's first position, which the scatter then advances, as t's cursor, to
- * t's end = (t + 1)'s start; consumers are walked in ascending order, so
- * every successor list ascends (the order a stable argsort over pred_idx
- * gives).  edge_slot is aligned with succ_idx: -1 for a node-local edge,
- * otherwise the index of the edge's (producer, destination node) pair
- * among all distinct cross-node pairs in ascending (producer,
- * destination) order.  Returns the number of slots, or -1 on allocation
- * failure.
+ * Counting-sort transpose of a checked CSR over ntasks rows, O(E): the
+ * predecessor lists into successor lists, or back.  On entry out_ptr[0]
+ * is 0 and out_ptr[r + 1] is how often r occurs in idx.  A prefix sum
+ * turns that into r's first position, which the scatter then advances,
+ * as r's cursor, to r's end = (r + 1)'s start; rows are walked in
+ * ascending order, so every output list ascends (the order a stable
+ * argsort over idx gives).
  * ------------------------------------------------------------------ */
-static int64_t finish_successors(
-    int64_t ntasks, const int32_t *pred_ptr, const int32_t *pred_idx,
-    const int32_t *node, int32_t nnodes,
-    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+static void finish_successors(
+    int64_t ntasks, const int32_t *ptr, const int32_t *idx,
+    int32_t *out_ptr, int32_t *out_idx)
 {
-    /* per destination node: the producer that last marked it, its slot */
-    int64_t *marked_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
-    int32_t *slot_of = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    int32_t *dests = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    int64_t nslots = -1;
     int32_t run = 0;  /* ends at nedges, which the callers bound */
-    if (!marked_by || !slot_of || !dests)
-        goto done;
     for (int64_t t = 0; t < ntasks; t++) {
-        int32_t count = succ_ptr[t + 1];
-        succ_ptr[t + 1] = run;
+        int32_t count = out_ptr[t + 1];
+        out_ptr[t + 1] = run;
         run += count;
     }
     for (int64_t t = 0; t < ntasks; t++)
-        for (int64_t e = pred_ptr[t]; e < pred_ptr[t + 1]; e++)
-            succ_idx[succ_ptr[pred_idx[e] + 1]++] = (int32_t)t;
-
-    for (int32_t i = 0; i < nnodes; i++)
-        marked_by[i] = -1;
-    nslots = 0;
-    for (int64_t t = 0; t < ntasks; t++) {
-        int32_t home = node[t];
-        int32_t nd = 0;
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t d = node[succ_idx[i]];
-            if (d == home)
-                edge_slot[i] = -1;
-            else if (marked_by[d] != t) {
-                marked_by[d] = t;
-                /* insertion into the sorted distinct destinations */
-                int32_t j = nd++;
-                while (j > 0 && dests[j - 1] > d) {
-                    dests[j] = dests[j - 1];
-                    j--;
-                }
-                dests[j] = d;
-            }
-        }
-        if (nd == 0)
-            continue;  /* no remote consumer: the row is all -1 already */
-        for (int32_t j = 0; j < nd; j++)
-            slot_of[dests[j]] = (int32_t)(nslots++);
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t d = node[succ_idx[i]];
-            if (d != home)
-                edge_slot[i] = slot_of[d];
-        }
-    }
-done:
-    free(marked_by);
-    free(slot_of);
-    free(dests);
-    return nslots;
+        for (int64_t e = ptr[t]; e < ptr[t + 1]; e++)
+            out_idx[out_ptr[idx[e] + 1]++] = (int32_t)t;
 }
 
 /* ------------------------------------------------------------------ *
@@ -371,13 +322,15 @@ done:
  * One emit loop serves two passes.  With write == 0 it only counts: no
  * output array is touched (all may be NULL), the return value is the
  * number of predecessor edges and the task count lands in *out_ntasks.
- * With write == 1 it fills the seven arrays the caller sized from those
+ * With write == 1 it fills the five arrays the caller sized from those
  * two counts (ntasks, nedges), and in the same pass places each task on
  * owner[tile] - the m*n table of the node owning each tile, the victim
  * row's tile in the trailing column for an update kernel, in the panel
  * otherwise - and counts successors per edge written, which is what
- * finish_successors starts from (a task's coordinates are not stored: no
- * loop reads them).  Returns the number of message slots.
+ * finish_successors starts from.  The predecessor lists are scratch,
+ * allocated and freed here: a graph keeps only its wait counts
+ * (pred_ptr) and its successor lists, and a task's coordinates are not
+ * stored either - no loop reads them.  Returns 0.
  *
  * Refusals, all -2: an elimination outside m x n, an owner entry outside
  * [0, nnodes), counts above INT32_MAX (the offsets are 32-bit), or a
@@ -391,13 +344,14 @@ int64_t hqr_build_dag(
     const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
     const uint8_t *e_ts,
     const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,
-    int8_t *kind, int32_t *pred_ptr, int32_t *pred_idx, int32_t *node,
-    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot,
+    int8_t *kind, int32_t *pred_ptr, int32_t *node,
+    int32_t *succ_ptr, int32_t *succ_idx,
     int64_t *out_ntasks)
 {
     int64_t rc = -1;
     int64_t tid = 0;   /* next task id */
     int64_t ne = 0;    /* predecessor edges so far */
+    int32_t *pred_idx = NULL;
     int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
     uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
     if (!last_writer || !triangled)
@@ -408,6 +362,11 @@ int64_t hqr_build_dag(
     if (write) {
         if (ntasks > INT32_MAX || nedges > INT32_MAX)
             goto done;
+        pred_idx = (int32_t *)malloc((size_t)(nedges > 0 ? nedges : 1) * sizeof(int32_t));
+        if (!pred_idx) {
+            rc = -1;
+            goto done;
+        }
         for (int64_t i = 0; i < (int64_t)m * n; i++)
             if (owner[i] < 0 || owner[i] >= nnodes)
                 goto done;
@@ -529,41 +488,38 @@ int64_t hqr_build_dag(
     }
     if (tid != ntasks || ne != nedges)
         goto done;
-    rc = finish_successors(ntasks, pred_ptr, pred_idx, node, nnodes,
-                           succ_ptr, succ_idx, edge_slot);
+    finish_successors(ntasks, pred_ptr, pred_idx, succ_ptr, succ_idx);
+    rc = 0;
 
 done:
+    free(pred_idx);
     free(last_writer);
     free(triangled);
     return rc;
 }
 
 /* ------------------------------------------------------------------ *
- * Finish pass for a graph built elsewhere (compile_graph over a
- * TaskGraph): check the placement and the predecessor ids, count
- * successors, finish_successors.  Returns the number of slots, or -1 on
- * allocation failure or out-of-range input (more than INT32_MAX tasks
- * included: the offsets are 32-bit).
+ * finish_successors for CSR arrays built elsewhere: the successor lists
+ * of compile_graph's predecessor lists, or a graph's predecessor lists
+ * derived from its successor lists.  Checks every index, counts, then
+ * transposes.  Returns 0, or -1 for an index outside [0, ntasks) or more
+ * than INT32_MAX rows (the offsets are 32-bit), before any write.
  * ------------------------------------------------------------------ */
-int64_t hqr_finish_graph(
-    int64_t ntasks, const int32_t *pred_ptr, const int32_t *pred_idx,
-    const int32_t *node, int32_t nnodes,
-    int32_t *succ_ptr, int32_t *succ_idx, int32_t *edge_slot)
+int64_t hqr_transpose(
+    int64_t ntasks, const int32_t *ptr, const int32_t *idx,
+    int32_t *out_ptr, int32_t *out_idx)
 {
     if (ntasks > INT32_MAX)
         return -1;
-    int64_t nedges = pred_ptr[ntasks];
-    for (int64_t t = 0; t < ntasks; t++)
-        if (node[t] < 0 || node[t] >= nnodes)
+    int64_t nedges = ptr[ntasks];
+    for (int64_t e = 0; e < nedges; e++)
+        if (idx[e] < 0 || idx[e] >= ntasks)
             return -1;
-    memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
-    for (int64_t e = 0; e < nedges; e++) {
-        if (pred_idx[e] < 0 || pred_idx[e] >= ntasks)
-            return -1;
-        succ_ptr[pred_idx[e] + 1]++;
-    }
-    return finish_successors(ntasks, pred_ptr, pred_idx, node, nnodes,
-                             succ_ptr, succ_idx, edge_slot);
+    memset(out_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
+    for (int64_t e = 0; e < nedges; e++)
+        out_ptr[idx[e] + 1]++;
+    finish_successors(ntasks, ptr, idx, out_ptr, out_idx);
+    return 0;
 }
 
 /* ------------------------------------------------------------------ *
@@ -575,6 +531,13 @@ int64_t hqr_finish_graph(
  * Reads the graph's own arrays in place: wait counts come from pred_ptr,
  * a task's duration is dur_table[kind[t]], and rank == NULL (with
  * task_of_rank == NULL) means program order, i.e. identity ranks.
+ *
+ * A tile goes once to each remote node that consumes it (section V): at
+ * producer t's finish an edge to s is local iff node_of[s] == node_of[t];
+ * the first cross-node edge to dest sends the message, computes its
+ * arrival into sent_at[dest] and sets sent_by[dest] = t, and t's later
+ * edges to dest reuse that arrival.  A task finishes once and sends all
+ * its messages in that one walk, so the per-node table needs no reset.
  *
  * The event queue has two tiers under one (time, code) order: a finish
  * event goes into the ring of its kernel kind (a task starts at the
@@ -589,7 +552,6 @@ static int32_t hqr_simulate_cluster(
     const double *dur_table, const int8_t *kind, const int32_t *node_of,
     const int32_t *pred_ptr,
     const int32_t *succ_ptr, const int32_t *succ_idx,
-    const int32_t *edge_slot, int64_t nslots,
     const int32_t *rank, const int32_t *task_of_rank,
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
@@ -598,7 +560,8 @@ static int32_t hqr_simulate_cluster(
 {
     int32_t rc = -1;
     int32_t *waiting = NULL, *free_cores = NULL;
-    double *data_ready = NULL, *chan_free = NULL, *slot_arrival = NULL;
+    int64_t *sent_by = NULL;
+    double *data_ready = NULL, *chan_free = NULL, *sent_at = NULL;
     uint8_t *state = NULL;
     iheap *ready = NULL;
     evheap ev = {NULL, NULL, 0};
@@ -614,15 +577,16 @@ static int32_t hqr_simulate_cluster(
     data_ready = (double *)calloc((size_t)ntasks, sizeof(double));
     free_cores = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
     chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
-    slot_arrival = (double *)malloc((size_t)(nslots > 0 ? nslots : 1) * sizeof(double));
+    sent_at = (double *)malloc((size_t)nnodes * sizeof(double));
+    sent_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     /* at most one arrival event per task */
     ev.t = (double *)malloc((size_t)ntasks * sizeof(double));
     ev.c = (int64_t *)malloc((size_t)ntasks * sizeof(int64_t));
     ring_keys = (evkey *)malloc((size_t)(6 * ring_cap) * sizeof(evkey));
-    if (!waiting || !data_ready || !free_cores || !chan_free || !slot_arrival ||
-        !state || !ready || !ev.t || !ev.c || !ring_keys)
+    if (!waiting || !data_ready || !free_cores || !chan_free || !sent_at ||
+        !sent_by || !state || !ready || !ev.t || !ev.c || !ring_keys)
         goto done;
 
     for (int64_t t = 0; t < ntasks; t++) {
@@ -636,10 +600,10 @@ static int32_t hqr_simulate_cluster(
         fin[k].k = ring_keys + k * ring_cap;
         fin[k].head = fin[k].tail = 0;
     }
-    for (int32_t i = 0; i < nnodes; i++)
+    for (int32_t i = 0; i < nnodes; i++) {
         free_cores[i] = cores_per_node;
-    for (int64_t i = 0; i < nslots; i++)
-        slot_arrival[i] = -1.0;
+        sent_by[i] = -1;
+    }
 
     double busy = 0.0, finish_time = 0.0;
     int64_t messages = 0;
@@ -729,36 +693,35 @@ static int32_t hqr_simulate_cluster(
             /* propagate data to successors */
             for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
                 int32_t s = succ_idx[i];
-                int32_t slot = edge_slot[i];
+                int32_t dest = node_of[s];
                 double arrival;
-                if (slot < 0)
+                if (dest == node)
                     arrival = now;
+                else if (sent_by[dest] == t)
+                    arrival = sent_at[dest];
                 else {
-                    arrival = slot_arrival[slot];
-                    if (arrival < 0) {
-                        int32_t dest = node_of[s];
-                        double lat, bwt;
-                        if (hierarchical && site_of[node] != site_of[dest]) {
-                            lat = lat_inter;
-                            bwt = bwt_inter;
-                        } else {
-                            lat = lat_intra;
-                            bwt = bwt_intra;
-                        }
-                        if (serialized) {
-                            double depart = now;
-                            if (chan_free[node] > depart)
-                                depart = chan_free[node];
-                            if (chan_free[dest] > depart)
-                                depart = chan_free[dest];
-                            chan_free[node] = depart + bwt;
-                            chan_free[dest] = depart + bwt;
-                            arrival = depart + lat + bwt;
-                        } else
-                            arrival = now + lat + bwt;
-                        slot_arrival[slot] = arrival;
-                        messages++;
+                    double lat, bwt;
+                    if (hierarchical && site_of[node] != site_of[dest]) {
+                        lat = lat_inter;
+                        bwt = bwt_inter;
+                    } else {
+                        lat = lat_intra;
+                        bwt = bwt_intra;
                     }
+                    if (serialized) {
+                        double depart = now;
+                        if (chan_free[node] > depart)
+                            depart = chan_free[node];
+                        if (chan_free[dest] > depart)
+                            depart = chan_free[dest];
+                        chan_free[node] = depart + bwt;
+                        chan_free[dest] = depart + bwt;
+                        arrival = depart + lat + bwt;
+                    } else
+                        arrival = now + lat + bwt;
+                    sent_by[dest] = t;
+                    sent_at[dest] = arrival;
+                    messages++;
                 }
                 if (arrival > data_ready[s])
                     data_ready[s] = arrival;
@@ -800,7 +763,8 @@ done:
     free(data_ready);
     free(free_cores);
     free(chan_free);
-    free(slot_arrival);
+    free(sent_at);
+    free(sent_by);
     free(state);
     free(ev.t);
     free(ev.c);
@@ -811,8 +775,8 @@ done:
 /* ------------------------------------------------------------------ *
  * Batched cluster loop: many independent graphs in one call, read in
  * place.  Every per-graph argument is a table of npoints pointers into
- * the caller's own arrays (nothing is packed or copied); ntasks/nslots
- * give each graph's sizes.  An entry of rank/task_of_rank may be NULL:
+ * the caller's own arrays (nothing is packed or copied); ntasks gives
+ * each graph's size.  An entry of rank/task_of_rank may be NULL:
  * that graph runs in program order.  An empty graph is skipped.
  *
  * Graphs are fully independent, so the OpenMP fan-out (enabled when the
@@ -823,11 +787,10 @@ done:
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_cluster_batch(
     int64_t npoints, int32_t nthreads,
-    const int64_t *ntasks, const int64_t *nslots,
+    const int64_t *ntasks,
     const double *const *dur_table, const int8_t *const *kind,
     const int32_t *const *node_of, const int32_t *const *pred_ptr,
     const int32_t *const *succ_ptr, const int32_t *const *succ_idx,
-    const int32_t *const *edge_slot,
     const int32_t *const *rank, const int32_t *const *task_of_rank,
     int32_t nnodes, int32_t cores_per_node,
     int32_t serialized, int32_t hierarchical,
@@ -851,8 +814,7 @@ int32_t hqr_simulate_cluster_batch(
         out_rc[p] = hqr_simulate_cluster(
             ntasks[p], nnodes, cores_per_node,
             dur_table[p], kind[p], node_of[p], pred_ptr[p],
-            succ_ptr[p], succ_idx[p], edge_slot[p], nslots[p],
-            rank[p], task_of_rank[p],
+            succ_ptr[p], succ_idx[p], rank[p], task_of_rank[p],
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
             site_of, data_reuse,
@@ -1006,20 +968,21 @@ int32_t hqr_lower_bound(
  * Accelerated-cluster event loop.  Mirrors AcceleratedSimulator.run.
  * Event codes: t = CPU finish, ntasks+t = accelerator finish,
  * 2*ntasks+t = data arrival.  Ready-queue keys are task ids (the
- * reference pushes (t, t)).
+ * reference pushes (t, t)).  Messages follow the cluster loop's
+ * sent_by rule.
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_acc(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node, int32_t accs_per_node,
     const double *cpu_dur, const double *acc_dur, const uint8_t *offload,
     const int32_t *node_of, const int32_t *waiting_init,
     const int32_t *succ_ptr, const int32_t *succ_idx,
-    const int32_t *edge_slot, int64_t nslots,
     int32_t serialized, double lat, double bwt,
     double *out_makespan, double *out_busy, int64_t *out_messages)
 {
     int32_t rc = -1;
     int32_t *waiting = NULL, *free_cores = NULL, *free_accs = NULL;
-    double *data_ready = NULL, *chan_free = NULL, *slot_arrival = NULL;
+    int64_t *sent_by = NULL;
+    double *data_ready = NULL, *chan_free = NULL, *sent_at = NULL;
     uint8_t *state = NULL;
     iheap *cpuq = NULL, *accq = NULL;
     evheap ev = {NULL, NULL, 0};
@@ -1029,23 +992,23 @@ int32_t hqr_simulate_acc(
     free_cores = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
     free_accs = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
     chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
-    slot_arrival = (double *)malloc((size_t)(nslots > 0 ? nslots : 1) * sizeof(double));
+    sent_at = (double *)malloc((size_t)nnodes * sizeof(double));
+    sent_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     cpuq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     accq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     ev.t = (double *)malloc((size_t)(2 * ntasks + 4) * sizeof(double));
     ev.c = (int64_t *)malloc((size_t)(2 * ntasks + 4) * sizeof(int64_t));
     if (!waiting || !data_ready || !free_cores || !free_accs || !chan_free ||
-        !slot_arrival || !state || !cpuq || !accq || !ev.t || !ev.c)
+        !sent_at || !sent_by || !state || !cpuq || !accq || !ev.t || !ev.c)
         goto done;
 
     memcpy(waiting, waiting_init, (size_t)ntasks * sizeof(int32_t));
     for (int32_t i = 0; i < nnodes; i++) {
         free_cores[i] = cores_per_node;
         free_accs[i] = accs_per_node;
+        sent_by[i] = -1;
     }
-    for (int64_t i = 0; i < nslots; i++)
-        slot_arrival[i] = -1.0;
 
     double busy = 0.0, finish = 0.0;
     int64_t messages = 0;
@@ -1131,28 +1094,27 @@ int32_t hqr_simulate_acc(
         }
         for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
             int32_t s = succ_idx[i];
-            int32_t slot = edge_slot[i];
+            int32_t dest = node_of[s];
             double arrival;
-            if (slot < 0)
+            if (dest == node)
                 arrival = now;
+            else if (sent_by[dest] == t)
+                arrival = sent_at[dest];
             else {
-                arrival = slot_arrival[slot];
-                if (arrival < 0) {
-                    int32_t dest = node_of[s];
-                    if (serialized) {
-                        double depart = now;
-                        if (chan_free[node] > depart)
-                            depart = chan_free[node];
-                        if (chan_free[dest] > depart)
-                            depart = chan_free[dest];
-                        chan_free[node] = depart + bwt;
-                        chan_free[dest] = depart + bwt;
-                        arrival = depart + lat + bwt;
-                    } else
-                        arrival = now + lat + bwt;
-                    slot_arrival[slot] = arrival;
-                    messages++;
-                }
+                if (serialized) {
+                    double depart = now;
+                    if (chan_free[node] > depart)
+                        depart = chan_free[node];
+                    if (chan_free[dest] > depart)
+                        depart = chan_free[dest];
+                    chan_free[node] = depart + bwt;
+                    chan_free[dest] = depart + bwt;
+                    arrival = depart + lat + bwt;
+                } else
+                    arrival = now + lat + bwt;
+                sent_by[dest] = t;
+                sent_at[dest] = arrival;
+                messages++;
             }
             if (arrival > data_ready[s])
                 data_ready[s] = arrival;
@@ -1194,7 +1156,8 @@ done:
     free(free_cores);
     free(free_accs);
     free(chan_free);
-    free(slot_arrival);
+    free(sent_at);
+    free(sent_by);
     free(state);
     free(ev.t);
     free(ev.c);
@@ -1283,17 +1246,16 @@ def _build() -> ctypes.CDLL | None:
     ]
     lib.hqr_build_dag.restype = i64
     lib.hqr_build_dag.argtypes = [
-        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 8,
+        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 6,
     ]
-    lib.hqr_finish_graph.restype = i64
-    lib.hqr_finish_graph.argtypes = [i64, vp, vp, vp, i32, vp, vp, vp]
+    lib.hqr_transpose.restype = i64
+    lib.hqr_transpose.argtypes = [i64, vp, vp, vp, vp]
     lib.hqr_openmp.restype = i32
     lib.hqr_openmp.argtypes = []
     lib.hqr_simulate_cluster_batch.restype = i32
-    # the two size vectors, nine per-graph pointer tables, site_of, four
-    # outputs
+    # the size vector, eight per-graph pointer tables, site_of, four outputs
     lib.hqr_simulate_cluster_batch.argtypes = [
-        i64, i32, *[vp] * 11,
+        i64, i32, *[vp] * 9,
         i32, i32, i32, i32, f64, f64, f64, f64, vp, i32, *[vp] * 4,
     ]
     lib.hqr_lower_bound.restype = i32
@@ -1305,7 +1267,7 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_simulate_acc.restype = i32
     lib.hqr_simulate_acc.argtypes = [
         i64, i32, i32, i32, f64p, f64p, u8p, i32p, i32p,
-        i32p, i32p, i32p, i64, i32, f64, f64,
+        i32p, i32p, i32, f64, f64,
         f64p, f64p, i64p,
     ]
     return lib

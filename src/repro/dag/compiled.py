@@ -1,19 +1,20 @@
 """Structure-of-arrays task graph for the compiled simulation pipeline.
 
 :class:`CompiledGraph` flattens a kernel DAG into numpy arrays — int8 kind
-codes, CSR predecessor/successor adjacency with int32 offsets, per-task
-node placement, a 6-entry per-kernel-kind duration table, and precomputed
-message slots for cross-node edges — so the event-loop core
-(:mod:`repro.runtime.compiled`) touches only flat arrays and scalar ints.
-It holds only what the loops read, 13 bytes a task and 12 an edge; a
-task's tiles follow from the elimination list (:func:`task_coordinates`).
+codes, wait counts and CSR successor adjacency with int32 offsets, per-task
+node placement and a 6-entry per-kernel-kind duration table — so the
+event-loop core (:mod:`repro.runtime.compiled`) touches only flat arrays
+and scalar ints.  It holds only what the loops read, 13 bytes a task and 4
+an edge; a task's tiles follow from the elimination list
+(:func:`task_coordinates`), its predecessor lists from its successor lists
+(:attr:`CompiledGraph.pred_idx`).
 Graphs can be compiled from an existing :class:`~repro.dag.graph.TaskGraph`
 or built directly from an elimination list (no per-task Python objects).
 With the native core the elimination arrays go to a C counting pre-pass and
 then one C write pass that emits tasks and edges, places each task from a
-per-tile owner table and finishes the successor CSR and message slots in
-O(E); without a compiler the pure-Python builder and the numpy
-``_succ_csr`` / ``_edge_slots`` produce the same arrays bit for bit.
+per-tile owner table and transposes the predecessor lists into the
+successor CSR in O(E); without a compiler the pure-Python builder and the
+numpy ``_succ_csr`` produce the same arrays bit for bit.
 Compiled graphs are cacheable — see :mod:`repro.dag.cache`.
 
 Kind codes follow the :class:`~repro.kernels.weights.KernelKind`
@@ -61,12 +62,10 @@ def duration_table(machine: Machine, b: int) -> np.ndarray:
 class CompiledGraph:
     """Flat-array form of a kernel DAG, bound to a layout and machine.
 
-    ``pred_ptr``/``pred_idx`` and ``succ_ptr``/``succ_idx`` are CSR
-    adjacency (successor lists ascending, matching
-    ``TaskGraph.successors``).  ``edge_slot`` is aligned with ``succ_idx``:
-    ``-1`` for a node-local edge, otherwise the index of the unique
-    (producer, destination-node) message this edge rides on — the
-    array-world replacement for the reference simulator's ``sent`` dict.
+    ``succ_ptr``/``succ_idx`` is CSR adjacency (successor lists ascending,
+    matching ``TaskGraph.successors``); ``pred_ptr`` holds the offsets of
+    the predecessor lists, i.e. the wait counts, and :attr:`pred_idx`
+    derives the lists themselves on demand.
 
     Every builder emits exactly these dtypes (int32 offsets cap a graph
     at ``2**31 - 1`` edges); the event loops convert any other, by value.
@@ -77,13 +76,17 @@ class CompiledGraph:
     n: int
     kind: np.ndarray  # int8[ntasks]
     pred_ptr: np.ndarray  # int32[ntasks+1]
-    pred_idx: np.ndarray  # int32[nedges] — read by the fault path only
     succ_ptr: np.ndarray  # int32[ntasks+1]
     succ_idx: np.ndarray  # int32[nedges]
     node: np.ndarray  # int32[ntasks] — placement under the layout
-    edge_slot: np.ndarray  # int32[nedges], aligned with succ_idx
-    nslots: int  # distinct cross-node (producer, dest) pairs
     dur_table: np.ndarray  # float64[6] seconds per kernel kind
+
+    @property
+    def pred_idx(self) -> np.ndarray:
+        """Predecessor lists aligned with ``pred_ptr``, each ascending —
+        the successor CSR transposed, on every access (the fault path's
+        recovery cone reads them; no fault-free loop does)."""
+        return _transpose(self.succ_ptr, self.succ_idx)[1]
 
     @property
     def ntasks(self) -> int:
@@ -151,81 +154,62 @@ def _check_int32(ntasks: int, nedges: int) -> None:
         )
 
 
+def _out_of_range(ntasks: int) -> ValueError:
+    return ValueError(f"CSR index outside [0, {ntasks})")
+
+
 def _succ_csr(
-    pred_ptr: np.ndarray, pred_idx: np.ndarray, ntasks: int
+    ptr: np.ndarray, idx: np.ndarray, ntasks: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse the predecessor CSR into successor CSR (ascending lists)."""
-    counts = np.diff(pred_ptr)
-    consumer = np.repeat(np.arange(ntasks, dtype=np.int32), counts)
-    # stable sort by producer keeps consumers ascending per producer,
-    # matching the order TaskGraph builds its successor lists in
-    order = np.argsort(pred_idx, kind="stable")
-    succ_idx = np.ascontiguousarray(consumer[order], dtype=np.int32)
-    succ_counts = np.bincount(pred_idx, minlength=ntasks)
-    succ_ptr = np.zeros(ntasks + 1, dtype=np.int32)
-    np.cumsum(succ_counts, out=succ_ptr[1:])
-    return succ_ptr, succ_idx
+    """Transpose a CSR over ``ntasks`` rows — predecessor lists into
+    successor lists, or back — every output list ascending."""
+    if len(idx) and not (0 <= idx.min() and idx.max() < ntasks):
+        raise _out_of_range(ntasks)
+    counts = np.diff(ptr)
+    row = np.repeat(np.arange(ntasks, dtype=np.int32), counts)
+    # a stable sort by index keeps rows ascending per index, matching the
+    # order TaskGraph builds its successor lists in
+    order = np.argsort(idx, kind="stable")
+    out_idx = np.ascontiguousarray(row[order], dtype=np.int32)
+    out_counts = np.bincount(idx, minlength=ntasks)
+    out_ptr = np.zeros(ntasks + 1, dtype=np.int32)
+    np.cumsum(out_counts, out=out_ptr[1:])
+    return out_ptr, out_idx
 
 
-def _edge_slots(
-    node: np.ndarray, succ_ptr: np.ndarray, succ_idx: np.ndarray, nnodes: int
-) -> tuple[np.ndarray, int]:
-    """Message slot per successor edge: unique (producer, dest) pairs."""
-    ntasks = len(node)
-    producer = np.repeat(np.arange(ntasks, dtype=np.int64), np.diff(succ_ptr))
-    dest = node[succ_idx].astype(np.int64)
-    cross = dest != node[producer]
-    edge_slot = np.full(len(succ_idx), -1, dtype=np.int32)
-    pairs = producer[cross] * nnodes + dest[cross]
-    if len(pairs):
-        uniq, inverse = np.unique(pairs, return_inverse=True)
-        edge_slot[cross] = inverse.astype(np.int32)
-        nslots = len(uniq)
-    else:
-        nslots = 0
-    return np.ascontiguousarray(edge_slot), nslots
-
-
-def _finish_native(
-    pred_ptr: np.ndarray, pred_idx: np.ndarray, node: np.ndarray, nnodes: int
-) -> tuple | None:
-    """``_succ_csr`` + ``_edge_slots`` in one O(E) native pass, or ``None``
-    (no native core, or inputs it refuses) for the numpy fallback."""
+def _transpose(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_succ_csr`` as one native O(E) counting sort, or numpy without a
+    native core; either refuses an index outside ``[0, ntasks)`` with
+    ``ValueError``."""
+    ntasks = len(ptr) - 1
+    if ptr[ntasks] != len(idx):
+        raise ValueError(f"CSR offsets end at {ptr[ntasks]}, not {len(idx)}")
     lib = _ccore.get_lib()
     if lib is None:
-        return None
-    ntasks = len(node)
-    pred_ptr = np.ascontiguousarray(pred_ptr, np.int32)
-    pred_idx = np.ascontiguousarray(pred_idx, np.int32)
-    node = np.ascontiguousarray(node, np.int32)
-    succ_ptr = np.empty(ntasks + 1, np.int32)
-    succ_idx = np.empty(len(pred_idx), np.int32)
-    edge_slot = np.empty(len(pred_idx), np.int32)
-    nslots = lib.hqr_finish_graph(
-        ntasks, pred_ptr.ctypes.data, pred_idx.ctypes.data, node.ctypes.data,
-        nnodes, succ_ptr.ctypes.data, succ_idx.ctypes.data,
-        edge_slot.ctypes.data,
-    )
-    if nslots < 0:
-        return None
-    return succ_ptr, succ_idx, edge_slot, nslots
+        return _succ_csr(ptr, idx, ntasks)
+    ptr = np.ascontiguousarray(ptr, np.int32)
+    idx = np.ascontiguousarray(idx, np.int32)
+    out_ptr = np.empty(ntasks + 1, np.int32)
+    out_idx = np.empty(len(idx), np.int32)
+    if lib.hqr_transpose(
+        ntasks, ptr.ctypes.data, idx.ctypes.data,
+        out_ptr.ctypes.data, out_idx.ctypes.data,
+    ) < 0:
+        raise _out_of_range(ntasks)
+    return out_ptr, out_idx
 
 
 def _finish(
     m: int, n: int, kind: np.ndarray, node: np.ndarray,
     pred_ptr: np.ndarray, pred_idx: np.ndarray, machine: Machine, b: int,
 ) -> CompiledGraph:
+    """The graph of built predecessor lists: their successor CSR is kept,
+    the lists themselves are not."""
     _check_int32(len(kind), len(pred_idx))
-    finished = _finish_native(pred_ptr, pred_idx, node, machine.nodes)
-    if finished is None:
-        succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
-        edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
-    else:
-        succ_ptr, succ_idx, edge_slot, nslots = finished
+    succ_ptr, succ_idx = _transpose(pred_ptr, pred_idx)
     return CompiledGraph(
-        m=m, n=n, kind=kind, pred_ptr=pred_ptr, pred_idx=pred_idx,
-        succ_ptr=succ_ptr, succ_idx=succ_idx, node=node, edge_slot=edge_slot,
-        nslots=nslots, dur_table=duration_table(machine, b),
+        m=m, n=n, kind=kind, pred_ptr=pred_ptr, succ_ptr=succ_ptr,
+        succ_idx=succ_idx, node=node, dur_table=duration_table(machine, b),
     )
 
 
@@ -303,7 +287,7 @@ def _build_native(
     )
     # counting pre-pass (write = 0): sizes every array exactly
     nedges = lib.hqr_build_dag(
-        0, *shape_and_elims, None, 0, 0, 0, *[None] * 7, ctypes.byref(counted)
+        0, *shape_and_elims, None, 0, 0, 0, *[None] * 5, ctypes.byref(counted)
     )
     if nedges < 0:
         return None
@@ -315,22 +299,17 @@ def _build_native(
         for name, size, dtype in (
             ("kind", ntasks, np.int8),
             ("pred_ptr", ntasks + 1, np.int32),
-            ("pred_idx", nedges, np.int32),
             ("node", ntasks, np.int32),
             ("succ_ptr", ntasks + 1, np.int32),
             ("succ_idx", nedges, np.int32),
-            ("edge_slot", nedges, np.int32),
         )
     }
-    nslots = lib.hqr_build_dag(
+    if lib.hqr_build_dag(
         1, *shape_and_elims, owner.ctypes.data, machine.nodes, ntasks, nedges,
         *[arr.ctypes.data for arr in arrays.values()], ctypes.byref(counted),
-    )
-    if nslots < 0:
+    ) < 0:
         return None
-    return CompiledGraph(
-        m=m, n=n, nslots=nslots, dur_table=duration_table(machine, b), **arrays
-    )
+    return CompiledGraph(m=m, n=n, dur_table=duration_table(machine, b), **arrays)
 
 
 def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:

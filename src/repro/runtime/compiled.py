@@ -168,8 +168,6 @@ def simulate_compiled_acc(
         waiting,
         np.ascontiguousarray(cg.succ_ptr, np.int32),
         np.ascontiguousarray(cg.succ_idx, np.int32),
-        np.ascontiguousarray(cg.edge_slot, np.int32),
-        cg.nslots,
         base.comm_serialized,
         base.latency,
         bwt,
@@ -207,7 +205,7 @@ def simulate_compiled_acc(
 
 def _c_acc(
     lib, ntasks, nnodes, cores_per_node, accs, cpu_dur, acc_dur, offload,
-    node, waiting, succ_ptr, succ_idx, edge_slot, nslots, serialized, lat, bwt,
+    node, waiting, succ_ptr, succ_idx, serialized, lat, bwt,
 ):
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     u8 = ctypes.c_uint8
@@ -218,7 +216,6 @@ def _c_acc(
         _ptr(cpu_dur, f64), _ptr(acc_dur, f64), _ptr(offload, u8),
         _ptr(node, i32), _ptr(waiting, i32),
         _ptr(succ_ptr, i32), _ptr(succ_idx, i32),
-        _ptr(edge_slot, i32), i64(nslots),
         i32(1 if serialized else 0), f64(lat), f64(bwt),
         ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),
     )
@@ -231,7 +228,7 @@ def _c_acc(
 
 def _py_acc(
     ntasks, nnodes, cores_per_node, accs, cpu_dur, acc_dur, offload,
-    node, waiting, succ_ptr, succ_idx, edge_slot, nslots, serialized, lat, bwt,
+    node, waiting, succ_ptr, succ_idx, serialized, lat, bwt,
 ):
     cpu_dur = cpu_dur.tolist()
     acc_dur = acc_dur.tolist()
@@ -240,7 +237,6 @@ def _py_acc(
     waiting = waiting.tolist()
     sp = succ_ptr.tolist()
     si = succ_idx.tolist()
-    slot_of = edge_slot.tolist()
 
     data_ready = [0.0] * ntasks
     free_cores = [cores_per_node] * nnodes
@@ -248,7 +244,8 @@ def _py_acc(
     cpu_heaps: list[list[int]] = [[] for _ in range(nnodes)]
     acc_heaps: list[list[int]] = [[] for _ in range(nnodes)]
     chan_free = [0.0] * nnodes
-    slot_arrival = [-1.0] * nslots
+    sent_by = [-1] * nnodes  # the cluster loop's message rule
+    sent_at = [0.0] * nnodes
     state = bytearray(ntasks)
     events: list[tuple[float, int]] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -314,26 +311,26 @@ def _py_acc(
                 free_cores[nd] += 1
         for i in range(sp[t], sp[t + 1]):
             s = si[i]
-            slot = slot_of[i]
-            if slot < 0:
+            dest = node[s]
+            if dest == nd:
                 arrival = now
+            elif sent_by[dest] == t:
+                arrival = sent_at[dest]
             else:
-                arrival = slot_arrival[slot]
-                if arrival < 0:
-                    dest = node[s]
-                    if serialized:
-                        depart = now
-                        if chan_free[nd] > depart:
-                            depart = chan_free[nd]
-                        if chan_free[dest] > depart:
-                            depart = chan_free[dest]
-                        chan_free[nd] = depart + bwt
-                        chan_free[dest] = depart + bwt
-                        arrival = depart + lat + bwt
-                    else:
-                        arrival = now + lat + bwt
-                    slot_arrival[slot] = arrival
-                    messages += 1
+                if serialized:
+                    depart = now
+                    if chan_free[nd] > depart:
+                        depart = chan_free[nd]
+                    if chan_free[dest] > depart:
+                        depart = chan_free[dest]
+                    chan_free[nd] = depart + bwt
+                    chan_free[dest] = depart + bwt
+                    arrival = depart + lat + bwt
+                else:
+                    arrival = now + lat + bwt
+                sent_by[dest] = t
+                sent_at[dest] = arrival
+                messages += 1
             if arrival > data_ready[s]:
                 data_ready[s] = arrival
             waiting[s] -= 1

@@ -221,7 +221,7 @@ def _machine_params(machine: Machine, b: int):
 # --------------------------------------------------------------------- #
 def _py_loop(
     ntasks, nnodes, cores_per_node, dur, node, waiting,
-    sp, si, slot_of, nslots, rank, task_of_rank,
+    sp, si, rank, task_of_rank,
     serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     data_reuse,
     *,
@@ -247,7 +247,10 @@ def _py_loop(
     free_cores = [cores_per_node] * nnodes
     ready = [[] for _ in range(nnodes)]
     chan_free = [0.0] * nnodes
-    slot_arrival = [-1.0] * nslots
+    # the C loop's message rule: the producer that last sent to a node,
+    # and when that tile lands there
+    sent_by = [-1] * nnodes
+    sent_at = [0.0] * nnodes
     state = bytearray(ntasks)  # 0 new, 1 queued, 2 launched
     events: list[tuple[float, int, int]] = []
     busy = 0.0
@@ -572,37 +575,37 @@ def _py_loop(
                         sent[key] = arrival
                 sat.add((t, s))
             else:
-                slot = slot_of[i]
-                if slot < 0:
+                dest = node[s]
+                if dest == nd:
                     arrival = now
+                elif sent_by[dest] == t:
+                    arrival = sent_at[dest]
                 else:
-                    arrival = slot_arrival[slot]
-                    if arrival < 0:
-                        dest = node[s]
-                        if hierarchical and site[nd] != site[dest]:
-                            lat, bwt = lat_inter, bwt_inter
-                        else:
-                            lat, bwt = lat_intra, bwt_intra
-                        if serialized:
-                            # the transfer holds both endpoints' single
-                            # communication channel for its bandwidth term
-                            depart = now
-                            if chan_free[nd] > depart:
-                                depart = chan_free[nd]
-                            if chan_free[dest] > depart:
-                                depart = chan_free[dest]
-                            chan_free[nd] = depart + bwt
-                            chan_free[dest] = depart + bwt
-                            arrival = depart + lat + bwt
-                        else:
-                            depart = now
-                            arrival = now + lat + bwt
-                        slot_arrival[slot] = arrival
-                        messages += 1
-                        if comm is not None:
-                            comm.append((t, nd, dest, depart, arrival))
-                        if observe:
-                            rec.comm(t, nd, dest, depart, arrival, nbytes)
+                    if hierarchical and site[nd] != site[dest]:
+                        lat, bwt = lat_inter, bwt_inter
+                    else:
+                        lat, bwt = lat_intra, bwt_intra
+                    if serialized:
+                        # the transfer holds both endpoints' single
+                        # communication channel for its bandwidth term
+                        depart = now
+                        if chan_free[nd] > depart:
+                            depart = chan_free[nd]
+                        if chan_free[dest] > depart:
+                            depart = chan_free[dest]
+                        chan_free[nd] = depart + bwt
+                        chan_free[dest] = depart + bwt
+                        arrival = depart + lat + bwt
+                    else:
+                        depart = now
+                        arrival = now + lat + bwt
+                    sent_by[dest] = t
+                    sent_at[dest] = arrival
+                    messages += 1
+                    if comm is not None:
+                        comm.append((t, nd, dest, depart, arrival))
+                    if observe:
+                        rec.comm(t, nd, dest, depart, arrival, nbytes)
             if arrival > data_ready[s]:
                 data_ready[s] = arrival
             waiting[s] -= 1
@@ -652,7 +655,6 @@ _NATIVE_FIELDS = (
     ("pred_ptr", np.int32),
     ("succ_ptr", np.int32),
     ("succ_idx", np.int32),
-    ("edge_slot", np.int32),
 )
 
 
@@ -669,14 +671,13 @@ def _graph_columns(graphs) -> list[list[np.ndarray]]:
         [np.ascontiguousarray(getattr(cg, name), dtype) for cg in graphs]
         for name, dtype in _NATIVE_FIELDS
     ]
-    dur_table, kind, node, pred_ptr, succ_ptr, succ_idx, edge_slot = columns
+    dur_table, kind, node, pred_ptr, succ_ptr, succ_idx = columns
     for j in range(len(graphs)):
         nt, ne = len(kind[j]), len(succ_idx[j])
         if not (
             len(dur_table[j]) == 6
             and len(node[j]) == nt
             and len(pred_ptr[j]) == len(succ_ptr[j]) == nt + 1
-            and len(edge_slot[j]) == ne
             and succ_ptr[j][nt] == ne
         ):
             raise ValueError(
@@ -715,7 +716,6 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     )))  # the rank column, then the task_of_rank column
     tables = _address_tables(columns)
     ntasks = np.array([len(k) for k in kind], dtype=np.int64)
-    nslots = np.array([cg.nslots for cg in graphs], dtype=np.int64)
     (
         nnodes, cores_per_node, serialized, hierarchical,
         lat_intra, bwt_intra, lat_inter, bwt_inter, site,
@@ -726,7 +726,7 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     out_msgs = np.zeros(npoints, dtype=np.int64)
     out_rc = np.zeros(npoints, dtype=np.int32)
     rc = lib.hqr_simulate_cluster_batch(
-        npoints, sim_threads(), ntasks.ctypes.data, nslots.ctypes.data,
+        npoints, sim_threads(), ntasks.ctypes.data,
         *[row.ctypes.data for row in tables],
         nnodes, cores_per_node,
         1 if serialized else 0, 1 if hierarchical else 0,
@@ -755,7 +755,7 @@ def _c_lower_bound(lib, graphs, machine: Machine, b: int):
     Refuses, with ``ValueError``, what the loop refuses and a graph whose
     successor edges do not all point forward."""
     npoints = len(graphs)
-    dur_table, kind, node, _, succ_ptr, succ_idx, _ = _graph_columns(graphs)
+    dur_table, kind, node, _, succ_ptr, succ_idx = _graph_columns(graphs)
     tables = _address_tables([dur_table, kind, node, succ_ptr, succ_idx])
     ntasks = np.array([len(k) for k in kind], dtype=np.int64)
     (
@@ -872,8 +872,6 @@ def run_core(
             cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
             cg.pred_counts.tolist(),
             cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-            cg.edge_slot.tolist() if fault is None else None,
-            cg.nslots if fault is None else 0,
             rank.tolist(), task_of_rank.tolist(),
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter, site,

@@ -1,9 +1,10 @@
-"""The native counting pre-pass, the fused build and the stand-alone finish
-pass against the pure-Python builder and the numpy ``_succ_csr`` /
-``_edge_slots``: every ``CompiledGraph`` array bit for bit, dtype included,
-and — the graph no longer storing them — ``task_coordinates`` against the
-``(row, panel, col, killer)`` of ``TaskGraph.from_eliminations``, so "task
-*t* is the same kernel on the same tiles" stays pinned."""
+"""The native counting pre-pass, the fused build and the native transpose
+against the pure-Python builder and the numpy ``_succ_csr``: every
+``CompiledGraph`` array bit for bit, dtype included, and — the graph no
+longer storing them — the derived predecessor lists against the emitted
+ones and ``task_coordinates`` against the ``(row, panel, col, killer)`` of
+``TaskGraph.from_eliminations``, so "task *t* is the same kernel on the
+same tiles, after the same tasks" stays pinned."""
 
 import ctypes
 import dataclasses
@@ -21,9 +22,8 @@ from repro.dag.compiled import (
     _build_arrays_py,
     _build_native,
     _check_int32,
-    _edge_slots,
-    _finish_native,
     _succ_csr,
+    _transpose,
     compile_graph,
     compiled_from_eliminations,
     count_tasks,
@@ -71,11 +71,10 @@ def _cases():
             yield case.m, case.n, case.config(), DiagonalOwner(5), machine, case.b
 
 
-#: the layout every builder emits: 13 bytes a task, 12 an edge
+#: the layout every builder emits: 13 bytes a task, 4 an edge
 DTYPES = {
-    "kind": np.int8, "pred_ptr": np.int32, "pred_idx": np.int32,
-    "succ_ptr": np.int32, "succ_idx": np.int32, "node": np.int32,
-    "edge_slot": np.int32, "dur_table": np.float64,
+    "kind": np.int8, "pred_ptr": np.int32, "succ_ptr": np.int32,
+    "succ_idx": np.int32, "node": np.int32, "dur_table": np.float64,
 }
 
 
@@ -90,22 +89,30 @@ def _reference_graph(elims, m, n, layout, machine, b):
     """The graph as the no-compiler path builds it, spelled out."""
     kind, node, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
     succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
-    edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
     return CompiledGraph(
-        m=m, n=n, kind=kind,
-        pred_ptr=pred_ptr, pred_idx=pred_idx, succ_ptr=succ_ptr,
-        succ_idx=succ_idx, node=node, edge_slot=edge_slot, nslots=nslots,
-        dur_table=duration_table(machine, b),
+        m=m, n=n, kind=kind, pred_ptr=pred_ptr, succ_ptr=succ_ptr,
+        succ_idx=succ_idx, node=node, dur_table=duration_table(machine, b),
     )
 
 
 def _assert_same_graph(got, want):
-    assert (got.m, got.n, got.nslots) == (want.m, want.n, want.nslots)
-    assert type(got.nslots) is int
+    assert (got.m, got.n) == (want.m, want.n)
     for field in _ARRAY_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype == DTYPES[field], field
         assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+def _assert_emitted_predecessors(cg, elims, m, n):
+    """The graph's derived predecessor lists are the Python builder's
+    emitted lists, each sorted, on the same offsets."""
+    _, _, pred_ptr, pred_idx = _py_arrays(elims, m, n, SingleNode())
+    derived = cg.pred_idx
+    assert derived.dtype == np.int32 and len(derived) == cg.succ_ptr[-1]
+    assert np.array_equal(cg.pred_ptr, pred_ptr)
+    for t in range(cg.ntasks):
+        span = slice(pred_ptr[t], pred_ptr[t + 1])
+        assert derived[span].tolist() == sorted(pred_idx[span].tolist()), t
 
 
 def _assert_coordinates(elims, m, n):
@@ -172,35 +179,62 @@ def test_fused_build_equals_the_reference_field_by_field(layout, nodes):
 
 @needs_native
 def test_finish_pass_equals_numpy_finish():
+    """The native transpose == ``_succ_csr``, bitwise, both ways: the
+    emitted predecessor lists into successors, and those back."""
     for m, n, cfg, layout, machine, b in _cases():
         elims = hqr_elimination_list(m, n, cfg)
-        kind, node, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
-        succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
-        edge_slot, nslots = _edge_slots(node, succ_ptr, succ_idx, machine.nodes)
-        got = _finish_native(pred_ptr, pred_idx, node, machine.nodes)
-        for a, b_ in zip(got, (succ_ptr, succ_idx, edge_slot, nslots)):
-            assert np.array_equal(a, b_)
-        for a, b_ in zip(got[:3], (succ_ptr, succ_idx, edge_slot)):
-            assert a.dtype == b_.dtype == np.int32
+        kind, _, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
+        ptr, idx = pred_ptr, pred_idx
+        for _ in range(2):
+            want = _succ_csr(ptr, idx, len(kind))
+            got = _transpose(ptr, idx)
+            for a, b_ in zip(got, want):
+                assert a.dtype == b_.dtype == np.int32
+                assert np.array_equal(a, b_)
+            ptr, idx = got
+        assert np.array_equal(ptr, pred_ptr)
 
 
-@needs_native
-def test_one_node_machine_has_no_slots():
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_derived_predecessors_are_the_emitted_lists_sorted(core, monkeypatch):
+    """Fused, Python and ``compile_graph`` builders over random trees: each
+    graph's derived predecessor lists are what its builder emitted."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    layout, machine = BlockCyclic2D(2, 2), Machine(nodes=4, cores_per_node=2)
+    for seed in range(12):
+        m, n = 3 + seed, 1 + seed % 5
+        elims = EliminationArray.of(random_elimination_list(m, n, seed=seed))
+        graph = TaskGraph.from_eliminations(elims, m, n)
+        for cg in (
+            compiled_from_eliminations(elims, m, n, layout, machine, 16),
+            compile_graph(graph, layout, machine, 16),
+        ):
+            _assert_emitted_predecessors(cg, elims, m, n)
+
+
+def test_one_node_machine_sends_no_messages():
     m, n, cfg = 9, 4, HQRConfig(p=2, a=2)
+    machine = Machine(nodes=1)
     cg = compiled_from_eliminations(
-        hqr_elimination_list(m, n, cfg), m, n, SingleNode(), Machine(nodes=1), 16
+        hqr_elimination_list(m, n, cfg), m, n, SingleNode(), machine, 16
     )
-    assert cg.nslots == 0 and (cg.edge_slot == -1).all()
-    assert len(cg.edge_slot) == len(cg.succ_idx) == len(cg.pred_idx) > 0
+    assert len(cg.succ_idx) == len(cg.pred_idx) > 0
+    assert run_core(cg, machine, 16).result.messages == 0
 
 
-@needs_native
-def test_finish_pass_refuses_out_of_range_nodes():
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_transpose_refuses_out_of_range_indices(core, monkeypatch):
+    """An index outside ``[0, ntasks)`` is a typed error on either path,
+    never a write out of bounds (the sanitizer build watches that)."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
     elims = hqr_elimination_list(6, 3, HQRConfig(p=2))
     kind, _, pred_ptr, pred_idx = _py_arrays(elims, 6, 3, SingleNode())
-    node = np.full(len(kind), 4, dtype=np.int32)
-    assert _finish_native(pred_ptr, pred_idx, node, 4) is None
-    assert _finish_native(pred_ptr, pred_idx, node - 5, 4) is None
+    ntasks = len(kind)
+    for bad in (pred_idx + ntasks, pred_idx - 5):
+        with pytest.raises(ValueError, match=rf"outside \[0, {ntasks}\)"):
+            _transpose(pred_ptr, bad)
+    with pytest.raises(ValueError, match="offsets end at"):
+        _transpose(pred_ptr, pred_idx[:-1])
 
 
 @needs_native
@@ -238,17 +272,17 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
     m, n = 7, 4
     elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
     owner = np.zeros(m * n, np.int32)
-    nothing = [np.empty(0, np.int32)] * 7
+    nothing = [np.empty(0, np.int32)] * 5
     nedges, ntasks = _raw_build(lib, 0, m, n, elims, owner, 1, 0, 0, nothing)
     assert ntasks == count_tasks(elims, m, n) and nedges > ntasks
 
-    def arrays(nt, ne):  # kind, pred_ptr, pred_idx, node, succ_*, edge_slot
-        sizes = [nt, nt + 1, ne, nt, nt + 1, ne, ne]
-        return [np.empty(s, d) for s, d in zip(sizes, [np.int8] + [np.int32] * 6)]
+    def arrays(nt, ne):  # kind, pred_ptr, node, succ_ptr, succ_idx
+        sizes = [nt, nt + 1, nt, nt + 1, ne]
+        return [np.empty(s, d) for s, d in zip(sizes, [np.int8] + [np.int32] * 4)]
 
     assert _raw_build(
         lib, 1, m, n, elims, owner, 1, ntasks, nedges, arrays(ntasks, nedges)
-    )[0] == 0  # one node: no slots
+    )[0] == 0
     for nt, ne in [
         (ntasks - 1, nedges), (ntasks, nedges - 1),
         (ntasks + 1, nedges), (ntasks, nedges + 1), (0, 0),
@@ -361,7 +395,7 @@ def test_list_that_does_not_fit_the_shape_is_rejected():
 
 
 def test_bytes_per_task():
-    """13 bytes a task, 12 an edge, two extra offsets and the six-float
+    """13 bytes a task, 4 an edge, two extra offsets and the six-float
     duration table: a later change cannot widen the layout unnoticed."""
     layout, machine = BlockCyclic2D(3, 2), Machine(nodes=6, cores_per_node=2)
     for m, n in [(1, 1), (5, 5), (14, 4), (6, 9)]:
@@ -371,15 +405,15 @@ def test_bytes_per_task():
             compiled_from_eliminations(elims, m, n, layout, machine, 16),
             compile_graph(graph, layout, machine, 16),
         ):
-            ntasks, nedges = cg.ntasks, len(cg.pred_idx)
+            ntasks, nedges = cg.ntasks, int(cg.succ_ptr[-1])
             assert ntasks == len(graph.tasks)
-            assert nedges == sum(map(len, graph.predecessors))
+            assert nedges == len(cg.pred_idx) == sum(map(len, graph.predecessors))
             arrays = [
                 value for value in vars(cg).values()
                 if isinstance(value, np.ndarray)
             ]
             assert sum(a.nbytes for a in arrays) == (
-                13 * ntasks + 12 * nedges + 8 + 48
+                13 * ntasks + 4 * nedges + 8 + 48
             )
 
 
@@ -389,7 +423,7 @@ def test_array_fields_are_every_array_of_the_dataclass():
     assert _ARRAY_FIELDS == tuple(DTYPES)
     assert {f.name for f in dataclasses.fields(CompiledGraph)} == set(
         _ARRAY_FIELDS
-    ) | {"m", "n", "nslots"}
+    ) | {"m", "n"}
     from repro.dag.cache import CompiledGraphCache
 
     m, n = 6, 3
@@ -442,8 +476,8 @@ def test_a_graph_past_the_limit_raises_before_it_is_built(core, monkeypatch):
 
 @needs_native
 def test_finish_pass_refuses_more_tasks_than_int32():
-    """Checked before ``pred_ptr[ntasks]`` is read, so nothing is touched."""
+    """Checked before ``ptr[ntasks]`` is read, so nothing is touched."""
     lib = _ccore.get_lib()
     arr = np.zeros(2, np.int32)
     addr = arr.ctypes.data
-    assert lib.hqr_finish_graph(2**31, addr, addr, addr, 1, addr, addr, addr) == -1
+    assert lib.hqr_transpose(2**31, addr, addr, addr, addr) == -1

@@ -18,6 +18,8 @@ import pytest
 from repro._ccore import native_available
 from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
+from repro.dag.tasks import Task
+from repro.kernels.weights import KernelKind
 from repro.obs.events import recording, uninstall
 from repro.runtime.core import (
     FaultHooks,
@@ -26,7 +28,7 @@ from repro.runtime.core import (
 )
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator
-from repro.tiles.layout import BlockCyclic2D
+from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 from golden import (
     GOLDEN_RELPATH,
@@ -156,7 +158,6 @@ def _foreign(cg):
         pred_ptr=strided(cg.pred_ptr.astype(np.int64)),
         succ_ptr=cg.succ_ptr.astype(np.int64),
         succ_idx=strided(cg.succ_idx.astype(np.int64)),
-        edge_slot=cg.edge_slot.astype(np.int64),
         dur_table=strided(cg.dur_table),
     )
 
@@ -253,6 +254,63 @@ def test_batch_refuses_arrays_that_do_not_fit_together():
             run_core(bad, case.machine, case.b, core="c")
         with pytest.raises(ValueError, match="graph 1"):
             run_core_batch([cg, bad, cg], case.machine, case.b, core="c")
+
+
+def _fan_out_graph():
+    """Task 0 (node 0) feeds one local consumer, three on node 1 and two on
+    node 2, in the other site; task 7 (node 3) also messages node 1, and a
+    sink on node 0 gathers the rest.  Under ``Cyclic1D(4)`` a task's node
+    is its row mod 4."""
+    K = KernelKind
+    rows_kinds_preds = [
+        (0, K.GEQRT, []),
+        (4, K.UNMQR, [0]),
+        (1, K.UNMQR, [0]),
+        (5, K.UNMQR, [0]),
+        (9, K.TSQRT, [0]),
+        (2, K.UNMQR, [0]),
+        (6, K.TTQRT, [0]),
+        (3, K.GEQRT, []),
+        (13, K.TSMQR, [7, 2]),
+        (8, K.TTMQR, [1, 2, 3, 4, 5, 6, 8]),
+    ]
+    tasks = [Task(t, kind, row, 0) for t, (row, kind, _) in enumerate(rows_kinds_preds)]
+    return TaskGraph(14, 1, tasks, [preds for *_, preds in rows_kinds_preds])
+
+
+@pytest.mark.parametrize("serialized", [True, False])
+def test_a_tile_goes_once_to_each_remote_node(serialized):
+    """Task 0's five cross-node edges are two messages, one a destination
+    node: 9 in all, where one message an edge would be 12.  Every cluster
+    loop — C, Python, traced, and the fault branch with its ``sent`` dict —
+    agrees bit for bit, and so do the three accelerator loops."""
+    from repro.resilience.faults import FaultSchedule
+    from repro.resilience.simulate import ResilientSimulator
+    from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
+    from repro.runtime.compiled import simulate_compiled_acc
+
+    graph, layout, b = _fan_out_graph(), Cyclic1D(4), 64
+    machine = Machine(
+        nodes=4, cores_per_node=1, site_size=2, comm_serialized=serialized
+    )
+    cg = compile_graph(graph, layout, machine, b)
+    assert cg.node.tolist() == [0, 0, 1, 1, 1, 2, 2, 3, 1, 0]
+    traced = ClusterSimulator(machine, layout, b, record_trace=True).run(graph)
+    assert [dst for t, _, dst, *_ in traced.comm_trace if t == 0] == [1, 2]
+    cores = ["python"] + (["c"] if native_available() else [])
+    cluster = [
+        traced,
+        ResilientSimulator(machine, layout, b).run_with_faults(
+            graph, FaultSchedule(), baseline_makespan=0.0, force_fault_loop=True
+        ),
+    ] + [run_core(cg, machine, b, core=core).result for core in cores]
+    acc = AcceleratedMachine(machine, accelerators=1)
+    accelerated = [AcceleratedSimulator(acc, layout, b).run_reference(graph)] + [
+        simulate_compiled_acc(cg, acc, b, core=core) for core in cores
+    ]
+    for family in (cluster, accelerated):
+        assert [r.messages for r in family] == [9] * len(family)
+        assert [r.makespan for r in family] == [family[0].makespan] * len(family)
 
 
 # the C loop keeps finish events in one sorted ring per kernel kind, which
