@@ -296,11 +296,12 @@ int64_t hqr_expand(
  * turns that into r's first position, which the scatter then advances,
  * as r's cursor, to r's end = (r + 1)'s start; rows are walked in
  * ascending order, so every output list ascends (the order a stable
- * argsort over idx gives).
+ * argsort over idx gives).  Row t is idx[ptr[t] .. ptr[t + 1]), or, with
+ * ptr == NULL, the next wait[t] entries: the builder needs no offsets.
  * ------------------------------------------------------------------ */
 static void finish_successors(
-    int64_t ntasks, const int32_t *ptr, const int32_t *idx,
-    int32_t *out_ptr, int32_t *out_idx)
+    int64_t ntasks, const int32_t *ptr, const uint8_t *wait,
+    const int32_t *idx, int32_t *out_ptr, int32_t *out_idx)
 {
     int32_t run = 0;  /* ends at nedges, which the callers bound */
     for (int64_t t = 0; t < ntasks; t++) {
@@ -308,9 +309,11 @@ static void finish_successors(
         out_ptr[t + 1] = run;
         run += count;
     }
-    for (int64_t t = 0; t < ntasks; t++)
-        for (int64_t e = ptr[t]; e < ptr[t + 1]; e++)
+    for (int64_t t = 0, e = 0; t < ntasks; t++) {
+        int64_t end = ptr ? ptr[t + 1] : e + wait[t];
+        for (e = ptr ? ptr[t] : e; e < end; e++)
             out_idx[out_ptr[idx[e] + 1]++] = (int32_t)t;
+    }
 }
 
 /* ------------------------------------------------------------------ *
@@ -328,15 +331,16 @@ static void finish_successors(
  * row's tile in the trailing column for an update kernel, in the panel
  * otherwise - and counts successors per edge written, which is what
  * finish_successors starts from.  The predecessor lists are scratch,
- * allocated and freed here: a graph keeps only its wait counts
- * (pred_ptr) and its successor lists, and a task's coordinates are not
- * stored either - no loop reads them.  Returns 0.
+ * allocated and freed here: a graph keeps its wait counts (uint8, at most
+ * 3 here), int16 nodes and successor lists, and no offsets or coordinates
+ * - no loop reads them.  Returns 0.
  *
  * Refusals, all -2: an elimination outside m x n, an owner entry outside
- * [0, nnodes), counts above INT32_MAX (the offsets are 32-bit), or a
- * write pass that would produce more tasks or edges than the counts it
- * was given, or ends with fewer - checked before each write, so a
- * disagreement never leaves the arrays.  -1 is allocation failure.
+ * [0, min(nnodes, INT16_MAX + 1)), counts above INT32_MAX (the offsets
+ * are 32-bit), an in-degree above UINT8_MAX, or a write pass that would
+ * produce more tasks or edges than the counts it was given, or ends with
+ * fewer - checked before each write, so a disagreement never leaves the
+ * arrays.  -1 is allocation failure.
  * ------------------------------------------------------------------ */
 int64_t hqr_build_dag(
     int32_t write,
@@ -344,13 +348,14 @@ int64_t hqr_build_dag(
     const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
     const uint8_t *e_ts,
     const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,
-    int8_t *kind, int32_t *pred_ptr, int32_t *node,
+    int8_t *kind, uint8_t *wait, int16_t *node,
     int32_t *succ_ptr, int32_t *succ_idx,
     int64_t *out_ntasks)
 {
     int64_t rc = -1;
     int64_t tid = 0;   /* next task id */
     int64_t ne = 0;    /* predecessor edges so far */
+    int64_t first = 0; /* ne when the task being emitted began */
     int32_t *pred_idx = NULL;
     int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
     uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
@@ -368,10 +373,9 @@ int64_t hqr_build_dag(
             goto done;
         }
         for (int64_t i = 0; i < (int64_t)m * n; i++)
-            if (owner[i] < 0 || owner[i] >= nnodes)
+            if (owner[i] < 0 || owner[i] >= nnodes || owner[i] > INT16_MAX)
                 goto done;
         memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
-        pred_ptr[0] = 0;
     }
 
 #define DEP(W)                                                                \
@@ -389,11 +393,12 @@ int64_t hqr_build_dag(
 #define TASK(KIND, ROW, COL)                                                  \
     do {                                                                      \
         if (write) {                                                          \
-            if (tid >= ntasks)                                                \
+            if (tid >= ntasks || ne - first > UINT8_MAX)                      \
                 goto done;                                                    \
             kind[tid] = (KIND);                                               \
-            node[tid] = owner[(int64_t)(ROW) * n + (COL)];                    \
-            pred_ptr[tid + 1] = (int32_t)ne;                                  \
+            wait[tid] = (uint8_t)(ne - first);                                \
+            node[tid] = (int16_t)owner[(int64_t)(ROW) * n + (COL)];           \
+            first = ne;                                                       \
         }                                                                     \
         tid++;                                                                \
     } while (0)
@@ -488,7 +493,7 @@ int64_t hqr_build_dag(
     }
     if (tid != ntasks || ne != nedges)
         goto done;
-    finish_successors(ntasks, pred_ptr, pred_idx, succ_ptr, succ_idx);
+    finish_successors(ntasks, NULL, wait, pred_idx, succ_ptr, succ_idx);
     rc = 0;
 
 done:
@@ -518,17 +523,18 @@ int64_t hqr_transpose(
     memset(out_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
     for (int64_t e = 0; e < nedges; e++)
         out_ptr[idx[e] + 1]++;
-    finish_successors(ntasks, ptr, idx, out_ptr, out_idx);
+    finish_successors(ntasks, ptr, NULL, idx, out_ptr, out_idx);
     return 0;
 }
 
 /* ------------------------------------------------------------------ *
  * Cluster event loop.  Mirrors ClusterSimulator.run exactly.
  * Event codes: task id t for "t finished", ntasks + t for "data arrival
- * completed t's inputs".  Returns 0 (ok), 1 (stalled), 2 (a kind outside
- * [0, 6) or a node outside [0, nnodes)), -1 (alloc fail).
+ * completed t's inputs".  Returns 0 (ok), 1 (a count not 0 at the end: a
+ * wait count that is not its task's in-degree), 2 (a kind outside [0, 6)
+ * or a node outside [0, nnodes)), -1 (alloc fail).
  *
- * Reads the graph's own arrays in place: wait counts come from pred_ptr,
+ * Reads the graph's own arrays in place: wait counts come from wait,
  * a task's duration is dur_table[kind[t]], and rank == NULL (with
  * task_of_rank == NULL) means program order, i.e. identity ranks.
  *
@@ -549,8 +555,8 @@ int64_t hqr_transpose(
  * ------------------------------------------------------------------ */
 static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
-    const double *dur_table, const int8_t *kind, const int32_t *node_of,
-    const int32_t *pred_ptr,
+    const double *dur_table, const int8_t *kind, const int16_t *node_of,
+    const uint8_t *wait,
     const int32_t *succ_ptr, const int32_t *succ_idx,
     const int32_t *rank, const int32_t *task_of_rank,
     int32_t serialized, int32_t hierarchical,
@@ -594,7 +600,7 @@ static int32_t hqr_simulate_cluster(
             rc = 2;
             goto done;
         }
-        waiting[t] = pred_ptr[t + 1] - pred_ptr[t];
+        waiting[t] = wait[t];
     }
     for (int k = 0; k < 6; k++) {
         fin[k].k = ring_keys + k * ring_cap;
@@ -746,7 +752,7 @@ static int32_t hqr_simulate_cluster(
 
     rc = 0;
     for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] > 0) {
+        if (waiting[t] != 0) {
             rc = 1;
             break;
         }
@@ -789,7 +795,7 @@ int32_t hqr_simulate_cluster_batch(
     int64_t npoints, int32_t nthreads,
     const int64_t *ntasks,
     const double *const *dur_table, const int8_t *const *kind,
-    const int32_t *const *node_of, const int32_t *const *pred_ptr,
+    const int16_t *const *node_of, const uint8_t *const *wait,
     const int32_t *const *succ_ptr, const int32_t *const *succ_idx,
     const int32_t *const *rank, const int32_t *const *task_of_rank,
     int32_t nnodes, int32_t cores_per_node,
@@ -813,7 +819,7 @@ int32_t hqr_simulate_cluster_batch(
         }
         out_rc[p] = hqr_simulate_cluster(
             ntasks[p], nnodes, cores_per_node,
-            dur_table[p], kind[p], node_of[p], pred_ptr[p],
+            dur_table[p], kind[p], node_of[p], wait[p],
             succ_ptr[p], succ_idx[p], rank[p], task_of_rank[p],
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
@@ -849,7 +855,7 @@ int32_t hqr_simulate_cluster_batch(
  * ------------------------------------------------------------------ */
 static int32_t lower_bound_one(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
-    const double *dur_table, const int8_t *kind, const int32_t *node_of,
+    const double *dur_table, const int8_t *kind, const int16_t *node_of,
     const int32_t *succ_ptr, const int32_t *succ_idx,
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
@@ -939,7 +945,7 @@ done:
 int32_t hqr_lower_bound(
     int64_t npoints, int32_t nthreads, const int64_t *ntasks,
     const double *const *dur_table, const int8_t *const *kind,
-    const int32_t *const *node_of, const int32_t *const *succ_ptr,
+    const int16_t *const *node_of, const int32_t *const *succ_ptr,
     const int32_t *const *succ_idx,
     int32_t nnodes, int32_t cores_per_node,
     int32_t serialized, int32_t hierarchical,
@@ -969,12 +975,12 @@ int32_t hqr_lower_bound(
  * Event codes: t = CPU finish, ntasks+t = accelerator finish,
  * 2*ntasks+t = data arrival.  Ready-queue keys are task ids (the
  * reference pushes (t, t)).  Messages follow the cluster loop's
- * sent_by rule.
+ * sent_by rule, and rc 1 its check that every wait count ends at 0.
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_acc(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node, int32_t accs_per_node,
     const double *cpu_dur, const double *acc_dur, const uint8_t *offload,
-    const int32_t *node_of, const int32_t *waiting_init,
+    const int16_t *node_of, const uint8_t *wait,
     const int32_t *succ_ptr, const int32_t *succ_idx,
     int32_t serialized, double lat, double bwt,
     double *out_makespan, double *out_busy, int64_t *out_messages)
@@ -1003,7 +1009,8 @@ int32_t hqr_simulate_acc(
         !sent_at || !sent_by || !state || !cpuq || !accq || !ev.t || !ev.c)
         goto done;
 
-    memcpy(waiting, waiting_init, (size_t)ntasks * sizeof(int32_t));
+    for (int64_t t = 0; t < ntasks; t++)
+        waiting[t] = wait[t];
     for (int32_t i = 0; i < nnodes; i++) {
         free_cores[i] = cores_per_node;
         free_accs[i] = accs_per_node;
@@ -1134,7 +1141,7 @@ int32_t hqr_simulate_acc(
 
     rc = 0;
     for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] > 0) {
+        if (waiting[t] != 0) {
             rc = 1;
             break;
         }
@@ -1230,6 +1237,7 @@ def _build() -> ctypes.CDLL | None:
         return None
 
     u8p = ctypes.POINTER(ctypes.c_uint8)
+    i16p = ctypes.POINTER(ctypes.c_int16)
     i32p = ctypes.POINTER(ctypes.c_int32)
     i64p = ctypes.POINTER(ctypes.c_int64)
     f64p = ctypes.POINTER(ctypes.c_double)
@@ -1266,7 +1274,7 @@ def _build() -> ctypes.CDLL | None:
     ]
     lib.hqr_simulate_acc.restype = i32
     lib.hqr_simulate_acc.argtypes = [
-        i64, i32, i32, i32, f64p, f64p, u8p, i32p, i32p,
+        i64, i32, i32, i32, f64p, f64p, u8p, i16p, u8p,
         i32p, i32p, i32, f64, f64,
         f64p, f64p, i64p,
     ]

@@ -155,7 +155,7 @@ def _default_memory_slots() -> int:
     """Cache capacity: ``REPRO_CACHE_SLOTS`` or 128 graphs.
 
     The default comfortably holds a full Figure-6 sweep (72 graphs,
-    ≈ 52 MiB of arrays), so a repeated sweep finds every graph resident.
+    ≈ 40.5 MiB of arrays), so a repeated sweep finds every graph resident.
     """
     env = os.environ.get("REPRO_CACHE_SLOTS")
     if not env:

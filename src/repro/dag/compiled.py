@@ -1,13 +1,13 @@
 """Structure-of-arrays task graph for the compiled simulation pipeline.
 
 :class:`CompiledGraph` flattens a kernel DAG into numpy arrays — int8 kind
-codes, wait counts and CSR successor adjacency with int32 offsets, per-task
-node placement and a 6-entry per-kernel-kind duration table — so the
+codes, uint8 wait counts, int16 node placement, CSR successor adjacency
+with int32 offsets and a 6-entry per-kernel-kind duration table — so the
 event-loop core (:mod:`repro.runtime.compiled`) touches only flat arrays
-and scalar ints.  It holds only what the loops read, 13 bytes a task and 4
-an edge; a task's tiles follow from the elimination list
-(:func:`task_coordinates`), its predecessor lists from its successor lists
-(:attr:`CompiledGraph.pred_idx`).
+and scalar ints.  It holds only what the loops read, each at the narrowest
+type that holds it, 8 bytes a task and 4 an edge; a task's tiles follow
+from the elimination list (:func:`task_coordinates`), its predecessor lists
+from its successor lists (:attr:`CompiledGraph.pred_idx`).
 Graphs can be compiled from an existing :class:`~repro.dag.graph.TaskGraph`
 or built directly from an elimination list (no per-task Python objects).
 With the native core the elimination arrays go to a C counting pre-pass and
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro import _ccore
 from repro.dag.graph import TaskGraph
-from repro.kernels.weights import WEIGHTS, KernelKind
+from repro.kernels.weights import KernelKind
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
 from repro.trees.base import Elimination, EliminationArray
@@ -41,8 +41,6 @@ from repro.trees.base import Elimination, EliminationArray
 #: kernel kinds in code order (index == code)
 KIND_ORDER: tuple[KernelKind, ...] = tuple(KernelKind)
 KIND_CODE: dict[KernelKind, int] = {k: i for i, k in enumerate(KIND_ORDER)}
-#: per-code weight in b^3/3 units
-KIND_WEIGHTS = np.array([WEIGHTS[k] for k in KIND_ORDER], dtype=np.float64)
 
 
 @lru_cache(maxsize=64)
@@ -63,23 +61,29 @@ class CompiledGraph:
     """Flat-array form of a kernel DAG, bound to a layout and machine.
 
     ``succ_ptr``/``succ_idx`` is CSR adjacency (successor lists ascending,
-    matching ``TaskGraph.successors``); ``pred_ptr`` holds the offsets of
-    the predecessor lists, i.e. the wait counts, and :attr:`pred_idx`
-    derives the lists themselves on demand.
+    matching ``TaskGraph.successors``); ``wait`` is each task's in-degree,
+    and :attr:`pred_ptr` / :attr:`pred_idx` derive the predecessor lists.
 
-    Every builder emits exactly these dtypes (int32 offsets cap a graph
-    at ``2**31 - 1`` edges); the event loops convert any other, by value.
-    Task coordinates are not stored: :func:`task_coordinates`.
+    Every builder emits exactly these dtypes and raises ``OverflowError``
+    for what they cannot hold: past ``2**31 - 1`` edges, 255 predecessors
+    on a task (a tiled-QR kernel has at most 3) or node 32767.  The event
+    loops convert any other dtype, by value.  Task coordinates are not
+    stored: :func:`task_coordinates`.
     """
 
     m: int
     n: int
     kind: np.ndarray  # int8[ntasks]
-    pred_ptr: np.ndarray  # int32[ntasks+1]
+    wait: np.ndarray  # uint8[ntasks] — in-degree
+    node: np.ndarray  # int16[ntasks] — placement under the layout
     succ_ptr: np.ndarray  # int32[ntasks+1]
     succ_idx: np.ndarray  # int32[nedges]
-    node: np.ndarray  # int32[ntasks] — placement under the layout
     dur_table: np.ndarray  # float64[6] seconds per kernel kind
+
+    @property
+    def pred_ptr(self) -> np.ndarray:
+        """Offsets of the predecessor lists: the wait counts' prefix sum."""
+        return np.insert(np.cumsum(self.wait, dtype=np.int32), 0, 0)
 
     @property
     def pred_idx(self) -> np.ndarray:
@@ -96,18 +100,9 @@ class CompiledGraph:
         return len(self.kind)
 
     @property
-    def durations(self) -> np.ndarray:
-        """Per-task execution seconds (duration-table gather)."""
-        return self.dur_table[self.kind]
-
-    @property
     def pred_counts(self) -> np.ndarray:
-        """In-degree of each task — the scheduler's wait counts."""
-        return np.diff(self.pred_ptr)
-
-    def total_flop_weight(self) -> float:
-        """Sum of kernel weights in ``b^3/3`` units."""
-        return float(KIND_WEIGHTS[self.kind].sum())
+        """In-degree of each task, widened to int32 (``wait`` is uint8)."""
+        return self.wait.astype(np.int32)
 
 
 # --------------------------------------------------------------------- #
@@ -142,7 +137,7 @@ def placement_array(
 # --------------------------------------------------------------------- #
 # CSR helpers
 # --------------------------------------------------------------------- #
-_INT32_MAX = 2**31 - 1
+_INT32_MAX, _INT16_MAX = 2**31 - 1, 2**15 - 1
 
 
 def _check_int32(ntasks: int, nedges: int) -> None:
@@ -152,6 +147,17 @@ def _check_int32(ntasks: int, nedges: int) -> None:
             f"graph too large for a CompiledGraph: ntasks={ntasks}, "
             f"nedges={nedges}, both limited to {_INT32_MAX} (int32 offsets)"
         )
+
+
+def _narrow(values: np.ndarray, dtype, what: str) -> np.ndarray:
+    """``values`` as ``dtype``, or ``OverflowError`` naming one it cannot hold."""
+    info = np.iinfo(dtype)
+    bad = np.flatnonzero((values < info.min) | (values > info.max))
+    if len(bad):
+        raise OverflowError(
+            f"{what} {values[bad[0]]} at entry {bad[0]} exceeds {info.dtype}"
+        )
+    return values.astype(dtype)
 
 
 def _out_of_range(ntasks: int) -> ValueError:
@@ -203,13 +209,15 @@ def _finish(
     m: int, n: int, kind: np.ndarray, node: np.ndarray,
     pred_ptr: np.ndarray, pred_idx: np.ndarray, machine: Machine, b: int,
 ) -> CompiledGraph:
-    """The graph of built predecessor lists: their successor CSR is kept,
-    the lists themselves are not."""
+    """The graph of built predecessor lists: their counts and successor
+    CSR are kept, the lists themselves are not."""
     _check_int32(len(kind), len(pred_idx))
+    wait = _narrow(np.diff(pred_ptr), np.uint8, "wait count")
+    node = _narrow(node, np.int16, "node")
     succ_ptr, succ_idx = _transpose(pred_ptr, pred_idx)
     return CompiledGraph(
-        m=m, n=n, kind=kind, pred_ptr=pred_ptr, succ_ptr=succ_ptr,
-        succ_idx=succ_idx, node=node, dur_table=duration_table(machine, b),
+        m=m, n=n, kind=kind, wait=wait, node=node, succ_ptr=succ_ptr,
+        succ_idx=succ_idx, dur_table=duration_table(machine, b),
     )
 
 
@@ -272,7 +280,7 @@ def _build_native(
     """The whole graph in two native calls, or ``None`` (no native core,
     or a refusal: an owner outside the machine, a count the write pass
     does not reproduce) for the Python builder; a graph past the int32
-    limit raises instead, before anything is allocated."""
+    limit or an owner past int16 raises, before anything is allocated."""
     lib = _ccore.get_lib()
     if lib is None:
         return None
@@ -280,6 +288,8 @@ def _build_native(
     rows = np.repeat(np.arange(m, dtype=np.int32), n)
     cols = np.tile(np.arange(n, dtype=np.int32), m)
     owner = placement_array(layout, rows, cols)
+    if owner.max() > _INT16_MAX:
+        _narrow(owner, np.int16, "node")  # raises, naming the node
     counted = ctypes.c_int64()
     shape_and_elims = (
         m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
@@ -298,8 +308,8 @@ def _build_native(
         name: np.empty(size, dtype)
         for name, size, dtype in (
             ("kind", ntasks, np.int8),
-            ("pred_ptr", ntasks + 1, np.int32),
-            ("node", ntasks, np.int32),
+            ("wait", ntasks, np.uint8),
+            ("node", ntasks, np.int16),
             ("succ_ptr", ntasks + 1, np.int32),
             ("succ_idx", nedges, np.int32),
         )

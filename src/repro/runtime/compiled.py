@@ -34,8 +34,11 @@ from repro.dag.compiled import KIND_ORDER, CompiledGraph
 from repro.obs.events import active as _obs_active
 from repro.runtime.accelerated import ACC_KERNELS
 from repro.runtime.core import (  # noqa: F401  (re-exported API)
+    _WAIT_MISMATCH,
+    _graph_columns,
     _pick_engine,
     _ptr,
+    _wait_mismatch,
     core_mode,
     priority_ranks,
     run_core,
@@ -146,12 +149,12 @@ def simulate_compiled_acc(
         return SimulationResult(0.0, 0.0, 0, 0, 0.0, base.cores, None)
 
     # the graph's own arrays go over as they lie when they have the
-    # builders' dtypes, normalised by value otherwise (as in the batch entry)
+    # builders' dtypes, normalised and checked as in the batch entry
+    _, _, node, wait, succ_ptr, succ_idx = (c[0] for c in _graph_columns([cg]))
     cpu_dur = np.ascontiguousarray(cg.dur_table[cg.kind], np.float64)
     acc_table, elig = acc_duration_table(acc_machine, b)
     acc_dur = np.ascontiguousarray(acc_table[cg.kind])
     offload = np.ascontiguousarray(elig[cg.kind])
-    waiting = np.ascontiguousarray(cg.pred_counts, np.int32)
     inf = float("inf")
     bwt = tile_bytes / base.bandwidth if base.bandwidth != inf else 0.0
 
@@ -164,10 +167,7 @@ def simulate_compiled_acc(
         cpu_dur,
         acc_dur,
         offload,
-        np.ascontiguousarray(cg.node, np.int32),
-        waiting,
-        np.ascontiguousarray(cg.succ_ptr, np.int32),
-        np.ascontiguousarray(cg.succ_idx, np.int32),
+        node, wait, succ_ptr, succ_idx,
         base.comm_serialized,
         base.latency,
         bwt,
@@ -214,13 +214,13 @@ def _c_acc(
     rc = lib.hqr_simulate_acc(
         i64(ntasks), i32(nnodes), i32(cores_per_node), i32(accs),
         _ptr(cpu_dur, f64), _ptr(acc_dur, f64), _ptr(offload, u8),
-        _ptr(node, i32), _ptr(waiting, i32),
+        _ptr(node, ctypes.c_int16), _ptr(waiting, u8),
         _ptr(succ_ptr, i32), _ptr(succ_idx, i32),
         i32(1 if serialized else 0), f64(lat), f64(bwt),
         ctypes.byref(out_mk), ctypes.byref(out_busy), ctypes.byref(out_msgs),
     )
-    if rc == 1:  # pragma: no cover - cycle guard
-        raise RuntimeError("simulation stalled with unfinished tasks")
+    if rc == 1:
+        raise ValueError(f"graph 0: {_WAIT_MISMATCH}")
     if rc != 0:  # pragma: no cover - allocation failure: retry in Python
         return None
     return out_mk.value, out_busy.value, out_msgs.value
@@ -341,6 +341,6 @@ def _py_acc(
                 else:
                     push(events, (avail, 2 * ntasks + s))
 
-    if any(w > 0 for w in waiting):  # pragma: no cover - cycle guard
-        raise RuntimeError("simulation stalled with unfinished tasks")
+    if any(waiting):
+        raise _wait_mismatch(waiting)
     return finish, busy, messages

@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro import _ccore
-from repro.dag.compiled import CompiledGraph
+from repro.dag.compiled import CompiledGraph, _transpose
 from repro.obs.events import active as _obs_active
 from repro.obs.profile import stage
 from repro.obs.tracing import active_core_hook as _span_hook
@@ -147,6 +147,17 @@ def _pick_engine(core: str | None):
 
 def _ptr(arr: np.ndarray, typ):
     return arr.ctypes.data_as(ctypes.POINTER(typ))
+
+
+#: why a loop refuses a graph whose count of some task does not end at 0:
+#: above the in-degree it stalls the task, below it starts the task early
+_WAIT_MISMATCH = "a wait count that is not the task's number of predecessors"
+
+
+def _wait_mismatch(waiting) -> ValueError:
+    """The refusal of a Python loop: names the first task left nonzero."""
+    t = next(t for t, w in enumerate(waiting) if w)
+    return ValueError(f"task {t}: {_WAIT_MISMATCH}")
 
 
 # --------------------------------------------------------------------- #
@@ -620,6 +631,8 @@ def _py_loop(
                         (avail, ntasks + s, gen[s] if faulty else 0),
                     )
 
+    if any(waiting):
+        raise _wait_mismatch(waiting)
     if faulty:
         if not all(finished):  # pragma: no cover - recovery bug guard
             raise RuntimeError(
@@ -637,8 +650,6 @@ def _py_loop(
             fault_events=fault_events,
         )
     else:
-        if any(w > 0 for w in waiting):  # pragma: no cover - cycle guard
-            raise RuntimeError("simulation stalled with unfinished tasks")
         fault_out = None
     return finish_time, busy, messages, trace, comm, fault_out
 
@@ -651,8 +662,8 @@ def _py_loop(
 _NATIVE_FIELDS = (
     ("dur_table", np.float64),
     ("kind", np.int8),
-    ("node", np.int32),
-    ("pred_ptr", np.int32),
+    ("node", np.int16),
+    ("wait", np.uint8),
     ("succ_ptr", np.int32),
     ("succ_idx", np.int32),
 )
@@ -664,20 +675,24 @@ def _graph_columns(graphs) -> list[list[np.ndarray]]:
     The C entries take one table of array addresses per field, so nothing
     is packed or copied: an array that is already C-contiguous and of the
     expected dtype (every builder's output) is handed over as is, any
-    other is normalised first.  Refuses lengths that do not describe one
+    other is normalised first, by value.  Refuses a value the normalising
+    changes (a node past int16) and lengths that do not describe one
     graph.  The caller keeps the lists referenced until its call returns.
     """
-    columns = [
-        [np.ascontiguousarray(getattr(cg, name), dtype) for cg in graphs]
-        for name, dtype in _NATIVE_FIELDS
-    ]
-    dur_table, kind, node, pred_ptr, succ_ptr, succ_idx = columns
+    columns = [[] for _ in _NATIVE_FIELDS]
+    for j, cg in enumerate(graphs):
+        for column, (name, dtype) in zip(columns, _NATIVE_FIELDS):
+            arr = getattr(cg, name)
+            column.append(np.ascontiguousarray(arr, dtype))
+            if column[-1] is not arr and not np.array_equal(column[-1], arr):
+                raise ValueError(f"graph {j}: {name} values outside {np.dtype(dtype)}")
+    dur_table, kind, node, wait, succ_ptr, succ_idx = columns
     for j in range(len(graphs)):
         nt, ne = len(kind[j]), len(succ_idx[j])
         if not (
             len(dur_table[j]) == 6
-            and len(node[j]) == nt
-            and len(pred_ptr[j]) == len(succ_ptr[j]) == nt + 1
+            and len(node[j]) == len(wait[j]) == nt
+            and len(succ_ptr[j]) == nt + 1
             and succ_ptr[j][nt] == ne
         ):
             raise ValueError(
@@ -701,9 +716,9 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     """One Python->C call over ``graphs``, each read where it lies.
 
     Returns ``(makespans, busys, messages)`` arrays, or ``None`` after an
-    allocation failure (the caller retries in Python).  A graph whose
-    ``kind`` or ``node`` values the loop refuses to index with raises
-    ``ValueError``: that is bad input, not a reason to fall back.
+    allocation failure (the caller retries in Python).  A graph the loop
+    refuses (a kind or node it cannot index with, a wrong wait count)
+    raises ``ValueError``: that is bad input, not a reason to fall back.
     """
     npoints = len(graphs)
     columns = _graph_columns(graphs)
@@ -736,16 +751,19 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
         out_rc.ctypes.data,
     )
     if rc != 0:
-        bad = np.flatnonzero(out_rc == 2)
-        if len(bad):
-            raise ValueError(
-                f"graph {bad[0]}: a task kind outside [0, 6) or a node "
-                f"outside [0, {nnodes})"
-            )
-        if np.any(out_rc == 1):  # pragma: no cover - cycle guard
-            raise RuntimeError("simulation stalled with unfinished tasks")
+        _refuse(out_rc, nnodes, (1, _WAIT_MISMATCH))
         return None  # allocation failure somewhere: retry in Python
     return out_mk, out_busy, out_msgs
+
+
+def _refuse(out_rc: np.ndarray, nnodes: int, *codes) -> None:
+    """``ValueError`` naming the first graph a batched C entry refused with
+    rc 2 or one of ``codes``' ``(rc, reason)`` pairs; else returns."""
+    reasons = ((2, f"a task kind outside [0, 6) or a node outside [0, {nnodes})"),)
+    for code, what in reasons + codes:
+        bad = np.flatnonzero(out_rc == code)
+        if len(bad):
+            raise ValueError(f"graph {bad[0]}: {what}")
 
 
 def _c_lower_bound(lib, graphs, machine: Machine, b: int):
@@ -776,13 +794,7 @@ def _c_lower_bound(lib, graphs, machine: Machine, b: int):
         out.ctypes.data, out_load.ctypes.data, out_rc.ctypes.data,
     )
     if rc != 0:
-        for code, what in (
-            (2, f"a task kind outside [0, 6) or a node outside [0, {nnodes})"),
-            (3, "a successor edge that does not point forward"),
-        ):
-            bad = np.flatnonzero(out_rc == code)
-            if len(bad):
-                raise ValueError(f"graph {bad[0]}: {what}")
+        _refuse(out_rc, nnodes, (3, "a successor edge that does not point forward"))
         return None
     return out, out_load
 
@@ -862,15 +874,19 @@ def run_core(
         ) = _machine_params(machine, b)
         kw = {}
         if fault is not None:
+            # the fault branch skips finished consumers: a low count ends at 0
+            pred_ptr, pred_idx = _transpose(cg.succ_ptr, cg.succ_idx)
+            wrong = np.diff(pred_ptr) != cg.wait
+            if wrong.any():
+                raise _wait_mismatch(wrong)
             kw = dict(
                 fault=fault,
-                pred_ptr=cg.pred_ptr.tolist(),
-                pred_idx=cg.pred_idx.tolist(),
+                pred_ptr=pred_ptr.tolist(),
+                pred_idx=pred_idx.tolist(),
             )
         makespan, busy, messages, trace, comm, fault_out = _py_loop(
             ntasks, nnodes, cores_per_node,
-            cg.dur_table[cg.kind].tolist(), cg.node.tolist(),
-            cg.pred_counts.tolist(),
+            cg.dur_table[cg.kind].tolist(), cg.node.tolist(), cg.wait.tolist(),
             cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
             rank.tolist(), task_of_rank.tolist(),
             serialized, hierarchical,

@@ -32,6 +32,7 @@ from repro.dag.compiled import (
     task_coordinates,
 )
 from repro.dag.graph import TaskGraph
+from repro.dag.tasks import Task
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.kernels.weights import KernelKind
 from repro.runtime.core import run_core
@@ -71,10 +72,10 @@ def _cases():
             yield case.m, case.n, case.config(), DiagonalOwner(5), machine, case.b
 
 
-#: the layout every builder emits: 13 bytes a task, 4 an edge
+#: the layout every builder emits: 8 bytes a task, 4 an edge
 DTYPES = {
-    "kind": np.int8, "pred_ptr": np.int32, "succ_ptr": np.int32,
-    "succ_idx": np.int32, "node": np.int32, "dur_table": np.float64,
+    "kind": np.int8, "wait": np.uint8, "node": np.int16,
+    "succ_ptr": np.int32, "succ_idx": np.int32, "dur_table": np.float64,
 }
 
 
@@ -90,8 +91,9 @@ def _reference_graph(elims, m, n, layout, machine, b):
     kind, node, pred_ptr, pred_idx = _py_arrays(elims, m, n, layout)
     succ_ptr, succ_idx = _succ_csr(pred_ptr, pred_idx, len(kind))
     return CompiledGraph(
-        m=m, n=n, kind=kind, pred_ptr=pred_ptr, succ_ptr=succ_ptr,
-        succ_idx=succ_idx, node=node, dur_table=duration_table(machine, b),
+        m=m, n=n, kind=kind, wait=np.diff(pred_ptr).astype(np.uint8),
+        node=node.astype(np.int16), succ_ptr=succ_ptr, succ_idx=succ_idx,
+        dur_table=duration_table(machine, b),
     )
 
 
@@ -104,9 +106,12 @@ def _assert_same_graph(got, want):
 
 
 def _assert_emitted_predecessors(cg, elims, m, n):
-    """The graph's derived predecessor lists are the Python builder's
-    emitted lists, each sorted, on the same offsets."""
+    """The graph's wait counts are the Python builder's emitted in-degrees,
+    and its derived predecessor lists the emitted lists, each sorted, on
+    the same offsets."""
     _, _, pred_ptr, pred_idx = _py_arrays(elims, m, n, SingleNode())
+    assert np.array_equal(cg.wait, np.diff(pred_ptr))
+    assert np.array_equal(np.diff(cg.pred_ptr), cg.wait)
     derived = cg.pred_idx
     assert derived.dtype == np.int32 and len(derived) == cg.succ_ptr[-1]
     assert np.array_equal(cg.pred_ptr, pred_ptr)
@@ -276,9 +281,10 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
     nedges, ntasks = _raw_build(lib, 0, m, n, elims, owner, 1, 0, 0, nothing)
     assert ntasks == count_tasks(elims, m, n) and nedges > ntasks
 
-    def arrays(nt, ne):  # kind, pred_ptr, node, succ_ptr, succ_idx
-        sizes = [nt, nt + 1, nt, nt + 1, ne]
-        return [np.empty(s, d) for s, d in zip(sizes, [np.int8] + [np.int32] * 4)]
+    def arrays(nt, ne):  # kind, wait, node, succ_ptr, succ_idx
+        sizes = [nt, nt, nt, nt + 1, ne]
+        dtypes = [np.int8, np.uint8, np.int16, np.int32, np.int32]
+        return [np.empty(s, d) for s, d in zip(sizes, dtypes)]
 
     assert _raw_build(
         lib, 1, m, n, elims, owner, 1, ntasks, nedges, arrays(ntasks, nedges)
@@ -295,6 +301,13 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
         assert _raw_build(
             lib, 1, m, n, elims, owner, 1, nt, ne, nothing
         )[0] == -2
+    # so is an owner the int16 nodes cannot hold, even on a machine that
+    # has that node
+    wide = np.full(m * n, 2**15, np.int32)
+    assert _raw_build(
+        lib, 1, m, n, elims, wide, 2**15 + 1, ntasks, nedges,
+        arrays(ntasks, nedges),
+    )[0] == -2
     # an elimination outside the shape is refused by both passes
     for shape in [(m - 1, n), (m, n - 1)]:
         small = np.zeros(shape[0] * shape[1], np.int32)
@@ -395,8 +408,9 @@ def test_list_that_does_not_fit_the_shape_is_rejected():
 
 
 def test_bytes_per_task():
-    """13 bytes a task, 4 an edge, two extra offsets and the six-float
-    duration table: a later change cannot widen the layout unnoticed."""
+    """8 bytes a task, 4 an edge, one extra offset and the six-float
+    duration table, each array at its pinned dtype: a later change cannot
+    widen the layout unnoticed."""
     layout, machine = BlockCyclic2D(3, 2), Machine(nodes=6, cores_per_node=2)
     for m, n in [(1, 1), (5, 5), (14, 4), (6, 9)]:
         elims = hqr_elimination_list(m, n, HQRConfig(p=3, q=2, a=2))
@@ -408,12 +422,15 @@ def test_bytes_per_task():
             ntasks, nedges = cg.ntasks, int(cg.succ_ptr[-1])
             assert ntasks == len(graph.tasks)
             assert nedges == len(cg.pred_idx) == sum(map(len, graph.predecessors))
-            arrays = [
-                value for value in vars(cg).values()
+            arrays = {
+                name: value for name, value in vars(cg).items()
                 if isinstance(value, np.ndarray)
+            }
+            assert [a.dtype for a in arrays.values()] == [
+                np.int8, np.uint8, np.int16, np.int32, np.int32, np.float64
             ]
-            assert sum(a.nbytes for a in arrays) == (
-                13 * ntasks + 4 * nedges + 8 + 48
+            assert sum(a.nbytes for a in arrays.values()) == (
+                8 * ntasks + 4 * nedges + 4 + 48
             )
 
 
@@ -481,3 +498,60 @@ def test_finish_pass_refuses_more_tasks_than_int32():
     arr = np.zeros(2, np.int32)
     addr = arr.ctypes.data
     assert lib.hqr_transpose(2**31, addr, addr, addr, addr) == -1
+
+
+def _join(width: int) -> TaskGraph:
+    """``width`` independent GEQRTs, one a row, and a TTQRT on row 0 that
+    waits for all of them: a ``width``-predecessor join."""
+    tasks = [Task(t, KernelKind.GEQRT, t, 0) for t in range(width)]
+    tasks.append(Task(width, KernelKind.TTQRT, 0, 0, killer=1))
+    return TaskGraph(width, 1, tasks, [[]] * width + [list(range(width))])
+
+
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_a_task_past_255_predecessors_is_refused(core, monkeypatch):
+    """A wait count is uint8: a 255-predecessor join builds, with its
+    in-degree stored exactly, and simulates alike on both loops; a
+    256-predecessor join raises before a graph exists, never wraps to 0."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    layout, machine = Cyclic1D(4), Machine(nodes=4, cores_per_node=2)
+    widest = compile_graph(_join(255), layout, machine, 16)
+    assert widest.wait.dtype == np.uint8 and widest.wait[-1] == 255
+    assert np.array_equal(np.diff(widest.pred_ptr), widest.wait)
+    assert run_core(widest, machine, 16).result == run_core(
+        widest, machine, 16, core="python"
+    ).result
+    with pytest.raises(OverflowError, match="wait count 256 at entry 256"):
+        compile_graph(_join(256), layout, machine, 16)
+
+
+class FarNode(Layout):
+    """A layout that places every tile on node 40,000."""
+
+    def owner(self, i: int, j: int) -> int:
+        return 40_000
+
+    def local_row(self, i: int) -> int:
+        return i
+
+
+@pytest.mark.parametrize("core", ["auto", "python"])
+def test_a_node_past_int16_is_refused(core, monkeypatch):
+    """A node is int16: every builder raises for a layout that places a
+    task on node 40,000, and the fused build raises before its counting
+    pass, without falling through to the Python builder."""
+    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    m, n = 6, 3
+    elims = hqr_elimination_list(m, n, HQRConfig(p=2))
+    machine = Machine(nodes=2)
+    with pytest.raises(OverflowError, match="node 40000 at entry 0"):
+        compile_graph(
+            TaskGraph.from_eliminations(elims, m, n), FarNode(), machine, 16
+        )
+    if _ccore.get_lib() is not None:
+        def unreachable(*args):
+            raise AssertionError("fell through to the Python builder")
+
+        monkeypatch.setattr(compiled, "_build_arrays_py", unreachable)
+    with pytest.raises(OverflowError, match="node 40000"):
+        compiled_from_eliminations(elims, m, n, FarNode(), machine, 16)

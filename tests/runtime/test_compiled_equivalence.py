@@ -45,7 +45,10 @@ def exact(res, ref):
 
 
 def assert_derived_predecessors(cg, preds):
-    """The graph's derived predecessor lists are ``preds``, each sorted."""
+    """The graph's wait counts are the lengths of ``preds`` and its derived
+    predecessor lists are ``preds``, each sorted."""
+    assert cg.wait.tolist() == [len(p) for p in preds]
+    assert np.array_equal(np.diff(cg.pred_ptr), cg.wait)
     derived = cg.pred_idx
     assert len(derived) == cg.succ_ptr[-1]
     lists = np.split(derived, cg.pred_ptr[1:-1])
@@ -158,7 +161,7 @@ def test_builder_matches_taskgraph_hqr():
     got = compiled_from_eliminations(
         elims, M_TILES, N_TILES, layout, machine, B
     )
-    for field in ("kind", "pred_ptr", "succ_ptr", "succ_idx", "node"):
+    for field in ("kind", "wait", "node", "succ_ptr", "succ_idx"):
         a, b = getattr(want, field), getattr(got, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert_derived_predecessors(got, graph.predecessors)

@@ -155,7 +155,7 @@ def _foreign(cg):
         cg,
         kind=strided(cg.kind),
         node=cg.node.astype(np.int64),
-        pred_ptr=strided(cg.pred_ptr.astype(np.int64)),
+        wait=strided(cg.wait.astype(np.int64)),
         succ_ptr=cg.succ_ptr.astype(np.int64),
         succ_idx=strided(cg.succ_idx.astype(np.int64)),
         dur_table=strided(cg.dur_table),
@@ -204,8 +204,9 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
 
 @pytest.mark.parametrize("core", ["python", "c"])
 def test_int64_offsets_give_the_same_result_by_value(core):
-    """A hand-built graph still carrying the old int64 offsets runs, and
-    equals the int32 graph, through every loop: single, batch, accelerated."""
+    """A hand-built graph still carrying wider arrays — int64 offsets,
+    int32 wait counts and nodes — runs, and equals the narrow graph, through
+    every loop: single, batch, accelerated."""
     if core == "c" and not native_available():
         pytest.skip("no C toolchain")
     from repro.runtime.accelerated import AcceleratedMachine
@@ -213,13 +214,17 @@ def test_int64_offsets_give_the_same_result_by_value(core):
 
     case = CASES["flat-serialized"]
     _, _, cg, prio = _compiled(case)
-    assert cg.pred_ptr.dtype == cg.succ_ptr.dtype == np.int32
+    assert (cg.wait.dtype, cg.node.dtype, cg.succ_ptr.dtype) == (
+        np.uint8, np.int16, np.int32
+    )
     wide = dataclasses.replace(
         cg,
-        pred_ptr=cg.pred_ptr.astype(np.int64),
+        wait=cg.wait.astype(np.int32),
+        node=cg.node.astype(np.int32),
         succ_ptr=cg.succ_ptr.astype(np.int64),
     )
     assert wide.pred_counts.tolist() == cg.pred_counts.tolist()
+    assert np.array_equal(wide.pred_ptr, cg.pred_ptr)
     kw = dict(data_reuse=case.data_reuse, core=core)
     want = run_core(cg, case.machine, case.b, prio=prio, **kw).result
     _assert_scalar(want, FIXTURE["scalar"]["flat-serialized"])
@@ -246,6 +251,10 @@ def test_batch_refuses_arrays_that_do_not_fit_together():
     short = dataclasses.replace(cg, node=cg.node[:-1])
     with pytest.raises(ValueError, match="graph 1"):
         run_core_batch([cg, short], case.machine, case.b, core="c")
+    # a wide node array whose values int16 would wrap onto valid nodes
+    wrapped = dataclasses.replace(cg, node=cg.node.astype(np.int32) + 2**16)
+    with pytest.raises(ValueError, match="graph 1: node values outside int16"):
+        run_core_batch([cg, wrapped], case.machine, case.b, core="c")
     for name, value in [("kind", 6), ("kind", -1), ("node", 8), ("node", -1)]:
         arr = getattr(cg, name).copy()
         arr[len(arr) // 2] = value
@@ -311,6 +320,43 @@ def test_a_tile_goes_once_to_each_remote_node(serialized):
     for family in (cluster, accelerated):
         assert [r.messages for r in family] == [9] * len(family)
         assert [r.makespan for r in family] == [family[0].makespan] * len(family)
+
+
+@pytest.mark.parametrize("change", [-1, +1], ids=["lowered", "raised"])
+def test_a_wrong_wait_count_is_refused_by_every_loop(change):
+    """One task's wait count off its in-degree: lowered, the task starts
+    before its last input and the loop used to return a wrong makespan;
+    raised, the task never starts.  Either way its count does not end at 0,
+    and every loop — C and Python cluster, the fault branch, C and Python
+    accelerator, alone and mid-batch — raises a typed error naming the
+    graph (or, in Python, the task)."""
+    from repro.resilience.faults import FaultSchedule
+    from repro.runtime.accelerated import AcceleratedMachine
+    from repro.runtime.compiled import simulate_compiled_acc
+
+    machine, b = Machine(nodes=4, cores_per_node=1, site_size=2), 64
+    cg = compile_graph(_fan_out_graph(), Cyclic1D(4), machine, b)
+    assert cg.wait.tolist() == [0, 1, 1, 1, 1, 1, 1, 0, 2, 7]
+    wait = cg.wait.copy()
+    wait[9] = 7 + change
+    bad = dataclasses.replace(cg, wait=wait)
+    acc = AcceleratedMachine(machine, accelerators=1)
+    hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())
+    refusals = [
+        ("python", lambda: run_core(bad, machine, b, core="python")),
+        ("python", lambda: run_core(bad, machine, b, fault=hooks)),
+        ("python", lambda: simulate_compiled_acc(bad, acc, b, core="python")),
+    ]
+    if native_available():
+        refusals += [
+            ("c", lambda: run_core(bad, machine, b, core="c")),
+            ("c", lambda: run_core_batch([cg, bad], machine, b, core="c")),
+            ("c", lambda: simulate_compiled_acc(bad, acc, b, core="c")),
+        ]
+    for core, simulate in refusals:
+        where = "task 9" if core == "python" else "graph [01]"
+        with pytest.raises(ValueError, match=rf"{where}: a wait count"):
+            simulate()
 
 
 # the C loop keeps finish events in one sorted ring per kernel kind, which
