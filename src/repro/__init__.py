@@ -30,18 +30,20 @@ from repro.hqr.hierarchy import HQRTree, hqr_elimination_list
 from repro.runtime.machine import Machine
 from repro.tiles.matrix import TiledMatrix
 
-def _dist_version() -> str:
-    """Version from package metadata, so deployed builds report what was
-    actually installed; the literal is the source-tree fallback."""
+def __getattr__(name: str) -> str:
+    """``__version__`` from package metadata, on first access (PEP 562:
+    importing ``importlib.metadata`` costs about what ``import repro``
+    does); the literal is the source-tree fallback."""
+    if name != "__version__":
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
     try:
         from importlib.metadata import version
 
-        return version("repro")
+        found = version("repro")
     except Exception:
-        return "1.0.0"
-
-
-__version__ = _dist_version()
+        found = "1.0.0"
+    globals()["__version__"] = found
+    return found
 
 __all__ = [
     "qr",

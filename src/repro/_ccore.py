@@ -322,10 +322,10 @@ static void finish_successors(
  * Kind codes follow the KernelKind declaration order: GEQRT=0 UNMQR=1
  * TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
  *
- * One emit loop serves two passes.  With write == 0 it only counts: no
+ * One emit loop serves three passes.  With mode == 0 it only counts: no
  * output array is touched (all may be NULL), the return value is the
  * number of predecessor edges and the task count lands in *out_ntasks.
- * With write == 1 it fills the five arrays the caller sized from those
+ * With mode == 1 it fills the five arrays the caller sized from those
  * two counts (ntasks, nedges), and in the same pass places each task on
  * owner[tile] - the m*n table of the node owning each tile, the victim
  * row's tile in the trailing column for an update kernel, in the panel
@@ -335,35 +335,68 @@ static void finish_successors(
  * 3 here), int16 nodes and successor lists, and no offsets or coordinates
  * - no loop reads them.  Returns 0.
  *
+ * With mode == 2 it counts and bounds the graph, writing no task array.
+ * cost: the six kernel seconds, then lat, bwt within a site and across
+ * sites; site_of is NULL on a flat network.  out[1 + i]: node i's work,
+ * summed in program order as lower_bound_one sums it.  out[0]: the longest
+ * path, (end + lat) + bwt on a cross-node edge, through the subgraph of
+ * the factorization kernels and the updates of the column next to their
+ * panel, over the builder's own edges - a path of the graph, so never
+ * above lower_bound_one's term 1.  Per tile it keeps the last subgraph
+ * task that wrote it, that task's end and node: an edge is in the
+ * subgraph when that task is still the tile's last writer.
+ *
  * Refusals, all -2: an elimination outside m x n, an owner entry outside
- * [0, min(nnodes, INT16_MAX + 1)), counts above INT32_MAX (the offsets
- * are 32-bit), an in-degree above UINT8_MAX, or a write pass that would
- * produce more tasks or edges than the counts it was given, or ends with
- * fewer - checked before each write, so a disagreement never leaves the
- * arrays.  -1 is allocation failure.
+ * [0, min(nnodes, INT16_MAX + 1)) in modes 1 and 2, counts above
+ * INT32_MAX (the offsets are 32-bit), an in-degree above UINT8_MAX, or a
+ * write pass that would produce more tasks or edges than the counts it
+ * was given, or ends with fewer - checked before each write, so a
+ * disagreement never leaves the arrays.  -1 is allocation failure.
  * ------------------------------------------------------------------ */
-int64_t hqr_build_dag(
-    int32_t write,
-    int32_t m, int32_t n, int64_t nelims,
-    const int32_t *e_panel, const int32_t *e_victim, const int32_t *e_killer,
-    const uint8_t *e_ts,
-    const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,
-    int8_t *kind, uint8_t *wait, int16_t *node,
-    int32_t *succ_ptr, int32_t *succ_idx,
-    int64_t *out_ntasks)
+#define BUILD_DAG_PARAMS                                                      \
+    int32_t m, int32_t n, int64_t nelims, const int32_t *e_panel,             \
+    const int32_t *e_victim, const int32_t *e_killer, const uint8_t *e_ts,    \
+    const int32_t *owner, int32_t nnodes, int64_t ntasks, int64_t nedges,     \
+    int8_t *kind, uint8_t *wait, int16_t *node, int32_t *succ_ptr,            \
+    int32_t *succ_idx, int64_t *out_ntasks,                                   \
+    const double *cost, const int32_t *site_of, double *out
+#define BUILD_DAG_ARGS                                                        \
+    m, n, nelims, e_panel, e_victim, e_killer, e_ts, owner, nnodes, ntasks,   \
+    nedges, kind, wait, node, succ_ptr, succ_idx, out_ntasks, cost, site_of, out
+
+static inline __attribute__((always_inline)) int64_t emit_dag(
+    int32_t mode, BUILD_DAG_PARAMS)
 {
     int64_t rc = -1;
+    int write = mode == 1, bound = mode == 2;
     int64_t tid = 0;   /* next task id */
     int64_t ne = 0;    /* predecessor edges so far */
     int64_t first = 0; /* ne when the task being emitted began */
+    int64_t here = 0;  /* the tile of the task being emitted */
+    int32_t home = 0;  /* bound: its node */
+    int keep = 0;      /* bound: it is in the subgraph */
+    double ready = 0.0, cp = 0.0;  /* bound: its latest input, the path */
     int32_t *pred_idx = NULL;
+    struct { double end; int32_t node, by; } *mark = NULL;
     int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
     uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
     if (!last_writer || !triangled)
         goto done;
+    if (bound) {
+        mark = malloc((size_t)m * n * sizeof(*mark));
+        if (!mark)
+            goto done;
+        for (int64_t i = 0; i < (int64_t)m * n; i++)
+            mark[i].by = -1;
+        memset(out, 0, (size_t)(nnodes + 1) * sizeof(double));
+    }
     rc = -2;
     for (int64_t i = 0; i < (int64_t)m * n; i++)
         last_writer[i] = -1;
+    if (write || bound)
+        for (int64_t i = 0; i < (int64_t)m * n; i++)
+            if (owner[i] < 0 || owner[i] >= nnodes || owner[i] > INT16_MAX)
+                goto done;
     if (write) {
         if (ntasks > INT32_MAX || nedges > INT32_MAX)
             goto done;
@@ -372,33 +405,62 @@ int64_t hqr_build_dag(
             rc = -1;
             goto done;
         }
-        for (int64_t i = 0; i < (int64_t)m * n; i++)
-            if (owner[i] < 0 || owner[i] >= nnodes || owner[i] > INT16_MAX)
-                goto done;
         memset(succ_ptr, 0, (size_t)(ntasks + 1) * sizeof(int32_t));
     }
 
-#define DEP(W)                                                                \
+/* a task on tile (ROW, COL) begins: COL is an update's trailing column,
+ * else the panel; KEEP says whether the bound's subgraph holds it */
+#define BEGIN(ROW, COL, KEEP)                                                 \
+    do {                                                                      \
+        here = (int64_t)(ROW) * n + (COL);                                    \
+        keep = bound && (KEEP);                                               \
+        if (bound)                                                            \
+            home = owner[here];                                               \
+        ready = 0.0;                                                          \
+    } while (0)
+
+/* an edge from W, the last writer of tile TILE, to the task begun */
+#define DEP(W, TILE)                                                          \
     do {                                                                      \
         if (write) {                                                          \
             if (ne >= nedges)                                                 \
                 goto done;                                                    \
             pred_idx[ne] = (W);                                               \
             succ_ptr[(W) + 1]++;                                              \
+        } else if (keep && mark[TILE].by == (W)) {                            \
+            double at_ = mark[TILE].end;                                      \
+            int32_t from_ = mark[TILE].node;                                  \
+            if (from_ != home) {                                              \
+                int x_ = site_of && site_of[from_] != site_of[home];          \
+                at_ = at_ + cost[6 + 2 * x_] + cost[7 + 2 * x_];              \
+            }                                                                 \
+            ready = at_ > ready ? at_ : ready;                                \
         }                                                                     \
         ne++;                                                                 \
     } while (0)
 
-/* a task on tile (ROW, COL): COL is an update's trailing column, else the panel */
-#define TASK(KIND, ROW, COL)                                                  \
+/* a kept task ending at END_ wrote tile T */
+#define MARK(T) (mark[T].end = end_, mark[T].node = home, mark[T].by = (int32_t)tid)
+
+/* the task begun ends; it wrote its own tile and, if OTHER >= 0, that one */
+#define TASK(KIND, OTHER)                                                     \
     do {                                                                      \
         if (write) {                                                          \
             if (tid >= ntasks || ne - first > UINT8_MAX)                      \
                 goto done;                                                    \
             kind[tid] = (KIND);                                               \
             wait[tid] = (uint8_t)(ne - first);                                \
-            node[tid] = (int16_t)owner[(int64_t)(ROW) * n + (COL)];           \
+            node[tid] = (int16_t)owner[here];                                 \
             first = ne;                                                       \
+        } else if (bound) {                                                   \
+            out[1 + home] += cost[KIND];                                      \
+            if (keep) {                                                       \
+                double end_ = ready + cost[KIND];                             \
+                cp = end_ > cp ? end_ : cp;                                   \
+                MARK(here);                                                   \
+                if ((OTHER) >= 0)                                             \
+                    MARK(OTHER);                                              \
+            }                                                                 \
         }                                                                     \
         tid++;                                                                \
     } while (0)
@@ -408,21 +470,22 @@ int64_t hqr_build_dag(
 #define EMIT(KIND, ROW, PANEL, KILLER)                                        \
     do {                                                                      \
         int32_t first_ = -1;                                                  \
+        int64_t kix_ = -1;                                                    \
+        BEGIN((ROW), (PANEL), 1);                                             \
         if ((KILLER) >= 0) {                                                  \
-            int64_t idx_ = (int64_t)(KILLER) * n + (PANEL);                   \
-            first_ = last_writer[idx_];                                       \
+            kix_ = (int64_t)(KILLER) * n + (PANEL);                           \
+            first_ = last_writer[kix_];                                       \
             if (first_ >= 0)                                                  \
-                DEP(first_);                                                  \
-            last_writer[idx_] = (int32_t)tid;                                 \
+                DEP(first_, kix_);                                            \
+            last_writer[kix_] = (int32_t)tid;                                 \
         }                                                                     \
         {                                                                     \
-            int64_t idx_ = (int64_t)(ROW) * n + (PANEL);                      \
-            int32_t w_ = last_writer[idx_];                                   \
+            int32_t w_ = last_writer[here];                                   \
             if (w_ >= 0 && w_ != first_)                                      \
-                DEP(w_);                                                      \
-            last_writer[idx_] = (int32_t)tid;                                 \
+                DEP(w_, here);                                                \
+            last_writer[here] = (int32_t)tid;                                 \
         }                                                                     \
-        TASK((KIND), (ROW), (PANEL));                                         \
+        TASK((KIND), kix_);                                                   \
     } while (0)
 
 /* triangularize(row, panel): GEQRT + UNMQR row sweep, if not yet done */
@@ -434,13 +497,13 @@ int64_t hqr_build_dag(
             int32_t fact_ = (int32_t)tid;                                     \
             EMIT(0, (ROW), (PANEL), -1); /* GEQRT */                          \
             for (int32_t col_ = (PANEL) + 1; col_ < n; col_++) {              \
-                int64_t idx_ = (int64_t)(ROW) * n + col_;                     \
-                int32_t w_ = last_writer[idx_];                               \
-                DEP(fact_);                                                   \
+                BEGIN((ROW), col_, col_ == (PANEL) + 1);                      \
+                int32_t w_ = last_writer[here];                               \
+                DEP(fact_, tix_);                                             \
                 if (w_ >= 0)                                                  \
-                    DEP(w_);                                                  \
-                last_writer[idx_] = (int32_t)tid;                             \
-                TASK(1, (ROW), col_); /* UNMQR */                             \
+                    DEP(w_, here);                                            \
+                last_writer[here] = (int32_t)tid;                             \
+                TASK(1, -1); /* UNMQR */                                      \
             }                                                                 \
         }                                                                     \
     } while (0)
@@ -461,20 +524,21 @@ int64_t hqr_build_dag(
             kupd = 5;   /* TTMQR */
         }
         int32_t kid = (int32_t)tid;
+        int64_t vix = (int64_t)victim * n + pan;
         EMIT(kkill, victim, pan, kil);
         for (int32_t c = pan + 1; c < n; c++) {
-            DEP(kid);
+            BEGIN(victim, c, c == pan + 1);
+            DEP(kid, vix);
             int64_t idx_k = (int64_t)kil * n + c;
             int32_t w = last_writer[idx_k];
             if (w >= 0)
-                DEP(w);
+                DEP(w, idx_k);
             last_writer[idx_k] = (int32_t)tid;
-            int64_t idx_v = (int64_t)victim * n + c;
-            w = last_writer[idx_v];
+            w = last_writer[here];
             if (w >= 0)
-                DEP(w);
-            last_writer[idx_v] = (int32_t)tid;
-            TASK(kupd, victim, c);
+                DEP(w, here);
+            last_writer[here] = (int32_t)tid;
+            TASK(kupd, idx_k);
         }
     }
 
@@ -484,9 +548,13 @@ int64_t hqr_build_dag(
 #undef TRIANGULARIZE
 #undef EMIT
 #undef TASK
+#undef MARK
 #undef DEP
+#undef BEGIN
 
     *out_ntasks = tid;
+    if (bound)
+        out[0] = cp;
     if (!write) {
         rc = ne;
         goto done;
@@ -498,10 +566,20 @@ int64_t hqr_build_dag(
 
 done:
     free(pred_idx);
+    free(mark);
     free(last_writer);
     free(triangled);
     return rc;
 }
+
+/* emit_dag compiled once per mode, each copy without the others' branches */
+int64_t hqr_build_dag(int32_t mode, BUILD_DAG_PARAMS)
+{
+    return mode == 1 ? emit_dag(1, BUILD_DAG_ARGS)
+        : mode == 2 ? emit_dag(2, BUILD_DAG_ARGS) : emit_dag(0, BUILD_DAG_ARGS);
+}
+#undef BUILD_DAG_ARGS
+#undef BUILD_DAG_PARAMS
 
 /* ------------------------------------------------------------------ *
  * finish_successors for CSR arrays built elsewhere: the successor lists
@@ -1254,7 +1332,7 @@ def _build() -> ctypes.CDLL | None:
     ]
     lib.hqr_build_dag.restype = i64
     lib.hqr_build_dag.argtypes = [
-        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 6,
+        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 9,
     ]
     lib.hqr_transpose.restype = i64
     lib.hqr_transpose.argtypes = [i64, vp, vp, vp, vp]

@@ -124,6 +124,7 @@ def compiled_graph_for(
     layout: Layout,
     machine: Machine,
     b: int,
+    elims=None,
 ):
     """Build (or fetch from the in-memory cache) one compiled graph.
 
@@ -132,16 +133,19 @@ def compiled_graph_for(
     consult the process-wide :func:`~repro.dag.cache.default_cache`, and
     fall back to an uncached build for layouts whose attributes have no
     stable serialization (there is no stable key to cache them under).
+    A build expands ``elims``, the caller's list of ``config``, if given.
     """
     from repro.dag.cache import default_cache, fingerprint
     from repro.dag.compiled import compiled_from_eliminations
     from repro.obs.tracing import span
 
     def build():
-        with stage("elim"):
-            elims = hqr_elimination_list(m, n, config)
+        todo = elims
+        if todo is None:
+            with stage("elim"):
+                todo = hqr_elimination_list(m, n, config)
         with stage("dag_build"):
-            return compiled_from_eliminations(elims, m, n, layout, machine, b)
+            return compiled_from_eliminations(todo, m, n, layout, machine, b)
 
     with stage("graph"), span("graph", m=m, n=n):
         try:

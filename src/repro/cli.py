@@ -785,23 +785,20 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
+class _Version(argparse.Action):
+    """``--version``, resolving the version only when it is asked for."""
 
-        return version("repro")
-    except Exception:
-        from repro import __version__
+    def __call__(self, parser, namespace, values, option_string=None):
+        import repro
 
-        return __version__
+        print(f"repro {repro.__version__}")
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"repro {_package_version()}",
+        "--version", action=_Version, nargs=0, help="show the version and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

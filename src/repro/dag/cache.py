@@ -11,9 +11,9 @@ An entry can also carry the fault-free simulation result of its graph
 (:meth:`CompiledGraphCache.answer` / :meth:`~CompiledGraphCache.remember`):
 a makespan is a pure function of the same inputs, so the planning service
 answers a repeated question from the entry instead of re-simulating it.
-So is the graph's makespan lower bound (:meth:`~CompiledGraphCache.bound`
-/ :meth:`~CompiledGraphCache.remember_bound`), which the tuner computes
-once per resident graph instead of once per chain.
+So is the makespan lower bound the tuner reads from an elimination list:
+``CompiledGraphCache.bounds`` keeps it by key, once per process, graph or
+no graph.
 
 There is no disk tier: rebuilding a graph costs less than writing it out
 (EXPERIMENTS.md, "Zero-copy handoff"), so a new process rebuilds.
@@ -184,9 +184,10 @@ class CompiledGraphCache:
     entry builds the graph once instead of once per thread.  Operation
     counters (:meth:`stats`) feed the serving cache-hit-ratio SLO.
 
-    An entry is ``[graph, answer, bound]``: the answer and the bound live
-    and die with their graph, so eviction and :meth:`clear_memory` forget
-    them too and neither memo needs a size limit of its own.
+    An entry is ``[graph, answer]``: the answer lives and dies with its
+    graph, so eviction and :meth:`clear_memory` forget it too.  ``bounds``
+    maps a key to its makespan lower bound, which needs no graph: it takes
+    no LRU slot, outlives eviction and is dropped by :meth:`clear_memory`.
     """
 
     def __init__(self, root: Path | None = None, memory_slots: int | None = None):
@@ -198,6 +199,7 @@ class CompiledGraphCache:
         self._memory: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.RLock()
         self._building: dict[str, threading.Lock] = {}
+        self.bounds: dict[str, float] = {}
         self._stats = {
             "hit_memory": 0,
             "hit_disk": 0,  # vestigial, always 0: perf/ and metrics read it
@@ -234,7 +236,7 @@ class CompiledGraphCache:
             getattr(cg, name).flags.writeable = False
         with self._lock:
             mem = self._memory
-            mem[key] = [cg, None, None]  # no answer, no bound yet
+            mem[key] = [cg, None]  # no answer yet
             mem.move_to_end(key)
             while len(mem) > self.memory_slots:
                 mem.popitem(last=False)
@@ -277,25 +279,6 @@ class CompiledGraphCache:
             entry = self._memory.get(key)
             if entry is not None:
                 entry[1] = result
-
-    def bound(self, key: str) -> float | None:
-        """The lower bound :meth:`remember_bound` stored on the entry of
-        ``key``, else ``None``.  Finding one is a use of the entry (it
-        touches the LRU order) but no graph lookup, so it counts nothing."""
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is None or entry[2] is None:
-                return None
-            self._memory.move_to_end(key)
-            return entry[2]
-
-    def remember_bound(self, key: str, bound: float) -> None:
-        """Store ``bound`` on the entry of ``key``; like :meth:`remember`,
-        a no-op when the graph is not resident."""
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                entry[2] = bound
 
     def get_or_build(
         self, key: str, builder: Callable[[], CompiledGraph]
@@ -343,6 +326,7 @@ class CompiledGraphCache:
         the next lookups rebuild, re-bound and re-simulate."""
         with self._lock:
             self._memory.clear()
+            self.bounds.clear()
 
 
 _default: CompiledGraphCache | None = None

@@ -134,6 +134,14 @@ def placement_array(
     return np.ascontiguousarray(out, dtype=np.int32)
 
 
+def tile_owners(layout: Layout, m: int, n: int) -> np.ndarray:
+    """The node of every tile by the layout's own rule, row-major: m*n
+    entries, not ntasks — what the native builder places tasks from."""
+    rows = np.repeat(np.arange(m, dtype=np.int32), n)
+    cols = np.tile(np.arange(n, dtype=np.int32), m)
+    return placement_array(layout, rows, cols)
+
+
 # --------------------------------------------------------------------- #
 # CSR helpers
 # --------------------------------------------------------------------- #
@@ -284,10 +292,7 @@ def _build_native(
     lib = _ccore.get_lib()
     if lib is None:
         return None
-    # node of every tile, by the layout's own rule: m*n entries, not ntasks
-    rows = np.repeat(np.arange(m, dtype=np.int32), n)
-    cols = np.tile(np.arange(n, dtype=np.int32), m)
-    owner = placement_array(layout, rows, cols)
+    owner = tile_owners(layout, m, n)
     if owner.max() > _INT16_MAX:
         _narrow(owner, np.int16, "node")  # raises, naming the node
     counted = ctypes.c_int64()
@@ -295,9 +300,10 @@ def _build_native(
         m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
         elims.killer.ctypes.data, elims.ts.ctypes.data,
     )
-    # counting pre-pass (write = 0): sizes every array exactly
+    # counting pre-pass (mode 0): sizes every array exactly
     nedges = lib.hqr_build_dag(
-        0, *shape_and_elims, None, 0, 0, 0, *[None] * 5, ctypes.byref(counted)
+        0, *shape_and_elims, None, 0, 0, 0, *[None] * 5, ctypes.byref(counted),
+        None, None, None,
     )
     if nedges < 0:
         return None
@@ -317,6 +323,7 @@ def _build_native(
     if lib.hqr_build_dag(
         1, *shape_and_elims, owner.ctypes.data, machine.nodes, ntasks, nedges,
         *[arr.ctypes.data for arr in arrays.values()], ctypes.byref(counted),
+        None, None, None,
     ) < 0:
         return None
     return CompiledGraph(m=m, n=n, dur_table=duration_table(machine, b), **arrays)

@@ -24,8 +24,11 @@ GIL-free, batched) or, without the C core, the same pass in Python.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.dag.graph import TaskGraph
 from repro.runtime.machine import Machine
@@ -166,6 +169,52 @@ def graph_lower_bound(cg, machine: Machine, b: int) -> float:
     """Admissible lower bound on ``run_core(cg, machine, b)``'s makespan,
     for any priority and data-reuse setting."""
     return graph_bounds([cg], machine, b)[0].bound
+
+
+def elimination_bound(
+    elims, m: int, n: int, layout, machine: Machine, b: int
+) -> tuple[float, float] | None:
+    """``(critical_path, node_work)`` of the graph ``elims`` expands to on
+    ``layout``, from ``hqr_build_dag``'s bound mode: no graph is built.
+    ``None`` without the native core.
+
+    ``node_work`` is :class:`GraphBound`'s, bit for bit.  ``critical_path``
+    is the longest path through the factorization kernels and the updates
+    of the column next to their panel: at most :class:`GraphBound`'s, equal
+    where a longest path stays in those two columns.  Raises ``ValueError``
+    for an elimination outside ``m x n`` or a tile owner outside the machine.
+    """
+    from repro import _ccore
+    from repro.dag.compiled import duration_table, tile_owners
+    from repro.runtime.core import _machine_params
+    from repro.trees.base import EliminationArray
+
+    lib = _ccore.get_lib()
+    if lib is None:
+        return None
+    elims = EliminationArray.of(elims)
+    nnodes, cores, _, hierarchical, *links, site = _machine_params(machine, b)
+    cost = np.concatenate((duration_table(machine, b), links))
+    site_of = np.array(site, np.int32) if hierarchical else None
+    owner = tile_owners(layout, m, n)
+    out = np.empty(nnodes + 1)
+    ntasks = ctypes.c_int64()
+    nedges = lib.hqr_build_dag(
+        2, m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
+        elims.killer.ctypes.data, elims.ts.ctypes.data, owner.ctypes.data,
+        nnodes, 0, 0, *[None] * 5, ctypes.byref(ntasks), cost.ctypes.data,
+        None if site_of is None else site_of.ctypes.data, out.ctypes.data,
+    )
+    if nedges == -1:
+        raise MemoryError("hqr_build_dag: per-tile scratch")
+    if nedges < 0:
+        raise ValueError(
+            f"an elimination outside {m} x {n} tiles or a tile owner "
+            f"outside [0, {nnodes})"
+        )
+    # dividing and scaling round monotonically, so they commute with max
+    busiest = float(out[1:].max()) / cores * (1.0 - 2.0**-30)
+    return float(out[0]), busiest if ntasks.value + nedges < 2**21 else 0.0
 
 
 def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:

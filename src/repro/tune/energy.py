@@ -11,10 +11,11 @@ a whole proposal batch per call:
   :func:`~repro.dag.cache.default_cache` via
   :func:`~repro.bench.runner.compiled_graph_for`;
 * :meth:`~EnergyEvaluator.bounds` answers with an admissible lower bound
-  (:func:`~repro.models.bounds.graph_bounds`, one native pass per graph,
-  kept on the graph's cache entry for every later chain of the process)
-  where the energy is not known yet, so the annealer can reject a
-  proposal the bound already condemns without simulating it;
+  (:func:`~repro.models.bounds.elimination_bound`, one native pass over
+  the elimination list, memoised by key for every later chain of the
+  process) where the energy is not known yet, so the annealer can reject
+  a proposal the bound already condemns without building or simulating
+  its graph;
 * an energy the annealer does need comes from the graph's cache entry
   when something (an earlier chain, the planning service) remembered
   the answer there, else from **one** batched dispatch —
@@ -34,6 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import _ccore
+from repro.bench.runner import compiled_graph_for
+from repro.dag.cache import default_cache, fingerprint
+from repro.hqr.hierarchy import hqr_elimination_list
+from repro.models.bounds import elimination_bound
+from repro.runtime.core import core_mode, run_core_batch
 from repro.runtime.machine import Machine
 from repro.verify.generator import VerifyCase
 
@@ -117,6 +123,7 @@ class EnergyEvaluator:
     memo_hits: int = 0
     _memo: dict[str, float] = field(default_factory=dict)
     _keys: dict[VerifyCase, str] = field(default_factory=dict)
+    _lists: dict = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
         """Memo key: the compiled-graph cache fingerprint of the case.
@@ -126,8 +133,6 @@ class EnergyEvaluator:
         """
         key = self._keys.get(case)
         if key is None:
-            from repro.dag.cache import fingerprint
-
             key = self._keys[case] = fingerprint(
                 self.m, self.n, case.config(), case.layout(), self.machine,
                 self.b,
@@ -141,38 +146,30 @@ class EnergyEvaluator:
     def bounds(self, cases: list[VerifyCase]) -> list[float]:
         """Per case: the exact energy if memoised, else a lower bound on it.
 
-        The bound is a pure function of the graph-cache key, so it lives
-        on the key's cache entry: computed once per resident graph, by
-        whichever evaluator in the process asks first, in one native call
-        for all unbounded keys of the call — and only when the native pass
-        is there and the core is not ``python`` or ``reference``;
-        otherwise it is 0.0, which rules nothing out.
+        The bound is read from the case's elimination list with no graph
+        built (:func:`~repro.models.bounds.elimination_bound`) and kept by
+        key in the cache's ``bounds``, once per process — when the native
+        core is there and is not ``python`` or ``reference``; otherwise it
+        is 0.0, which rules nothing out.
         """
-        from repro.dag.cache import default_cache
-        from repro.runtime.core import core_mode
-
         keys = [self.energy_key(c) for c in cases]
         if core_mode() in ("python", "reference") or not _ccore.native_available():
             return [self._memo.get(key, 0.0) for key in keys]
-        cache = default_cache()
-        found: dict[str, float] = {}
-        todo: dict[str, VerifyCase] = {}
+        memo = default_cache().bounds
+        # the lists of this call's new bounds, for the evaluate that follows
+        self._lists.clear()
+        out = []
         for case, key in zip(cases, keys):
-            if key in self._memo or key in found or key in todo:
-                continue
-            bound = cache.bound(key)
-            if bound is None:
-                todo[key] = case
-            else:
-                found[key] = bound
-        if todo:
-            from repro.models.bounds import graph_bounds
-
-            graphs = [self._graph(case) for case in todo.values()]
-            for key, gb in zip(todo, graph_bounds(graphs, self.machine, self.b)):
-                found[key] = gb.bound
-                cache.remember_bound(key, gb.bound)
-        return [self._memo.get(key, found.get(key)) for key in keys]
+            value = self._memo.get(key, memo.get(key))
+            if value is None:
+                elims = self._lists[key] = hqr_elimination_list(
+                    self.m, self.n, case.config()
+                )
+                value = memo[key] = max(elimination_bound(
+                    elims, self.m, self.n, case.layout(), self.machine, self.b
+                ))
+            out.append(value)
+        return out
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
         """Exact makespan per case, one batched dispatch per call."""
@@ -187,20 +184,10 @@ class EnergyEvaluator:
         return [self._memo[key] for key in keys]
 
     # ------------------------------------------------------------------ #
-    def _graph(self, case: VerifyCase):
-        from repro.bench.runner import compiled_graph_for
-
-        return compiled_graph_for(
-            self.m, self.n, case.config(), case.layout(), self.machine, self.b
-        )
-
     def _obtain(self, fresh: dict[str, VerifyCase]) -> None:
         """Memoise the energy of every fresh key: the graph cache's
         remembered answer where its entry has one, else a simulation whose
         result is then remembered there (the key is the entry's key)."""
-        from repro.dag.cache import default_cache
-        from repro.runtime.core import core_mode, run_core_batch
-
         self.evaluations += len(fresh)
         if core_mode() == "reference":
             for key, case in fresh.items():
@@ -214,14 +201,16 @@ class EnergyEvaluator:
                 todo.append((key, case))
             else:
                 self._memo[key] = result.makespan
-        graphs = [self._graph(case) for _, case in todo]
+        graphs = [compiled_graph_for(
+            self.m, self.n, case.config(), case.layout(), self.machine, self.b,
+            elims=self._lists.get(key),
+        ) for key, case in todo]
         for (key, _), res in zip(todo, run_core_batch(graphs, self.machine, self.b)):
             self._memo[key] = res.makespan
             cache.remember(key, res)
 
     def _reference_makespan(self, case: VerifyCase) -> float:
         from repro.dag.graph import TaskGraph
-        from repro.hqr.hierarchy import hqr_elimination_list
         from repro.runtime.simulator import ClusterSimulator
 
         graph = TaskGraph.from_eliminations(

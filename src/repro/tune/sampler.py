@@ -236,6 +236,13 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+#: checkpoint fields whose JSON type nothing else checks on resume
+_CHECKPOINT_TYPES = {
+    "batch_idx": int, "proposals": int, "accepted": int, "evaluations": int,
+    "memo_hits": int, "bounded": int, "e0": float, "accept_history": list,
+}
+
+
 def load_checkpoint(path: str) -> dict:
     """Read a checkpoint file (raises ``FileNotFoundError`` if absent)."""
     with open(path, encoding="utf-8") as fh:
@@ -384,34 +391,57 @@ class Annealer:
         })
 
     def _restore(self) -> None:
-        ck = load_checkpoint(self.checkpoint_path)
-        if ck.get("version") != self.CHECKPOINT_VERSION:
+        """Adopt the checkpoint's state.  Anything unusable in it - not JSON,
+        not an object, a field missing or malformed, other knobs - raises
+        one ``ValueError`` naming the file and the field."""
+        field = None
+        try:
+            ck = load_checkpoint(self.checkpoint_path)
+            if not isinstance(ck, dict):
+                raise TypeError(f"a JSON {type(ck).__name__}, not an object")
+            field = "version"
+            if ck.get(field) != self.CHECKPOINT_VERSION:
+                raise ValueError(f"{ck.get(field)} != {self.CHECKPOINT_VERSION}")
+            field = "params"
+            if ck["params"] != self._params():
+                raise ValueError(
+                    "checkpoint parameters do not match this run; resuming "
+                    "under different knobs would break seeded "
+                    "reproducibility.\n"
+                    f"  checkpoint: {json.dumps(ck['params'], sort_keys=True)}\n"
+                    f"  requested:  {json.dumps(self._params(), sort_keys=True)}"
+                )
+            for field, kind in _CHECKPOINT_TYPES.items():
+                # "bounded" is absent before the filter
+                value = ck.get(field, 0) if field == "bounded" else ck[field]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise TypeError(f"{type(value).__name__}, not {kind.__name__}")
+            self.batch_idx = ck["batch_idx"]
+            self.proposals = ck["proposals"]
+            self.accepted = ck["accepted"]
+            # counters carry over; post-resume misses re-simulate (memo is
+            # per-process), so `evaluations` may end higher than uninterrupted
+            self.evaluator.evaluations = ck["evaluations"]
+            self.evaluator.memo_hits = ck["memo_hits"]
+            self.bounded = ck.get("bounded", 0)
+            self.e0 = ck["e0"]
+            self.accept_history = ck["accept_history"]
+            field = "current"
+            self.current = VerifyCase.from_dict(ck["current"]["case"])
+            self.energy = float(ck["current"]["energy"])
+            field = "rng_state"
+            self.rng.setstate(_rng_state_from_json(ck["rng_state"]))
+            field = "best"
+            self._best = {entry["key"]: entry for entry in ck["best"]}
+            field = "buffer"
+            self.buffer.restore(ck["buffer"])
+        except (AttributeError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as exc:
+            where = f"field {field!r}" if field else "its top level"
             raise ValueError(
-                f"checkpoint version {ck.get('version')} != "
-                f"{self.CHECKPOINT_VERSION}"
-            )
-        if ck["params"] != self._params():
-            raise ValueError(
-                "checkpoint parameters do not match this run; resuming "
-                "under different knobs would break seeded reproducibility.\n"
-                f"  checkpoint: {json.dumps(ck['params'], sort_keys=True)}\n"
-                f"  requested:  {json.dumps(self._params(), sort_keys=True)}"
-            )
-        self.batch_idx = ck["batch_idx"]
-        self.proposals = ck["proposals"]
-        self.accepted = ck["accepted"]
-        # counters carry over; post-resume misses re-simulate (memo is
-        # per-process), so `evaluations` may end higher than uninterrupted
-        self.evaluator.evaluations = ck["evaluations"]
-        self.evaluator.memo_hits = ck["memo_hits"]
-        self.bounded = ck.get("bounded", 0)  # absent before the filter
-        self.e0 = ck["e0"]
-        self.current = VerifyCase.from_dict(ck["current"]["case"])
-        self.energy = ck["current"]["energy"]
-        self.rng.setstate(_rng_state_from_json(ck["rng_state"]))
-        self._best = {entry["key"]: entry for entry in ck["best"]}
-        self.accept_history = ck["accept_history"]
-        self.buffer.restore(ck["buffer"])
+                f"cannot resume from {self.checkpoint_path} ({where}): "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
         self._started = True
 
     # ------------------------------------------------------------------ #

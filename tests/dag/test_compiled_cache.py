@@ -287,49 +287,28 @@ def test_remember_on_a_non_resident_key_is_a_noop(tmp_path):
     assert cache.answer("never-built") == (True, None)
 
 
-def test_bound_is_kept_on_the_entry(tmp_path):
-    """``remember_bound`` stores on a resident entry beside the answer;
-    finding the bound counts nothing but refreshes the entry's LRU slot."""
-    cache = CompiledGraphCache(root=tmp_path, memory_slots=2)
-    cg, result = build_graph(), object()
-    cache.put("k0", cg)
-    cache.put("k1", cg)
-    assert cache.bound("k0") is None  # a new entry starts without one
-    before = cache.stats()
-    cache.remember_bound("k0", 1.5)
-    cache.remember("k0", result)
-    assert cache.bound("k0") == 1.5
-    assert cache.answer("k0") == (True, result)  # the two slots are apart
-    assert cache.stats_since(before)["hit_memory"] == 1  # the answer's
-    cache.remember_bound("k1", 2.5)
-    assert cache.bound("k0") == 1.5  # k0 is now the younger entry
-    cache.put("k2", cg)
-    assert cache.contains("k0") and not cache.contains("k1")
-
-
-def test_eviction_and_clear_memory_forget_the_bound(tmp_path):
+def test_bounds_need_no_graph_and_take_no_slot(tmp_path):
+    """A bound is kept by key whether or not its graph was ever built: it
+    neither takes an LRU slot from a graph nor goes when one is evicted,
+    and reading it counts nothing."""
     cache = CompiledGraphCache(root=tmp_path, memory_slots=1)
     cg = build_graph()
     cache.put("k0", cg)
-    cache.remember_bound("k0", 1.5)
-    cache.put("k1", cg)  # one slot: k0 and its bound go together
-    assert cache.bound("k0") is None
-    cache.put("k0", cg)  # rebuilt: a new entry starts without a bound
-    assert cache.bound("k0") is None
-    cache.remember_bound("k0", 1.5)
-    cache.clear_memory()
-    assert cache.bound("k0") is None
-    cache.put("k0", cg)
-    assert cache.bound("k0") is None
+    cache.bounds["never-built"] = 1.5
+    cache.bounds["k0"] = 2.5
+    assert cache.contains("k0") and len(cache._memory) == 1
+    cache.put("k1", cg)  # evicts k0's graph, not its bound
+    assert not cache.contains("k0")
+    assert cache.bounds == {"never-built": 1.5, "k0": 2.5}
+    assert cache.stats()["hit_memory"] == cache.stats()["miss"] == 0
 
 
-def test_remember_bound_on_a_non_resident_key_is_a_noop(tmp_path):
+def test_clear_memory_forgets_the_bounds(tmp_path):
     cache = CompiledGraphCache(root=tmp_path)
-    cache.remember_bound("never-built", 1.5)
-    assert cache.bound("never-built") is None
-    assert len(cache._memory) == 0
-    cache.put("never-built", build_graph())  # and nothing was parked for it
-    assert cache.bound("never-built") is None
+    cache.put("k0", build_graph())
+    cache.bounds["k0"] = cache.bounds["k1"] = 1.5
+    cache.clear_memory()  # a perf iteration starts from nothing
+    assert cache.bounds == {} and not cache.contains("k0")
 
 
 def test_run_config_uses_cache(tmp_path, monkeypatch):

@@ -264,6 +264,7 @@ def _raw_build(lib, write, m, n, elims, owner, nnodes, ntasks, nedges, arrays):
         elims.victim.ctypes.data, elims.killer.ctypes.data, elims.ts.ctypes.data,
         owner.ctypes.data, nnodes, ntasks, nedges,
         *[a.ctypes.data for a in arrays], ctypes.byref(counted),
+        None, None, None,  # the bound mode's machine and output
     )
     return rc, counted.value
 

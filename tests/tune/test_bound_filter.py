@@ -109,36 +109,44 @@ def test_counts_do_not_depend_on_process_history(tmp_path, monkeypatch, native):
 
 
 def test_a_graph_is_bounded_once_per_process(tmp_path, monkeypatch, native):
-    """The bound lives on the graph's cache entry: a later evaluator in
-    the same process hands ``graph_bounds`` no graph an earlier one
-    bounded, and its chain is unchanged by reading theirs."""
-    from repro.models import bounds as bounds_module
+    """The bound is read from the elimination list, once per key and
+    process: a later evaluator bounds no key an earlier one bounded, its
+    chain is unchanged by reading theirs, and a proposal the bound rejects
+    is never built."""
+    from repro.tune import energy
 
-    passed: list[list] = []  # per call; holding the graphs keeps ids unique
-    real = bounds_module.graph_bounds
+    bounded: list[str] = []  # the key of every bound computed
+    passes = []
+    real = energy.elimination_bound
 
-    def counting(graphs, *args, **kwargs):
-        passed.append(list(graphs))
-        return real(graphs, *args, **kwargs)
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            bounded.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(bounds_module, "graph_bounds", counting)
+    def counting(*args):
+        passes.append(args[0])
+        return real(*args)
 
-    def bounded_ids(calls):
-        return [id(g) for call in calls for g in call]
+    monkeypatch.setattr(energy, "elimination_bound", counting)
+    cache = cache_module.default_cache()
+    cache.bounds = Recording()
 
     first = benchmark_chain(tmp_path / "11", 11)
-    first_ids = bounded_ids(passed)
-    assert len(first_ids) == len(set(first_ids)) > 0
-    del passed[:]
+    first_keys = list(bounded)
+    assert len(first_keys) == len(set(first_keys)) == len(passes) > 0
+    # every miss is a graph the chain simulated: a fresh cache answers none
+    assert cache.stats()["miss"] == first.evaluations < len(first_keys)
+    del bounded[:]
     again = benchmark_chain(tmp_path / "11-again", 11)
-    assert passed == []  # every key of the rerun is bounded and resident
+    assert bounded == []  # every key of the rerun is bounded already
     assert (again.evaluations, again.bounded, again.best) == (
         first.evaluations, first.bounded, first.best
     )
     after = benchmark_chain(tmp_path / "12", 12)
-    after_ids = bounded_ids(passed)
-    assert len(after_ids) == len(set(after_ids)) > 0
-    assert not set(first_ids) & set(after_ids)
+    assert len(bounded) == len(set(bounded)) > 0
+    assert not set(first_keys) & set(bounded)
+    assert len(passes) == len(first_keys) + len(bounded)
     assert (after.evaluations, after.bounded) == (62, 219)
     assert (
         (tmp_path / "11-again" / "samples.jsonl").read_bytes()

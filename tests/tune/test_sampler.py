@@ -280,6 +280,76 @@ def test_resume_refuses_missing_checkpoint(tmp_path):
         make_annealer(tmp_path, resume=True)
 
 
+def _damage(name, text):
+    """``checkpoint.json``'s text with one damage applied."""
+    ck = json.loads(text)
+    if name == "truncated":
+        return text[: len(text) // 2]
+    if name == "not an object":
+        return json.dumps([ck])
+    if name == "missing field":
+        del ck["e0"]
+    elif name == "mistyped counter":
+        ck["batch_idx"] = str(ck["batch_idx"])
+    elif name == "history not a list":
+        ck["accept_history"] = {}
+    elif name == "case not an object":
+        ck["current"]["case"] = None
+    else:  # a malformed rng_state: each breaks _restore differently
+        ck["rng_state"] = {
+            "rng_state too short": ck["rng_state"][:1],
+            "rng_state an object": {"0": 3},
+            "rng_state words not a list": [3, 7, None],
+            "rng_state words too few": [3, ck["rng_state"][1][:9], None],
+        }[name]
+    return json.dumps(ck)
+
+
+DAMAGES = {  # damage -> the field the error must name (None: the top level)
+    "truncated": None, "not an object": None, "missing field": "e0",
+    "mistyped counter": "batch_idx", "history not a list": "accept_history",
+    "case not an object": "current", "rng_state too short": "rng_state",
+    "rng_state an object": "rng_state",
+    "rng_state words not a list": "rng_state",
+    "rng_state words too few": "rng_state",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_damaged_checkpoint_fails_closed(tmp_path, damage):
+    """However ``checkpoint.json`` is broken, resuming raises one
+    ``ValueError`` naming the file and the field, nothing else."""
+    a = make_annealer(tmp_path)
+    a.request_stop()
+    a.run()
+    path = tmp_path / "checkpoint.json"
+    path.write_text(_damage(damage, path.read_text()))
+    field = DAMAGES[damage]
+    where = "its top level" if field is None else f"field '{field}'"
+    with pytest.raises(ValueError) as info:
+        make_annealer(tmp_path, resume=True)
+    assert str(info.value).startswith(f"cannot resume from {path} ({where}): ")
+    assert info.value.__cause__ is None
+
+
+def test_the_cli_exits_2_on_a_damaged_checkpoint(tmp_path, capsys):
+    from repro.cli import main
+
+    args = [
+        "tune", "--m", "8", "--n", "2", "--nodes", "4", "--cores", "2",
+        "--seed", "3", "--budget", "16", "--batch-size", "8",
+        "--out", str(tmp_path),
+    ]
+    assert main(args) == 0
+    path = tmp_path / "checkpoint.json"
+    path.write_text(_damage("rng_state words not a list", path.read_text()))
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro tune: cannot resume from {path} (field 'rng_state')")
+    assert "Traceback" not in err
+
+
 def test_max_evaluations_stops_early(tmp_path):
     result = make_annealer(tmp_path / "cap", max_evaluations=1).run()
     # the start costs 1 evaluation, so the cap trips before any batch
