@@ -7,7 +7,7 @@ dependency-free C translation of both, compiled on first use with the
 system C compiler into a shared library cached under the repro cache
 directory.  Everything here is optional: when no compiler is available (or
 ``REPRO_SIM_CORE=python``), callers fall back to the pure-Python array
-loops in :mod:`repro.runtime.compiled` and :mod:`repro.dag.compiled`,
+loops in :mod:`repro.runtime.core` and :mod:`repro.dag.compiled`,
 which implement exactly the same algorithms.
 
 Bit-exactness: the C event loops perform the same double-precision
@@ -1047,207 +1047,6 @@ int32_t hqr_lower_bound(
             return 1;
     return 0;
 }
-
-/* ------------------------------------------------------------------ *
- * Accelerated-cluster event loop.  Mirrors AcceleratedSimulator.run.
- * Event codes: t = CPU finish, ntasks+t = accelerator finish,
- * 2*ntasks+t = data arrival.  Ready-queue keys are task ids (the
- * reference pushes (t, t)).  Messages follow the cluster loop's
- * sent_by rule, and rc 1 its check that every wait count ends at 0.
- * ------------------------------------------------------------------ */
-int32_t hqr_simulate_acc(
-    int64_t ntasks, int32_t nnodes, int32_t cores_per_node, int32_t accs_per_node,
-    const double *cpu_dur, const double *acc_dur, const uint8_t *offload,
-    const int16_t *node_of, const uint8_t *wait,
-    const int32_t *succ_ptr, const int32_t *succ_idx,
-    int32_t serialized, double lat, double bwt,
-    double *out_makespan, double *out_busy, int64_t *out_messages)
-{
-    int32_t rc = -1;
-    int32_t *waiting = NULL, *free_cores = NULL, *free_accs = NULL;
-    int64_t *sent_by = NULL;
-    double *data_ready = NULL, *chan_free = NULL, *sent_at = NULL;
-    uint8_t *state = NULL;
-    iheap *cpuq = NULL, *accq = NULL;
-    evheap ev = {NULL, NULL, 0};
-
-    waiting = (int32_t *)malloc((size_t)ntasks * sizeof(int32_t));
-    data_ready = (double *)calloc((size_t)ntasks, sizeof(double));
-    free_cores = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    free_accs = (int32_t *)malloc((size_t)nnodes * sizeof(int32_t));
-    chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
-    sent_at = (double *)malloc((size_t)nnodes * sizeof(double));
-    sent_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
-    state = (uint8_t *)calloc((size_t)ntasks, 1);
-    cpuq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    accq = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    ev.t = (double *)malloc((size_t)(2 * ntasks + 4) * sizeof(double));
-    ev.c = (int64_t *)malloc((size_t)(2 * ntasks + 4) * sizeof(int64_t));
-    if (!waiting || !data_ready || !free_cores || !free_accs || !chan_free ||
-        !sent_at || !sent_by || !state || !cpuq || !accq || !ev.t || !ev.c)
-        goto done;
-
-    for (int64_t t = 0; t < ntasks; t++)
-        waiting[t] = wait[t];
-    for (int32_t i = 0; i < nnodes; i++) {
-        free_cores[i] = cores_per_node;
-        free_accs[i] = accs_per_node;
-        sent_by[i] = -1;
-    }
-
-    double busy = 0.0, finish = 0.0;
-    int64_t messages = 0;
-
-#define ALAUNCH(T, START, ON_ACC)                                             \
-    do {                                                                      \
-        state[T] = 2;                                                         \
-        double dur_ = (ON_ACC) ? acc_dur[T] : cpu_dur[T];                     \
-        double end_ = (START) + dur_;                                         \
-        busy += dur_;                                                         \
-        if (end_ > finish)                                                    \
-            finish = end_;                                                    \
-        ev_push(&ev, end_, ((ON_ACC) ? ntasks : 0) + (int64_t)(T));           \
-    } while (0)
-
-#define ATRY_START(T, NOW)                                                    \
-    do {                                                                      \
-        int32_t node_ = node_of[T];                                           \
-        if (offload[T] && free_accs[node_] > 0) {                             \
-            free_accs[node_]--;                                               \
-            ALAUNCH(T, NOW, 1);                                               \
-        } else if (free_cores[node_] > 0) {                                   \
-            free_cores[node_]--;                                              \
-            ALAUNCH(T, NOW, 0);                                               \
-        } else {                                                              \
-            state[T] = 1;                                                     \
-            if (ih_push(offload[T] ? &accq[node_] : &cpuq[node_],             \
-                        (int32_t)(T)) < 0)                                    \
-                goto done;                                                    \
-        }                                                                     \
-    } while (0)
-
-/* lazy-deletion pop: heap keys are task ids */
-#define APOP(H, OUT)                                                          \
-    do {                                                                      \
-        (OUT) = -1;                                                           \
-        while ((H)->len > 0) {                                                \
-            int32_t cand_ = ih_pop(H);                                        \
-            if (state[cand_] == 1) {                                          \
-                (OUT) = cand_;                                                \
-                break;                                                        \
-            }                                                                 \
-        }                                                                     \
-    } while (0)
-
-    for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] == 0)
-            ATRY_START(t, 0.0);
-
-    while (ev.len > 0) {
-        double now;
-        int64_t code;
-        ev_pop(&ev, &now, &code);
-        if (code >= 2 * ntasks) {
-            int64_t t = code - 2 * ntasks;
-            ATRY_START(t, now);
-            continue;
-        }
-        int64_t t;
-        int32_t node;
-        if (code >= ntasks) {
-            /* accelerator freed: only update tasks may take it */
-            t = code - ntasks;
-            node = node_of[t];
-            int64_t nxt;
-            APOP(&accq[node], nxt);
-            if (nxt >= 0)
-                ALAUNCH(nxt, now, 1);
-            else
-                free_accs[node]++;
-        } else {
-            /* core freed: prefer a CPU-only task, else steal an update */
-            t = code;
-            node = node_of[t];
-            int64_t nxt;
-            APOP(&cpuq[node], nxt);
-            if (nxt < 0)
-                APOP(&accq[node], nxt);
-            if (nxt >= 0)
-                ALAUNCH(nxt, now, 0);
-            else
-                free_cores[node]++;
-        }
-        for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-            int32_t s = succ_idx[i];
-            int32_t dest = node_of[s];
-            double arrival;
-            if (dest == node)
-                arrival = now;
-            else if (sent_by[dest] == t)
-                arrival = sent_at[dest];
-            else {
-                if (serialized) {
-                    double depart = now;
-                    if (chan_free[node] > depart)
-                        depart = chan_free[node];
-                    if (chan_free[dest] > depart)
-                        depart = chan_free[dest];
-                    chan_free[node] = depart + bwt;
-                    chan_free[dest] = depart + bwt;
-                    arrival = depart + lat + bwt;
-                } else
-                    arrival = now + lat + bwt;
-                sent_by[dest] = t;
-                sent_at[dest] = arrival;
-                messages++;
-            }
-            if (arrival > data_ready[s])
-                data_ready[s] = arrival;
-            if (--waiting[s] == 0) {
-                double avail = data_ready[s];
-                if (avail <= now)
-                    ATRY_START(s, now);
-                else
-                    ev_push(&ev, avail, 2 * ntasks + (int64_t)s);
-            }
-        }
-    }
-
-#undef APOP
-#undef ATRY_START
-#undef ALAUNCH
-
-    rc = 0;
-    for (int64_t t = 0; t < ntasks; t++)
-        if (waiting[t] != 0) {
-            rc = 1;
-            break;
-        }
-    *out_makespan = finish;
-    *out_busy = busy;
-    *out_messages = messages;
-
-done:
-    if (cpuq)
-        for (int32_t i = 0; i < nnodes; i++)
-            free(cpuq[i].d);
-    if (accq)
-        for (int32_t i = 0; i < nnodes; i++)
-            free(accq[i].d);
-    free(cpuq);
-    free(accq);
-    free(waiting);
-    free(data_ready);
-    free(free_cores);
-    free(free_accs);
-    free(chan_free);
-    free(sent_at);
-    free(sent_by);
-    free(state);
-    free(ev.t);
-    free(ev.c);
-    return rc;
-}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -1314,16 +1113,11 @@ def _build() -> ctypes.CDLL | None:
     except OSError:
         return None
 
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    i16p = ctypes.POINTER(ctypes.c_int16)
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    f64p = ctypes.POINTER(ctypes.c_double)
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 
-    # every array of the planning and batch entry points goes over as a
-    # plain address (``arr.ctypes.data``): one attribute read per array
-    # where a typed ``data_as`` cast costs several times that per call
+    # every array goes over as a plain address (``arr.ctypes.data``): one
+    # attribute read per array where a typed ``data_as`` cast costs
+    # several times that per call
     vp = ctypes.c_void_p
     lib.hqr_expand.restype = i64
     lib.hqr_expand.argtypes = [
@@ -1349,12 +1143,6 @@ def _build() -> ctypes.CDLL | None:
     lib.hqr_lower_bound.argtypes = [
         i64, i32, *[vp] * 6, i32, i32, i32, i32, f64, f64, f64, f64,
         *[vp] * 4,
-    ]
-    lib.hqr_simulate_acc.restype = i32
-    lib.hqr_simulate_acc.argtypes = [
-        i64, i32, i32, i32, f64p, f64p, u8p, i16p, u8p,
-        i32p, i32p, i32, f64, f64,
-        f64p, f64p, i64p,
     ]
     return lib
 

@@ -3,7 +3,7 @@
 :class:`CompiledGraph` flattens a kernel DAG into numpy arrays — int8 kind
 codes, uint8 wait counts, int16 node placement, CSR successor adjacency
 with int32 offsets and a 6-entry per-kernel-kind duration table — so the
-event-loop core (:mod:`repro.runtime.compiled`) touches only flat arrays
+event-loop core (:mod:`repro.runtime.core`) touches only flat arrays
 and scalar ints.  It holds only what the loops read, each at the narrowest
 type that holds it, 8 bytes a task and 4 an edge; a task's tiles follow
 from the elimination list (:func:`task_coordinates`), its predecessor lists

@@ -25,5 +25,5 @@ __all__ = [
     "SimulationResult",
 ]
 
-# The compiled fast path lives in repro.runtime.compiled (imported lazily
-# by ClusterSimulator.run to avoid a circular import at package init).
+# The event-loop core lives in repro.runtime.core (imported lazily by
+# ClusterSimulator.run to avoid a circular import at package init).

@@ -9,8 +9,10 @@ standard split in GPU tile-QR implementations.
 
 The scheduler keeps two ready queues per node (CPU-only tasks, and update
 tasks that may run anywhere) and two resource pools; data movement uses
-the same per-node communication channel as :class:`ClusterSimulator`
-(host-device transfers are folded into the accelerator rate).
+the same per-node communication channel, message rule and intra- /
+inter-site link parameters as :class:`ClusterSimulator` (host-device
+transfers are folded into the accelerator rate).  With no accelerators
+it is the cluster loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.dag.graph import TaskGraph
 from repro.kernels.weights import KernelKind, KernelRates, kernel_flops
+from repro.runtime.core import _machine_params
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import SimulationResult, qr_flops
 from repro.tiles.layout import Layout
@@ -71,20 +74,7 @@ class AcceleratedSimulator:
         self.b = b
 
     def run(self, graph: TaskGraph) -> SimulationResult:
-        """Simulate; dispatches to the compiled array core (bit-identical)
-        unless ``REPRO_SIM_CORE=reference``."""
-        from repro.runtime.compiled import simulate_compiled_acc
-        from repro.runtime.core import core_mode
-
-        if core_mode() != "reference":
-            from repro.dag.compiled import compile_graph
-
-            cg = compile_graph(graph, self.layout, self.machine.base, self.b)
-            return simulate_compiled_acc(cg, self.machine, self.b)
-        return self.run_reference(graph)
-
-    def run_reference(self, graph: TaskGraph) -> SimulationResult:
-        """The reference pure-Python event loop."""
+        """Simulate ``graph`` with a pure-Python event loop."""
         acc = self.machine
         base, b = acc.base, self.b
         ntasks = len(graph.tasks)
@@ -113,11 +103,12 @@ class AcceleratedSimulator:
         acc_heaps: list[list] = [[] for _ in range(base.nodes)]  # update tasks
         chan_free = [0.0] * base.nodes
         tile_bytes = base.tile_bytes(b)
-        bw_time = (
-            tile_bytes / base.bandwidth if base.bandwidth != float("inf") else 0.0
-        )
-        latency = base.latency
-        serialized = base.comm_serialized
+        # the cluster loop's link parameters: intra-site, or inter-site on
+        # a two-level network when the endpoints' sites differ
+        (
+            _, _, serialized, hierarchical,
+            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+        ) = _machine_params(base, b)
 
         sent: dict[tuple[int, int], float] = {}
         events: list[tuple[float, int, int, int]] = []
@@ -195,13 +186,17 @@ class AcceleratedSimulator:
                     key = (t, dest)
                     arrival = sent.get(key, -1.0)
                     if arrival < 0:
+                        if hierarchical and site[node] != site[dest]:
+                            lat, bwt = lat_inter, bwt_inter
+                        else:
+                            lat, bwt = lat_intra, bwt_intra
                         if serialized:
                             depart = max(now, chan_free[node], chan_free[dest])
-                            chan_free[node] = depart + bw_time
-                            chan_free[dest] = depart + bw_time
-                            arrival = depart + latency + bw_time
+                            chan_free[node] = depart + bwt
+                            chan_free[dest] = depart + bwt
+                            arrival = depart + lat + bwt
                         else:
-                            arrival = now + latency + bw_time
+                            arrival = now + lat + bwt
                         sent[key] = arrival
                         messages += 1
                 if arrival > data_ready[s]:

@@ -36,14 +36,13 @@ Ready queues hold dense priority *ranks*: the rank permutation sorts
 scheduler's tie-breaking exactly, and ``prio=None`` (program order)
 makes ranks the identity.
 
-Front ends (:mod:`repro.runtime.simulator`, :mod:`repro.runtime.
-compiled`, :mod:`repro.resilience.simulate`) are thin adapters over
+Front ends (:mod:`repro.runtime.simulator`,
+:mod:`repro.resilience.simulate`) are thin adapters over
 :func:`run_core` and :func:`run_core_batch`.
 """
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import os
 import time
@@ -143,10 +142,6 @@ def _pick_engine(core: str | None):
             "(no C compiler found)"
         )
     return lib
-
-
-def _ptr(arr: np.ndarray, typ):
-    return arr.ctypes.data_as(ctypes.POINTER(typ))
 
 
 #: why a loop refuses a graph whose count of some task does not end at 0:

@@ -10,11 +10,7 @@ from repro.bench.runner import BenchSetup, run_config, run_config_sweep
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.runtime.compiled import (
-    sim_threads,
-    simulate_compiled,
-    simulate_compiled_batch,
-)
+from repro.runtime.core import run_core, run_core_batch, sim_threads
 from repro.runtime.machine import Machine
 
 
@@ -61,13 +57,13 @@ def test_batch_matches_scalar(core, data_reuse):
         pytest.skip("no C toolchain")
     setup = small_setup()
     graphs = _graphs(setup)
-    batched = simulate_compiled_batch(
+    batched = run_core_batch(
         graphs, setup.machine, setup.b, data_reuse=data_reuse, core=core
     )
     for cg, got in zip(graphs, batched):
-        want = simulate_compiled(
+        want = run_core(
             cg, setup.machine, setup.b, data_reuse=data_reuse, core=core
-        )
+        ).result
         assert got == want
 
 
@@ -76,19 +72,17 @@ def test_batch_respects_priorities():
     graphs = _graphs(setup)
     # reversed program order — any permutation must round-trip bitwise
     prios = [list(range(cg.ntasks))[::-1] for cg in graphs]
-    batched = simulate_compiled_batch(
-        graphs, setup.machine, setup.b, prios=prios
-    )
+    batched = run_core_batch(graphs, setup.machine, setup.b, prios=prios)
     for cg, prio, got in zip(graphs, prios, batched):
-        assert got == simulate_compiled(cg, setup.machine, setup.b, prio=prio)
+        assert got == run_core(cg, setup.machine, setup.b, prio=prio).result
 
 
 def test_batch_empty_and_length_checks():
     setup = small_setup()
-    assert simulate_compiled_batch([], setup.machine, setup.b) == []
+    assert run_core_batch([], setup.machine, setup.b) == []
     graphs = _graphs(setup)[:2]
     with pytest.raises(ValueError):
-        simulate_compiled_batch(graphs, setup.machine, setup.b, prios=[None])
+        run_core_batch(graphs, setup.machine, setup.b, prios=[None])
 
 
 def test_sim_threads_env(monkeypatch):
@@ -105,11 +99,11 @@ def test_thread_count_does_not_change_results(monkeypatch):
     """OpenMP fan-out over points must be bit-identical to serial C."""
     setup = small_setup()
     graphs = _graphs(setup)
-    base = simulate_compiled_batch(graphs, setup.machine, setup.b)
+    base = run_core_batch(graphs, setup.machine, setup.b)
     monkeypatch.setenv("REPRO_SIM_THREADS", "2")
-    assert simulate_compiled_batch(graphs, setup.machine, setup.b) == base
+    assert run_core_batch(graphs, setup.machine, setup.b) == base
     monkeypatch.setenv("REPRO_SIM_THREADS", "1")
-    assert simulate_compiled_batch(graphs, setup.machine, setup.b) == base
+    assert run_core_batch(graphs, setup.machine, setup.b) == base
 
 
 def _points():

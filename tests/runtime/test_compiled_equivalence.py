@@ -20,12 +20,7 @@ from repro.dag.compiled import (
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
-from repro.runtime.compiled import (
-    priority_ranks,
-    simulate_compiled,
-    simulate_compiled_acc,
-)
+from repro.runtime.core import priority_ranks, run_core
 from repro.runtime.machine import Machine
 from repro.runtime.priorities import make_priority
 from repro.runtime.simulator import ClusterSimulator
@@ -86,14 +81,14 @@ def test_cluster_grid_bit_identical(core):
         )
         ref = sim.run_reference(graph)
         cg = compile_graph(graph, layout, machine, B)
-        res = simulate_compiled(
+        res = run_core(
             cg,
             machine,
             B,
             prio=sim.priority_values(graph),
             data_reuse=data_reuse,
             core=core,
-        )
+        ).result
         exact(res, ref)
 
 
@@ -132,22 +127,6 @@ def test_priority_ranks_match_tuple_order():
     expected = sorted(range(4), key=lambda t: (prio[t], t))
     assert task_of_rank.tolist() == expected
     assert [rank[t] for t in expected] == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize("core", CORES)
-@pytest.mark.parametrize("accelerators", [0, 1, 2])
-def test_accelerated_bit_identical(core, accelerators):
-    machine = AcceleratedMachine(
-        Machine(nodes=8, cores_per_node=3), accelerators=accelerators
-    )
-    layout = BlockCyclic2D(4, 2)
-    graph = graph_for(HQRConfig(p=4, q=2, a=2))
-    sim = AcceleratedSimulator(machine, layout, B)
-    ref = sim.run_reference(graph)
-    cg = compile_graph(graph, layout, machine.base, B)
-    res = simulate_compiled_acc(cg, machine, B, core=core)
-    exact(res, ref)
-    exact(sim.run(graph), ref)
 
 
 def test_builder_matches_taskgraph_hqr():
@@ -227,8 +206,8 @@ if HAVE_HYPOTHESIS:
         assert np.array_equal(cg.kind, want.kind)
         for core in CORES:
             exact(
-                simulate_compiled(
+                run_core(
                     cg, machine, 40, data_reuse=data_reuse, core=core
-                ),
+                ).result,
                 ref,
             )

@@ -18,7 +18,7 @@ from repro.hqr.hierarchy import hqr_elimination_list
 from repro.kernels.weights import KernelKind, KernelRates
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.simulate import ResilientSimulator
-from repro.runtime.compiled import simulate_compiled
+from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D
@@ -67,7 +67,7 @@ def test_all_engines_agree_on_tie_heavy_configuration():
 
     cg = compile_graph(graph, layout, machine, B)
     engines = {
-        "compiled-python": simulate_compiled(cg, machine, B, core="python"),
+        "compiled-python": run_core(cg, machine, B, core="python").result,
         "resilient": ResilientSimulator(machine, layout, B).run_with_faults(
             graph, FaultSchedule(), baseline_makespan=0.0, force_fault_loop=True
         ),
@@ -75,7 +75,7 @@ def test_all_engines_agree_on_tie_heavy_configuration():
     from repro._ccore import native_available
 
     if native_available():
-        engines["compiled-c"] = simulate_compiled(cg, machine, B, core="c")
+        engines["compiled-c"] = run_core(cg, machine, B, core="c").result
     for name, res in engines.items():
         assert res.makespan == ref.makespan, name
         assert res.messages == ref.messages, name
