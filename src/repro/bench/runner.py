@@ -128,9 +128,8 @@ def compiled_graph_for(
 ):
     """Build (or fetch from the in-memory cache) one compiled graph.
 
-    The shared build path of :func:`run_config`, the batched sweep, and
-    the :mod:`repro.tune` energy evaluator: fingerprint the inputs,
-    consult the process-wide :func:`~repro.dag.cache.default_cache`, and
+    The shared build path of :func:`answers` and the batched sweep:
+    fingerprint the inputs, consult :func:`~repro.dag.cache.default_cache`, and
     fall back to an uncached build for layouts whose attributes have no
     stable serialization (there is no stable key to cache them under).
     A build expands ``elims``, the caller's list of ``config``, if given.
@@ -155,6 +154,53 @@ def compiled_graph_for(
         return default_cache().get_or_build(key, build)
 
 
+def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
+    """``(result, resident, remembered)`` per ``(m, n, config, layout[,
+    elims])`` question, ``elims`` being a list a bound pass already made.
+    With ``reuse``, a keyed question first asks its cache entry, and a
+    result simulated here is remembered there.  Misses are built by
+    :func:`compiled_graph_for` and run in one ``run_core_batch``.
+    ``REPRO_SIM_CORE=reference`` runs the object graph
+    (:func:`run_eliminations`) and, like an unkeyable layout, reads and
+    remembers nothing."""
+    from repro.dag.cache import default_cache, fingerprint
+    from repro.obs.tracing import span
+    from repro.runtime.core import core_mode, run_core_batch
+
+    if core_mode() == "reference":
+        setup = BenchSetup(b=b, grid_p=1, grid_q=1, machine=machine)
+        return [(run_eliminations(
+            (elims and elims[0]) or hqr_elimination_list(m, n, config),
+            m, n, setup, layout,
+        ), False, False) for m, n, config, layout, *elims in questions]
+    cache = default_cache()
+    out, misses = [], []  # misses: (index, key or None, graph)
+    for m, n, config, layout, *elims in questions:
+        key, resident, result = None, False, None
+        if reuse:
+            with span("cache") as sp:
+                try:
+                    key = fingerprint(m, n, config, layout, machine, b)
+                except TypeError:
+                    pass  # no stable key: no entry to ask or to tell
+                else:
+                    resident, result = cache.answer(key)
+                    if sp is not None:
+                        sp.attrs.update(hit=resident, answer=result is not None)
+        if result is None:
+            misses.append((len(out), key, compiled_graph_for(
+                m, n, config, layout, machine, b, elims[0] if elims else None
+            )))
+        out.append((result, resident, result is not None))
+    with stage("simulate"):
+        results = run_core_batch([cg for *_, cg in misses], machine, b)
+    for (i, key, _), result in zip(misses, results):
+        if key is not None:
+            cache.remember(key, result)
+        out[i] = (result, *out[i][1:])
+    return out
+
+
 def run_config(
     m: int,
     n: int,
@@ -164,29 +210,19 @@ def run_config(
 ) -> SimulationResult:
     """Build the HQR elimination list for ``config`` and simulate it.
 
-    Compiled graphs are memoized across calls — keyed by a fingerprint of
-    ``(m, n, b, config, layout, machine)`` — so sweeps that revisit a
-    config (the explorer, repeated figure runs) skip DAG construction.
+    The compiled graph is memoized across calls, the result is not:
+    :func:`answers` without ``reuse`` always simulates.
     """
     setup = setup or BenchSetup()
-    from repro.runtime.core import core_mode
-
-    if core_mode() == "reference":
-        return run_eliminations(
-            hqr_elimination_list(m, n, config), m, n, setup=setup, layout=layout
-        )
-    from repro.runtime.core import run_core
-
     lay = layout if layout is not None else setup.layout
-    cg = compiled_graph_for(m, n, config, lay, setup.machine, setup.b)
-    with stage("simulate"):
-        return run_core(cg, setup.machine, setup.b).result
+    return answers(
+        [(m, n, config, lay)], setup.machine, setup.b, reuse=False
+    )[0][0]
 
 
 def _run_point(item) -> SimulationResult:
     """One sweep point (module-level: picklable for the process pool)."""
-    m, n, config, setup, layout = item
-    return run_config(m, n, config, setup=setup, layout=layout)
+    return run_config(*item)
 
 
 def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
@@ -296,5 +332,5 @@ def run_config_sweep(
     ):
         log_transport("batched-c", workers=1, points=len(points))
         return _plan_and_simulate(points, setup) if points else []
-    items = [(m, n, cfg, setup, None) for m, n, cfg in points]
+    items = [(m, n, cfg, setup) for m, n, cfg in points]
     return parallel_map(_run_point, items, workers=1 if want_tasks else workers)

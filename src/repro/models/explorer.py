@@ -4,7 +4,8 @@
 costs, and because of the huge parameter space to explore" — the explorer
 enumerates (a, low tree, high tree, domino) for a fixed shape/grid, ranks
 configurations with the cheap three-term model, and can verify the top
-candidates against the event simulator.
+candidates against the event simulator (one
+:func:`~repro.bench.runner.answers` call over the graphs ranked).
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from repro.bench.parallel import parallel_map
-from repro.bench.runner import compiled_graph_for
-from repro.dag.graph import TaskGraph
+from repro.bench.runner import answers, compiled_graph_for
 from repro.hqr.config import HQRConfig
-from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.performance import PerformanceModel, Prediction
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import Layout
 
 
@@ -29,13 +27,6 @@ def _rank_one(item) -> Prediction:
     m, n, machine, layout, b, cfg = item
     cg = compiled_graph_for(m, n, cfg, layout, machine, b)
     return PerformanceModel(machine, layout, b).predict(cg)
-
-
-def _verify_one(item) -> float:
-    """Simulate one candidate, returning achieved GFlop/s."""
-    m, n, machine, layout, b, cfg = item
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    return ClusterSimulator(machine, layout, b).run(graph).gflops
 
 
 @dataclass(frozen=True)
@@ -71,7 +62,6 @@ class ConfigExplorer:
         self.b = b
         self.grid_p = grid_p
         self.grid_q = grid_q
-        self._model = PerformanceModel(machine, layout, b)
 
     def space(
         self,
@@ -86,12 +76,6 @@ class ConfigExplorer:
                 low_tree=low, high_tree=high, domino=domino,
             )
 
-    def _items(self, configs):
-        return [
-            (self.m, self.n, self.machine, self.layout, self.b, cfg)
-            for cfg in configs
-        ]
-
     def rank(self, configs=None, *, workers: int | None = None) -> list[RankedConfig]:
         """Model-predicted ranking, best first.
 
@@ -100,7 +84,9 @@ class ConfigExplorer:
         (the sort key ties back to enumeration order via stable sort).
         """
         cfgs = list(configs) if configs is not None else list(self.space())
-        predictions = parallel_map(_rank_one, self._items(cfgs), workers=workers)
+        items = [(self.m, self.n, self.machine, self.layout, self.b, cfg)
+                 for cfg in cfgs]
+        predictions = parallel_map(_rank_one, items, workers=workers)
         out = [
             RankedConfig(config=cfg, prediction=pred)
             for cfg, pred in zip(cfgs, predictions)
@@ -109,15 +95,11 @@ class ConfigExplorer:
         return out
 
     def verify(
-        self,
-        ranked: list[RankedConfig],
-        top: int = 3,
-        *,
-        workers: int | None = None,
+        self, ranked: list[RankedConfig], top: int = 3
     ) -> list[tuple[RankedConfig, float]]:
-        """Simulate the ``top`` model picks; returns (pick, simulated GF/s)."""
+        """(pick, simulated GF/s) for the ``top`` model picks; a pick whose
+        graph's cache entry remembers its result is answered from there."""
         picks = ranked[:top]
-        gflops = parallel_map(
-            _verify_one, self._items(rc.config for rc in picks), workers=workers
-        )
-        return list(zip(picks, gflops))
+        got = answers([(self.m, self.n, rc.config, self.layout) for rc in picks],
+                      self.machine, self.b, reuse=True)
+        return [(rc, result.gflops) for rc, (result, _, _) in zip(picks, got)]

@@ -89,17 +89,15 @@ def replan_restart(
     """
     from dataclasses import replace
 
-    from repro.hqr.hierarchy import hqr_elimination_list
-    from repro.dag.graph import TaskGraph
-    from repro.runtime.simulator import ClusterSimulator
+    from repro.bench.runner import answers
     from repro.tiles.layout import BlockCyclic2D
 
     survivors = machine.nodes - len(set(failed))
     cfg = shrunken_config(config, survivors)
     small = replace(machine, nodes=survivors)
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    sim = ClusterSimulator(small, BlockCyclic2D(cfg.p, cfg.q), b)
-    res = sim.run(graph)
+    res = answers(
+        [(m, n, cfg, BlockCyclic2D(cfg.p, cfg.q))], small, b, reuse=True
+    )[0][0]
     return RestartPlan(
         config=cfg,
         restart_makespan=res.makespan,

@@ -2,12 +2,12 @@
 
 A :class:`PlanRequest` is one tenant question — "what does this
 factorization cost, under this (or an auto-picked) HQR configuration,
-optionally under faults?".  :class:`PlannerService.plan` answers it from
-the warm fingerprint-keyed compiled-graph cache
-(:mod:`repro.dag.cache`): a repeated question about the same
-``(m, n, config, layout, machine, b)`` point is one lookup of the result
-remembered on that graph's cache entry — no DAG construction and no
-simulation; fault-carrying requests run through
+optionally under faults?".  :class:`PlannerService.plan` answers it with
+:func:`~repro.bench.runner.answers` over the warm fingerprint-keyed
+compiled-graph cache (:mod:`repro.dag.cache`): a repeated question about
+the same ``(m, n, config, layout, machine, b)`` point is one lookup of
+the result remembered on that graph's cache entry — no DAG construction
+and no simulation; fault-carrying requests run through
 :class:`~repro.resilience.simulate.ResilientSimulator` and report the
 degradation instead of failing.
 
@@ -18,14 +18,13 @@ serving benchmarks bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.bench.runner import BenchSetup, run_config
-from repro.dag.cache import default_cache, fingerprint
+from repro.bench.runner import BenchSetup, answers
 from repro.hqr.config import HQRConfig
-from repro.obs.tracing import span
 from repro.tiles.layout import BlockCyclic2D
 
 __all__ = ["PlanRequest", "PlanResult", "PlannerService"]
@@ -37,6 +36,18 @@ _CONFIG_KEYS = ("p", "q", "a", "low", "high", "domino")
 #: behind a million-task DAG build (paper-scale sweeps go through
 #: ``repro bench``, not the serving path)
 MAX_TILES = 512
+
+
+def _number(value, what: str, *, positive: bool) -> float:
+    """``value`` as a finite float ``> 0`` (``positive``) or ``>= 0``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if math.isinf(out) or not (out > 0 if positive else out >= 0):
+        raise ValueError(f"{what} must be a finite number "
+                         f"{'>' if positive else '>='} 0, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,10 +102,20 @@ class PlanRequest:
         if faults is not None:
             if not isinstance(faults, dict) or "scenario" not in faults:
                 raise ValueError("'faults' must be {scenario, seed?, severity?}")
-            scenario = str(faults["scenario"])
-            fseed = int(faults.get("seed", 0))
-            fsev = float(faults.get("severity", 1.0))
+            from repro.resilience.faults import scenario_names
+
+            scenario, fseed = faults["scenario"], faults.get("seed", 0)
+            if scenario not in scenario_names():
+                raise ValueError(f"unknown fault scenario {scenario!r}")
+            if type(fseed) is not int:
+                raise ValueError(f"fault seed must be an integer, got {fseed!r}")
+            fsev = _number(faults.get("severity", 1.0), "fault severity",
+                           positive=True)
         cost = payload.get("cost")
+        if cost is not None:
+            # a negative cost banks fair-queuing credit, a NaN one disables
+            # the in-flight budget for good
+            cost = _number(cost, "cost", positive=False)
         return cls(
             m=m,
             n=n,
@@ -102,7 +123,7 @@ class PlanRequest:
             fault_scenario=scenario,
             fault_seed=fseed,
             fault_severity=fsev,
-            cost=float(cost) if cost is not None else None,
+            cost=cost,
         )
 
     def to_json(self) -> dict:
@@ -210,22 +231,11 @@ class PlannerService:
 
     def _plan(self, req: PlanRequest, t0: float) -> PlanResult:
         cfg, auto = self.resolve_config(req)
-        setup = self.setup
         layout = BlockCyclic2D(cfg.p, cfg.q)
-        # the fault-free result is a pure function of the fingerprinted
-        # inputs, so a repeated question is one lookup on the graph's
-        # cache entry; only a first-seen (or evicted) one simulates
-        cache = default_cache()
-        with span("cache") as sp:
-            key = fingerprint(
-                req.m, req.n, cfg, layout, setup.machine, setup.b
-            )
-            cache_hit, res = cache.answer(key)
-            if sp is not None:
-                sp.attrs.update(hit=cache_hit, answer=res is not None)
-        if res is None:
-            res = run_config(req.m, req.n, cfg, setup, layout=layout)
-            cache.remember(key, res)
+        # a fault-free result is a pure function of the fingerprinted inputs:
+        # only a first-seen (or evicted) question simulates
+        res, cache_hit, _ = answers([(req.m, req.n, cfg, layout)],
+                                    self.setup.machine, self.setup.b, reuse=True)[0]
         degradation, replanned = 1.0, False
         if req.fault_scenario is not None:
             faulty = self._plan_with_faults(req, cfg, layout, res.makespan)

@@ -7,27 +7,20 @@ a whole proposal batch per call:
 * every unique configuration in the batch is fingerprinted with the
   compiled-graph cache key, so repeat visits along the chain cost a
   dictionary lookup (``memo_hits``) instead of a simulation;
-* graphs are built (or fetched warm) through the process-wide
-  :func:`~repro.dag.cache.default_cache` via
-  :func:`~repro.bench.runner.compiled_graph_for`;
 * :meth:`~EnergyEvaluator.bounds` answers with an admissible lower bound
   (:func:`~repro.models.bounds.elimination_bound`, one native pass over
   the elimination list, memoised by key for every later chain of the
   process) where the energy is not known yet, so the annealer can reject
   a proposal the bound already condemns without building or simulating
   its graph;
-* an energy the annealer does need comes from the graph's cache entry
-  when something (an earlier chain, the planning service) remembered
-  the answer there, else from **one** batched dispatch —
-  :func:`~repro.runtime.core.run_core_batch`, a single
-  Python→C call fanned out with OpenMP when the native core is present,
-  bit-identical to per-point simulation otherwise.
+* the energies the annealer does need are one
+  :func:`~repro.bench.runner.answers` call with ``reuse``: a graph cache
+  entry's remembered answer (an earlier chain's, the planning service's),
+  else one batched simulation of graphs built from the bound pass's lists.
 
-Under ``REPRO_SIM_CORE=reference`` the evaluator degrades to the
-reference event loop per point (there is no compiled graph to batch);
-energies stay bit-identical, only wall time changes.  There, under
-``REPRO_SIM_CORE=python`` and without the native core, every bound is
-0.0: the annealer's filter is off and it simulates what it always did.
+Under ``REPRO_SIM_CORE=reference`` (the reference loop per point),
+``python`` and without the native core, every bound is 0.0: the
+annealer's filter is off and it simulates what it always did.
 """
 
 from __future__ import annotations
@@ -35,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import _ccore
-from repro.bench.runner import compiled_graph_for
+from repro.bench.runner import answers
 from repro.dag.cache import default_cache, fingerprint
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import elimination_bound
-from repro.runtime.core import core_mode, run_core_batch
+from repro.runtime.core import core_mode
 from repro.runtime.machine import Machine
 from repro.verify.generator import VerifyCase
 
@@ -172,49 +165,20 @@ class EnergyEvaluator:
         return out
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
-        """Exact makespan per case, one batched dispatch per call."""
+        """Exact makespan per case; the fresh keys are one :func:`answers`
+        call, which takes the lists :meth:`bounds` has just generated."""
         keys = [self.energy_key(c) for c in cases]
         fresh: dict[str, VerifyCase] = {}
         for case, key in zip(cases, keys):
             if key not in self._memo and key not in fresh:
                 fresh[key] = case
         if fresh:
-            self._obtain(fresh)
+            self.evaluations += len(fresh)
+            got = answers([
+                (self.m, self.n, case.config(), case.layout(), self._lists.get(key))
+                for key, case in fresh.items()
+            ], self.machine, self.b, reuse=True)
+            for key, (result, _, _) in zip(fresh, got):
+                self._memo[key] = result.makespan
         self.memo_hits += len(cases) - len(fresh)
         return [self._memo[key] for key in keys]
-
-    # ------------------------------------------------------------------ #
-    def _obtain(self, fresh: dict[str, VerifyCase]) -> None:
-        """Memoise the energy of every fresh key: the graph cache's
-        remembered answer where its entry has one, else a simulation whose
-        result is then remembered there (the key is the entry's key)."""
-        self.evaluations += len(fresh)
-        if core_mode() == "reference":
-            for key, case in fresh.items():
-                self._memo[key] = self._reference_makespan(case)
-            return
-        cache = default_cache()
-        todo = []
-        for key, case in fresh.items():
-            result = cache.answer(key)[1]
-            if result is None:
-                todo.append((key, case))
-            else:
-                self._memo[key] = result.makespan
-        graphs = [compiled_graph_for(
-            self.m, self.n, case.config(), case.layout(), self.machine, self.b,
-            elims=self._lists.get(key),
-        ) for key, case in todo]
-        for (key, _), res in zip(todo, run_core_batch(graphs, self.machine, self.b)):
-            self._memo[key] = res.makespan
-            cache.remember(key, res)
-
-    def _reference_makespan(self, case: VerifyCase) -> float:
-        from repro.dag.graph import TaskGraph
-        from repro.runtime.simulator import ClusterSimulator
-
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(self.m, self.n, case.config()), self.m, self.n
-        )
-        sim = ClusterSimulator(self.machine, case.layout(), self.b)
-        return sim.run_reference(graph).makespan

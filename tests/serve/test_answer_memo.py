@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
+import repro.bench.runner as runner_mod
 import repro.dag.cache as cache_mod
-import repro.serve.service as service_mod
+import repro.runtime.core as core_mod
 from _serve_testlib import TINY_REQUEST
 from repro.dag.cache import CompiledGraphCache
 from repro.serve.service import PlanRequest
@@ -25,15 +26,21 @@ def cache(monkeypatch):
 
 @pytest.fixture
 def simulations(monkeypatch):
-    """Every ``run_config`` call the service makes, as (m, n) pairs."""
+    """Every graph ``answers`` simulates, as (m, n) pairs: the batched
+    dispatch's graphs, and under the reference engine each object graph."""
     calls = []
-    real = service_mod.run_config
+    real_batch, real_reference = core_mod.run_core_batch, runner_mod.run_eliminations
 
-    def counting(m, n, *args, **kwargs):
+    def batch(graphs, *args, **kwargs):
+        calls.extend((cg.m, cg.n) for cg in graphs)
+        return real_batch(graphs, *args, **kwargs)
+
+    def reference(elims, m, n, *args, **kwargs):
         calls.append((m, n))
-        return real(m, n, *args, **kwargs)
+        return real_reference(elims, m, n, *args, **kwargs)
 
-    monkeypatch.setattr(service_mod, "run_config", counting)
+    monkeypatch.setattr(core_mod, "run_core_batch", batch)
+    monkeypatch.setattr(runner_mod, "run_eliminations", reference)
     return calls
 
 
@@ -94,6 +101,7 @@ def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
         req.m, req.n, req.config, service.setup,
         layout=BlockCyclic2D(req.config.p, req.config.q),
     )  # a sweep, say: builds and simulates, remembers nothing
+    del simulations[:]  # the sweep's simulation, not the service's
     assert cache.answer(cache_mod.fingerprint(
         req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
         service.setup.machine, service.setup.b,

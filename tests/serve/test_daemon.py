@@ -59,6 +59,49 @@ class TestHTTP:
         assert resp.status == 400
         assert "m >= n" in resp.body.get("error", "")
 
+    @pytest.mark.parametrize("over", [
+        {"cost": {}},
+        {"cost": -1.0},
+        {"cost": float("nan")},
+        {"cost": "inf"},
+        {"faults": {"scenario": "crash", "seed": None}},
+        {"faults": {"scenario": "crash", "seed": 1.5}},
+        {"faults": {"scenario": "meteor"}},
+        {"faults": {"scenario": ["crash"]}},
+        {"faults": {"scenario": "crash", "severity": float("nan")}},
+        {"faults": {"scenario": "crash", "severity": -1.0}},
+        {"faults": {"scenario": "crash", "severity": 0}},
+        {"faults": {"scenario": "crash", "severity": {}}},
+    ])
+    def test_malformed_body_fails_closed_with_400(self, daemon, over):
+        """Refused at admission: nothing queued, planned or dumped."""
+        status, body, _ = daemon.submit("gold", {**TINY_REQUEST, **over})
+        assert status == 400, body
+        assert "job_id" not in body
+        assert daemon.scheduler.snapshot()["tenants"]["gold"]["admitted"] == 0
+        assert not daemon.tracer.flight.snapshot()["triggers"]
+
+    def test_malformed_cost_gets_a_reply_on_a_kept_alive_connection(
+        self, daemon
+    ):
+        import http.client
+        import json
+
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+        try:
+            for body, want in (
+                ({**TINY_REQUEST, "tenant": "gold", "cost": {}}, 400),
+                ({**TINY_REQUEST, "tenant": "gold"}, 200),
+            ):
+                conn.request("POST", "/plan", body=json.dumps(body))
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == want
+                sock = conn.sock if want == 400 else sock
+            assert conn.sock is sock  # the 400 kept the connection open
+        finally:
+            conn.close()
+
     def test_unknown_path_404(self, client):
         status, _, _ = client._request("GET", "/nope")
         assert status == 404

@@ -154,6 +154,50 @@ def test_a_graph_is_bounded_once_per_process(tmp_path, monkeypatch, native):
     )
 
 
+@pytest.mark.parametrize("order, counts", [
+    ((11, 12), [(69, 1), (39, 1)]),
+    ((12, 11), [(103, 1), (5, 7)]),
+], ids=["11-then-12", "12-then-11"])
+def test_a_build_never_regenerates_a_list_its_bound_made(
+    tmp_path, monkeypatch, native, order, counts
+):
+    """The lists a bound pass generates are handed to the builds of the
+    energies the chain then needs: within a chain, no build generates a
+    list of a configuration the chain has bounded.  A build may generate
+    one the previous chain bounded (its bound is memoised, its list not)."""
+    from repro.bench import runner
+    from repro.tune import energy
+
+    generated = []  # (who, config) per elimination list, in call order
+
+    def tagged(module, who):
+        real = module.hqr_elimination_list
+
+        def counting(m, n, cfg):
+            generated.append((who, cfg))
+            return real(m, n, cfg)
+
+        monkeypatch.setattr(module, "hqr_elimination_list", counting)
+
+    tagged(energy, "bound")
+    tagged(runner, "build")
+    per_chain = []
+    for seed in order:
+        del generated[:]
+        benchmark_chain(tmp_path / str(seed), seed)
+        bounded, regenerated = set(), 0
+        for who, cfg in generated:
+            if who == "bound":
+                bounded.add(cfg)
+            else:
+                regenerated += cfg in bounded
+        assert regenerated == 0, seed
+        per_chain.append(tuple(
+            sum(who == w for who, _ in generated) for w in ("bound", "build")
+        ))
+    assert per_chain == counts
+
+
 def test_checkpoint_without_bounded_resumes_from_zero(tmp_path, native):
     """A checkpoint written before the filter has no ``bounded``: it
     resumes at 0 and the stream is still the uninterrupted one."""
