@@ -5,11 +5,10 @@ for a figure-style sweep it times each pipeline stage — elimination-list
 construction, DAG build, event-loop simulation — through both the
 reference path (``TaskGraph`` + pure-Python simulator) and the compiled
 path (:class:`~repro.dag.compiled.CompiledGraph` + array core), and
-reports the end-to-end speedup.  ``repro bench`` drives it and can emit a
-machine-readable ``BENCH_*.json`` for CI regression tracking.
-
-The micro benchmark is a fixed small point (m=64, n=8) whose compiled
-wall-time is stable enough to gate CI on (>2x regression fails).
+reports the end-to-end speedup.  ``repro bench`` drives it and can write
+the report as JSON.  Its times describe one run on one host; what it
+checks is that both pipelines give every point the same makespan.
+Speed is judged by the repository benchmark in ``perf/``.
 """
 
 from __future__ import annotations
@@ -30,19 +29,14 @@ from repro.hqr.hierarchy import hqr_elimination_list
 
 __all__ = [
     "bench_report",
-    "check_regression",
     "default_points",
     "format_mismatches",
     "format_report",
-    "micro_benchmark",
     "write_report",
 ]
 
 #: tile columns of the benchmark sweep (the figures' N = 16 * 280)
 N_TILES = 16
-
-#: the fixed micro-benchmark point
-MICRO_M, MICRO_N = 64, 8
 
 
 def default_points(setup: BenchSetup) -> list[tuple[int, int, HQRConfig]]:
@@ -109,27 +103,6 @@ def _time_stages(
     }
 
 
-def micro_benchmark(setup: BenchSetup, *, repeats: int = 3) -> dict:
-    """Best-of-N wall time of one small point through both pipelines."""
-    cfg = HQRConfig(p=setup.grid_p, q=setup.grid_q, a=4)
-    point = [(MICRO_M, MICRO_N, cfg)]
-    best = {}
-    for pipeline in ("reference", "compiled"):
-        times = []
-        for _ in range(repeats):
-            times.append(_time_stages(point, setup, pipeline)["total_s"])
-        best[pipeline] = min(times)
-    return {
-        "m": MICRO_M,
-        "n": MICRO_N,
-        "reference_s": best["reference"],
-        "compiled_s": best["compiled"],
-        "speedup": best["reference"] / best["compiled"]
-        if best["compiled"] > 0
-        else float("inf"),
-    }
-
-
 def bench_report(
     *,
     skip_reference: bool = False,
@@ -143,7 +116,7 @@ def bench_report(
     ``run_config_sweep`` (cache, dispatch and event loop together).
     """
     from repro._ccore import native_available
-    from repro.obs.regression import run_metadata
+    from repro.obs.provenance import run_metadata
 
     setup = setup or BenchSetup()
     points = default_points(setup)
@@ -154,8 +127,6 @@ def bench_report(
         "platform": platform.platform(),
         "n_points": len(points),
         "points_m_max": max(m for m, _, _ in points),
-        # provenance stamp: lets the regression gate refuse comparisons
-        # across machines / interpreters (repro obs gate)
         "meta": run_metadata(),
     }
 
@@ -193,8 +164,6 @@ def bench_report(
     t0 = time.perf_counter()
     run_config_sweep(points, setup, workers=workers)
     report["sweep_wall_s"] = time.perf_counter() - t0
-
-    report["micro"] = micro_benchmark(setup)
     return report
 
 
@@ -216,13 +185,6 @@ def format_report(report: dict) -> str:
     if "speedup_total" in report:
         lines.append(f"  end-to-end speedup: {report['speedup_total']:.1f}x")
     lines.append(f"  cached parallel sweep: {report['sweep_wall_s']:.3f}s")
-    micro = report["micro"]
-    lines.append(
-        f"  micro (m={micro['m']}, n={micro['n']}): "
-        f"reference {micro['reference_s'] * 1e3:.1f}ms, "
-        f"compiled {micro['compiled_s'] * 1e3:.1f}ms "
-        f"({micro['speedup']:.1f}x)"
-    )
     return "\n".join(lines)
 
 
@@ -245,29 +207,5 @@ def format_mismatches(report: dict) -> str | None:
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    """Write a bench report as JSON (the ``BENCH_*.json`` artifact)."""
+    """Write a bench report as JSON."""
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def check_regression(
-    report: dict, baseline_path: str | Path, max_ratio: float = 2.0
-) -> str | None:
-    """Compare the micro benchmark against a committed baseline.
-
-    Returns an error message when the compiled micro wall-time regressed
-    by more than ``max_ratio``, else None.  A missing/invalid baseline is
-    not an error (first run, new platform).
-    """
-    try:
-        baseline = json.loads(Path(baseline_path).read_text())
-        base_s = float(baseline["micro"]["compiled_s"])
-    except (OSError, KeyError, ValueError, TypeError):
-        return None
-    now_s = float(report["micro"]["compiled_s"])
-    if base_s > 0 and now_s > base_s * max_ratio:
-        return (
-            f"micro benchmark regressed {now_s / base_s:.2f}x "
-            f"(baseline {base_s * 1e3:.1f}ms, now {now_s * 1e3:.1f}ms, "
-            f"limit {max_ratio:.1f}x)"
-        )
-    return None

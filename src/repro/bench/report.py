@@ -3,8 +3,7 @@
 After a benchmark run, ``python -m repro.bench.report`` (or
 :func:`build_report`) gathers the per-artifact text files into one
 markdown report, with the paper-expected values inlined for side-by-side
-reading.  CI can diff the report across commits to catch performance-shape
-regressions.
+reading.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ levels     print the Figure 5 tile-level views
 compare    HQR vs SCALAPACK / [BBD+10] / [SLHD10] at one matrix size
 explore    rank the HQR configuration space with the analytic model
 gantt      simulate and print a per-node utilization timeline
-faults     fault-injection sweep + recovery benchmark (BENCH_resilience)
+faults     fault-injection sweep + recovery benchmark
 verify     cross-engine differential verifier + schedule-legality oracle
 export     write an elimination list as JSON
 replay     validate + summarize an elimination-list JSON file
 metrics    instrumented run: per-kernel/level/link metrics (JSON/Prometheus)
 profile    self-profile the harness (stage timers + cProfile)
-obs        observability reports (HTML) and bench-regression gates
+obs        observability reports (HTML) and request traces
 serve      persistent planning daemon / SLO-gated serving benchmark
 tune       seeded simulated-annealing autotuner over the HQR design space
 """
@@ -437,7 +437,7 @@ def cmd_auto(args) -> int:
 def cmd_bench(args) -> int:
     from repro.bench.perf import (
         bench_report,
-        check_regression,
+        format_mismatches,
         format_report,
         write_report,
     )
@@ -455,17 +455,10 @@ def cmd_bench(args) -> int:
     if args.json:
         write_report(report, args.json)
         print(f"wrote {args.json}")
-    from repro.bench.perf import format_mismatches
-
     diff = format_mismatches(report)
     if diff:
         print(diff, file=sys.stderr)
         return 1
-    if args.baseline:
-        error = check_regression(report, args.baseline, args.max_regression)
-        if error:
-            print(f"REGRESSION: {error}", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -558,25 +551,6 @@ def cmd_obs_report(args) -> int:
     write_html(args.out, html_text)
     print(f"wrote observability report to {args.out}")
     return 0
-
-
-def cmd_obs_gate(args) -> int:
-    from repro.obs.regression import format_gate, gate_files
-
-    result = gate_files(
-        args.current,
-        args.baseline,
-        max_ratio=args.max_ratio,
-        allow_cross_machine=args.allow_cross_machine,
-    )
-    print(format_gate(result))
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0 if result["ok"] else 1
 
 
 def cmd_obs_trace(args) -> int:
@@ -871,11 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("small", "default", "full"),
         help="override REPRO_BENCH_SCALE for this run",
     )
-    p.add_argument(
-        "--json",
-        default="benchmarks/results/BENCH_resilience.json",
-        help="write the machine-readable report here ('' to skip)",
-    )
+    p.add_argument("--json", help="write the machine-readable report here")
     p.add_argument(
         "--no-engine-check",
         action="store_true",
@@ -949,15 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "c", "python", "reference"),
         help="pin the simulation core for this run (REPRO_SIM_CORE)",
     )
-    p.add_argument(
-        "--baseline", help="BENCH_*.json to compare the micro benchmark against"
-    )
-    p.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when micro wall-time exceeds baseline by this ratio",
-    )
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
@@ -989,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the profile report here")
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("obs", help="observability reports and gates")
+    p = sub.add_parser("obs", help="observability reports and traces")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
     p = obs_sub.add_parser(
@@ -1000,25 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="obs_report.html", help="output HTML path"
     )
     p.set_defaults(fn=cmd_obs_report)
-
-    p = obs_sub.add_parser(
-        "gate", help="compare two BENCH_*.json reports, fail on regression"
-    )
-    p.add_argument("current", help="freshly produced BENCH_*.json")
-    p.add_argument("baseline", help="committed baseline BENCH_*.json")
-    p.add_argument(
-        "--max-ratio",
-        type=float,
-        default=2.0,
-        help="fail when a gated wall-time exceeds baseline by this ratio",
-    )
-    p.add_argument(
-        "--allow-cross-machine",
-        action="store_true",
-        help="compare even when the metadata stamps differ",
-    )
-    p.add_argument("--json", help="write the gate verdict here")
-    p.set_defaults(fn=cmd_obs_gate)
 
     p = obs_sub.add_parser(
         "trace",
@@ -1102,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="bench: skip the live-daemon HTTP phase",
     )
-    p.add_argument("--json", help="write BENCH_serve.json here")
+    p.add_argument("--json", help="write the benchmark report here")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -1176,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bench",
         action="store_true",
-        help="tune-vs-exhaustive comparison benchmark (BENCH_tune)",
+        help="tune-vs-exhaustive comparison benchmark",
     )
     p.add_argument(
         "--scale",

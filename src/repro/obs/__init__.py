@@ -1,4 +1,4 @@
-"""Unified observability layer: events, metrics, profiling, gating.
+"""Unified observability layer: events, metrics, tracing, profiling.
 
 * :mod:`repro.obs.events` — pluggable engine instrumentation (task
   spans, messages, faults, cache hits) with a bitwise-neutral no-op
@@ -17,9 +17,8 @@
   timers + cProfile, ``repro profile``);
 * :mod:`repro.obs.report` — standalone HTML run summary
   (``repro obs report``);
-* :mod:`repro.obs.regression` — metadata-stamped ``BENCH_*.json``
-  comparison that fails CI on wall-time regressions
-  (``repro obs gate``).
+* :mod:`repro.obs.provenance` — the ``meta`` stamp (commit, dirty
+  tree, interpreter, host) carried by every benchmark report.
 
 See ``docs/observability.md`` for the workflow.
 """
@@ -33,12 +32,7 @@ from repro.obs.metrics import (
     utilization_timeline,
 )
 from repro.obs.profile import SelfProfile, format_profile, profile_run, stage
-from repro.obs.regression import (
-    compare_reports,
-    format_gate,
-    gate_files,
-    run_metadata,
-)
+from repro.obs.provenance import run_metadata
 from repro.obs.report import build_html, write_html
 from repro.obs.tracing import (
     FlightRecorder,
@@ -61,12 +55,9 @@ __all__ = [
     "active",
     "attach",
     "build_html",
-    "compare_reports",
     "current_trace",
     "derive_run_metrics",
-    "format_gate",
     "format_profile",
-    "gate_files",
     "install",
     "jsonlog",
     "parse_prometheus_text",

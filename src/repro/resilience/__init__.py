@@ -18,7 +18,7 @@ missing robustness layer:
   survivors);
 * :mod:`repro.resilience.bench` — the recovery benchmark behind
   ``repro faults``: makespan-degradation and recovery-overhead curves
-  per scenario, emitted as ``BENCH_resilience.json``.
+  per scenario, written as JSON with ``--json``.
 
 With no fault schedule attached every simulator path is bit-identical to
 the fault-free engines (asserted by ``tests/resilience``).

@@ -165,7 +165,7 @@ def resilience_report(
     n: int | None = None,
     with_distributed_check: bool = True,
 ) -> dict:
-    """Run the fault sweep and assemble the ``BENCH_resilience.json`` dict."""
+    """Run the fault sweep and assemble the resilience report."""
     setup = setup or BenchSetup()
     size_m, size_n = _problem_size()
     m = size_m if m is None else m
@@ -183,7 +183,7 @@ def resilience_report(
     graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
     sim = ResilientSimulator(setup.machine, setup.layout, setup.b)
     baseline = sim.run(graph).makespan
-    from repro.obs.regression import run_metadata
+    from repro.obs.provenance import run_metadata
 
     report: dict = {
         "benchmark": "resilience",
@@ -260,5 +260,5 @@ def format_resilience_report(report: dict) -> str:
 
 
 def write_resilience_report(report: dict, path: str | Path) -> None:
-    """Write the ``BENCH_resilience.json`` artifact."""
+    """Write the resilience report as JSON."""
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ makespan ranks configurations.  This package serves that planner:
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib
   HTTP daemon (``repro serve``) and its JSON client;
 * :mod:`repro.serve.bench` — the SLO-gated serving benchmark behind
-  ``repro serve --bench`` and ``BENCH_serve.json``.
+  ``repro serve --bench``.
 
 See ``docs/serving.md`` for the API schema and tenancy model.
 """

@@ -2,7 +2,7 @@
 
 One :class:`SLOTracker` per daemon (or per stream run) collects request
 outcomes; :meth:`SLOTracker.summary` reduces them to the SLO numbers the
-serving benchmark commits (``BENCH_serve.json``) and
+serving benchmark reports (``repro serve --bench``) and
 :meth:`SLOTracker.into_registry` exports them through the
 :class:`~repro.obs.metrics.MetricsRegistry` for the daemon's
 ``/metrics`` Prometheus endpoint.

@@ -5,8 +5,8 @@ reproduce bit-for-bit.  The stream runner instead executes a seeded
 arrival trace in *virtual time*: ``capacity`` model servers, weighted-
 fair dequeue, and a service time equal to each plan's simulated
 makespan (deterministic in the request).  Same seed, same admission
-decisions, same latency trace — the property the serving SLO numbers in
-``BENCH_serve.json`` and the scheduler-invariant tests are built on.
+decisions, same latency trace — the property the serving benchmark's SLO
+numbers and the scheduler-invariant tests are built on.
 
 Planning itself still really happens (through the warm compiled-graph
 cache), so a stream run exercises the exact code path the daemon

@@ -14,7 +14,7 @@ Metropolis random walk over the *full* legal space (trees x domino x
   sample streaming with online thinning, SIGINT-safe resumable
   checkpoints;
 * :mod:`repro.tune.bench` — tune-vs-exhaustive comparison on an
-  enumerable subspace (the ``BENCH_tune.json`` artifact).
+  enumerable subspace (``repro tune --bench``).
 
 Entry point: ``repro tune`` (see docs/tuning.md for the guide).
 """

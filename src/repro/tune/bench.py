@@ -1,4 +1,4 @@
-"""Tune-vs-exhaustive benchmark: the ``BENCH_tune.json`` artifact.
+"""Tune-vs-exhaustive benchmark (``repro tune --bench``).
 
 The claim the autotuner stands on: on a space small enough to exhaust,
 the annealer finds the *same optimum* as the exhaustive explorer sweep
@@ -43,7 +43,7 @@ __all__ = [
 SUBSPACE_A_VALUES = tuple(range(1, 9))
 #: annealer axes that stay inside the enumerated subspace
 SUBSPACE_AXES = ("low_tree", "high_tree", "domino", "a")
-#: seeded defaults of the committed baseline
+#: seeded defaults of the comparison
 DEFAULT_SEED = 0
 #: proposal budget — generous on purpose: the binding limit is the
 #: simulation cap below, and memoized revisits cost nothing
@@ -86,7 +86,7 @@ def tune_bench(
     workers: int | None = None,
 ) -> dict:
     """Run tune then the exhaustive sweep; return the comparison report."""
-    from repro.obs.regression import run_metadata
+    from repro.obs.provenance import run_metadata
 
     setup = BenchSetup()
     m, n = _bench_shape()
@@ -148,8 +148,6 @@ def tune_bench(
             "evaluations": len(configs),
             "wall_s": exhaustive_wall,
         },
-        # the gated wall-time metric (see repro.obs.regression)
-        "tune_wall_s": tune_wall,
         "eval_ratio": result.evaluations / len(configs),
         "parity": tune_best == exhaustive_best,
         "ok": (
@@ -181,5 +179,5 @@ def format_report(report: dict) -> str:
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    """Write the tune bench report (the ``BENCH_tune.json`` artifact)."""
+    """Write the tune bench report as JSON."""
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

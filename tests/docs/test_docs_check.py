@@ -37,7 +37,7 @@ not-repro --ignored
 ```
 
 ```
-repro obs gate A.json B.json
+repro obs trace A.json --diff B.json
 ```
 """
 
@@ -48,7 +48,7 @@ def test_extract_commands_basic():
         "repro tune --m 64 --n 8 --seed 0",
         "python -m repro.cli verify --seed 0 --budget 200",
         "python -m repro bench --scale small",
-        "repro obs gate A.json B.json",
+        "repro obs trace A.json --diff B.json",
     ]
 
 
@@ -66,8 +66,8 @@ def test_extract_skips_unfenced_and_non_repro():
 def test_command_argv_strips_launcher():
     assert check_docs.command_argv("repro tune --m 4") == ["tune", "--m", "4"]
     assert check_docs.command_argv(
-        "python -m repro.cli obs gate a.json b.json"
-    ) == ["obs", "gate", "a.json", "b.json"]
+        "python -m repro.cli obs trace a.json --diff b.json"
+    ) == ["obs", "trace", "a.json", "--diff", "b.json"]
 
 
 def test_check_command_flags_unknown_arguments():

@@ -93,41 +93,6 @@ class TestObsReportCommand:
         assert "busy cores" in html
 
 
-class TestObsGateCommand:
-    def report(self, scale=1.0):
-        return {
-            "micro": {"compiled_s": 0.01 * scale, "reference_s": 0.1 * scale},
-            "sweep_wall_s": 1.0 * scale,
-        }
-
-    def test_pass(self, tmp_path, capsys):
-        p = tmp_path / "a.json"
-        p.write_text(json.dumps(self.report()))
-        assert main(["obs", "gate", str(p), str(p)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_fail_on_regression(self, tmp_path, capsys):
-        cur, base = tmp_path / "cur.json", tmp_path / "base.json"
-        cur.write_text(json.dumps(self.report(scale=5.0)))
-        base.write_text(json.dumps(self.report()))
-        verdict = tmp_path / "gate.json"
-        rc = main(
-            ["obs", "gate", str(cur), str(base), "--json", str(verdict)]
-        )
-        assert rc == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        assert json.loads(verdict.read_text())["ok"] is False
-
-    def test_max_ratio_flag(self, tmp_path):
-        cur, base = tmp_path / "cur.json", tmp_path / "base.json"
-        cur.write_text(json.dumps(self.report(scale=5.0)))
-        base.write_text(json.dumps(self.report()))
-        rc = main(
-            ["obs", "gate", str(cur), str(base), "--max-ratio", "10"]
-        )
-        assert rc == 0
-
-
 class TestGanttTraceTracks:
     def test_trace_out_has_network_and_counters(self, tmp_path, capsys):
         out = tmp_path / "trace.json"

@@ -3,6 +3,18 @@
 import json
 
 from repro.cli import main
+from repro.obs.provenance import run_metadata
+
+
+def test_cli_faults_writes_no_file_by_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(
+        ["faults", "--scale", "small", "--scenario", "slowdown",
+         "--no-engine-check"]
+    )
+    assert rc == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "slowdown" in capsys.readouterr().out
 
 
 def test_cli_faults_writes_report(tmp_path, capsys):
@@ -22,6 +34,7 @@ def test_cli_faults_writes_report(tmp_path, capsys):
     assert report["benchmark"] == "resilience"
     assert set(report["scenarios"]) == {"crash", "slowdown"}
     assert "distributed_kill" not in report
+    assert set(report["meta"]) == set(run_metadata())
     captured = capsys.readouterr()
     assert "resilience benchmark" in captured.out
     assert "fault-free makespan" in captured.out

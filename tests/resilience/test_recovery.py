@@ -250,7 +250,7 @@ class TestBenchReport:
         assert report_ok(report)
         text = format_resilience_report(report)
         assert "crash" in text and "fault-free makespan" in text
-        assert report["meta"]["python"]  # provenance stamp for obs gate
+        assert report["meta"]["python"]  # provenance stamp
         second = resilience_report(**kwargs)
         second["meta"] = report["meta"]  # stamp carries a wall-clock time
         assert second == report
