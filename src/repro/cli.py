@@ -466,21 +466,24 @@ def _instrumented_run(args):
     """Simulate one config under a task-level recorder; shared by the
     ``metrics`` and ``obs report`` commands."""
     from repro.bench.runner import BenchSetup, run_config
+    from repro.dag.compiled import compile_graph
     from repro.dag.graph import TaskGraph
     from repro.hqr.hierarchy import hqr_elimination_list
+    from repro.models.bounds import graph_bounds
     from repro.obs.events import recording
     from repro.obs.metrics import derive_run_metrics
 
     setup = BenchSetup()
+    mach, b = setup.machine, setup.b
     cfg = _config(args).with_(p=setup.grid_p, q=setup.grid_q)
     with recording(level=args.level) as rec:
         res = run_config(args.m, args.n, cfg, setup)
     graph = TaskGraph.from_eliminations(
         hqr_elimination_list(args.m, args.n, cfg), args.m, args.n
     )
-    reg = derive_run_metrics(
-        rec, graph, machine=setup.machine, b=setup.b, config=cfg
-    )
+    cg = compile_graph(graph, setup.layout, mach, b)
+    cp = graph_bounds([cg], mach, b)[0].plain_critical_path
+    reg = derive_run_metrics(rec, graph, critical_path=cp, config=cfg)
     return setup, cfg, rec, res, graph, reg
 
 

@@ -5,14 +5,13 @@ elimination list" and derives every kernel task and data movement from it
 (§IV-C).  This package is the equivalent: :class:`TaskGraph` expands an
 elimination list into GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR task instances,
 infers the dataflow dependencies from tile access order, and offers the
-standard DAG analyses (critical path, parallelism profile, weight
+standard DAG analyses (upward ranks, parallelism profile, weight
 invariants).
 """
 
 from repro.dag.tasks import Task
 from repro.dag.graph import TaskGraph
 from repro.dag.analysis import (
-    critical_path_weight,
     parallelism_profile,
     total_weight,
     theoretical_total_weight,
@@ -22,7 +21,6 @@ from repro.dag.analysis import (
 __all__ = [
     "Task",
     "TaskGraph",
-    "critical_path_weight",
     "parallelism_profile",
     "total_weight",
     "theoretical_total_weight",

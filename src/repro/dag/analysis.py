@@ -1,4 +1,4 @@
-"""DAG analyses: weights, critical path, parallelism profile.
+"""DAG analyses: weights, upward ranks, parallelism profile.
 
 The key invariant (§II): for an ``m x n`` tile matrix with ``m >= n``, every
 valid tiled QR — any elimination list, any TS/TT mix — has total weight
@@ -34,24 +34,6 @@ def theoretical_total_weight(m: int, n: int) -> int:
         # final GEQRT of the last diagonal tile plus its trailing updates
         w += 4 + 6 * (n - m)
     return w
-
-
-def critical_path_weight(graph: TaskGraph, *, unit: bool = False) -> float:
-    """Longest path through the DAG (kernel weights, or hops if ``unit``).
-
-    This is the infinite-resource makespan in ``b^3/3`` units — the paper's
-    §VI "compute critical paths" future-work analysis, and the lower bound
-    the simulator is tested against.
-    """
-    dist = [0.0] * len(graph.tasks)
-    for t, task in enumerate(graph.tasks):  # program order is topological
-        w = 1.0 if unit else float(task.weight)
-        best = 0.0
-        for p in graph.predecessors[t]:
-            if dist[p] > best:
-                best = dist[p]
-        dist[t] = best + w
-    return max(dist, default=0.0)
 
 
 def upward_ranks(graph: TaskGraph) -> list[float]:

@@ -8,21 +8,13 @@ with the simulator.
 """
 
 from repro.models.performance import PerformanceModel, Prediction
-from repro.models.bounds import (
-    critical_path_seconds,
-    work_seconds,
-    bandwidth_lower_bound_words,
-    makespan_lower_bound,
-)
+from repro.models.bounds import bandwidth_lower_bound_words
 from repro.models.explorer import ConfigExplorer, RankedConfig
 
 __all__ = [
     "PerformanceModel",
     "Prediction",
-    "critical_path_seconds",
-    "work_seconds",
     "bandwidth_lower_bound_words",
-    "makespan_lower_bound",
     "ConfigExplorer",
     "RankedConfig",
 ]

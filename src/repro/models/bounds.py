@@ -11,15 +11,13 @@ Three classical bounds apply to any execution of a tiled QR DAG:
   ``F / sqrt(8 W) - W`` words; with the usual balanced-work assumption the
   per-node volume is ``Omega(#flops / (P sqrt(W)))``.
 
-The simulator's makespan must dominate the max of the first two (checked
-in the test-suite), and every algorithm's measured message volume must
-dominate the bandwidth bound.
-
-The functions over a :class:`TaskGraph` are the reference the verifier
-checks against.  :func:`graph_bounds` computes the same quantities, and a
-communication-aware bound the event loop can never beat, in one pass over
-a :class:`~repro.dag.compiled.CompiledGraph` — native (``hqr_lower_bound``,
-GIL-free, batched) or, without the C core, the same pass in Python.
+:func:`graph_bounds` computes the first two, sharpened per node and with
+the links' cost on every cross-node edge, in one pass over a
+:class:`~repro.dag.compiled.CompiledGraph` — native (``hqr_lower_bound``,
+GIL-free, batched) or, without the C core, the same pass in Python.  The
+simulator's makespan never beats it (checked by the verifier's oracle),
+and every algorithm's measured message volume must dominate the
+bandwidth bound.
 """
 
 from __future__ import annotations
@@ -30,66 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dag.graph import TaskGraph
 from repro.runtime.machine import Machine
-
-
-def work_seconds(graph: TaskGraph, machine: Machine, b: int) -> float:
-    """Total kernel execution time (single-core seconds)."""
-    return sum(machine.task_seconds(t.kind, b) for t in graph.tasks)
-
-
-def topological_order(graph: TaskGraph) -> list[int]:
-    """A topological order of the task ids (Kahn's algorithm).
-
-    Program order from :meth:`TaskGraph.from_eliminations` already is one
-    (every edge points forward), and that fast path is detected in O(E);
-    hand-built graphs with permuted ids get an explicit sort.
-    """
-    preds = graph.predecessors
-    if all(p < t for t, plist in enumerate(preds) for p in plist):
-        return list(range(len(preds)))
-    indegree = [len(plist) for plist in preds]
-    succs = graph.successors
-    frontier = [t for t, d in enumerate(indegree) if d == 0]
-    order: list[int] = []
-    while frontier:
-        t = frontier.pop()
-        order.append(t)
-        for s in succs[t]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                frontier.append(s)
-    if len(order) != len(preds):
-        raise ValueError("task graph contains a dependency cycle")
-    return order
-
-
-def critical_path_seconds(graph: TaskGraph, machine: Machine, b: int) -> float:
-    """Weighted longest path with per-kernel rates (seconds).
-
-    Walks an explicit topological order, so the result is correct even
-    when ``graph.tasks`` is not listed in program (topological) order.
-    """
-    tasks = graph.tasks
-    preds = graph.predecessors
-    dist = [0.0] * len(tasks)
-    for t in topological_order(graph):
-        d = machine.task_seconds(tasks[t].kind, b)
-        best = 0.0
-        for p in preds[t]:
-            if dist[p] > best:
-                best = dist[p]
-        dist[t] = best + d
-    return max(dist, default=0.0)
-
-
-def makespan_lower_bound(graph: TaskGraph, machine: Machine, b: int) -> float:
-    """max(work / cores, critical path) — no schedule can beat this."""
-    return max(
-        work_seconds(graph, machine, b) / machine.cores,
-        critical_path_seconds(graph, machine, b),
-    )
 
 
 def bandwidth_lower_bound_words(

@@ -26,7 +26,7 @@ def _rank_one(item) -> Prediction:
     from its compiled graph, built or fetched through the graph cache."""
     m, n, machine, layout, b, cfg = item
     cg = compiled_graph_for(m, n, cfg, layout, machine, b)
-    return PerformanceModel(machine, layout, b).predict(cg)
+    return PerformanceModel(machine, b).predict(cg)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dag.compiled import CompiledGraph, compile_graph
-from repro.dag.graph import TaskGraph
+from repro.dag.compiled import CompiledGraph
 from repro.models.bounds import graph_bounds
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import qr_flops
-from repro.tiles.layout import Layout
 
 
 @dataclass(frozen=True)
@@ -57,22 +55,18 @@ class Prediction:
 class PerformanceModel:
     """Three-term makespan predictor."""
 
-    def __init__(self, machine: Machine, layout: Layout, b: int):
+    def __init__(self, machine: Machine, b: int):
         self.machine = machine
-        self.layout = layout
         self.b = b
 
     def predict(
         self,
-        graph: CompiledGraph | TaskGraph,
+        graph: CompiledGraph,
         M: int | None = None,
         N: int | None = None,
     ) -> Prediction:
-        """Predict from a compiled graph (a :class:`TaskGraph` is compiled
-        under the model's layout first)."""
+        """Predict from a compiled graph (its tasks already placed)."""
         machine, b = self.machine, self.b
-        if isinstance(graph, TaskGraph):
-            graph = compile_graph(graph, self.layout, machine, b)
         M = graph.m * b if M is None else M
         N = graph.n * b if N is None else N
         gb = graph_bounds([graph], machine, b)[0]

@@ -505,17 +505,16 @@ def derive_run_metrics(
     rec,
     graph=None,
     *,
-    machine=None,
-    b: int | None = None,
+    critical_path: float | None = None,
     config=None,
 ) -> MetricsRegistry:
     """Build a registry from one recorded run.
 
     ``graph`` (a :class:`~repro.dag.graph.TaskGraph`) enables per-kernel
     attribution; ``config`` additionally enables per-hierarchy-level
-    attribution; ``machine`` + ``b`` enable the critical-path-slack
-    gauge.  All are optional — missing context simply skips the derived
-    metric.
+    attribution; ``critical_path`` (seconds, the graph pass's
+    ``plain_critical_path``) enables the critical-path-slack gauges.  All
+    are optional — missing context simply skips the derived metric.
     """
     reg = MetricsRegistry()
 
@@ -606,17 +605,14 @@ def derive_run_metrics(
             faults_total.inc(type=str(ev.get("type", "fault")))
 
     # -- critical-path slack ------------------------------------------- #
-    if graph is not None and machine is not None and b is not None:
-        from repro.models.bounds import critical_path_seconds
-
-        cp = critical_path_seconds(graph, machine, b)
+    if critical_path is not None:
         reg.gauge(
             "repro_critical_path_seconds", "weighted longest path"
-        ).set(cp)
+        ).set(critical_path)
         reg.gauge(
             "repro_critical_path_slack_seconds",
             "makespan minus critical path (0 = DAG-depth-bound)",
-        ).set(makespan - cp)
+        ).set(makespan - critical_path)
 
     # -- engine runs --------------------------------------------------- #
     if rec.runs:

@@ -16,8 +16,9 @@ constraint from the machine description alone:
 4.  **data arrivals** — no task starts before its last input lands (local
     predecessor finish, or the recorded message arrival for cross-node
     edges, which must exist);
-5.  **makespan bound** — the makespan dominates
-    ``max(work / cores, critical path)``;
+5.  **makespan bound** — the makespan dominates the compiled graph's
+    :func:`~repro.models.bounds.graph_bounds` bound (critical path with
+    link costs, busiest node's work, busiest serialized channel);
 6.  **bandwidth bound** — for balanced (cyclic) layouts on more than one
     node, per-node message volume dominates the communication-avoiding
     lower bound.
@@ -25,20 +26,22 @@ constraint from the machine description alone:
 Resource checks compare exact doubles: the oracle re-performs the same
 float operations the engines do (``tile_bytes / bandwidth``, ``depart +
 latency + bwt``), so a violation is a scheduling bug, never rounding.
-The two analytic bounds get a 1e-9 relative slack since they are computed
-with different summation orders.
+The makespan bound takes no slack: the graph pass keeps its own
+``1 - 2**-30`` rounding margin.  Only the bandwidth bound, a formula
+rather than a replay, gets a 1e-9 relative slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
-from repro.models.bounds import bandwidth_lower_bound_words, makespan_lower_bound
+from repro.models.bounds import bandwidth_lower_bound_words, graph_lower_bound
 from repro.runtime.simulator import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
-#: relative slack for the analytic (different-summation-order) bounds only
+#: relative slack for the bandwidth formula only
 _BOUND_SLACK = 1e-9
 
 
@@ -195,8 +198,9 @@ def check_schedule(
         break
 
     # -- 5. makespan lower bound ----------------------------------------- #
-    bound = makespan_lower_bound(graph, machine, b)
-    if result.makespan < bound * (1.0 - _BOUND_SLACK):
+    cg = compile_graph(graph, layout, machine, b)
+    bound = graph_lower_bound(cg, machine, b)
+    if result.makespan < bound:
         out.append(
             OracleViolation(
                 "makespan-bound",

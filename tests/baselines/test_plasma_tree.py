@@ -43,8 +43,14 @@ class TestPlasmaTree:
 
     def test_bs_tradeoff_visible_in_critical_path(self):
         """Small bs -> more parallelism (shorter CP); big bs -> more TS."""
-        from repro.dag import TaskGraph, critical_path_weight
+        from repro.dag import TaskGraph
+        from repro.dag.compiled import compile_graph
         from repro.hqr.stats import kernel_mix
+        from repro.models.bounds import graph_bounds
+        from repro.runtime import Machine
+        from repro.tiles.layout import SingleNode
+
+        mach = Machine.ideal(nodes=1)
 
         m, n = 32, 4
         cp, ts = {}, {}
@@ -52,7 +58,8 @@ class TestPlasmaTree:
             g = TaskGraph.from_eliminations(
                 plasma_tree_elimination_list(m, n, bs), m, n
             )
-            cp[bs] = critical_path_weight(g)
+            cg = compile_graph(g, SingleNode(), mach, 280)
+            cp[bs] = graph_bounds([cg], mach, 280)[0].plain_critical_path
             ts[bs] = kernel_mix(g).ts_fraction
         assert cp[1] < cp[32]
         assert ts[1] == 0.0 < ts[4] < ts[32]

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.bbd10 import bbd10_elimination_list
 from repro.dag import (
     TaskGraph,
-    critical_path_weight,
     parallelism_profile,
     theoretical_total_weight,
     total_weight,
@@ -16,6 +15,16 @@ from repro.trees import BinaryTree, FlatTree, GreedyTree, panel_elimination_list
 
 def build(m, n, elims):
     return TaskGraph.from_eliminations(elims, m, n)
+
+
+def critical_path_weight(graph, *, unit=False):
+    """Longest path through the object DAG, in kernel weights (``b^3/3``
+    units) or hops if ``unit``; program order is topological."""
+    dist = [0.0] * len(graph.tasks)
+    for t, task in enumerate(graph.tasks):
+        best = max((dist[p] for p in graph.predecessors[t]), default=0.0)
+        dist[t] = best + (1.0 if unit else float(task.weight))
+    return max(dist, default=0.0)
 
 
 class TestWeightInvariant:

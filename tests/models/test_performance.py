@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dag import TaskGraph
+from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import ConfigExplorer, PerformanceModel
 from repro.runtime import ClusterSimulator, Machine
@@ -16,6 +17,11 @@ def graph(m, n, cfg):
     return TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
 
 
+def compiled(m, n, cfg, mach, lay):
+    elims = hqr_elimination_list(m, n, cfg)
+    return compiled_from_eliminations(elims, m, n, lay, mach, B)
+
+
 @pytest.fixture(scope="module")
 def setup():
     return Machine.edel(), BlockCyclic2D(15, 4)
@@ -25,16 +31,15 @@ class TestPrediction:
     def test_model_is_optimistic(self, setup):
         """predicted makespan <= simulated makespan, always."""
         mach, lay = setup
-        model = PerformanceModel(mach, lay, B)
+        model = PerformanceModel(mach, B)
         sim = ClusterSimulator(mach, lay, B)
         for m, n, cfg in [
             (64, 16, HQRConfig(p=15, q=4, a=4)),
             (32, 32, HQRConfig(p=15, q=4, a=4, domino=False)),
             (128, 8, HQRConfig(p=15, q=4, a=1, low_tree="flat")),
         ]:
-            g = graph(m, n, cfg)
-            pred = model.predict(g)
-            res = sim.run(g)
+            pred = model.predict(compiled(m, n, cfg, mach, lay))
+            res = sim.run(graph(m, n, cfg))
             assert pred.makespan <= res.makespan * 1.0001
             # and not absurdly loose
             assert pred.makespan > 0.2 * res.makespan
@@ -42,9 +47,9 @@ class TestPrediction:
     def test_binding_term_tall_skinny_is_cp(self, setup):
         """Very tall-skinny with a serial flat tree is critical-path-bound."""
         mach, lay = setup
-        model = PerformanceModel(mach, lay, B)
-        g = graph(256, 4, HQRConfig(p=15, q=4, a=1, low_tree="flat",
-                                    high_tree="flat", domino=False))
+        model = PerformanceModel(mach, B)
+        g = compiled(256, 4, HQRConfig(p=15, q=4, a=1, low_tree="flat",
+                                       high_tree="flat", domino=False), mach, lay)
         assert model.predict(g).binding == "critical-path"
 
     def test_binding_term_square_is_work(self, setup):
@@ -52,15 +57,15 @@ class TestPrediction:
         its serial coupling chain would otherwise stretch the critical
         path) are throughput-bound."""
         mach, lay = setup
-        model = PerformanceModel(mach, lay, B)
-        g = graph(96, 96, HQRConfig(p=15, q=4, a=4, low_tree="greedy",
-                                    high_tree="flat", domino=False))
+        model = PerformanceModel(mach, B)
+        g = compiled(96, 96, HQRConfig(p=15, q=4, a=4, low_tree="greedy",
+                                       high_tree="flat", domino=False), mach, lay)
         assert model.predict(g).binding == "work"
 
     def test_gflops_positive(self, setup):
         mach, lay = setup
-        pred = PerformanceModel(mach, lay, B).predict(
-            graph(16, 8, HQRConfig(p=15, q=4))
+        pred = PerformanceModel(mach, B).predict(
+            compiled(16, 8, HQRConfig(p=15, q=4), mach, lay)
         )
         assert pred.gflops > 0
 

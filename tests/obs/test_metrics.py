@@ -3,9 +3,11 @@
 import pytest
 
 from repro.bench.runner import BenchSetup, run_config
+from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
+from repro.models.bounds import graph_bounds
 from repro.obs.events import recording, uninstall
 from repro.obs.metrics import (
     Counter,
@@ -143,17 +145,17 @@ class TestDerivation:
 
     def test_makespan_and_critical_path(self):
         setup, cfg, rec, res, graph = self.recorded()
-        reg = derive_run_metrics(
-            rec, graph, machine=setup.machine, b=setup.b
-        )
+        mach, b = setup.machine, setup.b
+        cg = compile_graph(graph, setup.layout, mach, b)
+        cp = graph_bounds([cg], mach, b)[0].plain_critical_path
+        reg = derive_run_metrics(rec, graph, critical_path=cp)
         assert reg["repro_makespan_seconds"].value() == pytest.approx(
             res.makespan
         )
-        cp = reg["repro_critical_path_seconds"].value()
+        assert reg["repro_critical_path_seconds"].value() == cp > 0
         slack = reg["repro_critical_path_slack_seconds"].value()
-        assert cp > 0
-        assert slack == pytest.approx(res.makespan - cp)
-        assert slack >= -1e-12  # makespan can never beat the longest path
+        assert slack == res.makespan - cp
+        assert slack >= 0  # makespan can never beat the longest path
 
     def test_engine_runs_recorded(self):
         setup, cfg, rec, res, graph = self.recorded()
@@ -166,3 +168,4 @@ class TestDerivation:
         reg = derive_run_metrics(rec)  # no graph: unlabelled totals only
         assert sum(reg["repro_tasks_total"].samples.values()) == len(graph)
         assert "repro_level_seconds_total" not in reg
+        assert "repro_critical_path_seconds" not in reg

@@ -65,6 +65,7 @@ class TestMetricsCommand:
         assert rc == 0
         doc = json.loads(jp.read_text())
         assert "repro_kernel_seconds_total" in doc
+        assert doc["repro_critical_path_slack_seconds"]["samples"]
         assert "# TYPE repro_tasks_total counter" in pp.read_text()
 
 

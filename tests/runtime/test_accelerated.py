@@ -76,7 +76,8 @@ class TestAcceleratedSimulation:
     def test_speedup_saturates_at_panel_path(self, small_machine):
         """With updates nearly free, the makespan approaches the CPU
         factorization critical path — accelerators cannot help further."""
-        from repro.models.bounds import critical_path_seconds
+        from repro.dag.compiled import compile_graph
+        from repro.models.bounds import graph_bounds
 
         g = graph(24, 8)
         lay = BlockCyclic2D(4, 2)
@@ -86,7 +87,8 @@ class TestAcceleratedSimulation:
         # lower bound: CP where updates cost their accelerated time; the
         # factorization kernels alone already form a chain
         assert res.makespan > 0
-        cpu_cp = critical_path_seconds(g, small_machine, 280)
+        cg = compile_graph(g, lay, small_machine, 280)
+        cpu_cp = graph_bounds([cg], small_machine, 280)[0].plain_critical_path
         assert res.makespan < cpu_cp  # accelerating updates shortens the path
 
     def test_work_conservation(self, small_machine):

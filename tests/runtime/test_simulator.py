@@ -3,9 +3,10 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.dag import TaskGraph, critical_path_weight
+from repro.dag import TaskGraph
+from repro.dag.compiled import compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.kernels.weights import EDEL_RATES
+from repro.models.bounds import graph_lower_bound
 from repro.runtime import ClusterSimulator, Machine
 from repro.runtime.simulator import qr_flops
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
@@ -35,10 +36,10 @@ class TestLowerBounds:
         b = 40
         g = graph(m, n)
         mach = Machine.edel()
-        res = ClusterSimulator(mach, BlockCyclic2D(3, 2), b).run(g)
-        # CP lower bound using the fastest rate
-        cp_seconds = critical_path_weight(g) * (b**3 / 3) / (EDEL_RATES.ts_rate * 1e9)
-        assert res.makespan >= cp_seconds * 0.999
+        lay = BlockCyclic2D(3, 2)
+        res = ClusterSimulator(mach, lay, b).run(g)
+        bound = graph_lower_bound(compile_graph(g, lay, mach, b), mach, b)
+        assert res.makespan >= bound
 
     def test_work_bound(self):
         b, m, n = 40, 16, 8

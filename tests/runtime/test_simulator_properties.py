@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dag import TaskGraph
+from repro.dag.compiled import compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models import makespan_lower_bound
+from repro.models.bounds import graph_lower_bound
 from repro.runtime import ClusterSimulator, Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
@@ -36,8 +37,10 @@ def test_simulation_respects_bounds_and_conserves_work(m, n, cfg, nodes, cores):
     mach = Machine(nodes=nodes, cores_per_node=cores)
     lay = Cyclic1D(nodes)
     res = ClusterSimulator(mach, lay, b).run(g)
-    # 1. no schedule beats the work/CP bound
-    assert res.makespan >= makespan_lower_bound(g, mach, b) * 0.9999
+    # 1. no schedule beats the graph pass's bound
+    assert res.makespan >= graph_lower_bound(
+        compile_graph(g, lay, mach, b), mach, b
+    )
     # 2. work conservation: busy time equals the sum of kernel durations
     work = sum(mach.task_seconds(t.kind, b) for t in g.tasks)
     assert res.busy_seconds == pytest.approx(work)

@@ -1,11 +1,15 @@
 """Live daemon over HTTP: plan round-trips, metrics scrape, admission
 control, graceful drain."""
 
-import threading
-
 import pytest
 
-from _serve_testlib import TENANTS, TINY_REQUEST, tiny_setup
+from _serve_testlib import (
+    TENANTS,
+    TINY_REQUEST,
+    HeldPlannerService,
+    saturating_burst,
+    tiny_setup,
+)
 from repro.serve.client import ServeClient, drive
 from repro.serve.server import PlanningDaemon
 from repro.serve.service import PlannerService
@@ -126,7 +130,7 @@ class TestAdmissionOverHTTP:
         from repro.serve.scheduler import TenantSpec
 
         d = PlanningDaemon(
-            PlannerService(tiny_setup()),
+            HeldPlannerService(tiny_setup()),
             (TenantSpec("t", queue_limit=1),),
             port=0,
             workers=1,
@@ -135,19 +139,7 @@ class TestAdmissionOverHTTP:
         c = ServeClient(port=d.port, timeout=30.0)
         try:
             c.wait_ready()
-            results = []
-            lock = threading.Lock()
-
-            def fire():
-                r = c.plan("t", TINY_REQUEST)
-                with lock:
-                    results.append(r)
-
-            threads = [threading.Thread(target=fire) for _ in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            results = saturating_burst(d, c, "t", TINY_REQUEST)
             assert len(results) == 12
             sheds = [r for r in results if r.status == 429]
             assert sheds, "burst never saturated the 1-deep queue"

@@ -2,11 +2,15 @@
 trees via /trace/<job_id>, latency attribution, the flight recorder
 debug endpoint, and a strict /metrics scrape."""
 
-import threading
-
 import pytest
 
-from _serve_testlib import TENANTS, TINY_REQUEST, tiny_setup
+from _serve_testlib import (
+    TENANTS,
+    TINY_REQUEST,
+    HeldPlannerService,
+    saturating_burst,
+    tiny_setup,
+)
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.tracing import ATTRIBUTION_STAGES, format_traceparent
 from repro.serve.client import ServeClient
@@ -128,7 +132,7 @@ class TestTraceEndpoint:
         from repro.serve.scheduler import TenantSpec
 
         d = PlanningDaemon(
-            PlannerService(tiny_setup()),
+            HeldPlannerService(tiny_setup()),
             (TenantSpec("t", queue_limit=1),),
             port=0,
             workers=1,
@@ -138,19 +142,7 @@ class TestTraceEndpoint:
         c = ServeClient(port=d.port, timeout=30.0)
         try:
             c.wait_ready()
-            results = []
-            lock = threading.Lock()
-
-            def fire():
-                r = c.plan("t", TINY_REQUEST)
-                with lock:
-                    results.append(r)
-
-            threads = [threading.Thread(target=fire) for _ in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            results = saturating_burst(d, c, "t", TINY_REQUEST)
             sheds = [r for r in results if r.status == 429]
             assert sheds, "burst never saturated the 1-deep queue"
             assert all(r.trace_id and r.job_id is not None for r in sheds)

@@ -9,8 +9,10 @@ import dataclasses
 
 import pytest
 
+from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
 from repro.hqr.hierarchy import hqr_elimination_list
+from repro.models.bounds import graph_bounds
 from repro.verify.engines import reference_engine
 from repro.verify.generator import VerifyCase
 from repro.verify.oracle import check_schedule
@@ -153,6 +155,20 @@ def test_bandwidth_bound_fires_when_strictly_positive():
     assert check_schedule(case, graph, result) == []  # real run clears it
     starved = dataclasses.replace(result, bytes_sent=0)
     assert "bandwidth-bound" in fired(case, graph, starved)
+
+
+def test_makespan_bound_counts_the_links(base):
+    """The bound is the compiled graph pass's, with no slack: a makespan
+    that clears ``max(work / cores, plain critical path)`` but not the
+    link costs on the critical path is caught."""
+    case, graph, result = base
+    machine = case.machine()
+    cg = compile_graph(graph, case.layout(), machine, case.b)
+    gb = graph_bounds([cg], machine, case.b)[0]
+    plain = max(gb.work / machine.cores, gb.plain_critical_path)
+    assert plain < gb.bound <= result.makespan
+    between = dataclasses.replace(result, makespan=(plain + gb.bound) / 2)
+    assert "makespan-bound" in fired(case, graph, between)
 
 
 def test_zero_message_tiny_case_is_legal():
