@@ -3,8 +3,8 @@
 Demonstrates the ownership-based distributed engine: every rank holds only
 the tiles its layout assigns, runs exactly the tasks placed on it, and
 ships tiles/reflectors to consumers.  In-process threads stand in for MPI
-processes (swap ``ThreadComm`` for ``MPIComm`` under ``mpiexec`` on a real
-cluster — the engine code is identical).
+processes: the engine only calls the communicator's ``size``, ``send`` and
+``recv``, so ``ThreadComm`` is all it needs.
 
 Run:  python examples/distributed_ranks.py
 """

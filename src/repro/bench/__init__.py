@@ -5,7 +5,6 @@ the cluster simulator and the analytic SCALAPACK model); the pytest-benchmark
 suites under ``benchmarks/`` drive them and print paper-style output.
 """
 
-from repro.bench.parallel import default_workers, parallel_map
 from repro.bench.runner import (
     BenchSetup,
     run_config,
@@ -25,8 +24,6 @@ from repro.bench.tables import (
 
 __all__ = [
     "BenchSetup",
-    "default_workers",
-    "parallel_map",
     "run_config",
     "run_config_sweep",
     "run_eliminations",

@@ -106,7 +106,6 @@ def _time_stages(
 def bench_report(
     *,
     skip_reference: bool = False,
-    workers: int | None = None,
     setup: BenchSetup | None = None,
 ) -> dict:
     """Full pipeline benchmark: staged timings + sweep wall time.
@@ -162,7 +161,7 @@ def bench_report(
     report["stages"] = stages
 
     t0 = time.perf_counter()
-    run_config_sweep(points, setup, workers=workers)
+    run_config_sweep(points, setup)
     report["sweep_wall_s"] = time.perf_counter() - t0
     return report
 

@@ -13,20 +13,23 @@ variable ``REPRO_BENCH_SCALE=full`` to simulate every published point (or
 
 from __future__ import annotations
 
+import logging
 import os
 import queue
 import threading
 from dataclasses import dataclass, field
 
-from repro.bench.parallel import parallel_map
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
+from repro.obs.logging import jsonlog
 from repro.obs.profile import stage
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator, SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
 from repro.trees.base import Elimination
+
+log = logging.getLogger("repro.bench.runner")
 
 
 def bench_scale() -> str:
@@ -220,11 +223,6 @@ def run_config(
     )[0][0]
 
 
-def _run_point(item) -> SimulationResult:
-    """One sweep point (module-level: picklable for the process pool)."""
-    return run_config(*item)
-
-
 def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
     """The ``batched-c`` sweep body: plan here, simulate beside it.
 
@@ -238,21 +236,22 @@ def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
     depend on timing; results do not.  An error on either side stops the
     other, and the helper is joined before this returns or raises — a
     second interrupt *during that join* escapes it and leaves the daemon
-    helper to end with its current chunk.  The caller's request trace is
-    re-attached in the helper, but not its open span: the ``simulate``
-    spans (one per chunk) hang off the trace root.
+    helper to end with its current chunk.  The caller's request trace
+    and its open span are re-attached in the helper, so the ``simulate``
+    spans (one per chunk) hang where a call on the caller would put them.
     """
-    from repro.obs.tracing import attach, current_trace
+    from repro.obs.tracing import attach, current_span, current_trace
     from repro.runtime.core import run_core_batch
 
     planned = queue.SimpleQueue()  # graphs in point order, then None
     results: list[SimulationResult] = []
     failure: list[BaseException] = []
-    trace = current_trace()  # thread-local: carry it over for the spans
+    # thread-local: carry both over for the spans
+    trace, parent = current_trace(), current_span()
 
     def simulate() -> None:
         try:
-            with attach(trace):
+            with attach(trace, parent=parent):
                 last = False
                 while not last:
                     chunk = [planned.get()]
@@ -306,31 +305,33 @@ def run_config_sweep(
 
     * the native core is loaded, the engine is not ``reference`` and no
       task-level recorder is installed — every graph is built in line
-      (through the cache; a build is cheaper than shipping its arrays
-      between processes) while a helper thread runs the graphs built so
+      (through the cache) while a helper thread runs the graphs built so
       far through the batched C loop
       (:func:`~repro.runtime.core.run_core_batch`), so planning and
       simulation overlap instead of fork-joining;
-    * otherwise — the per-point map: :func:`run_config` per point over
-      :func:`~repro.bench.parallel.parallel_map`, a process pool at
-      ``workers > 1`` and the in-process loop at ``workers <= 1``.  A
-      task-level recorder forces the in-process loop: events recorded in
-      a pool worker would die with it.
+    * otherwise — :func:`run_config` per point, in this process.
+
+    One ``sweep_transport`` line (``batched-c`` or ``in-process``) says
+    which path ran.  ``workers`` is accepted and ignored, only because
+    the benchmark in ``perf/`` passes ``workers=1``.
     """
-    from repro.bench.parallel import log_transport
     from repro.obs.events import active as _obs_active
     from repro.runtime.core import _pick_engine, core_mode
 
     setup = setup or BenchSetup()
     points = list(points)
     rec = _obs_active()
-    want_tasks = rec is not None and rec.want_tasks
-    if (
+    batched = (
         core_mode() != "reference"
-        and not want_tasks
+        and not (rec is not None and rec.want_tasks)
         and _pick_engine(None) is not None
-    ):
-        log_transport("batched-c", workers=1, points=len(points))
+    )
+    transport = "batched-c" if batched else "in-process"
+    jsonlog(
+        "sweep_transport", logger=log,
+        msg=f"sweep transport: {transport} ({len(points)} points)",
+        transport=transport, points=len(points),
+    )
+    if batched:
         return _plan_and_simulate(points, setup) if points else []
-    items = [(m, n, cfg, setup) for m, n, cfg in points]
-    return parallel_map(_run_point, items, workers=1 if want_tasks else workers)
+    return [run_config(m, n, cfg, setup) for m, n, cfg in points]

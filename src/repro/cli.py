@@ -442,15 +442,11 @@ def cmd_bench(args) -> int:
         write_report,
     )
 
-    # the env vars reach pool workers too, unlike parameters
     with _scoped_env(
         REPRO_BENCH_SCALE=args.scale or None,
         REPRO_SIM_CORE=args.engine or None,
     ):
-        report = bench_report(
-            skip_reference=args.skip_reference,
-            workers=args.workers,
-        )
+        report = bench_report(skip_reference=args.skip_reference)
     print(format_report(report))
     if args.json:
         write_report(report, args.json)
@@ -675,7 +671,6 @@ def cmd_tune(args) -> int:
                 budget=(
                     args.budget if args.budget is not None else DEFAULT_BUDGET
                 ),
-                workers=args.workers,
             )
         print(format_report(report))
         if args.json:
@@ -915,9 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="time only the compiled pipeline (no reference comparison)",
     )
     p.add_argument(
-        "--workers", type=int, help="parallel sweep workers (default: CPUs)"
-    )
-    p.add_argument(
         "--engine",
         choices=("auto", "c", "python", "reference"),
         help="pin the simulation core for this run (REPRO_SIM_CORE)",
@@ -1127,11 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("small", "default", "full"),
         help="override REPRO_BENCH_SCALE for this run (bench mode)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="exhaustive-sweep workers (bench mode; default: CPUs)",
     )
     p.add_argument(
         "--json", help="write the machine-readable report here"

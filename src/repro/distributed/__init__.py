@@ -10,14 +10,12 @@ the §III-A discussion derives.
 
 from repro.distributed.comm import (
     CommStats,
-    count_panel_messages,
     count_messages,
     kill_messages_per_panel,
 )
 
 __all__ = [
     "CommStats",
-    "count_panel_messages",
     "count_messages",
     "kill_messages_per_panel",
 ]

@@ -60,14 +60,6 @@ def kill_messages_per_panel(
     return counts
 
 
-def count_panel_messages(
-    elims: Sequence[Elimination], layout: Layout, panel: int
-) -> int:
-    """Kill messages of a single panel."""
-    per = kill_messages_per_panel((e for e in elims if e.panel == panel), layout)
-    return per.get(panel, 0)
-
-
 def count_messages(
     elims: Sequence[Elimination], layout: Layout, n: int
 ) -> CommStats:

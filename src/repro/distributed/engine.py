@@ -6,12 +6,12 @@ tiled QR with distributed-memory semantics: every rank owns the tiles its
 placed on it (owner-computes on the victim-row tile, like DPLASMA), and
 exchanges tiles and reflectors over a point-to-point communicator.
 
-The communicator is pluggable:
-
-* :class:`ThreadComm` — in-process ranks backed by queues, used by the
-  test-suite (and a faithful model of matching-by-tag semantics);
-* :class:`MPIComm` — a thin mpi4py wrapper with the same three methods,
-  for real clusters (optional import; everything else is identical).
+The communicator is anything with ``size``, ``send`` and ``recv``:
+:class:`ThreadComm` runs in-process ranks backed by queues, a faithful
+model of matching-by-tag semantics, and :class:`ResilientComm` adds
+message loss on top; a wrapper with the same three members around a real
+message-passing library would run the engine unchanged, one process per
+rank.
 
 The engine's correctness argument mirrors §IV-C: the DAG determines all
 data movement; each cross-rank dependency edge carries the producer's
@@ -183,23 +183,6 @@ class ResilientComm:
             }
 
 
-class MPIComm:  # pragma: no cover - requires mpi4py + mpiexec
-    """mpi4py adapter with the ThreadComm interface (one process per rank)."""
-
-    def __init__(self):
-        from mpi4py import MPI
-
-        self._comm = MPI.COMM_WORLD
-        self.size = self._comm.Get_size()
-        self.rank = self._comm.Get_rank()
-
-    def send(self, payload, dest: int, tag: int, source: int) -> None:
-        self._comm.send(payload, dest=dest, tag=tag)
-
-    def recv(self, source: int, tag: int, rank: int, timeout: float = 0.0):
-        return self._comm.recv(source=source, tag=tag)
-
-
 @dataclass
 class RankResult:
     """Output of one rank's execution."""
@@ -221,7 +204,8 @@ class DistributedEngine:
     layout:
         Tile ownership; also determines task placement.
     comm:
-        Communicator (``ThreadComm`` or ``MPIComm``).
+        Communicator: ``size`` ranks, ``send`` and ``recv`` with
+        :class:`ThreadComm`'s signatures.
     """
 
     def __init__(self, graph: TaskGraph, layout: Layout, comm):

@@ -13,20 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.bench.parallel import parallel_map
 from repro.bench.runner import answers, compiled_graph_for
 from repro.hqr.config import HQRConfig
 from repro.models.performance import PerformanceModel, Prediction
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Layout
-
-
-def _rank_one(item) -> Prediction:
-    """Model-predict one candidate (module-level: picklable for the pool)
-    from its compiled graph, built or fetched through the graph cache."""
-    m, n, machine, layout, b, cfg = item
-    cg = compiled_graph_for(m, n, cfg, layout, machine, b)
-    return PerformanceModel(machine, b).predict(cg)
 
 
 @dataclass(frozen=True)
@@ -76,20 +67,20 @@ class ConfigExplorer:
                 low_tree=low, high_tree=high, domino=domino,
             )
 
-    def rank(self, configs=None, *, workers: int | None = None) -> list[RankedConfig]:
+    def rank(self, configs=None) -> list[RankedConfig]:
         """Model-predicted ranking, best first.
 
-        Candidates are independent, so they fan out over the parallel
-        sweep engine; the ranking is deterministic for any worker count
-        (the sort key ties back to enumeration order via stable sort).
+        Each candidate is predicted from its compiled graph, built or
+        fetched through the graph cache; ties keep enumeration order
+        (stable sort).
         """
         cfgs = list(configs) if configs is not None else list(self.space())
-        items = [(self.m, self.n, self.machine, self.layout, self.b, cfg)
-                 for cfg in cfgs]
-        predictions = parallel_map(_rank_one, items, workers=workers)
+        model = PerformanceModel(self.machine, self.b)
         out = [
-            RankedConfig(config=cfg, prediction=pred)
-            for cfg, pred in zip(cfgs, predictions)
+            RankedConfig(config=cfg, prediction=model.predict(compiled_graph_for(
+                self.m, self.n, cfg, self.layout, self.machine, self.b
+            )))
+            for cfg in cfgs
         ]
         out.sort(key=lambda rc: -rc.gflops)
         return out

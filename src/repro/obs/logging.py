@@ -3,7 +3,7 @@
 One helper, two sinks:
 
 * ``jsonlog(event, logger=...)`` emits the JSON line through a standard
-  :mod:`logging` logger — library code (``repro.bench.parallel``) uses
+  :mod:`logging` logger — library code (``repro.bench.runner``) uses
   this so the usual level filtering, ``caplog`` capture and handler
   configuration keep working.  The human-readable summary goes into the
   ``msg`` field so log greps (and existing tests) still match.

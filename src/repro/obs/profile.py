@@ -2,14 +2,14 @@
 
 Where the paper's metrics attribute *simulated* time, this module
 attributes the harness's own *wall* time: elimination-list construction
-vs. DAG build vs. cache lookups vs. the engine event loop vs. parallel
-sweep fan-out.  Two mechanisms:
+vs. DAG build vs. cache lookups vs. the engine event loop vs. sweep
+dispatch.  Two mechanisms:
 
 * **Stage timers** — ``with stage("build"): ...`` accumulates wall
   seconds per named stage into the installed :class:`SelfProfile`.
   Inactive (no profile installed) the context manager is a single
   global read, so instrumented call sites cost nothing in production.
-  ``repro.bench.runner`` and ``repro.bench.parallel`` are pre-wired.
+  ``repro.bench.runner`` is pre-wired.
 * **cProfile hooks** — :func:`profile_run` wraps a representative
   sweep in ``cProfile`` and reports the top cumulative functions next
   to the stage table, for drill-down past the stage granularity.

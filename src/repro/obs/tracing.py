@@ -47,6 +47,7 @@ __all__ = [
     "active_core_hook",
     "attach",
     "chrome_span_events",
+    "current_span",
     "current_trace",
     "format_trace",
     "format_trace_diff",
@@ -237,17 +238,24 @@ def current_trace() -> RequestTrace | None:
     return getattr(_tls, "trace", None)
 
 
+def current_span() -> Span | None:
+    """The span open on this thread, if any."""
+    return getattr(_tls, "span", None)
+
+
 @contextmanager
-def attach(trace: RequestTrace | None):
+def attach(trace: RequestTrace | None, *, parent: Span | None = None):
     """Attach ``trace`` to this thread for the duration of the block.
 
-    While attached, :func:`span` and the core hook append spans to it;
-    ``attach(None)`` is a no-op shield (spans inside are dropped).
+    While attached, :func:`span` and the core hook append spans to it —
+    under ``parent``, a span of ``trace`` another thread has open, else
+    under the root; ``attach(None)`` is a no-op shield (spans inside are
+    dropped).
     """
     prev_trace = getattr(_tls, "trace", None)
     prev_span = getattr(_tls, "span", None)
     _tls.trace = trace
-    _tls.span = None
+    _tls.span = parent
     try:
         yield trace
     finally:

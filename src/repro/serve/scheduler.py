@@ -142,10 +142,6 @@ class FairScheduler:
         self._inflight_cost = 0.0
 
     # -- introspection ------------------------------------------------- #
-    @property
-    def tenant_names(self) -> tuple[str, ...]:
-        return tuple(self._tenants)
-
     def backlog(self, tenant: str | None = None) -> int:
         if tenant is not None:
             return len(self._tenants[tenant].queue)

@@ -44,14 +44,6 @@ class Layout(ABC):
         """
         return self.owner(i, 0)
 
-    def rows_of(self, node: int, m: int) -> list[int]:
-        """All tile rows owned (for some column) by ``node``, among ``m`` rows."""
-        return [i for i in range(m) if self.owner_row(i) == self.owner_row_of_node(node)]
-
-    def owner_row_of_node(self, node: int) -> int:
-        """Grid-row index of a node rank (identity for 1-D layouts)."""
-        return node
-
     def messages_equal(self, i1: int, j1: int, i2: int, j2: int) -> bool:
         """True when tiles are co-located (no inter-node message needed)."""
         return self.owner(i1, j1) == self.owner(i2, j2)
@@ -152,9 +144,6 @@ class BlockCyclic2D(Layout):
 
     def owner_row(self, i: int) -> int:
         return i % self.p
-
-    def owner_row_of_node(self, node: int) -> int:
-        return node // self.q
 
     def local_row(self, i: int) -> int:
         return i // self.p

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from repro.bench.runner import BenchSetup, bench_scale, run_config_sweep
 from repro.hqr.config import HQRConfig
-from repro.obs.profile import stage
 from repro.tune.energy import EnergyEvaluator, initial_case
 from repro.tune.sampler import Annealer, CoolingSchedule
 
@@ -83,7 +82,6 @@ def tune_bench(
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
     batch_size: int = BENCH_BATCH,
-    workers: int | None = None,
 ) -> dict:
     """Run tune then the exhaustive sweep; return the comparison report."""
     from repro.obs.provenance import run_metadata
@@ -101,25 +99,21 @@ def tune_bench(
     space_size = len(SUBSPACE_A_VALUES) * 4 * 4 * 2
     max_evals = space_size // 10 - batch_size + 1
 
-    with stage("tune"):
-        t0 = time.perf_counter()
-        annealer = Annealer(
-            evaluator, start, out_dir,
-            seed=seed, budget=budget, batch_size=batch_size,
-            schedule=CoolingSchedule(),
-            axes=SUBSPACE_AXES, max_a=max(SUBSPACE_A_VALUES),
-            max_evaluations=max_evals,
-        )
-        result = annealer.run()
-        tune_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    annealer = Annealer(
+        evaluator, start, out_dir,
+        seed=seed, budget=budget, batch_size=batch_size,
+        schedule=CoolingSchedule(),
+        axes=SUBSPACE_AXES, max_a=max(SUBSPACE_A_VALUES),
+        max_evaluations=max_evals,
+    )
+    result = annealer.run()
+    tune_wall = time.perf_counter() - t0
 
     configs = enumerate_subspace(setup)
-    with stage("exhaustive"):
-        t0 = time.perf_counter()
-        sweep = run_config_sweep(
-            [(m, n, cfg) for cfg in configs], setup, workers=workers
-        )
-        exhaustive_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sweep = run_config_sweep([(m, n, cfg) for cfg in configs], setup)
+    exhaustive_wall = time.perf_counter() - t0
 
     exhaustive_best = min(r.makespan for r in sweep)
     tune_best = result.best[0]["energy"]

@@ -333,10 +333,6 @@ class Annealer:
         """Ask the chain to stop at the next batch boundary (signal-safe)."""
         self._stop = True
 
-    @property
-    def stopping(self) -> bool:
-        return self._stop
-
     # ------------------------------------------------------------------ #
     def _params(self) -> dict:
         ev = self.evaluator

@@ -128,56 +128,51 @@ def test_sweep_batched_matches_legacy(core, fresh_cache, caplog, monkeypatch):
     setup = small_setup()
     points = _points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
-    for workers in (1, 2):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="repro.bench.parallel"):
-            got = run_config_sweep(points, setup, workers=workers)
-        assert [_key(r) for r in got] == [_key(r) for r in want], (
-            f"core={core} workers={workers}"
-        )
-        lines = [
-            r.message for r in caplog.records if "sweep transport" in r.message
-        ]
-        assert len(lines) == 1
-        if core == "auto" and native_available():
-            transport = "batched-c"
-        else:
-            transport = "pickle" if workers == 2 else "serial"
-        assert transport in lines[0]
+    with caplog.at_level(logging.INFO, logger="repro.bench.runner"):
+        got = run_config_sweep(points, setup)
+    assert [_key(r) for r in got] == [_key(r) for r in want], f"core={core}"
+    lines = [
+        r.message for r in caplog.records if "sweep transport" in r.message
+    ]
+    assert len(lines) == 1
+    if core == "auto" and native_available():
+        transport = "batched-c"
+    else:
+        transport = "in-process"
+    assert transport in lines[0]
 
 
-def test_task_recorder_keeps_the_sweep_in_process(fresh_cache, monkeypatch):
-    """Task events recorded in a pool worker would die with it, so a
-    ``tasks``-level recorder gets the same events at any worker count."""
+def test_task_recorder_keeps_the_sweep_in_process(fresh_cache, caplog):
+    """A ``tasks``-level recorder takes the per-point loop and gets the
+    task events the ``run_config`` loop records."""
     from repro.obs.events import recording
 
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")  # what workers=None means
     setup = small_setup()
-    seen = {}
-    for workers in (1, 2, None):
+    with recording("tasks") as want:
+        for m, n, cfg in _points():
+            run_config(m, n, cfg, setup)
+    with caplog.at_level(logging.INFO, logger="repro.bench.runner"):
         with recording("tasks") as rec:
-            run_config_sweep(_points(), setup, workers=workers)
-        seen[workers] = len(rec.tasks)
-    assert seen[1] > 0
-    assert seen[2] == seen[None] == seen[1]
+            run_config_sweep(_points(), setup)
+    assert len(rec.tasks) == len(want.tasks) > 0
+    assert any("in-process" in r.message for r in caplog.records)
 
 
 def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
-    """Cold points are built in line by the parent: ``workers=2`` on an
-    empty cache must give what ``workers=1`` gives, and write no file."""
+    """Cold points are built in line by the caller: a sweep on an empty
+    cache writes no file and gives what the ``run_config`` loop gives;
+    ``workers`` changes nothing."""
     from repro.dag import cache as cache_mod
 
     monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     setup = small_setup()
     points = _points()
-    got = {}
-    for workers in (1, 2):
-        cache = cache_mod.CompiledGraphCache(tmp_path / f"graphs-{workers}")
-        monkeypatch.setattr(cache_mod, "_default", cache)
-        got[workers] = run_config_sweep(points, setup, workers=workers)
-        assert cache.stats()["miss"] == cache.stats()["store"] == len(points)
-        assert not cache.root.exists()
-    assert got[2] == got[1]
+    cache = cache_mod.CompiledGraphCache(tmp_path / "graphs")
+    monkeypatch.setattr(cache_mod, "_default", cache)
+    got = run_config_sweep(points, setup, workers=2)
+    assert cache.stats()["miss"] == cache.stats()["store"] == len(points)
+    assert not cache.root.exists()
+    assert got == [run_config(m, n, cfg, setup) for m, n, cfg in points]
 
 
 def test_verify_case_batched_roundtrip():
@@ -354,6 +349,32 @@ def test_overlapped_sweep_records_every_point_once(batched_path):
     spans = [s for s in trace.root.children if s.name == "simulate"]
     assert len(spans) == len(runs)
     assert sum(s.attrs["points"] for s in spans) == len(points)
+
+
+def test_overlapped_sweep_spans_hang_under_the_open_span(batched_path):
+    """The helper re-attaches the caller's open span with its trace: run
+    inside ``span("sweep")``, every ``simulate`` span is a child of
+    ``sweep`` and none of the root."""
+    from repro.obs.tracing import (
+        RequestTrace,
+        attach,
+        install_core_hook,
+        span,
+        uninstall_core_hook,
+    )
+
+    trace = RequestTrace("0" * 31 + "2", "test", 0.0)
+    install_core_hook()
+    try:
+        with attach(trace), span("sweep"):
+            run_config_sweep(_many_points(), small_setup())
+    finally:
+        uninstall_core_hook()
+    (sweep,) = trace.root.children
+    assert sweep.name == "sweep"
+    spans = [s for s in sweep.children if s.name == "simulate"]
+    assert spans
+    assert sum(s.attrs["points"] for s in spans) == len(_many_points())
 
 
 def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
