@@ -18,6 +18,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
@@ -120,6 +121,18 @@ def run_eliminations(
     return run_core(cg, setup.machine, setup.b).result
 
 
+def _build_graph(m, n, config, layout, machine: Machine, b: int, elims):
+    """Build one compiled graph, uncached; expand ``elims``, the caller's
+    list of ``config``, if given."""
+    from repro.dag.compiled import compiled_from_eliminations
+
+    if elims is None:
+        with stage("elim"):
+            elims = hqr_elimination_list(m, n, config)
+    with stage("dag_build"):
+        return compiled_from_eliminations(elims, m, n, layout, machine, b)
+
+
 def compiled_graph_for(
     m: int,
     n: int,
@@ -131,24 +144,18 @@ def compiled_graph_for(
 ):
     """Build (or fetch from the in-memory cache) one compiled graph.
 
-    The shared build path of :func:`answers` and the batched sweep:
-    fingerprint the inputs, consult :func:`~repro.dag.cache.default_cache`, and
+    The build path of the batched sweep, :func:`answers` without
+    ``reuse`` and the explorer's ranking, all of which read the graph
+    again: fingerprint the inputs, consult
+    :func:`~repro.dag.cache.default_cache` and store what is built, or
     fall back to an uncached build for layouts whose attributes have no
     stable serialization (there is no stable key to cache them under).
     A build expands ``elims``, the caller's list of ``config``, if given.
     """
     from repro.dag.cache import default_cache, fingerprint
-    from repro.dag.compiled import compiled_from_eliminations
     from repro.obs.tracing import span
 
-    def build():
-        todo = elims
-        if todo is None:
-            with stage("elim"):
-                todo = hqr_elimination_list(m, n, config)
-        with stage("dag_build"):
-            return compiled_from_eliminations(todo, m, n, layout, machine, b)
-
+    build = partial(_build_graph, m, n, config, layout, machine, b, elims)
     with stage("graph"), span("graph", m=m, n=n):
         try:
             key = fingerprint(m, n, config, layout, machine, b)
@@ -160,9 +167,12 @@ def compiled_graph_for(
 def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     """``(result, resident, remembered)`` per ``(m, n, config, layout[,
     elims])`` question, ``elims`` being a list a bound pass already made.
-    With ``reuse``, a keyed question first asks its cache entry, and a
-    result simulated here is remembered there.  Misses are built by
-    :func:`compiled_graph_for` and run in one ``run_core_batch``.
+    With ``reuse``, a keyed question first asks its cache entry; a miss
+    takes the graph if resident, else builds one outside the cache, and
+    remembers the result and lets the graph go (a caller that remembers
+    answers never reads the graph again), one gate per key spanning build
+    → simulate → remember.  Without, graphs come from
+    :func:`compiled_graph_for`.  Misses run in one ``run_core_batch``.
     ``REPRO_SIM_CORE=reference`` runs the object graph
     (:func:`run_eliminations`) and, like an unkeyable layout, reads and
     remembers nothing."""
@@ -177,7 +187,7 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
             m, n, setup, layout,
         ), False, False) for m, n, config, layout, *elims in questions]
     cache = default_cache()
-    out, misses = [], []  # misses: (index, key or None, graph)
+    out, asked = [], []  # asked: (index, key or None, question) to simulate
     for m, n, config, layout, *elims in questions:
         key, resident, result = None, False, None
         if reuse:
@@ -191,16 +201,32 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
                     if sp is not None:
                         sp.attrs.update(hit=resident, answer=result is not None)
         if result is None:
-            misses.append((len(out), key, compiled_graph_for(
-                m, n, config, layout, machine, b, elims[0] if elims else None
-            )))
+            asked.append((len(out), key, (m, n, config, layout,
+                                          elims[0] if elims else None)))
         out.append((result, resident, result is not None))
-    with stage("simulate"):
-        results = run_core_batch([cg for *_, cg in misses], machine, b)
-    for (i, key, _), result in zip(misses, results):
-        if key is not None:
-            cache.remember(key, result)
-        out[i] = (result, *out[i][1:])
+    with cache.flights({key for _, key, _ in asked if key is not None}):
+        misses = []  # (index, key or None, graph)
+        for i, key, (m, n, config, layout, elims) in asked:
+            if key is None:
+                misses.append((i, key, compiled_graph_for(
+                    m, n, config, layout, machine, b, elims
+                )))
+                continue
+            result = cache.answer(key, count=False)[1]
+            if result is not None:  # a racing caller's flight answered it
+                out[i] = (result, out[i][1], True)
+                continue
+            with stage("graph"), span("graph", m=m, n=n):
+                cg = cache.get(key)  # resident: a sweep or a ranking keeps it
+                if cg is None:
+                    cg = _build_graph(m, n, config, layout, machine, b, elims)
+            misses.append((i, key, cg))
+        with stage("simulate"):
+            results = run_core_batch([cg for *_, cg in misses], machine, b)
+        for (i, key, _), result in zip(misses, results):
+            if key is not None:
+                cache.remember(key, result)
+            out[i] = (result, *out[i][1:])
     return out
 
 

@@ -5,15 +5,16 @@ Building a :class:`~repro.dag.compiled.CompiledGraph` is deterministic in
 function of the config, and placement/durations are pure functions of the
 layout and machine.  This module caches compiled graphs, in memory only,
 under a SHA-256 fingerprint of those inputs: a bounded LRU whose entries
-are the built graphs themselves, frozen read-only, so every later stage
+hold the built graphs themselves, frozen read-only, so every later stage
 (dispatch, the C event loop) reads the arrays where the builder left them.
 An entry can also carry the fault-free simulation result of its graph
 (:meth:`CompiledGraphCache.answer` / :meth:`~CompiledGraphCache.remember`):
 a makespan is a pure function of the same inputs, so the planning service
-answers a repeated question from the entry instead of re-simulating it.
-So is the makespan lower bound the tuner reads from an elimination list:
-``CompiledGraphCache.bounds`` keeps it by key, once per process, graph or
-no graph.
+answers a repeated question from the entry instead of re-simulating it;
+the entry needs no graph for that (:func:`~repro.bench.runner.answers`
+lets it go).  So is the makespan lower bound the tuner reads from an
+elimination list: ``CompiledGraphCache.bounds`` keeps it by key, once per
+process, with no entry at all.
 
 There is no disk tier: rebuilding a graph costs less than writing it out
 (EXPERIMENTS.md, "Zero-copy handoff"), so a new process rebuilds.
@@ -28,6 +29,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -169,7 +171,7 @@ def _default_memory_slots() -> int:
 
 
 class CompiledGraphCache:
-    """In-memory LRU of compiled graphs.
+    """In-memory LRU of compiled graphs and their answers.
 
     ``get``/``put`` take the fingerprint key; ``get_or_build`` wraps the
     usual lookup-else-build-else-store dance.  ``put`` freezes the
@@ -179,15 +181,18 @@ class CompiledGraphCache:
 
     Safe for concurrent readers and writers: the LRU is guarded by an
     ``RLock`` (the parallel daemon workers of :mod:`repro.serve` share
-    one process-wide instance), and ``get_or_build`` single-flights
-    concurrent builds of the same key so a thundering herd on a cold
-    entry builds the graph once instead of once per thread.  Operation
-    counters (:meth:`stats`) feed the serving cache-hit-ratio SLO.
+    one process-wide instance), and :meth:`flights` holds one gate per
+    key, so a thundering herd on a cold entry builds the graph (and,
+    through :func:`~repro.bench.runner.answers`, simulates it) once
+    instead of once per thread.  Operation counters (:meth:`stats`) feed
+    the serving cache-hit-ratio SLO.
 
-    An entry is ``[graph, answer]``: the answer lives and dies with its
-    graph, so eviction and :meth:`clear_memory` forget it too.  ``bounds``
-    maps a key to its makespan lower bound, which needs no graph: it takes
-    no LRU slot, outlives eviction and is dropped by :meth:`clear_memory`.
+    An entry is ``[graph or None, answer or None]``, one LRU slot either
+    way: :meth:`put` and :meth:`remember` each create it when absent and
+    otherwise fill their half, keeping the other; eviction and
+    :meth:`clear_memory` drop it whole.  ``bounds`` maps a key to its
+    makespan lower bound, which needs no entry: it takes no LRU slot,
+    outlives eviction and is dropped by :meth:`clear_memory`.
     """
 
     def __init__(self, root: Path | None = None, memory_slots: int | None = None):
@@ -198,7 +203,7 @@ class CompiledGraphCache:
         self.memory_slots = memory_slots
         self._memory: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.RLock()
-        self._building: dict[str, threading.Lock] = {}
+        self._building: dict[str, list] = {}
         self.bounds: dict[str, float] = {}
         self._stats = {
             "hit_memory": 0,
@@ -227,16 +232,20 @@ class CompiledGraphCache:
         return self._lookup(key)
 
     def contains(self, key: str) -> bool:
-        """Presence probe that neither counts nor touches the LRU order."""
+        """Presence probe (of the entry, graph or not) that neither counts
+        nor touches the LRU order."""
         with self._lock:
             return key in self._memory
 
-    def put(self, key: str, cg: CompiledGraph) -> None:
-        for name in _ARRAY_FIELDS:
-            getattr(cg, name).flags.writeable = False
+    def _store(self, key: str, half: int, value) -> None:
+        """Set ``entry[half]`` of ``key`` (0 graph, 1 answer); storing a
+        graph, or creating the entry (one LRU slot), is one ``store``."""
         with self._lock:
             mem = self._memory
-            mem[key] = [cg, None]  # no answer yet
+            if half == 1 and key in mem:  # an answer joins its entry
+                mem[key][1] = value
+                return
+            mem.setdefault(key, [None, None])[half] = value
             mem.move_to_end(key)
             while len(mem) > self.memory_slots:
                 mem.popitem(last=False)
@@ -246,39 +255,74 @@ class CompiledGraphCache:
         if rec is not None:
             rec.cache_event("store", key[:16])
 
-    def answer(self, key: str):
+    def put(self, key: str, cg: CompiledGraph) -> None:
+        """Store ``cg`` as the graph of ``key``; an answer already on the
+        entry stays."""
+        for name in _ARRAY_FIELDS:
+            getattr(cg, name).flags.writeable = False
+        self._store(key, 0, cg)
+
+    def answer(self, key: str, count: bool = True):
         """``(resident, result)`` of one locked lookup.
 
-        ``resident`` says whether the graph of ``key`` is in memory;
-        ``result`` is what :meth:`remember` stored on that entry, else
+        ``resident`` says whether ``key`` has an entry, with or without
+        a graph; ``result`` is what :meth:`remember` stored on it, else
         ``None``.  Finding a result is a use of the entry: it counts as
         ``hit_memory`` (and ``answer_hit``) and touches the LRU order.
         Finding none counts ``answer_miss`` only — the caller goes on to
-        :meth:`get_or_build`, which counts the graph lookup itself.
+        :meth:`get`, which counts the graph lookup itself.  With
+        ``count=False`` the lookup counts and touches nothing: the
+        re-check of a caller that waited at a gate of :meth:`flights`.
         """
         with self._lock:
             entry = self._memory.get(key)
             result = entry[1] if entry is not None else None
-            if result is not None:
+            if count and result is not None:
                 self._memory.move_to_end(key)
                 self._stats["hit_memory"] += 1
                 self._stats["answer_hit"] += 1
-            else:
+            elif count:
                 self._stats["answer_miss"] += 1
-        if result is not None:
+        if count and result is not None:
             rec = _obs_active()
             if rec is not None:
                 rec.cache_event("hit-memory", key[:16])
         return entry is not None, result
 
     def remember(self, key: str, result) -> None:
-        """Store ``result`` on the entry of ``key``; a no-op when the
-        graph is not resident (never built through the cache, or already
-        evicted), so an answer cannot outlive or precede its graph."""
+        """Store ``result`` on the entry of ``key``.  A key with no entry
+        gets a graphless one (one LRU slot, one ``store``): an answer
+        needs no graph, so its graph need not stay resident to keep it."""
+        self._store(key, 1, result)
+
+    @contextmanager
+    def flights(self, keys):
+        """Hold the single-flight gate of every key in ``keys`` while the
+        block runs: a second caller on one of them waits, then finds what
+        the first stored.  Gates are taken in sorted key order, so two
+        callers holding overlapping sets cannot deadlock; a gate is not
+        re-entrant."""
         with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                entry[1] = result
+            gates = []  # [lock, holders and waiters] per key
+            for key in sorted(keys):
+                gate = self._building.setdefault(key, [threading.Lock(), 0])
+                gate[1] += 1
+                gates.append((key, gate))
+        try:
+            with ExitStack() as held:
+                for _, gate in gates:
+                    held.enter_context(gate[0])
+                yield
+        finally:
+            # the last user drops the gate, also when the block raises: a
+            # leaked gate would outlive the failed key for the life of the
+            # process, and one dropped while a caller still waits on it
+            # would let the next caller in beside that one
+            with self._lock:
+                for key, gate in gates:
+                    gate[1] -= 1
+                    if not gate[1]:
+                        del self._building[key]
 
     def get_or_build(
         self, key: str, builder: Callable[[], CompiledGraph]
@@ -286,21 +330,13 @@ class CompiledGraphCache:
         cg = self.get(key)
         if cg is not None:
             return cg
-        with self._lock:
-            gate = self._building.setdefault(key, threading.Lock())
-        try:
-            with gate:
-                # losers of the race find the winner's entry here — probed
-                # without counting, so one logical miss stays one miss
-                cg = self._lookup(key, count=False)
-                if cg is None:
-                    cg = builder()
-                    self.put(key, cg)
-        finally:
-            # also when the builder raises: a leaked gate would outlive
-            # the failed key for the life of the process
-            with self._lock:
-                self._building.pop(key, None)
+        with self.flights([key]):
+            # losers of the race find the winner's graph here — probed
+            # without counting, so one logical miss stays one miss
+            cg = self._lookup(key, count=False)
+            if cg is None:
+                cg = builder()
+                self.put(key, cg)
         return cg
 
     def stats(self) -> dict[str, int]:
@@ -322,7 +358,7 @@ class CompiledGraphCache:
         return {k: v - snapshot.get(k, 0) for k, v in now.items()}
 
     def clear_memory(self) -> None:
-        """Drop every entry, answers and bounds included (counters stay);
+        """Drop every entry, graphs, answers and bounds (counters stay);
         the next lookups rebuild, re-bound and re-simulate."""
         with self._lock:
             self._memory.clear()

@@ -156,7 +156,7 @@ class PlanResult:
     messages: int
     config: str  # resolved configuration (after auto-pick)
     auto: bool  # config was auto-picked
-    cache_hit: bool  # compiled graph came from the warm cache
+    cache_hit: bool  # the question's cache entry was resident
     degradation: float  # makespan / fault-free makespan (1.0 = no faults)
     replanned: bool  # faults forced a shrunken-grid replan
     plan_wall_s: float  # real seconds this plan took to compute

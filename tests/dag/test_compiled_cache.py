@@ -278,13 +278,28 @@ def test_eviction_and_clear_memory_forget_the_answer(tmp_path):
     assert cache.stats()["answer_hit"] == 0
 
 
-def test_remember_on_a_non_resident_key_is_a_noop(tmp_path):
-    cache = CompiledGraphCache(root=tmp_path)
-    cache.remember("never-built", object())
+def test_remember_on_a_key_with_no_entry_makes_a_graphless_one(tmp_path):
+    """An answer needs no graph: it takes one LRU slot and counts one
+    store, goes with eviction and ``clear_memory``, and a later build
+    attaches its graph to the entry without losing the answer."""
+    cache = CompiledGraphCache(root=tmp_path, memory_slots=1)
+    result = object()
+    cache.remember("never-built", result)
+    assert cache._memory["never-built"] == [None, result]
+    assert cache.stats()["store"] == 1
+    assert cache.answer("never-built") == (True, result)
+    assert cache.get("never-built") is None  # no graph to hand out
+    cache.remember("other", object())  # one slot: the answer is evicted
     assert cache.answer("never-built") == (False, None)
-    assert len(cache._memory) == 0
-    cache.put("never-built", build_graph())  # and nothing was parked for it
-    assert cache.answer("never-built") == (True, None)
+    assert cache.stats()["evict"] == 1
+    cache.remember("never-built", result)
+    cache.clear_memory()
+    assert cache.answer("never-built") == (False, None)
+    cache.remember("never-built", result)
+    cg = cache.get_or_build("never-built", build_graph)
+    assert cache._memory["never-built"] == [cg, result]
+    assert cache.answer("never-built") == (True, result)
+    assert cache.get("never-built") is cg
 
 
 def test_bounds_need_no_graph_and_take_no_slot(tmp_path):
@@ -396,6 +411,53 @@ def test_get_or_build_single_flight_under_threads(tmp_path):
     assert cache.stats()["store"] == 1
 
 
+def test_overlapping_flights_exclude_and_never_deadlock(tmp_path):
+    """Threads holding overlapping key sets at once (taken in any order
+    by the caller) all finish, and no two are ever inside one key's
+    flight together: an unguarded read-modify-write loses no update."""
+    import random
+    import sys
+    import threading
+    import time
+
+    cache = CompiledGraphCache(root=tmp_path)
+    keys = [f"k{i}" for i in range(5)]
+    count = dict.fromkeys(keys, 0)
+    rounds, errors = 40, []
+
+    def worker(wid):
+        rng = random.Random(wid)
+        try:
+            for _ in range(rounds):
+                mine = rng.sample(keys, 3)
+                with cache.flights(mine):
+                    for key in mine:
+                        seen = count[key]
+                        threading.Event().wait(0)  # hand off mid-update
+                        count[key] = seen + 1
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(w,), daemon=True)
+        for w in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)  # a deadlock
+    assert not errors
+    assert sum(count.values()) == 8 * rounds * 3
+    assert cache._building == {}
+
+
 def test_concurrent_mixed_traffic_stays_consistent(tmp_path):
     """Hammer one cache instance from many threads (distinct keys,
     repeated gets, evictions, answers): no exceptions, counters balance,
@@ -415,7 +477,7 @@ def test_concurrent_mixed_traffic_stays_consistent(tmp_path):
                 assert got is not None
                 cache.get(key)
                 cache.contains(key)
-                cache.remember(key, key)  # evicted meanwhile: a no-op
+                cache.remember(key, key)  # evicted meanwhile: a graphless entry
                 resident, answer = cache.answer(key)
                 assert answer in (None, key)
                 assert resident or answer is None

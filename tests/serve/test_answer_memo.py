@@ -1,6 +1,7 @@
 """The planner's answer memo: a repeated question is one lookup on its
-graph's cache entry, and the stored answer lives exactly as long as the
-graph does."""
+cache entry, and the stored answer lives exactly as long as the entry
+does.  The entry keeps no graph the planner built for it: a graph stays
+resident only when something else (a sweep, ``run_config``) stored it."""
 
 import dataclasses
 import threading
@@ -78,7 +79,7 @@ def test_clear_memory_makes_a_hot_question_cold_again(
     assert cache.stats()["store"] == 2  # rebuilt, not just re-simulated
 
 
-def test_evicted_graph_takes_its_answer_along(monkeypatch, simulations, service):
+def test_evicted_entry_takes_its_answer_along(monkeypatch, simulations, service):
     monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     one_slot = CompiledGraphCache(memory_slots=1)
     monkeypatch.setattr(cache_mod, "_default", one_slot)
@@ -91,8 +92,8 @@ def test_evicted_graph_takes_its_answer_along(monkeypatch, simulations, service)
 def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
     cache, simulations, service
 ):
-    """``cache_hit`` keeps its meaning — the graph was resident before
-    the request — whoever built it and whether or not it was answered."""
+    """``cache_hit`` means the question's entry was resident before the
+    request — whoever made it and whether or not it was answered."""
     from repro.bench.runner import run_config
     from repro.tiles.layout import BlockCyclic2D
 
@@ -137,7 +138,42 @@ def test_faulted_answer_is_the_same_from_either_baseline(
     assert answer_of(ask(service))["degradation"] == 1.0
 
 
-def test_two_workers_racing_one_cold_question_build_once(cache, service):
+def test_a_cold_question_leaves_no_graph_and_a_stored_one_stays(
+    cache, service
+):
+    """The memory property: an answer the planner simulated pins no
+    graph, and remembering an answer does not drop a graph some other
+    caller stored."""
+    from repro.bench.runner import run_config
+    from repro.tiles.layout import BlockCyclic2D
+
+    def entry(req):
+        layout = BlockCyclic2D(req.config.p, req.config.q)
+        return cache._memory[cache_mod.fingerprint(
+            req.m, req.n, req.config, layout,
+            service.setup.machine, service.setup.b,
+        )]
+
+    cold = PlanRequest.from_json({**TINY_REQUEST, "m": 10})
+    first = service.plan(cold)
+    assert entry(cold)[0] is None
+    assert entry(cold)[1].makespan == first.makespan
+
+    stored = PlanRequest.from_json(TINY_REQUEST)
+    run_config(
+        stored.m, stored.n, stored.config, service.setup,
+        layout=BlockCyclic2D(stored.config.p, stored.config.q),
+    )
+    graph = entry(stored)[0]
+    assert graph is not None
+    service.plan(stored)
+    assert entry(stored)[0] is graph
+    assert entry(stored)[1] is not None
+
+
+def test_two_workers_racing_one_cold_question_build_once(
+    cache, simulations, service
+):
     barrier = threading.Barrier(2)
     results = []
 
@@ -152,7 +188,9 @@ def test_two_workers_racing_one_cold_question_build_once(cache, service):
         t.join(timeout=60)
     assert len(results) == 2
     assert answer_of(results[0]) == answer_of(results[1])
-    assert cache.stats()["store"] == 1  # the loser waited at the gate
+    # the loser waited at the gate, then found the winner's answer
+    assert simulations == [(12, 2)]
+    assert cache.stats()["store"] == 1
     assert ask(service, m=12).cache_hit is True
 
 
