@@ -37,9 +37,9 @@ def _scoped_env(**overrides):
     ``None`` values request no override and are skipped.  Restoration
     runs on the normal path *and* when the body raises, and it
     distinguishes "was unset" (the variable is deleted) from "was set"
-    (the previous value is put back) — the invariant every ``--scale``/
-    ``--engine`` CLI override relies on, stated exactly once instead of
-    hand-rolled per command.
+    (the previous value is put back) — the invariant every ``--scale``
+    CLI override relies on, stated exactly once instead of hand-rolled
+    per command.
     """
     applied = {
         k: os.environ.get(k) for k, v in overrides.items() if v is not None
@@ -431,30 +431,6 @@ def cmd_auto(args) -> int:
     print(f"{args.m} x {args.n} tiles on a {args.grid_p} x {args.grid_q} grid "
           f"({how}):")
     print(f"  {cfg}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.bench.perf import (
-        bench_report,
-        format_mismatches,
-        format_report,
-        write_report,
-    )
-
-    with _scoped_env(
-        REPRO_BENCH_SCALE=args.scale or None,
-        REPRO_SIM_CORE=args.engine or None,
-    ):
-        report = bench_report(skip_reference=args.skip_reference)
-    print(format_report(report))
-    if args.json:
-        write_report(report, args.json)
-        print(f"wrote {args.json}")
-    diff = format_mismatches(report)
-    if diff:
-        print(diff, file=sys.stderr)
-        return 1
     return 0
 
 
@@ -894,27 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="validate an elimination-list file")
     p.add_argument("file")
     p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser(
-        "bench", help="benchmark the simulation pipeline itself"
-    )
-    p.add_argument("--json", help="write the machine-readable report here")
-    p.add_argument(
-        "--scale",
-        choices=("small", "default", "full"),
-        help="override REPRO_BENCH_SCALE for this run",
-    )
-    p.add_argument(
-        "--skip-reference",
-        action="store_true",
-        help="time only the compiled pipeline (no reference comparison)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("auto", "c", "python", "reference"),
-        help="pin the simulation core for this run (REPRO_SIM_CORE)",
-    )
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "metrics",

@@ -1,7 +1,7 @@
 """Provenance stamp for benchmark reports.
 
-``repro bench --json``, ``repro faults --json``, ``repro serve --bench
---json`` and ``repro tune --bench --json`` put :func:`run_metadata`
+``repro faults --json``, ``repro serve --bench --json`` and ``repro
+tune --bench --json`` put :func:`run_metadata`
 under ``meta``: the commit the code came from, whether the working tree
 differed from it, and the interpreter and host that produced the
 numbers.  Speed itself is judged by ``perf/`` (``BENCHMARK.json``), not

@@ -34,7 +34,7 @@ _CONFIG_KEYS = ("p", "q", "a", "low", "high", "domino")
 
 #: upper bound on request size, so one tenant cannot wedge a worker
 #: behind a million-task DAG build (paper-scale sweeps go through
-#: ``repro bench``, not the serving path)
+#: ``run_config_sweep``, not the serving path)
 MAX_TILES = 512
 
 

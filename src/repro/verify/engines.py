@@ -1,28 +1,24 @@
 """Cross-engine execution of one verification case.
 
-Since the engine unification (:mod:`repro.runtime.core`) every front end
-funnels into a single event loop, so what used to be a four-way product
-of hand-maintained loops (reference / compiled-python / compiled-C /
-resilient) is now a two-way differential over the core's genuinely
-distinct *implementations*:
+Every front end funnels into the unified event loop of
+:mod:`repro.runtime.core`; a case runs on its two implementations, each
+over a graph built its own way:
 
-* ``core`` — the unified loop's Python branch with trace recording on
-  (its task and comm traces feed the legality oracle);
-* ``core-c`` — the same schedule through the native C inner loop
-  (present only when a system compiler is available); honors
-  ``case.batched`` by dispatching a batch of one through the batched
-  arena path, which must agree bitwise with the scalar dispatch.
+* ``core`` — the loop's Python branch over the object graph
+  (``TaskGraph.from_eliminations``) with trace recording on; its task and
+  comm traces feed the legality oracle;
+* ``core-c`` — the native C inner loop over the production graph, the
+  :class:`~repro.dag.compiled.CompiledGraph` that ``hqr_build_dag`` built
+  from the list ``hqr_expand`` wrote (present only when a system compiler
+  is available); honors ``case.batched`` by dispatching a batch of one
+  through the batched arena path, which must agree bitwise with the
+  scalar dispatch.
 
-The collapsed engines did not lose coverage — they lost duplication:
-``reference`` and ``compiled-python`` are literally the same code path
-now, and the empty-schedule fault loop (``force_fault_loop=True``) is
-pinned bit-identical to the plain core by
-``tests/runtime/test_core_equivalence.py`` across the whole capability
-matrix, so re-running it per verify case proved nothing new.
-
-Both paths must agree *bitwise* on makespan, message count, bytes moved,
-busy seconds, and flops — :func:`result_key` extracts the compared tuple
-and :func:`run_engines` executes every engine.
+The verify runner checks that production graph's arrays against
+``compile_graph`` of the object graph before either leg runs.  Both legs
+must agree *bitwise* on makespan, message count, bytes moved, busy
+seconds, and flops — :func:`result_key` extracts the compared tuple and
+:func:`run_engines` executes every engine.
 """
 
 from __future__ import annotations
@@ -30,10 +26,11 @@ from __future__ import annotations
 from typing import Callable
 
 from repro._ccore import native_available
+from repro.dag.compiled import CompiledGraph
 from repro.dag.graph import TaskGraph
 from repro.runtime.simulator import ClusterSimulator, SimulationResult
 
-Engine = Callable[["VerifyCase", TaskGraph], SimulationResult]  # noqa: F821
+Engine = Callable[["VerifyCase", TaskGraph, CompiledGraph], SimulationResult]  # noqa: F821
 
 
 def result_key(res: SimulationResult) -> tuple:
@@ -64,30 +61,25 @@ def _simulator(case, graph, cls=ClusterSimulator, **kwargs):
     )
 
 
-def core_engine(case, graph) -> SimulationResult:
-    """The core's Python branch, recording the task and comm traces."""
+def core_engine(case, graph, built=None) -> SimulationResult:
+    """The core's Python branch over the object graph, recording the task
+    and comm traces (``built`` is not read)."""
     return _simulator(case, graph, record_trace=True).run_reference(graph)
 
 
-#: historical name of the traced baseline, kept for callers and tests
-reference_engine = core_engine
-
-
-def core_c_engine(case, graph) -> SimulationResult:
-    """The same schedule through the native C inner loop.
+def core_c_engine(case, graph, built) -> SimulationResult:
+    """The production graph ``built`` through the native C inner loop.
 
     ``case.batched`` routes a batch of one through the batched arena
     dispatch instead — bit-identical to the scalar call by contract.
     """
-    from repro.dag.compiled import compile_graph
     from repro.runtime.core import run_core, run_core_batch
 
     sim = _simulator(case, graph)
-    cg = compile_graph(graph, sim.layout, sim.machine, case.b)
     prio = sim.priority_values(graph)
     if getattr(case, "batched", False):
         return run_core_batch(
-            [cg],
+            [built],
             sim.machine,
             case.b,
             prios=[prio],
@@ -95,7 +87,7 @@ def core_c_engine(case, graph) -> SimulationResult:
             core="c",
         )[0]
     return run_core(
-        cg,
+        built,
         sim.machine,
         case.b,
         prio=prio,
@@ -120,8 +112,9 @@ def available_engines() -> dict[str, Engine]:
 def run_engines(
     case,
     graph: TaskGraph,
+    built: CompiledGraph,
     engines: dict[str, Engine] | None = None,
 ) -> dict[str, SimulationResult]:
     """Execute ``case`` on every engine; results keyed by engine name."""
     engines = engines if engines is not None else available_engines()
-    return {name: fn(case, graph) for name, fn in engines.items()}
+    return {name: fn(case, graph, built) for name, fn in engines.items()}

@@ -18,7 +18,12 @@ constraint from the machine description alone:
     edges, which must exist);
 5.  **makespan bound** — the makespan dominates the compiled graph's
     :func:`~repro.models.bounds.graph_bounds` bound (critical path with
-    link costs, busiest node's work, busiest serialized channel);
+    link costs, busiest node's work, busiest serialized channel); with
+    the native core, the list pass
+    (:func:`~repro.models.bounds.elimination_bound`) over the
+    eliminations the graph's kill kernels record reads the same node
+    work bitwise and a critical path at most the graph pass's and the
+    makespan;
 6.  **bandwidth bound** — for balanced (cyclic) layouts on more than one
     node, per-node message volume dominates the communication-avoiding
     lower bound.
@@ -37,9 +42,15 @@ from dataclasses import dataclass
 
 from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
-from repro.models.bounds import bandwidth_lower_bound_words, graph_lower_bound
+from repro.kernels.weights import KernelKind
+from repro.models.bounds import (
+    bandwidth_lower_bound_words,
+    elimination_bound,
+    graph_bounds,
+)
 from repro.runtime.simulator import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
+from repro.trees.base import EliminationArray
 
 #: relative slack for the bandwidth formula only
 _BOUND_SLACK = 1e-9
@@ -199,14 +210,41 @@ def check_schedule(
 
     # -- 5. makespan lower bound ----------------------------------------- #
     cg = compile_graph(graph, layout, machine, b)
-    bound = graph_lower_bound(cg, machine, b)
-    if result.makespan < bound:
+    gb = graph_bounds([cg], machine, b)[0]
+    if result.makespan < gb.bound:
         out.append(
             OracleViolation(
                 "makespan-bound",
-                f"makespan {result.makespan} beats the lower bound {bound}",
+                f"makespan {result.makespan} beats the lower bound {gb.bound}",
             )
         )
+    # a kill kernel is its elimination: (panel, victim, killer, ts)
+    kill_kinds = (KernelKind.TSQRT, KernelKind.TTQRT)
+    kills = [t for t in graph.tasks if t.kind in kill_kinds]
+    elims = EliminationArray(
+        [t.panel for t in kills], [t.row for t in kills],
+        [t.killer for t in kills], [t.kind is KernelKind.TSQRT for t in kills],
+    )
+    listed = elimination_bound(elims, case.m, case.n, layout, machine, b)
+    if listed is not None:  # None without the native core
+        path, work = listed
+        if work != gb.node_work or path > gb.critical_path:
+            out.append(
+                OracleViolation(
+                    "list-bound",
+                    f"list pass (path {path}, node work {work}) against "
+                    f"the graph pass (path {gb.critical_path}, node work "
+                    f"{gb.node_work})",
+                )
+            )
+        if result.makespan < path:
+            out.append(
+                OracleViolation(
+                    "makespan-bound",
+                    f"makespan {result.makespan} beats the list pass's "
+                    f"critical path {path}",
+                )
+            )
     if ntasks and result.makespan != max(end):
         out.append(
             OracleViolation(

@@ -1,15 +1,20 @@
 """The ``repro verify`` driver: sample, cross-check, shrink, report.
 
-One verification *case* runs through five checks:
+One verification *case* runs through six checks:
 
-1. the HQR elimination list passes
+1. the production planner builds what its Python references build: with
+   the native core loaded, ``hqr_expand``'s list equals
+   ``HQRTree._assemble``'s, and ``hqr_build_dag``'s graph equals
+   ``compile_graph`` of the object graph on every array the loops read —
+   a refusal counts, since production would fall back silently;
+2. the elimination list passes
    :func:`repro.hqr.validate.check_elimination_list` (§II legality);
-2. every engine executes it (exceptions are failures, not crashes);
-3. all engines agree bitwise on
+3. every engine executes it (exceptions are failures, not crashes);
+4. all engines agree bitwise on
    :func:`~repro.verify.engines.result_key`;
-4. the baseline engine's trace passes every oracle invariant
+5. the baseline engine's trace passes every oracle invariant
    (:mod:`repro.verify.oracle`);
-5. any failure is shrunk over ``(m, n, a, p, q)`` to a minimal repro.
+6. any failure is shrunk over ``(m, n, a, p, q)`` to a minimal repro.
 
 :func:`verify` returns a JSON-serializable report;
 :func:`replay_report` re-runs the minimized cases of a previous report,
@@ -25,8 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from repro._ccore import native_available
+from repro.dag.compiled import _build_native, compile_graph, compiled_from_eliminations
 from repro.dag.graph import TaskGraph
-from repro.hqr.hierarchy import hqr_elimination_list
+from repro.hqr.hierarchy import HQRTree
 from repro.hqr.validate import ValidationError, check_elimination_list
 from repro.verify.engines import available_engines, result_key, run_engines
 from repro.verify.generator import VerifyCase, generate_cases
@@ -35,6 +44,8 @@ from repro.verify.shrink import shrink_case
 
 #: fields of result_key, for human-readable divergence reports
 KEY_FIELDS = ("makespan", "messages", "bytes_sent", "busy_seconds", "flops", "cores")
+#: the CompiledGraph arrays the event loops read
+GRAPH_FIELDS = ("kind", "wait", "node", "succ_ptr", "succ_idx", "dur_table")
 
 
 @dataclass
@@ -42,7 +53,9 @@ class CaseFailure:
     """One failed case: what broke, where, and the minimized repro."""
 
     case: VerifyCase
-    kind: str  # "legality" | "engine-error" | "engine-divergence" | "oracle"
+    # "build-divergence" | "legality" | "engine-error" | "engine-divergence"
+    # | "oracle"
+    kind: str
     detail: dict
     minimized: VerifyCase | None = None
     minimized_detail: dict | None = None
@@ -62,17 +75,35 @@ def verify_case(
     *,
     engines: dict[str, Callable] | None = None,
 ) -> CaseFailure | None:
-    """Run one case through legality, all engines, and the oracle."""
-    config = case.config()
-    elims = hqr_elimination_list(case.m, case.n, config)
+    """Run one case through the planner checks, legality, all engines,
+    and the oracle."""
+    tree = HQRTree(case.m, case.n, case.config())
+    native = native_available()
+    reference = tree._assemble(range(tree.panels))
+    elims = tree._expand() if native else reference
+    if elims is None or elims != reference:
+        state = "refused" if elims is None else "differs"
+        return CaseFailure(case, "build-divergence", {"list": state})
     try:
         check_elimination_list(elims, case.m, case.n)
     except ValidationError as err:
         return CaseFailure(case, "legality", {"error": str(err)})
     graph = TaskGraph.from_eliminations(elims, case.m, case.n)
+    machine, layout = case.machine(), case.layout()
+    build = _build_native if native else compiled_from_eliminations
+    built = build(elims, case.m, case.n, layout, machine, case.b)
+    if built is None:
+        return CaseFailure(case, "build-divergence", {"graph": "refused"})
+    compiled = compile_graph(graph, layout, machine, case.b)
+    differ = [
+        f for f in GRAPH_FIELDS
+        if not np.array_equal(getattr(built, f), getattr(compiled, f))
+    ]
+    if differ:
+        return CaseFailure(case, "build-divergence", {"graph": differ})
 
     try:
-        results = run_engines(case, graph, engines)
+        results = run_engines(case, graph, built, engines)
     except Exception as err:  # an engine crashing IS the finding
         return CaseFailure(
             case, "engine-error", {"error": f"{type(err).__name__}: {err}"}

@@ -191,6 +191,7 @@ def test_verify_case_batched_roundtrip():
 
 
 def test_verify_batched_engines_agree():
+    from repro.dag.compiled import compiled_from_eliminations
     from repro.dag.graph import TaskGraph
     from repro.verify.engines import result_key, run_engines
     from repro.verify.generator import sample_case
@@ -203,7 +204,10 @@ def test_verify_batched_engines_agree():
         found += 1
         elims = hqr_elimination_list(case.m, case.n, case.config())
         graph = TaskGraph.from_eliminations(elims, case.m, case.n)
-        results = run_engines(case, graph)
+        built = compiled_from_eliminations(
+            elims, case.m, case.n, case.layout(), case.machine(), case.b
+        )
+        results = run_engines(case, graph, built)
         keys = {result_key(r) for r in results.values()}
         assert len(keys) == 1, f"engines diverged on {case.describe()}"
         if found >= 3:

@@ -13,7 +13,7 @@ from repro.dag.compiled import compile_graph
 from repro.dag.graph import TaskGraph
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import graph_bounds
-from repro.verify.engines import reference_engine
+from repro.verify.engines import core_engine
 from repro.verify.generator import VerifyCase
 from repro.verify.oracle import check_schedule
 from repro.verify.runner import verify_case
@@ -34,7 +34,7 @@ def make_case(**over):
 def traced(case):
     elims = hqr_elimination_list(case.m, case.n, case.config())
     graph = TaskGraph.from_eliminations(elims, case.m, case.n)
-    return graph, reference_engine(case, graph)
+    return graph, core_engine(case, graph)
 
 
 def fired(case, graph, result):

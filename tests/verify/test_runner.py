@@ -3,13 +3,19 @@
 import dataclasses
 import json
 
+import numpy as np
+import pytest
+
 from repro.verify import (
     VerifyCase,
     available_engines,
     replay_report,
     verify,
 )
-from repro.verify.engines import core_engine, reference_engine, result_key
+import repro.verify.runner as runner
+from repro._ccore import native_available
+from repro.hqr.hierarchy import HQRTree
+from repro.verify.engines import core_engine, result_key
 from repro.verify.generator import sample_case
 from repro.verify.runner import format_report, write_report
 from repro.verify.shrink import shrink_case
@@ -37,8 +43,6 @@ def test_engine_registry_order_is_deterministic():
     engines = available_engines()
     assert list(engines) == list(available_engines())
     assert list(engines)[0] == "core"
-    # the historical baseline name stays importable as an alias
-    assert reference_engine is core_engine
 
 
 def test_result_key_is_bitwise():
@@ -54,7 +58,7 @@ def test_result_key_is_bitwise():
     assert result_key(res) != result_key(nudged)
 
 
-def _lossy_engine(case, graph):
+def _lossy_engine(case, graph, built):
     """A deliberately perturbed engine: reports one phantom message."""
     res = core_engine(case, graph)
     return dataclasses.replace(res, messages=res.messages + 1)
@@ -136,3 +140,66 @@ def test_format_report_clean_summary():
     report = verify(seed=2, budget=3)
     text = format_report(report)
     assert "seed=2" in text and "OK" in text
+
+
+def _drops_an_edge(build):
+    """A production builder whose graphs lose their last successor edge."""
+
+    def built(*args):
+        cg = build(*args)
+        nedges = len(cg.succ_idx)
+        wait = cg.wait.copy()
+        wait[cg.succ_idx[-1]] -= 1
+        return dataclasses.replace(
+            cg,
+            wait=wait,
+            succ_ptr=np.minimum(cg.succ_ptr, nedges - 1),
+            succ_idx=cg.succ_idx[:-1],
+        )
+
+    return built
+
+
+def test_a_dropped_edge_is_a_minimized_build_divergence(monkeypatch):
+    for name in ("_build_native", "compiled_from_eliminations"):
+        monkeypatch.setattr(runner, name, _drops_an_edge(getattr(runner, name)))
+    report = verify(seed=0, budget=5, max_failures=1)
+    [failure] = report["failures"]
+    assert failure["kind"] == "build-divergence"
+    assert {"wait", "succ_ptr", "succ_idx"} <= set(failure["detail"]["graph"])
+    mini = failure["minimized"]
+    assert (mini["m"], mini["n"], mini["a"], mini["p"], mini["q"]) == (2, 1, 1, 1, 1)
+    assert failure["minimized_detail"]["graph"] == failure["detail"]["graph"]
+
+
+@pytest.mark.skipif(not native_available(), reason="needs the native core")
+@pytest.mark.parametrize(
+    "stage, owner, name",
+    [("graph", runner, "_build_native"), ("list", HQRTree, "_expand")],
+)
+def test_a_native_refusal_is_a_failure(monkeypatch, stage, owner, name):
+    """Production falls back to the Python builder when a native call
+    refuses; verify counts the refusal instead of hiding it."""
+    monkeypatch.setattr(owner, name, lambda *args: None)
+    report = verify(seed=0, budget=3, max_failures=1, shrink=False)
+    [failure] = report["failures"]
+    assert failure["kind"] == "build-divergence"
+    assert failure["detail"] == {stage: "refused"}
+
+
+def test_a_report_from_before_the_build_check_still_replays(tmp_path):
+    case = sample_case(0, 3).to_dict()
+    del case["batched"]
+    legacy = {
+        "tool": "repro verify", "seed": 0, "budget": 4, "cases_run": 4,
+        "engines": ["core", "core-c"], "ok": False,
+        "failures": [{
+            "case": case, "kind": "engine-divergence",
+            "detail": {"baseline": "core", "diverged": {}},
+            "minimized": None, "minimized_detail": None,
+        }],
+        "elapsed_seconds": 0.1,
+    }
+    path = tmp_path / "VERIFY_legacy.json"
+    path.write_text(json.dumps(legacy))
+    assert replay_report(json.loads(path.read_text())) == []
