@@ -16,8 +16,8 @@ queue key is distinct (event codes and priority ranks are unique), so pop
 order is fully determined by the key total order and any correct priority
 queue produces the same schedule as Python's ``heapq``.  The cluster loop
 uses that freedom: finish events sit in one sorted ring per kernel kind,
-data-arrival events in a binary heap, and the next event is the
-``(time, code)`` minimum over the ring heads and the heap top.  The
+data-arrival events in a 4-ary heap, and the next event is a branch-free
+``(time, code)`` minimum over one table of the seven queue heads.  The
 library is built with ``-ffp-contract=off`` (no FMA contraction) to keep
 arithmetic IEEE-identical to CPython's.
 """
@@ -69,56 +69,59 @@ int32_t hqr_openmp(void) {
 }
 
 /* ------------------------------------------------------------------ *
- * Event heap: min-heap ordered by (time, code).  Codes are unique per
- * event, so the (time, code) keys form a strict total order and pop
- * order is implementation-independent.
+ * Event keys, ordered by (time, code): codes are unique per event, so
+ * pop order is implementation-independent.  An hkey is a key as one
+ * 128-bit integer of that order (time bits sign-folded on top, code
+ * below; event times are sums grown from +0.0, never -0.0), so a minimum
+ * over hkeys compiles to conditional moves; HK_NONE, {+inf, INT64_MAX},
+ * marks an empty queue.  Each push and pop refreshes its head slot.
  * ------------------------------------------------------------------ */
-typedef struct {
-    double *t;
-    int64_t *c;
-    int64_t len;
-} evheap;
+typedef struct { double t; int64_t c; } evkey;
+typedef unsigned __int128 hkey;
+#define HK_NONE (((hkey)0xFFF0000000000000ull << 64) | INT64_MAX)
 
-static void ev_push(evheap *h, double time, int64_t code) {
-    int64_t i = h->len++;
-    h->t[i] = time;
-    h->c[i] = code;
-    while (i > 0) {
-        int64_t p = (i - 1) >> 1;
-        if (h->t[p] < h->t[i] || (h->t[p] == h->t[i] && h->c[p] < h->c[i]))
-            break;
-        double tt = h->t[p]; h->t[p] = h->t[i]; h->t[i] = tt;
-        int64_t cc = h->c[p]; h->c[p] = h->c[i]; h->c[i] = cc;
-        i = p;
-    }
+static inline int ev_lt(evkey a, evkey b) {
+    return (a.t < b.t) | ((a.t == b.t) & (a.c < b.c));
 }
 
-static void ev_pop(evheap *h, double *time, int64_t *code) {
-    *time = h->t[0];
-    *code = h->c[0];
-    h->len--;
-    if (h->len == 0)
-        return;
-    double t = h->t[h->len];
-    int64_t c = h->c[h->len];
-    int64_t i = 0;
-    for (;;) {
-        int64_t l = 2 * i + 1;
-        if (l >= h->len)
+static inline hkey hk_of(evkey e) {
+    union { double d; uint64_t u; } b = {e.t};
+    b.u ^= (uint64_t)((int64_t)b.u >> 63) | 0x8000000000000000ull;
+    return ((hkey)b.u << 64) | (uint64_t)e.c;
+}
+
+static inline double hk_time(hkey h) {
+    union { uint64_t u; double d; } b = {(uint64_t)(h >> 64)};
+    b.u ^= b.u >> 63 ? 0x8000000000000000ull : ~0ull;
+    return b.d;
+}
+
+/* 4-ary min-heap of whole keys: half the depth of a binary heap */
+typedef struct { evkey *k; int64_t len; } evheap;
+
+static void ev_push(evheap *h, evkey x, hkey *head) {
+    int64_t i = h->len++;
+    for (int64_t p; i > 0 && !ev_lt(h->k[p = (i - 1) >> 2], x); i = p)
+        h->k[i] = h->k[p];
+    h->k[i] = x;
+    *head = hk_of(h->k[0]);
+}
+
+static void ev_pop(evheap *h, hkey *head) {
+    int64_t n = --h->len, i = 0, c;
+    evkey x = h->k[n];
+    while ((c = 4 * i + 1) < n) {
+        int64_t s = c, end = c + 4 < n ? c + 4 : n;
+        for (int64_t j = c + 1; j < end; j++)
+            if (ev_lt(h->k[j], h->k[s]))
+                s = j;
+        if (!ev_lt(h->k[s], x))
             break;
-        int64_t s = l, r = l + 1;
-        if (r < h->len &&
-            (h->t[r] < h->t[l] || (h->t[r] == h->t[l] && h->c[r] < h->c[l])))
-            s = r;
-        if (h->t[s] < t || (h->t[s] == t && h->c[s] < c)) {
-            h->t[i] = h->t[s];
-            h->c[i] = h->c[s];
-            i = s;
-        } else
-            break;
+        h->k[i] = h->k[s];
+        i = s;
     }
-    h->t[i] = t;
-    h->c[i] = c;
+    h->k[i] = x;
+    *head = n ? hk_of(h->k[0]) : HK_NONE;
 }
 
 /* ------------------------------------------------------------------ *
@@ -127,20 +130,19 @@ static void ev_pop(evheap *h, double *time, int64_t *code) {
  * when keys arrive in order.  head and tail count pops and pushes and
  * are reduced modulo the power-of-two capacity (mask + 1) on access.
  * ------------------------------------------------------------------ */
-typedef struct { double t; int64_t c; } evkey;
 typedef struct { evkey *k; int64_t head, tail; } evring;
 
-static void ring_push(evring *r, int64_t mask, double time, int64_t code) {
+static void ring_push(evring *r, int64_t mask, evkey x, hkey *head) {
     int64_t i = r->tail++;
-    while (i > r->head) {
-        evkey p = r->k[(i - 1) & mask];
-        if (p.t < time || (p.t == time && p.c < code))
-            break;
-        r->k[i & mask] = p;
-        i--;
-    }
-    r->k[i & mask].t = time;
-    r->k[i & mask].c = code;
+    for (; i > r->head && !ev_lt(r->k[(i - 1) & mask], x); i--)
+        r->k[i & mask] = r->k[(i - 1) & mask];
+    r->k[i & mask] = x;
+    *head = hk_of(r->k[r->head & mask]);
+}
+
+static void ring_pop(evring *r, int64_t mask, hkey *head) {
+    r->head++;
+    *head = r->head == r->tail ? HK_NONE : hk_of(r->k[r->head & mask]);
 }
 
 /* ------------------------------------------------------------------ *
@@ -627,9 +629,10 @@ int64_t hqr_transpose(
  * event goes into the ring of its kernel kind (a task starts at the
  * current event time and a kind has one duration, so each ring receives
  * its keys almost in order), a data-arrival event (non-monotone under
- * serialized channels) into the binary heap, and the next event is the
- * minimum over the six ring heads and the heap top.  Keys are unique, so
- * this pops in the order of the reference loop's single heapq.
+ * serialized channels) into a 4-ary heap.  head[] holds the seven queue
+ * heads, six rings then the heap, so the next event is a branch-free
+ * minimum over one table.  Keys are unique, so this pops in the order
+ * of the reference loop's single heapq.
  * ------------------------------------------------------------------ */
 static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
@@ -648,8 +651,10 @@ static int32_t hqr_simulate_cluster(
     double *data_ready = NULL, *chan_free = NULL, *sent_at = NULL;
     uint8_t *state = NULL;
     iheap *ready = NULL;
-    evheap ev = {NULL, NULL, 0};
+    evheap ev = {NULL, 0};
     evring fin[6];
+    hkey head[7] = {HK_NONE, HK_NONE, HK_NONE, HK_NONE, HK_NONE, HK_NONE,
+                    HK_NONE};
     evkey *ring_keys = NULL;
     /* a finish event holds a core until it pops: at most cores in flight */
     int64_t ring_cap = 1;
@@ -666,11 +671,10 @@ static int32_t hqr_simulate_cluster(
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     /* at most one arrival event per task */
-    ev.t = (double *)malloc((size_t)ntasks * sizeof(double));
-    ev.c = (int64_t *)malloc((size_t)ntasks * sizeof(int64_t));
+    ev.k = (evkey *)malloc((size_t)ntasks * sizeof(evkey));
     ring_keys = (evkey *)malloc((size_t)(6 * ring_cap) * sizeof(evkey));
     if (!waiting || !data_ready || !free_cores || !chan_free || !sent_at ||
-        !sent_by || !state || !ready || !ev.t || !ev.c || !ring_keys)
+        !sent_by || !state || !ready || !ev.k || !ring_keys)
         goto done;
 
     for (int64_t t = 0; t < ntasks; t++) {
@@ -702,7 +706,7 @@ static int32_t hqr_simulate_cluster(
         busy += dur_;                                                         \
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
-        ring_push(&fin[kind[T]], mask, end_, (int64_t)(T));                   \
+        ring_push(&fin[kind[T]], mask, (evkey){end_, T}, &head[kind[T]]);     \
     } while (0)
 
 #define TRY_START(T, NOW)                                                     \
@@ -725,25 +729,20 @@ static int32_t hqr_simulate_cluster(
 
     for (;;) {
         /* src: the ring holding the minimum key, 6 for the heap */
-        evkey top = {ev.len ? ev.t[0] : 0.0, ev.len ? ev.c[0] : 0};
-        int src = ev.len ? 6 : -1;
-        for (int k = 0; k < 6; k++) {
-            if (fin[k].head == fin[k].tail)
-                continue;
-            evkey h = fin[k].k[fin[k].head & mask];
-            if (src < 0 || h.t < top.t || (h.t == top.t && h.c < top.c)) {
-                top = h;
-                src = k;
-            }
+        hkey top = head[0];
+        int src = 0;
+        for (int k = 1; k < 7; k++) {
+            int lt = head[k] < top;
+            top = lt ? head[k] : top;
+            src = lt ? k : src;
         }
-        if (src < 0)
+        if (top == HK_NONE)
             break;
-        double now = top.t;
-        int64_t code = top.c;
+        double now = hk_time(top);
         if (src < 6) {
-            fin[src].head++;
+            ring_pop(&fin[src], mask, &head[src]);
             /* task finished: free the core or start the next ready task */
-            int64_t t = code;
+            int64_t t = (int64_t)top;
             int32_t node = node_of[t];
             int64_t nxt = -1;
             if (data_reuse) {
@@ -814,12 +813,12 @@ static int32_t hqr_simulate_cluster(
                     if (avail <= now)
                         TRY_START(s, now);
                     else
-                        ev_push(&ev, avail, ntasks + (int64_t)s);
+                        ev_push(&ev, (evkey){avail, ntasks + s}, &head[6]);
                 }
             }
         } else {
-            ev_pop(&ev, &now, &code);
-            int64_t t = code - ntasks;
+            ev_pop(&ev, &head[6]);
+            int64_t t = (int64_t)top - ntasks;
             TRY_START(t, now);
         }
     }
@@ -850,8 +849,7 @@ done:
     free(sent_at);
     free(sent_by);
     free(state);
-    free(ev.t);
-    free(ev.c);
+    free(ev.k);
     free(ring_keys);
     return rc;
 }
@@ -1065,11 +1063,11 @@ def _compiler() -> str | None:
     return None
 
 
-def _build() -> ctypes.CDLL | None:
+def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
     cc = _compiler()
     if cc is None:
         return None
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     libdir = cache_root() / "ccore"
     sopath = libdir / f"hqr_ccore_{digest}.so"
     if not sopath.exists():
@@ -1077,7 +1075,7 @@ def _build() -> ctypes.CDLL | None:
             libdir.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=libdir) as tmp:
                 src = Path(tmp) / "hqr_ccore.c"
-                src.write_text(_C_SOURCE)
+                src.write_text(source)
                 out = Path(tmp) / "hqr_ccore.so"
                 flags = [
                     "-O2",

@@ -345,19 +345,29 @@ def test_a_wrong_wait_count_is_refused_by_every_loop(change):
 
 
 # the C loop keeps finish events in one sorted ring per kernel kind, which
-# is fastest when each kind's finish times arrive in order; these inputs
-# are where that order is least assured, and the ring must still pop in
-# the (time, code) order of the Python loop's heapq
+# is fastest when each kind's finish times arrive in order, and arrivals in
+# a 4-ary heap; these inputs are where that order is least assured, and
+# both must still pop in the (time, code) order of the Python loop's heapq
 _QUEUE_DURS = {
     "native": None,
     "equal": [1.0e-3] * 6,
     "zero": [2.0e-3, 0.0, 3.0e-3, 1.0e-3, 2.5e-3, 1.5e-3],
     "decreasing": [6.0e-3, 5.0e-3, 4.0e-3, 3.0e-3, 2.0e-3, 1.0e-3],
 }
+# (machine, process grid, tile rows x columns); the graph is
+# "flat-serialized" at that size
 _QUEUE_MACHINES = {
-    "base": (CASES["flat-serialized"].machine, (4, 2)),
-    "one-core": (Machine(nodes=1, cores_per_node=1), (1, 1)),  # ring of 1
-    "ideal": (Machine.ideal(nodes=8, cores_per_node=3), (4, 2)),
+    "base": (CASES["flat-serialized"].machine, (4, 2), (16, 5)),
+    # a ring of 1
+    "one-core": (Machine(nodes=1, cores_per_node=1), (1, 1), (16, 5)),
+    "ideal": (Machine.ideal(nodes=8, cores_per_node=3), (4, 2), (16, 5)),
+    # an arrival's time depends on the link it crossed, so arrivals enter
+    # the heap out of time order
+    "two-site": (CASES["hierarchical"].machine, (4, 2), (16, 5)),
+    # 72 to 77 arrivals wait at once (16 at 16 x 5), past the 21 slots of
+    # a 4-ary heap's first two levels, so a sift that stops early shows
+    "base-32x12": (CASES["flat-serialized"].machine, (4, 2), (32, 12)),
+    "two-site-32x12": (CASES["hierarchical"].machine, (4, 2), (32, 12)),
 }
 
 
@@ -371,12 +381,12 @@ def test_event_queue_orders_like_heapq(
     if not native_available():
         pytest.skip("no C toolchain")
     _set_threads(monkeypatch, threads)
-    case = CASES["flat-serialized"]
-    mach, grid = _QUEUE_MACHINES[machine]
+    mach, grid, (m, n) = _QUEUE_MACHINES[machine]
+    case = dataclasses.replace(CASES["flat-serialized"], m=m, n=n)
     cg = compile_graph(case.graph(), BlockCyclic2D(*grid), mach, case.b)
     if _QUEUE_DURS[durs] is not None:
         cg = dataclasses.replace(cg, dur_table=np.array(_QUEUE_DURS[durs]))
-    # reversed: equal-time finish events enter a ring in descending code
+    # reversed: equal-time events enter a ring or the heap in descending code
     prio = list(range(cg.ntasks, 0, -1)) if reverse_prio else None
     for reuse in (False, True):
         kw = dict(prio=prio, data_reuse=reuse)
