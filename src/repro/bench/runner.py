@@ -20,11 +20,13 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.dag.cache import default_cache, fingerprint
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.logging import jsonlog
 from repro.obs.profile import stage
+from repro.obs.tracing import attach, current_span, current_trace, span
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator, SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
@@ -144,17 +146,12 @@ def compiled_graph_for(
 ):
     """Build (or fetch from the in-memory cache) one compiled graph.
 
-    The build path of the batched sweep, :func:`answers` without
-    ``reuse`` and the explorer's ranking, all of which read the graph
-    again: fingerprint the inputs, consult
-    :func:`~repro.dag.cache.default_cache` and store what is built, or
-    fall back to an uncached build for layouts whose attributes have no
-    stable serialization (there is no stable key to cache them under).
+    The build path of callers that read the graph again, :func:`answers`
+    without ``reuse`` and the explorer's ranking: the graph is stored in
+    :func:`~repro.dag.cache.default_cache` under its fingerprint, or
+    built uncached for a layout with no stable serialization (no key).
     A build expands ``elims``, the caller's list of ``config``, if given.
     """
-    from repro.dag.cache import default_cache, fingerprint
-    from repro.obs.tracing import span
-
     build = partial(_build_graph, m, n, config, layout, machine, b, elims)
     with stage("graph"), span("graph", m=m, n=n):
         try:
@@ -164,30 +161,12 @@ def compiled_graph_for(
         return default_cache().get_or_build(key, build)
 
 
-def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
-    """``(result, resident, remembered)`` per ``(m, n, config, layout[,
-    elims])`` question, ``elims`` being a list a bound pass already made.
-    With ``reuse``, a keyed question first asks its cache entry; a miss
-    takes the graph if resident, else builds one outside the cache, and
-    remembers the result and lets the graph go (a caller that remembers
-    answers never reads the graph again), one gate per key spanning build
-    → simulate → remember.  Without, graphs come from
-    :func:`compiled_graph_for`.  Misses run in one ``run_core_batch``.
-    ``REPRO_SIM_CORE=reference`` runs the object graph
-    (:func:`run_eliminations`) and, like an unkeyable layout, reads and
-    remembers nothing."""
-    from repro.dag.cache import default_cache, fingerprint
-    from repro.obs.tracing import span
-    from repro.runtime.core import core_mode, run_core_batch
-
-    if core_mode() == "reference":
-        setup = BenchSetup(b=b, grid_p=1, grid_q=1, machine=machine)
-        return [(run_eliminations(
-            (elims and elims[0]) or hqr_elimination_list(m, n, config),
-            m, n, setup, layout,
-        ), False, False) for m, n, config, layout, *elims in questions]
-    cache = default_cache()
-    out, asked = [], []  # asked: (index, key or None, question) to simulate
+def _ask(questions, machine: Machine, b: int, reuse: bool):
+    """Lookup: ``out``, ``(result, resident, remembered)`` per question
+    (``result`` ``None`` until answered), and ``asked``, ``(key or None,
+    question, indices)`` per distinct unanswered question; with ``reuse``
+    one fingerprint and one ``answer`` call a question."""
+    out, asked, first = [], [], {}
     for m, n, config, layout, *elims in questions:
         key, resident, result = None, False, None
         if reuse:
@@ -197,36 +176,72 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
                 except TypeError:
                     pass  # no stable key: no entry to ask or to tell
                 else:
-                    resident, result = cache.answer(key)
+                    resident, result = default_cache().answer(key)
                     if sp is not None:
                         sp.attrs.update(hit=resident, answer=result is not None)
-        if result is None:
-            asked.append((len(out), key, (m, n, config, layout,
-                                          elims[0] if elims else None)))
+        if result is None:  # a repeated key joins its first copy
+            idx = first.setdefault(key, []) if key else []
+            if not idx:
+                question = (m, n, config, layout, elims[0] if elims else None)
+                asked.append((key, question, idx))
+            idx.append(len(out))
         out.append((result, resident, result is not None))
-    with cache.flights({key for _, key, _ in asked if key is not None}):
-        misses = []  # (index, key or None, graph)
-        for i, key, (m, n, config, layout, elims) in asked:
-            if key is None:
-                misses.append((i, key, compiled_graph_for(
-                    m, n, config, layout, machine, b, elims
-                )))
-                continue
-            result = cache.answer(key, count=False)[1]
-            if result is not None:  # a racing caller's flight answered it
-                out[i] = (result, out[i][1], True)
-                continue
+    return out, asked
+
+
+def _planned(asked, machine: Machine, b: int, out):
+    """Build, under the asked keys' gates: ``(key, graph, indices)`` per
+    question no racing caller answered meanwhile — a keyed one's resident
+    graph or a build kept out of the LRU (only its answer is kept), an
+    unkeyed one's from :func:`compiled_graph_for`."""
+    for key, (m, n, config, layout, elims), idx in asked:
+        if key is None:
+            cg = compiled_graph_for(m, n, config, layout, machine, b, elims)
+        elif (got := default_cache().answer(key, count=False)[1]) is not None:
+            for i in idx:  # a racing caller's flight answered it
+                out[i] = (got, out[i][1], True)
+            continue
+        else:
             with stage("graph"), span("graph", m=m, n=n):
-                cg = cache.get(key)  # resident: a sweep or a ranking keeps it
+                cg = default_cache().get(key)  # kept by run_config or rank
                 if cg is None:
                     cg = _build_graph(m, n, config, layout, machine, b, elims)
-            misses.append((i, key, cg))
-        with stage("simulate"):
-            results = run_core_batch([cg for *_, cg in misses], machine, b)
-        for (i, key, _), result in zip(misses, results):
-            if key is not None:
-                cache.remember(key, result)
+        yield key, cg, idx
+
+
+def _simulate(planned, machine: Machine, b: int, out) -> None:
+    """Run ``planned`` as one batch; remember each result and fill ``out``."""
+    from repro.runtime.core import run_core_batch
+
+    results = run_core_batch([cg for _, cg, _ in planned], machine, b)
+    for (key, _, idx), result in zip(planned, results):
+        if key is not None:
+            default_cache().remember(key, result)
+        for i in idx:
             out[i] = (result, *out[i][1:])
+
+
+def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
+    """``(result, resident, remembered)`` per ``(m, n, config, layout[,
+    elims])`` question, ``elims`` being a list a bound pass already made.
+    With ``reuse`` a keyed question asks its cache entry first and a
+    distinct miss is built, simulated and remembered once, under its
+    key's gate; without, graphs come from :func:`compiled_graph_for`.
+    Misses run in one ``run_core_batch``.  ``REPRO_SIM_CORE=reference``
+    (:func:`run_eliminations`) and an unkeyable layout remember nothing."""
+    from repro.runtime.core import core_mode
+
+    if core_mode() == "reference":
+        setup = BenchSetup(b=b, grid_p=1, grid_q=1, machine=machine)
+        return [(run_eliminations(
+            (elims and elims[0]) or hqr_elimination_list(m, n, config),
+            m, n, setup, layout,
+        ), False, False) for m, n, config, layout, *elims in questions]
+    out, asked = _ask(questions, machine, b, reuse)
+    with default_cache().flights({key for key, *_ in asked if key}):
+        planned = list(_planned(asked, machine, b, out))
+        with stage("simulate"):
+            _simulate(planned, machine, b, out)
     return out
 
 
@@ -249,31 +264,19 @@ def run_config(
     )[0][0]
 
 
-def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
-    """The ``batched-c`` sweep body: plan here, simulate beside it.
-
-    This thread plans in point order — every planning memo (the tree
-    caches, the graph LRU) is still touched by one thread and needs no
-    lock — and queues each finished graph; one helper thread takes
-    *everything queued so far* as one ordinary
-    :func:`~repro.runtime.core.run_core_batch` call (the C loop releases
-    the GIL, OpenMP fans a multi-graph chunk out) and appends its results
-    in FIFO order, so output order is input order.  Chunk boundaries
-    depend on timing; results do not.  An error on either side stops the
-    other, and the helper is joined before this returns or raises — a
-    second interrupt *during that join* escapes it and leaves the daemon
-    helper to end with its current chunk.  The caller's request trace
-    and its open span are re-attached in the helper, so the ``simulate``
-    spans (one per chunk) hang where a call on the caller would put them.
+def _plan_and_simulate(asked, out, machine: Machine, b: int) -> None:
+    """The ``batched-c`` sweep's dispatch of ``asked`` (see :func:`_ask`):
+    under their gates this thread plans in point order (every planning
+    memo is touched by one thread) and queues each graph, and one helper
+    takes *everything queued so far* as one :func:`_simulate` call (the C
+    loop releases the GIL).  Chunk boundaries depend on timing, results
+    do not.  An error on either side stops the other; the helper is
+    joined before this returns or raises (a second interrupt *during that
+    join* escapes it) and re-attaches the caller's trace and open span.
     """
-    from repro.obs.tracing import attach, current_span, current_trace
-    from repro.runtime.core import run_core_batch
-
-    planned = queue.SimpleQueue()  # graphs in point order, then None
-    results: list[SimulationResult] = []
+    planned = queue.SimpleQueue()  # (key, graph, indices), then None
     failure: list[BaseException] = []
-    # thread-local: carry both over for the spans
-    trace, parent = current_trace(), current_span()
+    trace, parent = current_trace(), current_span()  # thread-local
 
     def simulate() -> None:
         try:
@@ -284,38 +287,30 @@ def _plan_and_simulate(points, setup: BenchSetup) -> list[SimulationResult]:
                     while not planned.empty():
                         chunk.append(planned.get())
                     last = chunk[-1] is None
-                    if last:
-                        chunk.pop()
                     if failure:  # planning failed: drop what is queued
                         return
-                    results.extend(
-                        run_core_batch(chunk, setup.machine, setup.b)
-                    )
+                    _simulate(chunk[:-1] if last else chunk, machine, b, out)
         except BaseException as exc:  # re-raised by the caller below
             failure.append(exc)
 
     helper = threading.Thread(
         target=simulate, name="repro-sweep-simulate", daemon=True
     )
-    helper.start()
-    try:
-        for m, n, cfg in points:
-            if failure:
-                break
-            planned.put(
-                compiled_graph_for(
-                    m, n, cfg, setup.layout, setup.machine, setup.b
-                )
-            )
-    except BaseException as exc:
-        failure.append(exc)
-        raise
-    finally:
-        planned.put(None)
-        helper.join()
+    with default_cache().flights({key for key, *_ in asked if key}):
+        helper.start()
+        try:
+            for item in _planned(asked, machine, b, out):
+                if failure:
+                    break
+                planned.put(item)
+        except BaseException as exc:
+            failure.append(exc)
+            raise
+        finally:
+            planned.put(None)
+            helper.join()
     if failure:
         raise failure[0]
-    return results
 
 
 def run_config_sweep(
@@ -330,12 +325,12 @@ def run_config_sweep(
     observe, never from a switch:
 
     * the native core is loaded, the engine is not ``reference`` and no
-      task-level recorder is installed — every graph is built in line
-      (through the cache) while a helper thread runs the graphs built so
-      far through the batched C loop
-      (:func:`~repro.runtime.core.run_core_batch`), so planning and
-      simulation overlap instead of fork-joining;
-    * otherwise — :func:`run_config` per point, in this process.
+      task-level recorder is installed — each point asks the graph cache
+      first (:func:`_ask`); a remembered one reaches neither planner nor
+      loop, the rest are planned here while a helper thread simulates
+      them in the batched C loop (:func:`_plan_and_simulate`);
+    * otherwise — :func:`run_config` per point, in this process, which
+      simulates every point every time.
 
     One ``sweep_transport`` line (``batched-c`` or ``in-process``) says
     which path ran.  ``workers`` is accepted and ignored, only because
@@ -358,6 +353,10 @@ def run_config_sweep(
         msg=f"sweep transport: {transport} ({len(points)} points)",
         transport=transport, points=len(points),
     )
-    if batched:
-        return _plan_and_simulate(points, setup) if points else []
-    return [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    if not batched:
+        return [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    out, asked = _ask([(m, n, cfg, setup.layout) for m, n, cfg in points],
+                      setup.machine, setup.b, True)
+    if asked:  # else every point is remembered: no thread starts
+        _plan_and_simulate(asked, out, setup.machine, setup.b)
+    return [result for result, *_ in out]

@@ -154,11 +154,9 @@ def _digest(m, n, b, config, layout_type, layout_params, machine) -> str:
 
 
 def _default_memory_slots() -> int:
-    """Cache capacity: ``REPRO_CACHE_SLOTS`` or 128 graphs.
-
-    The default comfortably holds a full Figure-6 sweep (72 graphs,
-    ≈ 40.5 MiB of arrays), so a repeated sweep finds every graph resident.
-    """
+    """Cache capacity: ``REPRO_CACHE_SLOTS`` or 128 entries, enough for a
+    Figure-6 sweep's 72 answers (a repeated sweep simulates nothing) or
+    its 72 graphs (≈ 40.5 MiB of arrays, kept by ``run_config``)."""
     env = os.environ.get("REPRO_CACHE_SLOTS")
     if not env:
         return 128

@@ -124,11 +124,13 @@ def profile_run(
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
     run_config_sweep` (``sweep``, whose ``dispatch_compute`` sub-stage
-    is the batched event loop, overlapped with any planning the sweep
-    still has to do) to attribute sweep dispatch overhead/speedup.
+    is the batched event loop) to attribute sweep dispatch overhead.
+    The memory cache is emptied first, so the sweep finds its points
+    unanswered on every call and times a dispatch, not lookups.
     Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
+    from repro.dag.cache import default_cache
     from repro.hqr.config import HQRConfig
 
     setup = setup or BenchSetup()
@@ -140,6 +142,7 @@ def profile_run(
     points = _sweep_points(m, n, config, sweep_points)
 
     report: dict = {"m": m, "n": n, "config": str(config), "points": len(points)}
+    default_cache().clear_memory()
 
     prof_ctx = cProfile.Profile() if with_cprofile else None
     with profiling() as sp:

@@ -11,8 +11,8 @@ that, on an enumerable subspace of the paper's Figure 6 platform:
   4 x 4 x 2 x 8 = 256 configurations (grid and layout axes are pinned so
   the annealer's reachable set equals the enumerated set);
 * the annealer runs FIRST (cold graph cache), the exhaustive sweep
-  second — any shared-cache warmth benefits the *exhaustive* side, so
-  the reported wall-time ratio is conservative toward tune.
+  second and warm: it looks up the annealer's answers instead of
+  simulating them, so the wall-time ratio is conservative toward tune.
 
 Parity is exact float equality of the best makespan: both sides drive
 the same simulation engine, which is bit-reproducible per config.

@@ -161,3 +161,24 @@ def test_a_handed_over_list_is_not_generated_again(cache, monkeypatch):
     again = answers([(m, n, cfg, layout)], MACHINES["flat"], B, reuse=True)
     assert generated == [cfg]
     assert got[0][0] == again[0][0]
+
+
+def test_a_repeated_question_is_simulated_once_a_call(cache, monkeypatch):
+    """Copies of one keyed question in a call share its first copy's graph
+    and result; an unkeyable question has no key to share."""
+    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+    machine = MACHINES["flat"]
+    qs = questions()
+    simulated = []
+    real = core_mod.run_core_batch
+
+    def counting(graphs, *args, **kwargs):
+        simulated.extend(graphs)
+        return real(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(core_mod, "run_core_batch", counting)
+    got = answers(qs + qs[:2] + qs[-1:], machine, B, reuse=True)
+    assert len(simulated) == len(qs) + 1  # the unkeyable one runs twice
+    want = [a[0] for a in got[:len(qs)]]
+    assert [a[0] for a in got] == want + want[:2] + want[-1:]
+    assert cache.stats()["store"] == len(qs) - 1

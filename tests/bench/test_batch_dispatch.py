@@ -295,7 +295,7 @@ def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
     further point once the helper has gone."""
     from repro.bench import runner
 
-    real = runner.compiled_graph_for
+    real = runner._build_graph
     calls = []
 
     def patched(*args):
@@ -311,7 +311,7 @@ def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
                 assert not t.is_alive()
         return cg
 
-    monkeypatch.setattr(runner, "compiled_graph_for", patched)
+    monkeypatch.setattr(runner, "_build_graph", patched)
     with pytest.raises(ValueError, match="graph 0"):
         run_config_sweep(_many_points(), small_setup())
     assert len(calls) == 2
@@ -389,3 +389,277 @@ def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
 
     monkeypatch.setattr(runner.threading, "Thread", no_thread)
     assert run_config_sweep([], small_setup()) == []
+
+
+# --------------------------------------------------------------------- #
+# the sweep asks before it simulates
+# --------------------------------------------------------------------- #
+def _traced_sweep(points, setup):
+    """(results, ``c-batch`` run records, ``simulate`` spans) of one sweep
+    run under a summary recorder and an attached request trace."""
+    from repro.obs.events import recording
+    from repro.obs.tracing import (
+        RequestTrace,
+        attach,
+        install_core_hook,
+        uninstall_core_hook,
+    )
+
+    trace = RequestTrace("0" * 31 + "3", "test", 0.0)
+    install_core_hook()
+    try:
+        with recording("summary") as rec, attach(trace):
+            got = run_config_sweep(points, setup)
+    finally:
+        uninstall_core_hook()
+    spans, stack = [], list(trace.root.children)
+    while stack:
+        s = stack.pop()
+        spans.append(s)
+        stack.extend(s.children)
+    runs = [r for r in rec.runs if r["engine"] == "c-batch"]
+    assert len(runs) == len(rec.runs)
+    return got, runs, [s for s in spans if s.name == "simulate"]
+
+
+def _ntasks(points, setup):
+    from repro.bench.runner import compiled_graph_for
+
+    return sum(
+        compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b).ntasks
+        for m, n, cfg in points
+    )
+
+
+def _counting_batches(monkeypatch):
+    """Patch ``run_core_batch``; the returned list collects every graph
+    that reaches it, on any thread."""
+    import repro.runtime.core as core_mod
+
+    seen, real = [], core_mod.run_core_batch
+
+    def counting(graphs, *args, **kwargs):
+        seen.extend(graphs)
+        return real(graphs, *args, **kwargs)
+
+    monkeypatch.setattr(core_mod, "run_core_batch", counting)
+    return seen
+
+
+def test_a_repeated_sweep_simulates_nothing(batched_path):
+    setup = small_setup()
+    points = _many_points()
+    first = run_config_sweep(points, setup)
+    got, runs, spans = _traced_sweep(points, setup)
+    assert got == first
+    assert runs == [] and spans == []
+
+
+def test_a_half_answered_sweep_simulates_the_rest(batched_path):
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    batched_path.clear_memory()
+    run_config_sweep(points[::2], setup)
+    got, runs, spans = _traced_sweep(points, setup)
+    assert got == want
+    assert sum(r["points"] for r in runs) == len(points[1::2])
+    assert sum(r["ntasks"] for r in runs) == _ntasks(points[1::2], setup)
+    assert sum(s.attrs["points"] for s in spans) == len(points[1::2])
+
+
+def test_repeated_points_are_simulated_once(batched_path):
+    """A point asked twice in one sweep shares its first copy's graph and
+    result: the ``c-batch`` records count each distinct point once."""
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    batched_path.clear_memory()
+    again = points + points[:3] + [points[0]] * 2
+    got, runs, _ = _traced_sweep(again, setup)
+    assert got == want + want[:3] + [want[0]] * 2
+    assert sum(r["points"] for r in runs) == len(points)
+    assert sum(r["ntasks"] for r in runs) == _ntasks(points, setup)
+
+
+def test_a_sweep_after_run_config_reuses_the_resident_graphs(
+    batched_path, monkeypatch
+):
+    from repro.bench import runner
+    from repro.dag import compiled
+
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    made = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            made.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for owner, name in ((runner, "hqr_elimination_list"),
+                        (compiled, "compiled_from_eliminations")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    assert run_config_sweep(points, setup) == want
+    assert made == []
+    # the graphs stay, now beside their answers
+    assert all(g is not None and r is not None
+               for g, r in batched_path._memory.values())
+
+
+def test_a_cold_sweep_leaves_graphless_entries(batched_path):
+    setup = small_setup()
+    points = _many_points()
+    got = run_config_sweep(points, setup)
+    entries = list(batched_path._memory.values())
+    assert len(entries) == len(points)
+    assert all(graph is None for graph, _ in entries)
+    assert [result for _, result in entries] == got
+
+
+@pytest.mark.parametrize("path", ["python", "reference", "tasks"])
+def test_the_in_process_sweep_simulates_every_point_every_time(
+    path, fresh_cache, monkeypatch
+):
+    """The per-point path keeps no answers: a repeated sweep runs every
+    point through the engine again."""
+    from repro.obs.events import recording
+
+    if path == "tasks":
+        level = "tasks"
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    else:
+        level = "summary"
+        monkeypatch.setenv("REPRO_SIM_CORE", path)
+    setup = small_setup()
+    points = _points()
+    with recording(level):
+        first = run_config_sweep(points, setup)
+    with recording(level) as rec:
+        assert run_config_sweep(points, setup) == first
+    assert len(rec.runs) == len(points)
+
+
+def test_an_answered_sweep_starts_no_thread(batched_path, monkeypatch):
+    from repro.bench import runner
+
+    setup = small_setup()
+    points = _many_points()
+    first = run_config_sweep(points, setup)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("an answered sweep must not start a thread")
+
+    monkeypatch.setattr(runner.threading, "Thread", no_thread)
+    assert run_config_sweep(points, setup) == first
+
+
+@pytest.mark.parametrize("first_caller", ["sweep", "answers"])
+def test_a_sweep_and_an_answers_caller_simulate_a_shared_key_once(
+    first_caller, batched_path, monkeypatch
+):
+    """Whichever caller takes the key's gate first builds and simulates;
+    the other waits at the gate and finds the answer remembered."""
+    import time
+
+    from repro.bench import runner
+    from repro.dag.cache import fingerprint
+
+    setup = small_setup()
+    m, n, cfg = _many_points()[0]
+    key = fingerprint(m, n, cfg, setup.layout, setup.machine, setup.b)
+    got = {}
+    callers = {
+        "sweep": lambda: run_config_sweep([(m, n, cfg)], setup)[0],
+        "answers": lambda: runner.answers(
+            [(m, n, cfg, setup.layout)], setup.machine, setup.b, reuse=True
+        )[0][0],
+    }
+    second_caller = "answers" if first_caller == "sweep" else "sweep"
+    second = threading.Thread(
+        target=lambda: got.update({second_caller: callers[second_caller]()}),
+        name="test-second-caller",
+    )
+    real = runner._build_graph
+
+    def build_while_the_other_waits(*args):
+        if second.ident is None:  # first build: let the other caller in
+            second.start()
+            deadline = time.monotonic() + 30
+            while batched_path._building[key][1] < 2:  # holder + waiter
+                assert time.monotonic() < deadline, "no caller at the gate"
+                time.sleep(0.001)
+        return real(*args)
+
+    monkeypatch.setattr(runner, "_build_graph", build_while_the_other_waits)
+    simulated = _counting_batches(monkeypatch)
+    got[first_caller] = callers[first_caller]()
+    second.join(30)
+    assert not second.is_alive()
+    assert len(simulated) == 1
+    assert got["sweep"] == got["answers"] == run_config(m, n, cfg, setup)
+    assert batched_path._building == {}
+
+
+def test_run_config_on_a_swept_point_still_simulates(batched_path, monkeypatch):
+    setup = small_setup()
+    points = _many_points()
+    swept = run_config_sweep(points, setup)
+    simulated = _counting_batches(monkeypatch)
+    assert [run_config(m, n, cfg, setup) for m, n, cfg in points] == swept
+    assert len(simulated) == len(points)
+
+
+def test_racing_sweeps_and_answers_simulate_each_key_once(
+    batched_path, monkeypatch
+):
+    """More callers than cores on overlapping keys, with a short switch
+    interval: each distinct point is simulated once in all, and every
+    caller gets the ``run_config`` result."""
+    import sys
+
+    from repro.bench import runner
+
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    batched_path.clear_memory()
+    simulated = _counting_batches(monkeypatch)
+    order = list(range(len(points)))
+    picks = [order, order[::-1], order[5:] + order[:5], order[::2],
+             order[1::3], order[::-3]]
+    got, errors = {}, []
+
+    def caller(slot, idx):
+        try:
+            if slot % 2 == 0:
+                got[slot] = run_config_sweep([points[i] for i in idx], setup)
+            else:
+                got[slot] = [a[0] for a in runner.answers(
+                    [(*points[i], setup.layout) for i in idx],
+                    setup.machine, setup.b, reuse=True,
+                )]
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(slot, idx))
+            for slot, idx in enumerate(picks)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for slot, idx in enumerate(picks):
+        assert got[slot] == [want[i] for i in idx], slot
+    assert len(simulated) == len(points)
+    assert batched_path._building == {}

@@ -74,3 +74,26 @@ class TestProfileRun:
         text = format_profile(report)
         assert "harness self-profile" in text
         assert "cache overhead" in text
+
+    def test_a_second_call_times_a_dispatch_again(self, monkeypatch):
+        """Each call starts from an emptied memory cache: the sweep finds
+        its points unanswered and simulates them again, so a second call
+        in one process measures what the first did."""
+        import repro.runtime.core as core_mod
+
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        simulated, real = [], core_mod.run_core_batch
+
+        def counting(graphs, *args, **kwargs):
+            simulated.extend(graphs)
+            return real(graphs, *args, **kwargs)
+
+        monkeypatch.setattr(core_mod, "run_core_batch", counting)
+        calls, graphs = [], []
+        for _ in range(2):
+            before = len(simulated)
+            report = profile_run(m=16, n=4, sweep_points=2, with_cprofile=False)
+            calls.append(report["stages"]["simulate"]["calls"])
+            graphs.append(len(simulated) - before)
+        assert calls[0] == calls[1]
+        assert graphs == [2 * report["points"]] * 2  # serial pass + sweep
