@@ -1,7 +1,5 @@
 """Extension benchmarks beyond the paper's figures.
 
-* **accelerators** — the §VI future-work experiment: HQR on GPU-equipped
-  nodes (updates offloaded), sweeping the accelerator count;
 * **tile size** — §V-A: "b directly influences at least two key
   performance metrics, namely the number of messages sent and the
   granularity of the algorithm";
@@ -14,34 +12,9 @@ from repro.bench.runner import BenchSetup
 from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D
-
-
-def test_accelerator_sweep(benchmark, results_dir):
-    """Updates offloaded to 0-4 accelerators per node."""
-    m, n, b = 128, 16, 280
-    cfg = HQRConfig(p=15, q=4, a=4, low_tree="greedy", high_tree="fibonacci")
-    lay = BlockCyclic2D(15, 4)
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-
-    def sweep():
-        out = {}
-        for n_acc in (0, 1, 2, 4):
-            mach = AcceleratedMachine(base=Machine.edel(), accelerators=n_acc)
-            res = AcceleratedSimulator(mach, lay, b).run(g)
-            out[n_acc] = res.gflops
-        return out
-
-    out = benchmark.pedantic(sweep, iterations=1, rounds=1)
-    text = "\n".join(
-        f"accelerators/node = {k}: {v:8.1f} GFlop/s" for k, v in out.items()
-    )
-    save_and_print(results_dir, "ext_accelerators.txt", text)
-    assert out[1] > out[0]  # one GPU per node helps
-    assert out[4] >= out[2] * 0.999  # diminishing returns, never harmful
 
 
 def test_tile_size_sweep(benchmark, results_dir):

@@ -1,9 +1,8 @@
-"""Design-space exploration with the analytic model + accelerator preview.
+"""Design-space exploration with the analytic model.
 
-Combines three library capabilities the paper's §VI sketches as future
+Combines two library capabilities the paper's §VI sketches as future
 work: fast critical-path/throughput analysis of the whole configuration
-space, verification of the top candidates against the event simulator, and
-a what-if on accelerator-equipped nodes.
+space, and verification of the top candidates against the event simulator.
 
 Run:  python examples/design_space.py [--m 128] [--n 16]
 """
@@ -14,7 +13,6 @@ from repro.dag import TaskGraph, parallelism_profile
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import ConfigExplorer
 from repro.runtime import Machine
-from repro.runtime.accelerated import AcceleratedMachine, AcceleratedSimulator
 from repro.tiles.layout import BlockCyclic2D
 from repro.viz import render_parallelism_profile
 
@@ -44,12 +42,6 @@ def main() -> None:
     graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, best), m, n)
     print("\n=== parallelism profile of the winner ===")
     print(render_parallelism_profile(parallelism_profile(graph), label="best"))
-
-    print("\n=== accelerator what-if (updates offloaded to GPUs) ===")
-    for n_acc in (0, 1, 2):
-        acc = AcceleratedMachine(base=machine, accelerators=n_acc)
-        res = AcceleratedSimulator(acc, layout, b).run(graph)
-        print(f"  {n_acc} accelerator(s)/node: {res.gflops:8.1f} GF/s")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ ARTIFACTS: dict[str, tuple[str, str]] = {
     "comm_counts.txt": ("Communication — §III-A counts", "HQR p-1/panel vs flat m-k-1"),
     "comm_lower_bound.txt": ("Communication — CA bound", "all above, HQR closest"),
     "comm_multilevel.txt": ("Extension — multilevel hierarchy", "deep stack competitive"),
-    "ext_accelerators.txt": ("Extension — accelerators", "1 GPU/node helps, saturates"),
     "ext_tile_size.txt": ("Extension — tile size", "b=280 competitive; messages fall with b"),
     "ext_strong_scaling.txt": ("Extension — strong scaling", "sub-linear on tall-skinny"),
 }

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.dag.cache import default_cache, fingerprint
-from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.logging import jsonlog
 from repro.obs.profile import stage
 from repro.obs.tracing import attach, current_span, current_trace, span
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator, SimulationResult
+from repro.runtime.simulator import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
 from repro.trees.base import Elimination
 
@@ -89,12 +88,6 @@ class BenchSetup:
         """2-D block-cyclic layout over the process grid."""
         return BlockCyclic2D(self.grid_p, self.grid_q)
 
-    def simulator(self, layout: Layout | None = None, **kwargs) -> ClusterSimulator:
-        """Cluster simulator bound to this setup."""
-        return ClusterSimulator(
-            self.machine, layout if layout is not None else self.layout, self.b, **kwargs
-        )
-
 
 def run_eliminations(
     elims: list[Elimination],
@@ -103,18 +96,10 @@ def run_eliminations(
     setup: BenchSetup | None = None,
     layout: Layout | None = None,
 ) -> SimulationResult:
-    """Simulate an elimination list under a bench setup.
-
-    Uses the compiled array pipeline (elimination list straight to a
-    :class:`~repro.dag.compiled.CompiledGraph`, no Task objects) unless
-    ``REPRO_SIM_CORE=reference``.
-    """
+    """Simulate an elimination list under a bench setup: the list goes
+    straight to a :class:`~repro.dag.compiled.CompiledGraph` (no Task
+    objects) and through :func:`~repro.runtime.core.run_core`."""
     setup = setup or BenchSetup()
-    from repro.runtime.core import core_mode
-
-    if core_mode() == "reference":
-        graph = TaskGraph.from_eliminations(elims, m, n)
-        return setup.simulator(layout).run(graph)
     from repro.dag.compiled import compiled_from_eliminations
     from repro.runtime.core import run_core
 
@@ -227,16 +212,11 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     With ``reuse`` a keyed question asks its cache entry first and a
     distinct miss is built, simulated and remembered once, under its
     key's gate; without, graphs come from :func:`compiled_graph_for`.
-    Misses run in one ``run_core_batch``.  ``REPRO_SIM_CORE=reference``
-    (:func:`run_eliminations`) and an unkeyable layout remember nothing."""
+    Misses run in one ``run_core_batch``.  An unkeyable layout remembers
+    nothing."""
     from repro.runtime.core import core_mode
 
-    if core_mode() == "reference":
-        setup = BenchSetup(b=b, grid_p=1, grid_q=1, machine=machine)
-        return [(run_eliminations(
-            (elims and elims[0]) or hqr_elimination_list(m, n, config),
-            m, n, setup, layout,
-        ), False, False) for m, n, config, layout, *elims in questions]
+    core_mode()  # an unknown engine is refused before any lookup
     out, asked = _ask(questions, machine, b, reuse)
     with default_cache().flights({key for key, *_ in asked if key}):
         planned = list(_planned(asked, machine, b, out))
@@ -324,7 +304,7 @@ def run_config_sweep(
     Two paths, bit-identical in results and chosen from what the code can
     observe, never from a switch:
 
-    * the native core is loaded, the engine is not ``reference`` and no
+    * the native core is loaded, the engine is not ``python`` and no
       task-level recorder is installed — each point asks the graph cache
       first (:func:`_ask`); a remembered one reaches neither planner nor
       loop, the rest are planned here while a helper thread simulates
@@ -337,14 +317,13 @@ def run_config_sweep(
     the benchmark in ``perf/`` passes ``workers=1``.
     """
     from repro.obs.events import active as _obs_active
-    from repro.runtime.core import _pick_engine, core_mode
+    from repro.runtime.core import _pick_engine
 
     setup = setup or BenchSetup()
     points = list(points)
     rec = _obs_active()
     batched = (
-        core_mode() != "reference"
-        and not (rec is not None and rec.want_tasks)
+        not (rec is not None and rec.want_tasks)
         and _pick_engine(None) is not None
     )
     transport = "batched-c" if batched else "in-process"

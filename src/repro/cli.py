@@ -197,6 +197,7 @@ def cmd_gantt(args) -> int:
     from repro.bench.runner import BenchSetup
     from repro.dag.graph import TaskGraph
     from repro.hqr.hierarchy import hqr_elimination_list
+    from repro.runtime.simulator import ClusterSimulator
     from repro.runtime.trace import ascii_gantt, summarize, trace_events_json
 
     setup = BenchSetup()
@@ -204,7 +205,9 @@ def cmd_gantt(args) -> int:
     graph = TaskGraph.from_eliminations(
         hqr_elimination_list(args.m, args.n, cfg), args.m, args.n
     )
-    sim = setup.simulator(record_trace=True)
+    sim = ClusterSimulator(
+        setup.machine, setup.layout, setup.b, record_trace=True
+    )
     if args.trace_out:
         # a recorder captures the message flow and busy-core counters so
         # the exported timeline gets network and counter tracks

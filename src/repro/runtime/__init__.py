@@ -26,4 +26,4 @@ __all__ = [
 ]
 
 # The event-loop core lives in repro.runtime.core (imported lazily by
-# ClusterSimulator.run to avoid a circular import at package init).
+# ClusterSimulator._run_core to avoid a circular import at package init).

@@ -75,12 +75,10 @@ __all__ = [
 # engine selection
 # --------------------------------------------------------------------- #
 def core_mode() -> str:
-    """Engine selection from ``REPRO_SIM_CORE`` (auto/c/python/reference)."""
+    """Engine selection from ``REPRO_SIM_CORE`` (auto/c/python)."""
     mode = os.environ.get("REPRO_SIM_CORE", "auto").lower()
-    if mode not in ("auto", "c", "python", "reference"):
-        raise ValueError(
-            f"REPRO_SIM_CORE must be auto/c/python/reference, got {mode!r}"
-        )
+    if mode not in ("auto", "c", "python"):
+        raise ValueError(f"REPRO_SIM_CORE must be auto/c/python, got {mode!r}")
     return mode
 
 

@@ -127,9 +127,7 @@ class ClusterSimulator:
         when no trace is requested and ``REPRO_SIM_CORE`` allows it, the
         Python inner loop otherwise — bit-identical either way.
         """
-        from repro.runtime.core import core_mode
-
-        if not self.record_trace and core_mode() != "reference":
+        if not self.record_trace:
             return self._run_core(graph, M, N)
         return self.run_reference(graph, M, N)
 

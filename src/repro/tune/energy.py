@@ -18,9 +18,9 @@ a whole proposal batch per call:
   entry's remembered answer (an earlier chain's, the planning service's),
   else one batched simulation of graphs built from the bound pass's lists.
 
-Under ``REPRO_SIM_CORE=reference`` (the reference loop per point),
-``python`` and without the native core, every bound is 0.0: the
-annealer's filter is off and it simulates what it always did.
+Under ``REPRO_SIM_CORE=python`` and without the native core, every
+bound is 0.0: the annealer's filter is off and it simulates what it
+always did.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ class EnergyEvaluator:
         The bound is read from the case's elimination list with no graph
         built (:func:`~repro.models.bounds.elimination_bound`) and kept by
         key in the cache's ``bounds``, once per process — when the native
-        core is there and is not ``python`` or ``reference``; otherwise it
-        is 0.0, which rules nothing out.
+        core is there and is not ``python``; otherwise it is 0.0, which
+        rules nothing out.
         """
         keys = [self.energy_key(c) for c in cases]
-        if core_mode() in ("python", "reference") or not _ccore.native_available():
+        if core_mode() == "python" or not _ccore.native_available():
             return [self._memo.get(key, 0.0) for key in keys]
         memo = default_cache().bounds
         # the lists of this call's new bounds, for the evaluate that follows

@@ -118,7 +118,7 @@ def _key(result):
     return result.makespan, result.messages, result.busy_seconds
 
 
-@pytest.mark.parametrize("core", ["auto", "python", "reference"])
+@pytest.mark.parametrize("core", ["auto", "python"])
 def test_sweep_batched_matches_legacy(core, fresh_cache, caplog, monkeypatch):
     """Either sweep path returns what the ``run_config`` loop returns, and
     says once which transport carried it."""
@@ -519,7 +519,7 @@ def test_a_cold_sweep_leaves_graphless_entries(batched_path):
     assert [result for _, result in entries] == got
 
 
-@pytest.mark.parametrize("path", ["python", "reference", "tasks"])
+@pytest.mark.parametrize("path", ["python", "tasks"])
 def test_the_in_process_sweep_simulates_every_point_every_time(
     path, fresh_cache, monkeypatch
 ):

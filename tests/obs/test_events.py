@@ -9,6 +9,7 @@ from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.events import Recorder, active, install, recording, uninstall
+from repro.runtime.simulator import ClusterSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -74,9 +75,10 @@ class TestBitwiseNeutrality:
         graph = TaskGraph.from_eliminations(
             hqr_elimination_list(m, n, cfg), m, n
         )
-        bare = setup.simulator().run_reference(graph)
+        sim = ClusterSimulator(setup.machine, setup.layout, setup.b)
+        bare = sim.run_reference(graph)
         with recording() as rec:
-            instrumented = setup.simulator().run_reference(graph)
+            instrumented = sim.run_reference(graph)
         assert instrumented.makespan == bare.makespan
         assert instrumented.busy_seconds == bare.busy_seconds
         assert instrumented.messages == bare.messages

@@ -17,7 +17,7 @@ from repro.resilience.replan import node_remap, replan_restart
 from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
-ENGINES = ("auto", "python", "reference")
+ENGINES = ("auto", "python")
 
 
 def build(m=12, n=4, cfg=None):

@@ -151,13 +151,34 @@ def test_builder_matches_taskgraph_hqr():
 
 
 def test_dispatch_env_reference(monkeypatch):
-    """REPRO_SIM_CORE=reference forces the original loop (same results)."""
-    graph = graph_for(HQRConfig(p=4, q=2))
+    """``REPRO_SIM_CORE=reference`` is gone: each entry point refuses it
+    with the typed error naming the legal values, and never falls back
+    to another engine — nor answers from memory a question it remembers."""
+    from repro.bench.runner import (
+        BenchSetup, answers, run_config, run_config_sweep,
+    )
+    from repro.dag import cache as cache_mod
+
+    config = HQRConfig(p=4, q=2)
     machine = Machine(nodes=8, cores_per_node=3)
+    setup = BenchSetup(b=B, grid_p=4, grid_q=2, machine=machine)
+    graph = graph_for(config)
     sim = ClusterSimulator(machine, BlockCyclic2D(4, 2), B)
-    fast = sim.run(graph)
+    question = [(M_TILES, N_TILES, config, setup.layout)]
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    monkeypatch.setattr(cache_mod, "_default", cache_mod.CompiledGraphCache())
+    answers(question, machine, B, reuse=True)  # now remembered
+    assert answers(question, machine, B, reuse=True)[0][2]
     monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-    exact(sim.run(graph), fast)
+    refusal = r"REPRO_SIM_CORE must be auto/c/python, got 'reference'"
+    with pytest.raises(ValueError, match=refusal):
+        run_config(M_TILES, N_TILES, config, setup)
+    with pytest.raises(ValueError, match=refusal):
+        run_config_sweep([(M_TILES, N_TILES, config)], setup)
+    with pytest.raises(ValueError, match=refusal):
+        answers(question, machine, B, reuse=True)
+    with pytest.raises(ValueError, match=refusal):
+        sim.run(graph)
 
 
 def test_record_trace_still_works():

@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-import repro.bench.runner as runner_mod
 import repro.dag.cache as cache_mod
 import repro.runtime.core as core_mod
 from _serve_testlib import TINY_REQUEST
@@ -28,20 +27,15 @@ def cache(monkeypatch):
 @pytest.fixture
 def simulations(monkeypatch):
     """Every graph ``answers`` simulates, as (m, n) pairs: the batched
-    dispatch's graphs, and under the reference engine each object graph."""
+    dispatch's graphs."""
     calls = []
-    real_batch, real_reference = core_mod.run_core_batch, runner_mod.run_eliminations
+    real_batch = core_mod.run_core_batch
 
     def batch(graphs, *args, **kwargs):
         calls.extend((cg.m, cg.n) for cg in graphs)
         return real_batch(graphs, *args, **kwargs)
 
-    def reference(elims, m, n, *args, **kwargs):
-        calls.append((m, n))
-        return real_reference(elims, m, n, *args, **kwargs)
-
     monkeypatch.setattr(core_mod, "run_core_batch", batch)
-    monkeypatch.setattr(runner_mod, "run_eliminations", reference)
     return calls
 
 
@@ -110,18 +104,6 @@ def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
     first, again = service.plan(req), service.plan(req)
     assert simulations == [(8, 2)]
     assert (first.cache_hit, again.cache_hit) == (True, True)
-
-
-def test_reference_core_remembers_nothing(cache, monkeypatch, simulations, service):
-    """The reference engine never enters the graph cache, so there is no
-    entry to hold an answer: every request simulates."""
-    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-    first, again = ask(service), ask(service)
-    assert simulations == [(8, 2), (8, 2)]
-    assert (first.cache_hit, again.cache_hit) == (False, False)
-    assert answer_of(again) == answer_of(first)
-    assert len(cache._memory) == 0
-    assert cache.stats()["answer_hit"] == 0
 
 
 @pytest.mark.parametrize("scenario", ["crash", "storm"])

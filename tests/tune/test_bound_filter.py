@@ -2,7 +2,7 @@
 
 A chain with the filter (the native core) must write the accepted stream,
 acceptance history and best-k of a chain that simulates every proposal
-(``REPRO_SIM_CORE=reference``: bounds are 0.0 there, the filter is off),
+(``REPRO_SIM_CORE=python``: bounds are 0.0 there, the filter is off),
 byte for byte, while needing fewer energies.
 """
 
@@ -65,7 +65,11 @@ def test_filter_keeps_the_stream_bitwise(tmp_path, monkeypatch, native):
         args = (seed, MACHINES[name], shape, batch_size, top_k)
         monkeypatch.setenv("REPRO_SIM_CORE", "auto")
         on, filtered = run_chain(tmp_path / f"{seed}-on", *args)
-        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
+        monkeypatch.setenv("REPRO_SIM_CORE", "python")
+        # a fresh cache: the baseline takes no answer the filtered chain left
+        monkeypatch.setattr(
+            cache_module, "_default", cache_module.CompiledGraphCache()
+        )
         off, plain = run_chain(tmp_path / f"{seed}-off", *args)
         assert on == off, (seed, name)
         assert plain.bounded == 0
