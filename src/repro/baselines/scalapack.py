@@ -86,7 +86,12 @@ class ScalapackModel:
 
     def gflops(self, M: int, N: int) -> float:
         """Modelled performance in GFlop/s."""
-        return qr_flops(M, N) / self.seconds(M, N) / 1e9
+        seconds = self.seconds(M, N)
+        if seconds == self.update_seconds(M, N):
+            # the update term binds: the GEMM plateau, exactly (flops
+            # over flops / rate can round one ulp below the rate)
+            return self.machine.cores * self.gemm_rate_per_core / 1e9
+        return qr_flops(M, N) / seconds / 1e9
 
     def percent_of_peak(self, M: int, N: int) -> float:
         """Modelled performance as a percentage of machine peak."""

@@ -24,7 +24,6 @@ from repro.dag.cache import default_cache, fingerprint
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.logging import jsonlog
-from repro.obs.profile import stage
 from repro.obs.tracing import attach, current_span, current_trace, span
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import SimulationResult
@@ -114,9 +113,9 @@ def _build_graph(m, n, config, layout, machine: Machine, b: int, elims):
     from repro.dag.compiled import compiled_from_eliminations
 
     if elims is None:
-        with stage("elim"):
+        with span("elim"):
             elims = hqr_elimination_list(m, n, config)
-    with stage("dag_build"):
+    with span("dag_build"):
         return compiled_from_eliminations(elims, m, n, layout, machine, b)
 
 
@@ -138,7 +137,7 @@ def compiled_graph_for(
     A build expands ``elims``, the caller's list of ``config``, if given.
     """
     build = partial(_build_graph, m, n, config, layout, machine, b, elims)
-    with stage("graph"), span("graph", m=m, n=n):
+    with span("graph", m=m, n=n):
         try:
             key = fingerprint(m, n, config, layout, machine, b)
         except TypeError:
@@ -187,7 +186,7 @@ def _planned(asked, machine: Machine, b: int, out):
                 out[i] = (got, out[i][1], True)
             continue
         else:
-            with stage("graph"), span("graph", m=m, n=n):
+            with span("graph", m=m, n=n):
                 cg = default_cache().get(key)  # kept by run_config or rank
                 if cg is None:
                     cg = _build_graph(m, n, config, layout, machine, b, elims)
@@ -220,8 +219,7 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     out, asked = _ask(questions, machine, b, reuse)
     with default_cache().flights({key for key, *_ in asked if key}):
         planned = list(_planned(asked, machine, b, out))
-        with stage("simulate"):
-            _simulate(planned, machine, b, out)
+        _simulate(planned, machine, b, out)
     return out
 
 

@@ -14,7 +14,7 @@ verify     cross-engine differential verifier + schedule-legality oracle
 export     write an elimination list as JSON
 replay     validate + summarize an elimination-list JSON file
 metrics    instrumented run: per-kernel/level/link metrics (JSON/Prometheus)
-profile    self-profile the harness (stage timers + cProfile)
+profile    self-profile the harness (span table + cProfile)
 obs        observability reports (HTML) and request traces
 serve      persistent planning daemon / SLO-gated serving benchmark
 tune       seeded simulated-annealing autotuner over the HQR design space
@@ -895,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", type=int, default=4, help="sweep points to profile over"
     )
     p.add_argument(
-        "--no-cprofile", action="store_true", help="stage timers only"
+        "--no-cprofile", action="store_true", help="span table only"
     )
     p.add_argument(
         "--top", type=int, default=15, help="cProfile rows to keep"

@@ -13,8 +13,9 @@
   (``repro obs trace``);
 * :mod:`repro.obs.logging` — one-line structured JSON logging shared
   by the daemon access log and the bench sweep logger;
-* :mod:`repro.obs.profile` — self-profiling of the harness (stage
-  timers + cProfile, ``repro profile``);
+* :mod:`repro.obs.profile` — self-profiling of the harness (the
+  planning chain's spans folded by name, plus cProfile,
+  ``repro profile``);
 * :mod:`repro.obs.report` — standalone HTML run summary
   (``repro obs report``);
 * :mod:`repro.obs.provenance` — the ``meta`` stamp (commit, dirty
@@ -31,7 +32,7 @@ from repro.obs.metrics import (
     parse_prometheus_text,
     utilization_timeline,
 )
-from repro.obs.profile import SelfProfile, format_profile, profile_run, stage
+from repro.obs.profile import fold_spans, format_profile, profile_run
 from repro.obs.provenance import run_metadata
 from repro.obs.report import build_html, write_html
 from repro.obs.tracing import (
@@ -49,7 +50,6 @@ __all__ = [
     "MetricsRegistry",
     "Recorder",
     "RequestTrace",
-    "SelfProfile",
     "Span",
     "Tracer",
     "active",
@@ -57,6 +57,7 @@ __all__ = [
     "build_html",
     "current_trace",
     "derive_run_metrics",
+    "fold_spans",
     "format_profile",
     "install",
     "jsonlog",
@@ -65,7 +66,6 @@ __all__ = [
     "recording",
     "run_metadata",
     "span",
-    "stage",
     "uninstall",
     "utilization_timeline",
     "write_html",

@@ -24,7 +24,7 @@ import sys
 import threading
 import time
 
-__all__ = ["jsonlog", "set_stream"]
+__all__ = ["jsonlog"]
 
 _LEVELS = {
     "debug": logging.DEBUG,
@@ -34,16 +34,6 @@ _LEVELS = {
 }
 
 _lock = threading.Lock()
-_stream = None  # None -> sys.stderr resolved at call time (test-friendly)
-
-
-def set_stream(stream) -> None:
-    """Redirect direct-sink lines (no ``logger=``) to ``stream``.
-
-    Pass ``None`` to restore the default (``sys.stderr`` at call time).
-    """
-    global _stream
-    _stream = stream
 
 
 def jsonlog(
@@ -71,7 +61,6 @@ def jsonlog(
         return None
     payload["ts"] = round(time.time(), 6)
     line = json.dumps(payload, sort_keys=True, default=str)
-    out = _stream if _stream is not None else sys.stderr
     with _lock:
-        print(line, file=out, flush=True)
+        print(line, file=sys.stderr, flush=True)
     return line

@@ -3,25 +3,24 @@
 Where the paper's metrics attribute *simulated* time, this module
 attributes the harness's own *wall* time: elimination-list construction
 vs. DAG build vs. cache lookups vs. the engine event loop vs. sweep
-dispatch.  Two mechanisms:
+dispatch.  It adds no timer of its own:
 
-* **Stage timers** — ``with stage("build"): ...`` accumulates wall
-  seconds per named stage into the installed :class:`SelfProfile`.
-  Inactive (no profile installed) the context manager is a single
-  global read, so instrumented call sites cost nothing in production.
-  ``repro.bench.runner`` is pre-wired.
-* **cProfile hooks** — :func:`profile_run` wraps a representative
-  sweep in ``cProfile`` and reports the top cumulative functions next
-  to the stage table, for drill-down past the stage granularity.
+* **Spans** — :func:`profile_run` attaches a trace
+  (:mod:`repro.obs.tracing`) for its run, so the ``span()`` calls the
+  planning chain makes anyway (``graph`` around a cache lookup or build,
+  ``elim`` and ``dag_build`` inside it, ``simulate`` around each core
+  dispatch) land in one tree, which :func:`fold_spans` folds by name.
+* **cProfile hooks** — :func:`profile_run` wraps the serial pass in
+  ``cProfile`` and reports the top cumulative functions next to the
+  stage table, for drill-down past the span granularity.
 
-Nesting: stages nest freely and each level accumulates its own wall
-time, so ``graph`` (cache lookup + possible build) *contains* ``elim``
-and ``dag_build`` — subtracting them out yields pure cache overhead.
+Nesting: ``graph`` *contains* ``elim`` and ``dag_build``; its self time
+is pure cache overhead.
 
-Threads: a stage is busy time on whichever thread ran it.  The batched
-sweep runs ``dispatch_compute`` (the C event loop, on its helper thread)
-beside ``elim`` / ``dag_build`` (on the caller), so the stages inside a
-``sweep`` may sum past its wall time; the excess is the overlap.
+Threads: a span is busy time on whichever thread ran it.  The batched
+sweep runs its ``simulate`` spans (the C event loop, on its helper
+thread) beside ``elim`` / ``dag_build`` (on the caller), so the stages
+inside a ``sweep`` may sum past its wall time; the excess is the overlap.
 """
 
 from __future__ import annotations
@@ -30,72 +29,42 @@ import cProfile
 import io
 import pstats
 import time
-from contextlib import contextmanager
+
+from repro.obs.tracing import RequestTrace, Span, attach, mint_trace_id, span
 
 __all__ = [
-    "SelfProfile",
+    "fold_spans",
     "format_profile",
     "profile_run",
-    "profiling",
-    "stage",
 ]
 
 
-class SelfProfile:
-    """Accumulated wall seconds and call counts per named stage."""
-
-    def __init__(self) -> None:
-        self.stages: dict[str, list[float]] = {}  # name -> [seconds, count]
-
-    def add(self, name: str, seconds: float) -> None:
-        entry = self.stages.get(name)
-        if entry is None:
-            self.stages[name] = [seconds, 1]
-        else:
-            entry[0] += seconds
-            entry[1] += 1
-
-    def seconds(self, name: str) -> float:
-        return self.stages.get(name, [0.0, 0])[0]
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {"seconds": s, "calls": int(c)}
-            for name, (s, c) in sorted(self.stages.items())
-        }
+def _walk(root: Span):
+    """Every span under ``root``, with whether a ``sweep`` span encloses it."""
+    stack = [(sp, False) for sp in root.children]
+    while stack:
+        sp, in_sweep = stack.pop()
+        yield sp, in_sweep
+        in_sweep = in_sweep or sp.name == "sweep"
+        stack.extend((child, in_sweep) for child in sp.children)
 
 
-_profile: SelfProfile | None = None
+def fold_spans(root: Span) -> dict[str, dict[str, float]]:
+    """``{name: {"seconds", "calls"}}`` over every span under ``root``.
 
-
-def active_profile() -> SelfProfile | None:
-    return _profile
-
-
-@contextmanager
-def profiling():
-    """Install a fresh :class:`SelfProfile`, yield it, uninstall."""
-    global _profile
-    prof = SelfProfile()
-    _profile = prof
-    try:
-        yield prof
-    finally:
-        _profile = None
-
-
-@contextmanager
-def stage(name: str):
-    """Time the enclosed block into the active profile (no-op if none)."""
-    prof = _profile
-    if prof is None:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        prof.add(name, time.perf_counter() - t0)
+    A ``simulate`` span under a ``sweep`` counts as ``dispatch_compute``:
+    the sweep's helper dispatches in timing-dependent chunks, so keeping
+    them apart leaves the ``simulate`` call count deterministic.
+    """
+    stages: dict[str, dict[str, float]] = {}
+    for sp, in_sweep in _walk(root):
+        name = sp.name
+        if in_sweep and name == "simulate":
+            name = "dispatch_compute"
+        entry = stages.setdefault(name, {"seconds": 0.0, "calls": 0})
+        entry["seconds"] += sp.duration
+        entry["calls"] += 1
+    return dict(sorted(stages.items()))
 
 
 # --------------------------------------------------------------------- #
@@ -123,8 +92,10 @@ def profile_run(
     (elimination list), ``dag_build`` (compiled-graph construction),
     ``graph`` (cache lookup incl. any build), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
-    run_config_sweep` (``sweep``, whose ``dispatch_compute`` sub-stage
-    is the batched event loop) to attribute sweep dispatch overhead.
+    run_config_sweep` (``sweep``, whose ``dispatch_compute`` stage is
+    the batched event loop) to attribute sweep dispatch overhead; the
+    sweep's cache probes read as ``cache``.  ``cache_overhead_s`` is the
+    self time of ``graph``.
     The memory cache is emptied first, so the sweep finds its points
     unanswered on every call and times a dispatch, not lookups.
     Returns a JSON-ready report.
@@ -145,7 +116,8 @@ def profile_run(
     default_cache().clear_memory()
 
     prof_ctx = cProfile.Profile() if with_cprofile else None
-    with profiling() as sp:
+    trace = RequestTrace(mint_trace_id(), "profile", time.monotonic())
+    with attach(trace):
         t0 = time.perf_counter()
         if prof_ctx is not None:
             prof_ctx.enable()
@@ -155,15 +127,17 @@ def profile_run(
             prof_ctx.disable()
         serial_s = time.perf_counter() - t0
 
-        with stage("sweep"):
+        with span("sweep"):
             run_config_sweep(points, setup)
-    report["stages"] = sp.to_dict()
+    stages = fold_spans(trace.root)
+    report["stages"] = stages
     report["serial_wall_s"] = serial_s
-    report["sweep_wall_s"] = sp.seconds("sweep")
-    graph_s = sp.seconds("graph")
-    report["cache_overhead_s"] = max(
-        0.0, graph_s - sp.seconds("elim") - sp.seconds("dag_build")
-    )
+    report["sweep_wall_s"] = stages["sweep"]["seconds"]
+    report["cache_overhead_s"] = max(0.0, sum(
+        sp.duration - sum(child.duration for child in sp.children)
+        for sp, _ in _walk(trace.root)
+        if sp.name == "graph"
+    ))
 
     if prof_ctx is not None:
         buf = io.StringIO()

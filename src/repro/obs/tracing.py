@@ -9,10 +9,9 @@ server propagates back.
 
 Design constraints, in order:
 
-* **Bitwise neutrality.**  The core's off-path is a single ``None``
-  check on a module-global hook slot (the same discipline as
-  :func:`repro.obs.events.active`); no span machinery touches simulated
-  results, and the golden fixtures pin that.
+* **Bitwise neutrality.**  With no trace attached, :func:`span` reads
+  one thread-local and times nothing; no span machinery touches
+  simulated results, and the golden fixtures pin that.
 * **Determinism.**  Virtual-time traces (the stream bench) carry only
   virtual timestamps and ids derived from the job id, so the seeded
   bit-equality comparison holds with tracing on.
@@ -44,7 +43,6 @@ __all__ = [
     "RequestTrace",
     "Span",
     "Tracer",
-    "active_core_hook",
     "attach",
     "chrome_span_events",
     "current_span",
@@ -52,7 +50,6 @@ __all__ = [
     "format_trace",
     "format_trace_diff",
     "format_traceparent",
-    "install_core_hook",
     "load_traces",
     "mint_span_id",
     "mint_trace_id",
@@ -60,7 +57,6 @@ __all__ = [
     "span",
     "stream_trace_id",
     "traces_jsonl",
-    "uninstall_core_hook",
 ]
 
 #: the stages whose durations are reported in a breakdown; ``plan`` is
@@ -247,7 +243,7 @@ def current_span() -> Span | None:
 def attach(trace: RequestTrace | None, *, parent: Span | None = None):
     """Attach ``trace`` to this thread for the duration of the block.
 
-    While attached, :func:`span` and the core hook append spans to it —
+    While attached, :func:`span` appends spans to it —
     under ``parent``, a span of ``trace`` another thread has open, else
     under the root; ``attach(None)`` is a no-op shield (spans inside are
     dropped).
@@ -284,53 +280,6 @@ def span(name: str, **attrs):
     finally:
         sp.end = time.monotonic()
         _tls.span = parent
-
-
-# --------------------------------------------------------------------------- #
-# the core span hook                                                          #
-# --------------------------------------------------------------------------- #
-#
-# ``repro.runtime.core`` reads this slot once per run (mirroring the
-# events recorder): ``hook = active_core_hook()`` then, only when the
-# hook is not None, times the dispatch and calls
-# ``hook("simulate", t0, t1, attrs)``.  Emission lands on the thread's
-# attached trace, so bench sweeps with the hook installed but no trace
-# attached pay one None check inside the hook and nothing else.
-
-_core_hook = None
-_core_hook_refs = 0
-_core_hook_lock = threading.Lock()
-
-
-def _emit_core_span(name: str, start: float, end: float, attrs: dict) -> None:
-    trace = getattr(_tls, "trace", None)
-    if trace is None:
-        return
-    parent = getattr(_tls, "span", None)
-    sp = Span(name, start, end, dict(attrs))
-    (parent.children if parent is not None else trace.root.children).append(sp)
-
-
-def active_core_hook():
-    """The installed core span hook, or ``None`` (the fast path)."""
-    return _core_hook
-
-
-def install_core_hook() -> None:
-    """Install the span hook around the core entry points (refcounted)."""
-    global _core_hook, _core_hook_refs
-    with _core_hook_lock:
-        _core_hook_refs += 1
-        _core_hook = _emit_core_span
-
-
-def uninstall_core_hook() -> None:
-    """Drop one install; the hook clears when the last owner leaves."""
-    global _core_hook, _core_hook_refs
-    with _core_hook_lock:
-        _core_hook_refs = max(0, _core_hook_refs - 1)
-        if _core_hook_refs == 0:
-            _core_hook = None
 
 
 # --------------------------------------------------------------------------- #
@@ -646,7 +595,7 @@ def format_trace_diff(a: list[dict], b: list[dict]) -> str:
         f"matched {len(common)} request(s); "
         f"{len(ia) - len(common)} only in A, {len(ib) - len(common)} only in B"
     ]
-    totals = {stage: 0.0 for stage in (*ATTRIBUTION_STAGES, "total")}
+    totals = {part: 0.0 for part in (*ATTRIBUTION_STAGES, "total")}
     header = "  {:<10}".format("job") + "".join(
         f"{s:>12}" for s in (*ATTRIBUTION_STAGES, "total")
     )
@@ -655,13 +604,13 @@ def format_trace_diff(a: list[dict], b: list[dict]) -> str:
         aa = ia[key].get("attribution", {})
         bb = ib[key].get("attribution", {})
         row = "  {:<10}".format(str(key))
-        for stage in (*ATTRIBUTION_STAGES, "total"):
-            delta = bb.get(stage, 0.0) - aa.get(stage, 0.0)
-            totals[stage] += delta
+        for part in (*ATTRIBUTION_STAGES, "total"):
+            delta = bb.get(part, 0.0) - aa.get(part, 0.0)
+            totals[part] += delta
             row += f"{delta * 1e3:>+10.3f}ms"
         lines.append(row)
     row = "  {:<10}".format("SUM")
-    for stage in (*ATTRIBUTION_STAGES, "total"):
-        row += f"{totals[stage] * 1e3:>+10.3f}ms"
+    for part in (*ATTRIBUTION_STAGES, "total"):
+        row += f"{totals[part] * 1e3:>+10.3f}ms"
     lines.append(row)
     return "\n".join(lines)

@@ -54,8 +54,7 @@ import numpy as np
 from repro import _ccore
 from repro.dag.compiled import CompiledGraph, _transpose
 from repro.obs.events import active as _obs_active
-from repro.obs.profile import stage
-from repro.obs.tracing import active_core_hook as _span_hook
+from repro.obs.tracing import span
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import SimulationResult, qr_flops
 
@@ -824,10 +823,6 @@ def run_core(
     tile_bytes = machine.tile_bytes(b)
     rec = _obs_active()
     wall0 = time.perf_counter() if rec is not None else 0.0
-    # request-tracing span hook: the off-path is this single None check
-    # (bitwise-neutral — pinned by the golden core-equivalence fixtures)
-    hook = _span_hook()
-    span0 = time.monotonic() if hook is not None else 0.0
     if ntasks == 0:
         return CoreOutcome(
             result=SimulationResult(
@@ -840,70 +835,68 @@ def run_core(
             ),
         )
 
-    lib = None
-    if not record_trace and fault is None:
-        lib = _pick_engine(core)
-        if lib is not None and rec is not None and rec.want_tasks:
-            # per-task/per-message detail needs Python callbacks, which
-            # the native core cannot make — run the bit-identical Python
-            # loop instead (one note per demoted graph, in every path)
-            rec.note("engine_fallback", reason="task-level recording", frm="c")
-            lib = None
-    # the batch of one: the C entry derives wait counts, durations and
-    # identity ranks itself, so a request prepares no per-task array
-    out = None
-    if lib is not None:
-        out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse)
-    if out is not None:
-        makespan, busy = float(out[0][0]), float(out[1][0])
-        messages = int(out[2][0])
-        trace = comm = fault_out = None
-        engine = label = "c"
-    else:
-        rank, task_of_rank = priority_ranks(prio, ntasks)
-        (
-            nnodes, cores_per_node, serialized, hierarchical,
-            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-        ) = _machine_params(machine, b)
-        kw = {}
-        if fault is not None:
-            # the fault branch skips finished consumers: a low count ends at 0
-            pred_ptr, pred_idx = _transpose(cg.succ_ptr, cg.succ_idx)
-            wrong = np.diff(pred_ptr) != cg.wait
-            if wrong.any():
-                raise _wait_mismatch(wrong)
-            kw = dict(
-                fault=fault,
-                pred_ptr=pred_ptr.tolist(),
-                pred_idx=pred_idx.tolist(),
+    with span("simulate") as sp:
+        lib = None
+        if not record_trace and fault is None:
+            lib = _pick_engine(core)
+            if lib is not None and rec is not None and rec.want_tasks:
+                # per-task/per-message detail needs Python callbacks, which
+                # the native core cannot make — run the bit-identical Python
+                # loop instead (one note per demoted graph, in every path)
+                rec.note("engine_fallback", reason="task-level recording", frm="c")
+                lib = None
+        # the batch of one: the C entry derives wait counts, durations and
+        # identity ranks itself, so a request prepares no per-task array
+        out = None
+        if lib is not None:
+            out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse)
+        if out is not None:
+            makespan, busy = float(out[0][0]), float(out[1][0])
+            messages = int(out[2][0])
+            trace = comm = fault_out = None
+            engine = label = "c"
+        else:
+            rank, task_of_rank = priority_ranks(prio, ntasks)
+            (
+                nnodes, cores_per_node, serialized, hierarchical,
+                lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+            ) = _machine_params(machine, b)
+            kw = {}
+            if fault is not None:
+                # the fault branch skips finished consumers: a low count ends at 0
+                pred_ptr, pred_idx = _transpose(cg.succ_ptr, cg.succ_idx)
+                wrong = np.diff(pred_ptr) != cg.wait
+                if wrong.any():
+                    raise _wait_mismatch(wrong)
+                kw = dict(
+                    fault=fault,
+                    pred_ptr=pred_ptr.tolist(),
+                    pred_idx=pred_idx.tolist(),
+                )
+            makespan, busy, messages, trace, comm, fault_out = _py_loop(
+                ntasks, nnodes, cores_per_node,
+                cg.dur_table[cg.kind].tolist(), cg.node.tolist(), cg.wait.tolist(),
+                cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
+                rank.tolist(), task_of_rank.tolist(),
+                serialized, hierarchical,
+                lat_intra, bwt_intra, lat_inter, bwt_inter, site,
+                data_reuse,
+                rec=rec, nbytes=tile_bytes, record_trace=record_trace,
+                **kw,
             )
-        makespan, busy, messages, trace, comm, fault_out = _py_loop(
-            ntasks, nnodes, cores_per_node,
-            cg.dur_table[cg.kind].tolist(), cg.node.tolist(), cg.wait.tolist(),
-            cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
-            rank.tolist(), task_of_rank.tolist(),
-            serialized, hierarchical,
-            lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-            data_reuse,
-            rec=rec, nbytes=tile_bytes, record_trace=record_trace,
-            **kw,
-        )
-        engine, label = "python", engine_label or "python"
-    if fault is None and rec is not None:
-        rec.run(
-            engine=label,
-            loop="cluster",
-            wall_s=time.perf_counter() - wall0,
-            makespan=makespan,
-            busy_seconds=busy,
-            messages=messages,
-            ntasks=ntasks,
-        )
-    if hook is not None:
-        hook(
-            "simulate", span0, time.monotonic(),
-            {"engine": label, "ntasks": ntasks},
-        )
+            engine, label = "python", engine_label or "python"
+        if fault is None and rec is not None:
+            rec.run(
+                engine=label,
+                loop="cluster",
+                wall_s=time.perf_counter() - wall0,
+                makespan=makespan,
+                busy_seconds=busy,
+                messages=messages,
+                ntasks=ntasks,
+            )
+        if sp is not None:
+            sp.attrs.update(engine=label, ntasks=ntasks)
     return CoreOutcome(
         result=SimulationResult(
             makespan=makespan,
@@ -955,8 +948,6 @@ def run_core_batch(
         )
     rec = _obs_active()
     wall0 = time.perf_counter() if rec is not None else 0.0
-    hook = _span_hook()
-    span0 = time.monotonic() if hook is not None else 0.0
     tile_bytes = machine.tile_bytes(b)
 
     lib = _pick_engine(core)
@@ -965,21 +956,27 @@ def run_core_batch(
         # loop; the per-point fallback below emits one engine_fallback
         # note per graph — identical attribution to the scalar path
         lib = None
-    out = None
+    out = sp = None
     if lib is not None:
-        with stage("dispatch_compute"):
+        with span("simulate") as sp:
             out = _c_cluster_batch(lib, graphs, prios, machine, b, data_reuse)
     if out is None:
         # bit-identical fallback: the scalar path per point (pure-Python
-        # core, or C per point after an allocation failure in the batch)
-        with stage("dispatch_compute"):
-            return [
-                run_core(
-                    cg, machine, b,
-                    prio=prio, data_reuse=data_reuse, core=core,
-                ).result
-                for cg, prio in zip(graphs, prios)
-            ]
+        # core, or C per point after an allocation failure in the batch);
+        # each run_core call emits its own "simulate" span
+        return [
+            run_core(
+                cg, machine, b,
+                prio=prio, data_reuse=data_reuse, core=core,
+            ).result
+            for cg, prio in zip(graphs, prios)
+        ]
+    counts = {
+        "points": sum(1 for cg in graphs if cg.ntasks),
+        "ntasks": sum(cg.ntasks for cg in graphs),
+    }
+    if sp is not None:
+        sp.attrs.update(engine="c-batch", **counts)
     makespans, busys, msgs = out
     results = [
         SimulationResult(
@@ -994,23 +991,13 @@ def run_core_batch(
         )
         for i, cg in enumerate(graphs)
     ]
-    if rec is not None or hook is not None:
-        live = sum(1 for cg in graphs if cg.ntasks)
     if rec is not None:
         rec.run(
             engine="c-batch",
             loop="cluster",
             wall_s=time.perf_counter() - wall0,
-            points=live,
-            ntasks=sum(cg.ntasks for cg in graphs),
+            **counts,
             threads=sim_threads(),
             openmp=_ccore.openmp_available(),
-        )
-    if hook is not None:
-        # one span for the whole fused dispatch; the per-point fallback
-        # above goes through run_core, which emits its own per-graph spans
-        hook(
-            "simulate", span0, time.monotonic(),
-            {"engine": "c-batch", "points": live},
         )
     return results

@@ -50,10 +50,8 @@ from repro.obs.tracing import (
     Tracer,
     attach,
     format_traceparent,
-    install_core_hook,
     parse_traceparent,
     span,
-    uninstall_core_hook,
 )
 from repro.serve.scheduler import FairScheduler, Job, TenantSpec
 from repro.serve.service import PlannerService, PlanRequest
@@ -124,7 +122,6 @@ class PlanningDaemon:
             store_capacity=trace_capacity,
             flight=FlightRecorder(flight_capacity, cooldown=flight_cooldown),
         )
-        self._hook_installed = False
         self._cond = threading.Condition()
         self._draining = False
         self._stopping = False
@@ -152,8 +149,6 @@ class PlanningDaemon:
         )
         self._httpd.daemon_threads = True
         self._started_at = time.monotonic()
-        install_core_hook()  # "simulate" spans from run_core dispatches
-        self._hook_installed = True
         t = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-serve-http",
@@ -222,9 +217,6 @@ class PlanningDaemon:
                 pass  # the client hung up first
         for t in self._threads:
             t.join(timeout=5.0)
-        if self._hook_installed:
-            uninstall_core_hook()
-            self._hook_installed = False
         # flush observability before the process exits
         from repro.obs.events import active as _obs_active
 

@@ -87,6 +87,13 @@ class TestScalapackModel:
         g = [model.gflops(67200, n * 280) for n in (4, 40, 120, 240)]
         assert g == sorted(g)
 
+    def test_plateau_is_flat_over_the_figure9_grid(self, model):
+        """Figure 9 at full scale: once the update term binds, every N
+        reads the GEMM plateau exactly, never one ulp below it."""
+        g = [model.gflops(67200, k * 280) for k in range(4, 241, 4)]
+        assert g == sorted(g)
+        assert g[-1] == model.machine.cores * model.gemm_rate_per_core / 1e9
+
     def test_latency_term_scales_with_column_count(self, model):
         """One reduction per column: doubling N doubles the panel latency
         share (the 'factor of b' of §V-C)."""

@@ -324,22 +324,13 @@ def test_overlapped_sweep_records_every_point_once(batched_path):
     caller gets the helper's ``simulate`` spans."""
     from repro.bench.runner import compiled_graph_for
     from repro.obs.events import recording
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        uninstall_core_hook,
-    )
+    from repro.obs.tracing import RequestTrace, attach
 
     setup = small_setup()
     points = _many_points()
     trace = RequestTrace("0" * 31 + "1", "test", 0.0)
-    install_core_hook()
-    try:
-        with recording("summary") as rec, attach(trace):
-            run_config_sweep(points, setup)
-    finally:
-        uninstall_core_hook()
+    with recording("summary") as rec, attach(trace):
+        run_config_sweep(points, setup)
     ntasks = sum(
         compiled_graph_for(
             m, n, cfg, setup.layout, setup.machine, setup.b
@@ -359,21 +350,11 @@ def test_overlapped_sweep_spans_hang_under_the_open_span(batched_path):
     """The helper re-attaches the caller's open span with its trace: run
     inside ``span("sweep")``, every ``simulate`` span is a child of
     ``sweep`` and none of the root."""
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        span,
-        uninstall_core_hook,
-    )
+    from repro.obs.tracing import RequestTrace, attach, span
 
     trace = RequestTrace("0" * 31 + "2", "test", 0.0)
-    install_core_hook()
-    try:
-        with attach(trace), span("sweep"):
-            run_config_sweep(_many_points(), small_setup())
-    finally:
-        uninstall_core_hook()
+    with attach(trace), span("sweep"):
+        run_config_sweep(_many_points(), small_setup())
     (sweep,) = trace.root.children
     assert sweep.name == "sweep"
     spans = [s for s in sweep.children if s.name == "simulate"]
@@ -398,20 +379,11 @@ def _traced_sweep(points, setup):
     """(results, ``c-batch`` run records, ``simulate`` spans) of one sweep
     run under a summary recorder and an attached request trace."""
     from repro.obs.events import recording
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        uninstall_core_hook,
-    )
+    from repro.obs.tracing import RequestTrace, attach
 
     trace = RequestTrace("0" * 31 + "3", "test", 0.0)
-    install_core_hook()
-    try:
-        with recording("summary") as rec, attach(trace):
-            got = run_config_sweep(points, setup)
-    finally:
-        uninstall_core_hook()
+    with recording("summary") as rec, attach(trace):
+        got = run_config_sweep(points, setup)
     spans, stack = [], list(trace.root.children)
     while stack:
         s = stack.pop()

@@ -1,53 +1,82 @@
-"""Harness self-profiling: stage timers and the profile_run report."""
+"""Harness self-profiling: the span-tree fold and the profile_run report."""
 
-import pytest
-
-from repro.obs.profile import (
-    SelfProfile,
-    active_profile,
-    format_profile,
-    profile_run,
-    profiling,
-    stage,
+from repro.obs.profile import fold_spans, format_profile, profile_run
+from repro.obs.tracing import (
+    RequestTrace,
+    Span,
+    attach,
+    current_trace,
+    mint_trace_id,
+    span,
 )
 
 
+def _traced():
+    return RequestTrace(mint_trace_id(), "test", 0.0)
+
+
 class TestStageTimers:
+    """``fold_spans``: one report row per span name, from a span tree."""
+
     def test_inactive_stage_is_noop(self):
-        assert active_profile() is None
-        with stage("anything"):
-            pass  # must not raise, must not record anywhere
+        assert current_trace() is None
+        with span("anything") as sp:
+            assert sp is None  # nothing attached: nothing timed or kept
 
     def test_stages_accumulate(self):
-        with profiling() as sp:
-            with stage("a"):
-                pass
-            with stage("a"):
-                pass
-            with stage("b"):
-                pass
-        assert sp.stages["a"][1] == 2
-        assert sp.stages["b"][1] == 1
-        assert sp.seconds("a") >= 0.0
-        assert sp.seconds("missing") == 0.0
+        trace = _traced()
+        with attach(trace):
+            for name in ("a", "a", "b"):
+                with span(name):
+                    pass
+        stages = fold_spans(trace.root)
+        assert stages["a"]["calls"] == 2
+        assert stages["b"]["calls"] == 1
+        assert stages["a"]["seconds"] >= 0.0
+        assert "missing" not in stages
 
     def test_nested_stages_each_record(self):
-        with profiling() as sp:
-            with stage("outer"):
-                with stage("inner"):
+        trace = _traced()
+        with attach(trace):
+            with span("outer"):
+                with span("inner"):
                     pass
-        assert "outer" in sp.stages and "inner" in sp.stages
+        (outer,) = trace.root.children
+        assert [c.name for c in outer.children] == ["inner"]
+        assert set(fold_spans(trace.root)) == {"outer", "inner"}
 
     def test_profiling_uninstalls_on_exit(self):
-        with profiling():
-            assert active_profile() is not None
-        assert active_profile() is None
+        """profile_run attaches its trace for the run only: the caller's
+        trace is back afterwards and got none of the run's spans."""
+        mine = _traced()
+        with attach(mine):
+            profile_run(m=16, n=4, sweep_points=1, with_cprofile=False)
+            assert current_trace() is mine
+        assert mine.root.children == []
+        assert current_trace() is None
 
     def test_to_dict(self):
-        sp = SelfProfile()
-        sp.add("x", 1.5)
-        sp.add("x", 0.5)
-        assert sp.to_dict() == {"x": {"seconds": 2.0, "calls": 2}}
+        root = Span("request", 0.0, 4.0, children=[
+            Span("x", 0.0, 1.5),
+            Span("x", 2.0, 2.5),
+        ])
+        assert fold_spans(root) == {"x": {"seconds": 2.0, "calls": 2}}
+
+    def test_simulate_under_sweep_reads_dispatch_compute(self):
+        root = Span("request", 0.0, 9.0, children=[
+            Span("simulate", 0.0, 1.0),
+            Span("sweep", 1.0, 9.0, children=[
+                Span("graph", 1.0, 2.0),
+                Span("simulate", 2.0, 4.0),
+                Span("simulate", 4.0, 8.0),
+            ]),
+        ])
+        assert fold_spans(root) == {
+            "dispatch_compute": {"seconds": 6.0, "calls": 2},
+            "graph": {"seconds": 1.0, "calls": 1},
+            "simulate": {"seconds": 1.0, "calls": 1},
+            "sweep": {"seconds": 8.0, "calls": 1},
+        }
 
 
 class TestProfileRun:

@@ -413,31 +413,21 @@ def test_obs_recording_is_bitwise_neutral(name, level):
 
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
 def test_tracing_span_hook_is_bitwise_neutral(name):
-    """The request-tracing core hook must not move a single bit.
+    """The core's ``simulate`` span must not move a single bit.
 
-    Hook installed AND a trace attached — the maximally instrumented
-    configuration — still reproduces the golden fixtures, and the hook
-    emits exactly one "simulate" span per run."""
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        mint_trace_id,
-        uninstall_core_hook,
-    )
+    A trace attached — the maximally instrumented configuration — still
+    reproduces the golden fixtures, and the core emits exactly one
+    "simulate" span per run."""
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
-    install_core_hook()
-    try:
-        with attach(trace):
-            res = run_core(
-                cg, case.machine, case.b,
-                prio=prio, data_reuse=case.data_reuse,
-            ).result
-    finally:
-        uninstall_core_hook()
+    with attach(trace):
+        res = run_core(
+            cg, case.machine, case.b,
+            prio=prio, data_reuse=case.data_reuse,
+        ).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     spans = [s for s in trace.root.children if s.name == "simulate"]
     assert len(spans) == 1
@@ -446,30 +436,20 @@ def test_tracing_span_hook_is_bitwise_neutral(name):
 
 def test_tracing_span_hook_is_bitwise_neutral_batched():
     """Same neutrality through the batched dispatch path."""
-    from repro.obs.tracing import (
-        RequestTrace,
-        attach,
-        install_core_hook,
-        mint_trace_id,
-        uninstall_core_hook,
-    )
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 
     names = ["flat-serialized", "flat-critical-path"]
     cases = [CASES[n] for n in names]
     compiled = [_compiled(c) for c in cases]
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
-    install_core_hook()
-    try:
-        with attach(trace):
-            results = run_core_batch(
-                [cg for _, _, cg, _ in compiled],
-                cases[0].machine,
-                cases[0].b,
-                prios=[prio for _, _, _, prio in compiled],
-                data_reuse=cases[0].data_reuse,
-            )
-    finally:
-        uninstall_core_hook()
+    with attach(trace):
+        results = run_core_batch(
+            [cg for _, _, cg, _ in compiled],
+            cases[0].machine,
+            cases[0].b,
+            prios=[prio for _, _, _, prio in compiled],
+            data_reuse=cases[0].data_reuse,
+        )
     for name, res in zip(names, results):
         _assert_scalar(res, FIXTURE["scalar"][name])
     assert any(s.name == "simulate" for s in trace.root.children)

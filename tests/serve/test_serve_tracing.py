@@ -120,6 +120,47 @@ class TestTraceEndpoint:
         staged = sum(bd[s] for s in ATTRIBUTION_STAGES)
         assert staged == pytest.approx(bd["total"], rel=0.05)
 
+    def test_cold_plan_spans_nest_under_graph_and_dispatch_once(
+        self, client, monkeypatch
+    ):
+        """One served cold request: ``elim`` and ``dag_build`` are
+        children of ``graph``, each core dispatch is exactly one
+        ``simulate`` span, none nested in another, and the breakdown
+        still sums to the total."""
+        import repro.runtime.core as core_mod
+
+        dispatches = []
+        for name in ("_c_cluster_batch", "_py_loop"):
+            real = getattr(core_mod, name)
+
+            def counting(*args, _real=real, **kwargs):
+                dispatches.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(core_mod, name, counting)
+        # a question no other test asks: only a first-seen one simulates
+        resp = client.plan("gold", {**TINY_REQUEST, "m": 17})
+        assert resp.body["cache_hit"] is False
+        tree = client.trace(resp.job_id)
+        spans, stack = [], [(tree["root"], ())]
+        while stack:
+            sp, above = stack.pop()
+            spans.append((sp, above))
+            stack.extend(
+                (c, above + (sp["name"],)) for c in sp.get("children", ())
+            )
+        graphs = [sp for sp, _ in spans if sp["name"] == "graph"]
+        assert len(graphs) == 1
+        kids = [c["name"] for c in graphs[0].get("children", ())]
+        assert sorted(kids) == ["dag_build", "elim"]
+        simulates = [above for sp, above in spans if sp["name"] == "simulate"]
+        assert len(simulates) == len(dispatches) == 1
+        assert all("simulate" not in above for above in simulates)
+        att = tree["attribution"]
+        assert sum(att[s] for s in ATTRIBUTION_STAGES) == pytest.approx(
+            att["total"], rel=1e-9
+        )
+
     def test_unknown_job_404(self, client):
         status, _, _ = client._request("GET", "/trace/999999")
         assert status == 404
@@ -196,22 +237,3 @@ class TestMetricsAndStats:
         stats = client.stats()
         assert stats["tracing"]["stored_traces"] >= 1
         assert stats["tracing"]["flight_ring"] >= 1
-
-
-class TestHookLifecycle:
-    def test_core_hook_uninstalled_after_shutdown(self, daemon, client):
-        from repro.obs.tracing import active_core_hook
-
-        assert active_core_hook() is not None
-        daemon.shutdown()
-        assert active_core_hook() is None
-
-    def test_shutdown_without_start_leaves_other_daemons_hook(self, daemon):
-        other = PlanningDaemon(
-            PlannerService(tiny_setup()), TENANTS, port=0, workers=1
-        )
-        # never started: its shutdown must not decrement the refcount
-        other.shutdown()
-        from repro.obs.tracing import active_core_hook
-
-        assert active_core_hook() is not None

@@ -2,6 +2,7 @@
 chaos degradation — the acceptance-criteria behaviors."""
 
 from _serve_testlib import TENANTS, TINY_REQUEST
+from repro.obs.tracing import Tracer, traces_jsonl
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.stream import ChaosWindow, run_stream
 
@@ -35,6 +36,24 @@ class TestDeterminism:
         warm = run_stream(service, TENANTS, arrivals, capacity=2)
         assert cold.summary() == warm.summary()
         assert warm.slo.cache_hit_ratio() == 1.0
+
+    def test_traced_stream_is_bit_identical_and_virtual(self, service):
+        """A seeded traced run replays byte for byte, cold then warm: no
+        wall-clock span of the planning chain leaks into a virtual-time
+        trace."""
+        arrivals = make_arrivals(duration=10.0, seed=7)
+        dumps = []
+        for _ in range(2):
+            tracer = Tracer()
+            run_stream(service, TENANTS, arrivals, capacity=2, tracer=tracer)
+            dumps.append(traces_jsonl(tracer.traces()))
+        assert dumps[0] == dumps[1]
+        names, stack = set(), [t.root for t in tracer.traces()]
+        while stack:
+            sp = stack.pop()
+            names.add(sp.name)
+            stack.extend(sp.children)
+        assert names == {"request", "admission", "queue", "service", "simulate"}
 
     def test_different_seed_different_trace(self, service):
         one = run_stream(service, TENANTS, make_arrivals(seed=1), capacity=2)
