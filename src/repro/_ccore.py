@@ -16,8 +16,8 @@ queue key is distinct (event codes and priority ranks are unique), so pop
 order is fully determined by the key total order and any correct priority
 queue produces the same schedule as Python's ``heapq``.  The cluster loop
 uses that freedom: finish events sit in one sorted ring per kernel kind,
-data-arrival events in a 4-ary heap, and the next event is a branch-free
-``(time, code)`` minimum over one table of the seven queue heads.  The
+data-arrival events in a 4-ary heap, each key as one 128-bit integer, and
+the next event is a branch-free minimum over the seven queue heads.  The
 library is built with ``-ffp-contract=off`` (no FMA contraction) to keep
 arithmetic IEEE-identical to CPython's.
 """
@@ -70,24 +70,20 @@ int32_t hqr_openmp(void) {
 
 /* ------------------------------------------------------------------ *
  * Event keys, ordered by (time, code): codes are unique per event, so
- * pop order is implementation-independent.  An hkey is a key as one
- * 128-bit integer of that order (time bits sign-folded on top, code
- * below; event times are sums grown from +0.0, never -0.0), so a minimum
- * over hkeys compiles to conditional moves; HK_NONE, {+inf, INT64_MAX},
- * marks an empty queue.  Each push and pop refreshes its head slot.
+ * pop order is implementation-independent.  Every queue holds a key as
+ * one 128-bit integer of that order, an hkey (time bits sign-folded on
+ * top, code below; event times are sums grown from +0.0, never -0.0), so
+ * each comparison is one unsigned compare and a minimum compiles to
+ * conditional moves; HK_NONE, {+inf, INT64_MAX}, marks an empty slot.
+ * Each push and pop refreshes its queue's head slot.
  * ------------------------------------------------------------------ */
-typedef struct { double t; int64_t c; } evkey;
 typedef unsigned __int128 hkey;
 #define HK_NONE (((hkey)0xFFF0000000000000ull << 64) | INT64_MAX)
 
-static inline int ev_lt(evkey a, evkey b) {
-    return (a.t < b.t) | ((a.t == b.t) & (a.c < b.c));
-}
-
-static inline hkey hk_of(evkey e) {
-    union { double d; uint64_t u; } b = {e.t};
+static inline hkey hk_of(double t, int64_t c) {
+    union { double d; uint64_t u; } b = {t};
     b.u ^= (uint64_t)((int64_t)b.u >> 63) | 0x8000000000000000ull;
-    return ((hkey)b.u << 64) | (uint64_t)e.c;
+    return ((hkey)b.u << 64) | (uint64_t)c;
 }
 
 static inline double hk_time(hkey h) {
@@ -96,53 +92,56 @@ static inline double hk_time(hkey h) {
     return b.d;
 }
 
-/* 4-ary min-heap of whole keys: half the depth of a binary heap */
-typedef struct { evkey *k; int64_t len; } evheap;
+/* 4-ary min-heap, half a binary heap's depth.  The four slots past the
+ * last key hold HK_NONE (a push pads one, a pop resets the one it frees),
+ * so a sift-down takes the least of four children with conditional moves. */
+typedef struct { hkey *k; int64_t len; } evheap;
 
-static void ev_push(evheap *h, evkey x, hkey *head) {
+static void ev_push(evheap *h, hkey x, hkey *head) {
     int64_t i = h->len++;
-    for (int64_t p; i > 0 && !ev_lt(h->k[p = (i - 1) >> 2], x); i = p)
+    h->k[i + 4] = HK_NONE;
+    for (int64_t p; i > 0 && h->k[p = (i - 1) >> 2] > x; i = p)
         h->k[i] = h->k[p];
     h->k[i] = x;
-    *head = hk_of(h->k[0]);
+    *head = h->k[0];
 }
 
 static void ev_pop(evheap *h, hkey *head) {
+    hkey *k = h->k;
     int64_t n = --h->len, i = 0, c;
-    evkey x = h->k[n];
+    hkey x = k[n];
     while ((c = 4 * i + 1) < n) {
-        int64_t s = c, end = c + 4 < n ? c + 4 : n;
-        for (int64_t j = c + 1; j < end; j++)
-            if (ev_lt(h->k[j], h->k[s]))
-                s = j;
-        if (!ev_lt(h->k[s], x))
+        int64_t a = k[c + 1] < k[c], b = 2 + (k[c + 3] < k[c + 2]);
+        int64_t s = c + (k[c + b] < k[c + a] ? b : a);
+        if (k[s] > x)
             break;
-        h->k[i] = h->k[s];
+        k[i] = k[s];
         i = s;
     }
-    h->k[i] = x;
-    *head = n ? hk_of(h->k[0]) : HK_NONE;
+    k[i] = x;
+    k[n] = HK_NONE;  /* after the write: when n is 0, i is too */
+    *head = k[0];
 }
 
 /* ------------------------------------------------------------------ *
- * Finish ring: a circular buffer of (time, code) keys kept sorted by
- * backward insertion, so a correct priority queue for any input and O(1)
- * when keys arrive in order.  head and tail count pops and pushes and
- * are reduced modulo the power-of-two capacity (mask + 1) on access.
+ * Finish ring: a circular buffer of keys kept sorted by backward
+ * insertion, so a correct priority queue for any input and O(1) when
+ * keys arrive in order.  head and tail count pops and pushes and are
+ * reduced modulo the power-of-two capacity (mask + 1) on access.
  * ------------------------------------------------------------------ */
-typedef struct { evkey *k; int64_t head, tail; } evring;
+typedef struct { hkey *k; int64_t head, tail; } evring;
 
-static void ring_push(evring *r, int64_t mask, evkey x, hkey *head) {
+static void ring_push(evring *r, int64_t mask, hkey x, hkey *head) {
     int64_t i = r->tail++;
-    for (; i > r->head && !ev_lt(r->k[(i - 1) & mask], x); i--)
+    for (; i > r->head && r->k[(i - 1) & mask] > x; i--)
         r->k[i & mask] = r->k[(i - 1) & mask];
     r->k[i & mask] = x;
-    *head = hk_of(r->k[r->head & mask]);
+    *head = r->k[r->head & mask];
 }
 
 static void ring_pop(evring *r, int64_t mask, hkey *head) {
     r->head++;
-    *head = r->head == r->tail ? HK_NONE : hk_of(r->k[r->head & mask]);
+    *head = r->head == r->tail ? HK_NONE : r->k[r->head & mask];
 }
 
 /* ------------------------------------------------------------------ *
@@ -629,10 +628,10 @@ int64_t hqr_transpose(
  * event goes into the ring of its kernel kind (a task starts at the
  * current event time and a kind has one duration, so each ring receives
  * its keys almost in order), a data-arrival event (non-monotone under
- * serialized channels) into a 4-ary heap.  head[] holds the seven queue
- * heads, six rings then the heap, so the next event is a branch-free
- * minimum over one table.  Keys are unique, so this pops in the order
- * of the reference loop's single heapq.
+ * serialized channels) into a 4-ary heap, both as hkeys.  head[] holds
+ * the seven queue heads, six rings then the heap, so the next event is a
+ * branch-free minimum over one table.  Keys are unique, so this pops in
+ * the order of the reference loop's single heapq.
  * ------------------------------------------------------------------ */
 static int32_t hqr_simulate_cluster(
     int64_t ntasks, int32_t nnodes, int32_t cores_per_node,
@@ -655,7 +654,7 @@ static int32_t hqr_simulate_cluster(
     evring fin[6];
     hkey head[7] = {HK_NONE, HK_NONE, HK_NONE, HK_NONE, HK_NONE, HK_NONE,
                     HK_NONE};
-    evkey *ring_keys = NULL;
+    hkey *ring_keys = NULL;
     /* a finish event holds a core until it pops: at most cores in flight */
     int64_t ring_cap = 1;
     while (ring_cap < ntasks && ring_cap < (int64_t)nnodes * cores_per_node)
@@ -670,9 +669,9 @@ static int32_t hqr_simulate_cluster(
     sent_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
     state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
-    /* at most one arrival event per task */
-    ev.k = (evkey *)malloc((size_t)ntasks * sizeof(evkey));
-    ring_keys = (evkey *)malloc((size_t)(6 * ring_cap) * sizeof(evkey));
+    /* at most one arrival event per task, and four HK_NONE slots */
+    ev.k = (hkey *)malloc((size_t)(ntasks + 4) * sizeof(hkey));
+    ring_keys = (hkey *)malloc((size_t)(6 * ring_cap) * sizeof(hkey));
     if (!waiting || !data_ready || !free_cores || !chan_free || !sent_at ||
         !sent_by || !state || !ready || !ev.k || !ring_keys)
         goto done;
@@ -688,6 +687,7 @@ static int32_t hqr_simulate_cluster(
         fin[k].k = ring_keys + k * ring_cap;
         fin[k].head = fin[k].tail = 0;
     }
+    ev.k[0] = ev.k[1] = ev.k[2] = ev.k[3] = HK_NONE;
     for (int32_t i = 0; i < nnodes; i++) {
         free_cores[i] = cores_per_node;
         sent_by[i] = -1;
@@ -706,7 +706,7 @@ static int32_t hqr_simulate_cluster(
         busy += dur_;                                                         \
         if (end_ > finish_time)                                               \
             finish_time = end_;                                               \
-        ring_push(&fin[kind[T]], mask, (evkey){end_, T}, &head[kind[T]]);     \
+        ring_push(&fin[kind[T]], mask, hk_of(end_, T), &head[kind[T]]);       \
     } while (0)
 
 #define TRY_START(T, NOW)                                                     \
@@ -813,7 +813,7 @@ static int32_t hqr_simulate_cluster(
                     if (avail <= now)
                         TRY_START(s, now);
                     else
-                        ev_push(&ev, (evkey){avail, ntasks + s}, &head[6]);
+                        ev_push(&ev, hk_of(avail, ntasks + s), &head[6]);
                 }
             }
         } else {

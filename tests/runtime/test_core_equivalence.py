@@ -341,9 +341,10 @@ def test_a_wrong_wait_count_is_refused_by_every_loop(change):
 
 
 # the C loop keeps finish events in one sorted ring per kernel kind, which
-# is fastest when each kind's finish times arrive in order, and arrivals in
-# a 4-ary heap; these inputs are where that order is least assured, and
-# both must still pop in the (time, code) order of the Python loop's heapq
+# is fastest when each kind's finish times arrive in order, arrivals in a
+# 4-ary heap and each node's ready tasks in a heap of ranks; these inputs
+# are where that order is least assured, and every queue must still pop in
+# the order of the Python loop's heapq
 _QUEUE_DURS = {
     "native": None,
     "equal": [1.0e-3] * 6,
@@ -364,6 +365,13 @@ _QUEUE_MACHINES = {
     # a 4-ary heap's first two levels, so a sift that stops early shows
     "base-32x12": (CASES["flat-serialized"].machine, (4, 2), (32, 12)),
     "two-site-32x12": (CASES["hierarchical"].machine, (4, 2), (32, 12)),
+    # one node's ready heap reaches 37 ready tasks in program order and 50
+    # reversed (15 and 19 at 16 x 5), past the 31 slots of a binary heap's
+    # first five levels, so a ready sift-down that stops early shows
+    "one-core-32x12": (Machine(nodes=1, cores_per_node=1), (1, 1), (32, 12)),
+    # 69 and 87 ready at once: past the ready heap's first 64-slot
+    # allocation, so its growth path runs (Figure 6(a) peaks at 57)
+    "one-core-80x16": (Machine(nodes=1, cores_per_node=1), (1, 1), (80, 16)),
 }
 
 

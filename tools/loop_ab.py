@@ -7,19 +7,23 @@ Usage::
 
 ``REV_B`` defaults to the working tree.  Each side's ``_C_SOURCE`` (from
 ``git show REV:src/repro/_ccore.py``) is compiled by ``_ccore._build``,
-with its flags, into a temporary ``REPRO_CACHE_DIR``.  Two graph sets are built
-once, by the working tree's planner, on the paper's setup (§V-A: the edel
-machine, b = 280, a 15 x 4 grid): the 72 Figure 6(a) points of the sweep
-workloads and the 60 cold questions of ``serve_mix``.  Each round then
-times one single-thread ``hqr_simulate_cluster_batch`` call per side and
-set (best of ``--repeat``), the side going first alternating by round, so
-host drift lands on both sides alike and no packing, planning or
-interpreter time is in the numbers.
+with its flags, into a temporary ``REPRO_CACHE_DIR``.  Three graph sets are
+built once, by the working tree's planner, on the paper's setup (§V-A: the
+edel machine, b = 280, a 15 x 4 grid): the 72 Figure 6(a) points of the sweep
+workloads, the 60 cold questions of ``serve_mix`` and the 73 graphs the two
+``tune_chain`` chains simulate (caught by a spy on ``run_core_batch``, the
+one call that simulates them).  Each round then times one single-thread
+``hqr_simulate_cluster_batch`` call per side and set (best of
+``--repeat``), the side going first alternating by round, so host drift
+lands on both sides alike and no packing, planning or interpreter time is
+in the numbers.
 
-Prints nanoseconds a task per side and set (median, quartiles, min) and
-the rounds B won.  Exits 1 when the two sides' makespans, busy times or
-message counts differ in any bit, 2 when a side does not build or its
-loop refuses a graph.
+Prints nanoseconds a task per side and set (median, quartiles, min), the
+rounds B won and a verdict: B is faster only when it wins at least nine
+tenths of the rounds and the medians differ by more than A's q1-q3 spread
+(the rule perf/ claims a gain by).  The verdict sets no exit code.  Exits
+1 when the two sides' makespans, busy times or message counts differ in
+any bit, 2 when a side does not build or its loop refuses a graph.
 """
 
 from __future__ import annotations
@@ -97,13 +101,42 @@ def graph_sets():
         for q in workloads.cold_questions(0) for c in [q["config"]]
     ]
     sets = {"fig6a": workloads.sweep_points(), "serve_cold": cold}
-    return setup, {
+    graphs = {
         name: [
             compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b)
             for m, n, cfg in points
         ]
         for name, points in sets.items()
     }
+    graphs["tune_chain"] = tune_graphs(setup)
+    return setup, graphs
+
+
+def tune_graphs(setup):
+    """The graphs the perf workload's ``tune_chain`` chains simulate."""
+    import workloads
+    from repro.runtime import core
+
+    caught = []
+    real = core.run_core_batch
+
+    def spy(graphs, machine, b, **kw):
+        if (machine, b) != (setup.machine, setup.b) or any(kw.values()):
+            die("tune_chain simulates off the paper's setup")
+        caught.extend(graphs)
+        return real(graphs, machine, b, **kw)
+
+    with tempfile.TemporaryDirectory(prefix="loop_ab_tune_") as tmp:
+        work = workloads.make("tune_chain", 1, Path(tmp), None)
+        work.prepare()
+        work.reset()
+        core.run_core_batch = spy
+        try:
+            work.run()
+        finally:
+            core.run_core_batch = real
+            work.close()
+    return caught
 
 
 class Batch:
@@ -187,9 +220,14 @@ def main(argv=None) -> int:
                   f"{int(batch.ntasks.sum()):>9}  {side:>4}  "
                   f"{med:7.1f} {q1:7.1f} {q3:7.1f} {min(xs):7.1f}")
         wins = sum(b < a for a, b in zip(ns[name, "A"], ns[name, "B"]))
-        med_a, med_b = (statistics.median(ns[name, s]) for s in ("A", "B"))
+        q1, med_a, q3 = statistics.quantiles(
+            ns[name, "A"], n=4, method="inclusive"
+        )
+        med_b = statistics.median(ns[name, "B"])
+        faster = wins >= 0.9 * args.rounds and med_a - med_b > q3 - q1
         print(f"{name:<11} B/A median x{med_b / med_a:.3f}, B faster in "
-              f"{wins} of {args.rounds} rounds")
+              f"{wins} of {args.rounds} rounds: "
+              + ("B is faster" if faster else "no gain shown"))
     if mismatched:
         print(f"MISMATCH: outputs differ in (round, set) {mismatched}")
         return 1
