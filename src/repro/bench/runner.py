@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -194,15 +193,21 @@ def _planned(asked, machine: Machine, b: int, out):
 
 
 def _simulate(planned, machine: Machine, b: int, out) -> None:
-    """Run ``planned`` as one batch; remember each result and fill ``out``."""
+    """Run ``planned`` as one batch and fill ``out``."""
     from repro.runtime.core import run_core_batch
 
     results = run_core_batch([cg for _, cg, _ in planned], machine, b)
-    for (key, _, idx), result in zip(planned, results):
-        if key is not None:
-            default_cache().remember(key, result)
+    for (_, _, idx), result in zip(planned, results):
         for i in idx:
             out[i] = (result, *out[i][1:])
+
+
+def _remember(asked, out) -> None:
+    """Remember each keyed answer in ``out`` no racing flight gave, in order."""
+    for key, _, (i, *_) in asked:
+        result, _, remembered = out[i]
+        if key is not None and not remembered:
+            default_cache().remember(key, result)
 
 
 def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
@@ -218,8 +223,8 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     core_mode()  # an unknown engine is refused before any lookup
     out, asked = _ask(questions, machine, b, reuse)
     with default_cache().flights({key for key, *_ in asked if key}):
-        planned = list(_planned(asked, machine, b, out))
-        _simulate(planned, machine, b, out)
+        _simulate(list(_planned(asked, machine, b, out)), machine, b, out)
+        _remember(asked, out)
     return out
 
 
@@ -243,52 +248,46 @@ def run_config(
 
 
 def _plan_and_simulate(asked, out, machine: Machine, b: int) -> None:
-    """The ``batched-c`` sweep's dispatch of ``asked`` (see :func:`_ask`):
-    under their gates this thread plans in point order (every planning
-    memo is touched by one thread) and queues each graph, and one helper
-    takes *everything queued so far* as one :func:`_simulate` call (the C
-    loop releases the GIL).  Chunk boundaries depend on timing, results
-    do not.  An error on either side stops the other; the helper is
-    joined before this returns or raises (a second interrupt *during that
-    join* escapes it) and re-attaches the caller's trace and open span.
-    """
-    planned = queue.SimpleQueue()  # (key, graph, indices), then None
+    """The ``batched-c`` sweep's dispatch of ``asked`` (see :func:`_ask`),
+    under their gates: each of W workers (this thread and W - 1 helpers;
+    W is ``REPRO_SIM_THREADS``, else this process's CPUs) takes the next
+    question, plans and simulates it, and drops its graph before the next.
+    Answers are remembered in question order after the join; the first
+    error on any worker stops the others and is raised here."""
+    from repro.runtime.core import sim_threads
+
+    todo, taking = iter(asked), threading.Lock()
     failure: list[BaseException] = []
     trace, parent = current_trace(), current_span()  # thread-local
 
-    def simulate() -> None:
+    def work() -> None:
         try:
-            with attach(trace, parent=parent):
-                last = False
-                while not last:
-                    chunk = [planned.get()]
-                    while not planned.empty():
-                        chunk.append(planned.get())
-                    last = chunk[-1] is None
-                    if failure:  # planning failed: drop what is queued
+            with attach(trace, parent=parent):  # the caller's, on any thread
+                while not failure:
+                    with taking:
+                        question = next(todo, None)
+                    if question is None:
                         return
-                    _simulate(chunk[:-1] if last else chunk, machine, b, out)
-        except BaseException as exc:  # re-raised by the caller below
+                    _simulate(list(_planned([question], machine, b, out)),
+                              machine, b, out)  # the graph is dropped here
+        except BaseException as exc:  # raised by the caller below
             failure.append(exc)
 
-    helper = threading.Thread(
-        target=simulate, name="repro-sweep-simulate", daemon=True
-    )
+    workers = min(sim_threads() or len(os.sched_getaffinity(0)), len(asked))
+    helpers = [threading.Thread(target=work, name=f"repro-sweep-{i}", daemon=True)
+               for i in range(1, workers)]
     with default_cache().flights({key for key, *_ in asked if key}):
-        helper.start()
         try:
-            for item in _planned(asked, machine, b, out):
-                if failure:
-                    break
-                planned.put(item)
-        except BaseException as exc:
-            failure.append(exc)
-            raise
+            for thread in helpers:
+                thread.start()
+            work()
         finally:
-            planned.put(None)
-            helper.join()
-    if failure:
-        raise failure[0]
+            for thread in helpers:
+                if thread.ident is not None:  # started
+                    thread.join()
+        if failure:
+            raise failure[0]
+        _remember(asked, out)
 
 
 def run_config_sweep(
@@ -305,8 +304,8 @@ def run_config_sweep(
     * the native core is loaded, the engine is not ``python`` and no
       task-level recorder is installed — each point asks the graph cache
       first (:func:`_ask`); a remembered one reaches neither planner nor
-      loop, the rest are planned here while a helper thread simulates
-      them in the batched C loop (:func:`_plan_and_simulate`);
+      loop, the rest are planned and simulated one point per worker
+      (:func:`_plan_and_simulate`);
     * otherwise — :func:`run_config` per point, in this process, which
       simulates every point every time.
 

@@ -53,8 +53,8 @@ def fold_spans(root: Span) -> dict[str, dict[str, float]]:
     """``{name: {"seconds", "calls"}}`` over every span under ``root``.
 
     A ``simulate`` span under a ``sweep`` counts as ``dispatch_compute``:
-    the sweep's helper dispatches in timing-dependent chunks, so keeping
-    them apart leaves the ``simulate`` call count deterministic.
+    the sweep's workers simulate side by side, so keeping them apart
+    leaves ``simulate`` to the serial pass, one call a point.
     """
     stages: dict[str, dict[str, float]] = {}
     for sp, in_sweep in _walk(root):

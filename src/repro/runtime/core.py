@@ -82,11 +82,10 @@ def core_mode() -> str:
 
 
 def sim_threads() -> int:
-    """OpenMP thread count for batched dispatch (``REPRO_SIM_THREADS``).
-
-    0 (the default) lets the OpenMP runtime pick; the result only affects
-    wall time — batch points are independent, so any thread count is
-    bit-identical.
+    """OpenMP threads of a batched dispatch and workers of a batched sweep
+    (``REPRO_SIM_THREADS``).  0 (the default) lets the OpenMP runtime pick
+    and a sweep use every CPU it may run on; points are independent, so
+    any count is bit-identical.
     """
     env = os.environ.get("REPRO_SIM_THREADS")
     if not env:

@@ -216,7 +216,7 @@ def test_verify_batched_engines_agree():
 
 
 # --------------------------------------------------------------------- #
-# the overlapped sweep: planning on the caller, the C loop on a helper
+# the overlapped sweep: W workers, each planning and simulating one point
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def batched_path(fresh_cache, monkeypatch):
@@ -244,8 +244,9 @@ def _sweep_threads():
 
 
 def test_overlapped_sweep_equals_the_run_config_loop(batched_path, monkeypatch):
-    """Cold, half-warm and warm caches, repeated points, any OpenMP team:
-    chunk boundaries move with timing, results and their order do not."""
+    """Cold, half-warm and warm caches, repeated points, any worker count:
+    which worker runs a point moves with timing, results and their order
+    do not."""
     setup = small_setup()
     points = _many_points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
@@ -269,7 +270,7 @@ def test_overlapped_sweep_equals_the_run_config_loop(batched_path, monkeypatch):
 
 def test_overlapped_sweep_planning_error_propagates(batched_path, monkeypatch):
     """A builder that raises on point k: the same exception reaches the
-    caller, the helper is gone, and the cache holds no build gate."""
+    caller, the helpers are gone, and the cache holds no build gate."""
     from repro.bench import runner
 
     boom = RuntimeError("elimination list refused")
@@ -291,37 +292,168 @@ def test_overlapped_sweep_planning_error_propagates(batched_path, monkeypatch):
 
 
 def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
-    """A graph the C loop refuses raises on the caller, which plans no
-    further point once the helper has gone."""
+    """A graph the C loop refuses on point k raises on the caller for any
+    worker count W; after the refusal at most W - 1 points begin (one per
+    other worker), no helper is left and the cache holds no build gate."""
+    import repro.runtime.core as core_mod
     from repro.bench import runner
 
-    real = runner._build_graph
-    calls = []
+    real_build, real_batch = runner._build_graph, core_mod.run_core_batch
+    points = _many_points()
+    calls, refused = [], []
 
     def patched(*args):
-        calls.append(args[:2])
-        cg = real(*args)
-        if len(calls) == 1:
+        calls.append(args[:3])
+        cg = real_build(*args)
+        if args[:3] == points[2]:
             kind = cg.kind.copy()
             kind[0] = 6
             return dataclasses.replace(cg, kind=kind)
-        for t in threading.enumerate():  # let the helper meet the graph
-            if t.name.startswith("repro-"):
-                t.join(30)
-                assert not t.is_alive()
         return cg
 
+    def batch(graphs, *args, **kwargs):
+        try:
+            return real_batch(graphs, *args, **kwargs)
+        except ValueError:
+            refused.append(len(calls))
+            raise
+
     monkeypatch.setattr(runner, "_build_graph", patched)
-    with pytest.raises(ValueError, match="graph 0"):
-        run_config_sweep(_many_points(), small_setup())
-    assert len(calls) == 2
-    assert _sweep_threads() == []
+    monkeypatch.setattr(core_mod, "run_core_batch", batch)
+    for workers in (1, 2, 4):
+        monkeypatch.setenv("REPRO_SIM_THREADS", str(workers))
+        calls.clear()
+        refused.clear()
+        with pytest.raises(ValueError, match="graph 0"):
+            run_config_sweep(points, small_setup())
+        (at,) = refused
+        assert points[2] in calls[:at]
+        assert len(calls) <= at + workers - 1, (workers, at, len(calls))
+        assert _sweep_threads() == []
+        assert batched_path._building == {}
+        assert len(batched_path._memory) == 0  # nothing remembered
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cold_sweep_holds_at_most_one_graph_per_worker(
+    workers, batched_path, monkeypatch
+):
+    """Each worker drops its graph before it takes the next point: a
+    finalizer on every graph built sees at most W alive at once, and none
+    once the sweep has returned."""
+    import weakref
+
+    from repro.bench import runner
+
+    real = runner._build_graph
+    counts = {"alive": 0, "peak": 0}
+    lock = threading.RLock()
+
+    def dropped():
+        with lock:
+            counts["alive"] -= 1
+
+    def tracked(*args):
+        cg = real(*args)
+        with lock:
+            counts["alive"] += 1
+            counts["peak"] = max(counts["peak"], counts["alive"])
+        weakref.finalize(cg, dropped)
+        return cg
+
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    batched_path.clear_memory()
+    monkeypatch.setattr(runner, "_build_graph", tracked)
+    monkeypatch.setenv("REPRO_SIM_THREADS", str(workers))
+    assert run_config_sweep(points, setup) == want
+    assert 1 <= counts["peak"] <= workers
+    assert counts["alive"] == 0
+
+
+def test_concurrent_planning_matches_serial_planning():
+    """Sweep workers plan at once from shared tree instances.  Threads
+    released together on fresh trees, each in its own point order (so
+    ``table()`` grows under a race), build elimination lists and graphs
+    bitwise equal to a serial run's."""
+    import sys
+
+    import numpy as np
+
+    from repro.trees.factory import make_tree
+
+    setup = small_setup()
+    points = _many_points()
+
+    def plan(m, n, cfg):
+        elims = hqr_elimination_list(m, n, cfg)
+        cg = compiled_from_eliminations(
+            elims, m, n, setup.layout, setup.machine, setup.b
+        )
+        return [elims.panel, elims.victim, elims.killer, elims.ts,
+                cg.kind, cg.wait, cg.node, cg.succ_ptr, cg.succ_idx]
+
+    def same(got, want):
+        return len(got) == len(want) and all(
+            g.dtype == w.dtype and np.array_equal(g, w)
+            for g, w in zip(got, want)
+        )
+
+    want = [plan(*point) for point in points]
+    nthreads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fresh = {}  # one new instance per tree name, shared by all
+
+            def shared(name):
+                tree = make_tree(name)
+                return fresh.setdefault(tree.name, type(tree)())
+
+            configs = [
+                cfg.with_(low_tree=shared(cfg.low_tree),
+                          high_tree=shared(cfg.high_tree))
+                for _, _, cfg in points
+            ]
+            start = threading.Barrier(nthreads)
+            got, errors = {}, []
+
+            def planner(slot):
+                try:
+                    order = list(range(len(points)))[slot::-1]
+                    order += list(range(slot + 1, len(points)))
+                    start.wait(30)
+                    got[slot] = {
+                        i: plan(points[i][0], points[i][1], configs[i])
+                        for i in order
+                    }
+                except BaseException as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=planner, args=(slot,))
+                for slot in range(nthreads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            for slot in range(nthreads):
+                assert sorted(got[slot]) == list(range(len(points)))
+                for i, arrays in got[slot].items():
+                    assert same(arrays, want[i]), (slot, points[i])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_overlapped_sweep_records_every_point_once(batched_path):
-    """Chunks are timing-dependent, their sum is not: the ``c-batch`` run
-    records add up to the sweep, and a request trace attached to the
-    caller gets the helper's ``simulate`` spans."""
+    """Each distinct unanswered point is one ``c-batch`` run record of one
+    point and one ``simulate`` span, whichever worker ran it: a request
+    trace attached to the caller gets the helpers' spans too."""
     from repro.bench.runner import compiled_graph_for
     from repro.obs.events import recording
     from repro.obs.tracing import RequestTrace, attach
@@ -338,28 +470,33 @@ def test_overlapped_sweep_records_every_point_once(batched_path):
         for m, n, cfg in points
     )
     runs = [r for r in rec.runs if r["engine"] == "c-batch"]
-    assert len(runs) == len(rec.runs) >= 1
-    assert sum(r["points"] for r in runs) == len(points)
+    assert len(runs) == len(rec.runs) == len(points)
+    assert all(r["points"] == 1 for r in runs)
     assert sum(r["ntasks"] for r in runs) == ntasks
     spans = [s for s in trace.root.children if s.name == "simulate"]
-    assert len(spans) == len(runs)
-    assert sum(s.attrs["points"] for s in spans) == len(points)
+    assert len(spans) == len(points)
+    assert all(s.attrs["points"] == 1 for s in spans)
 
 
 def test_overlapped_sweep_spans_hang_under_the_open_span(batched_path):
-    """The helper re-attaches the caller's open span with its trace: run
-    inside ``span("sweep")``, every ``simulate`` span is a child of
-    ``sweep`` and none of the root."""
+    """The helpers re-attach the caller's open span with its trace: run
+    inside ``span("sweep")``, every ``graph`` and ``simulate`` span, on
+    whichever worker it was made, is a child of ``sweep`` and none of the
+    root."""
     from repro.obs.tracing import RequestTrace, attach, span
 
+    points = _many_points()
     trace = RequestTrace("0" * 31 + "2", "test", 0.0)
     with attach(trace), span("sweep"):
-        run_config_sweep(_many_points(), small_setup())
+        run_config_sweep(points, small_setup())
     (sweep,) = trace.root.children
     assert sweep.name == "sweep"
+    graphs = [s for s in sweep.children if s.name == "graph"]
     spans = [s for s in sweep.children if s.name == "simulate"]
-    assert spans
-    assert sum(s.attrs["points"] for s in spans) == len(_many_points())
+    assert len(graphs) == len(spans) == len(points)
+    assert sorted((s.attrs["m"], s.attrs["n"]) for s in graphs) == sorted(
+        (m, n) for m, n, _ in points
+    )
 
 
 def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
