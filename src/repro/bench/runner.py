@@ -129,8 +129,8 @@ def compiled_graph_for(
 ):
     """Build (or fetch from the in-memory cache) one compiled graph.
 
-    The build path of callers that read the graph again, :func:`answers`
-    without ``reuse`` and the explorer's ranking: the graph is stored in
+    The build path of a caller that reads the graph again, the explorer's
+    ranking (predict, then verify): the graph is stored in
     :func:`~repro.dag.cache.default_cache` under its fingerprint, or
     built uncached for a layout with no stable serialization (no key).
     A build expands ``elims``, the caller's list of ``config``, if given.
@@ -175,20 +175,18 @@ def _ask(questions, machine: Machine, b: int, reuse: bool):
 def _planned(asked, machine: Machine, b: int, out):
     """Build, under the asked keys' gates: ``(key, graph, indices)`` per
     question no racing caller answered meanwhile — a keyed one's resident
-    graph or a build kept out of the LRU (only its answer is kept), an
-    unkeyed one's from :func:`compiled_graph_for`."""
+    graph, else a build kept out of the LRU (only its answer is kept); an
+    unkeyed one's is always built and kept nowhere."""
     for key, (m, n, config, layout, elims), idx in asked:
-        if key is None:
-            cg = compiled_graph_for(m, n, config, layout, machine, b, elims)
-        elif (got := default_cache().answer(key, count=False)[1]) is not None:
+        got = default_cache().answer(key, count=False)[1] if key else None
+        if got is not None:
             for i in idx:  # a racing caller's flight answered it
                 out[i] = (got, out[i][1], True)
             continue
-        else:
-            with span("graph", m=m, n=n):
-                cg = default_cache().get(key)  # kept by run_config or rank
-                if cg is None:
-                    cg = _build_graph(m, n, config, layout, machine, b, elims)
+        with span("graph", m=m, n=n):
+            cg = default_cache().get(key) if key else None  # kept by rank
+            if cg is None:
+                cg = _build_graph(m, n, config, layout, machine, b, elims)
         yield key, cg, idx
 
 
@@ -215,9 +213,9 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     elims])`` question, ``elims`` being a list a bound pass already made.
     With ``reuse`` a keyed question asks its cache entry first and a
     distinct miss is built, simulated and remembered once, under its
-    key's gate; without, graphs come from :func:`compiled_graph_for`.
-    Misses run in one ``run_core_batch``.  An unkeyable layout remembers
-    nothing."""
+    key's gate; without, no fingerprint is taken and every question is
+    built, simulated and dropped: nothing is read or kept.  Misses run in
+    one ``run_core_batch``.  An unkeyable layout remembers nothing."""
     from repro.runtime.core import core_mode
 
     core_mode()  # an unknown engine is refused before any lookup
@@ -237,8 +235,8 @@ def run_config(
 ) -> SimulationResult:
     """Build the HQR elimination list for ``config`` and simulate it.
 
-    The compiled graph is memoized across calls, the result is not:
-    :func:`answers` without ``reuse`` always simulates.
+    Every call builds and simulates; nothing is kept (:func:`answers`
+    without ``reuse``), so the graph is dropped when this returns.
     """
     setup = setup or BenchSetup()
     lay = layout if layout is not None else setup.layout
@@ -273,7 +271,9 @@ def _plan_and_simulate(asked, out, machine: Machine, b: int) -> None:
         except BaseException as exc:  # raised by the caller below
             failure.append(exc)
 
-    workers = min(sim_threads() or len(os.sched_getaffinity(0)), len(asked))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # macOS has no sched_getaffinity
+    workers = min(sim_threads() or cpus, len(asked))
     helpers = [threading.Thread(target=work, name=f"repro-sweep-{i}", daemon=True)
                for i in range(1, workers)]
     with default_cache().flights({key for key, *_ in asked if key}):

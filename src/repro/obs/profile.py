@@ -7,7 +7,7 @@ dispatch.  It adds no timer of its own:
 
 * **Spans** — :func:`profile_run` attaches a trace
   (:mod:`repro.obs.tracing`) for its run, so the ``span()`` calls the
-  planning chain makes anyway (``graph`` around a cache lookup or build,
+  planning chain makes anyway (``graph`` around a build and any graph lookup,
   ``elim`` and ``dag_build`` inside it, ``simulate`` around each core
   dispatch) land in one tree, which :func:`fold_spans` folds by name.
 * **cProfile hooks** — :func:`profile_run` wraps the serial pass in
@@ -18,9 +18,8 @@ Nesting: ``graph`` *contains* ``elim`` and ``dag_build``; its self time
 is pure cache overhead.
 
 Threads: a span is busy time on whichever thread ran it.  The batched
-sweep runs its ``simulate`` spans (the C event loop, on its helper
-thread) beside ``elim`` / ``dag_build`` (on the caller), so the stages
-inside a ``sweep`` may sum past its wall time; the excess is the overlap.
+sweep's workers plan and simulate side by side, so the stages inside a
+``sweep`` may sum past its wall time; the excess is the overlap.
 """
 
 from __future__ import annotations
@@ -90,14 +89,15 @@ def profile_run(
 
     Stages measured (serial pass, clean attribution): ``elim``
     (elimination list), ``dag_build`` (compiled-graph construction),
-    ``graph`` (cache lookup incl. any build), ``simulate`` (engine
+    ``graph`` (one build, enclosing both), ``simulate`` (engine
     loop).  The same points then go through :func:`~repro.bench.runner.
     run_config_sweep` (``sweep``, whose ``dispatch_compute`` stage is
     the batched event loop) to attribute sweep dispatch overhead; the
     sweep's cache probes read as ``cache``.  ``cache_overhead_s`` is the
-    self time of ``graph``.
-    The memory cache is emptied first, so the sweep finds its points
-    unanswered on every call and times a dispatch, not lookups.
+    self time of ``graph``: the serial pass neither fingerprints nor
+    stores, so it is the sweep's resident-graph lookups, all misses.
+    The memory cache is emptied first, and ``run_config`` keeps nothing,
+    so the sweep plans and simulates every point on every call.
     Returns a JSON-ready report.
     """
     from repro.bench.runner import BenchSetup, run_config, run_config_sweep
@@ -192,7 +192,7 @@ def format_profile(report: dict) -> str:
         speedup = report["serial_wall_s"] / report["sweep_wall_s"]
         lines.append(
             f"  sweep: {report['sweep_wall_s']:.3f}s "
-            f"({speedup:.1f}x vs serial; includes cache hits)"
+            f"({speedup:.1f}x vs serial)"
         )
     for row in report.get("cprofile_top", [])[:10]:
         lines.append(

@@ -130,8 +130,8 @@ def test_without_reuse_nothing_is_read_or_remembered(cache, monkeypatch):
     answers(qs, MACHINES["flat"], B, reuse=False)
     stats = cache.stats()
     assert stats["answer_hit"] == stats["answer_miss"] == 0
-    assert stats["store"] == len(qs) - 1  # graphs are cached, answers not
-    assert all(entry[1] is None for entry in cache._memory.values())
+    assert stats["store"] == 0  # neither graphs nor answers are kept
+    assert len(cache._memory) == 0
 
 
 def test_a_handed_over_list_is_not_generated_again(cache, monkeypatch):

@@ -372,6 +372,19 @@ def test_a_cold_sweep_holds_at_most_one_graph_per_worker(
     assert counts["alive"] == 0
 
 
+def test_a_cold_sweep_runs_where_affinity_is_unknown(batched_path, monkeypatch):
+    """Without ``os.sched_getaffinity`` (macOS) the worker count falls
+    back to the CPU count instead of raising ``AttributeError``."""
+    import os
+
+    setup = small_setup()
+    points = _many_points()[:2]
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert run_config_sweep(points, setup) == want
+    assert _sweep_threads() == []
+
+
 def test_concurrent_planning_matches_serial_planning():
     """Sweep workers plan at once from shared tree instances.  Threads
     released together on fresh trees, each in its own point order (so
@@ -591,15 +604,19 @@ def test_repeated_points_are_simulated_once(batched_path):
     assert sum(r["ntasks"] for r in runs) == _ntasks(points, setup)
 
 
-def test_a_sweep_after_run_config_reuses_the_resident_graphs(
+def test_a_sweep_after_ranking_reuses_the_resident_graphs(
     batched_path, monkeypatch
 ):
+    """Graphs the explorer's ranking stored (``compiled_graph_for``) are
+    read by a later sweep, not built again."""
     from repro.bench import runner
     from repro.dag import compiled
 
     setup = small_setup()
     points = _many_points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    for m, n, cfg in points:
+        runner.compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b)
     made = []
 
     def counted(real):

@@ -326,9 +326,9 @@ def test_clear_memory_forgets_the_bounds(tmp_path):
     assert cache.bounds == {} and not cache.contains("k0")
 
 
-def test_run_config_uses_cache(tmp_path, monkeypatch):
-    """run_config memoizes compiled graphs in the process-wide cache."""
-    # the reference path legitimately bypasses the cache — force compiled
+def test_run_config_pins_no_graph(tmp_path, monkeypatch):
+    """run_config builds and simulates every call and keeps nothing: the
+    process-wide cache is neither read nor written."""
     monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     cache = CompiledGraphCache(root=tmp_path / "graphs")
     monkeypatch.setattr(cache_mod, "_default", cache)
@@ -337,10 +337,24 @@ def test_run_config_uses_cache(tmp_path, monkeypatch):
     setup = BenchSetup(b=B, grid_p=4, grid_q=2, machine=BASE_MACHINE)
     first = run_config(M_TILES, N_TILES, BASE_CONFIG, setup)
     second = run_config(M_TILES, N_TILES, BASE_CONFIG, setup)
-    assert first.makespan == second.makespan
-    assert first.messages == second.messages
+    assert first == second
     stats = cache.stats()
-    assert (stats["miss"], stats["store"], stats["hit_memory"]) == (1, 1, 1)
+    assert (stats["miss"], stats["store"], stats["hit_memory"]) == (0, 0, 0)
+    assert len(cache._memory) == 0
+
+
+def test_distinct_run_config_questions_leave_no_entry(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    cache = CompiledGraphCache(root=tmp_path / "graphs")
+    monkeypatch.setattr(cache_mod, "_default", cache)
+    from repro.bench.runner import BenchSetup, run_config
+
+    setup = BenchSetup(b=B, grid_p=4, grid_q=2, machine=BASE_MACHINE)
+    for a in (1, 2, 4):
+        for m in (M_TILES, M_TILES + 4):
+            run_config(m, N_TILES, dataclasses.replace(BASE_CONFIG, a=a), setup)
+    assert len(cache._memory) == 0
+    assert cache.stats()["store"] == 0
 
 
 def test_cold_sweep_creates_nothing_under_cache_root(tmp_path, monkeypatch):

@@ -105,3 +105,26 @@ class TestExplorer:
         assert len(verified) == 2
         for rc, gf in verified:
             assert gf > 0
+
+    def test_verify_builds_nothing_the_ranking_built(self, setup, monkeypatch):
+        """The ranking keeps its graphs (predict, then verify): verifying
+        its picks simulates them without building any graph again."""
+        import repro.dag.cache as cache_mod
+        import repro.dag.compiled as compiled_mod
+
+        monkeypatch.setattr(cache_mod, "_default", cache_mod.CompiledGraphCache())
+        mach, lay = setup
+        exp = ConfigExplorer(32, 8, mach, lay, B, grid_p=15, grid_q=4)
+        ranked = exp.rank(list(exp.space(a_values=(1, 4), trees=("greedy",),
+                                         dominos=(False,))))
+        builds = []
+        real = compiled_mod.compiled_from_eliminations
+
+        def counted(*args, **kwargs):
+            builds.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_mod, "compiled_from_eliminations", counted)
+        verified = exp.verify(ranked, top=2)
+        assert builds == []
+        assert len(verified) == 2

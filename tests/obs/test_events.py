@@ -192,7 +192,7 @@ class TestOverhead:
         import time
 
         setup, cfg, m, n = small_problem(32, 8)
-        run_config(m, n, cfg, setup)  # warm the graph cache + imports
+        run_config(m, n, cfg, setup)  # warm imports and the native core
 
         def best_of(k=5, level=None):
             best = float("inf")

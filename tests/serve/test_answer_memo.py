@@ -1,7 +1,8 @@
 """The planner's answer memo: a repeated question is one lookup on its
 cache entry, and the stored answer lives exactly as long as the entry
 does.  The entry keeps no graph the planner built for it: a graph stays
-resident only when something else (a sweep, ``run_config``) stored it."""
+resident only when something else (the explorer's ranking, through
+``compiled_graph_for``) stored it."""
 
 import dataclasses
 import threading
@@ -88,15 +89,15 @@ def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
 ):
     """``cache_hit`` means the question's entry was resident before the
     request — whoever made it and whether or not it was answered."""
-    from repro.bench.runner import run_config
+    from repro.bench.runner import compiled_graph_for
     from repro.tiles.layout import BlockCyclic2D
 
     req = PlanRequest.from_json(TINY_REQUEST)
-    run_config(
-        req.m, req.n, req.config, service.setup,
-        layout=BlockCyclic2D(req.config.p, req.config.q),
-    )  # a sweep, say: builds and simulates, remembers nothing
-    del simulations[:]  # the sweep's simulation, not the service's
+    compiled_graph_for(
+        req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
+        service.setup.machine, service.setup.b,
+    )  # the explorer's ranking, say: stores the graph, simulates nothing
+    assert simulations == []
     assert cache.answer(cache_mod.fingerprint(
         req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
         service.setup.machine, service.setup.b,
@@ -126,7 +127,7 @@ def test_a_cold_question_leaves_no_graph_and_a_stored_one_stays(
     """The memory property: an answer the planner simulated pins no
     graph, and remembering an answer does not drop a graph some other
     caller stored."""
-    from repro.bench.runner import run_config
+    from repro.bench.runner import compiled_graph_for
     from repro.tiles.layout import BlockCyclic2D
 
     def entry(req):
@@ -142,9 +143,10 @@ def test_a_cold_question_leaves_no_graph_and_a_stored_one_stays(
     assert entry(cold)[1].makespan == first.makespan
 
     stored = PlanRequest.from_json(TINY_REQUEST)
-    run_config(
-        stored.m, stored.n, stored.config, service.setup,
-        layout=BlockCyclic2D(stored.config.p, stored.config.q),
+    compiled_graph_for(
+        stored.m, stored.n, stored.config,
+        BlockCyclic2D(stored.config.p, stored.config.q),
+        service.setup.machine, service.setup.b,
     )
     graph = entry(stored)[0]
     assert graph is not None
