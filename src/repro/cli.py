@@ -195,32 +195,26 @@ def cmd_explore(args) -> int:
 
 def cmd_gantt(args) -> int:
     from repro.bench.runner import BenchSetup
-    from repro.dag.graph import TaskGraph
+    from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
-    from repro.runtime.simulator import ClusterSimulator
+    from repro.obs.events import recording
+    from repro.obs.metrics import utilization_timeline
+    from repro.runtime.core import run_core
     from repro.runtime.trace import ascii_gantt, summarize, trace_events_json
 
     setup = BenchSetup()
     cfg = _config(args).with_(p=setup.grid_p, q=setup.grid_q)
-    graph = TaskGraph.from_eliminations(
-        hqr_elimination_list(args.m, args.n, cfg), args.m, args.n
+    elims = hqr_elimination_list(args.m, args.n, cfg)
+    cg = compiled_from_eliminations(
+        elims, args.m, args.n, setup.layout, setup.machine, setup.b
     )
-    sim = ClusterSimulator(
-        setup.machine, setup.layout, setup.b, record_trace=True
-    )
-    if args.trace_out:
-        # a recorder captures the message flow and busy-core counters so
-        # the exported timeline gets network and counter tracks
-        from repro.obs.events import recording
-        from repro.obs.metrics import utilization_timeline
-
-        with recording() as rec:
-            res = sim.run(graph)
-    else:
-        res = sim.run(graph)
+    # with a timeline to write, a recorder captures the message flow so
+    # the exported timeline gets network tracks
+    with recording() if args.trace_out else contextlib.nullcontext() as rec:
+        res = run_core(cg, setup.machine, setup.b, record_trace=True).result
     print(f"{args.m} x {args.n} tiles, {cfg}: {res.gflops:.1f} GFlop/s")
-    print(ascii_gantt(res.trace, graph, width=args.width, max_nodes=args.nodes))
-    s = summarize(res.trace, graph)
+    print(ascii_gantt(res.trace, width=args.width, max_nodes=args.nodes))
+    s = summarize(res.trace, cg.kind)
     per_core = s.per_core_utilization(setup.machine.cores_per_node)
     mean_util = sum(per_core.values()) / len(per_core) if per_core else 0.0
     print(f"mean per-core utilization: {mean_util:.2%}")
@@ -230,7 +224,8 @@ def cmd_gantt(args) -> int:
             fh.write(
                 trace_events_json(
                     res.trace,
-                    graph,
+                    cg.kind,
+                    task_coordinates(elims, args.m, args.n),
                     comm_events=rec.comms,
                     counters={
                         "busy_cores": utilization_timeline(res.trace)
@@ -261,37 +256,39 @@ def cmd_faults(args) -> int:
         print(f"wrote {args.json}")
     if args.trace_out:
         from repro.bench.runner import BenchSetup
-        from repro.dag.graph import TaskGraph
-        from repro.hqr.config import HQRConfig
+        from repro.dag.compiled import (
+            compiled_from_eliminations,
+            task_coordinates,
+        )
         from repro.hqr.hierarchy import hqr_elimination_list
-        from repro.resilience import FaultSchedule, ResilientSimulator
+        from repro.resilience import FaultSchedule, run_with_faults
+        from repro.resilience.bench import report_config
         from repro.runtime.trace import trace_events_json
 
         setup = BenchSetup()
         scenario = (args.scenario or ["crash"])[0]
-        cfg = HQRConfig(
-            p=setup.grid_p, q=setup.grid_q, a=4, low_tree="greedy",
-            high_tree="fibonacci", domino=False,
-        )
         m, n = report["m"], report["n"]
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, cfg), m, n
-        )
-        sim = ResilientSimulator(
-            setup.machine, setup.layout, setup.b, record_trace=True
-        )
+        elims = hqr_elimination_list(m, n, report_config(setup))
         schedule = FaultSchedule.scenario(
             scenario,
             seed=args.seed,
             nodes=setup.machine.nodes,
             horizon=report["baseline_makespan"],
         )
-        res = sim.run_with_faults(
-            graph, schedule, baseline_makespan=report["baseline_makespan"]
+        res = run_with_faults(
+            elims, m, n, setup.layout, setup.machine, setup.b, schedule,
+            baseline_makespan=report["baseline_makespan"], record_trace=True,
         )
+        # the labels read the graph's kind codes and the tasks' tiles
+        kind = compiled_from_eliminations(
+            elims, m, n, setup.layout, setup.machine, setup.b
+        ).kind
         with open(args.trace_out, "w") as fh:
             fh.write(
-                trace_events_json(res.trace, graph, fault_events=res.fault_events)
+                trace_events_json(
+                    res.trace, kind, task_coordinates(elims, m, n),
+                    fault_events=res.fault_events,
+                )
             )
         print(f"wrote faulty-run timeline to {args.trace_out}")
     if not report_ok(report):
@@ -440,30 +437,31 @@ def cmd_auto(args) -> int:
 def _instrumented_run(args):
     """Simulate one config under a task-level recorder; shared by the
     ``metrics`` and ``obs report`` commands."""
-    from repro.bench.runner import BenchSetup, run_config
-    from repro.dag.compiled import compile_graph
-    from repro.dag.graph import TaskGraph
+    from repro.bench.runner import BenchSetup
+    from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
     from repro.models.bounds import graph_bounds
     from repro.obs.events import recording
     from repro.obs.metrics import derive_run_metrics
+    from repro.runtime.core import run_core_batch
 
     setup = BenchSetup()
     mach, b = setup.machine, setup.b
     cfg = _config(args).with_(p=setup.grid_p, q=setup.grid_q)
-    with recording(level=args.level) as rec:
-        res = run_config(args.m, args.n, cfg, setup)
-    graph = TaskGraph.from_eliminations(
-        hqr_elimination_list(args.m, args.n, cfg), args.m, args.n
-    )
-    cg = compile_graph(graph, setup.layout, mach, b)
+    elims = hqr_elimination_list(args.m, args.n, cfg)
+    cg = compiled_from_eliminations(elims, args.m, args.n, setup.layout, mach, b)
+    with recording(level=args.level) as rec:  # the dispatch run_config makes
+        res = run_core_batch([cg], mach, b)[0]
     cp = graph_bounds([cg], mach, b)[0].plain_critical_path
-    reg = derive_run_metrics(rec, graph, critical_path=cp, config=cfg)
-    return setup, cfg, rec, res, graph, reg
+    reg = derive_run_metrics(
+        rec, cg, coords=task_coordinates(elims, args.m, args.n),
+        critical_path=cp, config=cfg,
+    )
+    return setup, cfg, rec, res, reg
 
 
 def cmd_metrics(args) -> int:
-    setup, cfg, rec, res, _graph, reg = _instrumented_run(args)
+    setup, cfg, rec, res, reg = _instrumented_run(args)
     print(
         f"instrumented run: {args.m} x {args.n} tiles (b={setup.b}), {cfg}"
     )
@@ -513,7 +511,7 @@ def cmd_obs_report(args) -> int:
     from repro.obs.metrics import utilization_timeline
     from repro.obs.report import build_html, write_html
 
-    setup, cfg, rec, res, _graph, reg = _instrumented_run(args)
+    setup, cfg, rec, res, reg = _instrumented_run(args)
     timeline = utilization_timeline(rec.tasks)
     mach = setup.machine
     summary = {

@@ -113,8 +113,8 @@ def placement_array(
 ) -> np.ndarray:
     """Vectorized placement: the node owning each tile ``(row, c)``.
 
-    A task's tile, as in ``ClusterSimulator.placement``, is its victim row
-    in the trailing column for update kernels, in the panel otherwise.
+    A task runs on the owner of its tile: its victim row in the trailing
+    column for update kernels, in the panel otherwise.
     Known layouts are computed with array arithmetic; unknown subclasses
     fall back to the layout's scalar ``owner``.
     """

@@ -484,20 +484,18 @@ def utilization_timeline(
     return points
 
 
-def _task_level(task, m: int, config) -> str:
-    """Hierarchy-level label of a task (ISSUE: TS/low/coupling/high).
+def _task_level(row: int, panel: int, killer: int, m: int, config) -> str:
+    """Hierarchy-level label of a task (TS/low/coupling/high).
 
     Kill and pair-update kernels are attributed to the level of their
     victim tile; GEQRT/UNMQR (panel factorization and its updates) get
     the dedicated ``panel`` bucket.
     """
-    if task.killer < 0:
+    if killer < 0:
         return "panel"
     from repro.hqr.levels import tile_level
 
-    lv = tile_level(
-        task.row, task.panel, m, config.p, config.a, domino=config.domino
-    )
+    lv = tile_level(row, panel, m, config.p, config.a, domino=config.domino)
     return LEVEL_NAMES[lv]
 
 
@@ -505,18 +503,26 @@ def derive_run_metrics(
     rec,
     graph=None,
     *,
+    coords=None,
     critical_path: float | None = None,
     config=None,
 ) -> MetricsRegistry:
     """Build a registry from one recorded run.
 
-    ``graph`` (a :class:`~repro.dag.graph.TaskGraph`) enables per-kernel
-    attribution; ``config`` additionally enables per-hierarchy-level
-    attribution; ``critical_path`` (seconds, the graph pass's
-    ``plain_critical_path``) enables the critical-path-slack gauges.  All
-    are optional — missing context simply skips the derived metric.
+    ``graph`` (a :class:`~repro.dag.compiled.CompiledGraph`) enables
+    per-kernel attribution from its ``kind`` codes; ``coords`` (its
+    :func:`~repro.dag.compiled.task_coordinates`) and ``config``
+    additionally enable per-hierarchy-level attribution; ``critical_path``
+    (seconds, the graph pass's ``plain_critical_path``) enables the
+    critical-path-slack gauges.  All are optional — missing context
+    simply skips the derived metric.
     """
+    from repro.dag.compiled import KIND_ORDER
+
     reg = MetricsRegistry()
+    names = None if graph is None else [
+        KIND_ORDER[k].name for k in graph.kind.tolist()
+    ]
 
     tasks_total = reg.counter("repro_tasks_total", "executed task spans")
     kern_sec = reg.counter(
@@ -533,15 +539,14 @@ def derive_run_metrics(
         dur_hist.observe(d)
         if end > makespan:
             makespan = end
-        if graph is not None:
-            task = graph.tasks[task_id]
-            kind = task.kind.name
-            tasks_total.inc(kind=kind)
-            kern_sec.inc(d, kind=kind)
+        if names is not None:
+            tasks_total.inc(kind=names[task_id])
+            kern_sec.inc(d, kind=names[task_id])
         else:
             tasks_total.inc()
 
-    if graph is not None and config is not None:
+    if graph is not None and coords is not None and config is not None:
+        rows, panels, _, killers = (c.tolist() for c in coords)
         level_sec = reg.counter(
             "repro_level_seconds_total",
             "busy seconds by hierarchy level (ts/low/coupling/high/panel)",
@@ -550,7 +555,10 @@ def derive_run_metrics(
             "repro_level_tasks_total", "task count by hierarchy level"
         )
         for task_id, _node, start, end in rec.tasks:
-            label = _task_level(graph.tasks[task_id], graph.m, config)
+            label = _task_level(
+                rows[task_id], panels[task_id], killers[task_id], graph.m,
+                config,
+            )
             level_sec.inc(end - start, level=label)
             level_tasks.inc(level=label)
 

@@ -8,10 +8,10 @@ missing robustness layer:
 * :mod:`repro.resilience.faults` — deterministic, seed-driven fault
   schedules: node crashes at time *t*, transient slowdowns, message
   drops; composable into named scenarios;
-* :mod:`repro.resilience.simulate` — a failure-aware simulation mode
-  (:class:`ResilientSimulator`): a crash invalidates in-flight and lost
-  tasks, a detection-latency model fires, and recovery re-executes the
-  affected DAG cone on the surviving nodes;
+* :mod:`repro.resilience.simulate` — failure-aware simulation
+  (:func:`run_with_faults`, one plan on the C planner): a crash
+  invalidates in-flight and lost tasks, a detection-latency model fires,
+  and recovery re-executes the affected DAG cone on the surviving nodes;
 * :mod:`repro.resilience.replan` — re-planning on the shrunken grid:
   degraded ``p x q`` selection and the restart-from-scratch alternative
   recovery strategy (a fresh :mod:`repro.hqr` elimination tree on the
@@ -20,8 +20,8 @@ missing robustness layer:
   ``repro faults``: makespan-degradation and recovery-overhead curves
   per scenario, written as JSON with ``--json``.
 
-With no fault schedule attached every simulator path is bit-identical to
-the fault-free engines (asserted by ``tests/resilience``).
+With an empty fault schedule :func:`run_with_faults` is bit-identical to
+the fault-free core (asserted by ``tests/resilience``).
 """
 
 from repro.resilience.faults import (
@@ -32,15 +32,15 @@ from repro.resilience.faults import (
     scenario_names,
 )
 from repro.resilience.replan import shrunken_config, shrunken_grid
-from repro.resilience.simulate import FaultyRunResult, ResilientSimulator
+from repro.resilience.simulate import FaultyRunResult, run_with_faults
 
 __all__ = [
     "FaultSchedule",
     "FaultyRunResult",
     "MessageDrops",
     "NodeCrash",
-    "ResilientSimulator",
     "Slowdown",
+    "run_with_faults",
     "scenario_names",
     "shrunken_config",
     "shrunken_grid",

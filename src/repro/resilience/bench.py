@@ -19,16 +19,16 @@ import json
 from pathlib import Path
 
 from repro.bench.runner import BenchSetup, bench_scale
-from repro.dag.graph import TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.resilience.faults import FaultSchedule, scenario_names
 from repro.resilience.replan import replan_restart
-from repro.resilience.simulate import ResilientSimulator
+from repro.resilience.simulate import run_with_faults
 
 __all__ = [
     "distributed_kill_check",
     "format_resilience_report",
+    "report_config",
     "resilience_report",
     "write_resilience_report",
 ]
@@ -53,10 +53,18 @@ def _problem_size() -> tuple[int, int]:
     return 96, 12
 
 
+def report_config(setup: BenchSetup) -> HQRConfig:
+    """The configuration the fault sweep measures on ``setup``'s grid;
+    ``repro faults --trace-out`` exports a run of the same one."""
+    return HQRConfig(
+        p=setup.grid_p, q=setup.grid_q, a=4, low_tree="greedy",
+        high_tree="fibonacci", domino=False,
+    )
+
+
 def _scenario_points(
     name: str,
-    graph: TaskGraph,
-    sim: ResilientSimulator,
+    elims,
     cfg: HQRConfig,
     setup: BenchSetup,
     m: int,
@@ -74,7 +82,10 @@ def _scenario_points(
             horizon=baseline,
             severity=severity,
         )
-        res = sim.run_with_faults(graph, schedule, baseline_makespan=baseline)
+        res = run_with_faults(
+            elims, m, n, setup.layout, setup.machine, setup.b, schedule,
+            baseline_makespan=baseline,
+        )
         point = {
             "severity": severity,
             "makespan": res.makespan,
@@ -123,6 +134,7 @@ def distributed_kill_check(*, seed: int = 0) -> dict:
     """
     import numpy as np
 
+    from repro.dag.graph import TaskGraph
     from repro.distributed.engine import ResilientComm, ResilientEngine, WorkerKill
     from repro.tiles.layout import BlockCyclic2D
 
@@ -176,13 +188,11 @@ def resilience_report(
             raise ValueError(
                 f"unknown scenario {name!r}; choose from {', '.join(scenario_names())}"
             )
-    cfg = HQRConfig(
-        p=setup.grid_p, q=setup.grid_q, a=4, low_tree="greedy",
-        high_tree="fibonacci", domino=False,
-    )
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    sim = ResilientSimulator(setup.machine, setup.layout, setup.b)
-    baseline = sim.run(graph).makespan
+    cfg = report_config(setup)
+    elims = hqr_elimination_list(m, n, cfg)
+    baseline = run_with_faults(
+        elims, m, n, setup.layout, setup.machine, setup.b, FaultSchedule()
+    ).makespan
     from repro.obs.provenance import run_metadata
 
     report: dict = {
@@ -201,7 +211,7 @@ def resilience_report(
     for name in names:
         report["scenarios"][name] = {
             "points": _scenario_points(
-                name, graph, sim, cfg, setup, m, n, seed, baseline,
+                name, elims, cfg, setup, m, n, seed, baseline,
                 _SEVERITIES[name],
             )
         }

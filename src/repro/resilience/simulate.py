@@ -1,16 +1,15 @@
 """Failure-aware simulation: crashes, stragglers, and lost messages.
 
-:class:`ResilientSimulator` extends the fault-free
-:class:`~repro.runtime.simulator.ClusterSimulator` with fault injection.
-With an empty :class:`~repro.resilience.faults.FaultSchedule` it
-delegates to the ordinary dispatch and is bit-identical to it; with
-faults attached (or ``force_fault_loop=True``) it runs the unified
-core's fault branch (:func:`repro.runtime.core.run_core` with
-:class:`~repro.runtime.core.FaultHooks`) — pure Python and
+:func:`run_with_faults` plans an elimination list once with the C planner
+(:func:`~repro.dag.compiled.compiled_from_eliminations`) and runs it
+under a :class:`~repro.resilience.faults.FaultSchedule`.  With an empty
+schedule it is the fault-free :func:`repro.runtime.core.run_core` on
+that graph, bit for bit; with faults attached it runs the core's fault
+branch (:class:`~repro.runtime.core.FaultHooks`) — pure Python and
 engine-independent, so injected events and the recovery schedule are
-reproducible anywhere.  This module is the thin front end: it owns the
-recovery *policy* (re-planning targets, slowdown pre-seeding, result
-wrapping) while the event-loop *mechanism* lives in the core.
+reproducible anywhere.  This module owns the recovery *policy*
+(re-planning targets, slowdown pre-seeding, result wrapping) while the
+event-loop *mechanism* lives in the core.
 
 Crash semantics (the recovery model, documented for `docs/distributed.md`):
 
@@ -45,14 +44,23 @@ which is fine at recovery-benchmark scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 
-from repro.dag.graph import TaskGraph
+import numpy as np
+
+from repro.dag.compiled import (
+    compiled_from_eliminations,
+    placement_array,
+    task_coordinates,
+)
 from repro.obs.events import active as _obs_active
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.replan import node_remap, shrunken_grid
-from repro.runtime.simulator import ClusterSimulator, SimulationResult
-from repro.tiles.layout import BlockCyclic2D
+from repro.runtime.core import FaultHooks, run_core
+from repro.runtime.machine import Machine
+from repro.runtime.simulator import SimulationResult
+from repro.tiles.layout import BlockCyclic2D, Layout
 
 
 @dataclass
@@ -82,155 +90,113 @@ class FaultyRunResult(SimulationResult):
         return self.makespan - self.baseline_makespan
 
 
-class ResilientSimulator(ClusterSimulator):
-    """Cluster simulator that survives an attached fault schedule."""
+def run_with_faults(
+    elims,
+    m: int,
+    n: int,
+    layout: Layout,
+    machine: Machine,
+    b: int,
+    schedule: FaultSchedule,
+    *,
+    baseline_makespan: float | None = None,
+    prio=None,
+    data_reuse: bool = False,
+    record_trace: bool = False,
+) -> FaultyRunResult:
+    """Simulate the elimination list ``elims`` of ``m x n`` tiles under
+    ``schedule``, planned once with the C planner.
 
-    def run_with_faults(
-        self,
-        graph: TaskGraph,
-        schedule: FaultSchedule,
-        M: int | None = None,
-        N: int | None = None,
-        baseline_makespan: float | None = None,
-        *,
-        force_fault_loop: bool = False,
-    ) -> FaultyRunResult:
-        """Simulate under ``schedule``; empty schedules take the ordinary
-        (compiled, bit-identical) path.
-
-        ``force_fault_loop=True`` runs the fault-injecting event loop even
-        for an empty schedule instead of delegating — the loop itself is
-        bit-identical to the ordinary engines then, and the differential
-        verifier (:mod:`repro.verify`) exercises it as a fourth engine.
-        """
+    An empty schedule runs the fault-free :func:`run_core` on the graph;
+    ``baseline_makespan`` defaults to the fault-free makespan.  ``prio``
+    is a per-task priority sequence (``None``: program order).
+    """
+    if layout.nodes > machine.nodes:
+        raise ValueError(
+            f"layout spans {layout.nodes} nodes but machine has {machine.nodes}"
+        )
+    for c in schedule.crashes:
+        if not 0 <= c.node < machine.nodes:
+            raise ValueError(
+                f"crash node {c.node} outside machine of {machine.nodes}"
+            )
+    if len(schedule.crashes) >= machine.nodes:
+        raise ValueError("schedule crashes every node; nothing survives")
+    cg = compiled_from_eliminations(elims, m, n, layout, machine, b)
+    if schedule.empty:
+        res = run_core(
+            cg, machine, b, prio=prio, data_reuse=data_reuse,
+            record_trace=record_trace,
+        ).result
         if baseline_makespan is None:
-            baseline_makespan = self.run(graph, M, N).makespan
-        if schedule.empty and not force_fault_loop:
-            res = self.run(graph, M, N)
-            return FaultyRunResult(
-                **res.__dict__, baseline_makespan=baseline_makespan
-            )
-        for c in schedule.crashes:
-            if not 0 <= c.node < self.machine.nodes:
-                raise ValueError(
-                    f"crash node {c.node} outside machine of {self.machine.nodes}"
-                )
-        if len(schedule.crashes) >= self.machine.nodes:
-            raise ValueError("schedule crashes every node; nothing survives")
-        return self._run_faulty(graph, schedule, M, N, baseline_makespan)
-
-    # ------------------------------------------------------------------ #
-    def _replan_targets(self, graph: TaskGraph, dead: set[int]) -> list[int]:
-        """Post-crash node of every task, for tasks placed on dead nodes.
-
-        Block-cyclic layouts are re-planned on the shrunken grid; other
-        layouts spill cyclically over the survivors.
-        """
-        nnodes = self.machine.nodes
-        survivors = [n for n in range(nnodes) if n not in dead]
-        layout = self.layout
-        if isinstance(layout, BlockCyclic2D):
-            p2, q2 = shrunken_grid(layout.p, layout.q, len(survivors))
-            shrunken = BlockCyclic2D(p2, q2)
-            out = []
-            for t in graph.tasks:
-                col = t.panel if t.col < 0 else t.col
-                out.append(survivors[shrunken.owner(t.row, col)])
-            return out
-        remap = node_remap(nnodes, tuple(dead))
-        placement = self.placement(graph)
-        return [remap[n] for n in placement]
-
-    def _run_faulty(
-        self,
-        graph: TaskGraph,
-        schedule: FaultSchedule,
-        M: int | None,
-        N: int | None,
-        baseline_makespan: float,
-    ) -> FaultyRunResult:
-        """Compile the graph and run the unified core with fault hooks.
-
-        The failure-aware event loop itself lives in
-        :func:`repro.runtime.core.run_core` (the ``fault`` capability
-        branch); this front end supplies the schedule, the re-planning
-        callback, and the pre-seeded slowdown events, then wraps the
-        outcome in a :class:`FaultyRunResult`.
-        """
-        machine, b = self.machine, self.b
-        rec = _obs_active()
-        wall0 = time.perf_counter() if rec is not None else 0.0
-        M = graph.m * b if M is None else M
-        N = graph.n * b if N is None else N
-        ntasks = len(graph.tasks)
-        fault_events: list[dict] = [
-            {
-                "type": "slowdown",
-                "node": s.node,
-                "start": s.start,
-                "end": s.end,
-                "factor": s.factor,
-            }
-            for s in schedule.slowdowns
-        ]
-        if ntasks == 0:
-            return FaultyRunResult(
-                0.0, 0.0, 0, 0, 0.0, machine.cores,
-                [] if self.record_trace else None,
-                baseline_makespan=baseline_makespan,
-                fault_events=fault_events,
-            )
-
-        from repro.dag.compiled import compile_graph
-        from repro.runtime.core import FaultHooks, run_core
-
-        cg = compile_graph(graph, self.layout, machine, b)
-        hooks = FaultHooks(
-            schedule=schedule,
-            replan=lambda dead: self._replan_targets(graph, dead),
-            fault_events=fault_events,
-        )
-        out = run_core(
-            cg, machine, b,
-            prio=self.priority_values(graph),
-            data_reuse=self.data_reuse,
-            M=M, N=N,
-            record_trace=self.record_trace,
-            fault=hooks,
-        )
-        res, fo = out.result, out.fault
-
-        if rec is not None:
-            for ev in fault_events:
-                rec.fault(ev)
-            rec.run(
-                engine="resilient",
-                loop="cluster",
-                wall_s=time.perf_counter() - wall0,
-                makespan=res.makespan,
-                busy_seconds=res.busy_seconds,
-                messages=res.messages,
-                ntasks=ntasks,
-                crashes=len(schedule.crashes),
-                reexecuted=fo.executions - ntasks,
-            )
+            baseline_makespan = res.makespan
         return FaultyRunResult(
-            makespan=res.makespan,
-            flops=res.flops,
-            messages=res.messages,
-            bytes_sent=res.bytes_sent,
-            busy_seconds=res.busy_seconds,
-            cores=res.cores,
-            trace=res.trace,
-            baseline_makespan=baseline_makespan,
-            tasks_reexecuted=fo.executions - ntasks,
-            tasks_aborted=fo.aborted,
-            wasted_seconds=fo.wasted,
-            refetch_messages=fo.refetches,
-            messages_dropped=fo.dropped,
-            retransmits=fo.retransmits,
-            crashed_nodes=fo.dead,
-            fault_events=sorted(
-                fault_events, key=lambda e: e.get("time", e.get("start", 0.0))
-            ),
+            **res.__dict__, baseline_makespan=baseline_makespan
         )
+    if baseline_makespan is None:
+        baseline_makespan = run_core(
+            cg, machine, b, prio=prio, data_reuse=data_reuse
+        ).result.makespan
+
+    @cache
+    def tiles() -> tuple[np.ndarray, np.ndarray]:
+        """Each task's tile, derived on the first crash only."""
+        row, panel, col, _ = task_coordinates(elims, m, n)
+        return row, np.where(col < 0, panel, col)
+
+    def replan(dead: set[int]) -> list[int]:
+        """Post-crash node of every task: block-cyclic layouts re-place
+        on the shrunken grid, others spill cyclically over the survivors."""
+        if isinstance(layout, BlockCyclic2D):
+            survivors = np.array(
+                [k for k in range(machine.nodes) if k not in dead]
+            )
+            shrunken = BlockCyclic2D(
+                *shrunken_grid(layout.p, layout.q, len(survivors))
+            )
+            return survivors[placement_array(shrunken, *tiles())].tolist()
+        remap = np.array(node_remap(machine.nodes, tuple(dead)))
+        return remap[cg.node].tolist()
+
+    rec = _obs_active()
+    wall0 = time.perf_counter() if rec is not None else 0.0
+    fault_events = [
+        {"type": "slowdown", **asdict(s)} for s in schedule.slowdowns
+    ]
+    out = run_core(
+        cg, machine, b, prio=prio, data_reuse=data_reuse,
+        record_trace=record_trace,
+        fault=FaultHooks(
+            schedule=schedule, replan=replan, fault_events=fault_events
+        ),
+    )
+    res, fo = out.result, out.fault
+    ntasks = cg.ntasks
+    if rec is not None:
+        for ev in fault_events:
+            rec.fault(ev)
+        rec.run(
+            engine="resilient",
+            loop="cluster",
+            wall_s=time.perf_counter() - wall0,
+            makespan=res.makespan,
+            busy_seconds=res.busy_seconds,
+            messages=res.messages,
+            ntasks=ntasks,
+            crashes=len(schedule.crashes),
+            reexecuted=fo.executions - ntasks,
+        )
+    return FaultyRunResult(
+        **res.__dict__,
+        baseline_makespan=baseline_makespan,
+        tasks_reexecuted=fo.executions - ntasks,
+        tasks_aborted=fo.aborted,
+        wasted_seconds=fo.wasted,
+        refetch_messages=fo.refetches,
+        messages_dropped=fo.dropped,
+        retransmits=fo.retransmits,
+        crashed_nodes=fo.dead,
+        fault_events=sorted(
+            fault_events, key=lambda e: e.get("time", e.get("start", 0.0))
+        ),
+    )

@@ -96,15 +96,6 @@ class ClusterSimulator:
         self.record_trace = record_trace
 
     # ------------------------------------------------------------------ #
-    def placement(self, graph: TaskGraph) -> list[int]:
-        """Node of each task: owner of its victim-row (output) tile."""
-        owner = self.layout.owner
-        out = []
-        for t in graph.tasks:
-            col = t.panel if t.col < 0 else t.col
-            out.append(owner(t.row, col))
-        return out
-
     def priority_values(self, graph: TaskGraph) -> list | None:
         """Per-task priority keys, or None for program order."""
         if self.priority is None:

@@ -1,15 +1,17 @@
 """Execution-trace analysis: utilization, kernel breakdown, ASCII Gantt.
 
-Consumes the ``trace`` recorded by
-:class:`~repro.runtime.simulator.ClusterSimulator` (``record_trace=True``):
-a list of ``(task_id, node, start, end)`` tuples.
+Consumes the ``trace`` a simulation records under ``record_trace=True``
+(:func:`repro.runtime.core.run_core`): a list of ``(task_id, node,
+start, end)`` tuples.  A task's kernel is read from the graph's ``kind``
+codes (:attr:`~repro.dag.compiled.CompiledGraph.kind`), its tile from
+:func:`~repro.dag.compiled.task_coordinates`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dag.graph import TaskGraph
+from repro.dag.compiled import KIND_ORDER
 from repro.kernels.weights import KernelKind
 
 
@@ -49,8 +51,10 @@ class TraceSummary:
         return max(vals) / mean if mean > 0 else 1.0
 
 
-def summarize(trace: list[tuple[int, int, float, float]], graph: TaskGraph) -> TraceSummary:
-    """Aggregate a trace into per-node and per-kernel totals."""
+def summarize(trace: list[tuple[int, int, float, float]], kind) -> TraceSummary:
+    """Aggregate a trace into per-node and per-kernel totals; ``kind`` is
+    the per-task kind code array."""
+    kinds = [KIND_ORDER[k] for k in kind.tolist()]
     node_busy: dict[int, float] = {}
     kern_sec: dict[KernelKind, float] = {k: 0.0 for k in KernelKind}
     kern_cnt: dict[KernelKind, int] = {k: 0 for k in KernelKind}
@@ -58,9 +62,9 @@ def summarize(trace: list[tuple[int, int, float, float]], graph: TaskGraph) -> T
     for task_id, node, start, end in trace:
         dur = end - start
         node_busy[node] = node_busy.get(node, 0.0) + dur
-        kind = graph.tasks[task_id].kind
-        kern_sec[kind] += dur
-        kern_cnt[kind] += 1
+        kernel = kinds[task_id]
+        kern_sec[kernel] += dur
+        kern_cnt[kernel] += 1
         if end > makespan:
             makespan = end
     return TraceSummary(
@@ -73,7 +77,8 @@ def summarize(trace: list[tuple[int, int, float, float]], graph: TaskGraph) -> T
 
 def trace_events_json(
     trace: list[tuple[int, int, float, float]],
-    graph: TaskGraph,
+    kind,
+    coords,
     *,
     fault_events: list[dict] | None = None,
     comm_events: list[tuple[int, int, int, float, float, int]] | None = None,
@@ -84,7 +89,9 @@ def trace_events_json(
 
     Load the result in ``chrome://tracing`` (or Perfetto): one process per
     node, one thread row per core (cores are assigned greedily from the
-    span intervals), one complete event per executed task.  Injected
+    span intervals), one complete event per executed task, named by its
+    ``kind`` code and labelled with its row and panel from ``coords``
+    (:func:`~repro.dag.compiled.task_coordinates`).  Injected
     faults — crashes, recoveries, slowdown windows, message drops from
     :class:`~repro.resilience.simulate.FaultyRunResult.fault_events` —
     appear as instant events on the affected node, which makes
@@ -110,6 +117,8 @@ def trace_events_json(
     def us(seconds: float) -> float:
         return seconds * 1e6
 
+    names = [KIND_ORDER[k].name for k in kind.tolist()]
+    rows, panels = (c.tolist() for c in coords[:2])
     events: list[dict] = []
     spans = sorted(trace, key=lambda s: (s[2], s[3], s[0]))
     core_free: dict[int, list[float]] = {}
@@ -122,16 +131,19 @@ def trace_events_json(
             core = len(cores)
             cores.append(0.0)
         cores[core] = end
-        task = graph.tasks[task_id]
         events.append(
             {
-                "name": task.kind.name,
+                "name": names[task_id],
                 "ph": "X",
                 "pid": node,
                 "tid": core,
                 "ts": us(start),
                 "dur": us(end - start),
-                "args": {"task": task_id, "row": task.row, "panel": task.panel},
+                "args": {
+                    "task": task_id,
+                    "row": rows[task_id],
+                    "panel": panels[task_id],
+                },
             }
         )
     for node in core_free:
@@ -250,7 +262,6 @@ def trace_events_json(
 
 def ascii_gantt(
     trace: list[tuple[int, int, float, float]],
-    graph: TaskGraph,
     *,
     width: int = 78,
     max_nodes: int = 16,

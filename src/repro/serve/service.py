@@ -7,8 +7,9 @@ optionally under faults?".  :class:`PlannerService.plan` answers it with
 compiled-graph cache (:mod:`repro.dag.cache`): a repeated question about
 the same ``(m, n, config, layout, machine, b)`` point is one lookup of
 the result remembered on that graph's cache entry — no DAG construction
-and no simulation; fault-carrying requests run through
-:class:`~repro.resilience.simulate.ResilientSimulator` and report the
+and no simulation; fault-carrying requests are planned once more with
+the C planner and run through
+:func:`~repro.resilience.simulate.run_with_faults`, reporting the
 degradation instead of failing.
 
 Everything a result carries is deterministic in the request — the
@@ -257,17 +258,14 @@ class PlannerService:
     def _plan_with_faults(self, req, cfg, layout, baseline: float):
         """Re-run the plan under an injected fault scenario.
 
-        The resilient simulator recovers (lineage-cone re-execution,
-        shrunken-grid replanning) rather than failing, so a chaos-window
-        request still gets an answer — just a degraded one.
+        :func:`~repro.resilience.simulate.run_with_faults` recovers
+        (lineage-cone re-execution, shrunken-grid replanning) rather than
+        failing, so a chaos-window request still gets an answer — just a
+        degraded one.
         """
-        from repro.dag.graph import TaskGraph
         from repro.hqr.hierarchy import hqr_elimination_list
-        from repro.resilience import FaultSchedule, ResilientSimulator
+        from repro.resilience import FaultSchedule, run_with_faults
 
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(req.m, req.n, cfg), req.m, req.n
-        )
         # target the ranks the layout actually uses — a crash on one of
         # the machine's idle nodes would be a no-op "fault"
         active = max(2, cfg.p * cfg.q)
@@ -278,9 +276,10 @@ class PlannerService:
             horizon=baseline,
             severity=req.fault_severity,
         )
-        sim = ResilientSimulator(self.setup.machine, layout, self.setup.b)
-        return sim.run_with_faults(
-            graph, schedule, baseline_makespan=baseline
+        return run_with_faults(
+            hqr_elimination_list(req.m, req.n, cfg), req.m, req.n, layout,
+            self.setup.machine, self.setup.b, schedule,
+            baseline_makespan=baseline,
         )
 
     # ------------------------------------------------------------------ #

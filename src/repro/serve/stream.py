@@ -13,9 +13,10 @@ cache), so a stream run exercises the exact code path the daemon
 serves; only *time* is simulated.
 
 Chaos windows couple the stream to :mod:`repro.resilience`: jobs
-dispatched inside the window carry a fault scenario, run through the
-resilient simulator (crash recovery, shrunken-grid replanning), and
-come back with inflated makespans — live traffic then shows the
+dispatched inside the window carry a fault scenario, are planned once
+on the C planner and run through
+:func:`~repro.resilience.simulate.run_with_faults` (crash recovery,
+shrunken-grid replanning), and come back with inflated makespans — live traffic then shows the
 degradation as queue growth and admission sheds instead of a wedged
 service.
 """

@@ -111,53 +111,54 @@ class TestBitwiseNeutrality:
             nt.get("kind") == "engine_fallback" for nt in rec.notes
         )
 
-    def test_resilient_engine_force_fault_loop(self):
+    def test_empty_fault_hooks_are_neutral(self):
+        from repro.dag.compiled import compiled_from_eliminations
         from repro.resilience.faults import FaultSchedule
-        from repro.resilience.simulate import ResilientSimulator
+        from repro.runtime.core import FaultHooks, run_core
 
         setup, cfg, m, n = small_problem()
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, cfg), m, n
+        cg = compiled_from_eliminations(
+            hqr_elimination_list(m, n, cfg), m, n,
+            setup.layout, setup.machine, setup.b,
         )
-        sim = ResilientSimulator(setup.machine, setup.layout, setup.b)
-        empty = FaultSchedule()
-        baseline = sim.run(graph).makespan
-        bare = sim.run_with_faults(
-            graph, empty, baseline_makespan=baseline, force_fault_loop=True
-        )
-        with recording() as rec:
-            instrumented = sim.run_with_faults(
-                graph, empty, baseline_makespan=baseline,
-                force_fault_loop=True,
+
+        def run():
+            hooks = FaultHooks(
+                FaultSchedule(), replan=lambda dead: cg.node.tolist()
             )
+            return run_core(cg, setup.machine, setup.b, fault=hooks).result
+
+        bare = run()
+        with recording() as rec:
+            instrumented = run()
         assert instrumented.makespan == bare.makespan
         assert instrumented.messages == bare.messages
-        assert len(rec.tasks) == len(graph)
-        assert rec.runs and rec.runs[0]["engine"] == "resilient"
+        assert len(rec.tasks) == cg.ntasks
 
     def test_resilient_engine_with_faults_records_them(self):
         from repro.resilience.faults import FaultSchedule
-        from repro.resilience.simulate import ResilientSimulator
+        from repro.resilience.simulate import run_with_faults
 
         setup, cfg, m, n = small_problem()
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, cfg), m, n
-        )
-        sim = ResilientSimulator(setup.machine, setup.layout, setup.b)
-        baseline = sim.run(graph).makespan
+        elims = hqr_elimination_list(m, n, cfg)
+
+        def run(schedule, **kw):
+            return run_with_faults(
+                elims, m, n, setup.layout, setup.machine, setup.b, schedule,
+                **kw,
+            )
+
+        baseline = run(FaultSchedule()).makespan
         schedule = FaultSchedule.scenario(
             "crash", seed=0, nodes=setup.machine.nodes, horizon=baseline
         )
-        bare = sim.run_with_faults(
-            graph, schedule, baseline_makespan=baseline
-        )
+        bare = run(schedule, baseline_makespan=baseline)
         with recording() as rec:
-            instrumented = sim.run_with_faults(
-                graph, schedule, baseline_makespan=baseline
-            )
+            instrumented = run(schedule, baseline_makespan=baseline)
         assert instrumented.makespan == bare.makespan
         assert instrumented.tasks_reexecuted == bare.tasks_reexecuted
         assert rec.faults  # crash/recovery events forwarded
+        assert rec.runs and rec.runs[0]["engine"] == "resilient"
 
 
 class TestOverhead:

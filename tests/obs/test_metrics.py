@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench.runner import BenchSetup, run_config
-from repro.dag.compiled import compile_graph
-from repro.dag.graph import TaskGraph
+from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import graph_bounds
@@ -114,13 +113,14 @@ class TestDerivation:
         )
         with recording() as rec:
             res = run_config(m, n, cfg, setup)
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, cfg), m, n
+        elims = hqr_elimination_list(m, n, cfg)
+        cg = compiled_from_eliminations(
+            elims, m, n, setup.layout, setup.machine, setup.b
         )
-        return setup, cfg, rec, res, graph
+        return setup, cfg, rec, res, cg, task_coordinates(elims, m, n)
 
     def test_kernel_attribution_sums_to_busy_seconds(self):
-        setup, cfg, rec, res, graph = self.recorded()
+        setup, cfg, rec, res, graph, _ = self.recorded()
         reg = derive_run_metrics(rec, graph)
         total = sum(reg["repro_kernel_seconds_total"].samples.values())
         assert total == pytest.approx(res.busy_seconds)
@@ -128,15 +128,15 @@ class TestDerivation:
         assert ntasks == len(graph)
 
     def test_level_attribution_sums_to_busy_seconds(self):
-        setup, cfg, rec, res, graph = self.recorded()
-        reg = derive_run_metrics(rec, graph, config=cfg)
+        setup, cfg, rec, res, graph, coords = self.recorded()
+        reg = derive_run_metrics(rec, graph, coords=coords, config=cfg)
         lvl = reg["repro_level_seconds_total"].samples
         assert sum(lvl.values()) == pytest.approx(res.busy_seconds)
         labels = {dict(k)["level"] for k in lvl}
         assert "panel" in labels  # GEQRT/UNMQR bucket always present
 
     def test_comm_volume_matches_messages(self):
-        setup, cfg, rec, res, graph = self.recorded()
+        setup, cfg, rec, res, graph, _ = self.recorded()
         reg = derive_run_metrics(rec, graph)
         msgs = sum(reg["repro_messages_total"].samples.values())
         assert msgs == res.messages
@@ -144,10 +144,9 @@ class TestDerivation:
         assert nbytes == res.bytes_sent
 
     def test_makespan_and_critical_path(self):
-        setup, cfg, rec, res, graph = self.recorded()
+        setup, cfg, rec, res, graph, _ = self.recorded()
         mach, b = setup.machine, setup.b
-        cg = compile_graph(graph, setup.layout, mach, b)
-        cp = graph_bounds([cg], mach, b)[0].plain_critical_path
+        cp = graph_bounds([graph], mach, b)[0].plain_critical_path
         reg = derive_run_metrics(rec, graph, critical_path=cp)
         assert reg["repro_makespan_seconds"].value() == pytest.approx(
             res.makespan
@@ -158,13 +157,13 @@ class TestDerivation:
         assert slack >= 0  # makespan can never beat the longest path
 
     def test_engine_runs_recorded(self):
-        setup, cfg, rec, res, graph = self.recorded()
+        setup, cfg, rec, res, graph, _ = self.recorded()
         reg = derive_run_metrics(rec)
         runs = reg["repro_engine_runs_total"].samples
         assert sum(runs.values()) == 1
 
     def test_graph_optional(self):
-        setup, cfg, rec, res, graph = self.recorded()
+        setup, cfg, rec, res, graph, _ = self.recorded()
         reg = derive_run_metrics(rec)  # no graph: unlabelled totals only
         assert sum(reg["repro_tasks_total"].samples.values()) == len(graph)
         assert "repro_level_seconds_total" not in reg

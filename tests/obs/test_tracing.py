@@ -229,19 +229,26 @@ class TestExport:
         assert sim["dur"] == pytest.approx(0.75e6)
 
     def test_chrome_track_merges_into_runtime_trace(self):
-        from repro.dag.graph import TaskGraph
+        from repro.dag.compiled import (
+            compiled_from_eliminations,
+            task_coordinates,
+        )
         from repro.hqr.config import HQRConfig
         from repro.hqr.hierarchy import hqr_elimination_list
+        from repro.runtime.machine import Machine
         from repro.runtime.trace import trace_events_json
+        from repro.tiles.layout import BlockCyclic2D
 
         cfg = HQRConfig(p=2, q=1, a=2)
-        graph = TaskGraph.from_eliminations(
-            hqr_elimination_list(4, 2, cfg), 4, 2
+        elims = hqr_elimination_list(4, 2, cfg)
+        cg = compiled_from_eliminations(
+            elims, 4, 2, BlockCyclic2D(2, 1), Machine(nodes=2), 16
         )
-        run_trace = [(i, 0, 0.0, 1.0) for i in range(len(graph.tasks))]
+        run_trace = [(i, 0, 0.0, 1.0) for i in range(cg.ntasks)]
         doc = json.loads(
             trace_events_json(
-                run_trace, graph, request_spans=self._traces()
+                run_trace, cg.kind, task_coordinates(elims, 4, 2),
+                request_spans=self._traces(),
             )
         )
         names = [

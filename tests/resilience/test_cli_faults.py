@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.kernels.weights import KernelKind
 from repro.obs.provenance import run_metadata
 
 
@@ -70,3 +73,29 @@ def test_cli_gantt_trace_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mean per-core utilization" in captured.out
     assert str(trace) in captured.out
+
+
+def test_cli_faults_timeline_shows_the_measured_run(tmp_path):
+    """The exported timeline is the run the report measured: the last
+    task ends at the first crash point's makespan."""
+    report, trace = tmp_path / "report.json", tmp_path / "faulty.json"
+    rc = main(
+        [
+            "faults",
+            "--scale", "small",
+            "--scenario", "crash",
+            "--no-engine-check",
+            "--json", str(report),
+            "--trace-out", str(trace),
+        ]
+    )
+    assert rc == 0
+    doc = json.loads(trace.read_text())
+    kernels = {k.name for k in KernelKind}
+    end = max(
+        e["ts"] + e["dur"]
+        for e in doc["traceEvents"]
+        if e["ph"] == "X" and e["name"] in kernels
+    )
+    point = json.loads(report.read_text())["scenarios"]["crash"]["points"][0]
+    assert end / 1e6 == pytest.approx(point["makespan"], rel=1e-12)

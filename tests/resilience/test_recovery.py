@@ -1,5 +1,7 @@
 """Failure-aware simulation: recovery correctness and determinism."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.dag import TaskGraph
@@ -8,25 +10,47 @@ from repro.resilience import (
     FaultSchedule,
     MessageDrops,
     NodeCrash,
-    ResilientSimulator,
     Slowdown,
+    run_with_faults,
     shrunken_config,
     shrunken_grid,
 )
 from repro.resilience.replan import node_remap, replan_restart
-from repro.runtime import Machine
+from repro.runtime import ClusterSimulator, Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 ENGINES = ("auto", "python")
 
 
+@dataclass
+class Problem:
+    """One elimination list on one machine, run with or without faults."""
+
+    elims: object
+    m: int
+    n: int
+    machine: Machine
+    layout: object
+    b: int = 40
+
+    def plain(self):
+        """The fault-free run of the object graph, an independent path."""
+        graph = TaskGraph.from_eliminations(self.elims, self.m, self.n)
+        return ClusterSimulator(self.machine, self.layout, self.b).run(graph)
+
+    def faulty(self, schedule, **kw):
+        return run_with_faults(
+            self.elims, self.m, self.n, self.layout, self.machine, self.b,
+            schedule, **kw,
+        )
+
+
 def build(m=12, n=4, cfg=None):
     cfg = cfg or HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    sim = ResilientSimulator(
-        Machine(nodes=4, cores_per_node=4), BlockCyclic2D(2, 2), 40
+    return Problem(
+        hqr_elimination_list(m, n, cfg), m, n,
+        Machine(nodes=4, cores_per_node=4), BlockCyclic2D(2, 2),
     )
-    return g, sim
 
 
 class TestFaultFreePath:
@@ -34,9 +58,9 @@ class TestFaultFreePath:
     def test_empty_schedule_bit_identical(self, engine, monkeypatch):
         """The no-fault path must stay byte-for-byte the ordinary run."""
         monkeypatch.setenv("REPRO_SIM_CORE", engine)
-        g, sim = build()
-        plain = sim.run(g)
-        faulty = sim.run_with_faults(g, FaultSchedule())
+        prob = build()
+        plain = prob.plain()
+        faulty = prob.faulty(FaultSchedule())
         assert faulty.makespan == plain.makespan
         assert faulty.messages == plain.messages
         assert faulty.busy_seconds == plain.busy_seconds
@@ -45,8 +69,8 @@ class TestFaultFreePath:
 
 
 class TestCrashRecovery:
-    def crash_schedule(self, sim, g, frac=0.4, node=1):
-        base = sim.run(g).makespan
+    def crash_schedule(self, prob, frac=0.4, node=1):
+        base = prob.plain().makespan
         return base, FaultSchedule(
             name="crash",
             crashes=(NodeCrash(node=node, time=frac * base),),
@@ -54,9 +78,9 @@ class TestCrashRecovery:
         )
 
     def test_completes_and_accounts(self):
-        g, sim = build()
-        base, sched = self.crash_schedule(sim, g)
-        res = sim.run_with_faults(g, sched, baseline_makespan=base)
+        prob = build()
+        base, sched = self.crash_schedule(prob)
+        res = prob.faulty(sched, baseline_makespan=base)
         assert res.makespan >= base
         assert res.crashed_nodes == (1,)
         assert res.tasks_reexecuted >= 0
@@ -64,11 +88,9 @@ class TestCrashRecovery:
         assert any(e["type"] == "recovery" for e in res.fault_events)
 
     def test_no_work_lands_on_dead_node_after_crash(self):
-        g, sim = build(16, 4)
-        base, sched = self.crash_schedule(sim, g, frac=0.3)
-        sim.record_trace = True
-        res = sim.run_with_faults(g, sched, baseline_makespan=base)
-        sim.record_trace = False
+        prob = build(16, 4)
+        base, sched = self.crash_schedule(prob, frac=0.3)
+        res = prob.faulty(sched, baseline_makespan=base, record_trace=True)
         tc = sched.crashes[0].time
         for _, node, start, _ in res.trace:
             if node == 1:
@@ -78,28 +100,28 @@ class TestCrashRecovery:
         """Without checkpoints a late crash wipes more durable outputs,
         so the recovery cone grows with crash time (the classic
         lineage-recovery cost curve)."""
-        g, sim = build(16, 4)
-        base = sim.run(g).makespan
+        prob = build(16, 4)
+        base = prob.plain().makespan
 
         def run(frac):
             sched = FaultSchedule(
                 crashes=(NodeCrash(node=1, time=frac * base),),
                 detection_latency=0.02 * base,
             )
-            return sim.run_with_faults(g, sched, baseline_makespan=base)
+            return prob.faulty(sched, baseline_makespan=base)
 
         assert run(0.9).tasks_reexecuted >= run(0.1).tasks_reexecuted
 
     def test_deterministic_across_invocations_and_engines(self, monkeypatch):
-        g, sim = build(16, 4)
+        prob = build(16, 4)
         sched = FaultSchedule.scenario(
-            "crash", seed=7, nodes=4, horizon=sim.run(g).makespan
+            "crash", seed=7, nodes=4, horizon=prob.plain().makespan
         )
         outcomes = []
         for engine in ENGINES:
             monkeypatch.setenv("REPRO_SIM_CORE", engine)
             for _ in range(2):
-                r = sim.run_with_faults(g, sched)
+                r = prob.faulty(sched)
                 outcomes.append(
                     (
                         r.makespan,
@@ -112,8 +134,8 @@ class TestCrashRecovery:
         assert len(set(outcomes)) == 1
 
     def test_multi_crash(self):
-        g, sim = build(16, 4)
-        base = sim.run(g).makespan
+        prob = build(16, 4)
+        base = prob.plain().makespan
         sched = FaultSchedule(
             crashes=(
                 NodeCrash(node=1, time=0.3 * base),
@@ -121,62 +143,60 @@ class TestCrashRecovery:
             ),
             detection_latency=0.02 * base,
         )
-        res = sim.run_with_faults(g, sched, baseline_makespan=base)
+        res = prob.faulty(sched, baseline_makespan=base)
         assert res.crashed_nodes == (1, 2)
         assert res.makespan >= base
 
     def test_rejects_total_cluster_loss(self):
-        g, sim = build()
+        prob = build()
         sched = FaultSchedule(
             crashes=tuple(NodeCrash(node=n, time=0.1) for n in range(4)),
         )
         with pytest.raises(ValueError, match="nothing survives"):
-            sim.run_with_faults(g, sched)
+            prob.faulty(sched)
 
     def test_rejects_out_of_range_node(self):
-        g, sim = build()
+        prob = build()
         sched = FaultSchedule(crashes=(NodeCrash(node=99, time=0.1),))
         with pytest.raises(ValueError, match="outside machine"):
-            sim.run_with_faults(g, sched)
+            prob.faulty(sched)
 
     def test_non_blockcyclic_layout_recovers_too(self):
         cfg = HQRConfig(p=2, a=2)
         m, n = 12, 4
-        g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-        sim = ResilientSimulator(
-            Machine(nodes=3, cores_per_node=4), Cyclic1D(3), 40
+        prob = Problem(
+            hqr_elimination_list(m, n, cfg), m, n,
+            Machine(nodes=3, cores_per_node=4), Cyclic1D(3),
         )
-        base = sim.run(g).makespan
+        base = prob.plain().makespan
         sched = FaultSchedule(
             crashes=(NodeCrash(node=0, time=0.4 * base),),
             detection_latency=0.02 * base,
         )
-        res = sim.run_with_faults(g, sched, baseline_makespan=base)
+        res = prob.faulty(sched, baseline_makespan=base)
         assert res.makespan >= base
 
 
 class TestSlowdownsAndDrops:
     def test_slowdown_stretches_makespan(self):
-        g, sim = build(16, 4)
-        base = sim.run(g).makespan
+        prob = build(16, 4)
+        base = prob.plain().makespan
         sched = FaultSchedule(
             slowdowns=(Slowdown(node=0, start=0.0, end=base, factor=4.0),),
         )
-        res = sim.run_with_faults(g, sched, baseline_makespan=base)
+        res = prob.faulty(sched, baseline_makespan=base)
         assert res.makespan > base
         assert res.tasks_reexecuted == 0
 
     def test_drops_delay_and_double_traffic(self):
-        g, sim = build(16, 4)
-        base_res = sim.run(g)
+        prob = build(16, 4)
+        base_res = prob.plain()
         sched = FaultSchedule(
             seed=2,
             drops=MessageDrops(rate=0.3),
             retransmit_timeout=0.02 * base_res.makespan,
         )
-        res = sim.run_with_faults(
-            g, sched, baseline_makespan=base_res.makespan
-        )
+        res = prob.faulty(sched, baseline_makespan=base_res.makespan)
         assert res.messages_dropped > 0
         assert res.retransmits == res.messages_dropped
         # each drop costs one extra wire transmission

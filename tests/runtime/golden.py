@@ -110,13 +110,15 @@ class GoldenCase:
     def layout(self) -> Layout:
         return self.layout_fn()
 
-    def graph(self):
-        from repro.dag.graph import TaskGraph
+    def elims(self):
         from repro.hqr.hierarchy import hqr_elimination_list
 
-        return TaskGraph.from_eliminations(
-            hqr_elimination_list(self.m, self.n, self.config), self.m, self.n
-        )
+        return hqr_elimination_list(self.m, self.n, self.config)
+
+    def graph(self):
+        from repro.dag.graph import TaskGraph
+
+        return TaskGraph.from_eliminations(self.elims(), self.m, self.n)
 
     def priority_keys(self, graph):
         if self.priority is None:
@@ -124,6 +126,11 @@ class GoldenCase:
         from repro.runtime.priorities import make_priority
 
         return make_priority(self.priority, graph)
+
+    def priority_values(self, graph):
+        """Per-task priority keys of ``graph``, or None for program order."""
+        key = self.priority_keys(graph)
+        return None if key is None else [key(t) for t in graph.tasks]
 
 
 @dataclass(frozen=True)
@@ -262,19 +269,19 @@ def _run_scalar(case: GoldenCase) -> dict:
 
 def _run_faulty(case: FaultGoldenCase) -> dict:
     from repro.resilience.faults import FaultSchedule
-    from repro.resilience.simulate import ResilientSimulator
+    from repro.resilience.simulate import run_with_faults
 
     base = case.base
-    graph = base.graph()
-    sim = ResilientSimulator(
-        base.machine,
-        base.layout(),
-        base.b,
-        priority=base.priority_keys(graph),
-        data_reuse=base.data_reuse,
-        record_trace=True,
-    )
-    baseline = sim.run(graph).makespan
+    elims = base.elims()
+
+    def run(schedule, **kw):
+        return run_with_faults(
+            elims, base.m, base.n, base.layout(), base.machine, base.b,
+            schedule, prio=base.priority_values(base.graph()),
+            data_reuse=base.data_reuse, **kw,
+        )
+
+    baseline = run(FaultSchedule()).makespan
     schedule = FaultSchedule.scenario(
         case.scenario,
         seed=case.seed,
@@ -282,7 +289,7 @@ def _run_faulty(case: FaultGoldenCase) -> dict:
         horizon=baseline,
         severity=case.severity,
     )
-    res = sim.run_with_faults(graph, schedule, baseline_makespan=baseline)
+    res = run(schedule, baseline_makespan=baseline, record_trace=True)
     return {
         "baseline_makespan": float_hex(baseline),
         "makespan": float_hex(res.makespan),

@@ -4,8 +4,9 @@ Every capability combination of :func:`repro.runtime.core.run_core` must
 reproduce — bitwise — the values captured from the PRE-unification
 engines (``tests/runtime/fixtures/golden_core.json``): Python and C
 inner loops, trace recording, obs recording at both levels, batched
-dispatch, and fault hooks — including the empty-schedule
-``force_fault_loop`` identity that used to be its own verify engine.
+dispatch, and fault hooks — including the empty-schedule identity
+(fault hooks with no fault == no hooks) that used to be its own verify
+engine.
 """
 
 import dataclasses
@@ -287,7 +288,6 @@ def test_a_tile_goes_once_to_each_remote_node(serialized):
     loop — C, Python, traced, and the fault branch with its ``sent`` dict —
     agrees bit for bit."""
     from repro.resilience.faults import FaultSchedule
-    from repro.resilience.simulate import ResilientSimulator
 
     graph, layout, b = _fan_out_graph(), Cyclic1D(4), 64
     machine = Machine(
@@ -298,11 +298,10 @@ def test_a_tile_goes_once_to_each_remote_node(serialized):
     traced = ClusterSimulator(machine, layout, b, record_trace=True).run(graph)
     assert [dst for t, _, dst, *_ in traced.comm_trace if t == 0] == [1, 2]
     cores = ["python"] + (["c"] if native_available() else [])
+    hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())
     cluster = [
         traced,
-        ResilientSimulator(machine, layout, b).run_with_faults(
-            graph, FaultSchedule(), baseline_makespan=0.0, force_fault_loop=True
-        ),
+        run_core(cg, machine, b, fault=hooks).result,
     ] + [run_core(cg, machine, b, core=core).result for core in cores]
     assert [r.messages for r in cluster] == [9] * len(cluster)
     assert [r.makespan for r in cluster] == [cluster[0].makespan] * len(cluster)
@@ -463,52 +462,29 @@ def test_tracing_span_hook_is_bitwise_neutral_batched():
     assert any(s.name == "simulate" for s in trace.root.children)
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE["faulty"]))
-def test_fault_hooks_match_golden(name):
-    """The fault capability branch, driven directly through FaultHooks."""
-    from repro.resilience.faults import FaultSchedule
-    from repro.resilience.simulate import ResilientSimulator
+def _shrunken_grid_replan(graph, layout, machine):
+    """Post-crash node of every task, re-derived from the object graph: a
+    block-cyclic layout re-places each task's tile on the shrunken grid of
+    the survivors (the recovery policy, kept here as an oracle)."""
+    from repro.resilience.replan import shrunken_grid
 
-    fcase = FAULT_CASES[name]
-    base = fcase.base
-    graph = base.graph()
-    sim = ResilientSimulator(
-        base.machine,
-        base.layout(),
-        base.b,
-        priority=base.priority_keys(graph),
-        data_reuse=base.data_reuse,
-        record_trace=True,
-    )
-    frozen = FIXTURE["faulty"][name]
-    baseline = sim.run(graph).makespan
-    assert float_hex(baseline) == frozen["baseline_makespan"]
-    schedule = FaultSchedule.scenario(
-        fcase.scenario,
-        seed=fcase.seed,
-        nodes=base.machine.nodes,
-        horizon=baseline,
-        severity=fcase.severity,
-    )
-    cg = compile_graph(graph, sim.layout, sim.machine, base.b)
-    hooks = FaultHooks(
-        schedule=schedule,
-        replan=lambda dead: sim._replan_targets(graph, dead),
-        fault_events=[],
-    )
-    out = run_core(
-        cg, base.machine, base.b,
-        prio=sim.priority_values(graph),
-        data_reuse=base.data_reuse,
-        record_trace=True,
-        fault=hooks,
-    )
-    res, fo = out.result, out.fault
+    def replan(dead):
+        survivors = [k for k in range(machine.nodes) if k not in dead]
+        grid = BlockCyclic2D(*shrunken_grid(layout.p, layout.q, len(survivors)))
+        return [
+            survivors[grid.owner(t.row, t.panel if t.col < 0 else t.col)]
+            for t in graph.tasks
+        ]
+
+    return replan
+
+
+def _assert_faulty(res, fo, ntasks, frozen):
     assert float_hex(res.makespan) == frozen["makespan"]
     assert float_hex(res.busy_seconds) == frozen["busy_seconds"]
     assert float_hex(fo.wasted) == frozen["wasted_seconds"]
     assert res.messages == frozen["messages"]
-    assert fo.executions - cg.ntasks == frozen["tasks_reexecuted"]
+    assert fo.executions - ntasks == frozen["tasks_reexecuted"]
     assert fo.aborted == frozen["tasks_aborted"]
     assert fo.refetches == frozen["refetch_messages"]
     assert fo.dropped == frozen["messages_dropped"]
@@ -517,33 +493,71 @@ def test_fault_hooks_match_golden(name):
     assert trace_digest(res.trace) == frozen["trace"]
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURE["faulty"]))
+def test_fault_hooks_match_golden(name):
+    """The fault capability branch, driven directly through FaultHooks."""
+    from repro.resilience.faults import FaultSchedule
+
+    fcase = FAULT_CASES[name]
+    base = fcase.base
+    graph, sim, cg, prio = _compiled(base)
+    frozen = FIXTURE["faulty"][name]
+    baseline = run_core(
+        cg, base.machine, base.b, prio=prio, data_reuse=base.data_reuse
+    ).result.makespan
+    assert float_hex(baseline) == frozen["baseline_makespan"]
+    schedule = FaultSchedule.scenario(
+        fcase.scenario,
+        seed=fcase.seed,
+        nodes=base.machine.nodes,
+        horizon=baseline,
+        severity=fcase.severity,
+    )
+    hooks = FaultHooks(
+        schedule=schedule,
+        replan=_shrunken_grid_replan(graph, sim.layout, sim.machine),
+        fault_events=[],
+    )
+    out = run_core(
+        cg, base.machine, base.b,
+        prio=prio,
+        data_reuse=base.data_reuse,
+        record_trace=True,
+        fault=hooks,
+    )
+    _assert_faulty(out.result, out.fault, cg.ntasks, frozen)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE["faulty"]))
+def test_run_with_faults_matches_golden(name):
+    """The production fault entry point — one plan on the C planner, the
+    post-crash nodes from its arrays — reproduces every frozen value."""
+    from golden import _run_faulty
+
+    assert _run_faulty(FAULT_CASES[name]) == FIXTURE["faulty"][name]
+
+
 @pytest.mark.parametrize(
     "name", ["flat-serialized", "flat-critical-path", "hierarchical"]
 )
 def test_empty_schedule_fault_loop_is_bit_identical(name):
-    """The old ``force_fault_loop`` verify engine, now a flag identity:
-    fault hooks with an empty schedule == fault hooks disabled, bitwise.
-    """
+    """Fault hooks with an empty schedule == fault hooks disabled, bitwise
+    (the old verify engine, now a flag identity)."""
     from repro.resilience.faults import FaultSchedule
-    from repro.resilience.simulate import ResilientSimulator
 
     case = CASES[name]
-    graph = case.graph()
-    sim = ResilientSimulator(
-        case.machine,
-        case.layout(),
-        case.b,
-        priority=case.priority_keys(graph),
+    _, _, cg, prio = _compiled(case)
+    out = run_core(
+        cg, case.machine, case.b,
+        prio=prio,
         data_reuse=case.data_reuse,
-    )
-    res = sim.run_with_faults(
-        graph, FaultSchedule(), baseline_makespan=0.0, force_fault_loop=True
+        fault=FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist()),
     )
     frozen = FIXTURE["scalar"][name]
-    _assert_scalar(res, frozen)
-    assert res.tasks_reexecuted == 0
-    assert res.tasks_aborted == 0
-    assert res.wasted_seconds == 0.0
+    _assert_scalar(out.result, frozen)
+    assert out.fault.executions == cg.ntasks  # nothing re-executed
+    assert out.fault.aborted == 0
+    assert out.fault.wasted == 0.0
 
 
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")

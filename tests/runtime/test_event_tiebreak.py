@@ -17,8 +17,7 @@ from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.kernels.weights import KernelKind, KernelRates
 from repro.resilience.faults import FaultSchedule
-from repro.resilience.simulate import ResilientSimulator
-from repro.runtime.core import run_core
+from repro.runtime.core import FaultHooks, run_core
 from repro.runtime.machine import Machine
 from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D
@@ -68,9 +67,12 @@ def test_all_engines_agree_on_tie_heavy_configuration():
     cg = compile_graph(graph, layout, machine, B)
     engines = {
         "compiled-python": run_core(cg, machine, B, core="python").result,
-        "resilient": ResilientSimulator(machine, layout, B).run_with_faults(
-            graph, FaultSchedule(), baseline_makespan=0.0, force_fault_loop=True
-        ),
+        "fault-branch": run_core(
+            cg, machine, B,
+            fault=FaultHooks(
+                FaultSchedule(), replan=lambda dead: cg.node.tolist()
+            ),
+        ).result,
     }
     from repro._ccore import native_available
 

@@ -1,39 +1,51 @@
 """Trace analysis: summaries, utilization, Gantt rendering."""
 
+import numpy as np
 import pytest
 
 from repro.dag import TaskGraph
+from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.kernels.weights import KernelKind
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
+from repro.runtime.core import run_core
 from repro.runtime.trace import ascii_gantt, summarize, trace_events_json
 from repro.tiles.layout import BlockCyclic2D, Block1D
 
+#: the kind codes and coordinates of a graph with no task
+NO_KIND = np.empty(0, np.int8)
+NO_COORDS = (np.empty(0, np.int32),) * 4
+
 
 def run_traced(m, n, layout, cfg=None):
+    """``(kind codes, task coordinates, traced result)`` of one run."""
     cfg = cfg or HQRConfig(p=2, a=2)
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-    sim = ClusterSimulator(Machine.edel(), layout, 40, record_trace=True)
-    return g, sim.run(g)
+    elims = hqr_elimination_list(m, n, cfg)
+    cg = compiled_from_eliminations(elims, m, n, layout, Machine.edel(), 40)
+    res = run_core(cg, Machine.edel(), 40, record_trace=True).result
+    return cg.kind, task_coordinates(elims, m, n), res
 
 
 class TestSummarize:
     def test_totals_match_result(self):
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        s = summarize(res.trace, g)
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        s = summarize(res.trace, kind)
         assert s.makespan == pytest.approx(res.makespan)
         assert sum(s.node_busy.values()) == pytest.approx(res.busy_seconds)
 
     def test_kernel_counts_match_graph(self):
-        g, res = run_traced(10, 5, BlockCyclic2D(2, 2))
-        s = summarize(res.trace, g)
-        for kind in KernelKind:
-            expected = sum(1 for t in g.tasks if t.kind is kind)
-            assert s.kernel_counts[kind] == expected
+        kind, coords, res = run_traced(10, 5, BlockCyclic2D(2, 2))
+        s = summarize(res.trace, kind)
+        g = TaskGraph.from_eliminations(
+            hqr_elimination_list(10, 5, HQRConfig(p=2, a=2)), 10, 5
+        )
+        for kk in KernelKind:
+            expected = sum(1 for t in g.tasks if t.kind is kk)
+            assert s.kernel_counts[kk] == expected
 
     def test_utilization_bounded(self):
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        s = summarize(res.trace, g)
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        s = summarize(res.trace, kind)
         mach = Machine.edel()
         for node, u in s.utilization.items():
             assert 0 <= u <= mach.cores_per_node
@@ -42,23 +54,22 @@ class TestSummarize:
         """§III-C load-imbalance claim, observed in the trace."""
         m, n = 24, 12
         cfg = HQRConfig(p=1, a=3, low_tree="binary", domino=False)
-        g1, res1 = run_traced(m, n, Block1D(4, m), cfg)
+        kind1, _, res1 = run_traced(m, n, Block1D(4, m), cfg)
         from repro.tiles.layout import Cyclic1D
 
-        g2, res2 = run_traced(m, n, Cyclic1D(4), cfg)
-        s1 = summarize(res1.trace, g1)
-        s2 = summarize(res2.trace, g2)
+        kind2, _, res2 = run_traced(m, n, Cyclic1D(4), cfg)
+        s1 = summarize(res1.trace, kind1)
+        s2 = summarize(res2.trace, kind2)
         assert s1.imbalance() > s2.imbalance()
 
     def test_empty_trace(self):
-        g = TaskGraph(1, 1, [], [])
-        s = summarize([], g)
+        s = summarize([], NO_KIND)
         assert s.makespan == 0.0
         assert s.imbalance() == 1.0
 
     def test_per_core_utilization_in_unit_interval(self):
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        s = summarize(res.trace, g)
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        s = summarize(res.trace, kind)
         mach = Machine.edel()
         per_core = s.per_core_utilization(mach.cores_per_node)
         assert set(per_core) == set(s.utilization)
@@ -69,8 +80,8 @@ class TestSummarize:
             )
 
     def test_per_core_utilization_rejects_bad_core_count(self):
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        s = summarize(res.trace, g)
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        s = summarize(res.trace, kind)
         with pytest.raises(ValueError):
             s.per_core_utilization(0)
 
@@ -79,8 +90,8 @@ class TestTraceEventsJson:
     def test_valid_json_with_one_event_per_span(self):
         import json
 
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        doc = json.loads(trace_events_json(res.trace, g))
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        doc = json.loads(trace_events_json(res.trace, kind, coords))
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(complete) == len(res.trace)
         for e in complete:
@@ -92,8 +103,8 @@ class TestTraceEventsJson:
         thread row, and never uses more rows than the node has cores."""
         import json
 
-        g, res = run_traced(16, 8, BlockCyclic2D(2, 2))
-        doc = json.loads(trace_events_json(res.trace, g))
+        kind, coords, res = run_traced(16, 8, BlockCyclic2D(2, 2))
+        doc = json.loads(trace_events_json(res.trace, kind, coords))
         mach = Machine.edel()
         rows = {}
         for e in doc["traceEvents"]:
@@ -111,29 +122,30 @@ class TestTraceEventsJson:
     def test_fault_events_rendered(self):
         import json
 
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
         faults = [
             {"type": "crash", "time": 0.001, "node": 1},
             {"type": "slowdown", "node": 0, "start": 0.0, "end": 0.002,
              "factor": 2.0},
         ]
-        doc = json.loads(trace_events_json(res.trace, g, fault_events=faults))
+        doc = json.loads(trace_events_json(res.trace, kind, coords, fault_events=faults))
         names = [e["name"] for e in doc["traceEvents"]]
         assert "crash" in names
         assert any(n.startswith("slowdown") for n in names)
 
 
 def small_graph():
+    """``(kind codes, task coordinates)`` of a 2 x 1 factorization."""
     cfg = HQRConfig(p=1, a=1)
-    return TaskGraph.from_eliminations(hqr_elimination_list(2, 1, cfg), 2, 1)
+    kind, coords, _ = run_traced(2, 1, BlockCyclic2D(1, 1), cfg)
+    return kind, coords
 
 
 class TestTraceEdgeCases:
     def test_trace_events_json_empty_trace(self):
         import json
 
-        g = TaskGraph(1, 1, [], [])
-        doc = json.loads(trace_events_json([], g))
+        doc = json.loads(trace_events_json([], NO_KIND, NO_COORDS))
         assert doc["traceEvents"] == []
 
     def test_fully_idle_cores_never_get_rows(self):
@@ -141,33 +153,35 @@ class TestTraceEdgeCases:
         idle cores produce no events at all."""
         import json
 
-        g = small_graph()
+        kind, coords = small_graph()
         trace = [(0, 0, 0.0, 1.0), (1, 0, 1.0, 2.0)]
-        doc = json.loads(trace_events_json(trace, g))
+        doc = json.loads(trace_events_json(trace, kind, coords))
         tids = {e["tid"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert tids == {0}
 
     def test_summarize_zero_duration_tasks(self):
-        g = small_graph()
-        s = summarize([(0, 0, 0.5, 0.5)], g)
+        kind, _ = small_graph()
+        s = summarize([(0, 0, 0.5, 0.5)], kind)
         assert s.makespan == 0.5
         assert s.node_busy[0] == 0.0
         assert s.utilization[0] == 0.0
         assert s.imbalance() == 1.0
 
     def test_per_core_utilization_zero_duration_tasks(self):
-        g = small_graph()
-        s = summarize([(0, 0, 0.5, 0.5), (1, 1, 0.0, 0.0)], g)
+        kind, _ = small_graph()
+        s = summarize([(0, 0, 0.5, 0.5), (1, 1, 0.0, 0.0)], kind)
         per_core = s.per_core_utilization(8)
         assert per_core == {0: 0.0, 1: 0.0}
 
     def test_comm_events_make_network_tracks(self):
         import json
 
-        g = small_graph()
+        kind, coords = small_graph()
         trace = [(0, 0, 0.0, 1.0), (1, 1, 1.5, 2.0)]
         comms = [(0, 0, 1, 1.0, 1.5, 627200)]
-        doc = json.loads(trace_events_json(trace, g, comm_events=comms))
+        doc = json.loads(
+            trace_events_json(trace, kind, coords, comm_events=comms)
+        )
         evs = doc["traceEvents"]
         net_pid = next(
             e["pid"]
@@ -187,11 +201,12 @@ class TestTraceEdgeCases:
     def test_counter_tracks(self):
         import json
 
-        g = small_graph()
+        kind, coords = small_graph()
         doc = json.loads(
             trace_events_json(
                 [(0, 0, 0.0, 1.0)],
-                g,
+                kind,
+                coords,
                 counters={"busy_cores": [(0.0, 1), (1.0, 0)]},
             )
         )
@@ -204,18 +219,17 @@ class TestTraceEdgeCases:
 
 class TestGantt:
     def test_renders_one_row_per_node(self):
-        g, res = run_traced(12, 6, BlockCyclic2D(2, 2))
-        text = ascii_gantt(res.trace, g, width=40)
+        kind, coords, res = run_traced(12, 6, BlockCyclic2D(2, 2))
+        text = ascii_gantt(res.trace, width=40)
         lines = text.splitlines()
         assert len(lines) == 4
         assert all(len(line) == len(lines[0]) for line in lines)
 
     def test_busy_and_idle_glyphs(self):
-        g, res = run_traced(16, 8, BlockCyclic2D(2, 2))
-        text = ascii_gantt(res.trace, g, width=30)
+        kind, coords, res = run_traced(16, 8, BlockCyclic2D(2, 2))
+        text = ascii_gantt(res.trace, width=30)
         assert "#" in text or "+" in text
         assert "." in text  # ramp-up idle slots exist
 
     def test_empty(self):
-        g = TaskGraph(1, 1, [], [])
-        assert ascii_gantt([], g) == "(empty trace)"
+        assert ascii_gantt([]) == "(empty trace)"
