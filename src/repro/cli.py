@@ -16,7 +16,7 @@ replay     validate + summarize an elimination-list JSON file
 metrics    instrumented run: per-kernel/level/link metrics (JSON/Prometheus)
 profile    self-profile the harness (span table + cProfile)
 obs        observability reports (HTML) and request traces
-serve      persistent planning daemon / SLO-gated serving benchmark
+serve      persistent multi-tenant planning daemon
 tune       seeded simulated-annealing autotuner over the HQR design space
 """
 
@@ -369,29 +369,6 @@ def cmd_replay(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.bench:
-        from repro.serve.bench import (
-            format_serve_report,
-            serve_bench,
-            write_serve_report,
-        )
-
-        with _scoped_env(REPRO_BENCH_SCALE=args.scale or None):
-            report = serve_bench(
-                seed=args.seed,
-                capacity=args.capacity,
-                util=args.util,
-                skip_live=args.skip_live,
-            )
-        print(format_serve_report(report))
-        if args.json:
-            write_serve_report(report, args.json)
-            print(f"wrote {args.json}")
-        if not report["ok"]:
-            print("SERVING BENCHMARK FAILED: see report above", file=sys.stderr)
-            return 1
-        return 0
-
     from repro.serve.scheduler import parse_tenants
     from repro.serve.server import DEFAULT_TENANTS, PlanningDaemon
 
@@ -941,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="persistent planning daemon / SLO-gated serving benchmark",
+        help="persistent multi-tenant planning daemon",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument(
@@ -968,34 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-access-log",
         action="store_true",
-        help="daemon: suppress the structured JSON access log",
+        help="suppress the structured JSON access log",
     )
-    p.add_argument(
-        "--bench",
-        action="store_true",
-        help="run the SLO-gated serving benchmark instead of a daemon",
-    )
-    p.add_argument("--seed", type=int, default=0, help="bench stream seed")
-    p.add_argument(
-        "--capacity", type=int, default=2, help="bench model servers"
-    )
-    p.add_argument(
-        "--util",
-        type=float,
-        default=0.7,
-        help="bench steady-state target utilization",
-    )
-    p.add_argument(
-        "--scale",
-        choices=("small", "default", "full"),
-        help="override REPRO_BENCH_SCALE for this run",
-    )
-    p.add_argument(
-        "--skip-live",
-        action="store_true",
-        help="bench: skip the live-daemon HTTP phase",
-    )
-    p.add_argument("--json", help="write the benchmark report here")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

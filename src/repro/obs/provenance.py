@@ -1,11 +1,10 @@
 """Provenance stamp for benchmark reports.
 
-``repro faults --json``, ``repro serve --bench --json`` and ``repro
-tune --bench --json`` put :func:`run_metadata`
-under ``meta``: the commit the code came from, whether the working tree
-differed from it, and the interpreter and host that produced the
-numbers.  Speed itself is judged by ``perf/`` (``BENCHMARK.json``), not
-by comparing these reports.
+``repro faults --json`` and ``repro tune --bench --json`` put
+:func:`run_metadata` under ``meta``: the commit the code came from,
+whether the working tree differed from it, and the interpreter and host
+that produced the numbers.  Speed itself is judged by ``perf/``
+(``BENCHMARK.json``), not by comparing these reports.
 """
 
 from __future__ import annotations

@@ -1,20 +1,16 @@
 """Request-scoped span trees and the serving flight recorder.
 
-Every request through the serving stack (the HTTP daemon or the
-virtual-time stream bench) gets one :class:`RequestTrace` — a tree of
-:class:`Span` objects covering admission, queue wait, the planner
-service, the graph-cache probe and the core dispatch — identified by a
-W3C ``traceparent``-style 32-hex trace id that clients mint and the
-server propagates back.
+Every request through the serving daemon gets one :class:`RequestTrace`
+— a tree of :class:`Span` objects covering admission, queue wait, the
+planner service, the graph-cache probe and the core dispatch —
+identified by a W3C ``traceparent``-style 32-hex trace id that clients
+mint and the server propagates back.
 
 Design constraints, in order:
 
 * **Bitwise neutrality.**  With no trace attached, :func:`span` reads
   one thread-local and times nothing; no span machinery touches
   simulated results, and the golden fixtures pin that.
-* **Determinism.**  Virtual-time traces (the stream bench) carry only
-  virtual timestamps and ids derived from the job id, so the seeded
-  bit-equality comparison holds with tracing on.
 * **O(1) overhead.**  The flight recorder is a bounded ring of the last
   N finished traces; a trigger (SLO breach, shed, fault, worker
   exception) snapshots the ring into a bounded dump list, rate-limited
@@ -55,7 +51,6 @@ __all__ = [
     "mint_trace_id",
     "parse_traceparent",
     "span",
-    "stream_trace_id",
     "traces_jsonl",
 ]
 
@@ -81,15 +76,6 @@ def mint_trace_id() -> str:
 def mint_span_id() -> str:
     """A fresh random 16-hex span id."""
     return os.urandom(8).hex()
-
-
-def stream_trace_id(job_id: int) -> str:
-    """Deterministic trace id for a virtual-time stream job.
-
-    A pure function of the job id so seeded stream runs stay
-    bit-reproducible with tracing enabled.
-    """
-    return f"{job_id & (2**128 - 1):032x}"
 
 
 def format_traceparent(trace_id: str, span_id: str) -> str:
@@ -162,11 +148,10 @@ class RequestTrace:
         start: float,
         *,
         job_id: int | None = None,
-        span_id: str | None = None,
         parent_span_id: str | None = None,
     ) -> None:
         self.trace_id = trace_id
-        self.span_id = span_id if span_id is not None else mint_span_id()
+        self.span_id = mint_span_id()
         self.parent_span_id = parent_span_id
         self.job_id = job_id
         self.tenant = tenant
@@ -293,7 +278,7 @@ class FlightRecorder:
     ``record`` is O(1) (deque append with ``maxlen``).  ``trigger``
     snapshots the ring into a bounded dump list unless a previous dump
     happened within ``cooldown`` seconds (pass ``cooldown=0`` to dump on
-    every trigger — the chaos bench does, to guarantee coverage).
+    every trigger).
     """
 
     def __init__(
@@ -365,7 +350,7 @@ class FlightRecorder:
 
 
 # --------------------------------------------------------------------------- #
-# tracer: per-daemon / per-stream trace store                                 #
+# tracer: per-daemon trace store                                              #
 # --------------------------------------------------------------------------- #
 
 
@@ -391,7 +376,6 @@ class Tracer:
         start: float,
         *,
         trace_id: str | None = None,
-        span_id: str | None = None,
         parent_span_id: str | None = None,
         job_id: int | None = None,
     ) -> RequestTrace:
@@ -401,7 +385,6 @@ class Tracer:
             tenant,
             start,
             job_id=job_id,
-            span_id=span_id,
             parent_span_id=parent_span_id,
         )
 

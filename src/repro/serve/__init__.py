@@ -8,29 +8,18 @@ makespan ranks configurations.  This package serves that planner:
   planning API answering from the warm compiled-graph cache;
 * :mod:`repro.serve.scheduler` — bounded per-tenant queues,
   weighted-fair dequeue, admission control (shed with ``Retry-After``);
-* :mod:`repro.serve.arrivals` — seeded Poisson / bursty /
-  replay-from-file arrival generators;
-* :mod:`repro.serve.stream` — deterministic virtual-time job-stream
-  runner (same seed, same latency trace) with chaos windows that route
-  jobs through :mod:`repro.resilience`;
+* :mod:`repro.serve.arrivals` — a seeded Poisson arrival generator,
+  the load :func:`repro.serve.client.drive` replays against a daemon;
 * :mod:`repro.serve.slo` — per-tenant throughput, latency percentiles,
   shed rate, cache hit ratio, exported through the
   :mod:`repro.obs` MetricsRegistry;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib
-  HTTP daemon (``repro serve``) and its JSON client;
-* :mod:`repro.serve.bench` — the SLO-gated serving benchmark behind
-  ``repro serve --bench``.
+  HTTP daemon (``repro serve``) and its JSON client.
 
 See ``docs/serving.md`` for the API schema and tenancy model.
 """
 
-from repro.serve.arrivals import (
-    Arrival,
-    bursty_arrivals,
-    poisson_arrivals,
-    replay_arrivals,
-    save_arrivals,
-)
+from repro.serve.arrivals import Arrival, poisson_arrivals
 from repro.serve.scheduler import (
     Admission,
     FairScheduler,
@@ -40,24 +29,17 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import PlannerService, PlanRequest, PlanResult
 from repro.serve.slo import SLOTracker
-from repro.serve.stream import ChaosWindow, StreamOutcome, run_stream
 
 __all__ = [
     "Admission",
     "Arrival",
-    "ChaosWindow",
     "FairScheduler",
     "Job",
     "PlanRequest",
     "PlanResult",
     "PlannerService",
     "SLOTracker",
-    "StreamOutcome",
     "TenantSpec",
-    "bursty_arrivals",
     "parse_tenants",
     "poisson_arrivals",
-    "replay_arrivals",
-    "run_stream",
-    "save_arrivals",
 ]

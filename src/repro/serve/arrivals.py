@@ -1,38 +1,21 @@
-"""Deterministic seeded arrival-process generators.
+"""Deterministic seeded arrival process: the load a daemon is driven with.
 
-Serving benchmarks need *reproducible* traffic: the same seed must
-produce the same request sequence on every machine and in every
-process.  All generators here derive their randomness from
-``random.Random`` seeded with a string (seeded via SHA-512, stable
-across processes and platforms) and return plain sorted lists of
-:class:`Arrival` events in *virtual seconds* — the stream runner and
-the live client both consume them.
-
-Three processes cover the open-loop workload mix:
-
-* :func:`poisson_arrivals` — independent per-tenant Poisson streams
-  (memoryless steady-state traffic);
-* :func:`bursty_arrivals` — on/off modulated Poisson (thundering
-  herds, batch windows);
-* :func:`replay_arrivals` — replay a recorded trace from a JSON-lines
-  file, for regression-testing against production-shaped traffic.
+The same seed must produce the same request sequence on every machine
+and in every process: :func:`poisson_arrivals` derives its randomness
+from ``random.Random`` seeded with a string (seeded via SHA-512, stable
+across processes and platforms) and returns a plain sorted list of
+:class:`Arrival` events, independent per-tenant Poisson streams
+(memoryless steady-state traffic) timed in seconds from the start.
+:func:`repro.serve.client.drive` replays them against a live daemon.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
-__all__ = [
-    "Arrival",
-    "bursty_arrivals",
-    "poisson_arrivals",
-    "replay_arrivals",
-    "save_arrivals",
-]
+__all__ = ["Arrival", "poisson_arrivals"]
 
 #: request factory signature: (per-tenant rng, tenant name) -> JSON dict
 RequestFactory = Callable[[random.Random, str], dict]
@@ -40,21 +23,11 @@ RequestFactory = Callable[[random.Random, str], dict]
 
 @dataclass(frozen=True)
 class Arrival:
-    """One job arriving at ``time`` (virtual seconds) for ``tenant``."""
+    """One job arriving at ``time`` (seconds from the start) for ``tenant``."""
 
     time: float
     tenant: str
     request: dict
-
-    def to_json(self) -> dict:
-        return {"time": self.time, "tenant": self.tenant,
-                "request": self.request}
-
-
-def _tenant_rng(seed: int, salt: str, tenant: str) -> random.Random:
-    """Stream-independent per-tenant RNG (string seeding is SHA-512
-    based: stable across processes, platforms, and python builds)."""
-    return random.Random(f"repro.serve:{seed}:{salt}:{tenant}")
 
 
 def _default_request(rng: random.Random, tenant: str) -> dict:
@@ -70,8 +43,8 @@ def poisson_arrivals(
 ) -> list[Arrival]:
     """Independent Poisson stream per tenant over ``[0, duration)``.
 
-    ``rates`` maps tenant name to arrival rate in jobs per virtual
-    second.  A rate of 0 yields no arrivals for that tenant.
+    ``rates`` maps tenant name to arrival rate in jobs per second.  A
+    rate of 0 yields no arrivals for that tenant.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -82,83 +55,12 @@ def poisson_arrivals(
             raise ValueError(f"negative rate for tenant {tenant!r}")
         if rate == 0:
             continue
-        rng = _tenant_rng(seed, "poisson", tenant)
+        # one RNG per tenant, seeded with a string (SHA-512 based: stable
+        # across processes, platforms and python builds)
+        rng = random.Random(f"repro.serve:{seed}:poisson:{tenant}")
         t = rng.expovariate(rate)
         while t < duration:
             events.append(Arrival(t, tenant, request_factory(rng, tenant)))
             t += rng.expovariate(rate)
-    events.sort(key=lambda a: (a.time, a.tenant))
-    return events
-
-
-def bursty_arrivals(
-    rates: dict[str, float],
-    duration: float,
-    *,
-    seed: int = 0,
-    burst_every: float = 30.0,
-    burst_len: float = 10.0,
-    request_factory: RequestFactory = _default_request,
-) -> list[Arrival]:
-    """On/off Poisson: tenants fire at ``rates`` only inside bursts.
-
-    Bursts of ``burst_len`` seconds open every ``burst_every`` seconds
-    (phase-shifted per tenant so herds overlap but do not coincide);
-    outside a burst the tenant is silent.  Generated by thinning a
-    continuous Poisson stream, so determinism matches
-    :func:`poisson_arrivals`.
-    """
-    if not 0 < burst_len <= burst_every:
-        raise ValueError(
-            f"need 0 < burst_len <= burst_every, got {burst_len}/{burst_every}"
-        )
-    events: list[Arrival] = []
-    for idx, tenant in enumerate(sorted(rates)):
-        rate = rates[tenant]
-        if rate < 0:
-            raise ValueError(f"negative rate for tenant {tenant!r}")
-        if rate == 0:
-            continue
-        rng = _tenant_rng(seed, "bursty", tenant)
-        phase = (idx * burst_every / max(1, len(rates))) % burst_every
-        t = rng.expovariate(rate)
-        while t < duration:
-            if (t + phase) % burst_every < burst_len:
-                events.append(
-                    Arrival(t, tenant, request_factory(rng, tenant))
-                )
-            t += rng.expovariate(rate)
-    events.sort(key=lambda a: (a.time, a.tenant))
-    return events
-
-
-def save_arrivals(events: list[Arrival], path: str | Path) -> None:
-    """Write a trace as JSON lines, the :func:`replay_arrivals` format."""
-    with open(path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
-
-
-def replay_arrivals(path: str | Path) -> list[Arrival]:
-    """Load a JSON-lines trace (``{"time", "tenant", "request"}`` rows)."""
-    events: list[Arrival] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                events.append(
-                    Arrival(
-                        time=float(row["time"]),
-                        tenant=str(row["tenant"]),
-                        request=dict(row["request"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad arrival row: {exc}"
-                ) from None
     events.sort(key=lambda a: (a.time, a.tenant))
     return events

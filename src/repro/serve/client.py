@@ -4,8 +4,7 @@
 connection per calling thread — thread-safe because threads never share
 a socket, and it survives daemon restarts by reconnecting once;
 :func:`drive` replays an arrival trace against a live daemon and
-tallies the outcomes — the CI ``serve-smoke`` job and the live section
-of ``repro serve --bench`` are built on it.
+tallies the outcomes — the CI ``serve-smoke`` job is built on it.
 
 Every ``POST /plan`` mints a fresh trace context and sends it as a
 ``traceparent`` header; the daemon joins it, so the span tree answering
@@ -226,7 +225,7 @@ def drive(
 ) -> dict:
     """Replay ``arrivals`` against a live daemon, closed-loop.
 
-    ``time_scale`` compresses the trace's virtual inter-arrival gaps
+    ``time_scale`` compresses the trace's inter-arrival gaps
     into real sleeps (0 = send back-to-back).  With
     ``honor_retry_after`` a shed response is retried once after the
     daemon's hint — the polite-client behavior documented in

@@ -2,9 +2,8 @@
 dequeue, admission control.
 
 The scheduler is a pure data structure over *logical* time — callers
-pass ``now`` explicitly — so the same code drives both the live daemon
-(wall clock, guarded by the daemon's condition variable) and the
-deterministic virtual-time stream runner (:mod:`repro.serve.stream`).
+pass ``now`` explicitly; the live daemon drives it on its monotonic
+clock, guarded by its condition variable.
 
 Fair dequeue is start-time fair queuing (stride scheduling): every
 tenant carries a virtual *pass*; dequeuing a job advances the tenant's
@@ -85,7 +84,7 @@ class Job:
 
     job_id: int
     tenant: str
-    request: object  # payload: JSON dict (stream) or pending slot (daemon)
+    request: object  # payload: the daemon's pending slot
     cost: float  # admission/fairness cost estimate, virtual seconds
     arrival: float  # clock time the job was offered
     start: float = 0.0  # set when dequeued for service
@@ -114,7 +113,7 @@ class FairScheduler:
     """Bounded per-tenant queues with weighted-fair dequeue.
 
     Not internally synchronized: the daemon serializes access under its
-    condition variable, the stream runner is single-threaded.
+    condition variable.
     """
 
     def __init__(

@@ -1,12 +1,11 @@
 """``repro serve`` — the persistent HQR planning daemon.
 
-Stdlib-only: a :class:`ThreadingHTTPServer` front end over the same
-:class:`~repro.serve.scheduler.FairScheduler` +
-:class:`~repro.serve.service.PlannerService` pair the deterministic
-stream runner uses.  HTTP handler threads *offer* jobs (admission
-control answers 429 + ``Retry-After`` when a tenant's queue is full or
-the in-flight cost budget is exhausted) and block on a per-job event;
-a fixed pool of worker threads dequeues weighted-fairly and plans.
+Stdlib-only: a :class:`ThreadingHTTPServer` front end over a
+:class:`~repro.serve.scheduler.FairScheduler` and a
+:class:`~repro.serve.service.PlannerService`.  HTTP handler threads
+*offer* jobs (admission control answers 429 + ``Retry-After`` when a
+tenant's queue is full or the in-flight cost budget is exhausted) and
+block on a per-job event; worker threads dequeue weighted-fairly and plan.
 
 Endpoints
 ---------

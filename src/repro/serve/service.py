@@ -12,9 +12,7 @@ the C planner and run through
 :func:`~repro.resilience.simulate.run_with_faults`, reporting the
 degradation instead of failing.
 
-Everything a result carries is deterministic in the request — the
-stream runner (:mod:`repro.serve.stream`) leans on that to make whole
-serving benchmarks bit-reproducible.
+Everything a result carries is deterministic in the request.
 """
 
 from __future__ import annotations

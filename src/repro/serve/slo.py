@@ -1,15 +1,14 @@
 """SLO accounting: per-tenant latency percentiles, throughput, shed rate.
 
-One :class:`SLOTracker` per daemon (or per stream run) collects request
-outcomes; :meth:`SLOTracker.summary` reduces them to the SLO numbers the
-serving benchmark reports (``repro serve --bench``) and
-:meth:`SLOTracker.into_registry` exports them through the
-:class:`~repro.obs.metrics.MetricsRegistry` for the daemon's
-``/metrics`` Prometheus endpoint.
+One :class:`SLOTracker` per daemon collects request outcomes;
+:meth:`SLOTracker.summary` reduces them to the SLO numbers ``GET
+/stats`` reports and :meth:`SLOTracker.into_registry` exports them
+through the :class:`~repro.obs.metrics.MetricsRegistry` for the
+daemon's ``/metrics`` Prometheus endpoint.
 
 Percentiles use the nearest-rank definition — deterministic, no
 interpolation — so identical request streams produce bit-identical
-summaries, which the seeded-stream reproducibility tests assert.
+summaries.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from collections import defaultdict
 
 __all__ = ["SLOTracker", "percentile"]
 
-#: latency buckets for the exported histogram (virtual or wall seconds)
+#: latency buckets for the exported histogram (seconds)
 LATENCY_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0)
 
 #: summary percentiles, in the order they appear in reports
@@ -47,8 +46,7 @@ class SLOTracker:
         self._lock = threading.Lock()
         self.max_samples = max_samples
         #: latency above this (seconds) counts as an SLO breach; ``None``
-        #: disables breach accounting (the deterministic stream bench
-        #: does, so summaries stay comparable across thresholds)
+        #: disables breach accounting
         self.breach_s = breach_s
         self._latency: dict[str, list[float]] = defaultdict(list)
         self._served: dict[str, int] = defaultdict(int)
@@ -111,13 +109,13 @@ class SLOTracker:
             return self._cache_hits / self._cache_lookups
 
     def summary(self, duration: float) -> dict:
-        """SLO reduction over ``duration`` (virtual or wall seconds).
+        """SLO reduction over ``duration`` seconds.
 
         Per-tenant throughput, latency percentiles, shed rate; plus the
-        aggregate view.  Deterministic for a deterministic stream —
+        aggregate view.  Deterministic in the recorded outcomes —
         cache-dependent numbers live outside this dict (see
-        :meth:`cache_hit_ratio`), so two identically seeded runs compare
-        equal even when only the second one finds a warm cache.
+        :meth:`cache_hit_ratio`), so two identical request records compare
+        equal even when only the second one found a warm cache.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")

@@ -22,7 +22,6 @@ from repro.obs.tracing import (
     mint_trace_id,
     parse_traceparent,
     span,
-    stream_trace_id,
     traces_jsonl,
 )
 
@@ -54,10 +53,6 @@ class TestTraceContext:
     )
     def test_traceparent_rejects_malformed(self, bad):
         assert parse_traceparent(bad) is None
-
-    def test_stream_trace_id_deterministic(self):
-        assert stream_trace_id(7) == f"{7:032x}"
-        assert len(stream_trace_id(2**130)) == 32  # masked to 128 bits
 
 
 class TestSpans:
@@ -188,7 +183,7 @@ class TestExport:
     def _traces(self, n=2):
         out = []
         for i in range(n):
-            tr = RequestTrace(stream_trace_id(i), "t", 0.0, job_id=i)
+            tr = RequestTrace(f"{i:032x}", "t", 0.0, job_id=i)
             tr.span("queue", 0.0, 0.25)
             svc = tr.span("service", 0.25, 1.0)
             svc.children.append(Span("simulate", 0.25, 1.0))
@@ -209,7 +204,7 @@ class TestExport:
         assert load_traces(str(single)) == traces
 
         fl = FlightRecorder(4, cooldown=0.0)
-        tr = RequestTrace(stream_trace_id(3), "t", 0.0, job_id=3)
+        tr = RequestTrace(f"{3:032x}", "t", 0.0, job_id=3)
         tr.finish(1.0)
         fl.record(tr)
         fl.trigger("manual", now=0.0)

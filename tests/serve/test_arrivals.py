@@ -1,13 +1,8 @@
-"""Seeded arrival generators: determinism, shape, replay round-trip."""
+"""Seeded arrival generator: determinism and shape."""
 
 import pytest
 
-from repro.serve.arrivals import (
-    bursty_arrivals,
-    poisson_arrivals,
-    replay_arrivals,
-    save_arrivals,
-)
+from repro.serve.arrivals import poisson_arrivals
 
 RATES = {"a": 2.0, "b": 0.5}
 
@@ -51,30 +46,3 @@ class TestPoisson:
             request_factory=lambda rng, t: {"m": 4, "n": 1, "who": t},
         )
         assert events and all(e.request["who"] == "a" for e in events)
-
-
-class TestBursty:
-    def test_same_seed_same_trace(self):
-        kw = dict(burst_every=10.0, burst_len=3.0)
-        assert bursty_arrivals(RATES, 60.0, seed=3, **kw) == bursty_arrivals(
-            RATES, 60.0, seed=3, **kw
-        )
-
-    def test_quieter_than_continuous(self):
-        cont = poisson_arrivals(RATES, 100.0, seed=0)
-        burst = bursty_arrivals(
-            RATES, 100.0, seed=0, burst_every=20.0, burst_len=5.0
-        )
-        assert 0 < len(burst) < len(cont)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bursty_arrivals(RATES, 10.0, burst_every=5.0, burst_len=6.0)
-
-
-class TestReplay:
-    def test_round_trip(self, tmp_path):
-        events = poisson_arrivals(RATES, 30.0, seed=11)
-        path = tmp_path / "trace.jsonl"
-        save_arrivals(events, path)
-        assert replay_arrivals(path) == events

@@ -1,6 +1,5 @@
 """CLI surface: ``repro --version`` and the ``serve`` command."""
 
-import json
 import subprocess
 import sys
 
@@ -76,30 +75,6 @@ def _installed_version() -> str:
         return "1.0.0"
 
 
-class TestServeBench:
-    def test_bench_small_writes_gateable_report(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
-        out = tmp_path / "BENCH_serve.json"
-        rc = main(["serve", "--bench", "--skip-live", "--json", str(out)])
-        printed = capsys.readouterr().out
-        assert rc == 0
-        assert "PASS" in printed
-        report = json.loads(out.read_text())
-        assert report["ok"] is True
-        assert report["deterministic"] is True
-        assert report["serve_wall_s"] > 0
-        assert report["overload"]["shed"] > 0
-        assert report["chaos"]["degraded_jobs"] > 0
-        assert set(report["stream"]["per_tenant"]) == {
-            "interactive", "batch", "explore"
-        }
-        from repro.obs.provenance import run_metadata
-
-        assert set(report["meta"]) == set(run_metadata())
-
-
 class TestServeDaemonCLI:
     def test_duration_bounded_daemon(self, capsys):
         rc = main(
@@ -111,3 +86,9 @@ class TestServeDaemonCLI:
         assert "repro serve on http://127.0.0.1:" in out
         assert "solo" in out
         assert "drained=True" in out
+
+    def test_bench_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--bench"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err

@@ -159,7 +159,8 @@ class TestAdmission:
         assert not sched.offer(job(1, "t", cost=2.0), 0.0).admitted
         sched.finish(j)
         assert sched.offer(job(2, "t", cost=2.0), 0.0).admitted
-        assert sched.inflight == 0 or sched.inflight == 0  # released
+        assert sched.inflight == 0
+        assert sched.snapshot()["inflight_cost"] == 0.0  # released
 
     def test_snapshot_counters(self):
         sched = FairScheduler((TenantSpec("t", queue_limit=1),), capacity=1)

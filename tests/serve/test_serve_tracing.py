@@ -213,6 +213,31 @@ class TestFlightEndpoint:
         assert dump["reason"] == "manual"
         assert resp.job_id in [t["job_id"] for t in dump["traces"]]
 
+    def test_faulted_plan_fires_the_flight_recorder(self):
+        d = PlanningDaemon(
+            PlannerService(tiny_setup()), TENANTS, port=0,
+            flight_cooldown=0.0,
+        )
+        d.start()
+        c = ServeClient(port=d.port, timeout=30.0)
+        try:
+            c.wait_ready()
+            resp = c.plan("gold", {
+                "m": 16, "n": 4,
+                "faults": {"scenario": "crash", "seed": 0, "severity": 1.0},
+            })
+            assert resp.ok, resp.body
+            assert resp.body["degradation"] > 1.0
+            flight = c.flight()
+            assert flight["triggers"].get("fault", 0) >= 1
+            assert flight["dumps"]
+            bd = resp.breakdown
+            staged = sum(bd[s] for s in ATTRIBUTION_STAGES)
+            assert staged == pytest.approx(bd["total"], rel=0.05)
+        finally:
+            c.close()
+            d.shutdown()
+
 
 class TestMetricsAndStats:
     def test_live_scrape_parses_strictly(self, client):
