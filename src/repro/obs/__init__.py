@@ -29,7 +29,6 @@ from repro.obs.logging import jsonlog
 from repro.obs.metrics import (
     MetricsRegistry,
     derive_run_metrics,
-    parse_prometheus_text,
     utilization_timeline,
 )
 from repro.obs.profile import fold_spans, format_profile, profile_run
@@ -61,7 +60,6 @@ __all__ = [
     "format_profile",
     "install",
     "jsonlog",
-    "parse_prometheus_text",
     "profile_run",
     "recording",
     "run_metadata",

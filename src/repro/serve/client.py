@@ -1,8 +1,9 @@
 """Stdlib JSON client for the planning daemon, plus a stream driver.
 
-:class:`ServeClient` wraps ``http.client`` and keeps one persistent
-connection per calling thread — thread-safe because threads never share
-a socket, and it survives daemon restarts by reconnecting once;
+:class:`ServeClient` keeps one persistent socket per calling thread,
+reading replies with the daemon's own bounded reader
+(:mod:`repro.serve.wire`) — thread-safe because threads never share a
+socket, and it survives daemon restarts by reconnecting once;
 :func:`drive` replays an arrival trace against a live daemon and
 tallies the outcomes — the CI ``serve-smoke`` job is built on it.
 
@@ -13,8 +14,8 @@ Every ``POST /plan`` mints a fresh trace context and sends it as a
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -22,8 +23,11 @@ from dataclasses import dataclass
 
 from repro.obs.tracing import format_traceparent, mint_span_id, mint_trace_id
 from repro.serve.arrivals import Arrival
+from repro.serve.wire import WireError, read_head
 
 __all__ = ["PlanResponse", "ServeClient", "drive"]
+
+_STATUS_LINE = re.compile(r"HTTP/1\.[01] ([1-9][0-9][0-9])(?: .*)?")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,8 @@ class PlanResponse:
 class ServeClient:
     """Minimal client for the ``repro serve`` HTTP API.
 
-    Each calling thread gets its own kept-alive ``HTTPConnection``,
-    opened on first use and reopened after the daemon closes it
+    Each calling thread gets its own kept-alive socket, opened on first
+    use and reopened after the daemon closes it
     (``Connection: close``, idle timeout, restart).  A request is sent
     again, once and on a fresh connection, only when a *reused*
     connection failed before any byte of the response arrived — the
@@ -82,7 +86,7 @@ class ServeClient:
         self.timeout = timeout
         self._lock = threading.Lock()
         #: calling thread -> its connection
-        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._conns: dict[threading.Thread, _Connection] = {}
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -97,14 +101,12 @@ class ServeClient:
                 conn.close()
 
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """The calling thread's connection (not necessarily open)."""
         me = threading.current_thread()
         conn = self._conns.get(me)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            conn = _Connection()
             with self._lock:
                 # a new thread is also when threads that have ended give
                 # their sockets back
@@ -117,19 +119,28 @@ class ServeClient:
         self, method: str, path: str, payload: dict | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        body = None
-        headers = dict(headers or {})
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{self.port}\r\n"
+        body = b""
         if payload is not None:
             body = json.dumps(payload).encode()
-            headers["Content-Type"] = "application/json"
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        request = (head + "\r\n").encode("latin-1") + body
         conn = self._connection()
 
         def send() -> None:
             """Send, then wait for the first response byte without
             consuming it: past this point the daemon has the request."""
-            conn.request(method, path, body=body, headers=headers)
+            if conn.sock is None:
+                conn.connect((self.host, self.port), self.timeout)
+            conn.sock.sendall(request)
             if not conn.sock.recv(1, socket.MSG_PEEK):
-                raise http.client.RemoteDisconnected(
+                raise ConnectionResetError(
                     "daemon closed the connection without a response"
                 )
 
@@ -142,9 +153,18 @@ class ServeClient:
                     raise
                 conn.close()
                 send()  # connects anew
-            resp = conn.getresponse()
-            # a ``Connection: close`` reply closes conn once it is read
-            return resp.status, dict(resp.getheaders()), resp.read()
+            start, reply_headers, length = read_head(conn.rfile) or ("", {}, 0)
+            status = _STATUS_LINE.fullmatch(start)
+            if status is None:
+                raise WireError(f"broken status line {start[:64]!r}")
+            if length is None:
+                raise WireError("reply without Content-Length")
+            data = conn.rfile.read(length)
+            if len(data) < length:
+                raise WireError(f"reply body ends at {len(data)} of {length}")
+            if "close" in reply_headers.get("connection", "").lower():
+                conn.close()
+            return int(status[1]), reply_headers, data
         except BaseException:
             conn.close()
             raise
@@ -162,7 +182,7 @@ class ServeClient:
             body = json.loads(data) if data else {}
         except json.JSONDecodeError:
             body = {"raw": data.decode(errors="replace")}
-        retry = headers.get("Retry-After")
+        retry = headers.get("retry-after")
         return PlanResponse(
             status=status,
             body=body if isinstance(body, dict) else {"raw": body},
@@ -214,6 +234,24 @@ class ServeClient:
                 last = exc
                 time.sleep(delay)
         raise RuntimeError(f"daemon never became ready: {last}")
+
+
+class _Connection:
+    """One thread's socket to the daemon and its buffered reader;
+    ``sock`` is ``None`` while closed."""
+
+    sock: socket.socket | None = None
+
+    def connect(self, address: tuple[str, int], timeout: float) -> None:
+        self.sock = socket.create_connection(address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = None
 
 
 def drive(

@@ -1,6 +1,8 @@
 """``repro serve`` — the persistent HQR planning daemon.
 
-Stdlib-only: a :class:`ThreadingHTTPServer` front end over a
+Stdlib-only: a threaded :mod:`socketserver` front end, one handler
+thread per connection reading each request with the bounded reader of
+:mod:`repro.serve.wire`, over a
 :class:`~repro.serve.scheduler.FairScheduler` and a
 :class:`~repro.serve.service.PlannerService`.  HTTP handler threads
 *offer* jobs (admission control answers 429 + ``Retry-After`` when a
@@ -32,14 +34,16 @@ recorder, then stop — so a killed daemon leaves no half-answered client.
 from __future__ import annotations
 
 import json
+import re
 import signal
 import socket
+import socketserver
 import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from http import HTTPStatus
+from urllib.parse import parse_qs
 
 from repro import __version__
 from repro.obs.logging import jsonlog
@@ -55,6 +59,7 @@ from repro.obs.tracing import (
 from repro.serve.scheduler import FairScheduler, Job, TenantSpec
 from repro.serve.service import PlannerService, PlanRequest
 from repro.serve.slo import SLOTracker
+from repro.serve.wire import WireError, read_head
 
 __all__ = ["DEFAULT_TENANTS", "PlanningDaemon"]
 
@@ -67,6 +72,7 @@ DEFAULT_TENANTS = (
 
 #: request body size cap (bytes)
 MAX_BODY = 64 * 1024
+_BODY_SIZE = "body must be 1 byte to 64 KiB of JSON"
 
 #: seconds a kept-alive connection may sit idle (or stall mid-request)
 #: before its handler thread closes it; a client that comes back later
@@ -125,7 +131,7 @@ class PlanningDaemon:
         self._draining = False
         self._stopping = False
         self._job_seq = 0
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _Listener | None = None
         #: open client sockets, one per handler thread (see shutdown)
         self._connections: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []
@@ -143,10 +149,7 @@ class PlanningDaemon:
         if self._httpd is not None:
             raise RuntimeError("daemon already started")
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self.requested_port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = _Listener((self.host, self.requested_port), handler)
         self._started_at = time.monotonic()
         t = threading.Thread(
             target=self._httpd.serve_forever,
@@ -473,15 +476,36 @@ class PlanningDaemon:
 # --------------------------------------------------------------------- #
 # HTTP plumbing
 # --------------------------------------------------------------------- #
+_REQUEST_LINE = re.compile(
+    r"([!#$%&'*+.^_`|~0-9A-Za-z-]+) (\S+) HTTP/(\d\.\d)"
+)
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _http_date() -> str:
+    """Now as an IMF-fixdate (RFC 9110), whatever the locale."""
+    t = time.gmtime()
+    day, month = _DAYS[t.tm_wday], _MONTHS[t.tm_mon - 1]
+    return time.strftime(f"{day}, %d {month} %Y %H:%M:%S GMT", t)
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
 def _make_handler(daemon: PlanningDaemon):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = f"repro-serve/{__version__}"
+    server_line = f"Server: repro-serve/{__version__}"
+
+    class Handler(socketserver.StreamRequestHandler):
+        """One connection: read a head with :func:`read_head`, answer it,
+        and go on while HTTP/1.1 keeps the connection alive."""
+
         # HTTP/1.1 keeps connections open, so a reply must leave as one
         # segment: headers and body written apart with Nagle on stall a
         # reused connection on the client's delayed ACK (~40 ms a reply)
         disable_nagle_algorithm = True
-        wbufsize = -1  # buffered: _reply flushes headers + body together
         timeout = IDLE_TIMEOUT
 
         def setup(self) -> None:
@@ -492,26 +516,80 @@ def _make_handler(daemon: PlanningDaemon):
             daemon._connections.discard(self.connection)
             super().finish()
 
-        def log_message(self, fmt, *args):  # pragma: no cover - quiet
-            pass
+        def handle(self) -> None:
+            self.close_connection = False
+            try:
+                while not self.close_connection:
+                    self._handle_one()
+            except OSError:
+                pass  # idle timeout, or the client hung up mid-request
+
+        def _handle_one(self) -> None:
+            try:
+                head = read_head(self.rfile)
+                if head is None:  # the client hung up between requests
+                    self.close_connection = True
+                    return
+                recv = time.monotonic()
+                start, self.headers, length = head
+                line = _REQUEST_LINE.fullmatch(start)
+                if line is None:
+                    raise WireError(f"bad request line {start[:64]!r}")
+                self.command, self.path, version = line.groups()
+                if version not in ("1.0", "1.1"):
+                    raise WireError(f"HTTP/{version} is not supported", 505)
+                if self.command not in ("GET", "POST"):
+                    raise WireError(f"{self.command} is not supported", 501)
+                conn = self.headers.get("connection", "").lower()
+                tokens = {t.strip() for t in conn.split(",")}
+                self.close_connection = "close" in tokens or (
+                    version == "1.0" and "keep-alive" not in tokens
+                )
+                length = length or 0
+                if length > MAX_BODY:
+                    raise WireError(_BODY_SIZE, 413)
+                body = b""
+                if length:
+                    expect = self.headers.get("expect", "").lower()
+                    if version == "1.1" and expect == "100-continue":
+                        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    body = self.rfile.read(length)
+                    if len(body) < length:
+                        raise WireError("body shorter than its Content-Length")
+            except WireError as exc:
+                self.close_connection = True
+                self._reply(exc.status, {"error": str(exc)})
+                return
+            if self.command == "GET":
+                self.do_GET(recv)
+            else:
+                self.do_POST(recv, body)
 
         def _reply(
             self, status: int, body: dict | str, headers: dict | None = None,
             content_type: str = "application/json",
         ) -> None:
+            """Write the whole reply in one ``sendall``."""
             data = (
                 body.encode()
                 if isinstance(body, str)
                 else (json.dumps(body, sort_keys=True) + "\n").encode()
             )
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            for k, v in (headers or {}).items():
-                self.send_header(k, v)
-            self.end_headers()
-            self.wfile.write(data)
-            self.wfile.flush()
+            headers = headers or {}
+            if headers.get("Connection") == "close":
+                self.close_connection = True
+            head = [
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+                server_line,
+                f"Date: {_http_date()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(data)}",
+                *(f"{k}: {v}" for k, v in headers.items()),
+            ]
+            if self.close_connection and "Connection" not in headers:
+                head.append("Connection: close")
+            head.append("\r\n")
+            self.wfile.write("\r\n".join(head).encode("latin-1") + data)
 
         def _access_log(
             self, status: int, recv: float, trace_id: str | None = None,
@@ -529,8 +607,7 @@ def _make_handler(daemon: PlanningDaemon):
                 **fields,
             )
 
-        def do_GET(self) -> None:
-            recv = time.monotonic()
+        def do_GET(self, recv: float) -> None:
             path, _, query = self.path.partition("?")
             if path == "/healthz":
                 self._reply(200, {"ok": True, "version": __version__})
@@ -574,26 +651,17 @@ def _make_handler(daemon: PlanningDaemon):
             self._reply(200, trace.to_json())
             return 200
 
-        def do_POST(self) -> None:
-            recv = time.monotonic()
+        def do_POST(self, recv: float, data: bytes) -> None:
             if self.path != "/plan":
                 self._reply(404, {"error": f"no such path {self.path}"})
                 self._access_log(404, recv)
                 return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = -1
-            if not 0 < length <= MAX_BODY:
-                status = 413 if length > MAX_BODY else 400
-                self._reply(
-                    status,
-                    {"error": "body must be 1 byte to 64 KiB of JSON"},
-                )
-                self._access_log(status, recv)
+            if not data:
+                self._reply(400, {"error": _BODY_SIZE})
+                self._access_log(400, recv)
                 return
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(data)
             except (json.JSONDecodeError, UnicodeDecodeError):
                 self._reply(400, {"error": "body is not valid JSON"})
                 self._access_log(400, recv)

@@ -3,10 +3,8 @@ round-trip parsing of everything the registry exports."""
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    parse_prometheus_text,
-)
+from _prometheus_text import parse_prometheus_text
+from repro.obs.metrics import MetricsRegistry
 
 
 def roundtrip(reg: MetricsRegistry) -> dict:

@@ -123,6 +123,43 @@ class TestHTTP:
         assert tally["errors"] == 0
 
 
+class TestFraming:
+    """Framing the daemon cannot trust is refused, not guessed at: each
+    head below once got ``200 OK`` on a kept-alive connection."""
+
+    @pytest.mark.parametrize("framing", [
+        "Content-Length: {underscored}",
+        "Content-Length: +{n}",
+        "Content-Length: {n}\r\nContent-Length: {more}",
+        "Transfer-Encoding: chunked\r\nContent-Length: {n}",
+    ], ids=["underscore", "plus-sign", "two-lengths", "te-and-length"])
+    def test_untrusted_framing_gets_400_and_a_closed_connection(
+        self, daemon, framing
+    ):
+        import json
+        import socket
+
+        body = json.dumps({**TINY_REQUEST, "tenant": "gold"}).encode()
+        n = len(body)
+        head = framing.format(n=n, more=n + 1, underscored="_".join(str(n)))
+        with socket.create_connection(
+            ("127.0.0.1", daemon.port), timeout=5
+        ) as s:
+            s.sendall(
+                f"POST /plan HTTP/1.1\r\nHost: t\r\n{head}\r\n\r\n".encode()
+                + body
+            )
+            data = b""
+            try:
+                while chunk := s.recv(65536):
+                    data += chunk
+            except TimeoutError:
+                pytest.fail(f"connection left open after {data[:12]!r}")
+            except ConnectionResetError:
+                pass  # closed with the body unread: closed all the same
+        assert data.startswith(b"HTTP/1.1 400 "), data[:40]
+
+
 class TestAdmissionOverHTTP:
     def test_saturation_returns_429_with_retry_after(self):
         """One worker, queue_limit=1: a concurrent burst must shed with

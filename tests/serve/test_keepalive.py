@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.serve.client as client_mod
 import repro.serve.server as server_mod
 from _serve_testlib import TENANTS, TINY_REQUEST, tiny_setup
 from repro.serve.client import ServeClient
@@ -37,15 +38,15 @@ def daemon():
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Count TCP connects made through ``http.client``."""
+    """Count the TCP connects ``ServeClient`` makes."""
     made = []
-    real = http.client.HTTPConnection.connect
+    real = client_mod._Connection.connect
 
-    def counting(self):
+    def counting(self, *args):
         made.append(self)
-        return real(self)
+        return real(self, *args)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    monkeypatch.setattr(client_mod._Connection, "connect", counting)
     return made
 
 

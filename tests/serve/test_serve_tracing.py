@@ -4,6 +4,7 @@ debug endpoint, and a strict /metrics scrape."""
 
 import pytest
 
+from _prometheus_text import parse_prometheus_text
 from _serve_testlib import (
     TENANTS,
     TINY_REQUEST,
@@ -11,7 +12,6 @@ from _serve_testlib import (
     saturating_burst,
     tiny_setup,
 )
-from repro.obs.metrics import parse_prometheus_text
 from repro.obs.tracing import ATTRIBUTION_STAGES, format_traceparent
 from repro.serve.client import ServeClient
 from repro.serve.server import PlanningDaemon
