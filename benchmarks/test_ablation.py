@@ -9,11 +9,10 @@ import pytest
 from conftest import save_and_print
 
 from repro.bench.runner import BenchSetup, run_config
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 
 
 # m = 512 puts the tall-skinny sweep in the regime where the TS level and

@@ -84,11 +84,10 @@ def test_simulated_traffic_vs_lower_bound(benchmark, results_dir):
 def test_multilevel_hierarchy(benchmark, results_dir):
     """Extension ([3]'s grid setting): 2 sites x 15 nodes joined by a slow
     WAN link — a site-aware hierarchy must beat a site-oblivious tree."""
-    from repro.dag.graph import TaskGraph
     from repro.hqr.multilevel import Level, MultilevelTree
     from repro.runtime.machine import Machine
-    from repro.runtime.simulator import ClusterSimulator
     from repro.tiles.layout import Cyclic1D as C1
+    from repro.verify.reference import ClusterSimulator, TaskGraph
 
     m, n, b = 120, 8, 280
     mach = Machine(

@@ -9,11 +9,10 @@
 from conftest import save_and_print
 
 from repro.bench.runner import BenchSetup
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D
 
 

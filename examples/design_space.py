@@ -9,12 +9,12 @@ Run:  python examples/design_space.py [--m 128] [--n 16]
 
 import argparse
 
-from repro.dag import TaskGraph, parallelism_profile
-from repro.hqr import HQRConfig, hqr_elimination_list
+from repro.hqr import hqr_elimination_list
 from repro.models import ConfigExplorer
 from repro.runtime import Machine
+from repro.runtime.executor import numeric_graph
 from repro.tiles.layout import BlockCyclic2D
-from repro.viz import render_parallelism_profile
+from repro.viz import parallelism_profile, render_parallelism_profile
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
               f"{rc.config}")
 
     best = ranked[0].config
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, best), m, n)
+    graph, _ = numeric_graph(hqr_elimination_list(m, n, best), m, n)
     print("\n=== parallelism profile of the winner ===")
     print(render_parallelism_profile(parallelism_profile(graph), label="best"))
 

@@ -2,18 +2,20 @@
 
 Demonstrates the ownership-based distributed engine: every rank holds only
 the tiles its layout assigns, runs exactly the tasks placed on it, and
-ships tiles/reflectors to consumers.  In-process threads stand in for MPI
-processes: the engine only calls the communicator's ``size``, ``send`` and
-``recv``, so ``ThreadComm`` is all it needs.
+ships tiles/reflectors to consumers.  Every rank reads the same compiled
+graph the simulator runs: a task's rank is its ``node``.  In-process
+threads stand in for MPI processes: the engine only calls the
+communicator's ``size``, ``send`` and ``recv``, so ``ThreadComm`` is all it
+needs.
 
 Run:  python examples/distributed_ranks.py
 """
 
 import numpy as np
 
-from repro.dag import TaskGraph
 from repro.distributed.engine import DistributedEngine, ThreadComm
 from repro.hqr import HQRConfig, hqr_elimination_list
+from repro.runtime.executor import numeric_graph
 from repro.tiles.layout import BlockCyclic2D
 
 b, m, n = 25, 8, 4  # 200 x 100 matrix as 8 x 4 tiles of 25
@@ -21,10 +23,10 @@ rng = np.random.default_rng(3)
 A = rng.standard_normal((m * b, n * b))
 
 config = HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")
-graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, config), m, n)
 layout = BlockCyclic2D(2, 2)
+graph, coords = numeric_graph(hqr_elimination_list(m, n, config), m, n, layout)
 
-engine = DistributedEngine(graph, layout, ThreadComm(4))
+engine = DistributedEngine(graph, coords, layout, ThreadComm(4))
 results = engine.run_threaded(A, b)
 
 print(f"matrix {m*b} x {n*b}, {len(graph)} kernel tasks over 4 ranks "

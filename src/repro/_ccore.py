@@ -319,7 +319,8 @@ static void finish_successors(
 
 /* ------------------------------------------------------------------ *
  * DAG builder: expand an elimination list into a finished graph.  Mirrors
- * TaskGraph.from_eliminations exactly (task order, dependency order).
+ * the pure-Python builder in dag/compiled.py exactly (task order,
+ * dependency order); the verifier's object graph checks both.
  * Kind codes follow the KernelKind declaration order: GEQRT=0 UNMQR=1
  * TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
  *
@@ -584,7 +585,7 @@ int64_t hqr_build_dag(int32_t mode, BUILD_DAG_PARAMS)
 
 /* ------------------------------------------------------------------ *
  * finish_successors for CSR arrays built elsewhere: the successor lists
- * of compile_graph's predecessor lists, or a graph's predecessor lists
+ * of the Python builder's predecessor lists, or a graph's predecessor lists
  * derived from its successor lists.  Checks every index, counts, then
  * transposes.  Returns 0, or -1 for an index outside [0, ntasks) or more
  * than INT32_MAX rows (the offsets are 32-bit), before any write.
@@ -607,7 +608,7 @@ int64_t hqr_transpose(
 }
 
 /* ------------------------------------------------------------------ *
- * Cluster event loop.  Mirrors ClusterSimulator.run exactly.
+ * Cluster event loop.  Mirrors the Python loop of runtime/core.py exactly.
  * Event codes: task id t for "t finished", ntasks + t for "data arrival
  * completed t's inputs".  Returns 0 (ok), 1 (a count not 0 at the end: a
  * wait count that is not its task's in-degree), 2 (a kind outside [0, 6)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import ceil, log2
 
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import qr_flops
+from repro.runtime.core import qr_flops
 
 
 @dataclass(frozen=True)

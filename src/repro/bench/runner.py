@@ -25,7 +25,7 @@ from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.logging import jsonlog
 from repro.obs.tracing import attach, current_span, current_trace, span
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import SimulationResult
+from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
 from repro.trees.base import Elimination
 

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dag.graph import TaskGraph
+from repro.core.apply import apply_q
+from repro.dag.compiled import CompiledGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.hqr.validate import check_elimination_list
@@ -22,7 +23,7 @@ from repro.runtime.executor import (
     SequentialExecutor,
     ThreadedExecutor,
     _KernelRunner,
-    build_q,
+    numeric_graph,
 )
 from repro.tiles.matrix import TiledMatrix
 from repro.trees.base import Elimination
@@ -41,23 +42,24 @@ class QRResult:
     N: int
     b: int
     eliminations: list[Elimination]
-    graph: TaskGraph
+    #: the single-node graph the executor ran
+    graph: CompiledGraph
+    _tiled: TiledMatrix
     _runner: _KernelRunner
     _padded_rows: int
 
     @property
     def R(self) -> np.ndarray:
         """Upper-trapezoidal factor (dense copy)."""
-        dense = self._runner.A.to_array()[: self.M, : self.N]
+        dense = self._tiled.to_array()[: self.M, : self.N]
         return np.triu(dense)
 
     @property
     def Q(self) -> np.ndarray:
         """Thin orthogonal factor, ``M x N`` (for ``M >= N``)."""
-        cols = min(self.M, self.N)
         Mp = self.M + self._padded_rows
-        full = build_q(self._runner, Mp, min(Mp, self.N), self.b, thin=True)
-        return full[: self.M, :cols]
+        full = apply_q(self._runner, np.eye(Mp, min(Mp, self.N)), self.b, trans=False)
+        return full[: self.M, : min(self.M, self.N)]
 
     # ------------------------------------------------------------------ #
     # Implicit Q application and least squares (DORMQR / DGELS analogues)
@@ -68,8 +70,6 @@ class QRResult:
         ``C`` has ``M`` rows (a vector or a matrix).  Costs one pass over
         the stored reflectors instead of a full explicit-Q build.
         """
-        from repro.core.apply import apply_q
-
         C = np.asarray(C, dtype=np.float64)
         if C.shape[0] != self.M:
             raise ValueError(f"C has {C.shape[0]} rows, expected {self.M}")
@@ -153,17 +153,18 @@ def qr(
         eliminations = list(eliminations)
     if validate:
         check_elimination_list(eliminations, m, n)
-    graph = TaskGraph.from_eliminations(eliminations, m, n)
+    graph, coords = numeric_graph(eliminations, m, n)
     if threads and threads > 1:
-        runner = ThreadedExecutor(graph, tiled, workers=threads).run()
+        runner = ThreadedExecutor(graph, coords, tiled, workers=threads).run()
     else:
-        runner = SequentialExecutor(graph, tiled).run()
+        runner = SequentialExecutor(graph, coords, tiled).run()
     return QRResult(
         M=M,
         N=N,
         b=b,
         eliminations=list(eliminations),
         graph=graph,
+        _tiled=tiled,
         _runner=runner,
         _padded_rows=pad,
     )

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import tsmqr, ttmqr, unmqr
-from repro.kernels.weights import KernelKind
-from repro.runtime.executor import _KernelRunner
+from repro.runtime.executor import KERNELS, _KernelRunner
 from repro.tiles.matrix import TiledMatrix
 
 
@@ -42,16 +40,11 @@ def apply_q(
     work = np.zeros((rows, C.shape[1]))
     work[: C.shape[0]] = C
     tiled = TiledMatrix(work, b)
-    tasks = runner.factor_tasks if trans else list(reversed(runner.factor_tasks))
-    for t in tasks:
-        if t.kind is KernelKind.GEQRT:
-            ref = runner.geqrt_refs[(t.row, t.panel)]
-            for c in range(tiled.n):
-                unmqr(ref, tiled.tile(t.row, c), trans=trans)
-        else:
-            ref = runner.kill_refs[(t.row, t.panel)]
-            apply = tsmqr if t.kind is KernelKind.TSQRT else ttmqr
-            for c in range(tiled.n):
-                apply(ref, tiled.tile(t.killer, c), tiled.tile(t.row, c), trans=trans)
+    for t in runner.factor_tasks if trans else runner.factor_tasks[::-1]:
+        kind = runner.kind[t]
+        ref = runner.refs[(kind, runner.row[t], runner.panel[t])]
+        for c in range(tiled.n):
+            tiles = [tiled.tile(*key) for key in runner.tiles(t, c)]
+            KERNELS[kind + 1](ref, *tiles, trans=trans)
     out = work[: C.shape[0]]
     return out[:, 0] if squeeze else out

@@ -8,8 +8,14 @@ and scalar ints.  It holds only what the loops read, each at the narrowest
 type that holds it, 8 bytes a task and 4 an edge; a task's tiles follow
 from the elimination list (:func:`task_coordinates`), its predecessor lists
 from its successor lists (:attr:`CompiledGraph.pred_idx`).
-Graphs can be compiled from an existing :class:`~repro.dag.graph.TaskGraph`
-or built directly from an elimination list (no per-task Python objects).
+Every engine runs this one graph: the event loops, the numeric executors
+(:mod:`repro.runtime.executor`) and the message-passing engine
+(:mod:`repro.distributed.engine`).  It is built straight from an
+elimination list, in program order: per elimination, the killer's GEQRT
+and its UNMQR row on first use (and the victim's, for a TT kill), then
+the kill and its trailing updates; dependencies follow each tile's access
+order plus the reflector edges.  The verifier's object graph
+(:mod:`repro.verify.reference`) builds the same graph the slow way.
 With the native core the elimination arrays go to a C counting pre-pass and
 then one C write pass that emits tasks and edges, places each task from a
 per-tile owner table and transposes the predecessor lists into the
@@ -26,17 +32,17 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro import _ccore
-from repro.dag.graph import TaskGraph
 from repro.kernels.weights import KernelKind
-from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
 from repro.trees.base import Elimination, EliminationArray
+
+if TYPE_CHECKING:  # the runtime package imports this module's graph
+    from repro.runtime.machine import Machine
 
 #: kernel kinds in code order (index == code)
 KIND_ORDER: tuple[KernelKind, ...] = tuple(KernelKind)
@@ -60,8 +66,8 @@ def duration_table(machine: Machine, b: int) -> np.ndarray:
 class CompiledGraph:
     """Flat-array form of a kernel DAG, bound to a layout and machine.
 
-    ``succ_ptr``/``succ_idx`` is CSR adjacency (successor lists ascending,
-    matching ``TaskGraph.successors``); ``wait`` is each task's in-degree,
+    ``succ_ptr``/``succ_idx`` is CSR adjacency (successor lists
+    ascending); ``wait`` is each task's in-degree,
     and :attr:`pred_ptr` / :attr:`pred_idx` derive the predecessor lists.
 
     Every builder emits exactly these dtypes and raises ``OverflowError``
@@ -181,8 +187,7 @@ def _succ_csr(
         raise _out_of_range(ntasks)
     counts = np.diff(ptr)
     row = np.repeat(np.arange(ntasks, dtype=np.int32), counts)
-    # a stable sort by index keeps rows ascending per index, matching the
-    # order TaskGraph builds its successor lists in
+    # a stable sort by index keeps rows ascending per index
     order = np.argsort(idx, kind="stable")
     out_idx = np.ascontiguousarray(row[order], dtype=np.int32)
     out_counts = np.bincount(idx, minlength=ntasks)
@@ -230,40 +235,11 @@ def _finish(
 
 
 # --------------------------------------------------------------------- #
-# compile from an existing TaskGraph
-# --------------------------------------------------------------------- #
-def compile_graph(
-    graph: TaskGraph, layout: Layout, machine: Machine, b: int
-) -> CompiledGraph:
-    """Flatten an already-built :class:`TaskGraph` (any elimination list,
-    including the random/baseline generators)."""
-    tasks = graph.tasks
-    ntasks = len(tasks)
-    preds = graph.predecessors
-    counts = np.fromiter(map(len, preds), np.int64, ntasks)
-    nedges = int(counts.sum())
-    _check_int32(ntasks, nedges)
-    kind = np.fromiter((KIND_CODE[t.kind] for t in tasks), np.int8, ntasks)
-    # a task's tile: victim row x (trailing column if an update, else panel)
-    row = np.fromiter((t.row for t in tasks), np.int32, ntasks)
-    column = np.fromiter(
-        (t.panel if t.col < 0 else t.col for t in tasks), np.int32, ntasks
-    )
-    pred_ptr = np.zeros(ntasks + 1, dtype=np.int32)
-    np.cumsum(counts, out=pred_ptr[1:])
-    pred_idx = np.fromiter(chain.from_iterable(preds), np.int32, nedges)
-    return _finish(
-        graph.m, graph.n, kind, placement_array(layout, row, column),
-        pred_ptr, pred_idx, machine, b,
-    )
-
-
-# --------------------------------------------------------------------- #
-# build directly from an elimination list (no Task objects)
+# build from an elimination list
 # --------------------------------------------------------------------- #
 def count_tasks(elims: Sequence[Elimination], m: int, n: int) -> int:
-    """Exact task count of ``TaskGraph.from_eliminations`` without building
-    it — the closed form of what the native counting pre-pass counts.
+    """Exact task count of ``compiled_from_eliminations`` without building
+    the graph — the closed form of what the native counting pre-pass counts.
 
     A kernel on panel ``k`` brings its ``n - 1 - k`` trailing updates, so
     every elimination, and every tile triangularized on first use (each
@@ -330,9 +306,8 @@ def _build_native(
 
 
 def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
-    """Pure-Python array builder — same emission order as
-    ``TaskGraph.from_eliminations``, appending plain ints instead of
-    creating :class:`Task` objects.  Returns ``(kind, row, panel, col,
+    """Pure-Python array builder — the native write pass's emission
+    order, appending plain ints.  Returns ``(kind, row, panel, col,
     killer, pred_ptr, pred_idx)``: the one place coordinates are written."""
     kind_l, row_l, panel_l, col_l, killer_l = [], [], [], [], []
     pred_ptr_l, pred_idx_l = [0], []
@@ -440,10 +415,10 @@ def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
 def task_coordinates(
     elims: Sequence[Elimination], m: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, panel, col, killer)`` of every task, int32, in task order —
-    the fields of ``TaskGraph.from_eliminations(elims, m, n).tasks`` (``col``
-    -1 for factorization kernels, ``killer`` -1 for GEQRT / UNMQR).  No
-    event loop reads them, so a :class:`CompiledGraph` does not store them:
+    """``(row, panel, col, killer)`` of every task, int32, in task order
+    (``row`` the victim or target row, ``col`` the trailing column, -1 for
+    factorization kernels, ``killer`` -1 for GEQRT / UNMQR).  No event loop
+    reads them, so a :class:`CompiledGraph` does not store them:
     the elimination list determines them, re-derived here on demand."""
     return _build_arrays_py(elims, m, n)[1:5]
 
@@ -458,8 +433,7 @@ def compiled_from_eliminations(
 ) -> CompiledGraph:
     """Expand an elimination list straight into a :class:`CompiledGraph`.
 
-    Identical task/dependency order to ``TaskGraph.from_eliminations``,
-    without materializing Task objects.  An
+    An
     :class:`~repro.trees.base.EliminationArray` is consumed as is (any other
     sequence is converted once); its arrays feed the native builder when
     available, the pure-Python builder and finish otherwise.

@@ -17,7 +17,10 @@ The engine's correctness argument mirrors §IV-C: the DAG determines all
 data movement; each cross-rank dependency edge carries the producer's
 written tiles (and reflector, for factorization kernels).  Ranks walk
 their local task lists in global program order, so tag-matched blocking
-receives cannot deadlock.
+receives cannot deadlock.  The DAG is the :class:`~repro.dag.compiled.
+CompiledGraph` the simulator runs; each message is derived from the tiles
+the two kernels touch, never from the simulator's one-send-per-tile rule,
+so the engine's traffic is an independent check of the simulator's.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dag.graph import TaskGraph
-from repro.kernels import geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
-from repro.kernels.weights import KernelKind
+from repro.dag.compiled import CompiledGraph
+from repro.runtime.executor import _KernelRunner
 from repro.tiles.layout import Layout
 from repro.tiles.matrix import TiledMatrix
 
@@ -195,49 +197,46 @@ class RankResult:
 
 
 class DistributedEngine:
-    """Execute a task graph across ranks with message passing.
+    """Execute a compiled graph across ranks with message passing.
 
     Parameters
     ----------
-    graph:
-        The kernel DAG (identical on every rank, like DAGuE's symbolic DAG).
+    graph, coords:
+        The kernel DAG (identical on every rank, like DAGuE's symbolic
+        DAG) and its task coordinates, as
+        :func:`~repro.runtime.executor.numeric_graph` builds them: a task
+        runs on rank ``graph.node[task]``.
     layout:
-        Tile ownership; also determines task placement.
+        Tile ownership: where each tile lives before the run, which must
+        be the layout the graph was placed by.
     comm:
         Communicator: ``size`` ranks, ``send`` and ``recv`` with
         :class:`ThreadComm`'s signatures.
     """
 
-    def __init__(self, graph: TaskGraph, layout: Layout, comm):
+    def __init__(self, graph: CompiledGraph, coords, layout: Layout, comm):
         if layout.nodes > comm.size:
             raise ValueError(
                 f"layout needs {layout.nodes} ranks, communicator has {comm.size}"
             )
         self.graph = graph
+        self.coords = coords
         self.layout = layout
         self.comm = comm
-        self._placement = self._place()
+        self._node = graph.node.tolist()
+        self._succ = graph.succ_ptr.tolist(), graph.succ_idx.tolist()
+        self._pred_ptr = graph.pred_ptr.tolist()
+        self._pred_idx = graph.pred_idx.tolist()
         # tag encoding: consumer id x stride + index of the producer in the
-        # consumer's predecessor list.  Unique per (producer, consumer) edge
-        # and only O(ntasks * max_preds) large — a producer x consumer
+        # consumer's predecessor segment.  Unique per (producer, consumer)
+        # edge and only O(ntasks * max_preds) large — a producer x consumer
         # encoding would overflow 32-bit MPI tags around 46k tasks, well
         # below paper-scale graphs.
-        self._tag_stride = max(
-            (len(p) for p in graph.predecessors), default=1
-        ) or 1
+        self._tag_stride = int(graph.wait.max(initial=1))
 
     def _tag(self, consumer: int, producer: int) -> int:
-        return consumer * self._tag_stride + self.graph.predecessors[consumer].index(
-            producer
-        )
-
-    def _place(self) -> list[int]:
-        owner = self.layout.owner
-        out = []
-        for t in self.graph.tasks:
-            col = t.panel if t.col < 0 else t.col
-            out.append(owner(t.row, col))
-        return out
+        lo = self._pred_ptr[consumer]
+        return consumer * self._tag_stride + self._pred_idx.index(producer, lo) - lo
 
     # ------------------------------------------------------------------ #
     def run_rank(
@@ -254,24 +253,25 @@ class DistributedEngine:
         worker by raising from inside).
         """
         graph, layout, comm = self.graph, self.layout, self.comm
-        placement = self._placement
+        node, (ptr, succ) = self._node, self._succ
+        pred_ptr, pred_idx = self._pred_ptr, self._pred_idx
         full = TiledMatrix(np.array(A, dtype=np.float64, copy=True), b)
         store: dict[tuple[int, int], np.ndarray] = {}
         for i in range(full.m):
             for j in range(full.n):
                 if layout.owner(i, j) == rank:
                     store[(i, j)] = np.array(full.tile(i, j))
-        reflectors: dict[int, object] = {}  # producer task id -> reflector
+        runner = _KernelRunner(graph, self.coords, lambda i, j: store[(i, j)])
         sends = recvs = ran = 0
 
-        for tid, task in enumerate(graph.tasks):
-            if placement[tid] != rank:
+        for tid in range(len(graph)):
+            if node[tid] != rank:
                 continue
             if on_task is not None:
                 on_task(rank, ran)
             # gather remote inputs
-            for p in graph.predecessors[tid]:
-                src = placement[p]
+            for p in pred_idx[pred_ptr[tid] : pred_ptr[tid + 1]]:
+                src = node[p]
                 if src == rank:
                     continue
                 payload = comm.recv(source=src, tag=self._tag(tid, p), rank=rank)
@@ -279,19 +279,19 @@ class DistributedEngine:
                 for tile_key, data in payload["tiles"].items():
                     store[tile_key] = np.array(data)
                 if payload["reflector"] is not None:
-                    reflectors[p] = payload["reflector"]
-            # execute
-            ref = self._execute(task, store, reflectors, graph)
+                    key = (runner.kind[p], runner.row[p], runner.panel[p])
+                    runner.refs[key] = payload["reflector"]
+            ref = runner.run_task(tid)
             ran += 1
             # publish to remote consumers: only the tiles the consumer
             # itself touches (anything else could overwrite a newer local
             # version on the destination rank), plus the reflector
-            written = set(task.tiles())
-            for s in graph.successors[tid]:
-                dest = placement[s]
+            written = set(runner.tiles(tid))
+            for s in succ[ptr[tid] : ptr[tid + 1]]:
+                dest = node[s]
                 if dest == rank:
                     continue
-                needed = written & set(graph.tasks[s].tiles())
+                needed = written & set(runner.tiles(s))
                 payload = {
                     "tiles": {k: np.array(store[k]) for k in needed},
                     "reflector": ref,
@@ -299,39 +299,6 @@ class DistributedEngine:
                 comm.send(payload, dest=dest, tag=self._tag(s, tid), source=rank)
                 sends += 1
         return RankResult(rank=rank, tiles=store, tasks_run=ran, sends=sends, recvs=recvs)
-
-    def _execute(self, task, store, reflectors, graph) -> object | None:
-        kind = task.kind
-        if kind is KernelKind.GEQRT:
-            ref = geqrt(store[(task.row, task.panel)])
-            reflectors[task.id] = ref
-            return ref
-        if kind is KernelKind.UNMQR:
-            ref = self._reflector_of(task, reflectors, graph, KernelKind.GEQRT)
-            unmqr(ref, store[(task.row, task.col)])
-            return None
-        if kind in (KernelKind.TSQRT, KernelKind.TTQRT):
-            fn = tsqrt if kind is KernelKind.TSQRT else ttqrt
-            ref = fn(store[(task.killer, task.panel)], store[(task.row, task.panel)])
-            reflectors[task.id] = ref
-            return ref
-        fn = tsmqr if kind is KernelKind.TSMQR else ttmqr
-        ref = self._reflector_of(
-            task,
-            reflectors,
-            graph,
-            KernelKind.TSQRT if kind is KernelKind.TSMQR else KernelKind.TTQRT,
-        )
-        fn(ref, store[(task.killer, task.col)], store[(task.row, task.col)])
-        return None
-
-    def _reflector_of(self, task, reflectors, graph, kind):
-        """The reflector predecessor of an update task (local or received)."""
-        for p in graph.predecessors[task.id]:
-            pt = graph.tasks[p]
-            if pt.kind is kind and pt.row == task.row and pt.panel == task.panel:
-                return reflectors[p]
-        raise AssertionError(f"no reflector predecessor for {task}")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
     def run_threaded(self, A: np.ndarray, b: int) -> dict[int, RankResult]:
@@ -366,9 +333,10 @@ class DistributedEngine:
         kill ran); untouched tiles come from their layout owner.
         """
         final_rank: dict[tuple[int, int], int] = {}
-        for tid, task in enumerate(self.graph.tasks):
-            for tile in task.tiles():
-                final_rank[tile] = self._placement[tid]
+        tiles = _KernelRunner(self.graph, self.coords, None).tiles
+        for tid, rank in enumerate(self._node):
+            for tile in tiles(tid):
+                final_rank[tile] = rank
         out = TiledMatrix.zeros(M, N, b)
         for res in results.values():
             for (i, j), data in res.tiles.items():
@@ -395,14 +363,17 @@ class ResilientEngine(DistributedEngine):
     bounded retries.
     """
 
-    def __init__(self, graph: TaskGraph, layout: Layout, comm, *, max_recoveries: int = 2):
+    def __init__(
+        self, graph: CompiledGraph, coords, layout: Layout, comm, *,
+        max_recoveries: int = 2,
+    ):
         if not isinstance(comm, ResilientComm):
             raise TypeError(
                 "ResilientEngine needs a ResilientComm (send log + retries)"
             )
         if max_recoveries < 1:
             raise ValueError("max_recoveries must be >= 1")
-        super().__init__(graph, layout, comm)
+        super().__init__(graph, coords, layout, comm)
         self.max_recoveries = max_recoveries
         #: recoveries performed per rank in the last run_threaded call
         self.last_recoveries: dict[int, int] = {}

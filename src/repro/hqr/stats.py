@@ -15,11 +15,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.dag.graph import TaskGraph
+import numpy as np
+
+from repro.dag.compiled import KIND_ORDER, CompiledGraph, compiled_from_eliminations
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.hqr.levels import tile_level
 from repro.kernels.weights import EDEL_RATES, WEIGHTS, KernelKind, KernelRates
+from repro.runtime.machine import Machine
+from repro.tiles.layout import SingleNode
 
 
 def level_census(m: int, n: int, p: int, a: int, *, domino: bool = True) -> Counter:
@@ -63,15 +67,15 @@ class KernelMix:
         return 1.0 / (f / rates.ts_rate + (1.0 - f) / rates.tt_rate)
 
 
-def kernel_mix(graph: TaskGraph) -> KernelMix:
-    """Flop-weighted kernel mix of a task graph."""
-    weights: dict[KernelKind, int] = {k: 0 for k in KernelKind}
-    for t in graph.tasks:
-        weights[t.kind] += WEIGHTS[t.kind]
-    return KernelMix(weights=weights)
+def kernel_mix(graph: CompiledGraph) -> KernelMix:
+    """Flop-weighted kernel mix of a task graph, from its kind codes."""
+    counts = np.bincount(graph.kind, minlength=len(KIND_ORDER)).tolist()
+    return KernelMix(weights={k: c * WEIGHTS[k] for k, c in zip(KIND_ORDER, counts)})
 
 
 def config_kernel_mix(m: int, n: int, config: HQRConfig) -> KernelMix:
     """Kernel mix of the HQR tree for a given shape and configuration."""
     elims = hqr_elimination_list(m, n, config)
-    return kernel_mix(TaskGraph.from_eliminations(elims, m, n))
+    return kernel_mix(
+        compiled_from_eliminations(elims, m, n, SingleNode(), Machine(nodes=1), 1)
+    )

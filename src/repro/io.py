@@ -13,7 +13,7 @@ from dataclasses import asdict
 from typing import Sequence
 
 from repro.hqr.config import HQRConfig
-from repro.runtime.simulator import SimulationResult
+from repro.runtime.core import SimulationResult
 from repro.trees.base import Elimination
 
 SCHEMA_VERSION = 1

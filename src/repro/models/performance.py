@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.dag.compiled import CompiledGraph
 from repro.models.bounds import graph_bounds
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import qr_flops
+from repro.runtime.core import qr_flops
 
 
 @dataclass(frozen=True)

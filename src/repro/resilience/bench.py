@@ -134,17 +134,18 @@ def distributed_kill_check(*, seed: int = 0) -> dict:
     """
     import numpy as np
 
-    from repro.dag.graph import TaskGraph
     from repro.distributed.engine import ResilientComm, ResilientEngine, WorkerKill
+    from repro.runtime.executor import numeric_graph
     from repro.tiles.layout import BlockCyclic2D
 
     b, m, n = 4, 8, 4
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m * b, n * b))
     cfg = HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")
-    graph = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
+    layout = BlockCyclic2D(2, 2)
+    graph, coords = numeric_graph(hqr_elimination_list(m, n, cfg), m, n, layout)
     comm = ResilientComm(4)
-    engine = ResilientEngine(graph, BlockCyclic2D(2, 2), comm)
+    engine = ResilientEngine(graph, coords, layout, comm)
     results = engine.run_threaded(A, b, kill=WorkerKill(rank=1, after_tasks=3))
     out = engine.gather_matrix(results, m * b, n * b, b)
     R = np.triu(out)[: n * b]

@@ -59,7 +59,7 @@ from repro.resilience.faults import FaultSchedule
 from repro.resilience.replan import node_remap, shrunken_grid
 from repro.runtime.core import FaultHooks, run_core
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import SimulationResult
+from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
 
 

@@ -36,8 +36,8 @@ Ready queues hold dense priority *ranks*: the rank permutation sorts
 scheduler's tie-breaking exactly, and ``prio=None`` (program order)
 makes ranks the identity.
 
-Front ends (:mod:`repro.runtime.simulator`,
-:mod:`repro.resilience.simulate`) are thin adapters over
+Front ends (:mod:`repro.bench.runner`, :mod:`repro.resilience.simulate`
+and the verifier's reference simulator) are thin adapters over
 :func:`run_core` and :func:`run_core_batch`.
 """
 
@@ -56,18 +56,59 @@ from repro.dag.compiled import CompiledGraph, _transpose
 from repro.obs.events import active as _obs_active
 from repro.obs.tracing import span
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import SimulationResult, qr_flops
 
 __all__ = [
     "CoreOutcome",
     "FaultHooks",
     "FaultOutcome",
+    "SimulationResult",
     "core_mode",
     "priority_ranks",
+    "qr_flops",
     "run_core",
     "run_core_batch",
     "sim_threads",
 ]
+
+
+@dataclass
+class SimulationResult:
+    """Outcome of one simulated run."""
+
+    makespan: float
+    flops: float
+    messages: int
+    bytes_sent: int
+    busy_seconds: float
+    cores: int
+    trace: list[tuple[int, int, float, float]] | None = None  # (task, node, start, end)
+    #: (producer task, src node, dst node, depart, arrival) per message —
+    #: recorded by the Python loop under ``record_trace``; consumed by
+    #: the schedule-legality oracle in :mod:`repro.verify`
+    comm_trace: list[tuple[int, int, int, float, float]] | None = None
+
+    @property
+    def gflops(self) -> float:
+        """Achieved performance in GFlop/s (useful flops / makespan)."""
+        return self.flops / self.makespan / 1e9 if self.makespan > 0 else 0.0
+
+    @property
+    def efficiency(self) -> float:
+        """Fraction of core-seconds spent computing."""
+        total = self.makespan * self.cores
+        return self.busy_seconds / total if total > 0 else 0.0
+
+    def percent_of_peak(self, machine: Machine) -> float:
+        """GFlop/s as a percentage of the machine's theoretical peak."""
+        return 100.0 * self.gflops / machine.peak_gflops()
+
+
+def qr_flops(M: int, N: int) -> float:
+    """Useful flops of a QR factorization: ``2 M N^2 - 2/3 N^3`` (M >= N)."""
+    if M >= N:
+        return 2.0 * M * N * N - 2.0 * N**3 / 3.0
+    # wide case: M reflectors swept across N columns
+    return 2.0 * N * M * M - 2.0 * M**3 / 3.0
 
 
 # --------------------------------------------------------------------- #
@@ -805,16 +846,13 @@ def run_core(
     core: str | None = None,
     record_trace: bool = False,
     fault: FaultHooks | None = None,
-    engine_label: str | None = None,
 ) -> CoreOutcome:
     """Run one compiled graph through the unified event loop.
 
     Dispatches to the native C core when no Python-visible capability is
     requested (no tracing, no fault hooks, no task-level recording) and
     ``REPRO_SIM_CORE`` / ``core`` allows it; otherwise runs the unified
-    Python loop.  Both are bit-identical.  ``engine_label`` overrides the
-    engine name in the obs run record (front ends keep their historical
-    labels, e.g. ``reference``).
+    Python loop.  Both are bit-identical.
     """
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
@@ -853,7 +891,7 @@ def run_core(
             makespan, busy = float(out[0][0]), float(out[1][0])
             messages = int(out[2][0])
             trace = comm = fault_out = None
-            engine = label = "c"
+            engine = "c"
         else:
             rank, task_of_rank = priority_ranks(prio, ntasks)
             (
@@ -883,10 +921,10 @@ def run_core(
                 rec=rec, nbytes=tile_bytes, record_trace=record_trace,
                 **kw,
             )
-            engine, label = "python", engine_label or "python"
+            engine = "python"
         if fault is None and rec is not None:
             rec.run(
-                engine=label,
+                engine=engine,
                 loop="cluster",
                 wall_s=time.perf_counter() - wall0,
                 makespan=makespan,
@@ -895,7 +933,7 @@ def run_core(
                 ntasks=ntasks,
             )
         if sp is not None:
-            sp.attrs.update(engine=label, ntasks=ntasks)
+            sp.attrs.update(engine=engine, ntasks=ntasks)
     return CoreOutcome(
         result=SimulationResult(
             makespan=makespan,

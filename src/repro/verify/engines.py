@@ -27,8 +27,8 @@ from typing import Callable
 
 from repro._ccore import native_available
 from repro.dag.compiled import CompiledGraph
-from repro.dag.graph import TaskGraph
-from repro.runtime.simulator import ClusterSimulator, SimulationResult
+from repro.runtime.core import SimulationResult
+from repro.verify.reference import ClusterSimulator, TaskGraph
 
 Engine = Callable[["VerifyCase", TaskGraph, CompiledGraph], SimulationResult]  # noqa: F821
 
@@ -48,7 +48,7 @@ def result_key(res: SimulationResult) -> tuple:
 def _simulator(case, graph, cls=ClusterSimulator, **kwargs):
     priority = None
     if case.priority is not None:
-        from repro.runtime.priorities import make_priority
+        from repro.verify.reference.priorities import make_priority
 
         priority = make_priority(case.priority, graph)
     return cls(

@@ -40,17 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dag.compiled import compile_graph
-from repro.dag.graph import TaskGraph
 from repro.kernels.weights import KernelKind
 from repro.models.bounds import (
     bandwidth_lower_bound_words,
     elimination_bound,
     graph_bounds,
 )
-from repro.runtime.simulator import SimulationResult
+from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 from repro.trees.base import EliminationArray
+from repro.verify.reference import TaskGraph, compile_graph
 
 #: relative slack for the bandwidth formula only
 _BOUND_SLACK = 1e-9

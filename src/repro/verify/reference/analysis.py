@@ -1,4 +1,4 @@
-"""DAG analyses: weights, upward ranks, parallelism profile.
+"""Object-graph analyses: weights, upward ranks, kernel census.
 
 The key invariant (§II): for an ``m x n`` tile matrix with ``m >= n``, every
 valid tiled QR — any elimination list, any TS/TT mix — has total weight
@@ -7,8 +7,8 @@ valid tiled QR — any elimination list, any TS/TT mix — has total weight
 
 from __future__ import annotations
 
-from repro.dag.graph import TaskGraph
 from repro.kernels.weights import KernelKind
+from repro.verify.reference.graph import TaskGraph
 
 
 def total_weight(graph: TaskGraph) -> int:
@@ -52,28 +52,6 @@ def upward_ranks(graph: TaskGraph) -> list[float]:
                 best = rank[s]
         rank[t] = best + float(graph.tasks[t].weight)
     return rank
-
-
-def parallelism_profile(graph: TaskGraph) -> list[int]:
-    """Tasks eligible per unit step under infinite resources (unit weights).
-
-    ``profile[s]`` counts tasks whose earliest unit-time start is step ``s``;
-    its length is the unit critical path, and its shape shows the pipeline
-    ramp-up/starvation behaviour the paper discusses for each tree.
-    """
-    level = [0] * len(graph.tasks)
-    for t in range(len(graph.tasks)):
-        best = -1
-        for p in graph.predecessors[t]:
-            if level[p] > best:
-                best = level[p]
-        level[t] = best + 1
-    if not level:
-        return []
-    profile = [0] * (max(level) + 1)
-    for lv in level:
-        profile[lv] += 1
-    return profile
 
 
 def kernel_census(graph: TaskGraph) -> dict[KernelKind, int]:

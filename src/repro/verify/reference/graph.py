@@ -15,16 +15,18 @@ reflector-consumption edges (an update kernel depends on the factorization
 kernel that produced its reflector, which lives on a different tile).
 
 The construction is what DAGuE's symbolic DAG evaluates at runtime; here it
-is materialized explicitly.
+is materialized as one Python object a task.  Production builds the same
+graph as flat arrays (:func:`repro.dag.compiled.compiled_from_eliminations`);
+this slow, explicit form is the reference the verifier checks it against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.dag.tasks import Task
 from repro.kernels.weights import KernelKind
 from repro.trees.base import Elimination
+from repro.verify.reference.tasks import Task
 
 
 class TaskGraph:

@@ -9,9 +9,9 @@ paper's §VI proposes to investigate.
 
 from __future__ import annotations
 
-from repro.dag.analysis import upward_ranks
-from repro.dag.graph import TaskGraph
-from repro.dag.tasks import Task
+from repro.verify.reference.analysis import upward_ranks
+from repro.verify.reference.graph import TaskGraph
+from repro.verify.reference.tasks import Task
 
 
 def program_order(task: Task):

@@ -17,56 +17,50 @@ Machine` whose nodes are chosen by a :class:`~repro.tiles.layout.Layout`:
   which for panel-major lists approximates DPLASMA's panel-first priority).
 
 Outputs makespan, GFlop/s, per-node busy times, and message statistics.
+The verifier runs this front end over the object graph, flattened by
+:func:`compile_graph`, as the reference the production planner
+(``compiled_from_eliminations``) is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
-from repro.dag.graph import TaskGraph
+import numpy as np
 
+from repro.dag.compiled import (
+    KIND_CODE, CompiledGraph, _check_int32, _finish, placement_array,
+)
+from repro.runtime.core import SimulationResult, run_core
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Layout
+from repro.verify.reference.graph import TaskGraph
 
 
-@dataclass
-class SimulationResult:
-    """Outcome of one simulated run."""
-
-    makespan: float
-    flops: float
-    messages: int
-    bytes_sent: int
-    busy_seconds: float
-    cores: int
-    trace: list[tuple[int, int, float, float]] | None = None  # (task, node, start, end)
-    #: (producer task, src node, dst node, depart, arrival) per message —
-    #: recorded by the reference engine under ``record_trace``; consumed by
-    #: the schedule-legality oracle in :mod:`repro.verify`
-    comm_trace: list[tuple[int, int, int, float, float]] | None = None
-
-    @property
-    def gflops(self) -> float:
-        """Achieved performance in GFlop/s (useful flops / makespan)."""
-        return self.flops / self.makespan / 1e9 if self.makespan > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of core-seconds spent computing."""
-        total = self.makespan * self.cores
-        return self.busy_seconds / total if total > 0 else 0.0
-
-    def percent_of_peak(self, machine: Machine) -> float:
-        """GFlop/s as a percentage of the machine's theoretical peak."""
-        return 100.0 * self.gflops / machine.peak_gflops()
-
-
-def qr_flops(M: int, N: int) -> float:
-    """Useful flops of a QR factorization: ``2 M N^2 - 2/3 N^3`` (M >= N)."""
-    if M >= N:
-        return 2.0 * M * N * N - 2.0 * N**3 / 3.0
-    # wide case: M reflectors swept across N columns
-    return 2.0 * N * M * M - 2.0 * M**3 / 3.0
+def compile_graph(
+    graph: TaskGraph, layout: Layout, machine: Machine, b: int
+) -> CompiledGraph:
+    """Flatten an already-built :class:`TaskGraph` (any elimination list,
+    including the random/baseline generators)."""
+    tasks = graph.tasks
+    ntasks = len(tasks)
+    preds = graph.predecessors
+    counts = np.fromiter(map(len, preds), np.int64, ntasks)
+    nedges = int(counts.sum())
+    _check_int32(ntasks, nedges)
+    kind = np.fromiter((KIND_CODE[t.kind] for t in tasks), np.int8, ntasks)
+    # a task's tile: victim row x (trailing column if an update, else panel)
+    row = np.fromiter((t.row for t in tasks), np.int32, ntasks)
+    column = np.fromiter(
+        (t.panel if t.col < 0 else t.col for t in tasks), np.int32, ntasks
+    )
+    pred_ptr = np.zeros(ntasks + 1, dtype=np.int32)
+    np.cumsum(counts, out=pred_ptr[1:])
+    pred_idx = np.fromiter(chain.from_iterable(preds), np.int32, nedges)
+    return _finish(
+        graph.m, graph.n, kind, placement_array(layout, row, column),
+        pred_ptr, pred_idx, machine, b,
+    )
 
 
 class ClusterSimulator:
@@ -130,12 +124,8 @@ class ClusterSimulator:
         *,
         core: str | None = None,
         record_trace: bool = False,
-        engine_label: str | None = None,
     ) -> SimulationResult:
         """Compile ``graph`` and run it through the unified core."""
-        from repro.dag.compiled import compile_graph
-        from repro.runtime.core import run_core
-
         cg = compile_graph(graph, self.layout, self.machine, self.b)
         return run_core(
             cg,
@@ -147,13 +137,12 @@ class ClusterSimulator:
             N=N,
             core=core,
             record_trace=record_trace,
-            engine_label=engine_label,
         ).result
 
     def run_reference(
         self, graph: TaskGraph, M: int | None = None, N: int | None = None
     ) -> SimulationResult:
-        """The Python inner loop with the historical ``reference`` label.
+        """The Python inner loop.
 
         This is the tracing path: under ``record_trace`` it captures the
         task trace and the comm trace consumed by the verify oracle.  The
@@ -167,5 +156,4 @@ class ClusterSimulator:
             N,
             core="python",
             record_trace=self.record_trace,
-            engine_label="reference",
         )

@@ -33,13 +33,13 @@ from typing import Callable
 import numpy as np
 
 from repro._ccore import native_available
-from repro.dag.compiled import _build_native, compile_graph, compiled_from_eliminations
-from repro.dag.graph import TaskGraph
+from repro.dag.compiled import _build_native, compiled_from_eliminations
 from repro.hqr.hierarchy import HQRTree
 from repro.hqr.validate import ValidationError, check_elimination_list
 from repro.verify.engines import available_engines, result_key, run_engines
 from repro.verify.generator import VerifyCase, generate_cases
 from repro.verify.oracle import check_schedule
+from repro.verify.reference import TaskGraph, compile_graph
 from repro.verify.shrink import shrink_case
 
 #: fields of result_key, for human-readable divergence reports

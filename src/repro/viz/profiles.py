@@ -1,14 +1,33 @@
-"""Parallelism-profile rendering.
+"""Parallelism profiles and their rendering.
 
-The profile (tasks eligible per unit step, from
-:func:`repro.dag.analysis.parallelism_profile`) shows a tree's pipeline
-behaviour at a glance: flat trees ramp up one task at a time, greedy fans
-out immediately — §III-B's discussion as a picture.
+The profile (tasks eligible per unit step, :func:`parallelism_profile`)
+shows a tree's pipeline behaviour at a glance: flat trees ramp up one task
+at a time, greedy fans out immediately — §III-B's discussion as a picture.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
+
+from repro.dag.compiled import CompiledGraph
+
+
+def parallelism_profile(graph: CompiledGraph) -> list[int]:
+    """Tasks eligible per unit step under infinite resources (unit weights).
+
+    ``profile[s]`` counts tasks whose earliest unit-time start is step ``s``
+    (one more than the latest of their predecessors', over the successor
+    CSR in program order); its length is the unit critical path.
+    """
+    ptr, succ = graph.succ_ptr.tolist(), graph.succ_idx.tolist()
+    level = [0] * len(graph)
+    for t, lv in enumerate(level):
+        for s in succ[ptr[t] : ptr[t + 1]]:
+            if level[s] <= lv:
+                level[s] = lv + 1
+    return np.bincount(level).tolist() if level else []
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 

@@ -8,7 +8,7 @@ quick-look counterpart).
 
 from __future__ import annotations
 
-from repro.dag.graph import TaskGraph
+from repro.dag.compiled import KIND_ORDER, CompiledGraph
 from repro.kernels.weights import KernelKind
 
 #: color per kernel kind (colorblind-safe-ish palette)
@@ -24,13 +24,14 @@ KIND_COLORS = {
 
 def trace_to_svg(
     trace: list[tuple[int, int, float, float]],
-    graph: TaskGraph,
+    graph: CompiledGraph,
     *,
     width: int = 1200,
     lane_height: int = 18,
     max_nodes: int = 64,
 ) -> str:
-    """Render a simulator trace as an SVG document (returned as text)."""
+    """Render a simulator trace of ``graph`` as an SVG document (returned
+    as text); each task is colored and titled by its kind code."""
     if not trace:
         return (
             '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10">'
@@ -60,11 +61,12 @@ def trace_to_svg(
         y = lane[node] * lane_height + 10
         x = 50 + start * scale
         w = max((end - start) * scale, 0.5)
-        color = KIND_COLORS[graph.tasks[task_id].kind]
+        kind = KIND_ORDER[graph.kind[task_id]]
         parts.append(
             f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" '
-            f'height="{lane_height - 4}" fill="{color}">'
-            f"<title>{graph.tasks[task_id]!r} [{start:.4g}, {end:.4g}]s</title>"
+            f'height="{lane_height - 4}" fill="{KIND_COLORS[kind]}">'
+            f"<title>{kind.value}(task {task_id}) "
+            f"[{start:.4g}, {end:.4g}]s</title>"
             f"</rect>"
         )
     legend_x = 50
@@ -77,7 +79,7 @@ def trace_to_svg(
     return "\n".join(parts)
 
 
-def save_trace_svg(path: str, trace, graph: TaskGraph, **kwargs) -> None:
+def save_trace_svg(path: str, trace, graph: CompiledGraph, **kwargs) -> None:
     """Write the SVG to ``path``."""
     with open(path, "w") as fh:
         fh.write(trace_to_svg(trace, graph, **kwargs))

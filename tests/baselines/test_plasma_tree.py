@@ -43,8 +43,7 @@ class TestPlasmaTree:
 
     def test_bs_tradeoff_visible_in_critical_path(self):
         """Small bs -> more parallelism (shorter CP); big bs -> more TS."""
-        from repro.dag import TaskGraph
-        from repro.dag.compiled import compile_graph
+        from repro.dag.compiled import compiled_from_eliminations
         from repro.hqr.stats import kernel_mix
         from repro.models.bounds import graph_bounds
         from repro.runtime import Machine
@@ -55,11 +54,10 @@ class TestPlasmaTree:
         m, n = 32, 4
         cp, ts = {}, {}
         for bs in (1, 4, 32):
-            g = TaskGraph.from_eliminations(
-                plasma_tree_elimination_list(m, n, bs), m, n
+            cg = compiled_from_eliminations(
+                plasma_tree_elimination_list(m, n, bs), m, n, SingleNode(), mach, 280
             )
-            cg = compile_graph(g, SingleNode(), mach, 280)
             cp[bs] = graph_bounds([cg], mach, 280)[0].plain_critical_path
-            ts[bs] = kernel_mix(g).ts_fraction
+            ts[bs] = kernel_mix(cg).ts_fraction
         assert cp[1] < cp[32]
         assert ts[1] == 0.0 < ts[4] < ts[32]

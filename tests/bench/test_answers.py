@@ -14,12 +14,11 @@ import repro.runtime.core as core_mod
 from repro.bench.runner import BenchSetup, answers, run_config
 from repro.dag import cache as cache_mod
 from repro.dag.compiled import compiled_from_eliminations
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 B = 40

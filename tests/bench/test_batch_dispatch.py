@@ -192,7 +192,7 @@ def test_verify_case_batched_roundtrip():
 
 def test_verify_batched_engines_agree():
     from repro.dag.compiled import compiled_from_eliminations
-    from repro.dag.graph import TaskGraph
+    from repro.verify.reference import TaskGraph
     from repro.verify.engines import result_key, run_engines
     from repro.verify.generator import sample_case
 

@@ -10,9 +10,10 @@ import pytest
 from repro import HQRConfig, qr
 from repro.baselines import bbd10_elimination_list, slhd10_elimination_list
 from repro.bench.runner import BenchSetup, run_config
-from repro.dag import TaskGraph, theoretical_total_weight, total_weight
+from repro.verify.reference import ClusterSimulator, TaskGraph
+from repro.verify.reference.analysis import theoretical_total_weight, total_weight
 from repro.hqr import hqr_elimination_list
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D
 from repro.trees import greedy_elimination_list
 

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.dag import (
-    TaskGraph,
-    parallelism_profile,
-    theoretical_total_weight,
-    total_weight,
-)
 from repro.hqr import HQRConfig, hqr_elimination_list
+from repro.runtime.executor import numeric_graph
 from repro.trees import BinaryTree, FlatTree, GreedyTree, panel_elimination_list
+from repro.verify.reference import TaskGraph
+from repro.verify.reference.analysis import theoretical_total_weight, total_weight
+from repro.viz import parallelism_profile
 
 
 def build(m, n, elims):
@@ -92,31 +90,31 @@ class TestCriticalPath:
 
 
 class TestParallelismProfile:
+    """The profile reads the compiled graph; the object graph checks it."""
+
+    def profile(self, m, n, elims):
+        return parallelism_profile(numeric_graph(elims, m, n)[0])
+
     def test_profile_sums_to_task_count(self):
         m, n = 10, 4
-        g = build(m, n, hqr_elimination_list(m, n, HQRConfig(p=2, a=2)))
-        profile = parallelism_profile(g)
-        assert sum(profile) == len(g)
+        elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
+        assert sum(self.profile(m, n, elims)) == len(build(m, n, elims))
 
     def test_profile_length_is_unit_cp(self):
         m, n = 10, 4
-        g = build(m, n, hqr_elimination_list(m, n, HQRConfig(p=2, a=2)))
-        assert len(parallelism_profile(g)) == critical_path_weight(g, unit=True)
+        elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
+        g = build(m, n, elims)
+        assert len(self.profile(m, n, elims)) == critical_path_weight(g, unit=True)
 
     def test_greedy_exposes_more_early_parallelism_than_flat(self):
         """The flat tree ramps up one task at a time; greedy fans out."""
         m = 32
-        flat = parallelism_profile(
-            build(m, 2, panel_elimination_list(m, 2, FlatTree()))
-        )
-        greedy = parallelism_profile(
-            build(m, 2, panel_elimination_list(m, 2, GreedyTree()))
-        )
+        flat = self.profile(m, 2, panel_elimination_list(m, 2, FlatTree()))
+        greedy = self.profile(m, 2, panel_elimination_list(m, 2, GreedyTree()))
         assert max(greedy[:4]) > max(flat[:4])
 
     def test_single_tile_graph(self):
-        g = build(1, 1, [])
-        assert parallelism_profile(g) == [1]  # the lone final GEQRT
+        assert self.profile(1, 1, []) == [1]  # the lone final GEQRT
 
 
 class TestBBD10Structure:

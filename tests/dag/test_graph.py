@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dag import TaskGraph
-from repro.dag.analysis import kernel_census
+from repro.verify.reference import TaskGraph
+from repro.verify.reference.analysis import kernel_census
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.kernels.weights import KernelKind
 from repro.trees import FlatTree, panel_elimination_list
@@ -123,7 +123,7 @@ class TestDependencies:
 
 class TestTaskObjects:
     def test_tiles_of_each_kind(self):
-        from repro.dag.tasks import Task
+        from repro.verify.reference import Task
 
         assert Task(0, KernelKind.GEQRT, 2, 1).tiles() == ((2, 1),)
         assert Task(0, KernelKind.UNMQR, 2, 1, col=3).tiles() == ((2, 3),)
@@ -134,12 +134,12 @@ class TestTaskObjects:
         )
 
     def test_weight_property(self):
-        from repro.dag.tasks import Task
+        from repro.verify.reference import Task
 
         assert Task(0, KernelKind.TSMQR, 1, 0, killer=0, col=1).weight == 12
 
     def test_repr_forms(self):
-        from repro.dag.tasks import Task
+        from repro.verify.reference import Task
 
         assert "GEQRT(2,1)" == repr(Task(0, KernelKind.GEQRT, 2, 1))
         assert "TSQRT(4<-2,1)" == repr(Task(0, KernelKind.TSQRT, 4, 1, killer=2))

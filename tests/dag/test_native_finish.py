@@ -24,20 +24,18 @@ from repro.dag.compiled import (
     _check_int32,
     _succ_csr,
     _transpose,
-    compile_graph,
     compiled_from_eliminations,
     count_tasks,
     duration_table,
     placement_array,
     task_coordinates,
 )
-from repro.dag.graph import TaskGraph
-from repro.dag.tasks import Task
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.kernels.weights import KernelKind
 from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
+from repro.verify.reference import Task, TaskGraph, compile_graph
 from repro.trees.base import EliminationArray
 from repro.trees.random_tree import random_elimination_list
 from repro.verify.generator import LAYOUT_KINDS, generate_cases

@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.dag import TaskGraph
 from repro.distributed.engine import DistributedEngine, ThreadComm
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.runtime import SequentialExecutor
+from repro.runtime.executor import numeric_graph
 from repro.tiles import TiledMatrix
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, SingleNode
 
 
 def sequential_r(A, b, m, n, cfg):
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
+    elims = hqr_elimination_list(m, n, cfg)
     T = TiledMatrix(A.copy(), b)
-    SequentialExecutor(g, T).run()
-    return T.array, g
+    SequentialExecutor(*numeric_graph(elims, m, n), T).run()
+    return T.array, elims
+
+
+def make_engine(elims, m, n, layout, comm, cls=DistributedEngine, **kwargs):
+    """An engine over the compiled graph of ``elims``, placed by ``layout``."""
+    return cls(*numeric_graph(elims, m, n, layout), layout, comm, **kwargs)
 
 
 class TestThreadComm:
@@ -57,7 +62,7 @@ class TestDistributedExecution:
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")
         ref, g = sequential_r(A, b, m, n, cfg)
-        engine = DistributedEngine(g, layout_factory(m), ThreadComm(ranks))
+        engine = make_engine(g, m, n, layout_factory(m), ThreadComm(ranks))
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))
@@ -66,18 +71,18 @@ class TestDistributedExecution:
         b, m, n = 4, 9, 3
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=3, a=1, low_tree="binary")
-        g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-        engine = DistributedEngine(g, Cyclic1D(3), ThreadComm(3))
+        g = hqr_elimination_list(m, n, cfg)
+        engine = make_engine(g, m, n, Cyclic1D(3), ThreadComm(3))
         results = engine.run_threaded(A, b)
-        assert sum(r.tasks_run for r in results.values()) == len(g)
+        assert sum(r.tasks_run for r in results.values()) == len(engine.graph)
         assert all(r.tasks_run > 0 for r in results.values())
 
     def test_sends_match_recvs(self, rng):
         b, m, n = 4, 8, 4
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2)
-        g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-        engine = DistributedEngine(g, Cyclic1D(2), ThreadComm(2))
+        g = hqr_elimination_list(m, n, cfg)
+        engine = make_engine(g, m, n, Cyclic1D(2), ThreadComm(2))
         results = engine.run_threaded(A, b)
         assert sum(r.sends for r in results.values()) == sum(
             r.recvs for r in results.values()
@@ -87,10 +92,8 @@ class TestDistributedExecution:
     def test_single_rank_no_messages(self, rng):
         b, m, n = 4, 6, 3
         A = rng.standard_normal((m * b, n * b))
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, HQRConfig()), m, n
-        )
-        engine = DistributedEngine(g, SingleNode(), ThreadComm(1))
+        g = hqr_elimination_list(m, n, HQRConfig())
+        engine = make_engine(g, m, n, SingleNode(), ThreadComm(1))
         results = engine.run_threaded(A, b)
         assert results[0].sends == results[0].recvs == 0
 
@@ -101,8 +104,8 @@ class TestDistributedExecution:
         b, m, n = 5, 10, 4
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2, low_tree="fibonacci", high_tree="greedy")
-        g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
-        engine = DistributedEngine(g, BlockCyclic2D(2, 2), ThreadComm(4))
+        g = hqr_elimination_list(m, n, cfg)
+        engine = make_engine(g, m, n, BlockCyclic2D(2, 2), ThreadComm(4))
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, m * b, n * b, b)
         R = np.triu(out)[: n * b]
@@ -110,11 +113,9 @@ class TestDistributedExecution:
         np.testing.assert_allclose(np.abs(R), np.abs(Rref), atol=1e-10)
 
     def test_rejects_undersized_comm(self, rng):
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(4, 2, HQRConfig()), 4, 2
-        )
+        g = hqr_elimination_list(4, 2, HQRConfig())
         with pytest.raises(ValueError):
-            DistributedEngine(g, Cyclic1D(4), ThreadComm(2))
+            make_engine(g, 4, 2, Cyclic1D(4), ThreadComm(2))
 
     def test_ragged_edge_tiles(self, rng):
         """Distribution also works when M, N are not tile multiples."""
@@ -125,12 +126,10 @@ class TestDistributedExecution:
         from repro.tiles.matrix import TiledMatrix
 
         tiled = TiledMatrix(A.copy(), b)
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(tiled.m, tiled.n, cfg), tiled.m, tiled.n
-        )
+        g = hqr_elimination_list(tiled.m, tiled.n, cfg)
         ref = TiledMatrix(A.copy(), b)
-        SequentialExecutor(g, ref).run()
-        engine = DistributedEngine(g, Cyclic1D(2), ThreadComm(2))
+        SequentialExecutor(*numeric_graph(g, m, n), ref).run()
+        engine = make_engine(g, m, n, Cyclic1D(2), ThreadComm(2))
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, M, N, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref.array))
@@ -144,24 +143,22 @@ class TestTagEncoding:
         from repro.hqr import HQRConfig, hqr_elimination_list
 
         m, n = 512, 16
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, HQRConfig(p=15, a=4)), m, n
-        )
-        engine = DistributedEngine(g, SingleNode(), ThreadComm(1))
-        worst = (len(g.tasks) - 1) * engine._tag_stride + engine._tag_stride - 1
+        g = hqr_elimination_list(m, n, HQRConfig(p=15, a=4))
+        engine = make_engine(g, m, n, SingleNode(), ThreadComm(1))
+        worst = (len(engine.graph) - 1) * engine._tag_stride + engine._tag_stride - 1
         assert worst < 2**31 - 1
 
     def test_tags_unique_per_edge(self):
         from repro.hqr import HQRConfig, hqr_elimination_list
 
         m, n = 8, 4
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, HQRConfig(p=2, a=2)), m, n
-        )
-        engine = DistributedEngine(g, SingleNode(), ThreadComm(1))
+        g = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
+        engine = make_engine(g, m, n, SingleNode(), ThreadComm(1))
+        ptr, preds = engine.graph.pred_ptr, engine.graph.pred_idx
         tags = set()
-        for t, preds in enumerate(g.predecessors):
-            for p in preds:
+        for t in range(len(engine.graph)):
+            for p in preds[ptr[t] : ptr[t + 1]].tolist():
                 tag = engine._tag(t, p)
                 assert tag not in tags
                 tags.add(tag)
+        assert len(tags) == len(preds)

@@ -7,20 +7,24 @@ library must execute correctly under distributed-memory semantics.
 import numpy as np
 import pytest
 
-from repro.dag import TaskGraph
 from repro.distributed.engine import DistributedEngine, ThreadComm
 from repro.hqr.multilevel import Level, MultilevelTree
 from repro.runtime import SequentialExecutor
+from repro.runtime.executor import numeric_graph
 from repro.tiles import TiledMatrix
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 from repro.trees.random_tree import random_elimination_list
 
 
 def reference(A, b, elims, m, n):
-    g = TaskGraph.from_eliminations(elims, m, n)
     T = TiledMatrix(A.copy(), b)
-    SequentialExecutor(g, T).run()
-    return T.array, g
+    SequentialExecutor(*numeric_graph(elims, m, n), T).run()
+    return T.array, elims
+
+
+def make_engine(elims, m, n, layout, comm, cls=DistributedEngine, **kwargs):
+    """An engine over the compiled graph of ``elims``, placed by ``layout``."""
+    return cls(*numeric_graph(elims, m, n, layout), layout, comm, **kwargs)
 
 
 class TestMultilevelDistributed:
@@ -31,7 +35,7 @@ class TestMultilevelDistributed:
                               a=2, leaf_tree="greedy")
         elims = tree.elimination_list()
         ref, g = reference(A, b, elims, m, n)
-        engine = DistributedEngine(g, Cyclic1D(4), ThreadComm(4))
+        engine = make_engine(g, m, n, Cyclic1D(4), ThreadComm(4))
         out = engine.gather_matrix(engine.run_threaded(A, b), m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))
 
@@ -42,12 +46,12 @@ class TestMultilevelDistributed:
         A = rng.standard_normal((m * b, n * b))
         tree = MultilevelTree(m, n, [Level(4, "binary")], a=2, leaf_tree="flat")
         elims = tree.elimination_list()
-        g = TaskGraph.from_eliminations(elims, m, n)
+        g = elims
         lay = Cyclic1D(4)
         for e in elims:
             if e.ts:
                 assert lay.owner(e.victim, 0) == lay.owner(e.killer, 0)
-        engine = DistributedEngine(g, lay, ThreadComm(4))
+        engine = make_engine(g, m, n, lay, ThreadComm(4))
         results = engine.run_threaded(A, b)
         assert sum(r.sends for r in results.values()) > 0  # TT still crosses
 
@@ -59,6 +63,6 @@ class TestRandomTreeDistributed:
         A = rng.standard_normal((m * b, n * b))
         elims = random_elimination_list(m, n, seed)
         ref, g = reference(A, b, elims, m, n)
-        engine = DistributedEngine(g, BlockCyclic2D(2, 2), ThreadComm(4))
+        engine = make_engine(g, m, n, BlockCyclic2D(2, 2), ThreadComm(4))
         out = engine.gather_matrix(engine.run_threaded(A, b), m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dag import TaskGraph
 from repro.distributed.engine import (
     CommTimeout,
     DistributedEngine,
@@ -14,15 +13,21 @@ from repro.distributed.engine import (
 )
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.runtime import SequentialExecutor
+from repro.runtime.executor import numeric_graph
 from repro.tiles import TiledMatrix
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 
 def sequential_r(A, b, m, n, cfg):
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
+    elims = hqr_elimination_list(m, n, cfg)
     T = TiledMatrix(A.copy(), b)
-    SequentialExecutor(g, T).run()
-    return T.array, g
+    SequentialExecutor(*numeric_graph(elims, m, n), T).run()
+    return T.array, elims
+
+
+def make_engine(elims, m, n, layout, comm, cls=DistributedEngine, **kwargs):
+    """An engine over the compiled graph of ``elims``, placed by ``layout``."""
+    return cls(*numeric_graph(elims, m, n, layout), layout, comm, **kwargs)
 
 
 class TestResilientComm:
@@ -75,7 +80,7 @@ class TestResilientEngine:
         cfg = HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")
         ref, g = sequential_r(A, b, m, n, cfg)
         comm = ResilientComm(4)
-        engine = ResilientEngine(g, BlockCyclic2D(2, 2), comm)
+        engine = make_engine(g, m, n, BlockCyclic2D(2, 2), comm, cls=ResilientEngine)
         results = engine.run_threaded(
             A, b, kill=WorkerKill(rank=1, after_tasks=2)
         )
@@ -89,7 +94,7 @@ class TestResilientEngine:
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=3, a=1, low_tree="binary")
         ref, g = sequential_r(A, b, m, n, cfg)
-        engine = ResilientEngine(g, Cyclic1D(3), ResilientComm(3))
+        engine = make_engine(g, m, n, Cyclic1D(3), ResilientComm(3), cls=ResilientEngine)
         results = engine.run_threaded(A, b, kill=WorkerKill(rank=2))
         out = engine.gather_matrix(results, m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))
@@ -99,7 +104,7 @@ class TestResilientEngine:
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2)
         ref, g = sequential_r(A, b, m, n, cfg)
-        engine = ResilientEngine(g, Cyclic1D(2), ResilientComm(2))
+        engine = make_engine(g, m, n, Cyclic1D(2), ResilientComm(2), cls=ResilientEngine)
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))
@@ -115,7 +120,7 @@ class TestResilientEngine:
         comm = ResilientComm(
             4, drop=lambda i: i % 5 == 0, retry_timeout=0.01
         )
-        engine = ResilientEngine(g, BlockCyclic2D(2, 2), comm)
+        engine = make_engine(g, m, n, BlockCyclic2D(2, 2), comm, cls=ResilientEngine)
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))
@@ -124,11 +129,9 @@ class TestResilientEngine:
         assert stats["retransmits"] == stats["drops"]
 
     def test_requires_resilient_comm(self, rng):
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(4, 2, HQRConfig()), 4, 2
-        )
+        g = hqr_elimination_list(4, 2, HQRConfig())
         with pytest.raises(TypeError, match="ResilientComm"):
-            ResilientEngine(g, Cyclic1D(2), ThreadComm(2))
+            make_engine(g, 4, 2, Cyclic1D(2), ThreadComm(2), cls=ResilientEngine)
 
     def test_plain_engine_accepts_resilient_comm(self, rng):
         """ResilientComm is a drop-in ThreadComm for the plain engine."""
@@ -136,7 +139,7 @@ class TestResilientEngine:
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2)
         ref, g = sequential_r(A, b, m, n, cfg)
-        engine = DistributedEngine(g, Cyclic1D(2), ResilientComm(2))
+        engine = make_engine(g, m, n, Cyclic1D(2), ResilientComm(2))
         results = engine.run_threaded(A, b)
         out = engine.gather_matrix(results, m * b, n * b, b)
         np.testing.assert_array_equal(np.triu(out), np.triu(ref))

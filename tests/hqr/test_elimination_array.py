@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import TaskGraph
 from repro.hqr import HQRConfig, HQRTree, check_elimination_list, hqr_elimination_list
 from repro.hqr.levels import top_local_row
 from repro.io import eliminations_from_json, eliminations_to_json

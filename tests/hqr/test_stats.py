@@ -50,9 +50,9 @@ class TestKernelMix:
 
     def test_bbd10_is_pure_ts(self):
         from repro.baselines.bbd10 import bbd10_elimination_list
-        from repro.dag import TaskGraph
+        from repro.runtime.executor import numeric_graph
 
-        g = TaskGraph.from_eliminations(bbd10_elimination_list(32, 8), 32, 8)
+        g, _ = numeric_graph(bbd10_elimination_list(32, 8), 32, 8)
         mix = kernel_mix(g)
         # GEQRT/UNMQR panel work is neither TS nor TT family; all kills are TS
         assert mix.weights[__import__("repro.kernels.weights", fromlist=["KernelKind"]).KernelKind.TTQRT] == 0

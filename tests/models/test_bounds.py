@@ -3,12 +3,11 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.dag import TaskGraph
-from repro.dag.compiled import compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import bandwidth_lower_bound_words
 from repro.models.bounds import graph_bounds, graph_lower_bound
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
 
 

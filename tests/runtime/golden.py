@@ -105,7 +105,7 @@ class GoldenCase:
     machine: Machine
     layout_fn: Callable[[], Layout]
     data_reuse: bool = False
-    priority: str | None = None  # name in repro.runtime.priorities
+    priority: str | None = None  # name in repro.verify.reference.priorities
 
     def layout(self) -> Layout:
         return self.layout_fn()
@@ -116,14 +116,14 @@ class GoldenCase:
         return hqr_elimination_list(self.m, self.n, self.config)
 
     def graph(self):
-        from repro.dag.graph import TaskGraph
+        from repro.verify.reference import TaskGraph
 
         return TaskGraph.from_eliminations(self.elims(), self.m, self.n)
 
     def priority_keys(self, graph):
         if self.priority is None:
             return None
-        from repro.runtime.priorities import make_priority
+        from repro.verify.reference.priorities import make_priority
 
         return make_priority(self.priority, graph)
 
@@ -243,7 +243,7 @@ def qr_golden_cases() -> list[QRGoldenCase]:
 # capture & compare
 # --------------------------------------------------------------------- #
 def _run_scalar(case: GoldenCase) -> dict:
-    from repro.runtime.simulator import ClusterSimulator
+    from repro.verify.reference import ClusterSimulator
 
     graph = case.graph()
     sim = ClusterSimulator(

@@ -17,9 +17,7 @@ import numpy as np
 import pytest
 
 from repro._ccore import native_available
-from repro.dag.compiled import compile_graph
-from repro.dag.graph import TaskGraph
-from repro.dag.tasks import Task
+from repro.verify.reference import ClusterSimulator, Task, TaskGraph, compile_graph
 from repro.kernels.weights import KernelKind
 from repro.obs.events import recording, uninstall
 from repro.runtime.core import (
@@ -28,7 +26,6 @@ from repro.runtime.core import (
     run_core_batch,
 )
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 from golden import (

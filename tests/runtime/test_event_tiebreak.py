@@ -11,15 +11,13 @@ other way schedules differently, so bitwise agreement across all engines
 on this configuration pins the ordering down.
 """
 
-from repro.dag.compiled import compile_graph
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.kernels.weights import KernelKind, KernelRates
 from repro.resilience.faults import FaultSchedule
 from repro.runtime.core import FaultHooks, run_core
 from repro.runtime.machine import Machine
-from repro.runtime.simulator import ClusterSimulator
 from repro.tiles.layout import BlockCyclic2D
 
 B = 16

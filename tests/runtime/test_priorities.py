@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.dag import TaskGraph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.runtime import ClusterSimulator, Machine
-from repro.runtime.priorities import (
+from repro.runtime import Machine
+from repro.verify.reference.priorities import (
     PRIORITIES,
     column_major,
     make_priority,

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.dag import TaskGraph
-from repro.dag.compiled import compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models.bounds import graph_lower_bound
-from repro.runtime import ClusterSimulator, Machine
-from repro.runtime.simulator import qr_flops
+from repro.runtime import Machine
+from repro.runtime.core import qr_flops
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
 
 

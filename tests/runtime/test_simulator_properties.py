@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag import TaskGraph
-from repro.dag.compiled import compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models.bounds import graph_lower_bound
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
 settings.register_profile("sim", max_examples=25, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dag import TaskGraph
+from repro.verify.reference import TaskGraph
 from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.kernels.weights import KernelKind

@@ -51,17 +51,15 @@ class TestLayout:
 class TestExecutorCompatibility:
     def test_sequential_executor_runs_on_tile_major(self, rng):
         """Same factorization on either storage, bitwise."""
-        from repro.dag import TaskGraph
         from repro.hqr import HQRConfig, hqr_elimination_list
         from repro.runtime import SequentialExecutor
+        from repro.runtime.executor import numeric_graph
 
         b, m, n = 4, 6, 3
         A = rng.standard_normal((m * b, n * b))
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(m, n, HQRConfig(p=2, a=2)), m, n
-        )
+        g = numeric_graph(hqr_elimination_list(m, n, HQRConfig(p=2, a=2)), m, n)
         dense = TiledMatrix(A.copy(), b)
-        SequentialExecutor(g, dense).run()
+        SequentialExecutor(*g, dense).run()
         tm = TileMajorMatrix(A.copy(), b)
-        SequentialExecutor(g, tm).run()
+        SequentialExecutor(*g, tm).run()
         np.testing.assert_array_equal(tm.to_array(), dense.array)

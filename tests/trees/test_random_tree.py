@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dag import TaskGraph, theoretical_total_weight, total_weight
+from repro.verify.reference import TaskGraph
+from repro.verify.reference.analysis import theoretical_total_weight, total_weight
 from repro.hqr import ValidationError, check_elimination_list
 from repro.trees.base import Elimination
 from repro.trees.random_tree import random_elimination_list

@@ -9,8 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.dag.compiled import compile_graph
-from repro.dag.graph import TaskGraph
+from repro.verify.reference import TaskGraph, compile_graph
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import graph_bounds
 from repro.verify.engines import core_engine

@@ -47,7 +47,7 @@ def test_engine_registry_order_is_deterministic():
 
 def test_result_key_is_bitwise():
     case = sample_case(0, 1)
-    from repro.dag.graph import TaskGraph
+    from repro.verify.reference import TaskGraph
     from repro.hqr.hierarchy import hqr_elimination_list
 
     graph = TaskGraph.from_eliminations(

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dag import TaskGraph
+from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.runtime import ClusterSimulator, Machine
+from repro.runtime import Machine
+from repro.runtime.core import run_core
 from repro.tiles.layout import BlockCyclic2D
 from repro.viz.svg import save_trace_svg, trace_to_svg
 
@@ -12,11 +13,12 @@ from repro.viz.svg import save_trace_svg, trace_to_svg
 @pytest.fixture(scope="module")
 def traced():
     m, n = 10, 5
-    g = TaskGraph.from_eliminations(
-        hqr_elimination_list(m, n, HQRConfig(p=2, a=2)), m, n
+    machine = Machine.edel()
+    g = compiled_from_eliminations(
+        hqr_elimination_list(m, n, HQRConfig(p=2, a=2)), m, n,
+        BlockCyclic2D(2, 2), machine, 40,
     )
-    sim = ClusterSimulator(Machine.edel(), BlockCyclic2D(2, 2), 40, record_trace=True)
-    return g, sim.run(g)
+    return g, run_core(g, machine, 40, record_trace=True).result
 
 
 class TestSvg:
@@ -44,8 +46,8 @@ class TestSvg:
         for kind in ("GEQRT", "TSQRT", "TTQRT", "TSMQR", "TTMQR", "UNMQR"):
             assert kind in svg
 
-    def test_empty_trace(self):
-        g = TaskGraph(1, 1, [], [])
+    def test_empty_trace(self, traced):
+        g, _ = traced
         assert "<svg" in trace_to_svg([], g)
 
     def test_save(self, traced, tmp_path):

@@ -73,12 +73,11 @@ class TestSparkline:
         assert len(s) == 10
 
     def test_profile_rendering(self):
-        from repro.dag import TaskGraph, parallelism_profile
         from repro.hqr import HQRConfig, hqr_elimination_list
+        from repro.runtime.executor import numeric_graph
+        from repro.viz import parallelism_profile
 
-        g = TaskGraph.from_eliminations(
-            hqr_elimination_list(16, 4, HQRConfig(p=2, a=2)), 16, 4
-        )
+        g, _ = numeric_graph(hqr_elimination_list(16, 4, HQRConfig(p=2, a=2)), 16, 4)
         text = render_parallelism_profile(parallelism_profile(g), label="hqr")
         assert "peak=" in text and "steps=" in text
 
