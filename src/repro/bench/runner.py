@@ -301,11 +301,10 @@ def run_config_sweep(
     Two paths, bit-identical in results and chosen from what the code can
     observe, never from a switch:
 
-    * the native core is loaded, the engine is not ``python`` and no
-      task-level recorder is installed — each point asks the graph cache
-      first (:func:`_ask`); a remembered one reaches neither planner nor
-      loop, the rest are planned and simulated one point per worker
-      (:func:`_plan_and_simulate`);
+    * the native core is loaded and the engine is not ``python`` — each
+      point asks the graph cache first (:func:`_ask`); a remembered one
+      reaches neither planner nor loop, the rest are planned and
+      simulated one point per worker (:func:`_plan_and_simulate`);
     * otherwise — :func:`run_config` per point, in this process, which
       simulates every point every time.
 
@@ -313,16 +312,11 @@ def run_config_sweep(
     which path ran.  ``workers`` is accepted and ignored, only because
     the benchmark in ``perf/`` passes ``workers=1``.
     """
-    from repro.obs.events import active as _obs_active
     from repro.runtime.core import _pick_engine
 
     setup = setup or BenchSetup()
     points = list(points)
-    rec = _obs_active()
-    batched = (
-        not (rec is not None and rec.want_tasks)
-        and _pick_engine(None) is not None
-    )
+    batched = _pick_engine(None) is not None
     transport = "batched-c" if batched else "in-process"
     jsonlog(
         "sweep_transport", logger=log,

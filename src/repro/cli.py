@@ -197,7 +197,6 @@ def cmd_gantt(args) -> int:
     from repro.bench.runner import BenchSetup
     from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
-    from repro.obs.events import recording
     from repro.obs.metrics import utilization_timeline
     from repro.runtime.core import run_core
     from repro.runtime.trace import ascii_gantt, summarize, trace_events_json
@@ -208,10 +207,7 @@ def cmd_gantt(args) -> int:
     cg = compiled_from_eliminations(
         elims, args.m, args.n, setup.layout, setup.machine, setup.b
     )
-    # with a timeline to write, a recorder captures the message flow so
-    # the exported timeline gets network tracks
-    with recording() if args.trace_out else contextlib.nullcontext() as rec:
-        res = run_core(cg, setup.machine, setup.b, record_trace=True).result
+    res = run_core(cg, setup.machine, setup.b, record_trace=True).result
     print(f"{args.m} x {args.n} tiles, {cfg}: {res.gflops:.1f} GFlop/s")
     print(ascii_gantt(res.trace, width=args.width, max_nodes=args.nodes))
     s = summarize(res.trace, cg.kind)
@@ -226,7 +222,8 @@ def cmd_gantt(args) -> int:
                     res.trace,
                     cg.kind,
                     task_coordinates(elims, args.m, args.n),
-                    comm_events=rec.comms,
+                    comm_trace=res.comm_trace,
+                    tile_bytes=setup.machine.tile_bytes(setup.b),
                     counters={
                         "busy_cores": utilization_timeline(res.trace)
                     },
@@ -412,39 +409,39 @@ def cmd_auto(args) -> int:
 
 
 def _instrumented_run(args):
-    """Simulate one config under a task-level recorder; shared by the
-    ``metrics`` and ``obs report`` commands."""
+    """Simulate one config with its trace recorded, and a recorder for
+    the engine run; shared by the ``metrics`` and ``obs report`` commands."""
     from repro.bench.runner import BenchSetup
     from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
     from repro.models.bounds import graph_bounds
     from repro.obs.events import recording
     from repro.obs.metrics import derive_run_metrics
-    from repro.runtime.core import run_core_batch
+    from repro.runtime.core import run_core
 
     setup = BenchSetup()
     mach, b = setup.machine, setup.b
     cfg = _config(args).with_(p=setup.grid_p, q=setup.grid_q)
     elims = hqr_elimination_list(args.m, args.n, cfg)
     cg = compiled_from_eliminations(elims, args.m, args.n, setup.layout, mach, b)
-    with recording(level=args.level) as rec:  # the dispatch run_config makes
-        res = run_core_batch([cg], mach, b)[0]
+    with recording() as rec:
+        res = run_core(cg, mach, b, record_trace=True).result
     cp = graph_bounds([cg], mach, b)[0].plain_critical_path
     reg = derive_run_metrics(
-        rec, cg, coords=task_coordinates(elims, args.m, args.n),
+        res, cg, runs=rec.runs, coords=task_coordinates(elims, args.m, args.n),
         critical_path=cp, config=cfg,
     )
-    return setup, cfg, rec, res, reg
+    return setup, cfg, res, reg
 
 
 def cmd_metrics(args) -> int:
-    setup, cfg, rec, res, reg = _instrumented_run(args)
+    setup, cfg, res, reg = _instrumented_run(args)
     print(
         f"instrumented run: {args.m} x {args.n} tiles (b={setup.b}), {cfg}"
     )
     print(
         f"  makespan {res.makespan:.4f}s  gflops {res.gflops:.1f}  "
-        f"{len(rec.tasks)} task spans, {len(rec.comms)} messages"
+        f"{len(res.trace)} task spans, {len(res.comm_trace)} messages"
     )
     if args.json:
         import json
@@ -488,8 +485,8 @@ def cmd_obs_report(args) -> int:
     from repro.obs.metrics import utilization_timeline
     from repro.obs.report import build_html, write_html
 
-    setup, cfg, rec, res, reg = _instrumented_run(args)
-    timeline = utilization_timeline(rec.tasks)
+    setup, cfg, res, reg = _instrumented_run(args)
+    timeline = utilization_timeline(res.trace)
     mach = setup.machine
     summary = {
         "tiles": f"{args.m} x {args.n}",
@@ -497,7 +494,7 @@ def cmd_obs_report(args) -> int:
         "makespan (s)": f"{res.makespan:.4f}",
         "GFlop/s": f"{res.gflops:.1f}",
         "messages": res.messages,
-        "task spans": len(rec.tasks),
+        "task spans": len(res.trace),
         "total cores": mach.nodes * mach.cores_per_node,
     }
     html_text = build_html(summary, reg.to_json(), timeline)
@@ -551,12 +548,6 @@ def cmd_obs_trace(args) -> int:
 def _add_obs_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=64, help="tile rows")
     p.add_argument("--n", type=int, default=8, help="tile columns")
-    p.add_argument(
-        "--level",
-        choices=("summary", "tasks"),
-        default="tasks",
-        help="recording detail (tasks = per-task/per-message events)",
-    )
     _add_config_args(p)
 
 

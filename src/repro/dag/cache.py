@@ -38,7 +38,6 @@ import numpy as np
 
 from repro._ccore import cache_root
 from repro.dag.compiled import CompiledGraph
-from repro.obs.events import active as _obs_active
 from repro.hqr.config import HQRConfig
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Layout
@@ -221,9 +220,6 @@ class CompiledGraphCache:
                 self._memory.move_to_end(key)
             if count:
                 self._stats["hit_memory" if cg is not None else "miss"] += 1
-        rec = _obs_active() if count else None
-        if rec is not None:
-            rec.cache_event("hit-memory" if cg is not None else "miss", key[:16])
         return cg
 
     def get(self, key: str) -> CompiledGraph | None:
@@ -249,9 +245,6 @@ class CompiledGraphCache:
                 mem.popitem(last=False)
                 self._stats["evict"] += 1
             self._stats["store"] += 1
-        rec = _obs_active()
-        if rec is not None:
-            rec.cache_event("store", key[:16])
 
     def put(self, key: str, cg: CompiledGraph) -> None:
         """Store ``cg`` as the graph of ``key``; an answer already on the
@@ -281,10 +274,6 @@ class CompiledGraphCache:
                 self._stats["answer_hit"] += 1
             elif count:
                 self._stats["answer_miss"] += 1
-        if count and result is not None:
-            rec = _obs_active()
-            if rec is not None:
-                rec.cache_event("hit-memory", key[:16])
         return entry is not None, result
 
     def remember(self, key: str, result) -> None:

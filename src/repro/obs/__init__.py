@@ -1,10 +1,11 @@
 """Unified observability layer: events, metrics, tracing, profiling.
 
-* :mod:`repro.obs.events` — pluggable engine instrumentation (task
-  spans, messages, faults, cache hits) with a bitwise-neutral no-op
+* :mod:`repro.obs.events` — pluggable engine instrumentation (one
+  record per engine run, plus notes) with a bitwise-neutral no-op
   fast path;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms plus
-  per-kernel, per-hierarchy-level, per-link derivations, exported as
+  per-kernel, per-hierarchy-level, per-link derivations from a traced
+  run, exported as
   JSON or Prometheus text (``repro metrics``), and a strict exposition
   parser for scrape tests;
 * :mod:`repro.obs.tracing` — request-scoped span trees with
@@ -24,7 +25,7 @@
 See ``docs/observability.md`` for the workflow.
 """
 
-from repro.obs.events import Recorder, active, install, recording, uninstall
+from repro.obs.events import Recorder, active, install, recording
 from repro.obs.logging import jsonlog
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -64,7 +65,6 @@ __all__ = [
     "recording",
     "run_metadata",
     "span",
-    "uninstall",
     "utilization_timeline",
     "write_html",
 ]

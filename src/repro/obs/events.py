@@ -1,35 +1,24 @@
-"""Pluggable event instrumentation for the simulation engines.
+"""Pluggable run-level instrumentation for the simulation engines.
 
 One process-wide :class:`Recorder` slot; engines fetch it once per run
-(:func:`active`) and emit events only when it is non-``None``.  The
-disabled path is a single local-variable ``None`` check per event site,
-so instrumentation is bitwise-neutral — no arithmetic, scheduling
-decision, or allocation differs — and costs well under 5% of engine
-wall time (asserted by ``tests/obs/test_events.py``).
+(:func:`active`) and record only when it is non-``None``, so results are
+bitwise-identical with or without a recorder.  It keeps the two families
+no other object records:
 
-Event families (each a bounded in-memory buffer on the recorder):
-
-``tasks``   ``(task_id, node, start, end)`` — one span per executed task
-``comms``   ``(producer, src, dst, depart, arrival, nbytes)`` per message
-``queue``   ``(time, node, depth)`` — ready-queue depth after each change
-``faults``  dicts from the resilience loop (crash/recovery/drop/slowdown)
-``cache``   ``(event, key)`` — compiled-graph cache hits and misses
 ``runs``    one dict per engine invocation (engine, wall_s, makespan, …)
-``notes``   free-form dicts (native-core builds, engine fallbacks, …)
+``notes``   free-form dicts (native-core builds, serving events, …)
 
-Recording *levels*: ``"tasks"`` (default) captures everything, which
-forces the compiled simulators onto their pure-Python array loop (the C
-core cannot call back into Python); ``"summary"`` keeps the C core and
-records only run-level events.  Both engine choices are bit-identical,
-so the recorded results never depend on the level.
+Per-task spans, messages and ready-queue depths are the result's own
+record: ``run_core(..., record_trace=True)`` returns them as
+``SimulationResult.trace`` / ``comm_trace`` / ``queue_trace``.
 
 Usage::
 
     from repro.obs import recording
 
     with recording() as rec:
-        sim.run(graph)
-    print(len(rec.tasks), "task spans,", len(rec.comms), "messages")
+        run_config(m, n, cfg)
+    print(len(rec.runs), "engine runs")
 """
 
 from __future__ import annotations
@@ -41,91 +30,17 @@ __all__ = [
     "active",
     "install",
     "recording",
-    "uninstall",
 ]
-
-#: recording levels, in increasing detail
-LEVELS = ("summary", "tasks")
 
 
 class Recorder:
-    """In-memory event sink with bounded buffers.
+    """In-memory sink of engine runs and notes."""
 
-    ``max_events`` caps each buffer independently; overflow increments
-    ``dropped`` instead of growing without bound (paper-scale graphs
-    reach millions of tasks).
-    """
+    __slots__ = ("runs", "notes")
 
-    __slots__ = (
-        "level",
-        "max_events",
-        "tasks",
-        "comms",
-        "queue",
-        "faults",
-        "cache",
-        "runs",
-        "notes",
-        "dropped_events",
-    )
-
-    def __init__(self, level: str = "tasks", max_events: int = 2_000_000):
-        if level not in LEVELS:
-            raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-        self.level = level
-        self.max_events = max_events
-        self.tasks: list[tuple[int, int, float, float]] = []
-        self.comms: list[tuple[int, int, int, float, float, int]] = []
-        self.queue: list[tuple[float, int, int]] = []
-        self.faults: list[dict] = []
-        self.cache: list[tuple[str, str]] = []
+    def __init__(self):
         self.runs: list[dict] = []
         self.notes: list[dict] = []
-        #: events dropped on overflow, by family — buffer pressure is
-        #: attributable (exported as ...dropped_events_total{family=...})
-        self.dropped_events: dict[str, int] = {
-            "tasks": 0, "comms": 0, "queue": 0, "faults": 0, "cache": 0,
-        }
-
-    # -- emission (engines call these behind a ``rec is not None`` guard) --
-    def task(self, task_id: int, node: int, start: float, end: float) -> None:
-        if len(self.tasks) < self.max_events:
-            self.tasks.append((task_id, node, start, end))
-        else:
-            self.dropped_events["tasks"] += 1
-
-    def comm(
-        self,
-        producer: int,
-        src: int,
-        dst: int,
-        depart: float,
-        arrival: float,
-        nbytes: int,
-    ) -> None:
-        if len(self.comms) < self.max_events:
-            self.comms.append((producer, src, dst, depart, arrival, nbytes))
-        else:
-            self.dropped_events["comms"] += 1
-
-    def queue_depth(self, time: float, node: int, depth: int) -> None:
-        if len(self.queue) < self.max_events:
-            self.queue.append((time, node, depth))
-        else:
-            self.dropped_events["queue"] += 1
-
-    def fault(self, event: dict) -> None:
-        if len(self.faults) < self.max_events:
-            self.faults.append(event)
-        else:
-            self.dropped_events["faults"] += 1
-
-    def cache_event(self, event: str, key: str) -> None:
-        """``event`` ∈ hit-memory / miss / store."""
-        if len(self.cache) < self.max_events:
-            self.cache.append((event, key))
-        else:
-            self.dropped_events["cache"] += 1
 
     def run(self, **info) -> None:
         """One engine invocation: engine name, wall seconds, results."""
@@ -134,24 +49,6 @@ class Recorder:
     def note(self, kind: str, **info) -> None:
         info["kind"] = kind
         self.notes.append(info)
-
-    # -- convenience -------------------------------------------------- #
-    @property
-    def dropped(self) -> int:
-        """Total dropped events across every family."""
-        return sum(self.dropped_events.values())
-
-    @property
-    def want_tasks(self) -> bool:
-        """True when per-task/per-message detail is requested."""
-        return self.level == "tasks"
-
-    def cache_counts(self) -> dict[str, int]:
-        """Cache event totals by kind (hit-memory/miss/store)."""
-        out: dict[str, int] = {}
-        for event, _ in self.cache:
-            out[event] = out.get(event, 0) + 1
-        return out
 
 
 _recorder: Recorder | None = None
@@ -162,29 +59,21 @@ def active() -> Recorder | None:
     return _recorder
 
 
-def install(rec: Recorder) -> Recorder:
-    """Install ``rec`` as the process-wide recorder (replaces any)."""
+def install(rec: Recorder | None) -> Recorder | None:
+    """Install ``rec`` as the process-wide recorder (replaces any);
+    ``None`` returns to the no-op fast path."""
     global _recorder
     _recorder = rec
     return rec
 
 
-def uninstall() -> None:
-    """Remove the installed recorder (back to the no-op fast path)."""
-    global _recorder
-    _recorder = None
-
-
 @contextmanager
-def recording(level: str = "tasks", max_events: int = 2_000_000):
-    """Context manager: install a fresh recorder, yield it, uninstall.
-
-    Not reentrant — the inner recorder of nested ``recording()`` blocks
-    wins until it exits, then the slot empties (rather than restoring
-    the outer one); keep one active block per process.
-    """
-    rec = install(Recorder(level=level, max_events=max_events))
+def recording():
+    """Context manager: install a fresh recorder, yield it, and on exit
+    restore the recorder it replaced."""
+    outer = active()
+    rec = install(Recorder())
     try:
         yield rec
     finally:
-        uninstall()
+        install(outer)

@@ -1,9 +1,10 @@
-"""Metrics registry and derivation from recorded runs.
+"""Metrics registry and derivation from traced runs.
 
 A tiny Prometheus-style registry — counters, gauges, histograms with
-string labels — plus :func:`derive_run_metrics`, which turns one
-recorded simulation (:class:`~repro.obs.events.Recorder` buffers) into
-the attribution the paper's figures argue from:
+string labels — plus :func:`derive_run_metrics`, which turns one traced
+simulation (the ``trace`` / ``comm_trace`` / ``queue_trace`` of
+``run_core(..., record_trace=True)``) into the attribution the paper's
+figures argue from:
 
 * per-kernel and per-hierarchy-level (TS / low / coupling / high) time;
 * per-link communication volume (messages and bytes);
@@ -304,17 +305,24 @@ def _task_level(row: int, panel: int, killer: int, m: int, config) -> str:
 
 
 def derive_run_metrics(
-    rec,
+    res,
     graph=None,
     *,
+    runs=(),
     coords=None,
     critical_path: float | None = None,
     config=None,
 ) -> MetricsRegistry:
-    """Build a registry from one recorded run.
+    """Build a registry from one traced run.
 
-    ``graph`` (a :class:`~repro.dag.compiled.CompiledGraph`) enables
-    per-kernel attribution from its ``kind`` codes; ``coords`` (its
+    ``res`` is a :class:`~repro.runtime.core.SimulationResult` from
+    ``run_core(..., record_trace=True)``: its ``trace``, ``comm_trace``
+    and ``queue_trace`` give the per-task, per-message and ready-queue
+    metrics (each message carries ``bytes_sent // messages`` bytes), its
+    ``makespan`` the makespan and slack gauges.  ``runs`` (a recorder's
+    ``runs``) gives the engine counters.  ``graph`` (a
+    :class:`~repro.dag.compiled.CompiledGraph`) enables per-kernel
+    attribution from its ``kind`` codes; ``coords`` (its
     :func:`~repro.dag.compiled.task_coordinates`) and ``config``
     additionally enable per-hierarchy-level attribution; ``critical_path``
     (seconds, the graph pass's ``plain_critical_path``) enables the
@@ -327,6 +335,7 @@ def derive_run_metrics(
     names = None if graph is None else [
         KIND_ORDER[k].name for k in graph.kind.tolist()
     ]
+    spans = res.trace or ()
 
     tasks_total = reg.counter("repro_tasks_total", "executed task spans")
     kern_sec = reg.counter(
@@ -337,12 +346,9 @@ def derive_run_metrics(
         "task duration distribution",
         buckets=(1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0),
     )
-    makespan = 0.0
-    for task_id, _node, start, end in rec.tasks:
+    for task_id, _node, start, end in spans:
         d = end - start
         dur_hist.observe(d)
-        if end > makespan:
-            makespan = end
         if names is not None:
             tasks_total.inc(kind=names[task_id])
             kern_sec.inc(d, kind=names[task_id])
@@ -358,7 +364,7 @@ def derive_run_metrics(
         level_tasks = reg.counter(
             "repro_level_tasks_total", "task count by hierarchy level"
         )
-        for task_id, _node, start, end in rec.tasks:
+        for task_id, _node, start, end in spans:
             label = _task_level(
                 rows[task_id], panels[task_id], killers[task_id], graph.m,
                 config,
@@ -374,47 +380,32 @@ def derive_run_metrics(
     comm_sec = reg.counter(
         "repro_comm_seconds_total", "wire seconds by link (depart to arrival)"
     )
-    for _prod, src, dst, depart, arrival, nbytes in rec.comms:
+    nbytes = res.bytes_sent // res.messages if res.messages else 0
+    for _prod, src, dst, depart, arrival in res.comm_trace or ():
         link = {"src": str(src), "dst": str(dst)}
         msgs.inc(**link)
         comm_bytes.inc(nbytes, **link)
         comm_sec.inc(arrival - depart, **link)
 
     # -- queues and utilization ---------------------------------------- #
-    if rec.queue:
+    if res.queue_trace:
         qmax = reg.gauge(
             "repro_ready_queue_depth_max", "peak ready-queue depth per node"
         )
         peaks: dict[int, int] = {}
-        for _t, node, depth in rec.queue:
+        for _t, node, depth in res.queue_trace:
             if depth > peaks.get(node, 0):
                 peaks[node] = depth
         for node, depth in sorted(peaks.items()):
             qmax.set(depth, node=str(node))
 
-    timeline = utilization_timeline(rec.tasks)
+    timeline = utilization_timeline(spans)
     if timeline:
         reg.gauge("repro_busy_cores_peak", "peak concurrently busy cores").set(
             max(v for _, v in timeline)
         )
 
-    reg.gauge("repro_makespan_seconds", "simulated makespan").set(makespan)
-
-    # -- cache --------------------------------------------------------- #
-    if rec.cache:
-        cache_total = reg.counter(
-            "repro_graph_cache_events_total", "compiled-graph cache events"
-        )
-        for event, n in sorted(rec.cache_counts().items()):
-            cache_total.inc(n, event=event)
-
-    # -- faults -------------------------------------------------------- #
-    if rec.faults:
-        faults_total = reg.counter(
-            "repro_fault_events_total", "injected fault / recovery events"
-        )
-        for ev in rec.faults:
-            faults_total.inc(type=str(ev.get("type", "fault")))
+    reg.gauge("repro_makespan_seconds", "simulated makespan").set(res.makespan)
 
     # -- critical-path slack ------------------------------------------- #
     if critical_path is not None:
@@ -424,27 +415,18 @@ def derive_run_metrics(
         reg.gauge(
             "repro_critical_path_slack_seconds",
             "makespan minus critical path (0 = DAG-depth-bound)",
-        ).set(makespan - critical_path)
+        ).set(res.makespan - critical_path)
 
     # -- engine runs --------------------------------------------------- #
-    if rec.runs:
+    if runs:
         run_wall = reg.counter(
             "repro_engine_wall_seconds_total", "engine wall time by engine"
         )
         run_count = reg.counter(
             "repro_engine_runs_total", "engine invocations by engine"
         )
-        for info in rec.runs:
+        for info in runs:
             engine = str(info.get("engine", "?"))
             run_count.inc(engine=engine)
             run_wall.inc(float(info.get("wall_s", 0.0)), engine=engine)
-
-    if rec.dropped:
-        dropped = reg.counter(
-            "repro_obs_dropped_events_total",
-            "events dropped by the bounded recorder buffers, by family",
-        )
-        for family, n in sorted(rec.dropped_events.items()):
-            if n:
-                dropped.inc(n, family=family)
     return reg

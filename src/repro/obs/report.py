@@ -2,8 +2,8 @@
 
 ``repro obs report`` drives :func:`build_html`: run summary tiles,
 per-kernel and per-hierarchy-level attribution tables, the busiest
-communication links, a core-utilization sparkline (inline SVG), cache
-and engine statistics.  No external assets or JS — the file opens
+communication links, a core-utilization sparkline (inline SVG) and
+engine statistics.  No external assets or JS — the file opens
 anywhere, including CI artifact viewers.
 """
 
@@ -154,20 +154,10 @@ def build_html(
         parts.append("<h2>Busiest links (top 20)</h2>")
         parts.append(_table(["link", "messages", "MB"], rows))
 
-    cache = _metric_rows(
-        metrics_json, "repro_graph_cache_events_total", "event"
-    )
-    if cache:
-        parts.append("<h2>Compiled-graph cache</h2>")
-        parts.append(_table(["event", "count"], cache))
     engines = _metric_rows(metrics_json, "repro_engine_runs_total", "engine")
     if engines:
         parts.append("<h2>Engine invocations</h2>")
         parts.append(_table(["engine", "runs"], engines))
-    faults = _metric_rows(metrics_json, "repro_fault_events_total", "type")
-    if faults:
-        parts.append("<h2>Fault events</h2>")
-        parts.append(_table(["type", "count"], faults))
 
     parts.append(
         "<footer>generated by <code>repro obs report</code></footer>"

@@ -173,8 +173,6 @@ def run_with_faults(
     res, fo = out.result, out.fault
     ntasks = cg.ntasks
     if rec is not None:
-        for ev in fault_events:
-            rec.fault(ev)
         rec.run(
             engine="resilient",
             loop="cluster",

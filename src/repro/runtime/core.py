@@ -9,13 +9,14 @@ divergence bug was a cross-copy drift.  This module states the loop
 * **inner loop** — the native C core (:mod:`repro._ccore`) or the
   pure-Python loop below, selected by ``REPRO_SIM_CORE`` / the ``core``
   argument; the C core is used only when no Python-visible capability
-  (tracing, fault hooks, task-level recording) is active;
+  (tracing, fault hooks) is active;
 * **tracing** — ``record_trace=True`` captures the task trace and (in
-  fault-free runs) the comm trace consumed by the verify oracle;
-* **observability** — a :mod:`repro.obs` recorder at ``tasks`` level
-  receives task spans / messages / queue depths; all emission sites are
-  pure appends behind ``observe`` checks, so the schedule and every
-  float are identical with or without a recorder;
+  fault-free runs) the comm trace and the ready-queue series: the one
+  per-task record of a run, read by the verify oracle, ``repro metrics``,
+  ``repro obs report`` and ``repro gantt``;
+* **observability** — a :mod:`repro.obs` recorder receives one run
+  record per dispatch, so the schedule and every float are identical
+  with or without a recorder;
 * **fault hooks** — a :class:`FaultHooks` bundle (schedule + replan
   callback) turns on the failure-aware branch: per-edge satisfaction,
   generation counters, lineage-cone recovery, message drops.  With an
@@ -86,6 +87,9 @@ class SimulationResult:
     #: recorded by the Python loop under ``record_trace``; consumed by
     #: the schedule-legality oracle in :mod:`repro.verify`
     comm_trace: list[tuple[int, int, int, float, float]] | None = None
+    #: (time, node, depth) after each change of a node's ready queue —
+    #: recorded beside ``comm_trace``
+    queue_trace: list[tuple[float, int, int]] | None = None
 
     @property
     def gflops(self) -> float:
@@ -268,8 +272,6 @@ def _py_loop(
     serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     data_reuse,
     *,
-    rec=None,
-    nbytes=0,
     record_trace=False,
     fault: FaultHooks | None = None,
     pred_ptr=None,
@@ -280,10 +282,9 @@ def _py_loop(
     One body serves every capability combination; each per-mode branch
     states an invariant exactly once.  All inputs are plain lists/ints so
     the hot loop never touches numpy.  Returns
-    ``(finish_time, busy, messages, trace, comm, fault_out)``.
+    ``(finish_time, busy, messages, trace, comm, queue, fault_out)``.
     """
     faulty = fault is not None
-    observe = rec is not None and rec.want_tasks
     push, pop = heapq.heappush, heapq.heappop
 
     data_ready = [0.0] * ntasks
@@ -302,7 +303,8 @@ def _py_loop(
 
     trace = [] if record_trace else None
     comm = [] if (record_trace and not faulty) else None
-    queued = [0] * nnodes if (observe and not faulty) else None
+    queue = [] if comm is not None else None
+    queued = [0] * nnodes if queue is not None else None
 
     if faulty:
         schedule = fault.schedule
@@ -337,9 +339,9 @@ def _py_loop(
         else:
             state[t] = 1
             push(ready[nd], rank[t])
-            if queued is not None:
+            if queue is not None:
                 queued[nd] += 1
-                rec.queue_depth(now, nd, queued[nd])
+                queue.append((now, nd, queued[nd]))
 
     if faulty:
 
@@ -355,7 +357,7 @@ def _py_loop(
             busy += d
             push(events, (start + d, t, gen[t]))
 
-        def transfer(src: int, dst: int, now: float, producer: int) -> float:
+        def transfer(src: int, dst: int, now: float) -> float:
             """Arrival time of one tile src -> dst departing at ``now``."""
             nonlocal messages, dropped, retransmits, msg_index
             lat, bwt = link_params(src, dst)
@@ -371,8 +373,6 @@ def _py_loop(
                 depart = now
             arrival = depart + lat + bwt
             messages += 1
-            if observe:
-                rec.comm(producer, src, dst, depart, arrival, nbytes)
             idx = msg_index
             msg_index += 1
             if schedule.drops_message(idx):
@@ -497,8 +497,6 @@ def _py_loop(
                         sent[(p, dst)] = a
                         refetches += 1
                         messages += 1
-                        if observe:
-                            rec.comm(p, replicas[p], dst, recovery, a, nbytes)
                     sat.add((p, t))
                     if a > dr:
                         dr = a
@@ -525,8 +523,6 @@ def _py_loop(
             push(events, (end, t, 0))
             if trace is not None:
                 trace.append((t, node[t], start, end))
-            if observe:
-                rec.task(t, node[t], start, end)
 
     # seed roots (and, under fault hooks, the crash events)
     for t in range(ntasks):
@@ -564,8 +560,6 @@ def _py_loop(
                 finish_time = now
             if trace is not None:
                 trace.append((t, nd, start_of[t], now))
-            if observe:
-                rec.task(t, nd, start_of[t], now)
         else:
             nd = node[t]
         # the freed core picks its next task
@@ -592,9 +586,9 @@ def _py_loop(
                     nxt = cand
                     break
         if nxt >= 0:
-            if queued is not None:
+            if queue is not None:
                 queued[nd] -= 1
-                rec.queue_depth(now, nd, queued[nd])
+                queue.append((now, nd, queued[nd]))
             dr = data_ready[nxt]
             launch(nxt, dr if dr > now else now)
         else:
@@ -614,7 +608,7 @@ def _py_loop(
                     key = (t, dest)
                     arrival = sent.get(key, -1.0)
                     if arrival < 0:
-                        arrival = transfer(nd, dest, now, t)
+                        arrival = transfer(nd, dest, now)
                         sent[key] = arrival
                 sat.add((t, s))
             else:
@@ -647,8 +641,6 @@ def _py_loop(
                     messages += 1
                     if comm is not None:
                         comm.append((t, nd, dest, depart, arrival))
-                    if observe:
-                        rec.comm(t, nd, dest, depart, arrival, nbytes)
             if arrival > data_ready[s]:
                 data_ready[s] = arrival
             waiting[s] -= 1
@@ -683,7 +675,7 @@ def _py_loop(
         )
     else:
         fault_out = None
-    return finish_time, busy, messages, trace, comm, fault_out
+    return finish_time, busy, messages, trace, comm, queue, fault_out
 
 
 # --------------------------------------------------------------------- #
@@ -850,9 +842,11 @@ def run_core(
     """Run one compiled graph through the unified event loop.
 
     Dispatches to the native C core when no Python-visible capability is
-    requested (no tracing, no fault hooks, no task-level recording) and
-    ``REPRO_SIM_CORE`` / ``core`` allows it; otherwise runs the unified
-    Python loop.  Both are bit-identical.
+    requested (no tracing, no fault hooks) and ``REPRO_SIM_CORE`` /
+    ``core`` allows it; otherwise runs the unified Python loop.  Both are
+    bit-identical.  With ``record_trace`` the result carries the run's
+    per-task record: ``trace`` always, ``comm_trace`` and ``queue_trace``
+    when no fault hooks are given.
     """
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
@@ -866,6 +860,7 @@ def run_core(
                 0.0, 0.0, 0, 0, 0.0, machine.cores,
                 [] if record_trace else None,
                 [] if record_trace else None,
+                [] if record_trace else None,
             ),
             fault=None if fault is None else FaultOutcome(
                 fault_events=fault.fault_events
@@ -876,12 +871,6 @@ def run_core(
         lib = None
         if not record_trace and fault is None:
             lib = _pick_engine(core)
-            if lib is not None and rec is not None and rec.want_tasks:
-                # per-task/per-message detail needs Python callbacks, which
-                # the native core cannot make — run the bit-identical Python
-                # loop instead (one note per demoted graph, in every path)
-                rec.note("engine_fallback", reason="task-level recording", frm="c")
-                lib = None
         # the batch of one: the C entry derives wait counts, durations and
         # identity ranks itself, so a request prepares no per-task array
         out = None
@@ -890,7 +879,7 @@ def run_core(
         if out is not None:
             makespan, busy = float(out[0][0]), float(out[1][0])
             messages = int(out[2][0])
-            trace = comm = fault_out = None
+            trace = comm = queue = fault_out = None
             engine = "c"
         else:
             rank, task_of_rank = priority_ranks(prio, ntasks)
@@ -910,7 +899,7 @@ def run_core(
                     pred_ptr=pred_ptr.tolist(),
                     pred_idx=pred_idx.tolist(),
                 )
-            makespan, busy, messages, trace, comm, fault_out = _py_loop(
+            makespan, busy, messages, trace, comm, queue, fault_out = _py_loop(
                 ntasks, nnodes, cores_per_node,
                 cg.dur_table[cg.kind].tolist(), cg.node.tolist(), cg.wait.tolist(),
                 cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
@@ -918,7 +907,7 @@ def run_core(
                 serialized, hierarchical,
                 lat_intra, bwt_intra, lat_inter, bwt_inter, site,
                 data_reuse,
-                rec=rec, nbytes=tile_bytes, record_trace=record_trace,
+                record_trace=record_trace,
                 **kw,
             )
             engine = "python"
@@ -944,6 +933,7 @@ def run_core(
             cores=machine.cores,
             trace=trace,
             comm_trace=comm,
+            queue_trace=queue,
         ),
         fault=fault_out,
         engine=engine,
@@ -988,11 +978,6 @@ def run_core_batch(
     tile_bytes = machine.tile_bytes(b)
 
     lib = _pick_engine(core)
-    if lib is not None and rec is not None and rec.want_tasks:
-        # task-level recording demotes the whole batch to the Python
-        # loop; the per-point fallback below emits one engine_fallback
-        # note per graph — identical attribution to the scalar path
-        lib = None
     out = sp = None
     if lib is not None:
         with span("simulate") as sp:

@@ -81,7 +81,8 @@ def trace_events_json(
     coords,
     *,
     fault_events: list[dict] | None = None,
-    comm_events: list[tuple[int, int, int, float, float, int]] | None = None,
+    comm_trace: list[tuple[int, int, int, float, float]] | None = None,
+    tile_bytes: int = 0,
     counters: dict[str, list[tuple[float, float]]] | None = None,
     request_spans: list[dict] | None = None,
 ) -> str:
@@ -97,11 +98,11 @@ def trace_events_json(
     appear as instant events on the affected node, which makes
     fault-recovery timelines directly inspectable.
 
-    ``comm_events`` — ``(producer, src, dst, depart, arrival, nbytes)``
-    tuples as captured by :class:`~repro.obs.events.Recorder` — render as
-    a dedicated "network" pseudo-process (one thread row per source node)
-    with flow arrows (``ph: s``/``f``) from each transfer to its
-    destination node, so tile movement is visible next to the compute
+    ``comm_trace`` — the ``(producer, src, dst, depart, arrival)`` tuples
+    of ``SimulationResult.comm_trace``, each message ``tile_bytes`` long —
+    renders as a dedicated "network" pseudo-process (one thread row per
+    source node) with flow arrows (``ph: s``/``f``) from each transfer to
+    its destination node, so tile movement is visible next to the compute
     rows.  ``counters`` — ``name -> [(time, value), ...]`` series, e.g.
     the busy-core timeline from
     :func:`~repro.obs.metrics.utilization_timeline` — render as counter
@@ -155,11 +156,11 @@ def trace_events_json(
                 "args": {"name": f"node {node}"},
             }
         )
-    if comm_events:
+    if comm_trace:
         # a pseudo-process above the node pids hosts the transfer spans;
         # flow arrows bind each span to an instant on the receiving node
         net_pid = max((node for _, node, _, _ in trace), default=-1) + 1
-        net_pid = max(net_pid, max(max(e[1], e[2]) for e in comm_events) + 1)
+        net_pid = max(net_pid, max(max(e[1], e[2]) for e in comm_trace) + 1)
         events.append(
             {
                 "name": "process_name",
@@ -168,14 +169,12 @@ def trace_events_json(
                 "args": {"name": "network"},
             }
         )
-        for i, (producer, src, dst, depart, arrival, nbytes) in enumerate(
-            comm_events
-        ):
+        for i, (producer, src, dst, depart, arrival) in enumerate(comm_trace):
             args = {
                 "producer": producer,
                 "src": src,
                 "dst": dst,
-                "bytes": nbytes,
+                "bytes": tile_bytes,
             }
             events.append(
                 {

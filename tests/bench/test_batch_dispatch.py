@@ -142,22 +142,6 @@ def test_sweep_batched_matches_legacy(core, fresh_cache, caplog, monkeypatch):
     assert transport in lines[0]
 
 
-def test_task_recorder_keeps_the_sweep_in_process(fresh_cache, caplog):
-    """A ``tasks``-level recorder takes the per-point loop and gets the
-    task events the ``run_config`` loop records."""
-    from repro.obs.events import recording
-
-    setup = small_setup()
-    with recording("tasks") as want:
-        for m, n, cfg in _points():
-            run_config(m, n, cfg, setup)
-    with caplog.at_level(logging.INFO, logger="repro.bench.runner"):
-        with recording("tasks") as rec:
-            run_config_sweep(_points(), setup)
-    assert len(rec.tasks) == len(want.tasks) > 0
-    assert any("in-process" in r.message for r in caplog.records)
-
-
 def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
     """Cold points are built in line by the caller: a sweep on an empty
     cache writes no file and gives what the ``run_config`` loop gives;
@@ -474,7 +458,7 @@ def test_overlapped_sweep_records_every_point_once(batched_path):
     setup = small_setup()
     points = _many_points()
     trace = RequestTrace("0" * 31 + "1", "test", 0.0)
-    with recording("summary") as rec, attach(trace):
+    with recording() as rec, attach(trace):
         run_config_sweep(points, setup)
     ntasks = sum(
         compiled_graph_for(
@@ -527,12 +511,12 @@ def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
 # --------------------------------------------------------------------- #
 def _traced_sweep(points, setup):
     """(results, ``c-batch`` run records, ``simulate`` spans) of one sweep
-    run under a summary recorder and an attached request trace."""
+    run under a recorder and an attached request trace."""
     from repro.obs.events import recording
     from repro.obs.tracing import RequestTrace, attach
 
     trace = RequestTrace("0" * 31 + "3", "test", 0.0)
-    with recording("summary") as rec, attach(trace):
+    with recording() as rec, attach(trace):
         got = run_config_sweep(points, setup)
     spans, stack = [], list(trace.root.children)
     while stack:
@@ -645,27 +629,26 @@ def test_a_cold_sweep_leaves_graphless_entries(batched_path):
     assert [result for _, result in entries] == got
 
 
-@pytest.mark.parametrize("path", ["python", "tasks"])
+@pytest.mark.parametrize("path", ["python", "no-compiler"])
 def test_the_in_process_sweep_simulates_every_point_every_time(
     path, fresh_cache, monkeypatch
 ):
     """The per-point path keeps no answers: a repeated sweep runs every
     point through the engine again."""
+    from repro import _ccore
     from repro.obs.events import recording
 
-    if path == "tasks":
-        level = "tasks"
+    if path == "python":
+        monkeypatch.setenv("REPRO_SIM_CORE", "python")
+    else:  # the native core cannot be built
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-    else:
-        level = "summary"
-        monkeypatch.setenv("REPRO_SIM_CORE", path)
+        monkeypatch.setattr(_ccore, "get_lib", lambda: None)
     setup = small_setup()
     points = _points()
-    with recording(level):
-        first = run_config_sweep(points, setup)
-    with recording(level) as rec:
+    first = run_config_sweep(points, setup)
+    with recording() as rec:
         assert run_config_sweep(points, setup) == first
-    assert len(rec.runs) == len(points)
+    assert [r["engine"] for r in rec.runs] == ["python"] * len(points)
 
 
 def test_an_answered_sweep_starts_no_thread(batched_path, monkeypatch):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.bench.runner import BenchSetup, run_config
+from repro.bench.runner import BenchSetup
 from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import graph_bounds
-from repro.obs.events import recording, uninstall
+from repro.obs.events import install, recording
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -15,13 +15,14 @@ from repro.obs.metrics import (
     derive_run_metrics,
     utilization_timeline,
 )
+from repro.runtime.core import run_core
 
 
 @pytest.fixture(autouse=True)
 def clean_slot():
-    uninstall()
+    install(None)
     yield
-    uninstall()
+    install(None)
 
 
 class TestRegistry:
@@ -111,17 +112,17 @@ class TestDerivation:
             p=setup.grid_p, q=setup.grid_q, a=4,
             low_tree="greedy", high_tree="fibonacci", domino=False,
         )
-        with recording() as rec:
-            res = run_config(m, n, cfg, setup)
         elims = hqr_elimination_list(m, n, cfg)
         cg = compiled_from_eliminations(
             elims, m, n, setup.layout, setup.machine, setup.b
         )
+        with recording() as rec:
+            res = run_core(cg, setup.machine, setup.b, record_trace=True).result
         return setup, cfg, rec, res, cg, task_coordinates(elims, m, n)
 
     def test_kernel_attribution_sums_to_busy_seconds(self):
         setup, cfg, rec, res, graph, _ = self.recorded()
-        reg = derive_run_metrics(rec, graph)
+        reg = derive_run_metrics(res, graph)
         total = sum(reg["repro_kernel_seconds_total"].samples.values())
         assert total == pytest.approx(res.busy_seconds)
         ntasks = sum(reg["repro_tasks_total"].samples.values())
@@ -129,7 +130,7 @@ class TestDerivation:
 
     def test_level_attribution_sums_to_busy_seconds(self):
         setup, cfg, rec, res, graph, coords = self.recorded()
-        reg = derive_run_metrics(rec, graph, coords=coords, config=cfg)
+        reg = derive_run_metrics(res, graph, coords=coords, config=cfg)
         lvl = reg["repro_level_seconds_total"].samples
         assert sum(lvl.values()) == pytest.approx(res.busy_seconds)
         labels = {dict(k)["level"] for k in lvl}
@@ -137,7 +138,7 @@ class TestDerivation:
 
     def test_comm_volume_matches_messages(self):
         setup, cfg, rec, res, graph, _ = self.recorded()
-        reg = derive_run_metrics(rec, graph)
+        reg = derive_run_metrics(res, graph)
         msgs = sum(reg["repro_messages_total"].samples.values())
         assert msgs == res.messages
         nbytes = sum(reg["repro_comm_bytes_total"].samples.values())
@@ -147,7 +148,7 @@ class TestDerivation:
         setup, cfg, rec, res, graph, _ = self.recorded()
         mach, b = setup.machine, setup.b
         cp = graph_bounds([graph], mach, b)[0].plain_critical_path
-        reg = derive_run_metrics(rec, graph, critical_path=cp)
+        reg = derive_run_metrics(res, graph, critical_path=cp)
         assert reg["repro_makespan_seconds"].value() == pytest.approx(
             res.makespan
         )
@@ -158,13 +159,13 @@ class TestDerivation:
 
     def test_engine_runs_recorded(self):
         setup, cfg, rec, res, graph, _ = self.recorded()
-        reg = derive_run_metrics(rec)
+        reg = derive_run_metrics(res, runs=rec.runs)
         runs = reg["repro_engine_runs_total"].samples
         assert sum(runs.values()) == 1
 
     def test_graph_optional(self):
         setup, cfg, rec, res, graph, _ = self.recorded()
-        reg = derive_run_metrics(rec)  # no graph: unlabelled totals only
+        reg = derive_run_metrics(res)  # no graph: unlabelled totals only
         assert sum(reg["repro_tasks_total"].samples.values()) == len(graph)
         assert "repro_level_seconds_total" not in reg
         assert "repro_critical_path_seconds" not in reg

@@ -137,26 +137,3 @@ class TestStrictParser:
         text = "# TYPE t counter\nt 1\n# HELP t too late\n"
         with pytest.raises(ValueError, match="after"):
             parse_prometheus_text(text)
-
-
-class TestDroppedEventFamilies:
-    def test_per_family_dropped_counter_exported(self):
-        from repro.obs.events import Recorder
-        from repro.obs.metrics import derive_run_metrics
-
-        rec = Recorder(max_events=2)
-        for i in range(5):
-            rec.task(i, 0, 0.0, 1.0)
-        for i in range(3):
-            rec.comm(i, 0, 1, 0.0, 1.0, 8)
-        assert rec.dropped_events["tasks"] == 3
-        assert rec.dropped_events["comms"] == 1
-        assert rec.dropped == 4  # aggregate view still works
-        fams = roundtrip(derive_run_metrics(rec))
-        samples = {
-            labels["family"]: value
-            for _, labels, value in (
-                fams["repro_obs_dropped_events_total"]["samples"]
-            )
-        }
-        assert samples == {"tasks": 3.0, "comms": 1.0}

@@ -5,15 +5,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.events import uninstall
+from repro.obs.events import install
 from repro.obs.report import build_html, write_html
 
 
 @pytest.fixture(autouse=True)
 def clean_slot():
-    uninstall()
+    install(None)
     yield
-    uninstall()
+    install(None)
 
 
 class TestBuildHtml:
@@ -67,6 +67,33 @@ class TestMetricsCommand:
         assert "repro_kernel_seconds_total" in doc
         assert doc["repro_critical_path_slack_seconds"]["samples"]
         assert "# TYPE repro_tasks_total counter" in pp.read_text()
+
+    def test_makespan_gauges_are_the_runs(self, tmp_path, monkeypatch, capsys):
+        """The exported makespan is the simulated one, and the slack is
+        that makespan minus the exported critical path."""
+        from repro.runtime import core
+
+        real, runs = core.run_core, []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            runs.append(out.result)
+            return out
+
+        monkeypatch.setattr(core, "run_core", spy)
+        jp = tmp_path / "m.json"
+        assert main(["metrics", "--m", "16", "--n", "4", "--json", str(jp)]) == 0
+        (res,) = runs
+        assert f"makespan {res.makespan:.4f}s" in capsys.readouterr().out
+
+        def gauge(name):
+            (sample,) = json.loads(jp.read_text())[name]["samples"]
+            return sample["value"]
+
+        makespan = gauge("repro_makespan_seconds")
+        assert makespan == res.makespan > 0
+        slack = gauge("repro_critical_path_slack_seconds")
+        assert slack == makespan - gauge("repro_critical_path_seconds")
 
 
 class TestProfileCommand:

@@ -11,7 +11,7 @@ fingerprints from the numeric executor.
 
 ``tests/runtime/test_core_equivalence.py`` replays every case through
 the unified core across its whole capability-flag matrix (C/python inner
-loop, tracing, obs recording levels, fault hooks, batched dispatch) and
+loop, tracing, obs recording, fault hooks, batched dispatch) and
 compares against the frozen values; the ``core-equivalence`` CI job runs
 ``tools/capture_golden.py --check`` so any drift — an engine change, a
 kernel-weight change, a tie-break regression — fails loudly instead of
@@ -47,6 +47,7 @@ __all__ = [
     "float_hex",
     "golden_cases",
     "qr_golden_cases",
+    "queue_digest",
     "trace_digest",
 ]
 
@@ -74,6 +75,14 @@ def comm_digest(comm) -> str:
         h.update(
             f"{t},{src},{dst},{float_hex(depart)},{float_hex(arrival)};".encode()
         )
+    return h.hexdigest()
+
+
+def queue_digest(queue) -> str:
+    """SHA-256 over the ready-queue series ``(time, node, depth)``."""
+    h = hashlib.sha256()
+    for time, node, depth in queue:
+        h.update(f"{float_hex(time)},{node},{depth};".encode())
     return h.hexdigest()
 
 

@@ -3,8 +3,8 @@
 Every capability combination of :func:`repro.runtime.core.run_core` must
 reproduce — bitwise — the values captured from the PRE-unification
 engines (``tests/runtime/fixtures/golden_core.json``): Python and C
-inner loops, trace recording, obs recording at both levels, batched
-dispatch, and fault hooks — including the empty-schedule identity
+inner loops, trace recording, obs recording with and without traces,
+batched dispatch, and fault hooks — including the empty-schedule identity
 (fault hooks with no fault == no hooks) that used to be its own verify
 engine.
 """
@@ -19,7 +19,7 @@ import pytest
 from repro._ccore import native_available
 from repro.verify.reference import ClusterSimulator, Task, TaskGraph, compile_graph
 from repro.kernels.weights import KernelKind
-from repro.obs.events import recording, uninstall
+from repro.obs.events import install, recording
 from repro.runtime.core import (
     FaultHooks,
     run_core,
@@ -34,6 +34,7 @@ from golden import (
     fault_golden_cases,
     float_hex,
     golden_cases,
+    queue_digest,
     trace_digest,
 )
 
@@ -47,9 +48,9 @@ FAULT_CASES = {c.name: c for c in fault_golden_cases()}
 
 @pytest.fixture(autouse=True)
 def clean_recorder():
-    uninstall()
+    install(None)
     yield
-    uninstall()
+    install(None)
 
 
 def _compiled(case):
@@ -101,6 +102,7 @@ def test_python_loop_untraced_matches_golden(name):
     ).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     assert res.trace is None and res.comm_trace is None
+    assert res.queue_trace is None
 
 
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")
@@ -401,18 +403,25 @@ def test_event_queue_orders_like_heapq(
         assert batch == [ref.result, ref.result]
 
 
-@pytest.mark.parametrize("level", ["summary", "tasks"])
+@pytest.mark.parametrize("detail", ["summary", "tasks"])
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
-def test_obs_recording_is_bitwise_neutral(name, level):
-    """Recording on (either level) must not move a single bit."""
+def test_obs_recording_is_bitwise_neutral(name, detail):
+    """A recorder must not move a single bit, over the run summary alone
+    (the C loop where it is built) or with the per-task trace."""
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
-    with recording(level=level):
+    frozen = FIXTURE["scalar"][name]
+    with recording() as rec:
         res = run_core(
             cg, case.machine, case.b,
             prio=prio, data_reuse=case.data_reuse,
+            record_trace=detail == "tasks",
         ).result
-    _assert_scalar(res, FIXTURE["scalar"][name])
+    _assert_scalar(res, frozen)
+    assert len(rec.runs) == 1
+    if detail == "tasks":
+        assert trace_digest(res.trace) == frozen["trace"]
+        assert comm_digest(res.comm_trace) == frozen["comm"]
 
 
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
@@ -557,39 +566,52 @@ def test_empty_schedule_fault_loop_is_bit_identical(name):
     assert out.fault.wasted == 0.0
 
 
-@pytest.mark.skipif(not native_available(), reason="no C toolchain")
-def test_engine_fallback_note_is_per_graph_in_both_paths():
-    """Task-level recording demotes C to Python with one note per graph —
-    the batched dispatch must attribute exactly like N scalar calls."""
-    case = CASES["flat-serialized"]
-    other = CASES["flat-unserialized"]
-    _, _, cg1, prio1 = _compiled(case)
+#: the ready-queue series of 16 x 4 tiles on 2-core nodes, where cores run
+#: out: (length, queue_digest, peak depth per node), frozen from the
+#: recorder's ``queue`` family before the series moved to ``queue_trace``
+QUEUE_PINS = {
+    1: (
+        338,
+        "2e39e306e3f81cc183d94b631b4ddc4199ba6711a7ba054ef7b346a00c8a0d25",
+        {0: 11},
+    ),
+    2: (
+        242,
+        "2123f97e0baa2377f78649790fb569e9ece7fd66f478c138c87d6f670e69f624",
+        {0: 6, 1: 6},
+    ),
+}
 
-    with recording(level="tasks") as rec:
-        run_core(cg1, case.machine, case.b, prio=prio1)
-    scalar_notes = [
-        n for n in rec.notes if n.get("kind") == "engine_fallback"
-    ]
-    assert len(scalar_notes) == 1
 
-    _, _, cg2, prio2 = _compiled(other)
-    with recording(level="tasks") as rec:
-        run_core_batch(
-            [cg1, cg1], case.machine, case.b, prios=[prio1, prio1]
-        )
-    batch_notes = [
-        n for n in rec.notes if n.get("kind") == "engine_fallback"
-    ]
-    # one note per demoted graph, not one for the whole batch
-    assert len(batch_notes) == 2
-    for note in batch_notes:
-        assert {
-            k: v for k, v in note.items() if k != "t"
-        } == {k: v for k, v in scalar_notes[0].items() if k != "t"}
+@pytest.mark.parametrize("nodes", sorted(QUEUE_PINS))
+def test_queue_trace_is_the_pinned_ready_queue_series(nodes):
+    """A traced run records every ready-queue change once, as
+    ``(time, node, depth)``, and every queue drains; a faulted run records
+    none."""
+    from repro.dag.compiled import compiled_from_eliminations
+    from repro.hqr.config import HQRConfig
+    from repro.hqr.hierarchy import hqr_elimination_list
+    from repro.resilience.faults import FaultSchedule
 
-    # the unserialized machine differs from cg1's: run its own batch
-    with recording(level="tasks") as rec:
-        run_core_batch([cg2], other.machine, other.b, prios=[prio2])
-    assert sum(
-        1 for n in rec.notes if n.get("kind") == "engine_fallback"
-    ) == 1
+    m, n, b = 16, 4, 200
+    mach = Machine(
+        nodes=nodes, cores_per_node=2, latency=1.0e-5, bandwidth=1.0e9
+    )
+    cfg = HQRConfig(
+        p=nodes, q=1, a=4, low_tree="greedy", high_tree="fibonacci",
+        domino=False,
+    )
+    cg = compiled_from_eliminations(
+        hqr_elimination_list(m, n, cfg), m, n, BlockCyclic2D(nodes, 1), mach, b
+    )
+    queue = run_core(cg, mach, b, record_trace=True).result.queue_trace
+    peaks, last = {}, {}
+    for _, node, depth in queue:
+        peaks[node] = max(peaks.get(node, 0), depth)
+        last[node] = depth
+    assert (len(queue), queue_digest(queue), peaks) == QUEUE_PINS[nodes]
+    assert set(last.values()) == {0}
+
+    hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())
+    faulted = run_core(cg, mach, b, record_trace=True, fault=hooks).result
+    assert faulted.trace and faulted.queue_trace is None

@@ -178,9 +178,11 @@ class TestTraceEdgeCases:
 
         kind, coords = small_graph()
         trace = [(0, 0, 0.0, 1.0), (1, 1, 1.5, 2.0)]
-        comms = [(0, 0, 1, 1.0, 1.5, 627200)]
+        comms = [(0, 0, 1, 1.0, 1.5)]
         doc = json.loads(
-            trace_events_json(trace, kind, coords, comm_events=comms)
+            trace_events_json(
+                trace, kind, coords, comm_trace=comms, tile_bytes=627200
+            )
         )
         evs = doc["traceEvents"]
         net_pid = next(
