@@ -5,10 +5,11 @@ kernel DAG and replaying that DAG through the event-driven cluster
 simulator — are pure integer/float loops.  This module carries a small,
 dependency-free C translation of both, compiled on first use with the
 system C compiler into a shared library cached under the repro cache
-directory.  Everything here is optional: when no compiler is available (or
-``REPRO_SIM_CORE=python``), callers fall back to the pure-Python array
-loops in :mod:`repro.runtime.core` and :mod:`repro.dag.compiled`,
-which implement exactly the same algorithms.
+directory.  Everything here is optional: when no compiler is available,
+:func:`get_lib` returns ``None`` and callers fall back to the pure-Python
+array loops in :mod:`repro.runtime.core` and :mod:`repro.dag.compiled`,
+which implement exactly the same algorithms.  There is no switch: the
+engine is what the process can run.
 
 Bit-exactness: the C event loops perform the same double-precision
 operations in the same order as the reference Python simulators, and every
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import subprocess
 import sysconfig
 import tempfile
+import time
 from pathlib import Path
 
 __all__ = ["cache_root", "get_lib", "native_available", "openmp_available"]
@@ -1148,27 +1151,21 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
 
 def get_lib() -> ctypes.CDLL | None:
     """The compiled core library, building it on first use (None if
-    unavailable — no compiler, or ``REPRO_SIM_CORE=python``)."""
+    unavailable: no C compiler, or the build failed)."""
     global _lib, _lib_tried
-    if os.environ.get("REPRO_SIM_CORE", "").lower() == "python":
-        return None
     if not _lib_tried:
         _lib_tried = True
-        import time as _time
+        # here, not at the top: ``import repro`` does not load repro.obs
+        from repro.obs.logging import jsonlog
 
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         _lib = _build()
-        # observability note for the native-core shim: first-use builds
-        # of the shared library are a real wall-time cost worth seeing
-        from repro.obs.events import active as _obs_active
-
-        rec = _obs_active()
-        if rec is not None:
-            rec.note(
-                "ccore_load",
-                seconds=_time.perf_counter() - t0,
-                available=_lib is not None,
-            )
+        # one line a process: the first-use build is a real wall-time
+        # cost, and a host that falls back to Python can see it did
+        jsonlog(
+            "ccore_load", logger=logging.getLogger("repro._ccore"),
+            seconds=time.perf_counter() - t0, available=_lib is not None,
+        )
     return _lib
 
 

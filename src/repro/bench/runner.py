@@ -13,7 +13,6 @@ variable ``REPRO_BENCH_SCALE=full`` to simulate every published point (or
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from dataclasses import dataclass, field
@@ -22,14 +21,11 @@ from functools import partial
 from repro.dag.cache import default_cache, fingerprint
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.obs.logging import jsonlog
 from repro.obs.tracing import attach, current_span, current_trace, span
 from repro.runtime.machine import Machine
 from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
 from repro.trees.base import Elimination
-
-log = logging.getLogger("repro.bench.runner")
 
 
 def bench_scale() -> str:
@@ -216,9 +212,6 @@ def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     key's gate; without, no fingerprint is taken and every question is
     built, simulated and dropped: nothing is read or kept.  Misses run in
     one ``run_core_batch``.  An unkeyable layout remembers nothing."""
-    from repro.runtime.core import core_mode
-
-    core_mode()  # an unknown engine is refused before any lookup
     out, asked = _ask(questions, machine, b, reuse)
     with default_cache().flights({key for key, *_ in asked if key}):
         _simulate(list(_planned(asked, machine, b, out)), machine, b, out)
@@ -246,8 +239,8 @@ def run_config(
 
 
 def _plan_and_simulate(asked, out, machine: Machine, b: int) -> None:
-    """The ``batched-c`` sweep's dispatch of ``asked`` (see :func:`_ask`),
-    under their gates: each of W workers (this thread and W - 1 helpers;
+    """The sweep's dispatch of ``asked`` (see :func:`_ask`), under their
+    gates: each of W workers (this thread and W - 1 helpers;
     W is ``REPRO_SIM_THREADS``, else this process's CPUs) takes the next
     question, plans and simulates it, and drops its graph before the next.
     Answers are remembered in question order after the join; the first
@@ -298,33 +291,15 @@ def run_config_sweep(
 ) -> list[SimulationResult]:
     """Simulate many ``(m, n, config)`` points, preserving input order.
 
-    Two paths, bit-identical in results and chosen from what the code can
-    observe, never from a switch:
-
-    * the native core is loaded and the engine is not ``python`` — each
-      point asks the graph cache first (:func:`_ask`); a remembered one
-      reaches neither planner nor loop, the rest are planned and
-      simulated one point per worker (:func:`_plan_and_simulate`);
-    * otherwise — :func:`run_config` per point, in this process, which
-      simulates every point every time.
-
-    One ``sweep_transport`` line (``batched-c`` or ``in-process``) says
-    which path ran.  ``workers`` is accepted and ignored, only because
-    the benchmark in ``perf/`` passes ``workers=1``.
+    Each point asks the graph cache first (:func:`_ask`); a remembered one
+    reaches neither planner nor loop, the rest are planned and simulated
+    one point per worker (:func:`_plan_and_simulate`) and remembered.  The
+    same body runs with or without the native core: ``run_core_batch``
+    takes the Python loop per graph when the C one is not loaded, bit for
+    bit alike.  ``workers`` is accepted and ignored, only because the
+    benchmark in ``perf/`` passes ``workers=1``.
     """
-    from repro.runtime.core import _pick_engine
-
     setup = setup or BenchSetup()
-    points = list(points)
-    batched = _pick_engine(None) is not None
-    transport = "batched-c" if batched else "in-process"
-    jsonlog(
-        "sweep_transport", logger=log,
-        msg=f"sweep transport: {transport} ({len(points)} points)",
-        transport=transport, points=len(points),
-    )
-    if not batched:
-        return [run_config(m, n, cfg, setup) for m, n, cfg in points]
     out, asked = _ask([(m, n, cfg, setup.layout) for m, n, cfg in points],
                       setup.machine, setup.b, True)
     if asked:  # else every point is remembered: no thread starts

@@ -323,6 +323,8 @@ def cmd_verify(args) -> int:
         max_failures=args.max_failures,
     )
     print(format_report(report))
+    # stdout repeats byte for byte for one seed and budget; time is stderr
+    print(f"verify took {report['elapsed_seconds']}s", file=sys.stderr)
     if args.json:
         write_report(report, args.json)
         print(f"wrote {args.json}")
@@ -409,14 +411,17 @@ def cmd_auto(args) -> int:
 
 
 def _instrumented_run(args):
-    """Simulate one config with its trace recorded, and a recorder for
-    the engine run; shared by the ``metrics`` and ``obs report`` commands."""
+    """Simulate one config with its trace recorded, and a request trace
+    for its ``simulate`` span; shared by the ``metrics`` and ``obs report``
+    commands."""
+    import time
+
     from repro.bench.runner import BenchSetup
     from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
     from repro.models.bounds import graph_bounds
-    from repro.obs.events import recording
     from repro.obs.metrics import derive_run_metrics
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
     from repro.runtime.core import run_core
 
     setup = BenchSetup()
@@ -424,11 +429,13 @@ def _instrumented_run(args):
     cfg = _config(args).with_(p=setup.grid_p, q=setup.grid_q)
     elims = hqr_elimination_list(args.m, args.n, cfg)
     cg = compiled_from_eliminations(elims, args.m, args.n, setup.layout, mach, b)
-    with recording() as rec:
+    trace = RequestTrace(mint_trace_id(), "metrics", time.monotonic())
+    with attach(trace):
         res = run_core(cg, mach, b, record_trace=True).result
     cp = graph_bounds([cg], mach, b)[0].plain_critical_path
     reg = derive_run_metrics(
-        res, cg, runs=rec.runs, coords=task_coordinates(elims, args.m, args.n),
+        res, cg, runs=trace.root.children,
+        coords=task_coordinates(elims, args.m, args.n),
         critical_path=cp, config=cfg,
     )
     return setup, cfg, res, reg

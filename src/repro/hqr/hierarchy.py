@@ -25,7 +25,7 @@ contribute only their cached positional
 native core when there is one (``hqr_expand``: the loops above, in C, over
 the trees' flat :meth:`~repro.trees.base.PanelTree.table`).  The numpy
 generator here is the reference it must equal, and what runs without a
-compiler, under ``REPRO_SIM_CORE=python`` and for single panels: levels 0-2
+compiler and for single panels: levels 0-2
 of a cluster depend only on its local row range ``(base, ltop, lmax)``, so
 that *local structure* is built once per distinct range (in local rows times
 ``p``) and shifted by the cluster index ``r``.

@@ -1,19 +1,17 @@
-"""Unified observability layer: events, metrics, tracing, profiling.
+"""Unified observability layer: metrics, tracing, logging, profiling.
 
-* :mod:`repro.obs.events` — pluggable engine instrumentation (one
-  record per engine run, plus notes) with a bitwise-neutral no-op
-  fast path;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms plus
   per-kernel, per-hierarchy-level, per-link derivations from a traced
   run, exported as
-  JSON or Prometheus text (``repro metrics``), and a strict exposition
-  parser for scrape tests;
+  JSON or Prometheus text (``repro metrics``);
 * :mod:`repro.obs.tracing` — request-scoped span trees with
   trace-context propagation across the serving stack, a bounded
   flight recorder, and trace export/pretty-printing
-  (``repro obs trace``);
+  (``repro obs trace``); each engine dispatch is one ``simulate`` span
+  on the attached trace, and with none attached it records nothing
+  (a bitwise-neutral no-op);
 * :mod:`repro.obs.logging` — one-line structured JSON logging shared
-  by the daemon access log and the bench sweep logger;
+  by the daemon access log and the native core's ``ccore_load`` line;
 * :mod:`repro.obs.profile` — self-profiling of the harness (the
   planning chain's spans folded by name, plus cProfile,
   ``repro profile``);
@@ -25,7 +23,6 @@
 See ``docs/observability.md`` for the workflow.
 """
 
-from repro.obs.events import Recorder, active, install, recording
 from repro.obs.logging import jsonlog
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -48,21 +45,17 @@ from repro.obs.tracing import (
 __all__ = [
     "FlightRecorder",
     "MetricsRegistry",
-    "Recorder",
     "RequestTrace",
     "Span",
     "Tracer",
-    "active",
     "attach",
     "build_html",
     "current_trace",
     "derive_run_metrics",
     "fold_spans",
     "format_profile",
-    "install",
     "jsonlog",
     "profile_run",
-    "recording",
     "run_metadata",
     "span",
     "utilization_timeline",

@@ -1,10 +1,10 @@
-"""Structured JSON logging shared by the serving stack and the sweep engine.
+"""Structured JSON logging shared by the serving stack and the native core.
 
 One helper, two sinks:
 
 * ``jsonlog(event, logger=...)`` emits the JSON line through a standard
-  :mod:`logging` logger — library code (``repro.bench.runner``) uses
-  this so the usual level filtering, ``caplog`` capture and handler
+  :mod:`logging` logger — library code (``repro._ccore``'s one
+  ``ccore_load`` line) uses this so the usual level filtering, ``caplog`` capture and handler
   configuration keep working.  The human-readable summary goes into the
   ``msg`` field so log greps (and existing tests) still match.
 * ``jsonlog(event)`` with no logger writes the line straight to stderr

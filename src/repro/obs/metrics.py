@@ -319,8 +319,9 @@ def derive_run_metrics(
     ``run_core(..., record_trace=True)``: its ``trace``, ``comm_trace``
     and ``queue_trace`` give the per-task, per-message and ready-queue
     metrics (each message carries ``bytes_sent // messages`` bytes), its
-    ``makespan`` the makespan and slack gauges.  ``runs`` (a recorder's
-    ``runs``) gives the engine counters.  ``graph`` (a
+    ``makespan`` the makespan and slack gauges.  ``runs`` (the run's
+    ``simulate`` spans, from an attached request trace) gives the engine
+    counters: each span's ``engine`` attribute and duration.  ``graph`` (a
     :class:`~repro.dag.compiled.CompiledGraph`) enables per-kernel
     attribution from its ``kind`` codes; ``coords`` (its
     :func:`~repro.dag.compiled.task_coordinates`) and ``config``
@@ -425,8 +426,8 @@ def derive_run_metrics(
         run_count = reg.counter(
             "repro_engine_runs_total", "engine invocations by engine"
         )
-        for info in runs:
-            engine = str(info.get("engine", "?"))
+        for sp in runs:
+            engine = str(sp.attrs.get("engine", "?"))
             run_count.inc(engine=engine)
-            run_wall.inc(float(info.get("wall_s", 0.0)), engine=engine)
+            run_wall.inc(sp.duration, engine=engine)
     return reg

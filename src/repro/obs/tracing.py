@@ -51,7 +51,6 @@ __all__ = [
     "mint_trace_id",
     "parse_traceparent",
     "span",
-    "traces_jsonl",
 ]
 
 #: the stages whose durations are reported in a breakdown; ``plan`` is
@@ -414,19 +413,12 @@ class Tracer:
 
 
 # --------------------------------------------------------------------------- #
-# export: JSONL, Chrome trace events, pretty-print, diff                      #
+# export: Chrome trace events, pretty-print, diff                             #
 # --------------------------------------------------------------------------- #
 
 
 def _as_json(trace) -> dict:
     return trace.to_json() if isinstance(trace, RequestTrace) else dict(trace)
-
-
-def traces_jsonl(traces) -> str:
-    """One JSON object per line, one line per trace."""
-    return "".join(
-        json.dumps(_as_json(t), sort_keys=True) + "\n" for t in traces
-    )
 
 
 def chrome_span_events(traces, *, pid: int = 0) -> list[dict]:

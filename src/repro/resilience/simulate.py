@@ -43,7 +43,6 @@ which is fine at recovery-benchmark scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
@@ -54,7 +53,6 @@ from repro.dag.compiled import (
     placement_array,
     task_coordinates,
 )
-from repro.obs.events import active as _obs_active
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.replan import node_remap, shrunken_grid
 from repro.runtime.core import FaultHooks, run_core
@@ -158,8 +156,6 @@ def run_with_faults(
         remap = np.array(node_remap(machine.nodes, tuple(dead)))
         return remap[cg.node].tolist()
 
-    rec = _obs_active()
-    wall0 = time.perf_counter() if rec is not None else 0.0
     fault_events = [
         {"type": "slowdown", **asdict(s)} for s in schedule.slowdowns
     ]
@@ -172,18 +168,6 @@ def run_with_faults(
     )
     res, fo = out.result, out.fault
     ntasks = cg.ntasks
-    if rec is not None:
-        rec.run(
-            engine="resilient",
-            loop="cluster",
-            wall_s=time.perf_counter() - wall0,
-            makespan=res.makespan,
-            busy_seconds=res.busy_seconds,
-            messages=res.messages,
-            ntasks=ntasks,
-            crashes=len(schedule.crashes),
-            reexecuted=fo.executions - ntasks,
-        )
     return FaultyRunResult(
         **res.__dict__,
         baseline_makespan=baseline_makespan,

@@ -6,17 +6,17 @@ every scheduling invariant had to be maintained in each copy, and every
 divergence bug was a cross-copy drift.  This module states the loop
 **once**, parameterized by capability flags:
 
-* **inner loop** — the native C core (:mod:`repro._ccore`) or the
-  pure-Python loop below, selected by ``REPRO_SIM_CORE`` / the ``core``
-  argument; the C core is used only when no Python-visible capability
-  (tracing, fault hooks) is active;
+* **inner loop** — the native C core (:mod:`repro._ccore`) when it
+  loaded and no Python-visible capability (tracing, fault hooks) is
+  asked, else the pure-Python loop below: chosen from what the process
+  can run, never from a switch;
 * **tracing** — ``record_trace=True`` captures the task trace and (in
   fault-free runs) the comm trace and the ready-queue series: the one
   per-task record of a run, read by the verify oracle, ``repro metrics``,
   ``repro obs report`` and ``repro gantt``;
-* **observability** — a :mod:`repro.obs` recorder receives one run
-  record per dispatch, so the schedule and every float are identical
-  with or without a recorder;
+* **observability** — each dispatch opens one ``simulate`` span (its
+  ``engine`` attribute names the loop) on an attached request trace, so
+  the schedule and every float are identical with or without a trace;
 * **fault hooks** — a :class:`FaultHooks` bundle (schedule + replan
   callback) turns on the failure-aware branch: per-edge satisfaction,
   generation counters, lineage-cone recovery, message drops.  With an
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +53,6 @@ import numpy as np
 
 from repro import _ccore
 from repro.dag.compiled import CompiledGraph, _transpose
-from repro.obs.events import active as _obs_active
 from repro.obs.tracing import span
 from repro.runtime.machine import Machine
 
@@ -63,7 +61,6 @@ __all__ = [
     "FaultHooks",
     "FaultOutcome",
     "SimulationResult",
-    "core_mode",
     "priority_ranks",
     "qr_flops",
     "run_core",
@@ -116,16 +113,8 @@ def qr_flops(M: int, N: int) -> float:
 
 
 # --------------------------------------------------------------------- #
-# engine selection
+# thread count
 # --------------------------------------------------------------------- #
-def core_mode() -> str:
-    """Engine selection from ``REPRO_SIM_CORE`` (auto/c/python)."""
-    mode = os.environ.get("REPRO_SIM_CORE", "auto").lower()
-    if mode not in ("auto", "c", "python"):
-        raise ValueError(f"REPRO_SIM_CORE must be auto/c/python, got {mode!r}")
-    return mode
-
-
 def sim_threads() -> int:
     """OpenMP threads of a batched dispatch and workers of a batched sweep
     (``REPRO_SIM_THREADS``).  0 (the default) lets the OpenMP runtime pick
@@ -169,20 +158,6 @@ def priority_ranks(prio, ntasks: int) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(ntasks, dtype=np.int32)
     rank[order] = np.arange(ntasks, dtype=np.int32)
     return rank, order
-
-
-def _pick_engine(core: str | None):
-    """Resolve the engine: returns the C library or None for Python."""
-    mode = core or core_mode()
-    if mode == "python":
-        return None
-    lib = _ccore.get_lib()
-    if mode == "c" and lib is None:
-        raise RuntimeError(
-            "REPRO_SIM_CORE=c but the native core is unavailable "
-            "(no C compiler found)"
-        )
-    return lib
 
 
 #: why a loop refuses a graph whose count of some task does not end at 0:
@@ -835,25 +810,22 @@ def run_core(
     data_reuse: bool = False,
     M: int | None = None,
     N: int | None = None,
-    core: str | None = None,
     record_trace: bool = False,
     fault: FaultHooks | None = None,
 ) -> CoreOutcome:
     """Run one compiled graph through the unified event loop.
 
-    Dispatches to the native C core when no Python-visible capability is
-    requested (no tracing, no fault hooks) and ``REPRO_SIM_CORE`` /
-    ``core`` allows it; otherwise runs the unified Python loop.  Both are
-    bit-identical.  With ``record_trace`` the result carries the run's
-    per-task record: ``trace`` always, ``comm_trace`` and ``queue_trace``
-    when no fault hooks are given.
+    Dispatches to the native C core when it loaded and no Python-visible
+    capability is requested (no tracing, no fault hooks); otherwise runs
+    the unified Python loop.  Both are bit-identical.  With
+    ``record_trace`` the result carries the run's per-task record:
+    ``trace`` always, ``comm_trace`` and ``queue_trace`` when no fault
+    hooks are given.
     """
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
     ntasks = cg.ntasks
     tile_bytes = machine.tile_bytes(b)
-    rec = _obs_active()
-    wall0 = time.perf_counter() if rec is not None else 0.0
     if ntasks == 0:
         return CoreOutcome(
             result=SimulationResult(
@@ -870,7 +842,7 @@ def run_core(
     with span("simulate") as sp:
         lib = None
         if not record_trace and fault is None:
-            lib = _pick_engine(core)
+            lib = _ccore.get_lib()
         # the batch of one: the C entry derives wait counts, durations and
         # identity ranks itself, so a request prepares no per-task array
         out = None
@@ -911,16 +883,6 @@ def run_core(
                 **kw,
             )
             engine = "python"
-        if fault is None and rec is not None:
-            rec.run(
-                engine=engine,
-                loop="cluster",
-                wall_s=time.perf_counter() - wall0,
-                makespan=makespan,
-                busy_seconds=busy,
-                messages=messages,
-                ntasks=ntasks,
-            )
         if sp is not None:
             sp.attrs.update(engine=engine, ntasks=ntasks)
     return CoreOutcome(
@@ -950,7 +912,6 @@ def run_core_batch(
     *,
     prios=None,
     data_reuse: bool = False,
-    core: str | None = None,
 ) -> list[SimulationResult]:
     """Run many compiled graphs through the cluster loop in one dispatch.
 
@@ -973,11 +934,9 @@ def run_core_batch(
         raise ValueError(
             f"prios has {len(prios)} entries for {npoints} graphs"
         )
-    rec = _obs_active()
-    wall0 = time.perf_counter() if rec is not None else 0.0
     tile_bytes = machine.tile_bytes(b)
 
-    lib = _pick_engine(core)
+    lib = _ccore.get_lib()
     out = sp = None
     if lib is not None:
         with span("simulate") as sp:
@@ -989,18 +948,18 @@ def run_core_batch(
         return [
             run_core(
                 cg, machine, b,
-                prio=prio, data_reuse=data_reuse, core=core,
+                prio=prio, data_reuse=data_reuse,
             ).result
             for cg, prio in zip(graphs, prios)
         ]
-    counts = {
-        "points": sum(1 for cg in graphs if cg.ntasks),
-        "ntasks": sum(cg.ntasks for cg in graphs),
-    }
     if sp is not None:
-        sp.attrs.update(engine="c-batch", **counts)
+        sp.attrs.update(
+            engine="c-batch",
+            points=sum(1 for cg in graphs if cg.ntasks),
+            ntasks=sum(cg.ntasks for cg in graphs),
+        )
     makespans, busys, msgs = out
-    results = [
+    return [
         SimulationResult(
             makespan=float(makespans[i]),
             # an empty graph reports no work, as run_core does
@@ -1013,13 +972,3 @@ def run_core_batch(
         )
         for i, cg in enumerate(graphs)
     ]
-    if rec is not None:
-        rec.run(
-            engine="c-batch",
-            loop="cluster",
-            wall_s=time.perf_counter() - wall0,
-            **counts,
-            threads=sim_threads(),
-            openmp=_ccore.openmp_available(),
-        )
-    return results

@@ -27,8 +27,7 @@ traces in a ring and dumps automatically on SLO breach, shed, fault
 degradation, or a worker exception.
 
 Graceful shutdown (SIGINT/SIGTERM or :meth:`PlanningDaemon.shutdown`):
-stop admitting (503), drain queued and in-flight jobs, flush the obs
-recorder, then stop — so a killed daemon leaves no half-answered client.
+stop admitting (503), drain queued and in-flight jobs, then stop — so a killed daemon leaves no half-answered client.
 """
 
 from __future__ import annotations
@@ -185,8 +184,7 @@ class PlanningDaemon:
 
         Order matters: stop admitting first (new offers get 503), let
         the workers empty the queues and finish in-flight plans, then
-        stop the workers and the HTTP listener and flush the
-        observability recorder.
+        stop the workers and the HTTP listener.
         """
         with self._cond:
             already = self._stopping and self._draining
@@ -219,17 +217,6 @@ class PlanningDaemon:
                 pass  # the client hung up first
         for t in self._threads:
             t.join(timeout=5.0)
-        # flush observability before the process exits
-        from repro.obs.events import active as _obs_active
-
-        rec = _obs_active()
-        if rec is not None:
-            rec.note(
-                "serve_shutdown",
-                drained=drained,
-                **{k: int(v) for k, v in self.service.counters().items()
-                   if k != "plan_wall_s"},
-            )
         return {"drained": drained}
 
     # -- scheduling ---------------------------------------------------- #

@@ -18,9 +18,8 @@ a whole proposal batch per call:
   entry's remembered answer (an earlier chain's, the planning service's),
   else one batched simulation of graphs built from the bound pass's lists.
 
-Under ``REPRO_SIM_CORE=python`` and without the native core, every
-bound is 0.0: the annealer's filter is off and it simulates what it
-always did.
+Without the native core every bound is 0.0: the annealer's filter is
+off and it simulates what it always did.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.bench.runner import answers
 from repro.dag.cache import default_cache, fingerprint
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import elimination_bound
-from repro.runtime.core import core_mode
 from repro.runtime.machine import Machine
 from repro.verify.generator import VerifyCase
 
@@ -141,12 +139,11 @@ class EnergyEvaluator:
 
         The bound is read from the case's elimination list with no graph
         built (:func:`~repro.models.bounds.elimination_bound`) and kept by
-        key in the cache's ``bounds``, once per process — when the native
-        core is there and is not ``python``; otherwise it is 0.0, which
-        rules nothing out.
+        key in the cache's ``bounds``, once per process, when the native
+        core is there; otherwise it is 0.0, which rules nothing out.
         """
         keys = [self.energy_key(c) for c in cases]
-        if core_mode() == "python" or not _ccore.native_available():
+        if not _ccore.native_available():
             return [self._memo.get(key, 0.0) for key in keys]
         memo = default_cache().bounds
         # the lists of this call's new bounds, for the evaluate that follows

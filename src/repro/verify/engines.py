@@ -84,7 +84,6 @@ def core_c_engine(case, graph, built) -> SimulationResult:
             case.b,
             prios=[prio],
             data_reuse=case.data_reuse,
-            core="c",
         )[0]
     return run_core(
         built,
@@ -92,7 +91,6 @@ def core_c_engine(case, graph, built) -> SimulationResult:
         case.b,
         prio=prio,
         data_reuse=case.data_reuse,
-        core="c",
     ).result
 
 

@@ -109,12 +109,10 @@ class ClusterSimulator:
 
         Routes through the unified event-loop core
         (:func:`repro.runtime.core.run_core`): the native C inner loop
-        when no trace is requested and ``REPRO_SIM_CORE`` allows it, the
-        Python inner loop otherwise — bit-identical either way.
+        when it loaded and no trace is requested, the Python inner loop
+        otherwise — bit-identical either way.
         """
-        if not self.record_trace:
-            return self._run_core(graph, M, N)
-        return self.run_reference(graph, M, N)
+        return self._run_core(graph, M, N, record_trace=self.record_trace)
 
     def _run_core(
         self,
@@ -122,8 +120,7 @@ class ClusterSimulator:
         M: int | None,
         N: int | None,
         *,
-        core: str | None = None,
-        record_trace: bool = False,
+        record_trace: bool,
     ) -> SimulationResult:
         """Compile ``graph`` and run it through the unified core."""
         cg = compile_graph(graph, self.layout, self.machine, self.b)
@@ -135,25 +132,17 @@ class ClusterSimulator:
             data_reuse=self.data_reuse,
             M=M,
             N=N,
-            core=core,
             record_trace=record_trace,
         ).result
 
     def run_reference(
         self, graph: TaskGraph, M: int | None = None, N: int | None = None
     ) -> SimulationResult:
-        """The Python inner loop.
+        """The Python inner loop, with the task and comm traces recorded.
 
-        This is the tracing path: under ``record_trace`` it captures the
-        task trace and the comm trace consumed by the verify oracle.  The
-        loop itself is the unified core's Python branch
-        (:func:`repro.runtime.core.run_core` with ``core="python"``) —
-        bit-identical to every other dispatch of the same configuration.
+        This is the tracing path consumed by the verify oracle: a trace
+        is what only the unified core's Python branch records, so the
+        run takes that branch whatever the process can run — bit-identical
+        to every other dispatch of the same configuration.
         """
-        return self._run_core(
-            graph,
-            M,
-            N,
-            core="python",
-            record_trace=self.record_trace,
-        )
+        return self._run_core(graph, M, N, record_trace=True)

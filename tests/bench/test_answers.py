@@ -49,8 +49,10 @@ def questions():
 
 
 @pytest.fixture(params=["auto", "python"])
-def core(request, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CORE", request.param)
+def core(request):
+    """``python`` runs the test as on a host with no C compiler."""
+    if request.param == "python":
+        request.getfixturevalue("no_native")
     return request.param
 
 
@@ -106,7 +108,6 @@ def test_each_question_costs_one_answer_and_one_graph_lookup(
 
 
 def test_a_second_reuse_call_simulates_nothing(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
     machine = MACHINES["flat"]
     qs = questions()[:-1]
     answers(qs, machine, B, reuse=True)
@@ -123,8 +124,7 @@ def test_a_second_reuse_call_simulates_nothing(cache, monkeypatch):
     assert all(resident and remembered for _, resident, remembered in again)
 
 
-def test_without_reuse_nothing_is_read_or_remembered(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+def test_without_reuse_nothing_is_read_or_remembered(cache):
     qs = questions()
     answers(qs, MACHINES["flat"], B, reuse=False)
     stats = cache.stats()
@@ -134,7 +134,6 @@ def test_without_reuse_nothing_is_read_or_remembered(cache, monkeypatch):
 
 
 def test_a_handed_over_list_is_not_generated_again(cache, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
     generated = []
     real = runner_mod.hqr_elimination_list
 
@@ -158,7 +157,6 @@ def test_a_handed_over_list_is_not_generated_again(cache, monkeypatch):
 def test_a_repeated_question_is_simulated_once_a_call(cache, monkeypatch):
     """Copies of one keyed question in a call share its first copy's graph
     and result; an unkeyable question has no key to share."""
-    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
     machine = MACHINES["flat"]
     qs = questions()
     simulated = []

@@ -1,7 +1,6 @@
 """Batched dispatch: bitwise equivalence with the per-point paths."""
 
 import dataclasses
-import logging
 import threading
 
 import pytest
@@ -50,19 +49,21 @@ def _graphs(setup):
 
 @pytest.mark.parametrize("core", ["python", "c"])
 @pytest.mark.parametrize("data_reuse", [False, True])
-def test_batch_matches_scalar(core, data_reuse):
+def test_batch_matches_scalar(core, data_reuse, request):
     from repro._ccore import native_available
 
-    if core == "c" and not native_available():
+    if core == "python":
+        request.getfixturevalue("no_native")
+    elif not native_available():
         pytest.skip("no C toolchain")
     setup = small_setup()
     graphs = _graphs(setup)
     batched = run_core_batch(
-        graphs, setup.machine, setup.b, data_reuse=data_reuse, core=core
+        graphs, setup.machine, setup.b, data_reuse=data_reuse
     )
     for cg, got in zip(graphs, batched):
         want = run_core(
-            cg, setup.machine, setup.b, data_reuse=data_reuse, core=core
+            cg, setup.machine, setup.b, data_reuse=data_reuse
         ).result
         assert got == want
 
@@ -119,27 +120,16 @@ def _key(result):
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_sweep_batched_matches_legacy(core, fresh_cache, caplog, monkeypatch):
-    """Either sweep path returns what the ``run_config`` loop returns, and
-    says once which transport carried it."""
-    from repro._ccore import native_available
-
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+def test_sweep_batched_matches_legacy(core, fresh_cache, request):
+    """The sweep returns what the ``run_config`` loop returns, with the
+    native core and (``python``) as on a host with no compiler."""
+    if core == "python":
+        request.getfixturevalue("no_native")
     setup = small_setup()
     points = _points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
-    with caplog.at_level(logging.INFO, logger="repro.bench.runner"):
-        got = run_config_sweep(points, setup)
+    got = run_config_sweep(points, setup)
     assert [_key(r) for r in got] == [_key(r) for r in want], f"core={core}"
-    lines = [
-        r.message for r in caplog.records if "sweep transport" in r.message
-    ]
-    assert len(lines) == 1
-    if core == "auto" and native_available():
-        transport = "batched-c"
-    else:
-        transport = "in-process"
-    assert transport in lines[0]
 
 
 def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
@@ -148,7 +138,6 @@ def test_cold_sweep_same_for_any_worker_count(tmp_path, monkeypatch):
     ``workers`` changes nothing."""
     from repro.dag import cache as cache_mod
 
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     setup = small_setup()
     points = _points()
     cache = cache_mod.CompiledGraphCache(tmp_path / "graphs")
@@ -204,12 +193,11 @@ def test_verify_batched_engines_agree():
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def batched_path(fresh_cache, monkeypatch):
-    """The ``batched-c`` sweep path on an isolated cache, or skip."""
+    """The sweep on the native core, on an isolated cache, or skip."""
     from repro._ccore import native_available
 
     if not native_available():
         pytest.skip("no C toolchain")
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
     return fresh_cache
 
@@ -448,17 +436,16 @@ def test_concurrent_planning_matches_serial_planning():
 
 
 def test_overlapped_sweep_records_every_point_once(batched_path):
-    """Each distinct unanswered point is one ``c-batch`` run record of one
-    point and one ``simulate`` span, whichever worker ran it: a request
-    trace attached to the caller gets the helpers' spans too."""
+    """Each distinct unanswered point is one ``c-batch`` ``simulate`` span
+    of one point, whichever worker ran it: a request trace attached to the
+    caller gets the helpers' spans too."""
     from repro.bench.runner import compiled_graph_for
-    from repro.obs.events import recording
     from repro.obs.tracing import RequestTrace, attach
 
     setup = small_setup()
     points = _many_points()
     trace = RequestTrace("0" * 31 + "1", "test", 0.0)
-    with recording() as rec, attach(trace):
+    with attach(trace):
         run_config_sweep(points, setup)
     ntasks = sum(
         compiled_graph_for(
@@ -466,13 +453,11 @@ def test_overlapped_sweep_records_every_point_once(batched_path):
         ).ntasks
         for m, n, cfg in points
     )
-    runs = [r for r in rec.runs if r["engine"] == "c-batch"]
-    assert len(runs) == len(rec.runs) == len(points)
-    assert all(r["points"] == 1 for r in runs)
-    assert sum(r["ntasks"] for r in runs) == ntasks
     spans = [s for s in trace.root.children if s.name == "simulate"]
     assert len(spans) == len(points)
+    assert all(s.attrs["engine"] == "c-batch" for s in spans)
     assert all(s.attrs["points"] == 1 for s in spans)
+    assert sum(s.attrs["ntasks"] for s in spans) == ntasks
 
 
 def test_overlapped_sweep_spans_hang_under_the_open_span(batched_path):
@@ -509,23 +494,27 @@ def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
 # --------------------------------------------------------------------- #
 # the sweep asks before it simulates
 # --------------------------------------------------------------------- #
-def _traced_sweep(points, setup):
-    """(results, ``c-batch`` run records, ``simulate`` spans) of one sweep
-    run under a recorder and an attached request trace."""
-    from repro.obs.events import recording
-    from repro.obs.tracing import RequestTrace, attach
-
-    trace = RequestTrace("0" * 31 + "3", "test", 0.0)
-    with recording() as rec, attach(trace):
-        got = run_config_sweep(points, setup)
+def _spans(trace):
+    """Every span of ``trace``, nested ones included."""
     spans, stack = [], list(trace.root.children)
     while stack:
         s = stack.pop()
         spans.append(s)
         stack.extend(s.children)
-    runs = [r for r in rec.runs if r["engine"] == "c-batch"]
-    assert len(runs) == len(rec.runs)
-    return got, runs, [s for s in spans if s.name == "simulate"]
+    return spans
+
+
+def _traced_sweep(points, setup):
+    """(results, ``simulate`` span attributes) of one sweep run under an
+    attached request trace; every span is one ``c-batch`` dispatch."""
+    from repro.obs.tracing import RequestTrace, attach
+
+    trace = RequestTrace("0" * 31 + "3", "test", 0.0)
+    with attach(trace):
+        got = run_config_sweep(points, setup)
+    runs = [s.attrs for s in _spans(trace) if s.name == "simulate"]
+    assert all(r["engine"] == "c-batch" for r in runs)
+    return got, runs
 
 
 def _ntasks(points, setup):
@@ -556,9 +545,9 @@ def test_a_repeated_sweep_simulates_nothing(batched_path):
     setup = small_setup()
     points = _many_points()
     first = run_config_sweep(points, setup)
-    got, runs, spans = _traced_sweep(points, setup)
+    got, runs = _traced_sweep(points, setup)
     assert got == first
-    assert runs == [] and spans == []
+    assert runs == []
 
 
 def test_a_half_answered_sweep_simulates_the_rest(batched_path):
@@ -567,22 +556,21 @@ def test_a_half_answered_sweep_simulates_the_rest(batched_path):
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     batched_path.clear_memory()
     run_config_sweep(points[::2], setup)
-    got, runs, spans = _traced_sweep(points, setup)
+    got, runs = _traced_sweep(points, setup)
     assert got == want
     assert sum(r["points"] for r in runs) == len(points[1::2])
     assert sum(r["ntasks"] for r in runs) == _ntasks(points[1::2], setup)
-    assert sum(s.attrs["points"] for s in spans) == len(points[1::2])
 
 
 def test_repeated_points_are_simulated_once(batched_path):
     """A point asked twice in one sweep shares its first copy's graph and
-    result: the ``c-batch`` records count each distinct point once."""
+    result: the ``c-batch`` spans count each distinct point once."""
     setup = small_setup()
     points = _many_points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     batched_path.clear_memory()
     again = points + points[:3] + [points[0]] * 2
-    got, runs, _ = _traced_sweep(again, setup)
+    got, runs = _traced_sweep(again, setup)
     assert got == want + want[:3] + [want[0]] * 2
     assert sum(r["points"] for r in runs) == len(points)
     assert sum(r["ntasks"] for r in runs) == _ntasks(points, setup)
@@ -629,26 +617,28 @@ def test_a_cold_sweep_leaves_graphless_entries(batched_path):
     assert [result for _, result in entries] == got
 
 
-@pytest.mark.parametrize("path", ["python", "no-compiler"])
-def test_the_in_process_sweep_simulates_every_point_every_time(
-    path, fresh_cache, monkeypatch
+def test_a_repeated_sweep_without_the_native_core_is_answered(
+    fresh_cache, no_native
 ):
-    """The per-point path keeps no answers: a repeated sweep runs every
-    point through the engine again."""
-    from repro import _ccore
-    from repro.obs.events import recording
+    """With no C compiler the sweep runs the same body as with one: the
+    first sweep simulates on the Python loop, and a repeated one returns
+    the same results with every point answered from its remembered entry,
+    simulating nothing."""
+    from repro.obs.tracing import RequestTrace, attach
 
-    if path == "python":
-        monkeypatch.setenv("REPRO_SIM_CORE", "python")
-    else:  # the native core cannot be built
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-        monkeypatch.setattr(_ccore, "get_lib", lambda: None)
     setup = small_setup()
     points = _points()
-    first = run_config_sweep(points, setup)
-    with recording() as rec:
+    cold = RequestTrace("0" * 31 + "4", "test", 0.0)
+    with attach(cold):
+        first = run_config_sweep(points, setup)
+    assert [s.attrs["engine"] for s in _spans(cold)
+            if s.name == "simulate"] == ["python"] * len(points)
+    before = fresh_cache.stats()
+    warm = RequestTrace("0" * 31 + "5", "test", 0.0)
+    with attach(warm):
         assert run_config_sweep(points, setup) == first
-    assert [r["engine"] for r in rec.runs] == ["python"] * len(points)
+    assert fresh_cache.stats_since(before)["answer_hit"] == len(points)
+    assert not any(s.name == "simulate" for s in _spans(warm))
 
 
 def test_an_answered_sweep_starts_no_thread(batched_path, monkeypatch):

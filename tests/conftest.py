@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from repro import _ccore
+
 
 @pytest.fixture
 def rng():
     """Deterministic RNG for every test."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """The process as on a host with no C compiler: ``_ccore.get_lib()``
+    finds no library, so planning and every loop take their Python twins."""
+    monkeypatch.setattr(_ccore, "get_lib", lambda: None)
 
 
 def pytest_addoption(parser):

@@ -69,7 +69,7 @@ class TestParser:
 
 
 class TestScopedEnv:
-    """The one env save/set/restore helper behind --scale/--engine."""
+    """The one env save/set/restore helper behind --scale."""
 
     def test_restores_on_raise(self, monkeypatch):
         import os
@@ -77,27 +77,27 @@ class TestScopedEnv:
         from repro.cli import _scoped_env
 
         monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
         with pytest.raises(RuntimeError):
             with _scoped_env(
-                REPRO_BENCH_SCALE="large", REPRO_SIM_CORE="python"
+                REPRO_BENCH_SCALE="large", REPRO_SIM_THREADS="2"
             ):
                 assert os.environ["REPRO_BENCH_SCALE"] == "large"
-                assert os.environ["REPRO_SIM_CORE"] == "python"
+                assert os.environ["REPRO_SIM_THREADS"] == "2"
                 raise RuntimeError("boom")
         # a raise inside the body must not leak the overrides: the set
         # variable is restored, the unset one is deleted (not blanked)
         assert os.environ["REPRO_BENCH_SCALE"] == "tiny"
-        assert "REPRO_SIM_CORE" not in os.environ
+        assert "REPRO_SIM_THREADS" not in os.environ
 
     def test_none_requests_no_override(self, monkeypatch):
         import os
 
         from repro.cli import _scoped_env
 
-        monkeypatch.setenv("REPRO_SIM_CORE", "c")
-        with _scoped_env(REPRO_SIM_CORE=None, REPRO_BENCH_SCALE=None):
-            assert os.environ["REPRO_SIM_CORE"] == "c"
+        monkeypatch.setenv("REPRO_SIM_THREADS", "3")
+        with _scoped_env(REPRO_SIM_THREADS=None, REPRO_BENCH_SCALE=None):
+            assert os.environ["REPRO_SIM_THREADS"] == "3"
             assert "REPRO_BENCH_SCALE" not in os.environ
-        assert os.environ["REPRO_SIM_CORE"] == "c"
+        assert os.environ["REPRO_SIM_THREADS"] == "3"
         assert "REPRO_BENCH_SCALE" not in os.environ

@@ -153,7 +153,6 @@ def test_fingerprint_memo_returns_the_unmemoised_digest():
 
 def test_run_config_bypasses_cache_for_unserializable_layout(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     monkeypatch.setattr(cache_mod, "_default", None)
     from repro.bench.runner import BenchSetup, run_config
 
@@ -329,7 +328,6 @@ def test_clear_memory_forgets_the_bounds(tmp_path):
 def test_run_config_pins_no_graph(tmp_path, monkeypatch):
     """run_config builds and simulates every call and keeps nothing: the
     process-wide cache is neither read nor written."""
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     cache = CompiledGraphCache(root=tmp_path / "graphs")
     monkeypatch.setattr(cache_mod, "_default", cache)
     from repro.bench.runner import BenchSetup, run_config
@@ -344,7 +342,6 @@ def test_run_config_pins_no_graph(tmp_path, monkeypatch):
 
 
 def test_distinct_run_config_questions_leave_no_entry(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     cache = CompiledGraphCache(root=tmp_path / "graphs")
     monkeypatch.setattr(cache_mod, "_default", cache)
     from repro.bench.runner import BenchSetup, run_config
@@ -359,7 +356,6 @@ def test_distinct_run_config_questions_leave_no_entry(tmp_path, monkeypatch):
 
 def test_cold_sweep_creates_nothing_under_cache_root(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     monkeypatch.setattr(cache_mod, "_default", None)
     from repro.bench.runner import BenchSetup, run_config_sweep
 

@@ -8,6 +8,8 @@ same tiles, after the same tasks" stays pinned."""
 
 import ctypes
 import dataclasses
+import json
+import logging
 import sys
 import threading
 
@@ -128,9 +130,23 @@ def _assert_coordinates(elims, m, n):
         assert arr.tolist() == [getattr(t, name) for t in tasks], name
 
 
+def test_first_use_logs_one_load_line(monkeypatch, caplog):
+    """With no compiler the library is ``None``, and the first call says
+    so in one ``ccore_load`` line; a second call logs nothing."""
+    monkeypatch.setattr(_ccore, "_lib", None)
+    monkeypatch.setattr(_ccore, "_lib_tried", False)
+    monkeypatch.setattr(_ccore, "_compiler", lambda: None)
+    with caplog.at_level(logging.INFO, logger="repro._ccore"):
+        assert _ccore.get_lib() is None
+        assert _ccore.get_lib() is None
+    (record,) = [r for r in caplog.records if r.name == "repro._ccore"]
+    line = json.loads(record.getMessage())
+    assert (line["event"], line["available"]) == ("ccore_load", False)
+    assert line["seconds"] >= 0
+
+
 @needs_native
 def test_native_graph_equals_python_core_graph(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     built = [
         (args, compiled_from_eliminations(
             hqr_elimination_list(args[0], args[1], args[2]),
@@ -138,8 +154,7 @@ def test_native_graph_equals_python_core_graph(monkeypatch):
         ))
         for args in _cases()
     ]
-    monkeypatch.setenv("REPRO_SIM_CORE", "python")
-    assert _ccore.get_lib() is None
+    monkeypatch.setattr(_ccore, "get_lib", lambda: None)  # as with no compiler
     for (m, n, cfg, layout, machine, b), native in built:
         elims = hqr_elimination_list(m, n, cfg)
         fallback = compiled_from_eliminations(elims, m, n, layout, machine, b)
@@ -199,10 +214,11 @@ def test_finish_pass_equals_numpy_finish():
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_derived_predecessors_are_the_emitted_lists_sorted(core, monkeypatch):
+def test_derived_predecessors_are_the_emitted_lists_sorted(core, request):
     """Fused, Python and ``compile_graph`` builders over random trees: each
     graph's derived predecessor lists are what its builder emitted."""
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    if core == "python":
+        request.getfixturevalue("no_native")
     layout, machine = BlockCyclic2D(2, 2), Machine(nodes=4, cores_per_node=2)
     for seed in range(12):
         m, n = 3 + seed, 1 + seed % 5
@@ -226,10 +242,11 @@ def test_one_node_machine_sends_no_messages():
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_transpose_refuses_out_of_range_indices(core, monkeypatch):
+def test_transpose_refuses_out_of_range_indices(core, request):
     """An index outside ``[0, ntasks)`` is a typed error on either path,
     never a write out of bounds (the sanitizer build watches that)."""
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    if core == "python":
+        request.getfixturevalue("no_native")
     elims = hqr_elimination_list(6, 3, HQRConfig(p=2))
     kind, _, pred_ptr, pred_idx = _py_arrays(elims, 6, 3, SingleNode())
     ntasks = len(kind)
@@ -465,11 +482,12 @@ def test_int32_guard_is_a_typed_error_naming_both_counts():
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_a_graph_past_the_limit_raises_before_it_is_built(core, monkeypatch):
+def test_a_graph_past_the_limit_raises_before_it_is_built(core, monkeypatch, request):
     """The limit lowered to 100 (a real 2**31-edge graph cannot be allocated
     here): every builder raises, and the native path does not fall through
     to the Python builder on the way."""
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    if core == "python":
+        request.getfixturevalue("no_native")
     monkeypatch.setattr(compiled, "_INT32_MAX", 100)
     m, n = 9, 4
     elims = hqr_elimination_list(m, n, HQRConfig(p=2, a=2))
@@ -508,18 +526,20 @@ def _join(width: int) -> TaskGraph:
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_a_task_past_255_predecessors_is_refused(core, monkeypatch):
+def test_a_task_past_255_predecessors_is_refused(core, request):
     """A wait count is uint8: a 255-predecessor join builds, with its
     in-degree stored exactly, and simulates alike on both loops; a
     256-predecessor join raises before a graph exists, never wraps to 0."""
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    if core == "python":
+        request.getfixturevalue("no_native")
     layout, machine = Cyclic1D(4), Machine(nodes=4, cores_per_node=2)
     widest = compile_graph(_join(255), layout, machine, 16)
     assert widest.wait.dtype == np.uint8 and widest.wait[-1] == 255
     assert np.array_equal(np.diff(widest.pred_ptr), widest.wait)
-    assert run_core(widest, machine, 16).result == run_core(
-        widest, machine, 16, core="python"
-    ).result
+    traced = run_core(widest, machine, 16, record_trace=True).result
+    assert run_core(widest, machine, 16).result == dataclasses.replace(
+        traced, trace=None, comm_trace=None, queue_trace=None
+    )
     with pytest.raises(OverflowError, match="wait count 256 at entry 256"):
         compile_graph(_join(256), layout, machine, 16)
 
@@ -535,11 +555,12 @@ class FarNode(Layout):
 
 
 @pytest.mark.parametrize("core", ["auto", "python"])
-def test_a_node_past_int16_is_refused(core, monkeypatch):
+def test_a_node_past_int16_is_refused(core, monkeypatch, request):
     """A node is int16: every builder raises for a layout that places a
     task on node 40,000, and the fused build raises before its counting
     pass, without falling through to the Python builder."""
-    monkeypatch.setenv("REPRO_SIM_CORE", core)
+    if core == "python":
+        request.getfixturevalue("no_native")
     m, n = 6, 3
     elims = hqr_elimination_list(m, n, HQRConfig(p=2))
     machine = Machine(nodes=2)

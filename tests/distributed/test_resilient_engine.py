@@ -70,11 +70,12 @@ class TestResilientComm:
 class TestResilientEngine:
     @pytest.mark.parametrize("sim_core", ["python", "c"])
     def test_killed_worker_matches_sequential_bitwise(
-        self, rng, monkeypatch, sim_core
+        self, rng, request, sim_core
     ):
         """A mid-run worker death must not change a single bit of R,
-        whichever simulation core the surrounding tooling selects."""
-        monkeypatch.setenv("REPRO_SIM_CORE", sim_core)
+        with or without the native core."""
+        if sim_core == "python":
+            request.getfixturevalue("no_native")
         b, m, n = 4, 8, 4
         A = rng.standard_normal((m * b, n * b))
         cfg = HQRConfig(p=2, a=2, low_tree="greedy", high_tree="binary")

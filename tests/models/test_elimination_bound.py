@@ -85,7 +85,7 @@ def test_the_subgraph_bound_never_exceeds_the_makespan(core):
         assert node_work == gb.node_work and cp <= gb.critical_path
         makespan = run_core(
             cg, machine, case.b, prio=_simulator(case, graph).priority_values(graph),
-            data_reuse=case.data_reuse, core=core,
+            data_reuse=case.data_reuse, record_trace=core == "python",
         ).result.makespan
         assert max(cp, node_work) <= makespan, case.describe()
 
@@ -170,8 +170,7 @@ def test_an_owner_outside_the_machine_is_refused():
         )
 
 
-def test_no_bound_without_the_native_core(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CORE", "python")
+def test_no_bound_without_the_native_core(no_native):
     elims = hqr_elimination_list(6, 3, HQRConfig(p=2))
     machine = Machine(nodes=4, cores_per_node=2)
     assert elimination_bound(elims, 6, 3, BlockCyclic2D(2, 2), machine, 16) is None

@@ -1,23 +1,14 @@
-"""Recorder semantics and — the load-bearing property — bitwise
-neutrality: enabling instrumentation must not change any engine's
-result."""
+"""Bitwise neutrality of looking: attaching a request trace, whose
+``simulate`` spans are the run record, must not change any engine's
+result, nor which loop runs."""
 
 import contextlib
-
-import pytest
 
 from repro.bench.runner import BenchSetup, run_config
 from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.obs.events import Recorder, active, install, recording
-
-
-@pytest.fixture(autouse=True)
-def clean_slot():
-    install(None)
-    yield
-    install(None)
+from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 
 
 def small_problem(m=16, n=4):
@@ -29,35 +20,19 @@ def small_problem(m=16, n=4):
     return setup, cfg, m, n
 
 
-class TestRecorder:
-    def test_install_uninstall(self):
-        assert active() is None
-        rec = install(Recorder())
-        assert active() is rec
-        install(None)
-        assert active() is None
-
-    def test_recording_context(self):
-        with recording() as rec:
-            assert active() is rec
-        assert active() is None
-
-    def test_nested_recording_restores_the_outer_recorder(self):
-        setup, cfg, m, n = small_problem()
-        with recording() as outer:
-            run_config(m, n, cfg, setup)
-            with recording() as inner:
-                assert active() is inner
-                run_config(m, n, cfg, setup)
-            assert active() is outer
-            run_config(m, n, cfg, setup)
-        assert active() is None
-        assert len(inner.runs) == 1
-        assert len(outer.runs) == 2  # it kept growing after the inner block
+@contextlib.contextmanager
+def traced():
+    """Attach a fresh request trace; yields the list of its ``simulate``
+    spans, filled when the block ends."""
+    trace = RequestTrace(mint_trace_id(), "test", 0.0)
+    spans = []
+    with attach(trace):
+        yield spans
+    spans.extend(s for s in trace.root.children if s.name == "simulate")
 
 
 class TestBitwiseNeutrality:
-    """Recording on vs. off must not move a single bit of any result."""
+    """A trace attached vs not must not move a single bit of any result."""
 
     def test_reference_engine(self):
         setup, cfg, m, n = small_problem()
@@ -66,35 +41,34 @@ class TestBitwiseNeutrality:
         )
         sim = ClusterSimulator(setup.machine, setup.layout, setup.b)
         bare = sim.run_reference(graph)
-        with recording() as rec:
+        with traced() as spans:
             instrumented = sim.run_reference(graph)
         assert instrumented.makespan == bare.makespan
         assert instrumented.busy_seconds == bare.busy_seconds
         assert instrumented.messages == bare.messages
-        assert rec.runs and rec.runs[0]["engine"] == "python"
+        assert instrumented.trace == bare.trace
+        assert [s.attrs["engine"] for s in spans] == ["python"]
 
     def test_compiled_engine(self):
         setup, cfg, m, n = small_problem()
         bare = run_config(m, n, cfg, setup)
-        with recording() as rec:
+        with traced() as spans:
             instrumented = run_config(m, n, cfg, setup)
-        assert instrumented.makespan == bare.makespan
-        assert instrumented.busy_seconds == bare.busy_seconds
-        assert instrumented.messages == bare.messages
-        assert len(rec.runs) == 1
+        assert instrumented == bare
+        assert len(spans) == 1
 
     def test_summary_level_keeps_c_core(self):
-        """A recorder must not force the Python loop."""
+        """An attached trace must not force the Python loop."""
         from repro._ccore import native_available
 
         setup, cfg, m, n = small_problem()
         bare = run_config(m, n, cfg, setup)
-        with recording() as rec:
+        with traced() as spans:
             instrumented = run_config(m, n, cfg, setup)
         assert instrumented.makespan == bare.makespan
         assert instrumented.trace is None  # no per-task detail untraced
         engine = "c-batch" if native_available() else "python"
-        assert [r["engine"] for r in rec.runs] == [engine]
+        assert [s.attrs["engine"] for s in spans] == [engine]
 
     def test_empty_fault_hooks_are_neutral(self):
         from repro.dag.compiled import compiled_from_eliminations
@@ -116,12 +90,11 @@ class TestBitwiseNeutrality:
             ).result
 
         bare = run()
-        with recording():
+        with traced() as spans:
             instrumented = run()
-        assert instrumented.makespan == bare.makespan
-        assert instrumented.messages == bare.messages
-        assert instrumented.trace == bare.trace
+        assert instrumented == bare
         assert len(instrumented.trace) == cg.ntasks
+        assert [s.attrs["engine"] for s in spans] == ["python"]
 
     def test_resilient_engine_with_faults_records_them(self):
         from repro.resilience.faults import FaultSchedule
@@ -141,44 +114,20 @@ class TestBitwiseNeutrality:
             "crash", seed=0, nodes=setup.machine.nodes, horizon=baseline
         )
         bare = run(schedule, baseline_makespan=baseline)
-        with recording() as rec:
+        with traced() as spans:
             instrumented = run(schedule, baseline_makespan=baseline)
-        assert instrumented.makespan == bare.makespan
-        assert instrumented.tasks_reexecuted == bare.tasks_reexecuted
-        assert instrumented.fault_events == bare.fault_events
+        assert instrumented == bare
         assert {e["type"] for e in bare.fault_events} >= {"crash", "recovery"}
-        assert rec.runs and rec.runs[0]["engine"] == "resilient"
+        # the faulted run is one Python-loop span; the fault events are
+        # the result's own record
+        assert [s.attrs["engine"] for s in spans] == ["python"]
+        assert spans[0].attrs["ntasks"] > 0
 
 
 class TestOverhead:
-    def test_disabled_sites_are_a_single_none_check(self):
-        """The no-op fast path: with no recorder installed, engines read
-        the slot once per run and every per-event site is skipped via a
-        pre-computed local bool — this is what keeps the disabled
-        overhead under the 5% budget by construction."""
-        import dis
-
-        from repro.runtime import core
-
-        assert active() is None
-        # run_core reads the recorder slot once per run and hands it to
-        # the loop as a parameter; confirm the source discipline holds
-        code = dis.Bytecode(core.run_core)
-        names = {i.argval for i in code if i.opname == "LOAD_GLOBAL"}
-        assert "_obs_active" in names
-        # the event loop itself never touches the global slot: per-event
-        # emission is gated on locals computed before the first event
-        loop_names = {
-            i.argval
-            for i in dis.Bytecode(core._py_loop)
-            if i.opname == "LOAD_GLOBAL"
-        }
-        assert "_obs_active" not in loop_names
-
     def test_summary_recording_overhead_bounded(self):
-        """Recording (C core preserved) stays near the uninstrumented
-        wall time; 1.5x bound only absorbs CI timing noise — typical
-        overhead is <5%."""
+        """An attached trace (C core preserved) stays near the untraced
+        wall time; the 1.5x bound only absorbs CI timing noise."""
         import time
 
         setup, cfg, m, n = small_problem(32, 8)
@@ -187,7 +136,7 @@ class TestOverhead:
         def best_of(k=5, record=False):
             best = float("inf")
             for _ in range(k):
-                with recording() if record else contextlib.nullcontext():
+                with traced() if record else contextlib.nullcontext():
                     t0 = time.perf_counter()
                     run_config(m, n, cfg, setup)
                     best = min(best, time.perf_counter() - t0)

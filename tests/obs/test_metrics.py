@@ -7,7 +7,6 @@ from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import graph_bounds
-from repro.obs.events import install, recording
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -15,14 +14,8 @@ from repro.obs.metrics import (
     derive_run_metrics,
     utilization_timeline,
 )
+from repro.obs.tracing import RequestTrace, attach, mint_trace_id
 from repro.runtime.core import run_core
-
-
-@pytest.fixture(autouse=True)
-def clean_slot():
-    install(None)
-    yield
-    install(None)
 
 
 class TestRegistry:
@@ -116,12 +109,14 @@ class TestDerivation:
         cg = compiled_from_eliminations(
             elims, m, n, setup.layout, setup.machine, setup.b
         )
-        with recording() as rec:
+        trace = RequestTrace(mint_trace_id(), "test", 0.0)
+        with attach(trace):
             res = run_core(cg, setup.machine, setup.b, record_trace=True).result
-        return setup, cfg, rec, res, cg, task_coordinates(elims, m, n)
+        spans = trace.root.children
+        return setup, cfg, spans, res, cg, task_coordinates(elims, m, n)
 
     def test_kernel_attribution_sums_to_busy_seconds(self):
-        setup, cfg, rec, res, graph, _ = self.recorded()
+        setup, cfg, _, res, graph, _ = self.recorded()
         reg = derive_run_metrics(res, graph)
         total = sum(reg["repro_kernel_seconds_total"].samples.values())
         assert total == pytest.approx(res.busy_seconds)
@@ -129,7 +124,7 @@ class TestDerivation:
         assert ntasks == len(graph)
 
     def test_level_attribution_sums_to_busy_seconds(self):
-        setup, cfg, rec, res, graph, coords = self.recorded()
+        setup, cfg, _, res, graph, coords = self.recorded()
         reg = derive_run_metrics(res, graph, coords=coords, config=cfg)
         lvl = reg["repro_level_seconds_total"].samples
         assert sum(lvl.values()) == pytest.approx(res.busy_seconds)
@@ -137,7 +132,7 @@ class TestDerivation:
         assert "panel" in labels  # GEQRT/UNMQR bucket always present
 
     def test_comm_volume_matches_messages(self):
-        setup, cfg, rec, res, graph, _ = self.recorded()
+        setup, cfg, _, res, graph, _ = self.recorded()
         reg = derive_run_metrics(res, graph)
         msgs = sum(reg["repro_messages_total"].samples.values())
         assert msgs == res.messages
@@ -145,7 +140,7 @@ class TestDerivation:
         assert nbytes == res.bytes_sent
 
     def test_makespan_and_critical_path(self):
-        setup, cfg, rec, res, graph, _ = self.recorded()
+        setup, cfg, _, res, graph, _ = self.recorded()
         mach, b = setup.machine, setup.b
         cp = graph_bounds([graph], mach, b)[0].plain_critical_path
         reg = derive_run_metrics(res, graph, critical_path=cp)
@@ -158,13 +153,15 @@ class TestDerivation:
         assert slack >= 0  # makespan can never beat the longest path
 
     def test_engine_runs_recorded(self):
-        setup, cfg, rec, res, graph, _ = self.recorded()
-        reg = derive_run_metrics(res, runs=rec.runs)
+        setup, cfg, spans, res, graph, _ = self.recorded()
+        reg = derive_run_metrics(res, runs=spans)
         runs = reg["repro_engine_runs_total"].samples
-        assert sum(runs.values()) == 1
+        assert runs == {(("engine", "python"),): 1}
+        (wall,) = reg["repro_engine_wall_seconds_total"].samples.values()
+        assert wall == spans[0].duration > 0
 
     def test_graph_optional(self):
-        setup, cfg, rec, res, graph, _ = self.recorded()
+        setup, cfg, _, res, graph, _ = self.recorded()
         reg = derive_run_metrics(res)  # no graph: unlabelled totals only
         assert sum(reg["repro_tasks_total"].samples.values()) == len(graph)
         assert "repro_level_seconds_total" not in reg

@@ -110,7 +110,6 @@ class TestProfileRun:
         in one process measures what the first did."""
         import repro.runtime.core as core_mod
 
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         simulated, real = [], core_mod.run_core_batch
 
         def counting(graphs, *args, **kwargs):

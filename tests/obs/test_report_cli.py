@@ -2,18 +2,8 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.obs.events import install
 from repro.obs.report import build_html, write_html
-
-
-@pytest.fixture(autouse=True)
-def clean_slot():
-    install(None)
-    yield
-    install(None)
 
 
 class TestBuildHtml:

@@ -22,7 +22,6 @@ from repro.obs.tracing import (
     mint_trace_id,
     parse_traceparent,
     span,
-    traces_jsonl,
 )
 
 
@@ -193,7 +192,10 @@ class TestExport:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        path.write_text(traces_jsonl(self._traces()))
+        # one JSON object per line, one line per trace
+        path.write_text("".join(
+            json.dumps(t, sort_keys=True) + "\n" for t in self._traces()
+        ))
         loaded = load_traces(str(path))
         assert [t["job_id"] for t in loaded] == [0, 1]
 

@@ -11,7 +11,7 @@ fingerprints from the numeric executor.
 
 ``tests/runtime/test_core_equivalence.py`` replays every case through
 the unified core across its whole capability-flag matrix (C/python inner
-loop, tracing, obs recording, fault hooks, batched dispatch) and
+loop, tracing, an attached trace, fault hooks, batched dispatch) and
 compares against the frozen values; the ``core-equivalence`` CI job runs
 ``tools/capture_golden.py --check`` so any drift — an engine change, a
 kernel-weight change, a tie-break regression — fails loudly instead of

@@ -64,8 +64,10 @@ CONFIGS = [
 
 
 @pytest.mark.parametrize("core", CORES)
-def test_cluster_grid_bit_identical(core):
+def test_cluster_grid_bit_identical(core, request):
     """Config x machine x layout x data-reuse x priority grid."""
+    if core == "python":
+        request.getfixturevalue("no_native")
     for config, machine, layout, data_reuse, prio_name in itertools.product(
         CONFIGS, MACHINES, LAYOUTS, (False, True), (None, "critical-path")
     ):
@@ -82,7 +84,6 @@ def test_cluster_grid_bit_identical(core):
             B,
             prio=sim.priority_values(graph),
             data_reuse=data_reuse,
-            core=core,
         ).result
         exact(res, ref)
 
@@ -145,37 +146,6 @@ def test_builder_matches_taskgraph_hqr():
         assert arr.tolist() == [getattr(t, name) for t in graph.tasks], name
 
 
-def test_dispatch_env_reference(monkeypatch):
-    """``REPRO_SIM_CORE=reference`` is gone: each entry point refuses it
-    with the typed error naming the legal values, and never falls back
-    to another engine — nor answers from memory a question it remembers."""
-    from repro.bench.runner import (
-        BenchSetup, answers, run_config, run_config_sweep,
-    )
-    from repro.dag import cache as cache_mod
-
-    config = HQRConfig(p=4, q=2)
-    machine = Machine(nodes=8, cores_per_node=3)
-    setup = BenchSetup(b=B, grid_p=4, grid_q=2, machine=machine)
-    graph = graph_for(config)
-    sim = ClusterSimulator(machine, BlockCyclic2D(4, 2), B)
-    question = [(M_TILES, N_TILES, config, setup.layout)]
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-    monkeypatch.setattr(cache_mod, "_default", cache_mod.CompiledGraphCache())
-    answers(question, machine, B, reuse=True)  # now remembered
-    assert answers(question, machine, B, reuse=True)[0][2]
-    monkeypatch.setenv("REPRO_SIM_CORE", "reference")
-    refusal = r"REPRO_SIM_CORE must be auto/c/python, got 'reference'"
-    with pytest.raises(ValueError, match=refusal):
-        run_config(M_TILES, N_TILES, config, setup)
-    with pytest.raises(ValueError, match=refusal):
-        run_config_sweep([(M_TILES, N_TILES, config)], setup)
-    with pytest.raises(ValueError, match=refusal):
-        answers(question, machine, B, reuse=True)
-    with pytest.raises(ValueError, match=refusal):
-        sim.run(graph)
-
-
 def test_record_trace_still_works():
     graph = graph_for(HQRConfig(p=4, q=2))
     machine = Machine(nodes=8, cores_per_node=3)
@@ -220,10 +190,11 @@ if HAVE_HYPOTHESIS:
         assert_derived_predecessors(cg, graph.predecessors)
         assert_derived_predecessors(want, graph.predecessors)
         assert np.array_equal(cg.kind, want.kind)
-        for core in CORES:
+        for record_trace in (False, True):  # C where it loaded, Python
             exact(
                 run_core(
-                    cg, machine, 40, data_reuse=data_reuse, core=core
+                    cg, machine, 40, data_reuse=data_reuse,
+                    record_trace=record_trace,
                 ).result,
                 ref,
             )

@@ -3,10 +3,12 @@
 Every capability combination of :func:`repro.runtime.core.run_core` must
 reproduce — bitwise — the values captured from the PRE-unification
 engines (``tests/runtime/fixtures/golden_core.json``): Python and C
-inner loops, trace recording, obs recording with and without traces,
-batched dispatch, and fault hooks — including the empty-schedule identity
-(fault hooks with no fault == no hooks) that used to be its own verify
-engine.
+inner loops, trace recording, an attached request trace, batched
+dispatch, and fault hooks — including the empty-schedule identity (fault
+hooks with no fault == no hooks) that used to be its own verify engine.
+
+The Python loop is reached as the process reaches it: by asking for a
+trace, or with no native core (the ``no_native`` fixture).
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ import pytest
 from repro._ccore import native_available
 from repro.verify.reference import ClusterSimulator, Task, TaskGraph, compile_graph
 from repro.kernels.weights import KernelKind
-from repro.obs.events import install, recording
 from repro.runtime.core import (
     FaultHooks,
     run_core,
@@ -46,13 +47,6 @@ CASES = {c.name: c for c in golden_cases()}
 FAULT_CASES = {c.name: c for c in fault_golden_cases()}
 
 
-@pytest.fixture(autouse=True)
-def clean_recorder():
-    install(None)
-    yield
-    install(None)
-
-
 def _compiled(case):
     """Compile one golden case; returns (graph, sim, cg, prio)."""
     graph = case.graph()
@@ -77,15 +71,15 @@ def _assert_scalar(res, frozen):
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
 def test_python_loop_with_traces_matches_golden(name):
-    """core="python" + record_trace: every field including both digests."""
+    """The Python loop with record_trace: every field including both
+    digests."""
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     frozen = FIXTURE["scalar"][name]
     assert cg.ntasks == frozen["ntasks"]
     res = run_core(
         cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse,
-        core="python", record_trace=True,
+        prio=prio, data_reuse=case.data_reuse, record_trace=True,
     ).result
     _assert_scalar(res, frozen)
     assert trace_digest(res.trace) == frozen["trace"]
@@ -93,12 +87,12 @@ def test_python_loop_with_traces_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
-def test_python_loop_untraced_matches_golden(name):
+def test_python_loop_untraced_matches_golden(name, no_native):
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     res = run_core(
         cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse, core="python",
+        prio=prio, data_reuse=case.data_reuse,
     ).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     assert res.trace is None and res.comm_trace is None
@@ -112,17 +106,16 @@ def test_c_loop_matches_golden(name):
     _, _, cg, prio = _compiled(case)
     out = run_core(
         cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse, core="c",
+        prio=prio, data_reuse=case.data_reuse,
     )
     assert out.engine == "c"
     _assert_scalar(out.result, FIXTURE["scalar"][name])
 
 
 @pytest.mark.parametrize("core", ["python", "c"])
-def test_batched_dispatch_matches_golden(core):
+def test_batched_dispatch_matches_golden(core, request):
     """One batched call over every golden case == per-case fixtures."""
-    if core == "c" and not native_available():
-        pytest.skip("no C toolchain")
+    _use(core, request)
     # all graphs in one dispatch must share machine/b/data_reuse: group
     groups = {}
     for name in sorted(FIXTURE["scalar"]):
@@ -138,7 +131,6 @@ def test_batched_dispatch_matches_golden(core):
             cases[0].b,
             prios=[prio for _, _, _, prio in compiled],
             data_reuse=cases[0].data_reuse,
-            core=core,
         )
         for name, res in zip(names, results):
             _assert_scalar(res, FIXTURE["scalar"][name])
@@ -162,6 +154,22 @@ def _foreign(cg):
     )
 
 
+def _use(core, request):
+    """Run the test on ``core``: ``python`` takes the no-compiler path,
+    ``c`` needs the native core (else the test skips)."""
+    if core == "python":
+        request.getfixturevalue("no_native")
+    elif not native_available():
+        pytest.skip("no C toolchain")
+
+
+def _untraced(res):
+    """``res`` without its per-task record, to compare with a C run."""
+    return dataclasses.replace(
+        res, trace=None, comm_trace=None, queue_trace=None
+    )
+
+
 def _set_threads(monkeypatch, threads):
     """``REPRO_SIM_THREADS`` = ``threads``, or unset for ``None``."""
     if threads is None:
@@ -173,12 +181,13 @@ def _set_threads(monkeypatch, threads):
 @pytest.mark.parametrize("threads", [None, "1"])
 @pytest.mark.parametrize("core", ["python", "c"])
 @pytest.mark.parametrize("name", sorted(FIXTURE["scalar"]))
-def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
+def test_batch_equals_per_graph_equals_golden(
+    name, core, threads, monkeypatch, request
+):
     """run_core_batch == run_core per graph == the frozen fixture, with the
     batch holding foreign-typed arrays, an empty graph in the middle, and an
     explicit priority vector next to ``None``."""
-    if core == "c" and not native_available():
-        pytest.skip("no C toolchain")
+    _use(core, request)
     _set_threads(monkeypatch, threads)
     case = CASES[name]
     _, sim, cg, prio = _compiled(case)
@@ -187,7 +196,7 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
     )
     graphs = [_foreign(cg), empty, cg, cg]
     prios = [prio, None, prio, None]
-    kw = dict(data_reuse=case.data_reuse, core=core)
+    kw = dict(data_reuse=case.data_reuse)
     batch = run_core_batch(graphs, case.machine, case.b, prios=prios, **kw)
     single = [
         run_core(g, case.machine, case.b, prio=p, **kw).result
@@ -203,12 +212,11 @@ def test_batch_equals_per_graph_equals_golden(name, core, threads, monkeypatch):
 
 
 @pytest.mark.parametrize("core", ["python", "c"])
-def test_int64_offsets_give_the_same_result_by_value(core):
+def test_int64_offsets_give_the_same_result_by_value(core, request):
     """A hand-built graph still carrying wider arrays — int64 offsets,
     int32 wait counts and nodes — runs, and equals the narrow graph, through
     every loop: single and batch."""
-    if core == "c" and not native_available():
-        pytest.skip("no C toolchain")
+    _use(core, request)
     case = CASES["flat-serialized"]
     _, _, cg, prio = _compiled(case)
     assert (cg.wait.dtype, cg.node.dtype, cg.succ_ptr.dtype) == (
@@ -222,7 +230,7 @@ def test_int64_offsets_give_the_same_result_by_value(core):
     )
     assert wide.pred_counts.tolist() == cg.pred_counts.tolist()
     assert np.array_equal(wide.pred_ptr, cg.pred_ptr)
-    kw = dict(data_reuse=case.data_reuse, core=core)
+    kw = dict(data_reuse=case.data_reuse)
     want = run_core(cg, case.machine, case.b, prio=prio, **kw).result
     _assert_scalar(want, FIXTURE["scalar"]["flat-serialized"])
     assert run_core(wide, case.machine, case.b, prio=prio, **kw).result == want
@@ -243,19 +251,19 @@ def test_batch_refuses_arrays_that_do_not_fit_together():
     _, _, cg, _ = _compiled(case)
     short = dataclasses.replace(cg, node=cg.node[:-1])
     with pytest.raises(ValueError, match="graph 1"):
-        run_core_batch([cg, short], case.machine, case.b, core="c")
+        run_core_batch([cg, short], case.machine, case.b)
     # a wide node array whose values int16 would wrap onto valid nodes
     wrapped = dataclasses.replace(cg, node=cg.node.astype(np.int32) + 2**16)
     with pytest.raises(ValueError, match="graph 1: node values outside int16"):
-        run_core_batch([cg, wrapped], case.machine, case.b, core="c")
+        run_core_batch([cg, wrapped], case.machine, case.b)
     for name, value in [("kind", 6), ("kind", -1), ("node", 8), ("node", -1)]:
         arr = getattr(cg, name).copy()
         arr[len(arr) // 2] = value
         bad = dataclasses.replace(cg, **{name: arr})
         with pytest.raises(ValueError, match="graph 0"):
-            run_core(bad, case.machine, case.b, core="c")
+            run_core(bad, case.machine, case.b)
         with pytest.raises(ValueError, match="graph 1"):
-            run_core_batch([cg, bad, cg], case.machine, case.b, core="c")
+            run_core_batch([cg, bad, cg], case.machine, case.b)
 
 
 def _fan_out_graph():
@@ -296,12 +304,13 @@ def test_a_tile_goes_once_to_each_remote_node(serialized):
     assert cg.node.tolist() == [0, 0, 1, 1, 1, 2, 2, 3, 1, 0]
     traced = ClusterSimulator(machine, layout, b, record_trace=True).run(graph)
     assert [dst for t, _, dst, *_ in traced.comm_trace if t == 0] == [1, 2]
-    cores = ["python"] + (["c"] if native_available() else [])
     hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())
     cluster = [
         traced,
+        run_core(cg, machine, b, record_trace=True).result,
         run_core(cg, machine, b, fault=hooks).result,
-    ] + [run_core(cg, machine, b, core=core).result for core in cores]
+        run_core(cg, machine, b).result,  # C where it loaded
+    ]
     assert [r.messages for r in cluster] == [9] * len(cluster)
     assert [r.makespan for r in cluster] == [cluster[0].makespan] * len(cluster)
 
@@ -324,13 +333,13 @@ def test_a_wrong_wait_count_is_refused_by_every_loop(change):
     bad = dataclasses.replace(cg, wait=wait)
     hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())
     refusals = [
-        ("python", lambda: run_core(bad, machine, b, core="python")),
+        ("python", lambda: run_core(bad, machine, b, record_trace=True)),
         ("python", lambda: run_core(bad, machine, b, fault=hooks)),
     ]
     if native_available():
         refusals += [
-            ("c", lambda: run_core(bad, machine, b, core="c")),
-            ("c", lambda: run_core_batch([cg, bad], machine, b, core="c")),
+            ("c", lambda: run_core(bad, machine, b)),
+            ("c", lambda: run_core_batch([cg, bad], machine, b)),
         ]
     for core, simulate in refusals:
         where = "task 9" if core == "python" else "graph [01]"
@@ -392,33 +401,39 @@ def test_event_queue_orders_like_heapq(
     prio = list(range(cg.ntasks, 0, -1)) if reverse_prio else None
     for reuse in (False, True):
         kw = dict(prio=prio, data_reuse=reuse)
-        ref = run_core(cg, mach, case.b, core="python", **kw)
-        out = run_core(cg, mach, case.b, core="c", **kw)
+        ref = run_core(cg, mach, case.b, record_trace=True, **kw)
+        out = run_core(cg, mach, case.b, **kw)
         assert (ref.engine, out.engine) == ("python", "c")
-        assert out.result == ref.result
+        want = _untraced(ref.result)
+        assert out.result == want
         batch = run_core_batch(
-            [cg, cg], mach, case.b, prios=[prio, prio],
-            data_reuse=reuse, core="c",
+            [cg, cg], mach, case.b, prios=[prio, prio], data_reuse=reuse,
         )
-        assert batch == [ref.result, ref.result]
+        assert batch == [want, want]
 
 
 @pytest.mark.parametrize("detail", ["summary", "tasks"])
 @pytest.mark.parametrize("name", ["flat-serialized", "hierarchical-reuse"])
 def test_obs_recording_is_bitwise_neutral(name, detail):
-    """A recorder must not move a single bit, over the run summary alone
-    (the C loop where it is built) or with the per-task trace."""
+    """An attached request trace must not move a single bit, over the run
+    summary alone (the C loop where it is built) or with the per-task
+    trace; its one ``simulate`` span names the loop that ran."""
+    from repro.obs.tracing import RequestTrace, attach, mint_trace_id
+
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
     frozen = FIXTURE["scalar"][name]
-    with recording() as rec:
+    trace = RequestTrace(mint_trace_id(), "test", 0.0)
+    with attach(trace):
         res = run_core(
             cg, case.machine, case.b,
             prio=prio, data_reuse=case.data_reuse,
             record_trace=detail == "tasks",
         ).result
     _assert_scalar(res, frozen)
-    assert len(rec.runs) == 1
+    (sp,) = trace.root.children
+    c_loop = detail == "summary" and native_available()
+    assert sp.attrs["engine"] == ("c" if c_loop else "python")
     if detail == "tasks":
         assert trace_digest(res.trace) == frozen["trace"]
         assert comm_digest(res.comm_trace) == frozen["comm"]

@@ -64,18 +64,16 @@ def test_all_engines_agree_on_tie_heavy_configuration():
 
     cg = compile_graph(graph, layout, machine, B)
     engines = {
-        "compiled-python": run_core(cg, machine, B, core="python").result,
+        "compiled-python": run_core(cg, machine, B, record_trace=True).result,
         "fault-branch": run_core(
             cg, machine, B,
             fault=FaultHooks(
                 FaultSchedule(), replan=lambda dead: cg.node.tolist()
             ),
         ).result,
+        # the C loop where it loaded, else the untraced Python loop
+        "compiled": run_core(cg, machine, B).result,
     }
-    from repro._ccore import native_available
-
-    if native_available():
-        engines["compiled-c"] = run_core(cg, machine, B, core="c").result
     for name, res in engines.items():
         assert res.makespan == ref.makespan, name
         assert res.messages == ref.messages, name

@@ -19,7 +19,6 @@ from repro.serve.service import PlanRequest
 @pytest.fixture
 def cache(monkeypatch):
     """A private process-wide cache, so other suites' graphs stay out."""
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     c = CompiledGraphCache()
     monkeypatch.setattr(cache_mod, "_default", c)
     return c
@@ -75,7 +74,6 @@ def test_clear_memory_makes_a_hot_question_cold_again(
 
 
 def test_evicted_entry_takes_its_answer_along(monkeypatch, simulations, service):
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     one_slot = CompiledGraphCache(memory_slots=1)
     monkeypatch.setattr(cache_mod, "_default", one_slot)
     a1, _, a2 = ask(service), ask(service, m=10), ask(service)

@@ -54,9 +54,7 @@ class TestReusedConnectionDoesNotStall:
     #: 30 replies that each wait out a delayed ACK take 30 x 40 ms
     BUDGET_S = 0.4
 
-    def test_thirty_requests_on_one_raw_connection(self, daemon, monkeypatch):
-        # hot means answered from the cache entry: not the reference engine
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    def test_thirty_requests_on_one_raw_connection(self, daemon):
         conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
         body = json.dumps({**TINY_REQUEST, "tenant": "gold"})
         try:

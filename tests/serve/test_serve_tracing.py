@@ -100,11 +100,7 @@ class TestTraceEndpoint:
         assert "simulate" in kids
         assert resp.breakdown["simulate"] > 0.0
 
-    def test_repeated_question_is_a_lookup_not_a_simulation(
-        self, client, monkeypatch
-    ):
-        # the reference engine never enters the graph cache
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    def test_repeated_question_is_a_lookup_not_a_simulation(self, client):
         question = {**TINY_REQUEST, "m": 13}
         first = client.plan("gold", question)
         again = client.plan("gold", question)

@@ -2,7 +2,7 @@
 
 A chain with the filter (the native core) must write the accepted stream,
 acceptance history and best-k of a chain that simulates every proposal
-(``REPRO_SIM_CORE=python``: bounds are 0.0 there, the filter is off),
+(no native core: bounds are 0.0 there, the filter is off),
 byte for byte, while needing fewer energies.
 """
 
@@ -32,8 +32,7 @@ CHAINS = [
 
 @pytest.fixture
 def native(monkeypatch):
-    """The default core, whatever the surrounding run selected."""
-    monkeypatch.setenv("REPRO_SIM_CORE", "auto")
+    """The native core, on a cache of this test's own, or skip."""
     if not _ccore.native_available():
         pytest.skip("no native core: the filter is off everywhere")
     # a cache of this test's own: answers left by other tests stay out
@@ -63,14 +62,15 @@ def test_filter_keeps_the_stream_bitwise(tmp_path, monkeypatch, native):
     fewer = 0
     for seed, name, shape, batch_size, top_k in CHAINS:
         args = (seed, MACHINES[name], shape, batch_size, top_k)
-        monkeypatch.setenv("REPRO_SIM_CORE", "auto")
         on, filtered = run_chain(tmp_path / f"{seed}-on", *args)
-        monkeypatch.setenv("REPRO_SIM_CORE", "python")
-        # a fresh cache: the baseline takes no answer the filtered chain left
-        monkeypatch.setattr(
-            cache_module, "_default", cache_module.CompiledGraphCache()
-        )
-        off, plain = run_chain(tmp_path / f"{seed}-off", *args)
+        with monkeypatch.context() as no_native:  # as with no compiler
+            no_native.setattr(_ccore, "get_lib", lambda: None)
+            # a fresh cache: the baseline takes no answer the filtered
+            # chain left
+            no_native.setattr(
+                cache_module, "_default", cache_module.CompiledGraphCache()
+            )
+            off, plain = run_chain(tmp_path / f"{seed}-off", *args)
         assert on == off, (seed, name)
         assert plain.bounded == 0
         assert filtered.evaluations <= plain.evaluations

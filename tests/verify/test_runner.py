@@ -142,6 +142,21 @@ def test_format_report_clean_summary():
     assert "seed=2" in text and "OK" in text
 
 
+def test_verify_stdout_repeats_byte_for_byte(capsys):
+    """Two runs of one seed and budget print the same stdout; the wall
+    time goes to stderr only."""
+    from repro.cli import main
+
+    printed = []
+    for _ in range(2):
+        assert main(["verify", "--seed", "0", "--budget", "3"]) == 0
+        out, err = capsys.readouterr()
+        printed.append(out)
+        assert "verify took" in err and "verify took" not in out
+    assert printed[0] == printed[1]
+    assert "cases run: 3\n" in printed[0]
+
+
 def _drops_an_edge(build):
     """A production builder whose graphs lose their last successor edge."""
 
