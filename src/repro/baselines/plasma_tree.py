@@ -17,8 +17,6 @@ parameter is the direct ancestor of HQR's ``a``.
 from __future__ import annotations
 
 from repro.hqr.config import HQRConfig
-from repro.hqr.hierarchy import hqr_elimination_list
-from repro.trees.base import Elimination
 
 
 def plasma_tree_config(bs: int) -> HQRConfig:
@@ -27,7 +25,3 @@ def plasma_tree_config(bs: int) -> HQRConfig:
         raise ValueError(f"domain size must be positive, got {bs}")
     return HQRConfig(p=1, q=1, a=bs, low_tree="binary", high_tree="flat", domino=False)
 
-
-def plasma_tree_elimination_list(m: int, n: int, bs: int) -> list[Elimination]:
-    """Elimination list of PLASMA-TREE for an ``m x n`` tile matrix."""
-    return hqr_elimination_list(m, n, plasma_tree_config(bs))

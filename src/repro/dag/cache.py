@@ -26,7 +26,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import threading
 from collections import OrderedDict
 from contextlib import ExitStack, contextmanager
@@ -54,6 +53,10 @@ __all__ = [
 #: rewrites every key tune wrote into ``samples.jsonl`` / checkpoints (they
 #: break best-k ties).  Bump when equal inputs stop meaning an equal graph.
 CACHE_VERSION = 1
+
+#: LRU capacity: a Figure-6 sweep's 72 answers (a repeated sweep simulates
+#: nothing) or its 72 graphs (≈ 40.5 MiB of arrays) fit
+MEMORY_SLOTS = 128
 
 #: every array of a CompiledGraph, derived: none can be stored unfrozen
 _ARRAY_FIELDS = tuple(
@@ -152,21 +155,6 @@ def _digest(m, n, b, config, layout_type, layout_params, machine) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _default_memory_slots() -> int:
-    """Cache capacity: ``REPRO_CACHE_SLOTS`` or 128 entries, enough for a
-    Figure-6 sweep's 72 answers (a repeated sweep simulates nothing) or
-    its 72 graphs (≈ 40.5 MiB of arrays, kept by ``run_config``)."""
-    env = os.environ.get("REPRO_CACHE_SLOTS")
-    if not env:
-        return 128
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CACHE_SLOTS must be an integer, got {env!r}"
-        ) from None
-
-
 class CompiledGraphCache:
     """In-memory LRU of compiled graphs and their answers.
 
@@ -192,11 +180,9 @@ class CompiledGraphCache:
     outlives eviction and is dropped by :meth:`clear_memory`.
     """
 
-    def __init__(self, root: Path | None = None, memory_slots: int | None = None):
+    def __init__(self, root: Path | None = None, memory_slots: int = MEMORY_SLOTS):
         # vestigial: nothing is written here; perf/ reads the attribute
         self.root = Path(root) if root is not None else cache_root() / "graphs"
-        if memory_slots is None:
-            memory_slots = _default_memory_slots()
         self.memory_slots = memory_slots
         self._memory: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.RLock()

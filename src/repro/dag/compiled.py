@@ -237,26 +237,6 @@ def _finish(
 # --------------------------------------------------------------------- #
 # build from an elimination list
 # --------------------------------------------------------------------- #
-def count_tasks(elims: Sequence[Elimination], m: int, n: int) -> int:
-    """Exact task count of ``compiled_from_eliminations`` without building
-    the graph — the closed form of what the native counting pre-pass counts.
-
-    A kernel on panel ``k`` brings its ``n - 1 - k`` trailing updates, so
-    every elimination, and every tile triangularized on first use (each
-    killer's, each TT victim's), contributes ``n - k`` tasks.
-    """
-    elims = EliminationArray.of(elims)
-    panel = elims.panel.astype(np.int64)
-    tiles = np.unique(np.concatenate((
-        elims.killer * np.int64(n) + panel,
-        (elims.victim * np.int64(n) + panel)[elims.ts == 0],
-    )))
-    ntasks = int((n - panel).sum() + (n - tiles % n).sum())
-    if m <= n and (m - 1) * (n + 1) not in tiles:
-        ntasks += 1 + (n - m)
-    return ntasks
-
-
 def _build_native(
     elims: EliminationArray, m: int, n: int, layout: Layout,
     machine: Machine, b: int,

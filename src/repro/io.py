@@ -1,4 +1,4 @@
-"""Serialization of elimination lists, configs and simulation results.
+"""Serialization of elimination lists and their configs.
 
 Elimination lists are *the* portable artifact of a tiled QR (the paper's
 §II point); persisting them lets users archive, diff, and replay exact
@@ -13,7 +13,6 @@ from dataclasses import asdict
 from typing import Sequence
 
 from repro.hqr.config import HQRConfig
-from repro.runtime.core import SimulationResult
 from repro.trees.base import Elimination
 
 SCHEMA_VERSION = 1
@@ -57,28 +56,3 @@ def eliminations_from_json(text: str) -> tuple[list[Elimination], int, int, HQRC
     cfg = HQRConfig(**doc["config"]) if doc.get("config") else None
     return elims, doc["m"], doc["n"], cfg
 
-
-def result_to_json(res: SimulationResult, *, label: str = "") -> str:
-    """Serialize a simulation result (without the trace) to JSON."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "simulation-result",
-        "label": label,
-        "makespan": res.makespan,
-        "flops": res.flops,
-        "gflops": res.gflops,
-        "messages": res.messages,
-        "bytes_sent": res.bytes_sent,
-        "busy_seconds": res.busy_seconds,
-        "cores": res.cores,
-        "efficiency": res.efficiency,
-    }
-    return json.dumps(doc, indent=None, separators=(",", ":"))
-
-
-def result_from_json(text: str) -> dict:
-    """Parse a serialized simulation result into a plain dict."""
-    doc = json.loads(text)
-    if doc.get("kind") != "simulation-result":
-        raise ValueError(f"not a simulation-result document: {doc.get('kind')!r}")
-    return doc

@@ -104,12 +104,6 @@ def graph_bounds(graphs, machine: Machine, b: int) -> list[GraphBound]:
     ]
 
 
-def graph_lower_bound(cg, machine: Machine, b: int) -> float:
-    """Admissible lower bound on ``run_core(cg, machine, b)``'s makespan,
-    for any priority and data-reuse setting."""
-    return graph_bounds([cg], machine, b)[0].bound
-
-
 def elimination_bound(
     elims, m: int, n: int, layout, machine: Machine, b: int
 ) -> tuple[float, float] | None:

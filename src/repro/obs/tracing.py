@@ -421,15 +421,14 @@ def _as_json(trace) -> dict:
     return trace.to_json() if isinstance(trace, RequestTrace) else dict(trace)
 
 
-def chrome_span_events(traces, *, pid: int = 0) -> list[dict]:
+def chrome_span_events(traces) -> list[dict]:
     """Chrome ``trace_event`` dicts for a serving track.
 
-    One pseudo-process (``pid``), one thread row per request (tid = job
-    id when known), complete ``X`` events per span — merge into an
-    existing ``trace_events_json`` document or load standalone.
+    One pseudo-process (pid 0), one thread row per request (tid = job
+    id when known), complete ``X`` events per span.
     """
     events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": "serving requests"},
     }]
 
@@ -440,7 +439,7 @@ def chrome_span_events(traces, *, pid: int = 0) -> list[dict]:
         args = dict(sp.get("attrs", {}))
         args["trace_id"] = trace_id
         events.append({
-            "name": sp["name"], "ph": "X", "pid": pid, "tid": tid,
+            "name": sp["name"], "ph": "X", "pid": 0, "tid": tid,
             "ts": us(sp["start"]),
             "dur": max(0.0, us(sp["end"]) - us(sp["start"])),
             "cat": "serve", "args": args,
@@ -453,7 +452,7 @@ def chrome_span_events(traces, *, pid: int = 0) -> list[dict]:
         tid = tj.get("job_id")
         tid = int(tid) if tid is not None else 100000 + i
         events.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+            "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
             "args": {"name": f"job {tid} [{tj.get('tenant', '?')}]"},
         })
         emit(tj["root"], tid, tj.get("trace_id", "?"))

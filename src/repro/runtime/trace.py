@@ -84,7 +84,6 @@ def trace_events_json(
     comm_trace: list[tuple[int, int, int, float, float]] | None = None,
     tile_bytes: int = 0,
     counters: dict[str, list[tuple[float, float]]] | None = None,
-    request_spans: list[dict] | None = None,
 ) -> str:
     """Render a trace as Chrome ``trace_event`` JSON.
 
@@ -106,10 +105,7 @@ def trace_events_json(
     rows.  ``counters`` — ``name -> [(time, value), ...]`` series, e.g.
     the busy-core timeline from
     :func:`~repro.obs.metrics.utilization_timeline` — render as counter
-    tracks (``ph: C``).  ``request_spans`` — request-trace dicts from
-    :mod:`repro.obs.tracing` (``RequestTrace.to_json()``) — merge in as
-    a dedicated "requests" pseudo-process, one thread row per traced
-    request, so serving span trees line up with the compute rows.
+    tracks (``ph: C``).
 
     Times are exported in microseconds (the trace-event unit).
     """
@@ -249,11 +245,6 @@ def trace_events_json(
                     "args": ev,
                 }
             )
-    if request_spans:
-        from repro.obs.tracing import chrome_span_events
-
-        req_pid = max((e["pid"] for e in events if "pid" in e), default=-1) + 1
-        events.extend(chrome_span_events(request_spans, pid=req_pid))
     return json.dumps(
         {"traceEvents": events, "displayTimeUnit": "ms"}, sort_keys=True
     )

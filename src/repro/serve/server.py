@@ -78,6 +78,14 @@ _BODY_SIZE = "body must be 1 byte to 64 KiB of JSON"
 #: simply reconnects
 IDLE_TIMEOUT = 30.0
 
+#: seconds a handler waits for a worker's answer before replying 504
+REQUEST_TIMEOUT = 60.0
+#: scheduler cost of a request that names none
+DEFAULT_COST = 1.0
+#: latency (seconds) above which a served request counts as an SLO
+#: breach and dumps the flight recorder
+SLO_BREACH_S = 30.0
+
 
 @dataclass
 class _Pending:
@@ -102,30 +110,21 @@ class PlanningDaemon:
         port: int = 0,
         workers: int = 2,
         max_inflight_cost: float | None = None,
-        request_timeout: float = 60.0,
-        default_cost: float = 1.0,
-        slo_breach_s: float | None = 30.0,
-        trace_capacity: int = 256,
-        flight_capacity: int = 64,
         flight_cooldown: float = 1.0,
         access_log: bool = False,
     ):
         self.service = service or PlannerService()
-        self.slo = SLOTracker(breach_s=slo_breach_s)
+        self.slo = SLOTracker(breach_s=SLO_BREACH_S)
         self.scheduler = FairScheduler(
             tenants, capacity=workers, max_inflight_cost=max_inflight_cost
         )
         self.host = host
         self.requested_port = port
         self.workers = workers
-        self.request_timeout = request_timeout
-        self.default_cost = default_cost
-        self.slo_breach_s = slo_breach_s
         self.access_log = access_log
-        self.tracer = Tracer(
-            store_capacity=trace_capacity,
-            flight=FlightRecorder(flight_capacity, cooldown=flight_cooldown),
-        )
+        # the tracer keeps its default 256 recent traces, the flight
+        # recorder its default ring of 64
+        self.tracer = Tracer(flight=FlightRecorder(cooldown=flight_cooldown))
         self._cond = threading.Condition()
         self._draining = False
         self._stopping = False
@@ -274,10 +273,7 @@ class PlanningDaemon:
                     )
                 elif degraded:
                     flight.trigger("fault", detail=f"job {job.job_id}")
-                elif (
-                    self.slo_breach_s is not None
-                    and latency > self.slo_breach_s
-                ):
+                elif latency > SLO_BREACH_S:
                     flight.trigger(
                         "slo-breach",
                         detail=f"job {job.job_id} latency {latency:.3f}s",
@@ -329,7 +325,7 @@ class PlanningDaemon:
                 job_id=self._job_seq,
                 tenant=tenant,
                 request=pending,
-                cost=req.cost if req.cost is not None else self.default_cost,
+                cost=req.cost if req.cost is not None else DEFAULT_COST,
                 arrival=now,
             )
             trace.job_id = job.job_id
@@ -356,7 +352,7 @@ class PlanningDaemon:
                     {"Retry-After": f"{adm.retry_after:.3f}", **trace_headers},
                 )
             self._cond.notify()
-        if not pending.event.wait(timeout=self.request_timeout):
+        if not pending.event.wait(timeout=REQUEST_TIMEOUT):
             return (
                 504,
                 {

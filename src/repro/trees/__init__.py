@@ -18,7 +18,7 @@ from repro.trees.binary import BinaryTree
 from repro.trees.fibonacci import FibonacciTree
 from repro.trees.greedy import GreedyTree, greedy_elimination_list
 from repro.trees.pipelined import panel_elimination_list
-from repro.trees.schedule import coarse_schedule, killer_table, critical_steps
+from repro.trees.schedule import coarse_schedule, killer_table
 from repro.trees.factory import make_tree, TREE_NAMES
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "panel_elimination_list",
     "coarse_schedule",
     "killer_table",
-    "critical_steps",
     "make_tree",
     "TREE_NAMES",
 ]

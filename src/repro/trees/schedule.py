@@ -49,12 +49,6 @@ def coarse_schedule(elims: Sequence[Elimination]) -> dict[Elimination, int]:
     return steps
 
 
-def critical_steps(elims: Sequence[Elimination]) -> int:
-    """Length (in unit steps) of the coarse schedule — the paper's ``S``."""
-    steps = coarse_schedule(elims)
-    return max(steps.values(), default=0)
-
-
 def killer_table(
     elims: Iterable[Elimination],
     m: int,

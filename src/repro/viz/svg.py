@@ -78,8 +78,3 @@ def trace_to_svg(
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def save_trace_svg(path: str, trace, graph: CompiledGraph, **kwargs) -> None:
-    """Write the SVG to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(trace_to_svg(trace, graph, **kwargs))

@@ -2,17 +2,21 @@
 
 import pytest
 
-from repro.baselines.plasma_tree import plasma_tree_config, plasma_tree_elimination_list
-from repro.hqr import check_elimination_list
+from repro.baselines.plasma_tree import plasma_tree_config
+from repro.hqr import check_elimination_list, hqr_elimination_list
+
+
+def plasma_tree(m, n, bs):
+    return hqr_elimination_list(m, n, plasma_tree_config(bs))
 
 
 class TestPlasmaTree:
     def test_valid(self):
-        check_elimination_list(plasma_tree_elimination_list(16, 4, bs=4), 16, 4)
+        check_elimination_list(plasma_tree(16, 4, bs=4), 16, 4)
 
     def test_flat_ts_within_domains(self):
         bs = 4
-        for e in plasma_tree_elimination_list(16, 2, bs):
+        for e in plasma_tree(16, 2, bs):
             if e.ts:
                 # same contiguous domain (p=1 -> local view == global view)
                 assert e.victim // bs == e.killer // bs or e.killer < bs
@@ -21,7 +25,7 @@ class TestPlasmaTree:
         bs, m = 4, 16
         cross = [
             e
-            for e in plasma_tree_elimination_list(m, 1, bs)
+            for e in plasma_tree(m, 1, bs)
             if not e.ts
         ]
         assert cross and all(not e.ts for e in cross)
@@ -30,11 +34,11 @@ class TestPlasmaTree:
             assert e.victim % bs == 0 or e.victim < bs
 
     def test_bs_equals_one_is_pure_binary(self):
-        elims = plasma_tree_elimination_list(8, 1, bs=1)
+        elims = plasma_tree(8, 1, bs=1)
         assert all(not e.ts for e in elims)
 
     def test_bs_covers_matrix_is_pure_flat_ts(self):
-        elims = plasma_tree_elimination_list(8, 1, bs=8)
+        elims = plasma_tree(8, 1, bs=8)
         assert all(e.ts for e in elims)
 
     def test_rejects_bad_bs(self):
@@ -55,7 +59,7 @@ class TestPlasmaTree:
         cp, ts = {}, {}
         for bs in (1, 4, 32):
             cg = compiled_from_eliminations(
-                plasma_tree_elimination_list(m, n, bs), m, n, SingleNode(), mach, 280
+                plasma_tree(m, n, bs), m, n, SingleNode(), mach, 280
             )
             cp[bs] = graph_bounds([cg], mach, 280)[0].plain_critical_path
             ts[bs] = kernel_mix(cg).ts_fraction

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.hqr import HQRConfig, check_elimination_list, hqr_elimination_list
-from repro.io import (
-    eliminations_from_json,
-    eliminations_to_json,
-    result_from_json,
-    result_to_json,
-)
+from repro.io import eliminations_from_json, eliminations_to_json
 
 
 class TestEliminationRoundtrip:
@@ -62,17 +57,3 @@ class TestEliminationRoundtrip:
         r2 = qr(A, b=b, eliminations=back)
         np.testing.assert_array_equal(r1.R, r2.R)
 
-
-class TestResultRoundtrip:
-    def test_roundtrip(self):
-        from repro.bench.runner import BenchSetup, run_config
-
-        res = run_config(8, 4, HQRConfig(p=2, a=2), BenchSetup())
-        doc = result_from_json(result_to_json(res, label="demo"))
-        assert doc["label"] == "demo"
-        assert doc["gflops"] == pytest.approx(res.gflops)
-        assert doc["messages"] == res.messages
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError):
-            result_from_json('{"kind": "elimination-list"}')

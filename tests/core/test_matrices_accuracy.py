@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.accuracy import default_configs, study, worst_case
-from repro.core.matrices import (
+from _support import (
     GENERATORS,
+    default_configs,
     gaussian,
     graded,
     ill_conditioned,
     kahan,
     near_rank_deficient,
+    study,
     vandermonde,
 )
 
@@ -76,11 +77,6 @@ class TestAccuracyStudy:
         for r in reports:
             assert r.r_relative_diff < 1e-12, r.label
 
-    def test_worst_case_helper(self):
-        reports = study(gaussian(24, 12, seed=2), b=6)
-        w = worst_case(reports)
-        assert w.orthogonality == max(r.orthogonality for r in reports)
-
     def test_default_configs_cover_both_kernel_families(self):
         cfgs = default_configs()
         assert any(c.a > 1 for c in cfgs.values())
@@ -93,5 +89,5 @@ class TestAccuracyStudy:
         worst = 0.0
         for seed in range(30):
             reports = study(gaussian(32, 16, seed=seed), b=8)
-            worst = max(worst, worst_case(reports).orthogonality)
+            worst = max(worst, *(r.orthogonality for r in reports))
         assert worst < 1e-13

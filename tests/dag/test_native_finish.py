@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from _support import random_elimination_list
 from repro import _ccore
 from repro.dag.cache import _ARRAY_FIELDS
 from repro.dag import compiled
@@ -27,7 +28,6 @@ from repro.dag.compiled import (
     _succ_csr,
     _transpose,
     compiled_from_eliminations,
-    count_tasks,
     duration_table,
     placement_array,
     task_coordinates,
@@ -39,7 +39,6 @@ from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
 from repro.verify.reference import Task, TaskGraph, compile_graph
 from repro.trees.base import EliminationArray
-from repro.trees.random_tree import random_elimination_list
 from repro.verify.generator import LAYOUT_KINDS, generate_cases
 
 needs_native = pytest.mark.skipif(
@@ -295,7 +294,8 @@ def test_write_pass_refuses_counts_it_does_not_reproduce():
     owner = np.zeros(m * n, np.int32)
     nothing = [np.empty(0, np.int32)] * 5
     nedges, ntasks = _raw_build(lib, 0, m, n, elims, owner, 1, 0, 0, nothing)
-    assert ntasks == count_tasks(elims, m, n) and nedges > ntasks
+    assert ntasks == len(TaskGraph.from_eliminations(elims, m, n).tasks)
+    assert nedges > ntasks
 
     def arrays(nt, ne):  # kind, wait, node, succ_ptr, succ_idx
         sizes = [nt, nt, nt, nt + 1, ne]
@@ -399,20 +399,6 @@ def test_two_threads_plan_equal_graphs_on_cold_tables():
         _assert_same_graph(
             cg_a, _reference_graph(elims_a, m, n, layout, machine, 16)
         )
-
-
-def test_count_tasks_matches_the_builders():
-    shapes = [(1, 1), (1, 4), (2, 1), (5, 5), (3, 7), (7, 3), (12, 4)]
-    for m, n in shapes:
-        for cfg in (HQRConfig(p=2, a=2), HQRConfig(p=3, a=1, domino=False)):
-            elims = hqr_elimination_list(m, n, cfg)
-            want = len(TaskGraph.from_eliminations(elims, m, n).tasks)
-            assert count_tasks(elims, m, n) == want
-            assert count_tasks(list(elims), m, n) == want
-    for seed in range(8):
-        elims = random_elimination_list(7, 5, seed=seed)
-        want = len(TaskGraph.from_eliminations(elims, 7, 5).tasks)
-        assert count_tasks(elims, 7, 5) == want
 
 
 def test_list_that_does_not_fit_the_shape_is_rejected():

@@ -7,13 +7,13 @@ library must execute correctly under distributed-memory semantics.
 import numpy as np
 import pytest
 
+from _support import random_elimination_list
 from repro.distributed.engine import DistributedEngine, ThreadComm
 from repro.hqr.multilevel import Level, MultilevelTree
 from repro.runtime import SequentialExecutor
 from repro.runtime.executor import numeric_graph
 from repro.tiles import TiledMatrix
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
-from repro.trees.random_tree import random_elimination_list
 
 
 def reference(A, b, elims, m, n):

@@ -1,4 +1,6 @@
-"""Tests for the caller census (``tools/census.py``)."""
+"""Tests for the caller census and its gate (``tools/census.py``)."""
+
+import pytest
 
 import importlib.util
 import sys
@@ -47,12 +49,14 @@ def test_counts_references_per_scope(tmp_path, capsys):
             rows["orphan"].refs["ci"]) == (1, 1, 1)
     assert (rows["orphan"].line, rows["orphan"].lines) == (5, 3)
     assert rows["Shape"].refs["src"] == 0 and rows["Shape"].refs["ci"] == 2
-    assert census.main(["--root", str(tmp_path)]) == 0
+    # no allow list: both orphans are unlisted, and the gate fails
+    assert census.main(["--root", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "orphan" in out and "Shape" in out and "\nused " not in out
+    assert "unlisted: orphan (src/pkg/a.py:5)" in out
     assert out.rstrip().endswith(
         "3 public definitions in src/; 2 of them, 5 lines, "
-        "have no src/ reference"
+        "have no src/ reference; 2 unlisted, 0 stale"
     )
     assert census.main(["--root", str(tmp_path), "used", "gone"]) == 0
     out = capsys.readouterr().out
@@ -60,12 +64,57 @@ def test_counts_references_per_scope(tmp_path, capsys):
     assert "gone: no public top-level definition in src/" in out
 
 
-def test_this_repository_reports(capsys):
-    """The report runs on the repository itself and lists only names with
-    no ``src/`` reference; a name the pipeline calls is never among them."""
+def orphan_tree(root: Path) -> None:
+    write(root, "src/pkg/a.py", (
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return used()\n"
+    ))
+
+
+def test_allow_list_settles_an_orphan(tmp_path, capsys):
+    orphan_tree(tmp_path)
+    write(tmp_path, "tools/census_allow.txt", (
+        "# comment lines and blank lines are skipped\n\n"
+        "orphan   the tests' oracle\n"
+    ))
+    assert census.allow_list(tmp_path) == {"orphan": "the tests' oracle"}
+    assert census.main(["--root", str(tmp_path)]) == 0
+    assert "0 unlisted, 0 stale" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("listed", ["gone", "used"])
+def test_a_listed_name_gone_or_called_is_stale(tmp_path, capsys, listed):
+    orphan_tree(tmp_path)
+    write(tmp_path, "tools/census_allow.txt", (
+        f"orphan  an oracle\n{listed}  was an orphan once\n"
+    ))
+    assert census.main(["--root", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"stale: {listed} is listed" in out and "1 stale" in out
+
+
+@pytest.mark.parametrize("text,error", [
+    ("orphan\n", "orphan has no reason"),
+    ("orphan   \n", "orphan has no reason"),
+    ("orphan  one\norphan  two\n", "orphan listed twice"),
+])
+def test_every_allow_line_has_one_name_and_a_reason(
+    tmp_path, capsys, text, error
+):
+    orphan_tree(tmp_path)
+    write(tmp_path, "tools/census_allow.txt", text)
+    with pytest.raises(ValueError, match=error):
+        census.allow_list(tmp_path)
+    assert census.main(["--root", str(tmp_path)]) == 1
+    assert error in capsys.readouterr().out
+
+
+def test_this_repository_reports():
+    """Every public name in ``src/`` has a ``src/`` caller or a reasoned
+    line in ``tools/census_allow.txt``, and no line there is stale: the
+    in-process mirror of CI's census step."""
     defs = census.census(REPO)
+    unlisted, stale = census.verdict(defs, census.allow_list(REPO))
+    assert [d.name for d in unlisted] == [] and stale == []
     orphans = {d.name for d in defs if not d.refs["src"]}
-    assert len(defs) > len(orphans) > 0
     assert "run_core" not in orphans and "hqr_elimination_list" not in orphans
-    assert census.main([]) == 0
-    assert "have no src/ reference" in capsys.readouterr().out

@@ -6,7 +6,7 @@ from repro.baselines.bbd10 import bbd10_elimination_list
 from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import bandwidth_lower_bound_words
-from repro.models.bounds import graph_bounds, graph_lower_bound
+from repro.models.bounds import graph_bounds
 from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
 
@@ -29,9 +29,9 @@ class TestSchedulingBounds:
         mach = Machine(nodes=nodes, cores_per_node=cores)
         lay = Cyclic1D(nodes)
         res = ClusterSimulator(mach, lay, b).run(g)
-        assert res.makespan >= graph_lower_bound(
-            compile_graph(g, lay, mach, b), mach, b
-        )
+        assert res.makespan >= graph_bounds(
+            [compile_graph(g, lay, mach, b)], mach, b
+        )[0].bound
 
     def test_cp_decreasing_in_parallel_trees(self):
         b = 40

@@ -215,8 +215,8 @@ class TestExport:
         assert [t["job_id"] for t in load_traces(str(snap))] == [3]
 
     def test_chrome_span_events(self):
-        events = chrome_span_events(self._traces(), pid=7)
-        assert all(e["pid"] == 7 for e in events)
+        events = chrome_span_events(self._traces())
+        assert all(e["pid"] == 0 for e in events)
         x = [e for e in events if e["ph"] == "X"]
         # request + queue + service + simulate per trace
         assert len(x) == 8
@@ -224,42 +224,6 @@ class TestExport:
         sim = next(e for e in x if e["name"] == "simulate")
         assert sim["ts"] == pytest.approx(0.25e6)
         assert sim["dur"] == pytest.approx(0.75e6)
-
-    def test_chrome_track_merges_into_runtime_trace(self):
-        from repro.dag.compiled import (
-            compiled_from_eliminations,
-            task_coordinates,
-        )
-        from repro.hqr.config import HQRConfig
-        from repro.hqr.hierarchy import hqr_elimination_list
-        from repro.runtime.machine import Machine
-        from repro.runtime.trace import trace_events_json
-        from repro.tiles.layout import BlockCyclic2D
-
-        cfg = HQRConfig(p=2, q=1, a=2)
-        elims = hqr_elimination_list(4, 2, cfg)
-        cg = compiled_from_eliminations(
-            elims, 4, 2, BlockCyclic2D(2, 1), Machine(nodes=2), 16
-        )
-        run_trace = [(i, 0, 0.0, 1.0) for i in range(cg.ntasks)]
-        doc = json.loads(
-            trace_events_json(
-                run_trace, cg.kind, task_coordinates(elims, 4, 2),
-                request_spans=self._traces(),
-            )
-        )
-        names = [
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e.get("name") == "process_name"
-        ]
-        assert "serving requests" in names
-        req_pids = {
-            e["pid"]
-            for e in doc["traceEvents"]
-            if e.get("args", {}).get("trace_id")
-        }
-        assert req_pids and 0 not in req_pids  # own pseudo-process
 
     def test_format_trace_mentions_stages(self):
         text = format_trace(self._traces(1)[0])

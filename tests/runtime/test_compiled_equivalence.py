@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _support import random_elimination_list
 from repro._ccore import native_available
 from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr.config import HQRConfig
@@ -18,7 +19,6 @@ from repro.hqr.hierarchy import hqr_elimination_list
 from repro.runtime.core import priority_ranks, run_core
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, SingleNode
-from repro.trees.random_tree import random_elimination_list
 from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.verify.reference.priorities import make_priority
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models.bounds import graph_lower_bound
+from repro.models.bounds import graph_bounds
 from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
@@ -37,9 +37,9 @@ def test_simulation_respects_bounds_and_conserves_work(m, n, cfg, nodes, cores):
     lay = Cyclic1D(nodes)
     res = ClusterSimulator(mach, lay, b).run(g)
     # 1. no schedule beats the graph pass's bound
-    assert res.makespan >= graph_lower_bound(
-        compile_graph(g, lay, mach, b), mach, b
-    )
+    assert res.makespan >= graph_bounds(
+        [compile_graph(g, lay, mach, b)], mach, b
+    )[0].bound
     # 2. work conservation: busy time equals the sum of kernel durations
     work = sum(mach.task_seconds(t.kind, b) for t in g.tasks)
     assert res.busy_seconds == pytest.approx(work)

@@ -23,7 +23,6 @@ from repro.trees import (
     FibonacciTree,
     FlatTree,
     coarse_schedule,
-    critical_steps,
     greedy_elimination_list,
     make_tree,
     panel_elimination_list,
@@ -33,11 +32,13 @@ from repro.trees.fibonacci import fibonacci_groups
 
 def panel_steps(name, q):
     """Steps to reduce a fresh panel of ``q`` rows with tree ``name``."""
-    return critical_steps(panel_elimination_list(q, 1, make_tree(name)))
+    elims = panel_elimination_list(q, 1, make_tree(name))
+    return max(coarse_schedule(elims).values(), default=0)
 
 
 def flat_steps(m, n):
-    return critical_steps(panel_elimination_list(m, n, FlatTree()))
+    elims = panel_elimination_list(m, n, FlatTree())
+    return max(coarse_schedule(elims).values(), default=0)
 
 
 def greedy_steps(m, n):

@@ -16,7 +16,6 @@ from repro.trees import (
     BinaryTree,
     FlatTree,
     coarse_schedule,
-    critical_steps,
     greedy_elimination_list,
     panel_elimination_list,
 )
@@ -100,8 +99,10 @@ class TestTable3:
     def test_binary_has_pipeline_bumps(self):
         """§III-B: binary pipelines worse than flat across panels."""
         m, n = 12, 3
-        flat = critical_steps(panel_elimination_list(m, n, FlatTree()))
-        binary = critical_steps(panel_elimination_list(m, n, BinaryTree()))
+        flat, binary = (
+            max(coarse_schedule(panel_elimination_list(m, n, tree)).values())
+            for tree in (FlatTree(), BinaryTree())
+        )
         # flat finishes the 3 panels in 13 steps (Table II)
         assert flat == 13
         # binary needs log-depth per panel but poor overlap; greedy beats it
@@ -166,4 +167,4 @@ class TestCoarseScheduler:
         assert min(steps.values()) == 1
 
     def test_empty_list(self):
-        assert critical_steps([]) == 0
+        assert coarse_schedule([]) == {}

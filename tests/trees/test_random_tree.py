@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _support import random_elimination_list
 from repro.verify.reference import TaskGraph
 from repro.verify.reference.analysis import theoretical_total_weight, total_weight
 from repro.hqr import ValidationError, check_elimination_list
 from repro.trees.base import Elimination
-from repro.trees.random_tree import random_elimination_list
 
 settings.register_profile("fuzz", max_examples=50, deadline=None)
 settings.load_profile("fuzz")

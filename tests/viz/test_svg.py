@@ -7,7 +7,7 @@ from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.runtime import Machine
 from repro.runtime.core import run_core
 from repro.tiles.layout import BlockCyclic2D
-from repro.viz.svg import save_trace_svg, trace_to_svg
+from repro.viz.svg import trace_to_svg
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestSvg:
     def test_save(self, traced, tmp_path):
         g, res = traced
         path = tmp_path / "trace.svg"
-        save_trace_svg(str(path), res.trace, g)
+        path.write_text(trace_to_svg(res.trace, g))
         assert path.read_text().startswith("<svg")
 
 

@@ -1,60 +1,6 @@
 """Visualization helpers."""
 
-import pytest
-
-from repro.trees import BinaryTree, FlatTree, GreedyTree, coarse_schedule
-from repro.trees.pipelined import panel_elimination_list
-from repro.viz import (
-    render_elimination_timeline,
-    render_parallelism_profile,
-    render_reduction_tree,
-    sparkline,
-)
-
-
-class TestTreeRendering:
-    def test_flat_tree_single_root(self):
-        elims = FlatTree().eliminations(range(4))
-        text = render_reduction_tree(elims)
-        lines = text.splitlines()
-        assert lines[0] == "0"
-        assert len(lines) == 4
-        # most recent kill (victim 3) renders first under the root
-        assert "3" in lines[1]
-
-    def test_binary_tree_structure(self):
-        elims = BinaryTree().eliminations(range(4))
-        text = render_reduction_tree(elims)
-        # 2 is a child of 0; 3 a child of 2; 1 a child of 0
-        assert "└─" in text and "├─" in text
-        assert text.splitlines()[0] == "0"
-
-    def test_rejects_double_kill(self):
-        with pytest.raises(ValueError, match="twice"):
-            render_reduction_tree([(1, 0), (1, 2)])
-
-    def test_rejects_dead_killer(self):
-        with pytest.raises(ValueError, match="dead"):
-            render_reduction_tree([(1, 0), (2, 1)])
-
-    def test_multiple_survivors(self):
-        # partial reduction: two roots remain
-        text = render_reduction_tree([(1, 0), (3, 2)], rows=[0, 1, 2, 3])
-        assert text.splitlines()[0] == "0"
-        assert "2" in text
-
-    def test_timeline_with_steps(self):
-        elims = panel_elimination_list(6, 1, GreedyTree())
-        steps = coarse_schedule(elims)
-        pairs = [(e.victim, e.killer) for e in elims]
-        keyed = {(e.victim, e.killer): s for e, s in steps.items()}
-        text = render_elimination_timeline(pairs, keyed)
-        assert "step 1" in text
-        assert "->" in text
-
-    def test_timeline_without_steps(self):
-        text = render_elimination_timeline([(1, 0), (2, 0)])
-        assert "kills" in text
+from repro.viz import render_parallelism_profile, sparkline
 
 
 class TestSparkline:

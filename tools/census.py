@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Caller census of the public names in ``src/`` (a report, not a gate).
+"""Caller census of the public names in ``src/``, and its gate.
 
 Every top-level ``def`` and ``class`` in ``src/`` whose name does not
 start with ``_`` is a public name.  For each one the census counts the
@@ -15,12 +15,14 @@ references in each scope:
 Names are matched by spelling, not by binding: ``x.name`` counts for
 every public ``name``.  The report lists the names with no ``src``
 reference — reached only from tests, benchmarks, examples, tools or CI,
-or from nothing.  Each is either a deliberate test oracle or a deletion
-candidate; the census makes that a recorded decision.
+or from nothing.  Each one is kept on purpose, with its reason on a line
+of ``tools/census_allow.txt``, or deleted.
 
 Usage: ``python tools/census.py [--root DIR] [NAME ...]`` prints the
-no-``src``-caller table, or with ``NAME`` arguments the row of each
-named definition, whatever its counts.  It always exits 0.
+no-``src``-caller table and exits 1 when a name in it is not listed in
+``DIR/tools/census_allow.txt``, or when a listed name is stale: gone
+from ``src/``, or called there now.  With ``NAME`` arguments it prints
+the row of each named definition, whatever its counts, and exits 0.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: the directories counted, in column order; ``ci`` is the workflow file
 SCOPES = ("src", "tests", "perf", "benchmarks", "examples", "tools")
 CI_FILE = Path(".github/workflows/ci.yml")
+ALLOW_FILE = Path("tools/census_allow.txt")
 COLUMNS = SCOPES + ("ci",)
 
 
@@ -113,6 +116,38 @@ def census(root: Path = REPO) -> list[Definition]:
     return defs
 
 
+def allow_list(root: Path) -> dict[str, str]:
+    """``name -> reason`` from ``root/tools/census_allow.txt`` (empty when
+    the file is absent); ``#`` starts a comment line.  A line without a
+    reason, or a name listed twice, raises ``ValueError``."""
+    path = root / ALLOW_FILE
+    allowed: dict[str, str] = {}
+    if not path.exists():
+        return allowed
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        name, *reason = line.split(None, 1)
+        if not reason:
+            raise ValueError(f"{ALLOW_FILE}:{number}: {name} has no reason")
+        if name in allowed:
+            raise ValueError(f"{ALLOW_FILE}:{number}: {name} listed twice")
+        allowed[name] = reason[0].strip()
+    return allowed
+
+
+def verdict(
+    defs: list[Definition], allowed: dict[str, str]
+) -> tuple[list[Definition], list[str]]:
+    """The orphans not in ``allowed``, and the ``allowed`` names that are
+    stale: no public definition of that name in ``src/`` lacks a caller
+    there (it was deleted, or it gained one)."""
+    orphans = [d for d in defs if not d.refs["src"]]
+    unlisted = [d for d in orphans if d.name not in allowed]
+    stale = sorted(set(allowed) - {d.name for d in orphans})
+    return unlisted, stale
+
+
 def format_rows(defs: list[Definition]) -> list[str]:
     head = f"{'name':<32} {'lines':>5} " + " ".join(
         f"{c:>5}" for c in ("src", "tests", "perf", "bench", "ex", "tools", "ci")
@@ -139,13 +174,26 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(missing):
             print(f"{name}: no public top-level definition in src/")
         return 0
+    try:
+        allowed = allow_list(args.root)
+    except ValueError as exc:
+        print(exc)
+        return 1
     orphans = [d for d in defs if not d.refs["src"]]
     print("\n".join(format_rows(orphans)))
+    unlisted, stale = verdict(defs, allowed)
+    for d in unlisted:
+        print(f"unlisted: {d.name} ({d.path}:{d.line}) has no src/ caller "
+              f"and no line in {ALLOW_FILE}")
+    for name in stale:
+        print(f"stale: {name} is listed in {ALLOW_FILE} but is gone from "
+              f"src/ or has a src/ caller")
     print(
         f"{len(defs)} public definitions in src/; {len(orphans)} of them, "
-        f"{sum(d.lines for d in orphans)} lines, have no src/ reference"
+        f"{sum(d.lines for d in orphans)} lines, have no src/ reference; "
+        f"{len(unlisted)} unlisted, {len(stale)} stale"
     )
-    return 0
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
