@@ -24,18 +24,26 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.bench` — harnesses regenerating every paper table and figure.
 """
 
-from repro.core.api import qr, QRResult
-from repro.hqr.config import HQRConfig
-from repro.hqr.hierarchy import HQRTree, hqr_elimination_list
-from repro.runtime.machine import Machine
-from repro.tiles.matrix import TiledMatrix
+from repro._exports import lazy_exports
 
-def __getattr__(name: str) -> str:
-    """``__version__`` from package metadata, on first access (PEP 562:
-    importing ``importlib.metadata`` costs about what ``import repro``
-    does); the literal is the source-tree fallback."""
+_export, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.api": ("qr", "QRResult"),
+    "repro.hqr.config": ("HQRConfig",),
+    "repro.hqr.hierarchy": ("HQRTree", "hqr_elimination_list"),
+    "repro.runtime.machine": ("Machine",),
+    "repro.tiles.matrix": ("TiledMatrix",),
+})
+__all__.append("__version__")
+
+
+def __getattr__(name: str):
+    """A public name, imported on first access (PEP 562: ``import repro``
+    loads neither numpy nor the numeric layers); ``__version__`` comes
+    from package metadata (importing ``importlib.metadata`` costs about
+    what ``import repro`` does), the literal being the source-tree
+    fallback."""
     if name != "__version__":
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+        return _export(name)
     try:
         from importlib.metadata import version
 
@@ -44,14 +52,3 @@ def __getattr__(name: str) -> str:
         found = "1.0.0"
     globals()["__version__"] = found
     return found
-
-__all__ = [
-    "qr",
-    "QRResult",
-    "HQRConfig",
-    "HQRTree",
-    "hqr_elimination_list",
-    "Machine",
-    "TiledMatrix",
-    "__version__",
-]

@@ -9,7 +9,10 @@ directory.  Everything here is optional: when no compiler is available,
 :func:`get_lib` returns ``None`` and callers fall back to the pure-Python
 array loops in :mod:`repro.runtime.core` and :mod:`repro.dag.compiled`,
 which implement exactly the same algorithms.  There is no switch: the
-engine is what the process can run.
+engine is what the process can run.  The arrays the core reads and fills
+are the planning chain's own type, read-only typed ``memoryview``s over
+``bytearray``s (:func:`typed`, :func:`zeros`, :func:`address`), so the
+chain never imports numpy.
 
 Bit-exactness: the C event loops perform the same double-precision
 operations in the same order as the reference Python simulators, and every
@@ -25,17 +28,78 @@ arithmetic IEEE-identical to CPython's.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
 import logging
 import os
+import struct
 import subprocess
 import sysconfig
 import tempfile
 import time
 from pathlib import Path
 
-__all__ = ["cache_root", "get_lib", "native_available", "openmp_available"]
+__all__ = [
+    "address", "cache_root", "get_lib", "native_available", "openmp_available",
+    "typed", "zeros",
+]
+
+
+def typed(fmt: str, values=()) -> memoryview:
+    """``values`` as the array type of every list and graph the core reads
+    or writes: a read-only typed ``memoryview`` (``fmt`` a ``struct`` code,
+    "b", "B", "h", "i", "q" or "d") over a ``bytearray`` of its own.  Such a
+    view is taken as is; a buffer of that item format (``array.array``, an
+    ndarray) is copied by bytes, any other sequence converted by value
+    (``OverflowError`` for one the format cannot hold)."""
+    if isinstance(values, memoryview) and _owned(values) and values.format == fmt:
+        return values
+    try:
+        view = memoryview(values)
+    except TypeError:  # a plain sequence
+        view = None
+    if view is not None and view.ndim != 1:
+        raise ValueError(f"expected a 1-D array, got {view.ndim}-D")
+    code = view.format.lstrip("@=") if view is not None else None
+    if code == fmt or (code == "?" and fmt == "B"):  # a bool is a 0 / 1 byte
+        data = bytearray(view.tobytes())
+    else:
+        data = bytearray(array.array(fmt, values))
+    return memoryview(data).cast(fmt).toreadonly()
+
+
+def zeros(fmt: str, count: int) -> memoryview:
+    """:func:`typed` of ``count`` zeros, for a C call to fill through
+    :func:`address`."""
+    return memoryview(bytearray(count * struct.calcsize(fmt))).cast(fmt).toreadonly()
+
+
+def _owned(view: memoryview) -> bool:
+    """True when ``view`` is read-only and spans a whole ``bytearray``."""
+    return (
+        view.readonly and isinstance(view.obj, bytearray)
+        and view.nbytes == len(view.obj) and view.ndim == 1
+    )
+
+
+def address(view) -> int:
+    """The C address of an array's first item, for a ``void *`` argument.
+
+    A :func:`typed` view is read-only, so its address is taken from the
+    ``bytearray`` that owns it (which a live view keeps from resizing); an
+    empty one gets a spare byte's, never NULL; an ndarray - the numpy
+    twins' and tests' arrays - gives its own.
+    """
+    if isinstance(view, memoryview) and _owned(view):
+        if not view.obj:
+            return ctypes.addressof(_SPARE)
+        return ctypes.addressof(ctypes.c_char.from_buffer(view.obj))
+    return view.ctypes.data
+
+
+#: what an empty array's address points at: C reads no item of it
+_SPARE = ctypes.c_char()
 
 
 def cache_root() -> Path:
@@ -291,6 +355,25 @@ int64_t hqr_expand(
     }
 #undef ELIM
     return ne;
+}
+
+/* ------------------------------------------------------------------ *
+ * One pass over an elimination list: the first entry that breaks the
+ * Elimination invariants (victim != killer, victim below the panel's
+ * diagonal, killer on or below it) or, with m >= 0, does not fit m x n
+ * tiles; -1 when none does.  The caller raises the matching error.
+ * ------------------------------------------------------------------ */
+int64_t hqr_check_elims(
+    int64_t count, const int32_t *e_panel, const int32_t *e_victim,
+    const int32_t *e_killer, int32_t m, int32_t n)
+{
+    for (int64_t e = 0; e < count; e++) {
+        int32_t p = e_panel[e], v = e_victim[e], k = e_killer[e];
+        if (v == k || v <= p || k < p ||
+            (m >= 0 && (p < 0 || p >= n || v >= m || k >= m)))
+            return e;
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ *
@@ -1117,9 +1200,8 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
 
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 
-    # every array goes over as a plain address (``arr.ctypes.data``): one
-    # attribute read per array where a typed ``data_as`` cast costs
-    # several times that per call
+    # every array goes over as a plain address (:func:`address`), where a
+    # typed pointer cast costs several times that per call
     vp = ctypes.c_void_p
     lib.hqr_expand.restype = i64
     lib.hqr_expand.argtypes = [
@@ -1130,6 +1212,8 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
     lib.hqr_build_dag.argtypes = [
         i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 9,
     ]
+    lib.hqr_check_elims.restype = i64
+    lib.hqr_check_elims.argtypes = [i64, vp, vp, vp, i32, i32]
     lib.hqr_transpose.restype = i64
     lib.hqr_transpose.argtypes = [i64, vp, vp, vp, vp]
     lib.hqr_openmp.restype = i32

@@ -11,14 +11,12 @@
   paper's own measurements.  See :mod:`repro.baselines.scalapack`.
 """
 
-from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.baselines.slhd10 import slhd10_config, slhd10_elimination_list, slhd10_layout
-from repro.baselines.scalapack import ScalapackModel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "bbd10_elimination_list",
-    "slhd10_config",
-    "slhd10_elimination_list",
-    "slhd10_layout",
-    "ScalapackModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.bbd10": ("bbd10_elimination_list",),
+    "repro.baselines.slhd10": (
+        "slhd10_config", "slhd10_elimination_list", "slhd10_layout",
+    ),
+    "repro.baselines.scalapack": ("ScalapackModel",),
+})

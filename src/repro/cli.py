@@ -27,8 +27,6 @@ import contextlib
 import os
 import sys
 
-import numpy as np
-
 
 @contextlib.contextmanager
 def _scoped_env(**overrides):
@@ -76,6 +74,8 @@ def _config(args):
 
 
 def cmd_factor(args) -> int:
+    import numpy as np
+
     from repro.core.api import qr
 
     rng = np.random.default_rng(args.seed)

@@ -1,5 +1,7 @@
 """Public high-level API: factor matrices with any elimination tree."""
 
-from repro.core.api import qr, QRResult
+from repro._exports import lazy_exports
 
-__all__ = ["qr", "QRResult"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.api": ("qr", "QRResult"),
+})

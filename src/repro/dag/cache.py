@@ -26,14 +26,13 @@ import dataclasses
 import enum
 import hashlib
 import json
+import sys
 import threading
 from collections import OrderedDict
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from repro._ccore import cache_root
 from repro.dag.compiled import CompiledGraph
@@ -58,9 +57,9 @@ CACHE_VERSION = 1
 #: nothing) or its 72 graphs (≈ 40.5 MiB of arrays) fit
 MEMORY_SLOTS = 128
 
-#: every array of a CompiledGraph, derived: none can be stored unfrozen
+#: every array of a CompiledGraph, derived: none can be stored writable
 _ARRAY_FIELDS = tuple(
-    f.name for f in dataclasses.fields(CompiledGraph) if f.type == "np.ndarray"
+    f.name for f in dataclasses.fields(CompiledGraph) if f.type == "memoryview"
 )
 
 
@@ -94,7 +93,8 @@ def _canonical(value, path: str = "payload"):
                 )
             out[str(k)] = _canonical(value[k], f"{path}[{k!r}]")
         return out
-    if isinstance(value, np.generic):
+    numpy = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
+    if numpy is not None and isinstance(value, numpy.generic):
         return _canonical(value.item(), path)
     raise TypeError(
         f"fingerprint: cannot canonicalize {type(value).__name__} at {path}; "
@@ -159,10 +159,11 @@ class CompiledGraphCache:
     """In-memory LRU of compiled graphs and their answers.
 
     ``get``/``put`` take the fingerprint key; ``get_or_build`` wraps the
-    usual lookup-else-build-else-store dance.  ``put`` freezes the
-    entry's arrays: the C core reads them in place, without the GIL,
-    while other threads plan from the same entry, so an in-place write
-    by any caller must raise rather than corrupt a neighbour's plan.
+    usual lookup-else-build-else-store dance.  A stored graph's arrays
+    are read-only (every builder's views are; ``put`` freezes a
+    hand-built graph's ndarrays): the C core reads them in place, without
+    the GIL, while other threads plan from the same entry, so an in-place
+    write by any caller must raise rather than corrupt a neighbour's plan.
 
     Safe for concurrent readers and writers: the LRU is guarded by an
     ``RLock`` (the parallel daemon workers of :mod:`repro.serve` share
@@ -236,7 +237,9 @@ class CompiledGraphCache:
         """Store ``cg`` as the graph of ``key``; an answer already on the
         entry stays."""
         for name in _ARRAY_FIELDS:
-            getattr(cg, name).flags.writeable = False
+            arr = getattr(cg, name)
+            if not isinstance(arr, memoryview):
+                arr.flags.writeable = False
         self._store(key, 0, cg)
 
     def answer(self, key: str, count: bool = True):

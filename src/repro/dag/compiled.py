@@ -1,11 +1,13 @@
 """Structure-of-arrays task graph for the compiled simulation pipeline.
 
-:class:`CompiledGraph` flattens a kernel DAG into numpy arrays — int8 kind
-codes, uint8 wait counts, int16 node placement, CSR successor adjacency
-with int32 offsets and a 6-entry per-kernel-kind duration table — so the
-event-loop core (:mod:`repro.runtime.core`) touches only flat arrays
-and scalar ints.  It holds only what the loops read, each at the narrowest
-type that holds it, 8 bytes a task and 4 an edge; a task's tiles follow
+:class:`CompiledGraph` flattens a kernel DAG into flat typed arrays — int8
+kind codes, uint8 wait counts, int16 node placement, CSR successor
+adjacency with int32 offsets and a 6-entry per-kernel-kind duration table,
+each a read-only ``memoryview`` over a ``bytearray`` the C core fills
+(:func:`repro._ccore.typed`) — so the event-loop core
+(:mod:`repro.runtime.core`) touches only flat arrays and scalar ints.  It
+holds only what the loops read, each at the narrowest type that holds it,
+8 bytes a task and 4 an edge; a task's tiles follow
 from the elimination list (:func:`task_coordinates`), its predecessor lists
 from its successor lists (:attr:`CompiledGraph.pred_idx`).
 Every engine runs this one graph: the event loops, the numeric executors
@@ -18,9 +20,10 @@ order plus the reflector edges.  The verifier's object graph
 (:mod:`repro.verify.reference`) builds the same graph the slow way.
 With the native core the elimination arrays go to a C counting pre-pass and
 then one C write pass that emits tasks and edges, places each task from a
-per-tile owner table and transposes the predecessor lists into the
-successor CSR in O(E); without a compiler the pure-Python builder and the
-numpy ``_succ_csr`` produce the same arrays bit for bit.
+per-tile owner table (:func:`tile_owners`, memoised) and transposes the
+predecessor lists into the successor CSR in O(E), importing no numpy;
+without a compiler the pure-Python builder and the numpy ``_succ_csr``
+produce the same arrays bit for bit.
 Compiled graphs are cacheable — see :mod:`repro.dag.cache`.
 
 Kind codes follow the :class:`~repro.kernels.weights.KernelKind`
@@ -30,13 +33,14 @@ declaration order: GEQRT=0, UNMQR=1, TSQRT=2, TSMQR=3, TTQRT=4, TTMQR=5.
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from repro import _ccore
+from repro._ccore import address, typed, zeros
 from repro.kernels.weights import KernelKind
 from repro.tiles.layout import Block1D, BlockCyclic2D, Cyclic1D, Layout, SingleNode
 from repro.trees.base import Elimination, EliminationArray
@@ -54,12 +58,12 @@ def _kind_seconds(machine: Machine, b: int) -> tuple[float, ...]:
     return tuple(machine.task_seconds(k, b) for k in KIND_ORDER)
 
 
-def duration_table(machine: Machine, b: int) -> np.ndarray:
+def duration_table(machine: Machine, b: int) -> memoryview:
     """Per-kernel-kind execution seconds — 6 entries instead of ``ntasks``
     calls to ``machine.task_seconds``.  The six floats are computed once
-    per ``(machine, b)``; every call returns an array of its own, so a
-    graph frozen by the cache shares no memory with the next one."""
-    return np.array(_kind_seconds(machine, b))
+    per ``(machine, b)``; every call returns an array of its own, so no
+    two graphs share memory."""
+    return typed("d", _kind_seconds(machine, b))
 
 
 @dataclass
@@ -70,29 +74,31 @@ class CompiledGraph:
     ascending); ``wait`` is each task's in-degree,
     and :attr:`pred_ptr` / :attr:`pred_idx` derive the predecessor lists.
 
-    Every builder emits exactly these dtypes and raises ``OverflowError``
-    for what they cannot hold: past ``2**31 - 1`` edges, 255 predecessors
-    on a task (a tiled-QR kernel has at most 3) or node 32767.  The event
-    loops convert any other dtype, by value.  Task coordinates are not
+    Every builder emits exactly these types — read-only typed
+    ``memoryview``s, so a write raises — and raises ``OverflowError`` for
+    what they cannot hold: past ``2**31 - 1`` edges, 255 predecessors on a
+    task (a tiled-QR kernel has at most 3) or node 32767.  The event loops
+    convert any other array type, by value.  Numpy code reads a field with
+    ``np.asarray``, which copies nothing.  Task coordinates are not
     stored: :func:`task_coordinates`.
     """
 
     m: int
     n: int
-    kind: np.ndarray  # int8[ntasks]
-    wait: np.ndarray  # uint8[ntasks] — in-degree
-    node: np.ndarray  # int16[ntasks] — placement under the layout
-    succ_ptr: np.ndarray  # int32[ntasks+1]
-    succ_idx: np.ndarray  # int32[nedges]
-    dur_table: np.ndarray  # float64[6] seconds per kernel kind
+    kind: memoryview  # int8[ntasks] ("b")
+    wait: memoryview  # uint8[ntasks] ("B") — in-degree
+    node: memoryview  # int16[ntasks] ("h") — placement under the layout
+    succ_ptr: memoryview  # int32[ntasks+1] ("i")
+    succ_idx: memoryview  # int32[nedges] ("i")
+    dur_table: memoryview  # float64[6] ("d") seconds per kernel kind
 
     @property
-    def pred_ptr(self) -> np.ndarray:
+    def pred_ptr(self) -> memoryview:
         """Offsets of the predecessor lists: the wait counts' prefix sum."""
-        return np.insert(np.cumsum(self.wait, dtype=np.int32), 0, 0)
+        return typed("i", accumulate(self.wait.tolist(), initial=0))
 
     @property
-    def pred_idx(self) -> np.ndarray:
+    def pred_idx(self) -> memoryview:
         """Predecessor lists aligned with ``pred_ptr``, each ascending —
         the successor CSR transposed, on every access (the fault path's
         recovery cone reads them; no fault-free loop does)."""
@@ -106,24 +112,26 @@ class CompiledGraph:
         return len(self.kind)
 
     @property
-    def pred_counts(self) -> np.ndarray:
+    def pred_counts(self) -> memoryview:
         """In-degree of each task, widened to int32 (``wait`` is uint8)."""
-        return self.wait.astype(np.int32)
+        return typed("i", self.wait.tolist())
 
 
 # --------------------------------------------------------------------- #
 # placement
 # --------------------------------------------------------------------- #
-def placement_array(
-    layout: Layout, row: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """Vectorized placement: the node owning each tile ``(row, c)``.
+def placement_array(layout: Layout, row, c):
+    """Vectorized placement: the node owning each tile ``(row, c)``, an
+    int32 ndarray (numpy twins and tools only; the native builder reads
+    :func:`tile_owners`).
 
     A task runs on the owner of its tile: its victim row in the trailing
     column for update kernels, in the panel otherwise.
     Known layouts are computed with array arithmetic; unknown subclasses
     fall back to the layout's scalar ``owner``.
     """
+    import numpy as np
+
     if isinstance(layout, BlockCyclic2D):
         out = (row % layout.p) * layout.q + (c % layout.q)
     elif isinstance(layout, Cyclic1D):
@@ -140,12 +148,59 @@ def placement_array(
     return np.ascontiguousarray(out, dtype=np.int32)
 
 
-def tile_owners(layout: Layout, m: int, n: int) -> np.ndarray:
+def _owner_row(layout: Layout, i: int, n: int) -> list[int]:
+    """The owners of tile row ``i``, by :func:`placement_array`'s rule."""
+    if isinstance(layout, BlockCyclic2D):
+        first = (i % layout.p) * layout.q
+        return [first + j % layout.q for j in range(n)]
+    if isinstance(layout, Cyclic1D):
+        return [(i // layout.block) % layout.p] * n
+    if isinstance(layout, Block1D):
+        return [min(i // layout.chunk, layout.p - 1)] * n
+    if isinstance(layout, SingleNode):
+        return [0] * n
+    return [layout.owner(i, j) for j in range(n)]
+
+
+#: (layout class, layout parameters, m, n) -> (owner table, index of its
+#: first node past int16 or -1), oldest first
+_OWNERS: dict[tuple, tuple[memoryview, int]] = {}
+_OWNERS_LOCK = threading.Lock()
+_OWNERS_SLOTS = 128
+
+
+def _owners(layout: Layout, m: int, n: int) -> tuple[memoryview, int]:
+    """:func:`tile_owners` and the index of its first node past int16, or
+    -1: computed once per ``(layout, m, n)``, a layout keyed by its class
+    and parameters as a fingerprint keys it (one with an unhashable
+    parameter is computed on every call)."""
+    try:
+        key = (type(layout), tuple(sorted(vars(layout).items())), m, n)
+        hash(key)
+    except TypeError:
+        key = None
+    with _OWNERS_LOCK:
+        found = _OWNERS.get(key)
+    if found is None:
+        values = [v for i in range(m) for v in _owner_row(layout, i, n)]
+        bad = -1
+        if max(values, default=0) > _INT16_MAX:
+            bad = next(i for i, v in enumerate(values) if v > _INT16_MAX)
+        found = (typed("i", values), bad)
+        if key is not None:
+            with _OWNERS_LOCK:
+                _OWNERS[key] = found
+                if len(_OWNERS) > _OWNERS_SLOTS:
+                    del _OWNERS[next(iter(_OWNERS))]
+    return found
+
+
+def tile_owners(layout: Layout, m: int, n: int) -> memoryview:
     """The node of every tile by the layout's own rule, row-major: m*n
-    entries, not ntasks — what the native builder places tasks from."""
-    rows = np.repeat(np.arange(m, dtype=np.int32), n)
-    cols = np.tile(np.arange(n, dtype=np.int32), m)
-    return placement_array(layout, rows, cols)
+    int32 entries, not ntasks — what the native builder places tasks from.
+    Memoised per ``(layout, m, n)`` (ROADMAP item 14(b)); read-only, so
+    every graph and bound of that shape shares it."""
+    return _owners(layout, m, n)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -163,8 +218,10 @@ def _check_int32(ntasks: int, nedges: int) -> None:
         )
 
 
-def _narrow(values: np.ndarray, dtype, what: str) -> np.ndarray:
+def _narrow(values, dtype, what: str):
     """``values`` as ``dtype``, or ``OverflowError`` naming one it cannot hold."""
+    import numpy as np
+
     info = np.iinfo(dtype)
     bad = np.flatnonzero((values < info.min) | (values > info.max))
     if len(bad):
@@ -178,11 +235,13 @@ def _out_of_range(ntasks: int) -> ValueError:
     return ValueError(f"CSR index outside [0, {ntasks})")
 
 
-def _succ_csr(
-    ptr: np.ndarray, idx: np.ndarray, ntasks: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _succ_csr(ptr, idx, ntasks: int):
     """Transpose a CSR over ``ntasks`` rows — predecessor lists into
-    successor lists, or back — every output list ascending."""
+    successor lists, or back — every output list ascending (numpy: the
+    twin of ``hqr_transpose``)."""
+    import numpy as np
+
+    ptr, idx = np.asarray(ptr), np.asarray(idx)
     if len(idx) and not (0 <= idx.min() and idx.max() < ntasks):
         raise _out_of_range(ntasks)
     counts = np.diff(ptr)
@@ -196,41 +255,39 @@ def _succ_csr(
     return out_ptr, out_idx
 
 
-def _transpose(ptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transpose(ptr, idx) -> tuple[memoryview, memoryview]:
     """``_succ_csr`` as one native O(E) counting sort, or numpy without a
-    native core; either refuses an index outside ``[0, ntasks)`` with
-    ``ValueError``."""
+    native core, as two int32 views; either refuses an index outside
+    ``[0, ntasks)`` with ``ValueError``."""
     ntasks = len(ptr) - 1
     if ptr[ntasks] != len(idx):
         raise ValueError(f"CSR offsets end at {ptr[ntasks]}, not {len(idx)}")
     lib = _ccore.get_lib()
     if lib is None:
-        return _succ_csr(ptr, idx, ntasks)
-    ptr = np.ascontiguousarray(ptr, np.int32)
-    idx = np.ascontiguousarray(idx, np.int32)
-    out_ptr = np.empty(ntasks + 1, np.int32)
-    out_idx = np.empty(len(idx), np.int32)
-    if lib.hqr_transpose(
-        ntasks, ptr.ctypes.data, idx.ctypes.data,
-        out_ptr.ctypes.data, out_idx.ctypes.data,
-    ) < 0:
+        return tuple(typed("i", arr) for arr in _succ_csr(ptr, idx, ntasks))
+    ptr, idx = typed("i", ptr), typed("i", idx)
+    out = zeros("i", ntasks + 1), zeros("i", len(idx))
+    if lib.hqr_transpose(ntasks, *map(address, (ptr, idx, *out))) < 0:
         raise _out_of_range(ntasks)
-    return out_ptr, out_idx
+    return out
 
 
 def _finish(
-    m: int, n: int, kind: np.ndarray, node: np.ndarray,
-    pred_ptr: np.ndarray, pred_idx: np.ndarray, machine: Machine, b: int,
+    m: int, n: int, kind, node, pred_ptr, pred_idx, machine: Machine, b: int,
 ) -> CompiledGraph:
-    """The graph of built predecessor lists: their counts and successor
-    CSR are kept, the lists themselves are not."""
+    """The graph of built predecessor lists (ndarrays of the Python
+    builders): their counts and successor CSR are kept, the lists
+    themselves are not."""
+    import numpy as np
+
     _check_int32(len(kind), len(pred_idx))
     wait = _narrow(np.diff(pred_ptr), np.uint8, "wait count")
     node = _narrow(node, np.int16, "node")
     succ_ptr, succ_idx = _transpose(pred_ptr, pred_idx)
     return CompiledGraph(
-        m=m, n=n, kind=kind, wait=wait, node=node, succ_ptr=succ_ptr,
-        succ_idx=succ_idx, dur_table=duration_table(machine, b),
+        m=m, n=n, kind=typed("b", kind), wait=typed("B", wait),
+        node=typed("h", node), succ_ptr=succ_ptr, succ_idx=succ_idx,
+        dur_table=duration_table(machine, b),
     )
 
 
@@ -248,13 +305,13 @@ def _build_native(
     lib = _ccore.get_lib()
     if lib is None:
         return None
-    owner = tile_owners(layout, m, n)
-    if owner.max() > _INT16_MAX:
-        _narrow(owner, np.int16, "node")  # raises, naming the node
+    owner, bad = _owners(layout, m, n)
+    if bad >= 0:
+        raise OverflowError(f"node {owner[bad]} at entry {bad} exceeds int16")
     counted = ctypes.c_int64()
     shape_and_elims = (
-        m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
-        elims.killer.ctypes.data, elims.ts.ctypes.data,
+        m, n, len(elims),
+        *map(address, (elims.panel, elims.victim, elims.killer, elims.ts)),
     )
     # counting pre-pass (mode 0): sizes every array exactly
     nedges = lib.hqr_build_dag(
@@ -267,18 +324,18 @@ def _build_native(
     _check_int32(ntasks, nedges)
     # CompiledGraph's arrays, in the order the C signature lists them
     arrays = {
-        name: np.empty(size, dtype)
-        for name, size, dtype in (
-            ("kind", ntasks, np.int8),
-            ("wait", ntasks, np.uint8),
-            ("node", ntasks, np.int16),
-            ("succ_ptr", ntasks + 1, np.int32),
-            ("succ_idx", nedges, np.int32),
+        name: zeros(fmt, size)
+        for name, size, fmt in (
+            ("kind", ntasks, "b"),
+            ("wait", ntasks, "B"),
+            ("node", ntasks, "h"),
+            ("succ_ptr", ntasks + 1, "i"),
+            ("succ_idx", nedges, "i"),
         )
     }
     if lib.hqr_build_dag(
-        1, *shape_and_elims, owner.ctypes.data, machine.nodes, ntasks, nedges,
-        *[arr.ctypes.data for arr in arrays.values()], ctypes.byref(counted),
+        1, *shape_and_elims, address(owner), machine.nodes, ntasks, nedges,
+        *map(address, arrays.values()), ctypes.byref(counted),
         None, None, None,
     ) < 0:
         return None
@@ -288,7 +345,10 @@ def _build_native(
 def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
     """Pure-Python array builder — the native write pass's emission
     order, appending plain ints.  Returns ``(kind, row, panel, col,
-    killer, pred_ptr, pred_idx)``: the one place coordinates are written."""
+    killer, pred_ptr, pred_idx)`` as ndarrays: the one place coordinates
+    are written."""
+    import numpy as np
+
     kind_l, row_l, panel_l, col_l, killer_l = [], [], [], [], []
     pred_ptr_l, pred_idx_l = [0], []
     last_writer = [-1] * (m * n)
@@ -392,10 +452,8 @@ def _build_arrays_py(elims: Sequence[Elimination], m: int, n: int) -> tuple:
     )
 
 
-def task_coordinates(
-    elims: Sequence[Elimination], m: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, panel, col, killer)`` of every task, int32, in task order
+def task_coordinates(elims: Sequence[Elimination], m: int, n: int) -> tuple:
+    """``(row, panel, col, killer)`` of every task, int32 ndarrays, in task order
     (``row`` the victim or target row, ``col`` the trailing column, -1 for
     factorization kernels, ``killer`` -1 for GEQRT / UNMQR).  No event loop
     reads them, so a :class:`CompiledGraph` does not store them:
@@ -416,17 +474,16 @@ def compiled_from_eliminations(
     An
     :class:`~repro.trees.base.EliminationArray` is consumed as is (any other
     sequence is converted once); its arrays feed the native builder when
-    available, the pure-Python builder and finish otherwise.
+    available (fit check included, no numpy), the pure-Python builder and
+    finish otherwise.
     """
     elims = EliminationArray.of(elims)
-    if len(elims) and not (
-        0 <= elims.panel.min()
-        and elims.panel.max() < n
-        and max(elims.victim.max(), elims.killer.max()) < m
-    ):
+    if elims._first_bad(m, n) >= 0:
         raise ValueError(f"elimination list does not fit {m} x {n} tiles")
     built = _build_native(elims, m, n, layout, machine, b)
     if built is None:
+        import numpy as np
+
         kind, row, panel, col, _, pred_ptr, pred_idx = _build_arrays_py(
             elims, m, n
         )

@@ -8,14 +8,10 @@ without running the simulator — and provides the closed-form expectations
 the §III-A discussion derives.
 """
 
-from repro.distributed.comm import (
-    CommStats,
-    count_messages,
-    kill_messages_per_panel,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CommStats",
-    "count_messages",
-    "kill_messages_per_panel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.distributed.comm": (
+        "CommStats", "count_messages", "kill_messages_per_panel",
+    ),
+})

@@ -232,7 +232,7 @@ class DistributedEngine:
         # edge and only O(ntasks * max_preds) large — a producer x consumer
         # encoding would overflow 32-bit MPI tags around 46k tasks, well
         # below paper-scale graphs.
-        self._tag_stride = int(graph.wait.max(initial=1))
+        self._tag_stride = max(max(graph.wait, default=1), 1)
 
     def _tag(self, consumer: int, producer: int) -> int:
         lo = self._pred_ptr[consumer]

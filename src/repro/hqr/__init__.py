@@ -17,24 +17,13 @@ Rows are assigned to virtual clusters cyclically (``cluster(i) = i mod p``,
 the row dimension of the 2-D block-cyclic layout).
 """
 
-from repro.hqr.config import HQRConfig
-from repro.hqr.hierarchy import HQRTree, hqr_elimination_list
-from repro.hqr.levels import tile_level, level_grid, local_view
-from repro.hqr.validate import check_elimination_list, ValidationError
-from repro.hqr.multilevel import Level, MultilevelTree
-from repro.hqr.auto import auto_config, auto_config_tuned
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HQRConfig",
-    "HQRTree",
-    "hqr_elimination_list",
-    "tile_level",
-    "level_grid",
-    "local_view",
-    "check_elimination_list",
-    "ValidationError",
-    "Level",
-    "MultilevelTree",
-    "auto_config",
-    "auto_config_tuned",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.hqr.config": ("HQRConfig",),
+    "repro.hqr.hierarchy": ("HQRTree", "hqr_elimination_list"),
+    "repro.hqr.levels": ("tile_level", "level_grid", "local_view"),
+    "repro.hqr.validate": ("check_elimination_list", "ValidationError"),
+    "repro.hqr.multilevel": ("Level", "MultilevelTree"),
+    "repro.hqr.auto": ("auto_config", "auto_config_tuned"),
+})

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro import _ccore
+from repro._ccore import address, typed, zeros
 from repro.hqr.config import HQRConfig
 from repro.hqr.levels import top_local_row
 from repro.trees.base import EliminationArray, PanelTree
@@ -89,7 +88,7 @@ class HQRTree:
         if not (0 <= k < self.n and k < i < self.m):
             raise ValueError(f"need k < i, 0 <= k < n, i < m; got i={i}, k={k}")
         panel = self.panel_eliminations(k)
-        return int(panel.killer[panel.victim == i][0])
+        return panel.killer[panel.victim.tolist().index(i)]
 
     # ------------------------------------------------------------------ #
     def _expand(self) -> EliminationArray | None:
@@ -114,20 +113,17 @@ class HQRTree:
             max(1 + max(lmax - 1, 0) // a - bmax // a, 1), 1 + lmax // a
         )
         high = self._high.table(min(p, m - panels + 1), min(p, m))
-        panel = np.empty(count, np.int32)
-        victim = np.empty(count, np.int32)
-        killer = np.empty(count, np.int32)
-        ts = np.empty(count, np.uint8)
+        out = [zeros("i", count) for _ in range(3)] + [zeros("B", count)]
+        low, high = ([typed(f, arr) for f, arr in zip("qii", t)] for t in (low, high))
         written = lib.hqr_expand(
             m, self.n, p, a, self.config.domino,
-            len(low[0]) - 1, *[arr.ctypes.data for arr in low],
-            len(high[0]) - 1, *[arr.ctypes.data for arr in high],
-            count, panel.ctypes.data, victim.ctypes.data, killer.ctypes.data,
-            ts.ctypes.data,
+            len(low[0]) - 1, *map(address, low),
+            len(high[0]) - 1, *map(address, high),
+            count, *map(address, out),
         )
         if written != count:
             return None
-        return EliminationArray(panel, victim, killer, ts)
+        return EliminationArray(*out)
 
     def _cluster(self, base: int, ltop: int, lmax: int) -> tuple:
         """Levels 0-2 of a cluster whose participants are local rows
@@ -136,6 +132,8 @@ class HQRTree:
         key = (base, ltop, lmax)
         levels = self._local.get(key)
         if levels is None:
+            import numpy as np
+
             p, a = self.config.p, self.config.a
             # level 0: every participant but its domain's acting leader (the
             # domain's first participant) is TS-killed by that leader
@@ -144,7 +142,7 @@ class HQRTree:
             killed = loc != leader
             # level 1: low tree over the acting leaders
             leaders = loc[~killed] * p
-            low_v, low_k = self._low.pairs(len(leaders))
+            low_v, low_k = map(np.asarray, self._low.pairs(len(leaders)))
             # level 2: domino, top tile kills (ltop, base]; empty without
             # domino, where base == ltop
             coupled = np.arange(ltop + 1, base + 1, dtype=np.int32) * p
@@ -157,6 +155,8 @@ class HQRTree:
 
     def _assemble(self, panels: Iterable[int]) -> EliminationArray:
         """The eliminations of ``panels``, in order, as one array list."""
+        import numpy as np
+
         p, m, domino = self.config.p, self.m, self.config.domino
         # one piece per (panel, level, cluster): local rows, cluster shift
         victims: list[np.ndarray] = []
@@ -182,7 +182,7 @@ class HQRTree:
                 ts_of += [level == 0] * len(clusters)
             # --- level 3: high tree over the top tiles ------------------- #
             top_rows = np.array(sorted(tops), dtype=np.int32)
-            high_v, high_k = self._high.pairs(len(top_rows))
+            high_v, high_k = map(np.asarray, self._high.pairs(len(top_rows)))
             victims.append(top_rows[high_v])
             killers.append(top_rows[high_k])
             shift.append(0)

@@ -20,34 +20,20 @@ reflector object holding the Householder vectors ``V`` and the compact-WY
 ``T`` factor; the corresponding update kernels consume that reflector.
 """
 
-from repro.kernels.householder import larfg, BlockReflector, StackedReflector
-from repro.kernels.geqrt import geqrt
-from repro.kernels.unmqr import unmqr
-from repro.kernels.tsqrt import tsqrt
-from repro.kernels.tsmqr import tsmqr
-from repro.kernels.ttqrt import ttqrt
-from repro.kernels.ttmqr import ttmqr
-from repro.kernels.weights import (
-    KernelKind,
-    WEIGHTS,
-    kernel_flops,
-    KernelRates,
-    EDEL_RATES,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "larfg",
-    "BlockReflector",
-    "StackedReflector",
-    "geqrt",
-    "unmqr",
-    "tsqrt",
-    "tsmqr",
-    "ttqrt",
-    "ttmqr",
-    "KernelKind",
-    "WEIGHTS",
-    "kernel_flops",
-    "KernelRates",
-    "EDEL_RATES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.kernels.householder": (
+        "larfg", "BlockReflector", "StackedReflector",
+    ),
+    "repro.kernels.geqrt": ("geqrt",),
+    "repro.kernels.unmqr": ("unmqr",),
+    "repro.kernels.tsqrt": ("tsqrt",),
+    "repro.kernels.tsmqr": ("tsmqr",),
+    "repro.kernels.ttqrt": ("ttqrt",),
+    "repro.kernels.ttmqr": ("ttmqr",),
+    "repro.kernels.weights": (
+        "KernelKind", "WEIGHTS", "kernel_flops", "KernelRates",
+        "EDEL_RATES",
+    ),
+})

@@ -7,14 +7,10 @@ cheaply, and the test-suite checks the predictions bracket and correlate
 with the simulator.
 """
 
-from repro.models.performance import PerformanceModel, Prediction
-from repro.models.bounds import bandwidth_lower_bound_words
-from repro.models.explorer import ConfigExplorer, RankedConfig
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PerformanceModel",
-    "Prediction",
-    "bandwidth_lower_bound_words",
-    "ConfigExplorer",
-    "RankedConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.models.performance": ("PerformanceModel", "Prediction"),
+    "repro.models.bounds": ("bandwidth_lower_bound_words",),
+    "repro.models.explorer": ("ConfigExplorer", "RankedConfig"),
+})

@@ -26,8 +26,6 @@ import ctypes
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.runtime.machine import Machine
 
 
@@ -99,7 +97,7 @@ def graph_bounds(graphs, machine: Machine, b: int) -> list[GraphBound]:
         return [_graph_bound_py(cg, machine, b) for cg in graphs]
     terms, loads = out
     return [
-        GraphBound(*row[1:].tolist(), int(load))
+        GraphBound(*row[1:], load)
         for row, load in zip(terms, loads)
     ]
 
@@ -118,7 +116,8 @@ def elimination_bound(
     for an elimination outside ``m x n`` or a tile owner outside the machine.
     """
     from repro import _ccore
-    from repro.dag.compiled import duration_table, tile_owners
+    from repro._ccore import address
+    from repro.dag.compiled import _kind_seconds, tile_owners
     from repro.runtime.core import _machine_params
     from repro.trees.base import EliminationArray
 
@@ -127,16 +126,16 @@ def elimination_bound(
         return None
     elims = EliminationArray.of(elims)
     nnodes, cores, _, hierarchical, *links, site = _machine_params(machine, b)
-    cost = np.concatenate((duration_table(machine, b), links))
-    site_of = np.array(site, np.int32) if hierarchical else None
+    cost = (ctypes.c_double * 10)(*_kind_seconds(machine, b), *links)
+    site_of = (ctypes.c_int32 * nnodes)(*site) if hierarchical else None
     owner = tile_owners(layout, m, n)
-    out = np.empty(nnodes + 1)
+    out = (ctypes.c_double * (nnodes + 1))()
     ntasks = ctypes.c_int64()
     nedges = lib.hqr_build_dag(
-        2, m, n, len(elims), elims.panel.ctypes.data, elims.victim.ctypes.data,
-        elims.killer.ctypes.data, elims.ts.ctypes.data, owner.ctypes.data,
-        nnodes, 0, 0, *[None] * 5, ctypes.byref(ntasks), cost.ctypes.data,
-        None if site_of is None else site_of.ctypes.data, out.ctypes.data,
+        2, m, n, len(elims),
+        *map(address, (elims.panel, elims.victim, elims.killer, elims.ts)),
+        address(owner), nnodes, 0, 0, *[None] * 5, ctypes.byref(ntasks),
+        cost, site_of, out,
     )
     if nedges == -1:
         raise MemoryError("hqr_build_dag: per-tile scratch")
@@ -146,8 +145,8 @@ def elimination_bound(
             f"outside [0, {nnodes})"
         )
     # dividing and scaling round monotonically, so they commute with max
-    busiest = float(out[1:].max()) / cores * (1.0 - 2.0**-30)
-    return float(out[0]), busiest if ntasks.value + nedges < 2**21 else 0.0
+    busiest = max(out[1:]) / cores * (1.0 - 2.0**-30)
+    return out[0], busiest if ntasks.value + nedges < 2**21 else 0.0
 
 
 def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:

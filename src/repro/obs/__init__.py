@@ -23,41 +23,19 @@
 See ``docs/observability.md`` for the workflow.
 """
 
-from repro.obs.logging import jsonlog
-from repro.obs.metrics import (
-    MetricsRegistry,
-    derive_run_metrics,
-    utilization_timeline,
-)
-from repro.obs.profile import fold_spans, format_profile, profile_run
-from repro.obs.provenance import run_metadata
-from repro.obs.report import build_html, write_html
-from repro.obs.tracing import (
-    FlightRecorder,
-    RequestTrace,
-    Span,
-    Tracer,
-    attach,
-    current_trace,
-    span,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FlightRecorder",
-    "MetricsRegistry",
-    "RequestTrace",
-    "Span",
-    "Tracer",
-    "attach",
-    "build_html",
-    "current_trace",
-    "derive_run_metrics",
-    "fold_spans",
-    "format_profile",
-    "jsonlog",
-    "profile_run",
-    "run_metadata",
-    "span",
-    "utilization_timeline",
-    "write_html",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.logging": ("jsonlog",),
+    "repro.obs.metrics": (
+        "MetricsRegistry", "derive_run_metrics",
+        "utilization_timeline",
+    ),
+    "repro.obs.profile": ("fold_spans", "format_profile", "profile_run"),
+    "repro.obs.provenance": ("run_metadata",),
+    "repro.obs.report": ("build_html", "write_html"),
+    "repro.obs.tracing": (
+        "FlightRecorder", "RequestTrace", "Span", "Tracer", "attach",
+        "current_trace", "span",
+    ),
+})

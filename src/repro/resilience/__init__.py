@@ -24,24 +24,13 @@ With an empty fault schedule :func:`run_with_faults` is bit-identical to
 the fault-free core (asserted by ``tests/resilience``).
 """
 
-from repro.resilience.faults import (
-    FaultSchedule,
-    MessageDrops,
-    NodeCrash,
-    Slowdown,
-    scenario_names,
-)
-from repro.resilience.replan import shrunken_config, shrunken_grid
-from repro.resilience.simulate import FaultyRunResult, run_with_faults
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultSchedule",
-    "FaultyRunResult",
-    "MessageDrops",
-    "NodeCrash",
-    "Slowdown",
-    "run_with_faults",
-    "scenario_names",
-    "shrunken_config",
-    "shrunken_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.faults": (
+        "FaultSchedule", "MessageDrops", "NodeCrash", "Slowdown",
+        "scenario_names",
+    ),
+    "repro.resilience.replan": ("shrunken_config", "shrunken_grid"),
+    "repro.resilience.simulate": ("FaultyRunResult", "run_with_faults"),
+})

@@ -13,11 +13,9 @@ Two complementary engines, mirroring what DAGuE provides in the paper:
   paper's 60-node edel platform — see DESIGN.md §2.
 """
 
-from repro.runtime.machine import Machine
-from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Machine",
-    "SequentialExecutor",
-    "ThreadedExecutor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runtime.machine": ("Machine",),
+    "repro.runtime.executor": ("SequentialExecutor", "ThreadedExecutor"),
+})

@@ -44,14 +44,14 @@ and the verifier's reference simulator) are thin adapters over
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro import _ccore
+from repro._ccore import address, typed
 from repro.dag.compiled import CompiledGraph, _transpose
 from repro.obs.tracing import span
 from repro.runtime.machine import Machine
@@ -132,16 +132,18 @@ def sim_threads() -> int:
         ) from None
 
 
-def priority_ranks(prio, ntasks: int) -> tuple[np.ndarray, np.ndarray]:
+def priority_ranks(prio, ntasks: int) -> tuple:
     """Dense rank permutation of a priority vector.
 
-    Returns ``(rank, task_of_rank)`` with ``rank[t]`` unique and ordered
-    exactly like the reference scheduler's ``(prio[t], t)`` keys; ``None``
-    means program order (identity).
+    Returns int32 ``(rank, task_of_rank)`` with ``rank[t]`` unique and
+    ordered exactly like the reference scheduler's ``(prio[t], t)`` keys;
+    ``None`` means program order (identity, with no numpy).
     """
     if prio is None:
-        ident = np.arange(ntasks, dtype=np.int32)
+        ident = typed("i", range(ntasks))
         return ident, ident
+    import numpy as np
+
     arr = None
     try:
         cand = np.asarray(prio)
@@ -222,7 +224,7 @@ def _machine_params(machine: Machine, b: int):
         tile_bytes / machine.inter_site_bandwidth if hierarchical else 0.0
     )
     if hierarchical:
-        site = (np.arange(machine.nodes) // machine.site_size).tolist()
+        site = [node // machine.site_size for node in range(machine.nodes)]
     else:
         site = [0] * machine.nodes
     return (
@@ -656,35 +658,48 @@ def _py_loop(
 # --------------------------------------------------------------------- #
 # native inner loop
 # --------------------------------------------------------------------- #
-#: CompiledGraph arrays the native loop reads in place, with the dtype it
-#: expects of each (argument order of ``hqr_simulate_cluster_batch``)
+#: CompiledGraph arrays the native loop reads in place, with the item
+#: format it expects of each (argument order of ``hqr_simulate_cluster_batch``)
 _NATIVE_FIELDS = (
-    ("dur_table", np.float64),
-    ("kind", np.int8),
-    ("node", np.int16),
-    ("wait", np.uint8),
-    ("succ_ptr", np.int32),
-    ("succ_idx", np.int32),
+    ("dur_table", "d"),
+    ("kind", "b"),
+    ("node", "h"),
+    ("wait", "B"),
+    ("succ_ptr", "i"),
+    ("succ_idx", "i"),
 )
 
 
-def _graph_columns(graphs) -> list[list[np.ndarray]]:
+def _normalised(arr, fmt: str, j: int, name: str):
+    """``arr`` as a contiguous ndarray of format ``fmt`` — an array no
+    builder emits: a slice, another dtype — refusing a value that changes."""
+    import numpy as np
+
+    out = np.ascontiguousarray(arr, fmt)
+    if out is not arr and not np.array_equal(out, arr):
+        raise ValueError(f"graph {j}: {name} values outside {out.dtype}")
+    return out
+
+
+def _graph_columns(graphs) -> list[list]:
     """Every graph's ``_NATIVE_FIELDS`` arrays, one list per field.
 
     The C entries take one table of array addresses per field, so nothing
-    is packed or copied: an array that is already C-contiguous and of the
-    expected dtype (every builder's output) is handed over as is, any
-    other is normalised first, by value.  Refuses a value the normalising
-    changes (a node past int16) and lengths that do not describe one
-    graph.  The caller keeps the lists referenced until its call returns.
+    is packed or copied: every builder's typed view is handed over as is
+    (:func:`repro._ccore.typed` returns it unchanged), any other array is
+    normalised first, by value.  Refuses a value the normalising changes
+    (a node past int16) and lengths that do not describe one graph.  The
+    caller keeps the lists referenced until its call returns.
     """
     columns = [[] for _ in _NATIVE_FIELDS]
     for j, cg in enumerate(graphs):
-        for column, (name, dtype) in zip(columns, _NATIVE_FIELDS):
+        for column, (name, fmt) in zip(columns, _NATIVE_FIELDS):
             arr = getattr(cg, name)
-            column.append(np.ascontiguousarray(arr, dtype))
-            if column[-1] is not arr and not np.array_equal(column[-1], arr):
-                raise ValueError(f"graph {j}: {name} values outside {np.dtype(dtype)}")
+            if isinstance(arr, memoryview) and arr.format == fmt:
+                arr = typed(fmt, arr)  # itself, or a slice copied whole
+            else:
+                arr = _normalised(arr, fmt, j, name)
+            column.append(arr)
     dur_table, kind, node, wait, succ_ptr, succ_idx = columns
     for j in range(len(graphs)):
         nt, ne = len(kind[j]), len(succ_idx[j])
@@ -701,14 +716,18 @@ def _graph_columns(graphs) -> list[list[np.ndarray]]:
     return columns
 
 
-def _address_tables(columns) -> np.ndarray:
-    """Row k: the addresses of column k's arrays, one per graph (0, i.e.
-    NULL, for ``None``); a row's own address is what a C table argument
-    takes."""
-    return np.array(
-        [[0 if a is None else a.ctypes.data for a in col] for col in columns],
-        dtype=np.uintp,
-    )
+def _address_tables(columns) -> list:
+    """Per column, a C table of its arrays' addresses, one per graph (NULL
+    for ``None``): what a C table argument takes."""
+    return [
+        (ctypes.c_void_p * len(col))(*[None if a is None else address(a) for a in col])
+        for col in columns
+    ]
+
+
+def _outputs(npoints: int, *types) -> list:
+    """One zeroed C array of ``npoints`` items per ctypes type in ``types``."""
+    return [(ctype * npoints)() for ctype in types]
 
 
 def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
@@ -729,25 +748,22 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
         for j, prio in enumerate(prios)
     )))  # the rank column, then the task_of_rank column
     tables = _address_tables(columns)
-    ntasks = np.array([len(k) for k in kind], dtype=np.int64)
+    ntasks = (ctypes.c_int64 * npoints)(*[len(k) for k in kind])
     (
         nnodes, cores_per_node, serialized, hierarchical,
         lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     ) = _machine_params(machine, b)
-    site_of = np.asarray(site, dtype=np.int32)
-    out_mk = np.zeros(npoints, dtype=np.float64)
-    out_busy = np.zeros(npoints, dtype=np.float64)
-    out_msgs = np.zeros(npoints, dtype=np.int64)
-    out_rc = np.zeros(npoints, dtype=np.int32)
+    site_of = (ctypes.c_int32 * nnodes)(*site)
+    out_mk, out_busy, out_msgs, out_rc = _outputs(
+        npoints, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int32
+    )
     rc = lib.hqr_simulate_cluster_batch(
-        npoints, sim_threads(), ntasks.ctypes.data,
-        *[row.ctypes.data for row in tables],
+        npoints, sim_threads(), ntasks, *tables,
         nnodes, cores_per_node,
         1 if serialized else 0, 1 if hierarchical else 0,
         lat_intra, bwt_intra, lat_inter, bwt_inter,
-        site_of.ctypes.data, 1 if data_reuse else 0,
-        out_mk.ctypes.data, out_busy.ctypes.data, out_msgs.ctypes.data,
-        out_rc.ctypes.data,
+        site_of, 1 if data_reuse else 0,
+        out_mk, out_busy, out_msgs, out_rc,
     )
     if rc != 0:
         _refuse(out_rc, nnodes, (1, _WAIT_MISMATCH))
@@ -755,47 +771,44 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     return out_mk, out_busy, out_msgs
 
 
-def _refuse(out_rc: np.ndarray, nnodes: int, *codes) -> None:
+def _refuse(out_rc, nnodes: int, *codes) -> None:
     """``ValueError`` naming the first graph a batched C entry refused with
     rc 2 or one of ``codes``' ``(rc, reason)`` pairs; else returns."""
     reasons = ((2, f"a task kind outside [0, 6) or a node outside [0, {nnodes})"),)
+    rcs = list(out_rc)
     for code, what in reasons + codes:
-        bad = np.flatnonzero(out_rc == code)
-        if len(bad):
-            raise ValueError(f"graph {bad[0]}: {what}")
+        if code in rcs:
+            raise ValueError(f"graph {rcs.index(code)}: {what}")
 
 
 def _c_lower_bound(lib, graphs, machine: Machine, b: int):
-    """``hqr_lower_bound`` over ``graphs`` in one call, GIL-free: a
-    ``(npoints, 6)`` array of terms (the C comment lists them) and the
-    per-graph channel loads, or ``None`` after an allocation failure.
+    """``hqr_lower_bound`` over ``graphs`` in one call, GIL-free: per graph
+    a list of six terms (the C comment lists them), and the per-graph
+    channel loads, or ``None`` after an allocation failure.
     Refuses, with ``ValueError``, what the loop refuses and a graph whose
     successor edges do not all point forward."""
     npoints = len(graphs)
     dur_table, kind, node, _, succ_ptr, succ_idx = _graph_columns(graphs)
     tables = _address_tables([dur_table, kind, node, succ_ptr, succ_idx])
-    ntasks = np.array([len(k) for k in kind], dtype=np.int64)
+    ntasks = (ctypes.c_int64 * npoints)(*[len(k) for k in kind])
     (
         nnodes, cores_per_node, serialized, hierarchical,
         lat_intra, bwt_intra, lat_inter, bwt_inter, site,
     ) = _machine_params(machine, b)
-    site_of = np.asarray(site, dtype=np.int32)
-    out = np.zeros((npoints, 6), dtype=np.float64)
-    out_load = np.zeros(npoints, dtype=np.int64)
-    out_rc = np.zeros(npoints, dtype=np.int32)
+    site_of = (ctypes.c_int32 * nnodes)(*site)
+    out = (ctypes.c_double * (6 * npoints))()
+    out_load, out_rc = _outputs(npoints, ctypes.c_int64, ctypes.c_int32)
     rc = lib.hqr_lower_bound(
-        npoints, sim_threads(), ntasks.ctypes.data,
-        *[row.ctypes.data for row in tables],
+        npoints, sim_threads(), ntasks, *tables,
         nnodes, cores_per_node,
         1 if serialized else 0, 1 if hierarchical else 0,
         lat_intra, bwt_intra, lat_inter, bwt_inter,
-        site_of.ctypes.data,
-        out.ctypes.data, out_load.ctypes.data, out_rc.ctypes.data,
+        site_of, out, out_load, out_rc,
     )
     if rc != 0:
         _refuse(out_rc, nnodes, (3, "a successor edge that does not point forward"))
         return None
-    return out, out_load
+    return [out[6 * p : 6 * p + 6] for p in range(npoints)], list(out_load)
 
 
 # --------------------------------------------------------------------- #
@@ -863,17 +876,18 @@ def run_core(
             if fault is not None:
                 # the fault branch skips finished consumers: a low count ends at 0
                 pred_ptr, pred_idx = _transpose(cg.succ_ptr, cg.succ_idx)
-                wrong = np.diff(pred_ptr) != cg.wait
-                if wrong.any():
+                pred_ptr = pred_ptr.tolist()
+                wrong = [
+                    hi - lo != w
+                    for lo, hi, w in zip(pred_ptr, pred_ptr[1:], cg.wait.tolist())
+                ]
+                if any(wrong):
                     raise _wait_mismatch(wrong)
-                kw = dict(
-                    fault=fault,
-                    pred_ptr=pred_ptr.tolist(),
-                    pred_idx=pred_idx.tolist(),
-                )
+                kw = dict(fault=fault, pred_ptr=pred_ptr, pred_idx=pred_idx.tolist())
+            dur = cg.dur_table.tolist()
             makespan, busy, messages, trace, comm, queue, fault_out = _py_loop(
                 ntasks, nnodes, cores_per_node,
-                cg.dur_table[cg.kind].tolist(), cg.node.tolist(), cg.wait.tolist(),
+                [dur[k] for k in cg.kind.tolist()], cg.node.tolist(), cg.wait.tolist(),
                 cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
                 rank.tolist(), task_of_rank.tolist(),
                 serialized, hierarchical,

@@ -19,27 +19,14 @@ makespan ranks configurations.  This package serves that planner:
 See ``docs/serving.md`` for the API schema and tenancy model.
 """
 
-from repro.serve.arrivals import Arrival, poisson_arrivals
-from repro.serve.scheduler import (
-    Admission,
-    FairScheduler,
-    Job,
-    TenantSpec,
-    parse_tenants,
-)
-from repro.serve.service import PlannerService, PlanRequest, PlanResult
-from repro.serve.slo import SLOTracker
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Admission",
-    "Arrival",
-    "FairScheduler",
-    "Job",
-    "PlanRequest",
-    "PlanResult",
-    "PlannerService",
-    "SLOTracker",
-    "TenantSpec",
-    "parse_tenants",
-    "poisson_arrivals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.arrivals": ("Arrival", "poisson_arrivals"),
+    "repro.serve.scheduler": (
+        "Admission", "FairScheduler", "Job", "TenantSpec",
+        "parse_tenants",
+    ),
+    "repro.serve.service": ("PlannerService", "PlanRequest", "PlanResult"),
+    "repro.serve.slo": ("SLOTracker",),
+})

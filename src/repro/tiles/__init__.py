@@ -7,24 +7,12 @@ operate at the tile level: a tile is addressed by its ``(row, col)`` tile
 indices, both starting at 0.
 """
 
-from repro.tiles.matrix import TiledMatrix, tile_count
-from repro.tiles.layout import (
-    Layout,
-    Block1D,
-    Cyclic1D,
-    BlockCyclic2D,
-    SingleNode,
-)
-from repro.tiles.state import TileState, PanelStateTracker
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TiledMatrix",
-    "tile_count",
-    "Layout",
-    "Block1D",
-    "Cyclic1D",
-    "BlockCyclic2D",
-    "SingleNode",
-    "TileState",
-    "PanelStateTracker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tiles.matrix": ("TiledMatrix", "tile_count"),
+    "repro.tiles.layout": (
+        "Layout", "Block1D", "Cyclic1D", "BlockCyclic2D", "SingleNode",
+    ),
+    "repro.tiles.state": ("TileState", "PanelStateTracker"),
+})

@@ -12,26 +12,15 @@ A tiled QR algorithm is entirely characterized by its *elimination list*
   elimination, reproducing Tables I-IV of the paper.
 """
 
-from repro.trees.base import Elimination, PanelTree
-from repro.trees.flat import FlatTree
-from repro.trees.binary import BinaryTree
-from repro.trees.fibonacci import FibonacciTree
-from repro.trees.greedy import GreedyTree, greedy_elimination_list
-from repro.trees.pipelined import panel_elimination_list
-from repro.trees.schedule import coarse_schedule, killer_table
-from repro.trees.factory import make_tree, TREE_NAMES
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Elimination",
-    "PanelTree",
-    "FlatTree",
-    "BinaryTree",
-    "FibonacciTree",
-    "GreedyTree",
-    "greedy_elimination_list",
-    "panel_elimination_list",
-    "coarse_schedule",
-    "killer_table",
-    "make_tree",
-    "TREE_NAMES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.trees.base": ("Elimination", "PanelTree"),
+    "repro.trees.flat": ("FlatTree",),
+    "repro.trees.binary": ("BinaryTree",),
+    "repro.trees.fibonacci": ("FibonacciTree",),
+    "repro.trees.greedy": ("GreedyTree", "greedy_elimination_list"),
+    "repro.trees.pipelined": ("panel_elimination_list",),
+    "repro.trees.schedule": ("coarse_schedule", "killer_table"),
+    "repro.trees.factory": ("make_tree", "TREE_NAMES"),
+})

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import array
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
+from repro import _ccore
+from repro._ccore import address, typed
 
 
 @dataclass(frozen=True, order=True)
@@ -44,48 +46,55 @@ class Elimination:
 class EliminationArray(Sequence):
     """An immutable elimination list held as four contiguous arrays.
 
-    ``panel``/``victim``/``killer`` are int32 and ``ts`` uint8, one entry
-    per elimination in list order.  It is a ``Sequence[Elimination]``:
+    ``panel``/``victim``/``killer`` are int32 and ``ts`` uint8 read-only
+    typed ``memoryview``s (:func:`repro._ccore.typed`), one entry per
+    elimination in list order.  It is a ``Sequence[Elimination]``:
     ``len``, iteration, indexing, slicing and ``==`` against any other
     sequence of eliminations behave like the equivalent ``list``, with
     :class:`Elimination` objects materialised only on access.  The
     :class:`Elimination` invariants are checked over the whole arrays on
-    construction and raise the same ``ValueError``.
+    construction, in one native pass, and raise the same ``ValueError``.
     """
 
     __slots__ = ("panel", "victim", "killer", "ts")
 
     def __init__(self, panel, victim, killer, ts) -> None:
-        self.panel = np.ascontiguousarray(panel, dtype=np.int32)
-        self.victim = np.ascontiguousarray(victim, dtype=np.int32)
-        self.killer = np.ascontiguousarray(killer, dtype=np.int32)
-        self.ts = np.ascontiguousarray(ts, dtype=np.uint8)
-        if not (
-            self.panel.shape == self.victim.shape == self.killer.shape
-            == self.ts.shape == (len(self.panel),)
-        ):
-            raise ValueError("elimination arrays must be 1-D of equal length")
-        bad = (
-            (self.victim == self.killer)
-            | (self.victim <= self.panel)
-            | (self.killer < self.panel)
+        self.panel, self.victim, self.killer = (
+            typed("i", arr) for arr in (panel, victim, killer)
         )
-        if bad.any():
-            self[int(bad.argmax())]  # raises the matching Elimination error
-        for arr in (self.panel, self.victim, self.killer, self.ts):
-            arr.flags.writeable = False
+        self.ts = typed("B", ts)
+        if not len(self.panel) == len(self.victim) == len(self.killer) == len(self.ts):
+            raise ValueError("elimination arrays must be 1-D of equal length")
+        bad = self._first_bad()
+        if bad >= 0:
+            self[bad]  # raises the matching Elimination error
+
+    def _first_bad(self, m: int = -1, n: int = -1) -> int:
+        """Index of the first elimination that breaks the invariants or,
+        with ``m >= 0``, does not fit ``m x n`` tiles; -1 when none does.
+        One native pass (``hqr_check_elims``), numpy without the core."""
+        lib = _ccore.get_lib()
+        if lib is not None:
+            return lib.hqr_check_elims(
+                len(self), address(self.panel), address(self.victim),
+                address(self.killer), m, n,
+            )
+        import numpy as np
+
+        panel, victim, killer = map(np.asarray, (self.panel, self.victim, self.killer))
+        bad = (victim == killer) | (victim <= panel) | (killer < panel)
+        if m >= 0:
+            bad |= (panel < 0) | (panel >= n) | (victim >= m) | (killer >= m)
+        return int(bad.argmax()) if bad.any() else -1
 
     @classmethod
     def of(cls, elims: Sequence[Elimination]) -> "EliminationArray":
         """``elims`` itself when already array-backed, else its array form."""
         if isinstance(elims, cls):
             return elims
-        count = len(elims)
         return cls(
-            np.fromiter((e.panel for e in elims), np.int32, count),
-            np.fromiter((e.victim for e in elims), np.int32, count),
-            np.fromiter((e.killer for e in elims), np.int32, count),
-            np.fromiter((e.ts for e in elims), np.uint8, count),
+            [e.panel for e in elims], [e.victim for e in elims],
+            [e.killer for e in elims], [e.ts for e in elims],
         )
 
     def __len__(self) -> int:
@@ -98,20 +107,20 @@ class EliminationArray(Sequence):
                 self.killer[index], self.ts[index],
             )
         return Elimination(
-            int(self.panel[index]), int(self.victim[index]),
-            int(self.killer[index]), bool(self.ts[index]),
+            self.panel[index], self.victim[index],
+            self.killer[index], bool(self.ts[index]),
         )
 
     def __iter__(self) -> Iterator[Elimination]:
         return map(
             Elimination, self.panel.tolist(), self.victim.tolist(),
-            self.killer.tolist(), self.ts.astype(bool).tolist(),
+            self.killer.tolist(), map(bool, self.ts.tolist()),
         )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EliminationArray):
             return all(
-                np.array_equal(getattr(self, field), getattr(other, field))
+                getattr(self, field) == getattr(other, field)
                 for field in self.__slots__
             )
         if isinstance(other, (list, tuple)):
@@ -141,32 +150,25 @@ class PanelTree(ABC):
     name: str = "?"
 
     def __init__(self) -> None:
-        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pairs: dict[int, tuple[memoryview, memoryview]] = {}
         #: see :meth:`table`; replaced whole, never edited, once published
-        self._table = (
-            np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.int32)
-        )
+        self._table = (typed("q"), typed("i"), typed("i"))
 
     @abstractmethod
     def _positions(self, q: int) -> tuple[Sequence[int], Sequence[int]]:
         """Ordered victim and killer positions reducing ``q >= 2`` rows."""
 
-    def pairs(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, q: int) -> tuple[memoryview, memoryview]:
         """Cached read-only int32 ``(victim_pos, killer_pos)`` for ``q`` rows."""
         found = self._pairs.get(q)
         if found is None:
             victims, killers = self._positions(q) if q > 1 else ((), ())
-            found = (
-                np.array(victims, dtype=np.int32),
-                np.array(killers, dtype=np.int32),
-            )
-            for arr in found:
-                arr.flags.writeable = False
+            found = (typed("i", victims), typed("i", killers))
             # two threads may get here together: both keep the first entry
             found = self._pairs.setdefault(q, found)
         return found
 
-    def table(self, qlo: int, qhi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def table(self, qlo: int, qhi: int) -> tuple[memoryview, memoryview, memoryview]:
         """``pairs(q)`` for ``qlo <= q <= qhi`` (at least) as three flat
         arrays, the form the native generator reads: ``(start, victims,
         killers)`` where the ``q - 1`` positions of ``pairs(q)`` begin at
@@ -179,32 +181,31 @@ class PanelTree(ABC):
         """
         table = self._table
         start = table[0]
-        if qhi >= len(start) or (start[qlo : qhi + 1] < 0).any():
-            grown = np.full(max(qhi + 1, len(start)), -1, dtype=np.int64)
-            grown[: len(start)] = start
-            victims, killers = [table[1]], [table[2]]
-            at = len(table[1])
-            for q in np.flatnonzero(grown[qlo : qhi + 1] < 0) + qlo:
-                found = self.pairs(int(q))
+        if qhi >= len(start) or min(start[qlo : qhi + 1]) < 0:
+            grown = array.array("q", start)
+            grown.extend([-1] * (qhi + 1 - len(grown)))
+            victims, killers = array.array("i", table[1]), array.array("i", table[2])
+            for q in range(qlo, qhi + 1):
+                if grown[q] >= 0:
+                    continue
+                found = self.pairs(q)
                 if len(found[0]) != max(q - 1, 0):
                     raise ValueError(
                         f"{self.name} tree kills {len(found[0])} of {q} rows"
                     )
-                victims.append(found[0])
-                killers.append(found[1])
-                grown[q] = at
-                at += len(found[0])
-            table = (grown, np.concatenate(victims), np.concatenate(killers))
-            for arr in table:
-                arr.flags.writeable = False
-            self._table = table
+                grown[q] = len(victims)
+                victims.extend(found[0])
+                killers.extend(found[1])
+            table = self._table = (
+                typed("q", grown), typed("i", victims), typed("i", killers)
+            )
         return table
 
     def eliminations(self, rows: Sequence[int]) -> list[tuple[int, int]]:
         """Ordered ``(victim, killer)`` pairs reducing ``rows`` to ``rows[0]``."""
-        rows = np.array(self._check_rows(rows), dtype=np.int64)
+        rows = [int(r) for r in self._check_rows(rows)]
         victims, killers = self.pairs(len(rows))
-        return list(zip(rows[victims].tolist(), rows[killers].tolist()))
+        return [(rows[v], rows[k]) for v, k in zip(victims, killers)]
 
     @staticmethod
     def _check_rows(rows: Sequence[int]) -> list[int]:

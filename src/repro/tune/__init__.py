@@ -19,23 +19,13 @@ Metropolis random walk over the *full* legal space (trees x domino x
 Entry point: ``repro tune`` (see docs/tuning.md for the guide).
 """
 
-from repro.tune.bench import tune_bench
-from repro.tune.energy import EnergyEvaluator, initial_case
-from repro.tune.sampler import (
-    Annealer,
-    CoolingSchedule,
-    SampleBuffer,
-    TuneResult,
-    load_checkpoint,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Annealer",
-    "CoolingSchedule",
-    "EnergyEvaluator",
-    "SampleBuffer",
-    "TuneResult",
-    "initial_case",
-    "load_checkpoint",
-    "tune_bench",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tune.bench": ("tune_bench",),
+    "repro.tune.energy": ("EnergyEvaluator", "initial_case"),
+    "repro.tune.sampler": (
+        "Annealer", "CoolingSchedule", "SampleBuffer", "TuneResult",
+        "load_checkpoint",
+    ),
+})

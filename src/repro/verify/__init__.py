@@ -24,37 +24,18 @@ correctness tool that enforces that promise:
   JSON reports and replay.
 """
 
-from repro.verify.engines import available_engines, result_key, run_engines
-from repro.verify.generator import (
-    NEIGHBOR_AXES,
-    VerifyCase,
-    generate_cases,
-    propose_neighbor,
-)
-from repro.verify.oracle import OracleViolation, check_schedule
-from repro.verify.runner import (
-    CaseFailure,
-    replay_report,
-    verify,
-    verify_case,
-    write_report,
-)
-from repro.verify.shrink import shrink_case
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CaseFailure",
-    "NEIGHBOR_AXES",
-    "OracleViolation",
-    "VerifyCase",
-    "available_engines",
-    "check_schedule",
-    "generate_cases",
-    "propose_neighbor",
-    "replay_report",
-    "result_key",
-    "run_engines",
-    "shrink_case",
-    "verify",
-    "verify_case",
-    "write_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.verify.engines": ("available_engines", "result_key", "run_engines"),
+    "repro.verify.generator": (
+        "NEIGHBOR_AXES", "VerifyCase", "generate_cases",
+        "propose_neighbor",
+    ),
+    "repro.verify.oracle": ("OracleViolation", "check_schedule"),
+    "repro.verify.runner": (
+        "CaseFailure", "replay_report", "verify", "verify_case",
+        "write_report",
+    ),
+    "repro.verify.shrink": ("shrink_case",),
+})

@@ -4,12 +4,11 @@ Everything renders to plain text — the library targets headless HPC
 environments; pipe the output into a pager or commit it as a golden file.
 """
 
-from repro.viz.profiles import (
-    parallelism_profile, render_parallelism_profile, sparkline,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "sparkline",
-    "parallelism_profile",
-    "render_parallelism_profile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.viz.profiles": (
+        "parallelism_profile", "render_parallelism_profile",
+        "sparkline",
+    ),
+})

@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import BenchSetup, run_config, run_config_sweep
@@ -278,7 +279,7 @@ def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
         calls.append(args[:3])
         cg = real_build(*args)
         if args[:3] == points[2]:
-            kind = cg.kind.copy()
+            kind = np.array(cg.kind)
             kind[0] = 6
             return dataclasses.replace(cg, kind=kind)
         return cg
@@ -364,8 +365,6 @@ def test_concurrent_planning_matches_serial_planning():
     bitwise equal to a serial run's."""
     import sys
 
-    import numpy as np
-
     from repro.trees.factory import make_tree
 
     setup = small_setup()
@@ -381,7 +380,7 @@ def test_concurrent_planning_matches_serial_planning():
 
     def same(got, want):
         return len(got) == len(want) and all(
-            g.dtype == w.dtype and np.array_equal(g, w)
+            g.format == w.format and np.array_equal(g, w)
             for g, w in zip(got, want)
         )
 

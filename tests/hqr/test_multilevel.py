@@ -62,7 +62,7 @@ def test_array_list_equals_object_oracle(stack, a, m, n):
     assert isinstance(got, EliminationArray)
     assert got == want and list(got) == want
     assert got.ts.tolist() == [e.ts for e in want]
-    assert got.panel.dtype == got.victim.dtype == got.killer.dtype == np.int32
+    assert got.panel.format == got.victim.format == got.killer.format == "i"
     for k in range(tree.panels):
         panel = tree.panel_eliminations(k)
         assert isinstance(panel, EliminationArray)

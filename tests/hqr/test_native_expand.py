@@ -41,8 +41,8 @@ def _same_list(got, want):
     assert isinstance(got, EliminationArray)
     for field in EliminationArray.__slots__:
         a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-        assert not a.flags.writeable
+        assert a.format == b.format and np.array_equal(a, b), field
+        assert a.readonly
 
 
 @needs_native
@@ -117,6 +117,7 @@ def _raw_expand(lib, m, n, cfg, low, high, cap):
         np.full(cap + 3, -7, np.int32), np.full(cap + 3, -7, np.int32),
         np.full(cap + 3, -7, np.int32), np.full(cap + 3, 7, np.uint8),
     )
+    low, high = ([np.ascontiguousarray(arr) for arr in t] for t in (low, high))
     written = lib.hqr_expand(
         m, n, cfg.p, cfg.a, cfg.domino,
         len(low[0]) - 1, *[arr.ctypes.data for arr in low],
@@ -146,7 +147,7 @@ def test_short_table_or_small_capacity_is_refused_not_overrun():
     # a table that ends before, or lacks, a q some cluster needs
     short = (low[0][:4], low[1], low[2])
     assert _raw_expand(lib, m, n, cfg, short, high, len(want))[0] == -1
-    holed = (low[0].copy(), low[1], low[2])
+    holed = (np.array(low[0]), low[1], low[2])
     holed[0][5] = -1
     assert _raw_expand(lib, m, n, cfg, holed, high, len(want))[0] == -1
     no_high = (np.full_like(high[0], -1), high[1], high[2])
@@ -177,8 +178,8 @@ def test_a_refusal_falls_back_to_the_reference(monkeypatch):
 def test_table_holds_the_pairs_it_was_asked_for(name):
     tree = type(make_tree(name))()  # a private instance: nothing cached
     start, victims, killers = tree.table(5, 9)
-    assert start.dtype == np.int64 and len(start) == 10
-    assert (start[:5] < 0).all() and (start[5:] >= 0).all()
+    assert start.format == "q" and len(start) == 10
+    assert max(start[:5]) < 0 and min(start[5:]) >= 0
     later = tree.table(2, 3)  # grows downward without moving what is there
     assert tree.table(5, 9) is later and tree.table(2, 3) is later
     assert np.array_equal(later[0][5:], start[5:])
@@ -191,8 +192,8 @@ def test_table_holds_the_pairs_it_was_asked_for(name):
         assert np.array_equal(wide[1][at : at + len(want_v)], want_v)
         assert np.array_equal(wide[2][at : at + len(want_k)], want_k)
     for arr in wide:
-        assert not arr.flags.writeable
-    assert victims.dtype == killers.dtype == np.int32
+        assert arr.readonly
+    assert victims.format == killers.format == "i"
 
 
 def test_table_rejects_a_tree_that_does_not_kill_q_minus_one():

@@ -117,7 +117,7 @@ def small():
 @pytest.mark.parametrize("field,value", [("kind", 6), ("node", -1)])
 def test_bad_kind_or_node_is_refused(small, field, value):
     cg, machine, b = small
-    arr = getattr(cg, field).copy()
+    arr = np.array(getattr(cg, field))
     arr[len(arr) // 2] = value
     bad = dataclasses.replace(cg, **{field: arr})
     with pytest.raises(ValueError, match="kind outside"):
@@ -128,7 +128,7 @@ def test_bad_kind_or_node_is_refused(small, field, value):
 
 def test_edge_not_pointing_forward_is_refused(small):
     cg, machine, b = small
-    succ_idx = cg.succ_idx.copy()
+    succ_idx = np.array(cg.succ_idx)
     succ_idx[np.argmax(np.diff(cg.succ_ptr) > 0)] = 0
     bad = dataclasses.replace(cg, succ_idx=succ_idx)
     with pytest.raises(ValueError, match="point forward"):

@@ -138,7 +138,7 @@ def test_builder_matches_taskgraph_hqr():
     )
     for field in ("kind", "wait", "node", "succ_ptr", "succ_idx"):
         a, b = getattr(want, field), getattr(got, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
+        assert a.format == b.format and np.array_equal(a, b), field
     assert_derived_predecessors(got, graph.predecessors)
     # the graph stores no coordinates: derived, they are the Task fields
     coords = task_coordinates(elims, M_TILES, N_TILES)

@@ -143,13 +143,16 @@ def _foreign(cg):
     def strided(arr):
         return np.repeat(arr, 2)[::2]
 
+    def wide(arr):
+        return np.asarray(arr).astype(np.int64)
+
     return dataclasses.replace(
         cg,
         kind=strided(cg.kind),
-        node=cg.node.astype(np.int64),
-        wait=strided(cg.wait.astype(np.int64)),
-        succ_ptr=cg.succ_ptr.astype(np.int64),
-        succ_idx=strided(cg.succ_idx.astype(np.int64)),
+        node=wide(cg.node),
+        wait=strided(wide(cg.wait)),
+        succ_ptr=wide(cg.succ_ptr),
+        succ_idx=strided(wide(cg.succ_idx)),
         dur_table=strided(cg.dur_table),
     )
 
@@ -219,14 +222,12 @@ def test_int64_offsets_give_the_same_result_by_value(core, request):
     _use(core, request)
     case = CASES["flat-serialized"]
     _, _, cg, prio = _compiled(case)
-    assert (cg.wait.dtype, cg.node.dtype, cg.succ_ptr.dtype) == (
-        np.uint8, np.int16, np.int32
-    )
+    assert (cg.wait.format, cg.node.format, cg.succ_ptr.format) == ("B", "h", "i")
     wide = dataclasses.replace(
         cg,
-        wait=cg.wait.astype(np.int32),
-        node=cg.node.astype(np.int32),
-        succ_ptr=cg.succ_ptr.astype(np.int64),
+        wait=np.asarray(cg.wait).astype(np.int32),
+        node=np.asarray(cg.node).astype(np.int32),
+        succ_ptr=np.asarray(cg.succ_ptr).astype(np.int64),
     )
     assert wide.pred_counts.tolist() == cg.pred_counts.tolist()
     assert np.array_equal(wide.pred_ptr, cg.pred_ptr)
@@ -253,11 +254,11 @@ def test_batch_refuses_arrays_that_do_not_fit_together():
     with pytest.raises(ValueError, match="graph 1"):
         run_core_batch([cg, short], case.machine, case.b)
     # a wide node array whose values int16 would wrap onto valid nodes
-    wrapped = dataclasses.replace(cg, node=cg.node.astype(np.int32) + 2**16)
+    wrapped = dataclasses.replace(cg, node=np.asarray(cg.node).astype(np.int32) + 2**16)
     with pytest.raises(ValueError, match="graph 1: node values outside int16"):
         run_core_batch([cg, wrapped], case.machine, case.b)
     for name, value in [("kind", 6), ("kind", -1), ("node", 8), ("node", -1)]:
-        arr = getattr(cg, name).copy()
+        arr = np.array(getattr(cg, name))
         arr[len(arr) // 2] = value
         bad = dataclasses.replace(cg, **{name: arr})
         with pytest.raises(ValueError, match="graph 0"):
@@ -328,7 +329,7 @@ def test_a_wrong_wait_count_is_refused_by_every_loop(change):
     machine, b = Machine(nodes=4, cores_per_node=1, site_size=2), 64
     cg = compile_graph(_fan_out_graph(), Cyclic1D(4), machine, b)
     assert cg.wait.tolist() == [0, 1, 1, 1, 1, 1, 1, 0, 2, 7]
-    wait = cg.wait.copy()
+    wait = np.array(cg.wait)
     wait[9] = 7 + change
     bad = dataclasses.replace(cg, wait=wait)
     hooks = FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist())

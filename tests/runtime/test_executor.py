@@ -82,7 +82,7 @@ class TestThreadedEquivalence:
         """A task never released ends the run with an error, not a hang."""
         b, m, n = 3, 4, 2
         graph, coords = make_graph(m, n, HQRConfig())
-        graph.wait = graph.wait.copy()
+        graph.wait = np.array(graph.wait)
         graph.wait[-1] += 1
         A = TiledMatrix(rng.standard_normal((m * b, n * b)), b)
         with pytest.raises(RuntimeError, match="stalled"):

@@ -163,7 +163,7 @@ def _drops_an_edge(build):
     def built(*args):
         cg = build(*args)
         nedges = len(cg.succ_idx)
-        wait = cg.wait.copy()
+        wait = np.array(cg.wait)
         wait[cg.succ_idx[-1]] -= 1
         return dataclasses.replace(
             cg,
