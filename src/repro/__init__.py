@@ -26,7 +26,9 @@ Package map (see DESIGN.md for the full inventory):
 
 from repro._exports import lazy_exports
 
-_export, __dir__, __all__ = lazy_exports(__name__, {
+__version__ = "1.0.0"  # pyproject.toml's: a literal loads no package metadata
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.api": ("qr", "QRResult"),
     "repro.hqr.config": ("HQRConfig",),
     "repro.hqr.hierarchy": ("HQRTree", "hqr_elimination_list"),
@@ -34,21 +36,3 @@ _export, __dir__, __all__ = lazy_exports(__name__, {
     "repro.tiles.matrix": ("TiledMatrix",),
 })
 __all__.append("__version__")
-
-
-def __getattr__(name: str):
-    """A public name, imported on first access (PEP 562: ``import repro``
-    loads neither numpy nor the numeric layers); ``__version__`` comes
-    from package metadata (importing ``importlib.metadata`` costs about
-    what ``import repro`` does), the literal being the source-tree
-    fallback."""
-    if name != "__version__":
-        return _export(name)
-    try:
-        from importlib.metadata import version
-
-        found = version("repro")
-    except Exception:
-        found = "1.0.0"
-    globals()["__version__"] = found
-    return found

@@ -30,19 +30,16 @@ from __future__ import annotations
 
 import array
 import ctypes
-import hashlib
 import logging
 import os
 import struct
-import subprocess
 import sysconfig
-import tempfile
 import time
 from pathlib import Path
 
 __all__ = [
     "address", "cache_root", "get_lib", "native_available", "openmp_available",
-    "typed", "zeros",
+    "sha256_hex", "typed", "zeros",
 ]
 
 
@@ -100,6 +97,28 @@ def address(view) -> int:
 
 #: what an empty array's address points at: C reads no item of it
 _SPARE = ctypes.c_char()
+
+
+def _sha256_constructor():
+    """CPython's built-in SHA-256, so planning never maps OpenSSL's
+    ``libcrypto``; ``hashlib``'s (the same digest) only where neither exists."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+#: found once: a failed import searches ``sys.path`` again on every try
+_sha256 = _sha256_constructor()
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data`` (:func:`_sha256_constructor`)."""
+    return _sha256(data).hexdigest()
 
 
 def cache_root() -> Path:
@@ -1154,10 +1173,14 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
     cc = _compiler()
     if cc is None:
         return None
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    digest = sha256_hex(source.encode())[:16]
     libdir = cache_root() / "ccore"
     sopath = libdir / f"hqr_ccore_{digest}.so"
     if not sopath.exists():
+        # only a build needs these: a library found built loads neither
+        import subprocess
+        import tempfile
+
         try:
             libdir.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=libdir) as tmp:

@@ -27,6 +27,8 @@ import contextlib
 import os
 import sys
 
+from repro import __version__
+
 
 @contextlib.contextmanager
 def _scoped_env(**overrides):
@@ -709,20 +711,11 @@ def cmd_tune(args) -> int:
     return 0
 
 
-class _Version(argparse.Action):
-    """``--version``, resolving the version only when it is asked for."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        import repro
-
-        print(f"repro {repro.__version__}")
-        parser.exit()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
-        "--version", action=_Version, nargs=0, help="show the version and exit"
+        "--version", action="version", version=f"repro {__version__}",
+        help="show the version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

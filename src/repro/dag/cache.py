@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 import sys
 import threading
@@ -34,7 +33,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
-from repro._ccore import cache_root
+from repro._ccore import cache_root, sha256_hex
 from repro.dag.compiled import CompiledGraph
 from repro.hqr.config import HQRConfig
 from repro.runtime.machine import Machine
@@ -152,7 +151,7 @@ def _digest(m, n, b, config, layout_type, layout_params, machine) -> str:
         "machine": _canonical(machine, "machine"),
     }
     blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256_hex(blob.encode())
 
 
 class CompiledGraphCache:

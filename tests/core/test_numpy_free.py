@@ -1,10 +1,14 @@
-"""The planning chain runs without numpy.
+"""The planning chain loads only what it runs.
 
 With the native core loaded, a sweep, a tune chain and a served plan hold
 every list and graph in the core's own typed buffers, and every package
 exports its names lazily: none of them, nor ``repro --help``, may import
-numpy.  Each step runs in one fresh interpreter (this process has numpy
-loaded by the test suite), in order, checking ``sys.modules`` after each.
+numpy.  Nor may they load OpenSSL (``_hashlib``: the fingerprints use
+CPython's built-in SHA-256), package metadata (``importlib.metadata``:
+``__version__`` is a literal) or ``subprocess`` (the compiler's module, loaded
+only to build the core).  Each step runs in one fresh interpreter (the
+test suite's own process loads several of them), in order, checking
+``sys.modules`` after each.
 """
 
 import os
@@ -24,8 +28,11 @@ CHILD = textwrap.dedent(
     import runpy
     import sys
 
+    UNUSED = ("numpy", "_hashlib", "importlib.metadata", "subprocess")
+
     def clean(step):
-        assert "numpy" not in sys.modules, f"{step} imported numpy"
+        loaded = [name for name in UNUSED if name in sys.modules]
+        assert not loaded, f"{step} imported {loaded}"
         print("clean:", step)
 
     import repro

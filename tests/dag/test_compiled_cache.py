@@ -1,11 +1,16 @@
 """Compiled-graph cache: fingerprint sensitivity, the LRU, immutability."""
 
 import dataclasses
+import hashlib
+import importlib.util
+import json
+import sys
 
 import numpy as np
 import pytest
 
 import repro.dag.cache as cache_mod
+from repro import _ccore
 from repro.dag.cache import CompiledGraphCache, fingerprint
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr.config import HQRConfig
@@ -121,6 +126,43 @@ def test_fingerprint_value_is_pinned():
     assert base_key() == (
         "008c0b1781c11c42c24a147664218f96c948181af6f440f245d09f3100a21f8f"
     )
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+def test_fingerprint_is_hashlibs_sha256_of_the_canonical_blob(builtin, monkeypatch):
+    """With CPython's built-in SHA-256, or with ``hashlib`` where neither
+    built-in module imports, a key and the core library's name are what
+    ``hashlib.sha256`` makes of the same bytes."""
+    if builtin and not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    blob = json.dumps({
+        "version": cache_mod.CACHE_VERSION, "m": M_TILES, "n": N_TILES, "b": B,
+        "config": cache_mod._canonical(BASE_CONFIG),
+        "layout": {
+            "class": "BlockCyclic2D",
+            "params": cache_mod._canonical(vars(BASE_LAYOUT)),
+        },
+        "machine": cache_mod._canonical(BASE_MACHINE),
+    }, sort_keys=True).encode()
+    source = _ccore._C_SOURCE.encode()
+    expected = [hashlib.sha256(data).hexdigest() for data in (blob, source)]
+
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(
+        hashlib, "sha256", lambda data: hashed.append(data) or real(data)
+    )
+    if not builtin:
+        for name in ("_sha2", "_sha256"):
+            # a None entry makes its import raise ImportError
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setattr(_ccore, "_sha256", _ccore._sha256_constructor())
+    cache_mod._digest.cache_clear()
+    try:
+        assert [base_key(), _ccore.sha256_hex(source)] == expected
+    finally:
+        cache_mod._digest.cache_clear()
+    assert hashed == ([] if builtin else [blob, source])
 
 
 def test_fingerprint_memo_returns_the_unmemoised_digest():

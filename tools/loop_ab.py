@@ -159,7 +159,7 @@ class Batch:
         t0 = time.perf_counter()
         lib.hqr_simulate_cluster_batch(
             n, 1, self.ntasks.ctypes.data,
-            *[row.ctypes.data for row in self.tables],
+            *self.tables,
             *self.params, self.site_of.ctypes.data, 0,
             mk.ctypes.data, busy.ctypes.data, msgs.ctypes.data, rc.ctypes.data,
         )
