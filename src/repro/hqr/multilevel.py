@@ -12,26 +12,29 @@ arbitrary stack of hierarchy levels:
 * tile rows are assigned to the leaves cyclically, level by level (the
   2-D-cyclic convention of HQR applied recursively), so the row's path
   through the hierarchy is its mixed-radix expansion;
-* within a leaf, an optional TS domain level (size ``a``) applies first;
-* each level's tree then reduces the survivors of the level below, with
-  the survivor sets chosen exactly like HQR's top tiles (the first rows on
-  or below the diagonal of each subgroup).
+* within a leaf, HQR's levels 0-1 apply unchanged: the TS level over
+  fixed domains of ``a`` local rows, then ``leaf_tree`` over the domain
+  leaders down to the leaf's top tile;
+* each level's tree then reduces the survivors of the level below, the
+  top tiles first (one tree per hierarchy level, as in Grigori, Jacquelin
+  and Khabou, arXiv:1303.5837).
 
-With a single entry this degenerates to HQR without domino; the classic
-HQR is ``[Level(p, high_tree)]`` + the intra-node machinery.  The domino
-coupling level is an HQR-specific pipelining optimization and is not
-replicated at inner levels here (each level reduces fully before handing
-its survivor up), which keeps the construction valid for any stack.
+So the list *is* HQR's with ``p = leaves``, no domino, and its high level
+(the reduction of the top tiles, the last ``min(leaves, m - k) - 1``
+kills of panel ``k``) replaced by the stack's; a single level is HQR's
+high tree and needs no replacement.  The domino coupling level is an
+HQR-specific pipelining optimization and is not replicated at inner
+levels here (each level reduces fully before handing its survivor up),
+which keeps the construction valid for any stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-import numpy as np
-
-from repro.trees.base import EliminationArray, PanelTree
+from repro.hqr.config import HQRConfig
+from repro.hqr.hierarchy import hqr_elimination_list
+from repro.trees.base import EliminationArray
 from repro.trees.factory import make_tree
 
 
@@ -77,18 +80,20 @@ class MultilevelTree:
             raise ValueError(f"tile counts must be positive, got m={m}, n={n}")
         if not levels:
             raise ValueError("need at least one hierarchy level")
-        if a <= 0:
-            raise ValueError(f"domain size must be positive, got a={a}")
         self.m = m
         self.n = n
         self.levels = list(levels)
         self.a = a
-        self._leaf_tree: PanelTree = make_tree(leaf_tree)
-        self._level_trees: list[PanelTree] = [make_tree(lv.tree) for lv in levels]
         self.leaves = 1
         for lv in levels:
             self.leaves *= lv.arity
+        # checks a and the leaf tree's name
+        self._config = HQRConfig(
+            p=self.leaves, a=a, low_tree=leaf_tree,
+            high_tree=self.levels[0].tree, domino=False,
+        )
         self._panels = min(n, m - 1)
+        self._list: EliminationArray | None = None
 
     # ------------------------------------------------------------------ #
     def leaf_of(self, row: int) -> int:
@@ -123,58 +128,45 @@ class MultilevelTree:
         """Ordered eliminations of panel ``k``, leaf level first."""
         if not 0 <= k < self._panels:
             raise ValueError(f"panel {k} out of range [0, {self._panels})")
-        return self._assemble((k,))
+        # panels 0 .. k-1 kill m-1, m-2, ... rows
+        start = k * (self.m - 1) - k * (k - 1) // 2
+        return self.elimination_list()[start : start + self.m - 1 - k]
 
     def elimination_list(self) -> EliminationArray:
-        """Full panel-major elimination list."""
-        return self._assemble(range(self._panels))
+        """Full panel-major elimination list: HQR's (``p = leaves``, no
+        domino) with each panel's high level replaced by the stack's."""
+        if self._list is None:
+            found = hqr_elimination_list(self.m, self.n, self._config)
+            if len(self.levels) > 1:
+                victim, killer = found.victim.tolist(), found.killer.tolist()
+                end = 0
+                for k in range(self._panels):
+                    end += self.m - 1 - k
+                    kills = self._stack(k)
+                    start = end - len(kills)
+                    victim[start:end] = [v for v, _ in kills]
+                    killer[start:end] = [w for _, w in kills]
+                found = EliminationArray(found.panel, victim, killer, found.ts)
+            self._list = found
+        return self._list
 
-    def _assemble(self, panels: Iterable[int]) -> EliminationArray:
-        """The eliminations of ``panels``, in order, as one array list: one
-        ``(victims, killers)`` piece per leaf domain sweep and per tree,
-        each a gather of the tree's positional ``pairs(q)``."""
-        m, a, leaves = self.m, self.a, self.leaves
-        victims: list[np.ndarray] = []
-        killers: list[np.ndarray] = []
-        panel_of: list[int] = []
-        ts_of: list[bool] = []
-
-        def piece(k: int, victim: np.ndarray, killer: np.ndarray, ts: bool) -> None:
-            victims.append(victim)
-            killers.append(killer)
-            panel_of.append(k)
-            ts_of.append(ts)
-
-        for k in panels:
-            # each leaf's first row on/below the diagonal: rows k .. k+leaves-1
-            first = k + (np.arange(leaves) - k) % leaves
-            # --- leaf level: TS domains + leaf tree, like HQR's levels 0-1 - #
-            for leaf in np.flatnonzero(first < m):
-                rows = np.arange(first[leaf], m, leaves)
-                pos = np.arange(len(rows))
-                lead = pos - pos % a  # a domain is ``a`` consecutive leaf rows
-                killed = pos != lead
-                piece(k, rows[killed], rows[lead[killed]], True)
-                leaders = rows[::a]
-                low_v, low_k = self._leaf_tree.pairs(len(leaders))
-                piece(k, leaders[low_v], leaders[low_k], False)
-            # --- hierarchy levels, inside-out ------------------------- #
-            # big-endian paths make the subgroups of one group contiguous;
-            # a group's survivor is its smallest row, ``m`` marks "nobody"
-            alive = np.minimum(first, m)
-            for level, tree in zip(self.levels[::-1], self._level_trees[::-1]):
-                groups = alive.reshape(-1, level.arity)
-                for members in groups:
-                    rows = np.sort(members[members < m])
-                    high_v, high_k = tree.pairs(len(rows))
-                    piece(k, rows[high_v], rows[high_k], False)
-                alive = groups.min(axis=1)
-        if not victims:
-            return EliminationArray((), (), (), ())
-        sizes = np.fromiter(map(len, victims), np.int64, len(victims))
-        return EliminationArray(
-            np.repeat(np.array(panel_of, dtype=np.int32), sizes),
-            np.concatenate(victims),
-            np.concatenate(killers),
-            np.repeat(np.array(ts_of, dtype=np.uint8), sizes),
-        )
+    def _stack(self, k: int) -> list[tuple[int, int]]:
+        """Panel ``k``'s ``(victim, killer)`` kills reducing the leaves' top
+        tiles (rows ``k .. k + leaves - 1`` below ``m``) level by level,
+        inside-out; a group's survivor is its smallest row."""
+        m, leaves = self.m, self.leaves
+        # each leaf's top tile, m for none; big-endian paths keep each
+        # group's leaves contiguous
+        alive = [min(k + (leaf - k) % leaves, m) for leaf in range(leaves)]
+        kills = []
+        for level in reversed(self.levels):
+            tree = make_tree(level.tree)
+            groups = [
+                alive[g : g + level.arity] for g in range(0, len(alive), level.arity)
+            ]
+            for members in groups:
+                rows = sorted(row for row in members if row < m)
+                victims, killers = tree.pairs(len(rows))
+                kills += [(rows[v], rows[w]) for v, w in zip(victims, killers)]
+            alive = [min(members) for members in groups]
+        return kills

@@ -44,15 +44,10 @@ which is fine at recovery-benchmark scale.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cache
 
 import numpy as np
 
-from repro.dag.compiled import (
-    compiled_from_eliminations,
-    placement_array,
-    task_coordinates,
-)
+from repro.dag.compiled import compiled_from_eliminations
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.replan import node_remap, shrunken_grid
 from repro.runtime.core import FaultHooks, run_core
@@ -136,15 +131,10 @@ def run_with_faults(
             cg, machine, b, prio=prio, data_reuse=data_reuse
         ).result.makespan
 
-    @cache
-    def tiles() -> tuple[np.ndarray, np.ndarray]:
-        """Each task's tile, derived on the first crash only."""
-        row, panel, col, _ = task_coordinates(elims, m, n)
-        return row, np.where(col < 0, panel, col)
-
     def replan(dead: set[int]) -> list[int]:
         """Post-crash node of every task: block-cyclic layouts re-place
-        on the shrunken grid, others spill cyclically over the survivors."""
+        on the shrunken grid (re-planned, so each task lands on its tile's
+        owner there), others spill cyclically over the survivors."""
         if isinstance(layout, BlockCyclic2D):
             survivors = np.array(
                 [k for k in range(machine.nodes) if k not in dead]
@@ -152,7 +142,8 @@ def run_with_faults(
             shrunken = BlockCyclic2D(
                 *shrunken_grid(layout.p, layout.q, len(survivors))
             )
-            return survivors[placement_array(shrunken, *tiles())].tolist()
+            planned = compiled_from_eliminations(elims, m, n, shrunken, machine, b)
+            return survivors[planned.node].tolist()
         remap = np.array(node_remap(machine.nodes, tuple(dead)))
         return remap[cg.node].tolist()
 

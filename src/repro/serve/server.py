@@ -130,8 +130,8 @@ class PlanningDaemon:
         self._stopping = False
         self._job_seq = 0
         self._httpd: _Listener | None = None
-        #: open client sockets, one per handler thread (see shutdown)
-        self._connections: set[socket.socket] = set()
+        #: open client socket -> the handler thread serving it (shutdown)
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._threads: list[threading.Thread] = []
         self._started_at = 0.0
         self._stop_signal = threading.Event()
@@ -208,14 +208,18 @@ class PlanningDaemon:
         # kept-alive connections outlive the listener: end their read
         # side so an idle handler thread sees EOF and exits now (one mid-
         # reply still finishes writing) instead of answering for a
-        # stopped daemon until IDLE_TIMEOUT
-        for conn in list(self._connections):
+        # stopped daemon until IDLE_TIMEOUT, and wait for those threads:
+        # one slow to read again would otherwise read a request sent after
+        # shutdown() returned, and answer it 503
+        handlers = list(self._connections.items())
+        for conn, _ in handlers:
             try:
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass  # the client hung up first
-        for t in self._threads:
-            t.join(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        for t in self._threads + [t for _, t in handlers]:
+            t.join(timeout=max(deadline - time.monotonic(), 0.0))
         return {"drained": drained}
 
     # -- scheduling ---------------------------------------------------- #
@@ -493,10 +497,10 @@ def _make_handler(daemon: PlanningDaemon):
 
         def setup(self) -> None:
             super().setup()
-            daemon._connections.add(self.connection)
+            daemon._connections[self.connection] = threading.current_thread()
 
         def finish(self) -> None:
-            daemon._connections.discard(self.connection)
+            daemon._connections.pop(self.connection, None)
             super().finish()
 
         def handle(self) -> None:

@@ -10,25 +10,31 @@ from repro.trees.base import EliminationArray
 
 
 # --------------------------------------------------------------------- #
-# oracle: the generator as it was before the array form, one frozen
-# Elimination per kill, rows gathered into lists and dicts of lists
+# oracle: one frozen Elimination per kill, rows gathered into lists and
+# dicts of lists.  Inside a leaf it follows HQR's levels 0-1 (domino off,
+# §IV-B): fixed TS domains of ``a`` local rows (row // leaves) led by
+# their first participant, every leaf's TS kills before any leaf's tree
+# kills (at a = 1 there are none); then one tree per hierarchy level
 # --------------------------------------------------------------------- #
-def _oracle_panel(tree: MultilevelTree, k: int) -> list[Elimination]:
-    elims = []
+def _oracle_panel(tree: MultilevelTree, k: int, leaf_tree: str) -> list[Elimination]:
+    p, a = tree.leaves, tree.a
+    ts, low = [], []
     survivors = {}  # leaf -> surviving row
-    for leaf in range(tree.leaves):
-        rows = [i for i in range(k, tree.m) if i % tree.leaves == leaf]
+    for leaf in range(p):
+        rows = [i for i in range(k, tree.m) if i % p == leaf]
         if not rows:
             continue
         leaders = []
-        for d0 in range(0, len(rows), tree.a):
-            domain = rows[d0 : d0 + tree.a]
-            leaders.append(domain[0])
-            for victim in domain[1:]:
-                elims.append(Elimination(k, victim, domain[0], ts=True))
-        for victim, killer in tree._leaf_tree.eliminations(leaders):
-            elims.append(Elimination(k, victim, killer))
+        for row in rows:
+            leader = max(row // p // a * a * p + leaf, rows[0])
+            if row == leader:
+                leaders.append(row)
+            else:
+                ts.append(Elimination(k, row, leader, ts=True))
+        for victim, killer in make_tree(leaf_tree).eliminations(leaders):
+            low.append(Elimination(k, victim, killer))
         survivors[leaf] = leaders[0]
+    elims = ts + low
     current = {tree.group_path(leaf): row for leaf, row in survivors.items()}
     for depth in range(len(tree.levels) - 1, -1, -1):
         merged = {}
@@ -51,13 +57,13 @@ STACKS = {
 
 
 @pytest.mark.parametrize("stack", STACKS)
-@pytest.mark.parametrize("a", [1, 4])
+@pytest.mark.parametrize("a", [1, 2, 4])
 @pytest.mark.parametrize(
     "m,n", [(1, 1), (1, 4), (2, 1), (4, 2), (5, 5), (6, 9), (17, 5), (40, 3)]
 )
 def test_array_list_equals_object_oracle(stack, a, m, n):
     tree = MultilevelTree(m, n, STACKS[stack], a=a, leaf_tree="greedy")
-    want = [e for k in range(tree.panels) for e in _oracle_panel(tree, k)]
+    want = [e for k in range(tree.panels) for e in _oracle_panel(tree, k, "greedy")]
     got = tree.elimination_list()
     assert isinstance(got, EliminationArray)
     assert got == want and list(got) == want
@@ -66,7 +72,7 @@ def test_array_list_equals_object_oracle(stack, a, m, n):
     for k in range(tree.panels):
         panel = tree.panel_eliminations(k)
         assert isinstance(panel, EliminationArray)
-        assert panel == _oracle_panel(tree, k)
+        assert panel == _oracle_panel(tree, k, "greedy")
 
 
 class TestConstruction:
@@ -129,18 +135,20 @@ class TestValidity:
 
 class TestStructure:
     def test_single_level_matches_hqr_shape(self):
-        """[Level(p, tree)] with a=1 mirrors HQR(p, a=1, domino off):
-        same TS/TT census and same per-panel victim sets."""
+        """[Level(p, tree)] is HQR(p, a, domino off), bitwise, for every a."""
         from repro.hqr import HQRConfig, hqr_elimination_list
 
-        m, n, p = 18, 4, 3
-        ml = MultilevelTree(m, n, [Level(p, "binary")], a=1, leaf_tree="greedy")
-        hq = hqr_elimination_list(
-            m, n, HQRConfig(p=p, a=1, low_tree="greedy", high_tree="binary", domino=False)
-        )
-        ml_victims = sorted((e.victim, e.panel) for e in ml.elimination_list())
-        hq_victims = sorted((e.victim, e.panel) for e in hq)
-        assert ml_victims == hq_victims
+        for a in (1, 2, 4):
+            for low, high in [("greedy", "binary"), ("flat", "fibonacci"),
+                              ("binary", "greedy"), ("fibonacci", "flat")]:
+                for m, n, p in [(18, 4, 3), (2, 1, 3), (17, 5, 5), (40, 9, 4),
+                                (24, 30, 2), (9, 9, 1)]:
+                    ml = MultilevelTree(m, n, [Level(p, high)], a=a, leaf_tree=low)
+                    hq = hqr_elimination_list(m, n, HQRConfig(
+                        p=p, a=a, low_tree=low, high_tree=high, domino=False,
+                    ))
+                    assert ml.elimination_list() == hq, (a, low, high, m, n, p)
+                    assert ml.elimination_list().ts == hq.ts
 
     def test_ts_kills_within_leaf(self):
         t = MultilevelTree(24, 4, [Level(2), Level(2)], a=2)

@@ -139,6 +139,37 @@ class TestDaemonSide:
             assert not daemon._connections
 
 
+    def test_shutdown_waits_for_a_handler_slow_to_read_again(
+        self, monkeypatch, connects
+    ):
+        """A handler that has written its reply but not yet read the next
+        request is joined by shutdown(): its connection is closed when
+        shutdown() returns, so a request sent then reconnects to the next
+        daemon instead of being answered 503 by the draining one."""
+        real = server_mod.read_head
+        reads = []
+
+        def slow_read_head(rfile):
+            reads.append(rfile)
+            if len(reads) > 1:  # every read after the first request
+                time.sleep(0.5)
+            return real(rfile)
+
+        monkeypatch.setattr(server_mod, "read_head", slow_read_head)
+        first = start_daemon()
+        port = first.port
+        with ServeClient(port=port, timeout=30.0) as client:
+            assert client.plan("gold", TINY_REQUEST).ok
+            first.shutdown()
+            second = start_daemon(port)
+            try:
+                after = client.plan("gold", TINY_REQUEST)
+                assert after.ok, (after.status, after.body)
+                assert len(connects) == 2
+            finally:
+                second.shutdown()
+
+
 class TestServeClient:
     def test_calls_on_one_thread_share_one_connection(self, daemon, connects):
         with ServeClient(port=daemon.port) as client:
