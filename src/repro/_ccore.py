@@ -344,15 +344,15 @@ int64_t hqr_expand(
                             ELIM(loc * p + r, leader * p + r, 1);
                     }
                 } else if (level == 1) {
-                    /* low tree over the leaders: position 0 is base,
-                     * position j > 0 the j-th multiple of a above it */
+                    /* low tree over the leaders: position 0 is base, never a
+                     * victim (PanelTree.pairs); position j > 0 is (d0 + j) * a */
                     int64_t d0 = base / a, q = 1 + lmax / a - d0;
                     if (q > low_qmax || low_start[q] < 0)
                         return -1;
                     const int32_t *pv = low_v + low_start[q];
                     const int32_t *pk = low_k + low_start[q];
                     for (int64_t i = 0; i < q - 1; i++) {
-                        int64_t v = pv[i] ? (d0 + pv[i]) * a : base;
+                        int64_t v = (d0 + pv[i]) * a;
                         int64_t w = pk[i] ? (d0 + pk[i]) * a : base;
                         ELIM(v * p + r, w * p + r, 0);
                     }

@@ -163,6 +163,8 @@ class PanelTree(ABC):
         found = self._pairs.get(q)
         if found is None:
             victims, killers = self._positions(q) if q > 1 else ((), ())
+            if 0 in victims:
+                raise ValueError(f"{self.name} tree kills position 0, the survivor")
             found = (typed("i", victims), typed("i", killers))
             # two threads may get here together: both keep the first entry
             found = self._pairs.setdefault(q, found)

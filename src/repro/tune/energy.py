@@ -112,16 +112,14 @@ class EnergyEvaluator:
     evaluations: int = 0
     #: proposals answered from the per-run energy memo
     memo_hits: int = 0
-    _memo: dict[str, float] = field(default_factory=dict)
+    #: the run's energy memo: key -> exact energy
+    memo: dict[str, float] = field(default_factory=dict)
     _keys: dict[VerifyCase, str] = field(default_factory=dict)
     _lists: dict = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
-        """Memo key: the compiled-graph cache fingerprint of the case.
-
-        Kept per case: a chain revisits most cases, and the annealer asks
-        again for every case :meth:`evaluate` has just keyed.
-        """
+        """Memo key: the compiled-graph cache fingerprint of the case,
+        kept per case (a chain revisits most cases)."""
         key = self._keys.get(case)
         if key is None:
             key = self._keys[case] = fingerprint(
@@ -130,27 +128,22 @@ class EnergyEvaluator:
             )
         return key
 
-    def known(self, case: VerifyCase) -> float | None:
-        """The case's energy if the run's memo holds it, else ``None``."""
-        return self._memo.get(self.energy_key(case))
-
-    def bounds(self, cases: list[VerifyCase]) -> list[float]:
-        """Per case: the exact energy if memoised, else a lower bound on it.
+    def bounds(self, cases: list[VerifyCase], keys: list[str]) -> list[float]:
+        """Per case and its key: the memoised energy, else a lower bound on it.
 
         The bound is read from the case's elimination list with no graph
         built (:func:`~repro.models.bounds.elimination_bound`) and kept by
         key in the cache's ``bounds``, once per process, when the native
         core is there; otherwise it is 0.0, which rules nothing out.
         """
-        keys = [self.energy_key(c) for c in cases]
         if not _ccore.native_available():
-            return [self._memo.get(key, 0.0) for key in keys]
+            return [self.memo.get(key, 0.0) for key in keys]
         memo = default_cache().bounds
-        # the lists of this call's new bounds, for the evaluate that follows
+        # the lists of this call's new bounds, for the evaluates that follow
         self._lists.clear()
         out = []
         for case, key in zip(cases, keys):
-            value = self._memo.get(key, memo.get(key))
+            value = self.memo.get(key, memo.get(key))
             if value is None:
                 elims = self._lists[key] = hqr_elimination_list(
                     self.m, self.n, case.config()
@@ -163,12 +156,9 @@ class EnergyEvaluator:
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
         """Exact makespan per case; the fresh keys are one :func:`answers`
-        call, which takes the lists :meth:`bounds` has just generated."""
+        call, which takes the lists :meth:`bounds` has generated."""
         keys = [self.energy_key(c) for c in cases]
-        fresh: dict[str, VerifyCase] = {}
-        for case, key in zip(cases, keys):
-            if key not in self._memo and key not in fresh:
-                fresh[key] = case
+        fresh = {key: case for case, key in zip(cases, keys) if key not in self.memo}
         if fresh:
             self.evaluations += len(fresh)
             got = answers([
@@ -176,6 +166,6 @@ class EnergyEvaluator:
                 for key, case in fresh.items()
             ], self.machine, self.b, reuse=True)
             for key, (result, _, _) in zip(fresh, got):
-                self._memo[key] = result.makespan
+                self.memo[key] = result.makespan
         self.memo_hits += len(cases) - len(fresh)
-        return [self._memo[key] for key in keys]
+        return [self.memo[key] for key in keys]

@@ -45,6 +45,7 @@ Design points, in the order they matter:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -303,6 +304,11 @@ class Annealer:
         self.buffer = SampleBuffer(self.samples_path, max_kept=max_kept)
 
         self.rng = random.Random(seed)
+        #: the dry run's copy of ``rng``, reseated by ``setstate`` each round
+        self._scratch = random.Random()
+        #: a uniform drawn from ``rng`` and not spent yet (see ``_replay``):
+        #: set only between two rounds of a batch
+        self._pending: float | None = None
         self.current = start
         self.energy = math.nan
         self.e0 = math.nan
@@ -313,6 +319,8 @@ class Annealer:
         self.accept_history: list[dict] = []
         #: key -> {"key", "energy", "case"}; pruned to top_k each batch
         self._best: dict[str, dict] = {}
+        #: the top_k-th lowest energy in ``_best`` (None with fewer keys)
+        self._kth: float | None = None
         self._stop = False
         self._started = False
 
@@ -429,6 +437,7 @@ class Annealer:
             self.rng.setstate(_rng_state_from_json(ck["rng_state"]))
             field = "best"
             self._best = {entry["key"]: entry for entry in ck["best"]}
+            self._kth = self._kth_best(e["energy"] for e in ck["best"])
             field = "buffer"
             self.buffer.restore(ck["buffer"])
         except (AttributeError, IndexError, KeyError, OverflowError,
@@ -448,15 +457,14 @@ class Annealer:
         )
         return ranked[: self.top_k]
 
-    def _note(self, case: VerifyCase, energy: float) -> None:
-        key = self.evaluator.energy_key(case)
-        if key not in self._best:
-            self._best[key] = {
-                "key": key, "energy": energy, "case": case.to_dict(),
-            }
+    def _note(self, key: str, case: VerifyCase, energy: float) -> None:
+        if key in self._best:
+            return
+        self._best[key] = {"key": key, "energy": energy, "case": case.to_dict()}
         # prune so checkpoints stay O(top_k) regardless of chain length
         if len(self._best) > 4 * self.top_k:
             self._best = {e["key"]: e for e in self.best()}
+        self._kth = self._kth_best(e["energy"] for e in self._best.values())
 
     # ------------------------------------------------------------------ #
     def run(self) -> TuneResult:
@@ -465,7 +473,8 @@ class Annealer:
         if not self._started:
             self.energy = self.evaluator.evaluate([self.current])[0]
             self.e0 = self.energy if self.energy > 0 else 1.0
-            self._note(self.current, self.energy)
+            key = self.evaluator.energy_key(self.current)
+            self._note(key, self.current, self.energy)
             self._started = True
             self._checkpoint()
         delay = float(os.environ.get("REPRO_TUNE_BATCH_DELAY", "0") or 0.0)
@@ -512,25 +521,27 @@ class Annealer:
     def _run_batch(self) -> None:
         t = self.schedule.temperature(self.batch_idx)
         k = min(self.batch_size, self.budget - self.proposals)
-        proposals = []
-        for _ in range(k):
-            axis = self.rng.choice(self.axes) if self.axes else None
-            proposals.append(propose_neighbor(
-                self.current, self.rng, axis,
-                fixed_machine=True, max_a=self.max_a,
-            ))
+        ev = self.evaluator
+        cases = [propose_neighbor(
+            self.current, self.rng, self.rng.choice(self.axes) if self.axes else None,
+            fixed_machine=True, max_a=self.max_a,
+        ) for _ in range(k)]
+        keys = [ev.energy_key(case) for case in cases]
+        # bounded once: later rounds read the memo for energies obtained since
+        batch = list(zip(cases, keys, ev.bounds(cases, keys)))
         accepted_before = self.accepted
         # rounds: obtain every energy the rest of the batch may need in one
         # evaluate, then replay until a proposal can be neither decided
         # from what is known nor ruled out by its bound
-        obtained: set[str] = set()
         done = 0
         while done < k:
-            needed = self._needed(proposals[done:], t)
+            needed = self._needed(batch[done:], t)
             if needed:
-                self.evaluator.evaluate(needed)
-                obtained.update(map(self.evaluator.energy_key, needed))
-            done = self._replay(proposals, done, t, obtained)
+                ev.evaluate(list(needed.values()))
+                # the replay counts a known proposal a memo hit: one per
+                # key evaluated here is a needed energy instead
+                ev.memo_hits -= len(needed)
+            done = self._replay(batch, done, t)
         self.accept_history.append({
             "batch": self.batch_idx,
             "temperature": t,
@@ -542,82 +553,81 @@ class Annealer:
     def _kth_best(self, energies) -> float | None:
         """The k-th lowest of ``energies`` (one per noted key), or ``None``
         with fewer than ``top_k``: then any energy would enter best-k."""
-        if len(energies) < self.top_k:
-            return None
-        return sorted(energies)[self.top_k - 1]
+        energies = sorted(energies)
+        return energies[self.top_k - 1] if len(energies) >= self.top_k else None
 
-    def _needed(self, cases: list[VerifyCase], t: float) -> list[VerifyCase]:
-        """The unknown proposals among ``cases`` (the rest of a batch) whose
-        energy the replay may need, one per key.
+    def _draws(self, rng: random.Random):
+        """The chain's next uniforms: the pending one, then ``rng``'s."""
+        pending = () if self._pending is None else (self._pending,)
+        return itertools.chain(pending, iter(rng.random, None)).__next__
 
-        A dry run of the replay on copies of the RNG and the chain state:
+    def _needed(self, batch: list[tuple], t: float) -> dict[str, VerifyCase]:
+        """The unknown proposals in ``batch`` (the rest of a batch) whose
+        energy the replay may need, by key.
+
+        A dry run of the replay on a copy of the RNG and the chain state:
         a proposal it cannot rule out is taken to be rejected, the likely
         outcome at a tuning temperature.  A wrong guess costs a simulation
         or a round, never a different stream — :meth:`_replay` decides.
         """
-        ev = self.evaluator
-        rng = random.Random()
+        memo = self.evaluator.memo
+        rng = self._scratch
         rng.setstate(self.rng.getstate())
-        energy = self.energy
+        draw = self._draws(rng)
+        energy, kth = self.energy, self._kth
         noted = {key: e["energy"] for key, e in self._best.items()}
         needed: dict[str, VerifyCase] = {}
-        for case, value in zip(cases, ev.bounds(cases)):
-            key = ev.energy_key(case)
-            if ev.known(case) is not None:
-                noted.setdefault(key, value)
-                delta = (value - energy) / self.e0
-                if delta <= 0 or rng.random() < math.exp(-delta / t):
-                    energy = value
+        for case, key, bound in batch:
+            value = memo.get(key)
+            if value is None:
+                threshold = _reject_threshold(bound, energy, self.e0, t)
+                # drawn whenever the exact energy is above ``energy``, which
+                # is the guess when the bound cannot tell
+                u = draw()
+                if threshold is None or kth is None or not (
+                    u >= threshold and bound > kth
+                ):
+                    needed.setdefault(key, case)
                 continue
-            threshold = _reject_threshold(value, energy, self.e0, t)
-            kth = self._kth_best(noted.values())
-            # drawn whenever the exact energy is above ``energy``, which is
-            # the guess when the bound cannot tell
-            u = rng.random()
-            if threshold is None or kth is None or not (
-                u >= threshold and value > kth
-            ):
-                needed.setdefault(key, case)
-        return list(needed.values())
+            if key not in noted:
+                noted[key] = value
+                kth = self._kth_best(noted.values())
+            delta = (value - energy) / self.e0
+            if delta <= 0 or draw() < math.exp(-delta / t):
+                energy = value
+        return needed
 
-    def _replay(
-        self, proposals: list[VerifyCase], i: int, t: float, obtained: set
-    ) -> int:
-        """Metropolis over ``proposals[i:]`` as a chain that simulates every
+    def _replay(self, batch: list[tuple], i: int, t: float) -> int:
+        """Metropolis over ``batch[i:]`` as a chain that simulates every
         proposal would run it; returns where it stopped: the end, or the
         first unknown proposal its bound cannot rule out.
 
         A bounded rejection consumes the uniform the unfiltered chain would
-        draw (peeked with ``getstate`` / ``setstate`` when it does not
-        reject) and is neither noted nor memoised: above the k-th best, it
-        could never change :meth:`best`.
+        draw and is neither noted nor memoised: above the k-th best, it
+        could never change :meth:`best`.  One that does not reject is kept
+        pending for the exact energy's draw (see docs/tuning.md).
         """
         ev = self.evaluator
-        for i in range(i, len(proposals)):
-            case = proposals[i]
-            ep = ev.known(case)
+        draw, self._pending = self._draws(self.rng), None
+        for i in range(i, len(batch)):
+            case, key, bound = batch[i]
+            ep = ev.memo.get(key)
             if ep is None:
-                bound = ev.bounds([case])[0]
                 threshold = _reject_threshold(bound, self.energy, self.e0, t)
-                kth = self._kth_best([e["energy"] for e in self._best.values()])
-                if threshold is None or kth is None or not bound > kth:
+                if threshold is None or self._kth is None or not bound > self._kth:
                     return i
-                state = self.rng.getstate()
-                if self.rng.random() < threshold:
-                    self.rng.setstate(state)
+                u = draw()
+                if u < threshold:
+                    self._pending = u
                     return i
                 self.proposals += 1
                 self.bounded += 1
                 continue
-            key = ev.energy_key(case)
-            if key in obtained:
-                obtained.discard(key)  # the evaluation this proposal needed
-            else:
-                ev.memo_hits += 1
+            ev.memo_hits += 1
             self.proposals += 1
-            self._note(case, ep)
+            self._note(key, case, ep)
             delta = (ep - self.energy) / self.e0
-            if delta <= 0 or self.rng.random() < math.exp(-delta / t):
+            if delta <= 0 or draw() < math.exp(-delta / t):
                 self.current = case
                 self.energy = ep
                 self.accepted += 1
@@ -628,30 +638,23 @@ class Annealer:
                     "energy": ep,
                     "case": case.to_dict(),
                 })
-        return len(proposals)
+        return len(batch)
 
     # ------------------------------------------------------------------ #
     def metrics_into(self, reg, result: TuneResult) -> None:
         """Export run counters into a :class:`MetricsRegistry`."""
-        reg.counter(
-            "repro_tune_proposals_total", "annealer proposals drawn"
-        ).inc(result.proposals)
-        reg.counter(
-            "repro_tune_accepted_total", "Metropolis-accepted proposals"
-        ).inc(result.accepted)
-        reg.counter(
-            "repro_tune_evaluations_total",
-            "energies needed: unique configurations simulated or answered "
-            "from the graph cache (post-memo, post-bound)",
-        ).inc(result.evaluations)
-        reg.counter(
-            "repro_tune_energy_memo_hits_total",
-            "proposals answered from the per-run energy memo",
-        ).inc(result.memo_hits)
-        reg.counter(
-            "repro_tune_bounded_total",
-            "proposals rejected on their energy lower bound, unsimulated",
-        ).inc(result.bounded)
+        for name, text, value in (
+            ("proposals", "annealer proposals drawn", result.proposals),
+            ("accepted", "Metropolis-accepted proposals", result.accepted),
+            ("evaluations", "energies needed: unique configurations simulated "
+             "or answered from the graph cache (post-memo, post-bound)",
+             result.evaluations),
+            ("energy_memo_hits", "proposals answered from the per-run energy "
+             "memo", result.memo_hits),
+            ("bounded", "proposals rejected on their energy lower bound, "
+             "unsimulated", result.bounded),
+        ):
+            reg.counter(f"repro_tune_{name}_total", text).inc(value)
         reg.gauge(
             "repro_tune_acceptance_rate", "accepted over proposed"
         ).set(result.acceptance_rate)

@@ -282,5 +282,8 @@ def propose_neighbor(
     if not changes:  # degenerate axis (e.g. nothing legal to move to)
         return case
     if fixed_machine:
-        return dataclasses.replace(case, **changes)
+        # dataclasses.replace without its __init__: no field is derived
+        moved = object.__new__(type(case))
+        moved.__dict__.update(case.__dict__, **changes)
+        return moved
     return case.replaced(**changes)

@@ -206,3 +206,23 @@ def test_table_rejects_a_tree_that_does_not_kill_q_minus_one():
     assert len(Lazy().table(2, 2)[1]) == 1
     with pytest.raises(ValueError, match="lazy tree kills 1 of 4 rows"):
         Lazy().table(4, 4)
+
+
+def test_a_tree_that_kills_the_survivor_is_refused():
+    """Position 0 survives every reduction: the native generator maps a
+    low-tree victim position j to the j-th domain above the base, which
+    exists only for j > 0, so ``pairs`` refuses a tree that kills 0."""
+
+    class Usurper(PanelTree):
+        name = "usurper"
+
+        def _positions(self, q):
+            return [0, *range(2, q)], [1] * (q - 1)  # row 1 survives
+
+    tree = Usurper()
+    assert len(tree.pairs(1)[0]) == 0
+    for q in (2, 3, 7):
+        with pytest.raises(ValueError, match="usurper tree kills position 0"):
+            tree.pairs(q)
+    with pytest.raises(ValueError, match="kills position 0"):
+        tree.table(2, 5)

@@ -6,7 +6,9 @@ acceptance history and best-k of a chain that simulates every proposal
 byte for byte, while needing fewer energies.
 """
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -242,3 +244,179 @@ def test_checkpoint_without_bounded_resumes_from_zero(tmp_path, native):
         (tmp_path / "run" / "samples.jsonl").read_bytes()
         == (tmp_path / "ref" / "samples.jsonl").read_bytes()
     )
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+#: per benchmark chain, alone on a fresh cache: SHA-256 of samples.jsonl,
+#: of the final checkpoint's ``best`` and ``rng_state`` (as ``json.dumps``
+#: writes them, keys sorted), and (evaluations, bounded, memo_hits, accepted)
+STREAMS = {
+    11: (
+        "f3552a60cd5a203b72bd770748429813931ed15bcfa23c79906437e8eb06fe68",
+        "95eedf775f2cda17caec861d6d37b74481e36db82cca5a02c796f8a46692883d",
+        "9a7f361c46d65deeeb2534a35e430a4aef7a772fae80fb3229abcb55e30dc470",
+        (41, 195, 165, 30),
+    ),
+    12: (
+        "832c452f33f8c6ab2ef9d608d508239f145caf1b948cb073db74b51dc918557e",
+        "6da1b81c75856f34f8806df44746f5d4499edf357aff6d93aee041ecb1c148c9",
+        "73826ce7653075d5c750f83538d736d07073ea657b3abba376abb7fc3ec2495b",
+        (62, 219, 120, 54),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STREAMS))
+def test_a_benchmark_chain_writes_its_pinned_stream(tmp_path, native, seed):
+    """The benchmark's chains, byte for byte: the accepted stream, the
+    final best-k and RNG state, and what the chain simulated."""
+    result = benchmark_chain(tmp_path, seed)
+    checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert (
+        _sha256((tmp_path / "samples.jsonl").read_bytes()),
+        _sha256(json.dumps(checkpoint["best"], sort_keys=True).encode()),
+        _sha256(json.dumps(checkpoint["rng_state"]).encode()),
+        (result.evaluations, result.bounded, result.memo_hits, result.accepted),
+    ) == STREAMS[seed]
+
+
+def test_a_batch_keys_and_bounds_its_proposals_once(tmp_path, monkeypatch, native):
+    """Chain 11's per-batch work: one ``bounds`` call a batch, one
+    fingerprint a distinct case, at most one RNG state copy a round (plus
+    one a checkpoint) and no ``random.Random`` built while it runs."""
+    from repro.tune import energy, sampler
+
+    calls = dict.fromkeys(
+        ("bounds", "fingerprint", "rounds", "checkpoints", "getstate", "Random"), 0
+    )
+    cases = set()  # every proposal and what it was proposed from
+
+    def counting(owner, name, tally):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[tally] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def proposing(case, *args, **kwargs):
+        moved = propose(case, *args, **kwargs)
+        cases.update((case, moved))
+        return moved
+
+    propose = sampler.propose_neighbor
+    monkeypatch.setattr(sampler, "propose_neighbor", proposing)
+    counting(energy.EnergyEvaluator, "bounds", "bounds")
+    counting(energy, "fingerprint", "fingerprint")
+    counting(sampler.Annealer, "_needed", "rounds")
+    counting(sampler.Annealer, "_checkpoint", "checkpoints")
+    run = sampler.Annealer.run
+
+    def running(self):
+        # the constructor seeds the chain's Random; count what run() does
+        counting(random.Random, "getstate", "getstate")
+        counting(random.Random, "__init__", "Random")
+        return run(self)
+
+    monkeypatch.setattr(sampler.Annealer, "run", running)
+    result = benchmark_chain(tmp_path, 11)
+    assert result.batches == calls["bounds"] == 50
+    assert calls["fingerprint"] == len(cases)
+    assert calls["getstate"] <= calls["rounds"] + calls["checkpoints"]
+    assert calls["Random"] == 0
+
+
+def test_a_pending_uniform_keeps_the_stream_bitwise(tmp_path, monkeypatch, native):
+    """Chains where the dry run guesses wrong: the replay stops at a
+    proposal whose bound drew a uniform that does not reject it, keeps that
+    uniform pending for the exact energy's draw, and still writes the
+    stream, best-k and final RNG state of a chain that simulates everything.
+    No batch ends with a uniform pending."""
+    from repro.tune import sampler
+
+    machines = [
+        Machine.edel(), Machine(nodes=16, cores_per_node=4),
+        Machine(nodes=8, cores_per_node=2, site_size=4),
+    ]
+    stops = []  # per replay that stops early: was a uniform left pending?
+    replay, run_batch = sampler.Annealer._replay, sampler.Annealer._run_batch
+
+    def replaying(self, batch, i, t):
+        done = replay(self, batch, i, t)
+        if done < len(batch):
+            stops.append(self._pending is not None)
+        return done
+
+    def batching(self):
+        run_batch(self)
+        assert self._pending is None
+
+    monkeypatch.setattr(sampler.Annealer, "_replay", replaying)
+    monkeypatch.setattr(sampler.Annealer, "_run_batch", batching)
+
+    def chain(out_dir, seed):
+        machine = machines[seed % 3]
+        m, n = SHAPES[seed % 4]
+        Annealer(
+            EnergyEvaluator(m, n, 64, machine), initial_case(m, n, 64, machine),
+            str(out_dir), seed=seed, budget=96, batch_size=1 + (5 * seed) % 16,
+            top_k=1 + seed % 5,
+            schedule=CoolingSchedule(t0=(0.02, 0.2, 1.0)[seed % 3], alpha=0.9),
+        ).run()
+        checkpoint = json.loads((out_dir / "checkpoint.json").read_text())
+        return (
+            (out_dir / "samples.jsonl").read_bytes(),
+            *(checkpoint[k] for k in ("best", "rng_state", "accept_history")),
+        )
+
+    for seed in (6, 7, 9, 10):
+        del stops[:]
+        on = chain(tmp_path / f"{seed}-on", seed)
+        assert any(stops), seed  # the path under test was taken
+        with monkeypatch.context() as no_native:
+            no_native.setattr(_ccore, "get_lib", lambda: None)
+            no_native.setattr(
+                cache_module, "_default", cache_module.CompiledGraphCache()
+            )
+            assert chain(tmp_path / f"{seed}-off", seed) == on, seed
+
+
+def test_a_resumed_chain_on_the_same_memo_bounds_what_it_would_have(
+    tmp_path, native
+):
+    """Resumed on the evaluator (and so the memo) it stopped with, a chain
+    needs, bounds and takes from the memo exactly what the uninterrupted
+    chain does: the k-th best energy comes back with best-k."""
+    ref = benchmark_chain(tmp_path / "ref", 11)
+    machine = Machine.edel()
+    start = initial_case(96, 12, 280, machine, grid_p=15, grid_q=4).replaced(
+        a=1, low_tree="greedy", high_tree="fibonacci", domino=True
+    )
+    evaluator = EnergyEvaluator(96, 12, 280, machine)
+
+    def annealer(resume):
+        return Annealer(
+            evaluator, start, str(tmp_path / "run"), seed=11, budget=400,
+            batch_size=8,
+            schedule=CoolingSchedule(t0=0.05, alpha=0.85, floor=1e-4),
+            resume=resume,
+        )
+
+    first = annealer(False)
+    run_batch = first._run_batch
+
+    def stop_after_ten():
+        run_batch()
+        if first.batch_idx == 10:
+            first.request_stop()
+
+    first._run_batch = stop_after_ten
+    assert first.run().interrupted
+    resumed = annealer(True).run()
+    assert (
+        resumed.evaluations, resumed.bounded, resumed.memo_hits, resumed.best
+    ) == (ref.evaluations, ref.bounded, ref.memo_hits, ref.best)

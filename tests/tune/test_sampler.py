@@ -236,7 +236,7 @@ def test_a_raising_batch_leaves_the_last_clean_checkpoint(tmp_path, monkeypatch)
     orig = a._run_batch
     clean = []
 
-    def dies(cases):
+    def dies(cases, keys):
         raise RuntimeError("evaluator died")
 
     def hooked():

@@ -203,3 +203,36 @@ def test_proposed_neighbors_stay_legal():
         case.layout()
         case.machine()
         assert case.a >= 1 and case.p >= 1 and case.q >= 1
+
+
+def test_a_fixed_machine_neighbor_is_the_replaced_case():
+    """The tuner's neighbour is built without ``dataclasses.replace``; it
+    must be that copy in every way a caller sees: ``==``, ``hash``, the
+    field values and their types, ``to_dict()`` and ``describe()``."""
+    rng = random.Random(11)
+    moves = 0
+    for axis in NEIGHBOR_AXES:
+        for trial in range(400):
+            case = sample_case(6, trial)
+            if trial % 4 == 1:  # on the bounds the steps reflect from
+                case = dataclasses.replace(case, a=1, p=1, q=1)
+            elif trial % 4 == 2:
+                case = dataclasses.replace(case, a=case.m, p=case.m, q=case.m)
+            max_a = case.m if trial % 3 else max(1, case.a)
+            moved = propose_neighbor(
+                case, rng, axis, fixed_machine=True, max_a=max_a
+            )
+            changes = {
+                name: value for name, value in moved.__dict__.items()
+                if value != getattr(case, name)
+            }
+            want = dataclasses.replace(case, **changes)
+            assert type(moved) is VerifyCase
+            assert moved == want and hash(moved) == hash(want)
+            assert [
+                (type(v), v) for v in moved.__dict__.values()
+            ] == [(type(v), v) for v in want.__dict__.values()]
+            assert moved.to_dict() == want.to_dict()
+            assert moved.describe() == want.describe()
+            moves += bool(changes)
+    assert moves >= 2000
