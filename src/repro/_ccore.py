@@ -139,6 +139,7 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -960,18 +961,35 @@ done:
     return rc;
 }
 
+/* The batched entries' loop over points p, on nthreads OpenMP threads
+ * (<= 0: the default) from two points on; a point writes only its own
+ * outputs, so it is bit-identical to the serial loop.  batch_rc: 0 when
+ * every point's out_rc is 0. */
+#ifdef _OPENMP
+#define FOR_EACH_POINT                                                        \
+    int nt_ = nthreads > 0 ? nthreads : omp_get_max_threads();                \
+    _Pragma("omp parallel for schedule(dynamic) num_threads(nt_) if(npoints > 1)") \
+    for (int64_t p = 0; p < npoints; p++)
+#else
+#define FOR_EACH_POINT                                                        \
+    (void)nthreads;                                                           \
+    for (int64_t p = 0; p < npoints; p++)
+#endif
+static int32_t batch_rc(int64_t npoints, const int32_t *out_rc)
+{
+    for (int64_t p = 0; p < npoints; p++)
+        if (out_rc[p] != 0)
+            return 1;
+    return 0;
+}
+
 /* ------------------------------------------------------------------ *
  * Batched cluster loop: many independent graphs in one call, read in
  * place.  Every per-graph argument is a table of npoints pointers into
  * the caller's own arrays (nothing is packed or copied); ntasks gives
  * each graph's size.  An entry of rank/task_of_rank may be NULL:
  * that graph runs in program order.  An empty graph is skipped.
- *
- * Graphs are fully independent, so the OpenMP fan-out (enabled when the
- * library was built with -fopenmp; nthreads <= 0 means the OpenMP
- * default) is bit-identical to the serial loop; a single graph, i.e. a
- * served request, starts no thread team.  Per-graph rc codes land in
- * out_rc; the return value is 0 only when every graph succeeded.
+ * Per-graph rc codes land in out_rc.
  * ------------------------------------------------------------------ */
 int32_t hqr_simulate_cluster_batch(
     int64_t npoints, int32_t nthreads,
@@ -987,12 +1005,7 @@ int32_t hqr_simulate_cluster_batch(
     double *out_makespan, double *out_busy, int64_t *out_messages,
     int32_t *out_rc)
 {
-    int64_t p;
-#ifdef _OPENMP
-    int nt = nthreads > 0 ? nthreads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt) if(npoints > 1)
-#endif
-    for (p = 0; p < npoints; p++) {
+    FOR_EACH_POINT {
         if (ntasks[p] == 0) {
             out_makespan[p] = out_busy[p] = 0.0;
             out_messages[p] = 0;
@@ -1008,10 +1021,7 @@ int32_t hqr_simulate_cluster_batch(
             site_of, data_reuse,
             out_makespan + p, out_busy + p, out_messages + p);
     }
-    for (p = 0; p < npoints; p++)
-        if (out_rc[p] != 0)
-            return 1;
-    return 0;
+    return batch_rc(npoints, out_rc);
 }
 
 /* ------------------------------------------------------------------ *
@@ -1134,22 +1144,91 @@ int32_t hqr_lower_bound(
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
     const int32_t *site_of, double *out, int64_t *out_load, int32_t *out_rc)
 {
-    int64_t p;
-#ifdef _OPENMP
-    int nt = nthreads > 0 ? nthreads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt) if(npoints > 1)
-#endif
-    for (p = 0; p < npoints; p++)
+    FOR_EACH_POINT
         out_rc[p] = lower_bound_one(
             ntasks[p], nnodes, cores_per_node,
             dur_table[p], kind[p], node_of[p], succ_ptr[p], succ_idx[p],
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
             site_of, out + 6 * p, out_load + p);
-    for (p = 0; p < npoints; p++)
-        if (out_rc[p] != 0)
-            return 1;
-    return 0;
+    return batch_rc(npoints, out_rc);
+}
+
+/* ------------------------------------------------------------------ *
+ * Questions answered with no graph kept: per point, hqr_expand,
+ * hqr_check_elims, hqr_build_dag's count and write passes, then
+ * hqr_simulate_cluster in program order, into scratch freed once read.
+ * Per point, spec holds hqr_expand's m .. high_qmax and arrays its six
+ * tree tables and the tile-owner table; out: makespan, busy, messages,
+ * tasks, the ns of expansion, build and simulation, and the loop's rc, or
+ * 3 where the generator, the check or the builder refused the point.
+ * ------------------------------------------------------------------ */
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+int32_t hqr_answer_batch(
+    int64_t npoints, int32_t nthreads,
+    const int64_t *spec, const void *const *arrays, const double *dur_table,
+    int32_t nnodes, int32_t cores_per_node,
+    int32_t serialized, int32_t hierarchical,
+    double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
+    const int32_t *site_of,
+    double *out_makespan, double *out_busy, int64_t *out_messages,
+    int64_t *out_ntasks, int64_t *out_ns, int32_t *out_rc)
+{
+    FOR_EACH_POINT {
+        const int64_t *s = spec + 7 * p;
+        const void *const *arr = arrays + 7 * p;
+        int32_t m = (int32_t)s[0], n = (int32_t)s[1];
+        int64_t k = n < m - 1 ? n : m - 1, ntasks = 0, nedges = -2;
+        int64_t count = k > 0 ? k * (m - 1) - k * (k - 1) / 2 : 0;
+        int64_t t0 = now_ns(), *ns = out_ns + 3 * p;
+        int32_t *e = (int32_t *)malloc((size_t)(count + 1) * 13);
+        uint8_t *ts = e ? (uint8_t *)(e + 3 * count) : NULL;
+        if (e && hqr_expand(m, n, (int32_t)s[2], s[3], (int32_t)s[4], s[5],
+                            arr[0], arr[1], arr[2], s[6], arr[3], arr[4], arr[5],
+                            count, e, e + count, e + 2 * count, ts) == count &&
+            hqr_check_elims(count, e, e + count, e + 2 * count, m, n) < 0) {
+            ns[0] = now_ns() - t0;
+            t0 += ns[0];
+            nedges = hqr_build_dag(0, m, n, count, e, e + count, e + 2 * count,
+                                   ts, NULL, 0, 0, 0, NULL, NULL, NULL, NULL,
+                                   NULL, &ntasks, NULL, NULL, NULL);
+        }
+        /* three blocks, none larger than a Python-built graph's arrays: one
+         * block for all raised glibc's mmap threshold, and the arena kept more */
+        int fits = nedges >= 0 && ntasks <= INT32_MAX && nedges <= INT32_MAX;
+        int32_t *ptr = fits ? malloc(4 * (size_t)(ntasks + 1)) : NULL;
+        int32_t *idx = fits ? malloc(4 * (size_t)(nedges + 1)) : NULL;
+        int16_t *node = fits ? malloc(4 * (size_t)ntasks + 1) : NULL;
+        if (ptr && idx && node) {
+            int8_t *kind = (int8_t *)(node + ntasks);
+            nedges = hqr_build_dag(
+                1, m, n, count, e, e + count, e + 2 * count, ts, arr[6], nnodes,
+                ntasks, nedges, kind, (uint8_t *)(kind + ntasks), node, ptr, idx,
+                &ntasks, NULL, NULL, NULL);
+            free(e);
+            e = NULL;
+            ns[1] = now_ns() - t0;
+            t0 += ns[1];
+            out_rc[p] = nedges ? (nedges == -1 ? -1 : 3) : hqr_simulate_cluster(
+                ntasks, nnodes, cores_per_node, dur_table, kind, node,
+                (uint8_t *)(kind + ntasks), ptr, idx, NULL, NULL,
+                serialized, hierarchical, lat_intra, bwt_intra, lat_inter,
+                bwt_inter, site_of, 0, out_makespan + p, out_busy + p,
+                out_messages + p);
+            ns[2] = now_ns() - t0;
+        } else
+            out_rc[p] = !e || nedges == -1 || fits ? -1 : 3;
+        out_ntasks[p] = ntasks;
+        free(e);
+        free(ptr); free(idx); free(node);
+    }
+    return batch_rc(npoints, out_rc);
 }
 """
 
@@ -1187,31 +1266,20 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
                 src = Path(tmp) / "hqr_ccore.c"
                 src.write_text(source)
                 out = Path(tmp) / "hqr_ccore.so"
-                flags = [
-                    "-O2",
-                    "-fPIC",
-                    "-shared",
-                    "-ffp-contract=off",
-                    str(src),
-                    "-o",
-                    str(out),
-                ]
-                # OpenMP is optional: it only fans the *batch* loop out
-                # over sweep points (each point is bit-identical either
+                flags = ["-O2", "-fPIC", "-shared", "-ffp-contract=off",
+                         str(src), "-o", str(out)]
+                # OpenMP is optional: it only fans the batched entries out
+                # over their points (each point is bit-identical either
                 # way), so a toolchain without libgomp just loses the
                 # thread-level parallelism, not correctness
-                built = False
                 for extra in (["-fopenmp"], []):
                     try:
-                        subprocess.run(
-                            cc.split() + extra + flags,
-                            check=True, capture_output=True, timeout=120,
-                        )
-                        built = True
+                        subprocess.run(cc.split() + extra + flags,
+                                       check=True, capture_output=True, timeout=120)
                         break
                     except subprocess.CalledProcessError:
                         continue
-                if not built:
+                else:
                     return None
                 os.replace(out, sopath)  # atomic publish
         except (OSError, subprocess.SubprocessError):
@@ -1222,37 +1290,27 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
         return None
 
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-
     # every array goes over as a plain address (:func:`address`), where a
-    # typed pointer cast costs several times that per call
+    # typed pointer cast costs several times that per call; the batched
+    # entries take a size vector (or a spec) and per-point pointer tables,
+    # then one machine for every point, then their outputs
     vp = ctypes.c_void_p
-    lib.hqr_expand.restype = i64
-    lib.hqr_expand.argtypes = [
-        i32, i32, i32, i64, i32, i64, vp, vp, vp, i64, vp, vp, vp,
-        i64, vp, vp, vp, vp,
-    ]
-    lib.hqr_build_dag.restype = i64
-    lib.hqr_build_dag.argtypes = [
-        i32, i32, i32, i64, vp, vp, vp, vp, vp, i32, i64, i64, *[vp] * 9,
-    ]
-    lib.hqr_check_elims.restype = i64
-    lib.hqr_check_elims.argtypes = [i64, vp, vp, vp, i32, i32]
-    lib.hqr_transpose.restype = i64
-    lib.hqr_transpose.argtypes = [i64, vp, vp, vp, vp]
-    lib.hqr_openmp.restype = i32
-    lib.hqr_openmp.argtypes = []
-    lib.hqr_simulate_cluster_batch.restype = i32
-    # the size vector, eight per-graph pointer tables, site_of, four outputs
-    lib.hqr_simulate_cluster_batch.argtypes = [
-        i64, i32, *[vp] * 9,
-        i32, i32, i32, i32, f64, f64, f64, f64, vp, i32, *[vp] * 4,
-    ]
-    lib.hqr_lower_bound.restype = i32
-    # the size vector, five per-graph pointer tables, site_of, three outputs
-    lib.hqr_lower_bound.argtypes = [
-        i64, i32, *[vp] * 6, i32, i32, i32, i32, f64, f64, f64, f64,
-        *[vp] * 4,
-    ]
+    machine = [i32, i32, i32, i32, f64, f64, f64, f64, vp]  # .. site_of
+    for name, restype, argtypes in (
+        ("hqr_expand", i64, [i32, i32, i32, i64, i32, i64, vp, vp, vp, i64,
+                             vp, vp, vp, i64, vp, vp, vp, vp]),
+        ("hqr_build_dag", i64, [i32, i32, i32, i64, *[vp] * 5, i32, i64, i64,
+                                *[vp] * 9]),
+        ("hqr_check_elims", i64, [i64, vp, vp, vp, i32, i32]),
+        ("hqr_transpose", i64, [i64, vp, vp, vp, vp]),
+        ("hqr_openmp", i32, []),
+        ("hqr_simulate_cluster_batch", i32, [i64, i32, *[vp] * 9, *machine, i32,
+                                             *[vp] * 4]),
+        ("hqr_lower_bound", i32, [i64, i32, *[vp] * 6, *machine, *[vp] * 3]),
+        ("hqr_answer_batch", i32, [i64, i32, vp, vp, vp, *machine, *[vp] * 6]),
+    ):
+        entry = getattr(lib, name)
+        entry.restype, entry.argtypes = restype, argtypes
     return lib
 
 

@@ -14,14 +14,15 @@ variable ``REPRO_BENCH_SCALE=full`` to simulate every published point (or
 from __future__ import annotations
 
 import os
-import threading
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro import _ccore
 from repro.dag.cache import default_cache, fingerprint
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.obs.tracing import attach, current_span, current_trace, span
+from repro.obs.tracing import Span, current_span, current_trace, span
 from repro.runtime.machine import Machine
 from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Layout
@@ -102,36 +103,24 @@ def run_eliminations(
     return run_core(cg, setup.machine, setup.b).result
 
 
-def _build_graph(m, n, config, layout, machine: Machine, b: int, elims):
-    """Build one compiled graph, uncached; expand ``elims``, the caller's
-    list of ``config``, if given."""
+def _build_graph(m, n, config, layout, machine: Machine, b: int):
+    """Build one compiled graph, uncached."""
     from repro.dag.compiled import compiled_from_eliminations
 
-    if elims is None:
-        with span("elim"):
-            elims = hqr_elimination_list(m, n, config)
+    with span("elim"):
+        elims = hqr_elimination_list(m, n, config)
     with span("dag_build"):
         return compiled_from_eliminations(elims, m, n, layout, machine, b)
 
 
 def compiled_graph_for(
-    m: int,
-    n: int,
-    config: HQRConfig,
-    layout: Layout,
-    machine: Machine,
-    b: int,
-    elims=None,
+    m: int, n: int, config: HQRConfig, layout: Layout, machine: Machine, b: int
 ):
-    """Build (or fetch from the in-memory cache) one compiled graph.
-
-    The build path of a caller that reads the graph again, the explorer's
-    ranking (predict, then verify): the graph is stored in
-    :func:`~repro.dag.cache.default_cache` under its fingerprint, or
-    built uncached for a layout with no stable serialization (no key).
-    A build expands ``elims``, the caller's list of ``config``, if given.
+    """Build (or fetch from the in-memory cache) one compiled graph, for a
+    caller that reads it again: the explorer's ranking (predict, then
+    verify).  A layout with no stable serialization (no key) builds uncached.
     """
-    build = partial(_build_graph, m, n, config, layout, machine, b, elims)
+    build = partial(_build_graph, m, n, config, layout, machine, b)
     with span("graph", m=m, n=n):
         try:
             key = fingerprint(m, n, config, layout, machine, b)
@@ -146,7 +135,7 @@ def _ask(questions, machine: Machine, b: int, reuse: bool):
     question, indices)`` per distinct unanswered question; with ``reuse``
     one fingerprint and one ``answer`` call a question."""
     out, asked, first = [], [], {}
-    for m, n, config, layout, *elims in questions:
+    for m, n, config, layout in questions:
         key, resident, result = None, False, None
         if reuse:
             with span("cache") as sp:
@@ -161,61 +150,73 @@ def _ask(questions, machine: Machine, b: int, reuse: bool):
         if result is None:  # a repeated key joins its first copy
             idx = first.setdefault(key, []) if key else []
             if not idx:
-                question = (m, n, config, layout, elims[0] if elims else None)
-                asked.append((key, question, idx))
+                asked.append((key, (m, n, config, layout), idx))
             idx.append(len(out))
         out.append((result, resident, result is not None))
     return out, asked
 
 
-def _planned(asked, machine: Machine, b: int, out):
-    """Build, under the asked keys' gates: ``(key, graph, indices)`` per
-    question no racing caller answered meanwhile — a keyed one's resident
-    graph, else a build kept out of the LRU (only its answer is kept); an
-    unkeyed one's is always built and kept nowhere."""
-    for key, (m, n, config, layout, elims), idx in asked:
+def _record(m, n, start, ntasks, seconds) -> None:
+    """A natively answered question's ``graph`` (over ``elim`` and
+    ``dag_build``) and ``simulate`` spans, as the core timed them."""
+    trace = current_trace()
+    if trace is not None:
+        elim, build, simulate = seconds
+        at = start + elim + build
+        (current_span() or trace.root).children.extend((
+            Span("graph", start, at, {"m": m, "n": n}, [
+                Span("elim", start, start + elim),
+                Span("dag_build", start + elim, at)]),
+            Span("simulate", at, at + simulate,
+                 {"engine": "c-batch", "points": 1, "ntasks": ntasks}),
+        ))
+
+
+def _answer(asked, machine: Machine, b: int, out) -> None:
+    """Fill ``out`` for each question no racing flight answered: in one
+    native call, or by ``run_core`` on a graph the cache holds (the
+    explorer's ranking kept it) or one built, for a question the call
+    does not take and every one without the native core."""
+    from repro.runtime.core import _c_answers, run_core
+
+    lib, todo = _ccore.get_lib(), []
+    for key, question, idx in asked:
         got = default_cache().answer(key, count=False)[1] if key else None
-        if got is not None:
-            for i in idx:  # a racing caller's flight answered it
+        if got is not None:  # a racing caller's flight answered it
+            for i in idx:
                 out[i] = (got, out[i][1], True)
-            continue
-        with span("graph", m=m, n=n):
-            cg = default_cache().get(key) if key else None  # kept by rank
+        else:
+            todo.append((question, idx, default_cache().get(key) if key else None))
+    start = time.monotonic()
+    fresh = [question for question, _, cg in todo if cg is None] if lib else []
+    answered = iter(_c_answers(lib, fresh, machine, b) if fresh else ())
+    for (m, n, config, layout), idx, cg in todo:
+        got = next(answered) if cg is None and lib else None
+        if got is not None:
+            result = got[0]
+            _record(m, n, start, *got[1:])
+        else:
             if cg is None:
-                cg = _build_graph(m, n, config, layout, machine, b, elims)
-        yield key, cg, idx
-
-
-def _simulate(planned, machine: Machine, b: int, out) -> None:
-    """Run ``planned`` as one batch and fill ``out``."""
-    from repro.runtime.core import run_core_batch
-
-    results = run_core_batch([cg for _, cg, _ in planned], machine, b)
-    for (_, _, idx), result in zip(planned, results):
+                with span("graph", m=m, n=n):
+                    cg = _build_graph(m, n, config, layout, machine, b)
+            result = run_core(cg, machine, b).result
         for i in idx:
             out[i] = (result, *out[i][1:])
 
 
-def _remember(asked, out) -> None:
-    """Remember each keyed answer in ``out`` no racing flight gave, in order."""
-    for key, _, (i, *_) in asked:
-        result, _, remembered = out[i]
-        if key is not None and not remembered:
-            default_cache().remember(key, result)
-
-
 def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
-    """``(result, resident, remembered)`` per ``(m, n, config, layout[,
-    elims])`` question, ``elims`` being a list a bound pass already made.
-    With ``reuse`` a keyed question asks its cache entry first and a
-    distinct miss is built, simulated and remembered once, under its
-    key's gate; without, no fingerprint is taken and every question is
-    built, simulated and dropped: nothing is read or kept.  Misses run in
-    one ``run_core_batch``.  An unkeyable layout remembers nothing."""
+    """``(result, resident, remembered)`` per ``(m, n, config, layout)``
+    question.  With ``reuse`` a keyed question asks its cache entry first
+    and a distinct miss is answered and remembered once, under its key's
+    gate; without, no fingerprint is taken and every question is answered
+    and dropped.  The misses are one native call (:func:`_answer`) that
+    keeps no graph.  An unkeyable layout remembers nothing."""
     out, asked = _ask(questions, machine, b, reuse)
     with default_cache().flights({key for key, *_ in asked if key}):
-        _simulate(list(_planned(asked, machine, b, out)), machine, b, out)
-        _remember(asked, out)
+        _answer(asked, machine, b, out)
+        for key, _, (i, *_) in asked:  # what no racing flight gave, in order
+            if key is not None and not out[i][2]:
+                default_cache().remember(key, out[i][0])
     return out
 
 
@@ -238,70 +239,13 @@ def run_config(
     )[0][0]
 
 
-def _plan_and_simulate(asked, out, machine: Machine, b: int) -> None:
-    """The sweep's dispatch of ``asked`` (see :func:`_ask`), under their
-    gates: each of W workers (this thread and W - 1 helpers;
-    W is ``REPRO_SIM_THREADS``, else this process's CPUs) takes the next
-    question, plans and simulates it, and drops its graph before the next.
-    Answers are remembered in question order after the join; the first
-    error on any worker stops the others and is raised here."""
-    from repro.runtime.core import sim_threads
-
-    todo, taking = iter(asked), threading.Lock()
-    failure: list[BaseException] = []
-    trace, parent = current_trace(), current_span()  # thread-local
-
-    def work() -> None:
-        try:
-            with attach(trace, parent=parent):  # the caller's, on any thread
-                while not failure:
-                    with taking:
-                        question = next(todo, None)
-                    if question is None:
-                        return
-                    _simulate(list(_planned([question], machine, b, out)),
-                              machine, b, out)  # the graph is dropped here
-        except BaseException as exc:  # raised by the caller below
-            failure.append(exc)
-
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)  # macOS has no sched_getaffinity
-    workers = min(sim_threads() or cpus, len(asked))
-    helpers = [threading.Thread(target=work, name=f"repro-sweep-{i}", daemon=True)
-               for i in range(1, workers)]
-    with default_cache().flights({key for key, *_ in asked if key}):
-        try:
-            for thread in helpers:
-                thread.start()
-            work()
-        finally:
-            for thread in helpers:
-                if thread.ident is not None:  # started
-                    thread.join()
-        if failure:
-            raise failure[0]
-        _remember(asked, out)
-
-
 def run_config_sweep(
-    points,
-    setup: BenchSetup | None = None,
-    *,
-    workers: int | None = None,
+    points, setup: BenchSetup | None = None, *, workers: int | None = None
 ) -> list[SimulationResult]:
-    """Simulate many ``(m, n, config)`` points, preserving input order.
-
-    Each point asks the graph cache first (:func:`_ask`); a remembered one
-    reaches neither planner nor loop, the rest are planned and simulated
-    one point per worker (:func:`_plan_and_simulate`) and remembered.  The
-    same body runs with or without the native core: ``run_core_batch``
-    takes the Python loop per graph when the C one is not loaded, bit for
-    bit alike.  ``workers`` is accepted and ignored, only because the
-    benchmark in ``perf/`` passes ``workers=1``.
-    """
+    """Simulate many ``(m, n, config)`` points, in input order: one
+    :func:`answers` call with ``reuse``.  ``workers`` is accepted and
+    ignored, only because the benchmark in ``perf/`` passes ``workers=1``."""
     setup = setup or BenchSetup()
-    out, asked = _ask([(m, n, cfg, setup.layout) for m, n, cfg in points],
-                      setup.machine, setup.b, True)
-    if asked:  # else every point is remembered: no thread starts
-        _plan_and_simulate(asked, out, setup.machine, setup.b)
-    return [result for result, *_ in out]
+    got = answers([(m, n, cfg, setup.layout) for m, n, cfg in points],
+                  setup.machine, setup.b, reuse=True)
+    return [result for result, *_ in got]

@@ -91,17 +91,14 @@ class HQRTree:
         return panel.killer[panel.victim.tolist().index(i)]
 
     # ------------------------------------------------------------------ #
-    def _expand(self) -> EliminationArray | None:
-        """The full list from the native generator, or ``None`` (no native
-        core, parameters beyond its integer widths, or a refusal) for
-        :meth:`_assemble`."""
-        lib = _ccore.get_lib()
+    def tables(self) -> tuple | None:
+        """``hqr_expand``'s low and high tree tables (start, victim, killer
+        typed arrays each), or ``None`` where it does not run (no native
+        core, no panel, parameters past its integer widths)."""
         m, panels = self.m, self._panels
         p, a = self.config.p, self.config.a
-        if lib is None or panels <= 0 or p >= 2**31 or a >= 2**63:
+        if _ccore.get_lib() is None or panels <= 0 or p >= 2**31 or a >= 2**63:
             return None
-        # every panel k kills rows k+1 .. m-1
-        count = panels * (m - 1) - panels * (panels - 1) // 2
         # the q each tree is asked for lies in a short range: a cluster's
         # last local row is lmax or lmax - 1, its base 0 .. bmax, and it
         # has 1 + last // a - base // a leaders; panel k has min(p, m - k)
@@ -113,17 +110,26 @@ class HQRTree:
             max(1 + max(lmax - 1, 0) // a - bmax // a, 1), 1 + lmax // a
         )
         high = self._high.table(min(p, m - panels + 1), min(p, m))
+        return tuple(tuple(typed(f, arr) for f, arr in zip("qii", t))
+                     for t in (low, high))
+
+    def _expand(self) -> EliminationArray | None:
+        """The full list from ``hqr_expand``, or ``None`` for :meth:`_assemble`."""
+        tables = self.tables()
+        if tables is None:
+            return None
+        m, panels = self.m, self._panels
+        # every panel k kills rows k+1 .. m-1
+        count = panels * (m - 1) - panels * (panels - 1) // 2
         out = [zeros("i", count) for _ in range(3)] + [zeros("B", count)]
-        low, high = ([typed(f, arr) for f, arr in zip("qii", t)] for t in (low, high))
-        written = lib.hqr_expand(
-            m, self.n, p, a, self.config.domino,
+        low, high = tables
+        written = _ccore.get_lib().hqr_expand(
+            m, self.n, self.config.p, self.config.a, self.config.domino,
             len(low[0]) - 1, *map(address, low),
             len(high[0]) - 1, *map(address, high),
             count, *map(address, out),
         )
-        if written != count:
-            return None
-        return EliminationArray(*out)
+        return EliminationArray(*out) if written == count else None
 
     def _cluster(self, base: int, ltop: int, lmax: int) -> tuple:
         """Levels 0-2 of a cluster whose participants are local rows

@@ -6,10 +6,10 @@ vs. DAG build vs. cache lookups vs. the engine event loop vs. sweep
 dispatch.  It adds no timer of its own:
 
 * **Spans** — :func:`profile_run` attaches a trace
-  (:mod:`repro.obs.tracing`) for its run, so the ``span()`` calls the
-  planning chain makes anyway (``graph`` around a build and any graph lookup,
-  ``elim`` and ``dag_build`` inside it, ``simulate`` around each core
-  dispatch) land in one tree, which :func:`fold_spans` folds by name.
+  (:mod:`repro.obs.tracing`) for its run, so the spans the planning chain
+  records anyway (``graph`` around a build, ``elim`` and ``dag_build``
+  inside it, ``simulate`` for each core dispatch or natively answered
+  question) land in one tree, which :func:`fold_spans` folds by name.
 * **cProfile hooks** — :func:`profile_run` wraps the serial pass in
   ``cProfile`` and reports the top cumulative functions next to the
   stage table, for drill-down past the span granularity.
@@ -17,9 +17,8 @@ dispatch.  It adds no timer of its own:
 Nesting: ``graph`` *contains* ``elim`` and ``dag_build``; its self time
 is pure cache overhead.
 
-Threads: a span is busy time on whichever thread ran it.  The batched
-sweep's workers plan and simulate side by side, so the stages inside a
-``sweep`` may sum past its wall time; the excess is the overlap.
+Threads: a native call's points run side by side on its OpenMP team, so
+the stages inside a ``sweep`` may sum past its wall time.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ def fold_spans(root: Span) -> dict[str, dict[str, float]]:
     """``{name: {"seconds", "calls"}}`` over every span under ``root``.
 
     A ``simulate`` span under a ``sweep`` counts as ``dispatch_compute``:
-    the sweep's workers simulate side by side, so keeping them apart
-    leaves ``simulate`` to the serial pass, one call a point.
+    the sweep's points run side by side, so keeping them apart leaves
+    ``simulate`` to the serial pass, one call a point.
     """
     stages: dict[str, dict[str, float]] = {}
     for sp, in_sweep in _walk(root):
@@ -94,8 +93,8 @@ def profile_run(
     run_config_sweep` (``sweep``, whose ``dispatch_compute`` stage is
     the batched event loop) to attribute sweep dispatch overhead; the
     sweep's cache probes read as ``cache``.  ``cache_overhead_s`` is the
-    self time of ``graph``: the serial pass neither fingerprints nor
-    stores, so it is the sweep's resident-graph lookups, all misses.
+    self time of ``graph``: 0 where the native call timed the stages, the
+    glue around a build otherwise (no native core, a refused question).
     The memory cache is emptied first, and ``run_config`` keeps nothing,
     so the sweep plans and simulates every point on every call.
     Returns a JSON-ready report.

@@ -210,37 +210,34 @@ class RequestTrace:
 # thread-local current trace + span() context manager                         #
 # --------------------------------------------------------------------------- #
 
-_tls = threading.local()
+#: per thread, the attached trace and its open span; class defaults, so a
+#: thread that never attached reads ``None`` without a failed lookup
+_tls = type("_Local", (threading.local,), {"trace": None, "span": None})()
 
 
 def current_trace() -> RequestTrace | None:
     """The trace attached to this thread, if any."""
-    return getattr(_tls, "trace", None)
+    return _tls.trace
 
 
 def current_span() -> Span | None:
     """The span open on this thread, if any."""
-    return getattr(_tls, "span", None)
+    return _tls.span
 
 
 @contextmanager
-def attach(trace: RequestTrace | None, *, parent: Span | None = None):
+def attach(trace: RequestTrace | None):
     """Attach ``trace`` to this thread for the duration of the block.
 
-    While attached, :func:`span` appends spans to it —
-    under ``parent``, a span of ``trace`` another thread has open, else
-    under the root; ``attach(None)`` is a no-op shield (spans inside are
-    dropped).
+    While attached, :func:`span` appends spans to its root; ``attach(None)``
+    is a no-op shield (spans inside are dropped).
     """
-    prev_trace = getattr(_tls, "trace", None)
-    prev_span = getattr(_tls, "span", None)
-    _tls.trace = trace
-    _tls.span = parent
+    prev_trace, prev_span = _tls.trace, _tls.span
+    _tls.trace, _tls.span = trace, None
     try:
         yield trace
     finally:
-        _tls.trace = prev_trace
-        _tls.span = prev_span
+        _tls.trace, _tls.span = prev_trace, prev_span
 
 
 @contextmanager
@@ -250,13 +247,13 @@ def span(name: str, **attrs):
     Nests: a ``span()`` inside another ``span()`` on the same thread
     becomes a child of the enclosing one.
     """
-    trace = getattr(_tls, "trace", None)
+    trace = _tls.trace
     if trace is None:
         yield None
         return
     t0 = time.monotonic()
     sp = Span(name, t0, t0, dict(attrs))
-    parent = getattr(_tls, "span", None)
+    parent = _tls.span
     (parent.children if parent is not None else trace.root.children).append(sp)
     _tls.span = sp
     try:

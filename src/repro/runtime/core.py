@@ -1,10 +1,8 @@
 """The unified event-loop core — every simulator engine's single source.
 
-Historically the repo carried four bitwise-equivalent copies of the
-cluster event loop (reference, compiled-python, compiled-C, resilient);
-every scheduling invariant had to be maintained in each copy, and every
-divergence bug was a cross-copy drift.  This module states the loop
-**once**, parameterized by capability flags:
+This module states the cluster event loop **once** (it was four
+bitwise-equivalent copies, each drifting on its own), parameterized by
+capability flags:
 
 * **inner loop** — the native C core (:mod:`repro._ccore`) when it
   loaded and no Python-visible capability (tracing, fault hooks) is
@@ -27,19 +25,18 @@ Event encoding is uniform across all modes: heap entries are
 ``(time, code, gen)`` where ``code = task`` for a finish,
 ``ntasks + task`` for a data arrival, and ``2*ntasks + i`` for crash
 ``i``.  At equal times this orders finishes before arrivals before
-crashes and each kind by task id — exactly the total order of the
-historical per-engine encodings, so the unification is bitwise-neutral
-(proven against golden fixtures captured from the pre-refactor engines;
-see ``tests/runtime/golden.py``).
+crashes and each kind by task id (the golden fixtures of
+``tests/runtime/golden.py`` pin it).
 
 Ready queues hold dense priority *ranks*: the rank permutation sorts
 ``(priority, task id)``, so rank order reproduces the reference
 scheduler's tie-breaking exactly, and ``prio=None`` (program order)
 makes ranks the identity.
 
-Front ends (:mod:`repro.bench.runner`, :mod:`repro.resilience.simulate`
-and the verifier's reference simulator) are thin adapters over
-:func:`run_core` and :func:`run_core_batch`.
+Front ends (:mod:`repro.resilience.simulate`, the verifier's reference
+simulator) are thin adapters over :func:`run_core` and
+:func:`run_core_batch`; :mod:`repro.bench.runner`'s misses reach the C
+loop through :func:`_c_answers`, one native call that also plans.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import Callable
 
 from repro import _ccore
 from repro._ccore import address, typed
-from repro.dag.compiled import CompiledGraph, _transpose
+from repro.dag.compiled import CompiledGraph, _transpose, duration_table
 from repro.obs.tracing import span
 from repro.runtime.machine import Machine
 
@@ -103,6 +100,14 @@ class SimulationResult:
         """GFlop/s as a percentage of the machine's theoretical peak."""
         return 100.0 * self.gflops / machine.peak_gflops()
 
+    @classmethod
+    def of(cls, machine: Machine, b: int, M: int, N: int, makespan: float,
+           busy: float, messages: int, **traces) -> "SimulationResult":
+        """The run of an ``M x N`` matrix's graph on ``machine`` (no flops
+        for an empty graph, ``M = 0``)."""
+        return cls(makespan, qr_flops(M, N) if M else 0.0, messages,
+                   messages * machine.tile_bytes(b), busy, machine.cores, **traces)
+
 
 def qr_flops(M: int, N: int) -> float:
     """Useful flops of a QR factorization: ``2 M N^2 - 2/3 N^3`` (M >= N)."""
@@ -116,10 +121,10 @@ def qr_flops(M: int, N: int) -> float:
 # thread count
 # --------------------------------------------------------------------- #
 def sim_threads() -> int:
-    """OpenMP threads of a batched dispatch and workers of a batched sweep
-    (``REPRO_SIM_THREADS``).  0 (the default) lets the OpenMP runtime pick
-    and a sweep use every CPU it may run on; points are independent, so
-    any count is bit-identical.
+    """OpenMP threads of a batched native call (``REPRO_SIM_THREADS``), and
+    nothing else: 0 (the default) lets the OpenMP runtime pick, and a core
+    built without OpenMP runs a batch serially.  Points are independent,
+    so any count is bit-identical.
     """
     env = os.environ.get("REPRO_SIM_THREADS")
     if not env:
@@ -730,6 +735,13 @@ def _outputs(npoints: int, *types) -> list:
     return [(ctype * npoints)() for ctype in types]
 
 
+def _machine_args(machine: Machine, b: int) -> list:
+    """:func:`_machine_params` as the batched C entries take them."""
+    *params, site = _machine_params(machine, b)
+    params[2:4] = (int(params[2]), int(params[3]))  # serialized, hierarchical
+    return [*params, (ctypes.c_int32 * len(site))(*site)]
+
+
 def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     """One Python->C call over ``graphs``, each read where it lies.
 
@@ -749,24 +761,15 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
     )))  # the rank column, then the task_of_rank column
     tables = _address_tables(columns)
     ntasks = (ctypes.c_int64 * npoints)(*[len(k) for k in kind])
-    (
-        nnodes, cores_per_node, serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    ) = _machine_params(machine, b)
-    site_of = (ctypes.c_int32 * nnodes)(*site)
+    args = _machine_args(machine, b)
     out_mk, out_busy, out_msgs, out_rc = _outputs(
         npoints, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int32
     )
-    rc = lib.hqr_simulate_cluster_batch(
-        npoints, sim_threads(), ntasks, *tables,
-        nnodes, cores_per_node,
-        1 if serialized else 0, 1 if hierarchical else 0,
-        lat_intra, bwt_intra, lat_inter, bwt_inter,
-        site_of, 1 if data_reuse else 0,
+    if lib.hqr_simulate_cluster_batch(
+        npoints, sim_threads(), ntasks, *tables, *args, int(data_reuse),
         out_mk, out_busy, out_msgs, out_rc,
-    )
-    if rc != 0:
-        _refuse(out_rc, nnodes, (1, _WAIT_MISMATCH))
+    ):
+        _refuse(out_rc, args[0], (1, _WAIT_MISMATCH))
         return None  # allocation failure somewhere: retry in Python
     return out_mk, out_busy, out_msgs
 
@@ -791,24 +794,54 @@ def _c_lower_bound(lib, graphs, machine: Machine, b: int):
     dur_table, kind, node, _, succ_ptr, succ_idx = _graph_columns(graphs)
     tables = _address_tables([dur_table, kind, node, succ_ptr, succ_idx])
     ntasks = (ctypes.c_int64 * npoints)(*[len(k) for k in kind])
-    (
-        nnodes, cores_per_node, serialized, hierarchical,
-        lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    ) = _machine_params(machine, b)
-    site_of = (ctypes.c_int32 * nnodes)(*site)
+    args = _machine_args(machine, b)
     out = (ctypes.c_double * (6 * npoints))()
     out_load, out_rc = _outputs(npoints, ctypes.c_int64, ctypes.c_int32)
-    rc = lib.hqr_lower_bound(
-        npoints, sim_threads(), ntasks, *tables,
-        nnodes, cores_per_node,
-        1 if serialized else 0, 1 if hierarchical else 0,
-        lat_intra, bwt_intra, lat_inter, bwt_inter,
-        site_of, out, out_load, out_rc,
-    )
-    if rc != 0:
-        _refuse(out_rc, nnodes, (3, "a successor edge that does not point forward"))
+    if lib.hqr_lower_bound(
+        npoints, sim_threads(), ntasks, *tables, *args, out, out_load, out_rc,
+    ):
+        _refuse(out_rc, args[0], (3, "a successor edge that does not point forward"))
         return None
     return [out[6 * p : 6 * p + 6] for p in range(npoints)], list(out_load)
+
+
+def _c_answers(lib, questions, machine: Machine, b: int) -> list:
+    """``hqr_answer_batch`` over ``(m, n, config, layout)`` questions, one
+    GIL-free call that expands, builds and runs each, keeping no graph:
+    ``(result, ntasks, (elim, build, simulate) seconds)`` per question, or
+    ``None`` where it has no tree tables, a node past int16 or a refusal."""
+    from repro.dag.compiled import _owners
+    from repro.hqr.hierarchy import HQRTree
+
+    spec, held, taken = [], [], []
+    for j, (m, n, cfg, layout) in enumerate(questions):
+        tables, (owner, bad) = HQRTree(m, n, cfg).tables(), _owners(layout, m, n)
+        if tables is None or bad >= 0:
+            continue
+        low, high = tables
+        taken.append(j)
+        spec += [m, n, cfg.p, cfg.a, cfg.domino, len(low[0]) - 1, len(high[0]) - 1]
+        held += [*low, *high, owner]
+    out, npoints, dur = [None] * len(questions), len(taken), duration_table(machine, b)
+    out_mk, out_busy, out_msgs, out_ntasks, out_rc, out_ns = _outputs(
+        npoints, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int32, ctypes.c_int64 * 3,
+    )
+    if npoints:
+        lib.hqr_answer_batch(
+            npoints, sim_threads(), (ctypes.c_int64 * len(spec))(*spec),
+            (ctypes.c_void_p * len(held))(*map(address, held)), address(dur),
+            *_machine_args(machine, b), out_mk, out_busy, out_msgs, out_ntasks,
+            out_ns, out_rc,
+        )
+    for t, j in enumerate(taken):
+        m, n = questions[j][:2]
+        out[j] = None if out_rc[t] else (
+            SimulationResult.of(machine, b, m * b, n * b, out_mk[t], out_busy[t],
+                                out_msgs[t]),
+            out_ntasks[t], tuple(ns / 1e9 for ns in out_ns[t]),
+        )
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -838,40 +871,29 @@ def run_core(
     M = cg.m * b if M is None else M
     N = cg.n * b if N is None else N
     ntasks = cg.ntasks
-    tile_bytes = machine.tile_bytes(b)
     if ntasks == 0:
+        traces = {name: [] if record_trace else None
+                  for name in ("trace", "comm_trace", "queue_trace")}
         return CoreOutcome(
-            result=SimulationResult(
-                0.0, 0.0, 0, 0, 0.0, machine.cores,
-                [] if record_trace else None,
-                [] if record_trace else None,
-                [] if record_trace else None,
-            ),
+            result=SimulationResult.of(machine, b, 0, 0, 0.0, 0.0, 0, **traces),
             fault=None if fault is None else FaultOutcome(
                 fault_events=fault.fault_events
             ),
         )
 
     with span("simulate") as sp:
-        lib = None
-        if not record_trace and fault is None:
-            lib = _ccore.get_lib()
         # the batch of one: the C entry derives wait counts, durations and
         # identity ranks itself, so a request prepares no per-task array
-        out = None
-        if lib is not None:
-            out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse)
+        lib = _ccore.get_lib() if not record_trace and fault is None else None
+        out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse) if lib else None
         if out is not None:
-            makespan, busy = float(out[0][0]), float(out[1][0])
-            messages = int(out[2][0])
+            (makespan,), (busy,), (messages,) = out
             trace = comm = queue = fault_out = None
             engine = "c"
         else:
             rank, task_of_rank = priority_ranks(prio, ntasks)
-            (
-                nnodes, cores_per_node, serialized, hierarchical,
-                lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-            ) = _machine_params(machine, b)
+            nnodes, cores, serialized, hierarchical, *links, site = _machine_params(
+                machine, b)
             kw = {}
             if fault is not None:
                 # the fault branch skips finished consumers: a low count ends at 0
@@ -886,31 +908,19 @@ def run_core(
                 kw = dict(fault=fault, pred_ptr=pred_ptr, pred_idx=pred_idx.tolist())
             dur = cg.dur_table.tolist()
             makespan, busy, messages, trace, comm, queue, fault_out = _py_loop(
-                ntasks, nnodes, cores_per_node,
+                ntasks, nnodes, cores,
                 [dur[k] for k in cg.kind.tolist()], cg.node.tolist(), cg.wait.tolist(),
                 cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
                 rank.tolist(), task_of_rank.tolist(),
-                serialized, hierarchical,
-                lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-                data_reuse,
-                record_trace=record_trace,
-                **kw,
+                serialized, hierarchical, *links, site, data_reuse,
+                record_trace=record_trace, **kw,
             )
             engine = "python"
         if sp is not None:
             sp.attrs.update(engine=engine, ntasks=ntasks)
     return CoreOutcome(
-        result=SimulationResult(
-            makespan=makespan,
-            flops=qr_flops(M, N),
-            messages=messages,
-            bytes_sent=messages * tile_bytes,
-            busy_seconds=busy,
-            cores=machine.cores,
-            trace=trace,
-            comm_trace=comm,
-            queue_trace=queue,
-        ),
+        result=SimulationResult.of(machine, b, M, N, makespan, busy, messages,
+                                   trace=trace, comm_trace=comm, queue_trace=queue),
         fault=fault_out,
         engine=engine,
     )
@@ -929,27 +939,19 @@ def run_core_batch(
 ) -> list[SimulationResult]:
     """Run many compiled graphs through the cluster loop in one dispatch.
 
-    All graphs share the machine, tile size, and data-reuse flag (one
-    sweep); ``prios`` is an optional per-graph priority-vector list.  The
-    C path makes a *single* Python->C call
-    (``hqr_simulate_cluster_batch``) that reads every graph's arrays in
-    place through per-graph pointer tables, fanned out over points with
-    OpenMP when the core was built with it (``REPRO_SIM_THREADS``
-    overrides the thread count).  Results are bit-identical to calling
-    :func:`run_core` per graph — that *is* this call with one graph, and
-    the fallback path *is* the per-graph loop.
+    All graphs share the machine, tile size, and data-reuse flag;
+    ``prios`` is an optional per-graph priority-vector list.  The C path
+    is one ``hqr_simulate_cluster_batch`` call that reads every graph's
+    arrays in place, fanned out over the graphs with OpenMP
+    (:func:`sim_threads`).  Results are bit-identical to :func:`run_core`
+    per graph — that *is* this call with one graph, and the fallback path
+    *is* the per-graph loop.
     """
-    npoints = len(graphs)
-    if npoints == 0:
+    prios = [None] * len(graphs) if prios is None else prios
+    if len(prios) != len(graphs):
+        raise ValueError(f"prios has {len(prios)} entries for {len(graphs)} graphs")
+    if not graphs:
         return []
-    if prios is None:
-        prios = [None] * npoints
-    if len(prios) != npoints:
-        raise ValueError(
-            f"prios has {len(prios)} entries for {npoints} graphs"
-        )
-    tile_bytes = machine.tile_bytes(b)
-
     lib = _ccore.get_lib()
     out = sp = None
     if lib is not None:
@@ -959,30 +961,17 @@ def run_core_batch(
         # bit-identical fallback: the scalar path per point (pure-Python
         # core, or C per point after an allocation failure in the batch);
         # each run_core call emits its own "simulate" span
-        return [
-            run_core(
-                cg, machine, b,
-                prio=prio, data_reuse=data_reuse,
-            ).result
-            for cg, prio in zip(graphs, prios)
-        ]
+        return [run_core(cg, machine, b, prio=prio, data_reuse=data_reuse).result
+                for cg, prio in zip(graphs, prios)]
     if sp is not None:
         sp.attrs.update(
             engine="c-batch",
             points=sum(1 for cg in graphs if cg.ntasks),
             ntasks=sum(cg.ntasks for cg in graphs),
         )
-    makespans, busys, msgs = out
+    # an empty graph reports no work, as run_core does
     return [
-        SimulationResult(
-            makespan=float(makespans[i]),
-            # an empty graph reports no work, as run_core does
-            flops=qr_flops(cg.m * b, cg.n * b) if cg.ntasks else 0.0,
-            messages=int(msgs[i]),
-            bytes_sent=int(msgs[i]) * tile_bytes,
-            busy_seconds=float(busys[i]),
-            cores=machine.cores,
-            trace=None,
-        )
-        for i, cg in enumerate(graphs)
+        SimulationResult.of(machine, b, cg.m * b if cg.ntasks else 0, cg.n * b,
+                            mk, busy, msgs)
+        for cg, mk, busy, msgs in zip(graphs, *out)
     ]

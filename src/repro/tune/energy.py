@@ -16,7 +16,7 @@ a whole proposal batch per call:
 * the energies the annealer does need are one
   :func:`~repro.bench.runner.answers` call with ``reuse``: a graph cache
   entry's remembered answer (an earlier chain's, the planning service's),
-  else one batched simulation of graphs built from the bound pass's lists.
+  else one native call that expands, builds and simulates each miss.
 
 Without the native core every bound is 0.0: the annealer's filter is
 off and it simulates what it always did.
@@ -115,7 +115,6 @@ class EnergyEvaluator:
     #: the run's energy memo: key -> exact energy
     memo: dict[str, float] = field(default_factory=dict)
     _keys: dict[VerifyCase, str] = field(default_factory=dict)
-    _lists: dict = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
         """Memo key: the compiled-graph cache fingerprint of the case,
@@ -139,31 +138,27 @@ class EnergyEvaluator:
         if not _ccore.native_available():
             return [self.memo.get(key, 0.0) for key in keys]
         memo = default_cache().bounds
-        # the lists of this call's new bounds, for the evaluates that follow
-        self._lists.clear()
         out = []
         for case, key in zip(cases, keys):
             value = self.memo.get(key, memo.get(key))
             if value is None:
-                elims = self._lists[key] = hqr_elimination_list(
-                    self.m, self.n, case.config()
-                )
                 value = memo[key] = max(elimination_bound(
-                    elims, self.m, self.n, case.layout(), self.machine, self.b
+                    hqr_elimination_list(self.m, self.n, case.config()),
+                    self.m, self.n, case.layout(), self.machine, self.b,
                 ))
             out.append(value)
         return out
 
     def evaluate(self, cases: list[VerifyCase]) -> list[float]:
         """Exact makespan per case; the fresh keys are one :func:`answers`
-        call, which takes the lists :meth:`bounds` has generated."""
+        call."""
         keys = [self.energy_key(c) for c in cases]
         fresh = {key: case for case, key in zip(cases, keys) if key not in self.memo}
         if fresh:
             self.evaluations += len(fresh)
             got = answers([
-                (self.m, self.n, case.config(), case.layout(), self._lists.get(key))
-                for key, case in fresh.items()
+                (self.m, self.n, case.config(), case.layout())
+                for case in fresh.values()
             ], self.machine, self.b, reuse=True)
             for key, (result, _, _) in zip(fresh, got):
                 self.memo[key] = result.makespan

@@ -11,8 +11,8 @@ makespan from :class:`repro.tune.energy.EnergyEvaluator`.
 Design points, in the order they matter:
 
 * **batched evaluation** — each temperature step draws a whole batch of
-  proposals and evaluates them through one batched C-core dispatch, then
-  replays Metropolis acceptance sequentially.  Cheap wall-clock, and the
+  proposals and evaluates them through one native call, then replays
+  Metropolis acceptance sequentially.  Cheap wall-clock, and the
   accept/reject stream stays a pure function of ``(seed, params)``.
 * **simulate only what the chain must see** — a proposal whose energy
   is not known yet is first met with a lower bound on it
@@ -541,7 +541,10 @@ class Annealer:
                 # the replay counts a known proposal a memo hit: one per
                 # key evaluated here is a needed energy instead
                 ev.memo_hits -= len(needed)
-            done = self._replay(batch, done, t)
+            start, done = done, self._replay(batch, done, t)
+            if done == start and not needed:  # the next round would be this one
+                raise RuntimeError(f"batch {self.batch_idx}: proposal {done} is "
+                                   "neither known, ruled out nor needed")
         self.accept_history.append({
             "batch": self.batch_idx,
             "temperature": t,

@@ -4,9 +4,11 @@ One verification *case* runs through six checks:
 
 1. the production planner builds what its Python references build: with
    the native core loaded, ``hqr_expand``'s list equals
-   ``HQRTree._assemble``'s, and ``hqr_build_dag``'s graph equals
-   ``compile_graph`` of the object graph on every array the loops read —
-   a refusal counts, since production would fall back silently;
+   ``HQRTree._assemble``'s, ``hqr_build_dag``'s graph equals
+   ``compile_graph`` of the object graph on every array the loops read,
+   and ``hqr_answer_batch`` (expand, build and simulate in one call, the
+   answers path) gives ``run_core``'s result on that graph — a refusal
+   counts, since production would fall back silently;
 2. the elimination list passes
    :func:`repro.hqr.validate.check_elimination_list` (§II legality);
 3. every engine executes it (exceptions are failures, not crashes);
@@ -32,10 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro._ccore import native_available
+from repro._ccore import get_lib, native_available
 from repro.dag.compiled import _build_native, compiled_from_eliminations
 from repro.hqr.hierarchy import HQRTree
 from repro.hqr.validate import ValidationError, check_elimination_list
+from repro.runtime.core import _c_answers, run_core
 from repro.verify.engines import available_engines, result_key, run_engines
 from repro.verify.generator import VerifyCase, generate_cases
 from repro.verify.oracle import check_schedule
@@ -101,6 +104,12 @@ def verify_case(
     ]
     if differ:
         return CaseFailure(case, "build-divergence", {"graph": differ})
+    if native and tree.tables() is not None:  # the answers path's native call
+        (got,) = _c_answers(get_lib(), [(case.m, case.n, case.config(), layout)],
+                            machine, case.b)
+        if got is None or got[0] != run_core(built, machine, case.b).result:
+            state = "refused" if got is None else "differs"
+            return CaseFailure(case, "build-divergence", {"answer": state})
 
     try:
         results = run_engines(case, graph, built, engines)

@@ -14,6 +14,8 @@ No program code calls any of them, so they live with the tests.
 * The matrix generators produce the standard stress cases (graded,
   ill-conditioned, near rank-deficient, Vandermonde, Kahan) QR's
   applications feed it, far from i.i.d. Gaussian.
+* :func:`simulated_points` records every question the answers path
+  simulates, whichever way it runs it.
 * :func:`study` factors one matrix under several tree configurations and
   reports the paper's two checks (§V-A: ``Q`` orthonormality, ``A = QR``
   reconstruction) plus the distance of ``R`` to LAPACK's.  Any valid
@@ -172,3 +174,28 @@ def default_configs() -> dict[str, HQRConfig]:
         "hqr p=4 fib/fib": HQRConfig(p=4, a=2, low_tree="fibonacci",
                                      high_tree="fibonacci"),
     }
+
+
+def simulated_points(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the two ways ``bench.runner.answers`` simulates a miss - the
+    points of its native call (``runtime.core._c_answers``) and each graph
+    it runs through ``run_core``, the one caller that passes no keyword
+    (faulted and traced runs pass theirs) - and return the list that
+    collects the ``(m, n)`` of every one, on any thread."""
+    import repro.runtime.core as core_mod
+
+    seen = []
+    real_answers, real_run = core_mod._c_answers, core_mod.run_core
+
+    def native(lib, points, *args, **kwargs):
+        seen.extend((m, n) for m, n, *_ in points)
+        return real_answers(lib, points, *args, **kwargs)
+
+    def run(cg, *args, **kwargs):
+        if not kwargs:
+            seen.append((cg.m, cg.n))
+        return real_run(cg, *args, **kwargs)
+
+    monkeypatch.setattr(core_mod, "_c_answers", native)
+    monkeypatch.setattr(core_mod, "run_core", run)
+    return seen

@@ -9,8 +9,7 @@ each question one remembered-answer lookup plus at most one graph lookup.
 
 import pytest
 
-import repro.bench.runner as runner_mod
-import repro.runtime.core as core_mod
+from _support import simulated_points
 from repro.bench.runner import BenchSetup, answers, run_config
 from repro.dag import cache as cache_mod
 from repro.dag.compiled import compiled_from_eliminations
@@ -111,14 +110,7 @@ def test_a_second_reuse_call_simulates_nothing(cache, monkeypatch):
     machine = MACHINES["flat"]
     qs = questions()[:-1]
     answers(qs, machine, B, reuse=True)
-    simulated = []
-    real = core_mod.run_core_batch
-
-    def counting(graphs, *args, **kwargs):
-        simulated.extend(graphs)
-        return real(graphs, *args, **kwargs)
-
-    monkeypatch.setattr(core_mod, "run_core_batch", counting)
+    simulated = simulated_points(monkeypatch)
     again = answers(qs, machine, B, reuse=True)
     assert simulated == []
     assert all(resident and remembered for _, resident, remembered in again)
@@ -133,40 +125,12 @@ def test_without_reuse_nothing_is_read_or_remembered(cache):
     assert len(cache._memory) == 0
 
 
-def test_a_handed_over_list_is_not_generated_again(cache, monkeypatch):
-    generated = []
-    real = runner_mod.hqr_elimination_list
-
-    def counting(m, n, cfg):
-        generated.append(cfg)
-        return real(m, n, cfg)
-
-    monkeypatch.setattr(runner_mod, "hqr_elimination_list", counting)
-    m, n, cfg = CONFIGS[0]
-    layout = BlockCyclic2D(cfg.p, cfg.q)
-    got = answers(
-        [(m, n, cfg, layout, real(m, n, cfg))], MACHINES["flat"], B, reuse=True
-    )
-    assert generated == []
-    cache.clear_memory()
-    again = answers([(m, n, cfg, layout)], MACHINES["flat"], B, reuse=True)
-    assert generated == [cfg]
-    assert got[0][0] == again[0][0]
-
-
 def test_a_repeated_question_is_simulated_once_a_call(cache, monkeypatch):
     """Copies of one keyed question in a call share its first copy's graph
     and result; an unkeyable question has no key to share."""
     machine = MACHINES["flat"]
     qs = questions()
-    simulated = []
-    real = core_mod.run_core_batch
-
-    def counting(graphs, *args, **kwargs):
-        simulated.extend(graphs)
-        return real(graphs, *args, **kwargs)
-
-    monkeypatch.setattr(core_mod, "run_core_batch", counting)
+    simulated = simulated_points(monkeypatch)
     got = answers(qs + qs[:2] + qs[-1:], machine, B, reuse=True)
     assert len(simulated) == len(qs) + 1  # the unkeyable one runs twice
     want = [a[0] for a in got[:len(qs)]]

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from _support import simulated_points
 from repro.bench.runner import BenchSetup, run_config, run_config_sweep
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr.config import HQRConfig
@@ -190,7 +191,7 @@ def test_verify_batched_engines_agree():
 
 
 # --------------------------------------------------------------------- #
-# the overlapped sweep: W workers, each planning and simulating one point
+# the sweep's misses: one native call, expanding, building and simulating
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def batched_path(fresh_cache, monkeypatch):
@@ -242,120 +243,85 @@ def test_overlapped_sweep_equals_the_run_config_loop(batched_path, monkeypatch):
 
 
 def test_overlapped_sweep_planning_error_propagates(batched_path, monkeypatch):
-    """A builder that raises on point k: the same exception reaches the
-    caller, the helpers are gone, and the cache holds no build gate."""
-    from repro.bench import runner
+    """Preparing point k raises: the same exception reaches the caller,
+    no thread is left, the cache holds no build gate and remembers
+    nothing."""
+    from repro.hqr.hierarchy import HQRTree
 
-    boom = RuntimeError("elimination list refused")
+    boom = RuntimeError("tree tables refused")
     calls = []
+    real = HQRTree.tables
 
-    def flaky(m, n, config):
-        calls.append((m, n))
+    def flaky(tree):
+        calls.append((tree.m, tree.n))
         if len(calls) == 4:
             raise boom
-        return hqr_elimination_list(m, n, config)
+        return real(tree)
 
-    monkeypatch.setattr(runner, "hqr_elimination_list", flaky)
+    monkeypatch.setattr(HQRTree, "tables", flaky)
     with pytest.raises(RuntimeError) as info:
         run_config_sweep(_many_points(), small_setup())
     assert info.value is boom
     assert len(calls) == 4
     assert _sweep_threads() == []
     assert batched_path._building == {}
+    assert len(batched_path._memory) == 0
 
 
 def test_overlapped_sweep_loop_error_stops_planning(batched_path, monkeypatch):
-    """A graph the C loop refuses on point k raises on the caller for any
-    worker count W; after the refusal at most W - 1 points begin (one per
-    other worker), no helper is left and the cache holds no build gate."""
-    import repro.runtime.core as core_mod
+    """A graph the C loop refuses on point k - a resident graph with a
+    kind it cannot index, run as it is - raises on the caller, for any
+    OpenMP team size; no thread is left, the cache holds no build gate
+    and no answer is remembered."""
     from repro.bench import runner
+    from repro.dag.cache import fingerprint
 
-    real_build, real_batch = runner._build_graph, core_mod.run_core_batch
+    setup = small_setup()
     points = _many_points()
-    calls, refused = [], []
-
-    def patched(*args):
-        calls.append(args[:3])
-        cg = real_build(*args)
-        if args[:3] == points[2]:
-            kind = np.array(cg.kind)
-            kind[0] = 6
-            return dataclasses.replace(cg, kind=kind)
-        return cg
-
-    def batch(graphs, *args, **kwargs):
-        try:
-            return real_batch(graphs, *args, **kwargs)
-        except ValueError:
-            refused.append(len(calls))
-            raise
-
-    monkeypatch.setattr(runner, "_build_graph", patched)
-    monkeypatch.setattr(core_mod, "run_core_batch", batch)
+    m, n, cfg = points[2]
+    key = fingerprint(m, n, cfg, setup.layout, setup.machine, setup.b)
     for workers in (1, 2, 4):
         monkeypatch.setenv("REPRO_SIM_THREADS", str(workers))
-        calls.clear()
-        refused.clear()
-        with pytest.raises(ValueError, match="graph 0"):
-            run_config_sweep(points, small_setup())
-        (at,) = refused
-        assert points[2] in calls[:at]
-        assert len(calls) <= at + workers - 1, (workers, at, len(calls))
+        batched_path.clear_memory()
+        cg = runner._build_graph(m, n, cfg, setup.layout, setup.machine, setup.b)
+        kind = np.array(cg.kind)
+        kind[0] = 6
+        batched_path.put(key, dataclasses.replace(cg, kind=kind))
+        with pytest.raises(ValueError, match="graph 0: a task kind"):
+            run_config_sweep(points, setup)
         assert _sweep_threads() == []
         assert batched_path._building == {}
-        assert len(batched_path._memory) == 0  # nothing remembered
+        assert all(answer is None for _, answer in batched_path._memory.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_cold_sweep_holds_at_most_one_graph_per_worker(
     workers, batched_path, monkeypatch
 ):
-    """Each worker drops its graph before it takes the next point: a
-    finalizer on every graph built sees at most W alive at once, and none
-    once the sweep has returned."""
-    import weakref
-
+    """Each point's list and graph live in the core's scratch, freed
+    before its thread takes the next point: no graph reaches Python, and
+    the results are the ``run_config`` loop's for any team size."""
     from repro.bench import runner
-
-    real = runner._build_graph
-    counts = {"alive": 0, "peak": 0}
-    lock = threading.RLock()
-
-    def dropped():
-        with lock:
-            counts["alive"] -= 1
-
-    def tracked(*args):
-        cg = real(*args)
-        with lock:
-            counts["alive"] += 1
-            counts["peak"] = max(counts["peak"], counts["alive"])
-        weakref.finalize(cg, dropped)
-        return cg
+    from repro.dag import compiled
 
     setup = small_setup()
     points = _many_points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     batched_path.clear_memory()
-    monkeypatch.setattr(runner, "_build_graph", tracked)
+    built = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for owner, name in ((runner, "_build_graph"), (runner, "hqr_elimination_list"),
+                        (compiled, "compiled_from_eliminations")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     monkeypatch.setenv("REPRO_SIM_THREADS", str(workers))
     assert run_config_sweep(points, setup) == want
-    assert 1 <= counts["peak"] <= workers
-    assert counts["alive"] == 0
-
-
-def test_a_cold_sweep_runs_where_affinity_is_unknown(batched_path, monkeypatch):
-    """Without ``os.sched_getaffinity`` (macOS) the worker count falls
-    back to the CPU count instead of raising ``AttributeError``."""
-    import os
-
-    setup = small_setup()
-    points = _many_points()[:2]
-    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert run_config_sweep(points, setup) == want
-    assert _sweep_threads() == []
+    assert built == []
 
 
 def test_concurrent_planning_matches_serial_planning():
@@ -480,14 +446,26 @@ def test_overlapped_sweep_spans_hang_under_the_open_span(batched_path):
     )
 
 
-def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
-    from repro.bench import runner
-
+def _no_thread(monkeypatch):
     def no_thread(*args, **kwargs):
-        raise AssertionError("an empty sweep must not start a thread")
+        raise AssertionError("a sweep must not start a Python thread")
 
-    monkeypatch.setattr(runner.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+
+
+def test_empty_sweep_starts_no_thread(batched_path, monkeypatch):
+    _no_thread(monkeypatch)
     assert run_config_sweep([], small_setup()) == []
+
+
+def test_a_cold_sweep_starts_no_python_thread(batched_path, monkeypatch):
+    """The fan-out is the core's OpenMP loop, not Python threads."""
+    setup = small_setup()
+    points = _many_points()
+    want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
+    batched_path.clear_memory()
+    _no_thread(monkeypatch)
+    assert run_config_sweep(points, setup) == want
 
 
 # --------------------------------------------------------------------- #
@@ -523,21 +501,6 @@ def _ntasks(points, setup):
         compiled_graph_for(m, n, cfg, setup.layout, setup.machine, setup.b).ntasks
         for m, n, cfg in points
     )
-
-
-def _counting_batches(monkeypatch):
-    """Patch ``run_core_batch``; the returned list collects every graph
-    that reaches it, on any thread."""
-    import repro.runtime.core as core_mod
-
-    seen, real = [], core_mod.run_core_batch
-
-    def counting(graphs, *args, **kwargs):
-        seen.extend(graphs)
-        return real(graphs, *args, **kwargs)
-
-    monkeypatch.setattr(core_mod, "run_core_batch", counting)
-    return seen
 
 
 def test_a_repeated_sweep_simulates_nothing(batched_path):
@@ -641,16 +604,10 @@ def test_a_repeated_sweep_without_the_native_core_is_answered(
 
 
 def test_an_answered_sweep_starts_no_thread(batched_path, monkeypatch):
-    from repro.bench import runner
-
     setup = small_setup()
     points = _many_points()
     first = run_config_sweep(points, setup)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("an answered sweep must not start a thread")
-
-    monkeypatch.setattr(runner.threading, "Thread", no_thread)
+    _no_thread(monkeypatch)
     assert run_config_sweep(points, setup) == first
 
 
@@ -662,6 +619,7 @@ def test_a_sweep_and_an_answers_caller_simulate_a_shared_key_once(
     the other waits at the gate and finds the answer remembered."""
     import time
 
+    import repro.runtime.core as core_mod
     from repro.bench import runner
     from repro.dag.cache import fingerprint
 
@@ -680,10 +638,10 @@ def test_a_sweep_and_an_answers_caller_simulate_a_shared_key_once(
         target=lambda: got.update({second_caller: callers[second_caller]()}),
         name="test-second-caller",
     )
-    real = runner._build_graph
+    real = core_mod._c_answers
 
-    def build_while_the_other_waits(*args):
-        if second.ident is None:  # first build: let the other caller in
+    def answer_while_the_other_waits(*args):
+        if second.ident is None:  # first call: let the other caller in
             second.start()
             deadline = time.monotonic() + 30
             while batched_path._building[key][1] < 2:  # holder + waiter
@@ -691,8 +649,8 @@ def test_a_sweep_and_an_answers_caller_simulate_a_shared_key_once(
                 time.sleep(0.001)
         return real(*args)
 
-    monkeypatch.setattr(runner, "_build_graph", build_while_the_other_waits)
-    simulated = _counting_batches(monkeypatch)
+    monkeypatch.setattr(core_mod, "_c_answers", answer_while_the_other_waits)
+    simulated = simulated_points(monkeypatch)
     got[first_caller] = callers[first_caller]()
     second.join(30)
     assert not second.is_alive()
@@ -705,7 +663,7 @@ def test_run_config_on_a_swept_point_still_simulates(batched_path, monkeypatch):
     setup = small_setup()
     points = _many_points()
     swept = run_config_sweep(points, setup)
-    simulated = _counting_batches(monkeypatch)
+    simulated = simulated_points(monkeypatch)
     assert [run_config(m, n, cfg, setup) for m, n, cfg in points] == swept
     assert len(simulated) == len(points)
 
@@ -724,7 +682,7 @@ def test_racing_sweeps_and_answers_simulate_each_key_once(
     points = _many_points()
     want = [run_config(m, n, cfg, setup) for m, n, cfg in points]
     batched_path.clear_memory()
-    simulated = _counting_batches(monkeypatch)
+    simulated = simulated_points(monkeypatch)
     order = list(range(len(points)))
     picks = [order, order[::-1], order[5:] + order[:5], order[::2],
              order[1::3], order[::-3]]

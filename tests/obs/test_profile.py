@@ -108,15 +108,9 @@ class TestProfileRun:
         """Each call starts from an emptied memory cache: the sweep finds
         its points unanswered and simulates them again, so a second call
         in one process measures what the first did."""
-        import repro.runtime.core as core_mod
+        from _support import simulated_points
 
-        simulated, real = [], core_mod.run_core_batch
-
-        def counting(graphs, *args, **kwargs):
-            simulated.extend(graphs)
-            return real(graphs, *args, **kwargs)
-
-        monkeypatch.setattr(core_mod, "run_core_batch", counting)
+        simulated = simulated_points(monkeypatch)
         calls, graphs = [], []
         for _ in range(2):
             before = len(simulated)

@@ -10,8 +10,8 @@ import threading
 import pytest
 
 import repro.dag.cache as cache_mod
-import repro.runtime.core as core_mod
 from _serve_testlib import TINY_REQUEST
+from _support import simulated_points
 from repro.dag.cache import CompiledGraphCache
 from repro.serve.service import PlanRequest
 
@@ -26,17 +26,8 @@ def cache(monkeypatch):
 
 @pytest.fixture
 def simulations(monkeypatch):
-    """Every graph ``answers`` simulates, as (m, n) pairs: the batched
-    dispatch's graphs."""
-    calls = []
-    real_batch = core_mod.run_core_batch
-
-    def batch(graphs, *args, **kwargs):
-        calls.extend((cg.m, cg.n) for cg in graphs)
-        return real_batch(graphs, *args, **kwargs)
-
-    monkeypatch.setattr(core_mod, "run_core_batch", batch)
-    return calls
+    """Every question ``answers`` simulates, as (m, n) pairs."""
+    return simulated_points(monkeypatch)
 
 
 def ask(service, **over):

@@ -126,7 +126,7 @@ class TestTraceEndpoint:
         import repro.runtime.core as core_mod
 
         dispatches = []
-        for name in ("_c_cluster_batch", "_py_loop"):
+        for name in ("_c_answers", "_c_cluster_batch", "_py_loop"):
             real = getattr(core_mod, name)
 
             def counting(*args, _real=real, **kwargs):

@@ -261,6 +261,15 @@ def test_a_raising_batch_leaves_the_last_clean_checkpoint(tmp_path, monkeypatch)
     ).read_bytes()
 
 
+def test_a_round_that_makes_no_progress_raises(tmp_path, monkeypatch):
+    """A dry run that needs nothing while the replay stops where it began
+    would loop for ever: the batch raises, naming itself and the index."""
+    a = make_annealer(tmp_path / "run")
+    monkeypatch.setattr(a, "_needed", lambda batch, t: {})
+    with pytest.raises(RuntimeError, match=r"batch 0: proposal 0 is neither known"):
+        a.run()
+
+
 def test_fresh_run_refuses_existing_checkpoint(tmp_path):
     make_annealer(tmp_path).run()
     with pytest.raises(FileExistsError, match="resume"):

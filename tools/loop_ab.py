@@ -11,8 +11,8 @@ with its flags, into a temporary ``REPRO_CACHE_DIR``.  Three graph sets are
 built once, by the working tree's planner, on the paper's setup (§V-A: the
 edel machine, b = 280, a 15 x 4 grid): the 72 Figure 6(a) points of the sweep
 workloads, the 60 cold questions of ``serve_mix`` and the 73 graphs the two
-``tune_chain`` chains simulate (caught by a spy on ``run_core_batch``, the
-one call that simulates them).  Each round then times one single-thread
+``tune_chain`` chains simulate (their questions caught by a spy on
+``bench.runner._answer``, the one call that answers a miss).  Each round then times one single-thread
 ``hqr_simulate_cluster_batch`` call per side and set (best of
 ``--repeat``), the side going first alternating by round, so host drift
 lands on both sides alike and no packing, planning or interpreter time is
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import ctypes
 import os
 import statistics
 import subprocess
@@ -79,10 +80,23 @@ def c_source(rev: str | None) -> str:
 
 
 def compile_side(rev: str | None):
-    """``rev``'s C core, built by ``_ccore._build`` with its flags."""
-    lib = _ccore._build(c_source(rev))
-    if lib is None:
+    """``rev``'s C core, built by ``_ccore._build`` with its flags, with
+    the one entry this tool calls declared as the working tree declares
+    it (a core older than another entry the tree declares lacks that one,
+    which ``_build`` then refuses to load)."""
+    source = c_source(rev)
+    try:
+        _ccore._build(source)
+    except AttributeError:
+        pass
+    digest = _ccore.sha256_hex(source.encode())[:16]
+    path = _ccore.cache_root() / "ccore" / f"hqr_ccore_{digest}.so"
+    if not path.exists():
         die(f"{rev or 'working tree'}: the C core did not build")
+    lib = ctypes.CDLL(str(path))
+    declared = _ccore.get_lib().hqr_simulate_cluster_batch
+    lib.hqr_simulate_cluster_batch.restype = declared.restype
+    lib.hqr_simulate_cluster_batch.argtypes = declared.argtypes
     return lib
 
 
@@ -113,30 +127,31 @@ def graph_sets():
 
 
 def tune_graphs(setup):
-    """The graphs the perf workload's ``tune_chain`` chains simulate."""
+    """The graphs the perf workload's ``tune_chain`` chains simulate: the
+    questions their ``answers`` calls miss, each built once here."""
     import workloads
-    from repro.runtime import core
+    from repro.bench import runner
 
     caught = []
-    real = core.run_core_batch
+    real = runner._answer
 
-    def spy(graphs, machine, b, **kw):
-        if (machine, b) != (setup.machine, setup.b) or any(kw.values()):
+    def spy(asked, machine, b, out):
+        if (machine, b) != (setup.machine, setup.b):
             die("tune_chain simulates off the paper's setup")
-        caught.extend(graphs)
-        return real(graphs, machine, b, **kw)
+        caught.extend(question for _, question, _ in asked)
+        return real(asked, machine, b, out)
 
     with tempfile.TemporaryDirectory(prefix="loop_ab_tune_") as tmp:
         work = workloads.make("tune_chain", 1, Path(tmp), None)
         work.prepare()
         work.reset()
-        core.run_core_batch = spy
+        runner._answer = spy
         try:
             work.run()
         finally:
-            core.run_core_batch = real
+            runner._answer = real
             work.close()
-    return caught
+    return [runner._build_graph(*q, setup.machine, setup.b) for q in caught]
 
 
 class Batch:
