@@ -386,7 +386,7 @@ def cmd_serve(args) -> int:
     daemon.install_signal_handlers()
     names = ", ".join(t.name for t in tenants)
     print(f"repro serve on http://{args.host}:{daemon.port}  "
-          f"(tenants: {names}; {args.workers} workers)")
+          f"(tenants: {names}; {args.workers} planning slots)")
     print("endpoints: POST /plan   GET /healthz /metrics /stats "
           "/trace/<job_id> /debug/flight")
     try:
@@ -916,7 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8539, help="TCP port (0 = ephemeral)"
     )
     p.add_argument(
-        "--workers", type=int, default=2, help="planning worker threads"
+        "--workers", type=int, default=2,
+        help="requests planned at once, each on its connection's thread",
     )
     p.add_argument(
         "--tenants",

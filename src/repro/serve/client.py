@@ -1,9 +1,9 @@
 """Stdlib JSON client for the planning daemon, plus a stream driver.
 
-:class:`ServeClient` keeps one persistent socket per calling thread,
-reading replies with the daemon's own bounded reader
-(:mod:`repro.serve.wire`) — thread-safe because threads never share a
-socket, and it survives daemon restarts by reconnecting once;
+:class:`ServeClient` keeps a pool of persistent sockets, reading
+replies with the daemon's own bounded reader (:mod:`repro.serve.wire`)
+— thread-safe because a request holds its socket alone until the reply
+is read, and it survives daemon restarts by reconnecting once;
 :func:`drive` replays an arrival trace against a live daemon and
 tallies the outcomes — the CI ``serve-smoke`` job is built on it.
 
@@ -66,15 +66,16 @@ class PlanResponse:
 class ServeClient:
     """Minimal client for the ``repro serve`` HTTP API.
 
-    Each calling thread gets its own kept-alive socket, opened on first
-    use and reopened after the daemon closes it
-    (``Connection: close``, idle timeout, restart).  A request is sent
-    again, once and on a fresh connection, only when a *reused*
-    connection failed before any byte of the response arrived — the
-    daemon had hung up on an idle socket and never saw the request.
-    Every other failure closes the connection and raises.  :meth:`close`
-    (or leaving the ``with`` block) closes every thread's connection;
-    the client stays usable and reconnects on the next call.
+    A request takes an idle kept-alive connection (opening one when none
+    is idle) and gives it back once its reply is read: two requests in
+    flight never share a socket, and calls made one after another reuse
+    one.  A request is sent again, once and on a fresh connection, only
+    when a *reused* connection failed before any byte of the response
+    arrived — the daemon had hung up on an idle socket and never saw the
+    request.  Every other failure closes the connection and raises.
+    :meth:`close` (or leaving the ``with`` block) closes the idle
+    connections now and each busy one when its request ends; the client
+    stays usable and reconnects on the next call.
     """
 
     def __init__(
@@ -85,8 +86,10 @@ class ServeClient:
         self.port = port
         self.timeout = timeout
         self._lock = threading.Lock()
-        #: calling thread -> its connection
-        self._conns: dict[threading.Thread, _Connection] = {}
+        #: open connections no request holds
+        self._idle: list[_Connection] = []
+        #: bumped by close(): a connection taken before it is not kept
+        self._epoch = 0
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -95,25 +98,29 @@ class ServeClient:
         self.close()
 
     def close(self) -> None:
-        """Close the connections of all threads that used this client."""
+        """Close the idle connections now, and each one in use when its
+        request ends."""
         with self._lock:
-            for conn in self._conns.values():
-                conn.close()
+            self._epoch += 1
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # ------------------------------------------------------------------ #
     def _connection(self) -> _Connection:
-        """The calling thread's connection (not necessarily open)."""
-        me = threading.current_thread()
-        conn = self._conns.get(me)
-        if conn is None:
-            conn = _Connection()
-            with self._lock:
-                # a new thread is also when threads that have ended give
-                # their sockets back
-                for gone in [t for t in self._conns if not t.is_alive()]:
-                    self._conns.pop(gone).close()
-                self._conns[me] = conn
+        """An idle connection, else a new unopened one, for one request."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else _Connection()
+            conn.epoch = self._epoch
         return conn
+
+    def _release(self, conn: _Connection) -> None:
+        """Pool ``conn`` again unless it is closed or close() ran since."""
+        with self._lock:
+            if conn.sock is not None and conn.epoch == self._epoch:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def _request(
         self, method: str, path: str, payload: dict | None = None,
@@ -164,10 +171,11 @@ class ServeClient:
                 raise WireError(f"reply body ends at {len(data)} of {length}")
             if "close" in reply_headers.get("connection", "").lower():
                 conn.close()
-            return int(status[1]), reply_headers, data
         except BaseException:
             conn.close()
             raise
+        self._release(conn)
+        return int(status[1]), reply_headers, data
 
     # ------------------------------------------------------------------ #
     def plan(self, tenant: str, request: dict) -> PlanResponse:
@@ -237,10 +245,11 @@ class ServeClient:
 
 
 class _Connection:
-    """One thread's socket to the daemon and its buffered reader;
-    ``sock`` is ``None`` while closed."""
+    """One socket to the daemon and its buffered reader; ``sock`` is
+    ``None`` while closed."""
 
     sock: socket.socket | None = None
+    epoch = 0  # the client's close() count when a request took it
 
     def connect(self, address: tuple[str, int], timeout: float) -> None:
         self.sock = socket.create_connection(address, timeout)

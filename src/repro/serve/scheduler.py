@@ -228,6 +228,10 @@ class FairScheduler:
         job.start = now
         return job
 
+    def withdraw(self, job: Job) -> None:
+        """Drop a queued job that was never dequeued (its caller gave up)."""
+        self._tenants[job.tenant].queue.remove(job)
+
     def finish(self, job: Job) -> None:
         """Release the in-flight budget a dequeued job held."""
         self._inflight -= 1

@@ -4,10 +4,11 @@ Stdlib-only: a threaded :mod:`socketserver` front end, one handler
 thread per connection reading each request with the bounded reader of
 :mod:`repro.serve.wire`, over a
 :class:`~repro.serve.scheduler.FairScheduler` and a
-:class:`~repro.serve.service.PlannerService`.  HTTP handler threads
-*offer* jobs (admission control answers 429 + ``Retry-After`` when a
-tenant's queue is full or the in-flight cost budget is exhausted) and
-block on a per-job event; worker threads dequeue weighted-fairly and plan.
+:class:`~repro.serve.service.PlannerService`.  A handler *offers* its
+job (admission control answers 429 + ``Retry-After`` when a tenant's
+queue is full or the in-flight cost budget is exhausted), then plans it
+itself once granted one of ``workers`` slots; a finished job hands its
+slot to the next job the scheduler picks, waking that job's handler.
 
 Endpoints
 ---------
@@ -24,7 +25,7 @@ malformed), propagates it back in the response, and returns the
 per-stage latency breakdown (admission / queue / cache / plan /
 simulate) in the response body.  The flight recorder keeps the last N
 traces in a ring and dumps automatically on SLO breach, shed, fault
-degradation, or a worker exception.
+degradation, or a planner exception.
 
 Graceful shutdown (SIGINT/SIGTERM or :meth:`PlanningDaemon.shutdown`):
 stop admitting (503), drain queued and in-flight jobs, then stop — so a killed daemon leaves no half-answered client.
@@ -39,7 +40,6 @@ import socket
 import socketserver
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from urllib.parse import parse_qs
@@ -78,7 +78,8 @@ _BODY_SIZE = "body must be 1 byte to 64 KiB of JSON"
 #: simply reconnects
 IDLE_TIMEOUT = 30.0
 
-#: seconds a handler waits for a worker's answer before replying 504
+#: seconds a queued request waits for a planning slot before its handler
+#: replies 504; a plan that has started runs to the end
 REQUEST_TIMEOUT = 60.0
 #: scheduler cost of a request that names none
 DEFAULT_COST = 1.0
@@ -89,13 +90,13 @@ SLO_BREACH_S = 30.0
 
 @dataclass
 class _Pending:
-    """Handler-side slot a worker fills in."""
+    """A handler's request; ``event`` is set when it is granted a slot."""
 
     req: PlanRequest
+    trace: RequestTrace
     event: threading.Event = field(default_factory=threading.Event)
     result: object = None
     error: Exception | None = None
-    trace: RequestTrace | None = None
 
 
 class PlanningDaemon:
@@ -120,7 +121,6 @@ class PlanningDaemon:
         )
         self.host = host
         self.requested_port = port
-        self.workers = workers
         self.access_log = access_log
         # the tracer keeps its default 256 recent traces, the flight
         # recorder its default ring of 64
@@ -156,13 +156,6 @@ class PlanningDaemon:
         )
         t.start()
         self._threads.append(t)
-        for i in range(self.workers):
-            w = threading.Thread(
-                target=self._worker, name=f"repro-serve-worker-{i}",
-                daemon=True,
-            )
-            w.start()
-            self._threads.append(w)
 
     def install_signal_handlers(self) -> None:
         """SIGINT/SIGTERM trigger a graceful drain (main thread only)."""
@@ -182,13 +175,12 @@ class PlanningDaemon:
         """Drain and stop; idempotent.  Returns a drain report.
 
         Order matters: stop admitting first (new offers get 503), let
-        the workers empty the queues and finish in-flight plans, then
-        stop the workers and the HTTP listener.
+        the handlers empty the queues and finish in-flight plans, then
+        stop the HTTP listener.
         """
         with self._cond:
-            already = self._stopping and self._draining
+            already = self._stopping
             self._draining = True
-            self._cond.notify_all()
         if already:
             return {"drained": True}
         deadline = time.monotonic() + drain_timeout
@@ -201,7 +193,6 @@ class PlanningDaemon:
                     break
                 self._cond.wait(timeout=min(0.2, remaining))
             self._stopping = True
-            self._cond.notify_all()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -223,66 +214,53 @@ class PlanningDaemon:
         return {"drained": drained}
 
     # -- scheduling ---------------------------------------------------- #
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stopping and self.scheduler.backlog() == 0:
-                    self._cond.wait(timeout=0.2)
-                if self._stopping and self.scheduler.backlog() == 0:
-                    return
-                job = self.scheduler.next_job(time.monotonic())
+    def _grant(self, now: float) -> None:
+        """Give every free slot to the job the fair scheduler picks next
+        and wake its handler; call under ``_cond``."""
+        while self.scheduler.inflight < self.scheduler.capacity:
+            job = self.scheduler.next_job(now)
             if job is None:
-                continue
-            pending: _Pending = job.request
-            trace = pending.trace
-            cache_hit = None
-            degraded = False
-            if trace is not None:
-                trace.span("queue", job.arrival, job.start)
-            try:
-                with attach(trace) if trace is not None else nullcontext():
-                    with span(
-                        "service", tenant=job.tenant, cost=job.cost
-                    ) as sp:
-                        pending.result = self.service.plan(pending.req)
-                        cache_hit = pending.result.cache_hit
-                        degraded = pending.result.degradation > 1.0
-                        if sp is not None:
-                            sp.attrs.update(
-                                cache_hit=cache_hit, degraded=degraded
-                            )
-            except Exception as exc:  # surface to the handler, keep serving
-                pending.error = exc
-            with self._cond:
-                self.scheduler.finish(job)
-                self._cond.notify_all()
-            done = time.monotonic()
-            latency = done - job.arrival
-            self.slo.record(
-                job.tenant,
-                latency=latency,
-                outcome="error" if pending.error is not None else "served",
-                cache_hit=cache_hit,
-                degraded=degraded,
+                return
+            job.request.event.set()
+
+    def _run(self, job: Job) -> None:
+        """Plan a granted job on the calling handler thread, then hand
+        its slot to the next waiting job."""
+        pending: _Pending = job.request
+        trace = pending.trace
+        trace.span("queue", job.arrival, job.start)
+        cache_hit, degraded = None, False
+        try:
+            with attach(trace), span(
+                "service", tenant=job.tenant, cost=job.cost
+            ) as sp:
+                pending.result = self.service.plan(pending.req)
+                cache_hit = pending.result.cache_hit
+                degraded = pending.result.degradation > 1.0
+                sp.attrs.update(cache_hit=cache_hit, degraded=degraded)
+        except Exception as exc:  # answer 500, keep serving
+            pending.error = exc
+        with self._cond:
+            self.scheduler.finish(job)
+            self._grant(time.monotonic())
+            self._cond.notify_all()
+        done = time.monotonic()
+        latency = done - job.arrival
+        status = "served" if pending.error is None else "error"
+        self.slo.record(
+            job.tenant, latency=latency, outcome=status,
+            cache_hit=cache_hit, degraded=degraded,
+        )
+        self.tracer.finish(trace, done, status=status)
+        flight = self.tracer.flight
+        if pending.error is not None:
+            flight.trigger("worker-exception", detail=str(pending.error))
+        elif degraded:
+            flight.trigger("fault", detail=f"job {job.job_id}")
+        elif latency > SLO_BREACH_S:
+            flight.trigger(
+                "slo-breach", detail=f"job {job.job_id} latency {latency:.3f}s"
             )
-            if trace is not None:
-                self.tracer.finish(
-                    trace, done,
-                    status="error" if pending.error is not None else "served",
-                )
-                flight = self.tracer.flight
-                if pending.error is not None:
-                    flight.trigger(
-                        "worker-exception", detail=str(pending.error)
-                    )
-                elif degraded:
-                    flight.trigger("fault", detail=f"job {job.job_id}")
-                elif latency > SLO_BREACH_S:
-                    flight.trigger(
-                        "slo-breach",
-                        detail=f"job {job.job_id} latency {latency:.3f}s",
-                    )
-            pending.event.set()
 
     def submit(
         self,
@@ -292,7 +270,8 @@ class PlanningDaemon:
         traceparent: str | None = None,
         recv: float | None = None,
     ) -> tuple[int, dict, dict]:
-        """Admission + synchronous wait; returns (status, body, headers).
+        """Admission, a wait for a slot, then planning on the calling
+        thread; returns (status, body, headers).
 
         ``traceparent`` (optional W3C-style header value) joins the
         request to the caller's trace context; ``recv`` is the monotonic
@@ -333,6 +312,7 @@ class PlanningDaemon:
                 arrival=now,
             )
             trace.job_id = job.job_id
+            ids = {"job_id": job.job_id, "trace_id": trace.trace_id}
             try:
                 adm = self.scheduler.offer(job, now)
             except KeyError:
@@ -346,40 +326,28 @@ class PlanningDaemon:
                 )
                 return (
                     429,
-                    {
-                        "error": "shed",
-                        "reason": adm.reason,
-                        "retry_after": adm.retry_after,
-                        "job_id": job.job_id,
-                        "trace_id": trace.trace_id,
-                    },
+                    {"error": "shed", "reason": adm.reason,
+                     "retry_after": adm.retry_after, **ids},
                     {"Retry-After": f"{adm.retry_after:.3f}", **trace_headers},
                 )
-            self._cond.notify()
+            self._grant(now)
         if not pending.event.wait(timeout=REQUEST_TIMEOUT):
-            return (
-                504,
-                {
-                    "error": "timed out waiting for a worker",
-                    "job_id": job.job_id,
-                    "trace_id": trace.trace_id,
-                },
-                trace_headers,
-            )
+            with self._cond:
+                if pending.event.is_set():  # granted at the last moment
+                    self.scheduler.finish(job)
+                    self._grant(time.monotonic())
+                    self._cond.notify_all()
+                else:
+                    self.scheduler.withdraw(job)
+            self.slo.record(tenant, latency=0.0, outcome="error")
+            self.tracer.finish(trace, time.monotonic(), status="timeout")
+            error = "timed out waiting for a planning slot"
+            return 504, {"error": error, **ids}, trace_headers
+        self._run(job)
         if pending.error is not None:
-            return (
-                500,
-                {
-                    "error": str(pending.error),
-                    "job_id": job.job_id,
-                    "trace_id": trace.trace_id,
-                },
-                trace_headers,
-            )
+            return 500, {"error": str(pending.error), **ids}, trace_headers
         body = pending.result.to_json()
-        body["job_id"] = job.job_id
-        body["trace_id"] = trace.trace_id
-        body["breakdown"] = trace.attribution()
+        body.update(ids, breakdown=trace.attribution())
         return 200, body, trace_headers
 
     # -- introspection ------------------------------------------------- #

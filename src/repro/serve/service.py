@@ -177,7 +177,7 @@ class PlanResult:
 class PlannerService:
     """Thread-safe planning front end over the simulation stack.
 
-    One instance per daemon; HTTP worker threads call :meth:`plan`
+    One instance per daemon; its HTTP handler threads call :meth:`plan`
     concurrently.  The underlying compiled-graph cache is shared
     process-wide and lock-protected, so concurrent planners de-duplicate
     builds instead of racing them.

@@ -48,6 +48,13 @@ class HeldPlannerService(PlannerService):
         return super().plan(req)
 
 
+def wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 def saturating_burst(daemon, client, tenant, request, *, fires=12):
     """Fire ``fires`` concurrent plans at a daemon of one worker and a
     queue of one over a :class:`HeldPlannerService`; returns the

@@ -1,7 +1,12 @@
 """Live daemon over HTTP: plan round-trips, metrics scrape, admission
-control, graceful drain."""
+control, planning on the handler thread, graceful drain."""
+
+import dataclasses
+import threading
 
 import pytest
+
+import repro.serve.server as server_mod
 
 from _serve_testlib import (
     TENANTS,
@@ -9,9 +14,11 @@ from _serve_testlib import (
     HeldPlannerService,
     saturating_burst,
     tiny_setup,
+    wait_for,
 )
 from repro.serve.client import ServeClient, drive
-from repro.serve.server import PlanningDaemon
+from repro.serve.scheduler import FairScheduler, Job
+from repro.serve.server import DEFAULT_TENANTS, PlanningDaemon
 from repro.serve.service import PlannerService
 
 
@@ -186,6 +193,146 @@ class TestAdmissionOverHTTP:
         finally:
             c.close()
             d.shutdown()
+
+
+class RecordingHeldService(HeldPlannerService):
+    """A held planner that notes each request's ``m`` as planning begins."""
+
+    def __init__(self, setup):
+        super().__init__(setup)
+        self.begun: list[int] = []
+
+    def plan(self, req):
+        self.begun.append(req.m)
+        return super().plan(req)
+
+
+@pytest.fixture
+def held():
+    """A daemon of one planning slot over a held planner."""
+    d = PlanningDaemon(
+        RecordingHeldService(tiny_setup()), DEFAULT_TENANTS, port=0,
+        workers=1,
+    )
+    d.start()
+    yield d
+    d.service.release.set()
+    d.shutdown()
+
+
+def submit_in_thread(daemon, tenant, payload, out):
+    t = threading.Thread(
+        target=lambda: out.append(daemon.submit(tenant, payload))
+    )
+    t.start()
+    return t
+
+
+class TestPlanningOnTheHandler:
+    # m >= 29 here: no other serving test asks these questions, so the
+    # cold-cache tests elsewhere still find theirs unanswered
+
+    def test_no_worker_thread_is_started(self, daemon):
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("repro-serve-worker")]
+
+    def test_a_request_granted_at_once_does_not_queue(self, client):
+        resp = client.plan("gold", {**TINY_REQUEST, "m": 29})
+        assert resp.ok and resp.breakdown["queue"] == 0.0
+
+    def test_handlers_plan_in_the_fair_schedulers_order(self, held):
+        """Jobs queued behind a held slot begin planning in the order a
+        bare :class:`FairScheduler` gives for the same offers."""
+        offers = [
+            ("batch", 1.0), ("batch", 1.0), ("batch", 2.0),
+            ("interactive", 1.0), ("batch", 1.0), ("interactive", 4.0),
+            ("interactive", 1.0), ("batch", 0.5), ("interactive", 2.0),
+        ]
+        out, threads = [], []
+        for i, (tenant, cost) in enumerate(offers):
+            payload = {**TINY_REQUEST, "m": 30 + i, "cost": cost}
+            threads.append(submit_in_thread(held, tenant, payload, out))
+            if i == 0:
+                wait_for(lambda: held.service.begun == [30])
+            else:
+                wait_for(lambda: held.scheduler.backlog() == i)
+        held.service.release.set()
+        for t in threads:
+            t.join(timeout=30)
+        assert [status for status, _, _ in out] == [200] * len(offers)
+
+        bare = FairScheduler(DEFAULT_TENANTS, capacity=1)
+        jobs = [
+            Job(i, tenant, 30 + i, cost, 0.0)
+            for i, (tenant, cost) in enumerate(offers)
+        ]
+        want = []
+        for job in jobs:
+            bare.offer(job, 0.0)
+            if job is jobs[0]:
+                first = bare.next_job(0.0)
+        bare.finish(first)
+        want.append(first.request)
+        while (job := bare.next_job(0.0)) is not None:
+            want.append(job.request)
+            bare.finish(job)
+        assert held.service.begun == want
+        assert want != sorted(want)  # the weights reorder the queue
+
+    def test_a_request_that_waits_too_long_is_never_planned(
+        self, held, monkeypatch
+    ):
+        monkeypatch.setattr(server_mod, "REQUEST_TIMEOUT", 0.2)
+        first = []
+        t = submit_in_thread(held, "interactive", dict(TINY_REQUEST), first)
+        wait_for(lambda: held.service.begun == [8])
+        with ServeClient(port=held.port, timeout=30.0) as client:
+            late = client.plan("batch", TINY_REQUEST)
+            assert late.status == 504
+            assert "planning slot" in late.body["error"]
+            assert client.trace(late.job_id)["status"] == "timeout"
+            assert held.scheduler.backlog() == 0
+            held.service.release.set()
+            t.join(timeout=30)
+            assert first[0][0] == 200
+            assert held.scheduler.inflight == 0
+            assert held.service.begun == [8]  # the 504 was not planned
+            assert client.plan("batch", TINY_REQUEST).ok
+        assert held.stats()["slo"]["errors"] == 1
+
+    def test_a_grant_that_lands_as_the_wait_ends_frees_its_slot(
+        self, held, monkeypatch
+    ):
+        service = held.service
+
+        class LateEvent(threading.Event):
+            """A wait that gives up just as its grant lands: it frees the
+            held slot, lets the grant arrive, and times out anyway."""
+
+            def wait(self, timeout=None):
+                if self.is_set():
+                    return True
+                service.release.set()
+                super().wait(10.0)
+                return False
+
+        @dataclasses.dataclass
+        class LatePending(server_mod._Pending):
+            event: threading.Event = dataclasses.field(
+                default_factory=LateEvent
+            )
+
+        monkeypatch.setattr(server_mod, "_Pending", LatePending)
+        first = []
+        t = submit_in_thread(held, "interactive", dict(TINY_REQUEST), first)
+        wait_for(lambda: service.begun == [8])
+        status, body, _ = held.submit("batch", dict(TINY_REQUEST))
+        t.join(timeout=30)
+        assert status == 504 and first[0][0] == 200
+        assert held.scheduler.inflight == 0
+        assert held.scheduler.backlog() == 0
+        assert service.begun == [8]
+        assert held.submit("batch", dict(TINY_REQUEST))[0] == 200
 
 
 class TestGracefulShutdown:

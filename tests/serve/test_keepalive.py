@@ -1,6 +1,6 @@
 """Connection reuse end to end: replies that do not stall a kept-alive
 connection, the daemon's idle timeout and drain behaviour, and the
-client's one-connection-per-thread / retry-once rule."""
+client's connection pool and retry-once rule."""
 
 import http.client
 import json
@@ -15,7 +15,13 @@ import pytest
 
 import repro.serve.client as client_mod
 import repro.serve.server as server_mod
-from _serve_testlib import TENANTS, TINY_REQUEST, tiny_setup
+from _serve_testlib import (
+    TENANTS,
+    TINY_REQUEST,
+    HeldPlannerService,
+    tiny_setup,
+    wait_for,
+)
 from repro.serve.client import ServeClient
 from repro.serve.server import PlanningDaemon
 from repro.serve.service import PlannerService
@@ -34,6 +40,49 @@ def daemon():
     d = start_daemon()
     yield d
     d.shutdown()
+
+
+def held_daemon(workers: int) -> PlanningDaemon:
+    d = PlanningDaemon(
+        HeldPlannerService(tiny_setup()), TENANTS, port=0, workers=workers
+    )
+    d.start()
+    return d
+
+
+def in_threads(client: ServeClient, n: int):
+    """Start ``n`` plans on their own threads; the returned function
+    joins them and gives their responses."""
+    out = [None] * n
+
+    def plan(i: int) -> None:
+        out[i] = client.plan("gold", TINY_REQUEST)
+
+    threads = [threading.Thread(target=plan, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+
+    def replies():
+        for t in threads:
+            t.join(timeout=30)
+        return out
+
+    return replies
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Every connection ``ServeClient`` hands to a request, in order."""
+    made = []
+    real = ServeClient._connection
+
+    def spying(self):
+        conn = real(self)
+        made.append(conn)
+        return conn
+
+    monkeypatch.setattr(ServeClient, "_connection", spying)
+    return made
 
 
 @pytest.fixture
@@ -257,33 +306,70 @@ class TestServeClient:
         assert len(received) == 2  # the second request went out once
         assert len(connects) == 1
 
-    def test_two_threads_never_share_a_socket(self, daemon):
+    def test_two_requests_in_flight_never_share_a_socket(self, taken):
+        """Two plans held in the planner at once hold two open sockets;
+        both go back to the pool when their replies are read."""
+        d = held_daemon(workers=2)
+        client = ServeClient(port=d.port, timeout=30.0)
+        try:
+            replies = in_threads(client, 2)
+            wait_for(lambda: d.scheduler.inflight == 2)
+            assert len(taken) == 2
+            a, b = taken
+            assert a is not b and a.sock is not b.sock
+            assert a.sock.fileno() != -1 and b.sock.fileno() != -1
+            d.service.release.set()
+            assert [r.status for r in replies()] == [200, 200]
+            assert sorted(map(id, client._idle)) == sorted(map(id, taken))
+        finally:
+            d.service.release.set()
+            client.close()
+            d.shutdown()
+
+    def test_threads_one_after_another_reuse_one_connection(
+        self, daemon, connects
+    ):
         client = ServeClient(port=daemon.port)
-        barrier = threading.Barrier(2)
-        socks, errors = [], []
+        try:
+            for _ in range(8):
+                t = threading.Thread(
+                    target=client.plan, args=("gold", TINY_REQUEST)
+                )
+                t.start()
+                t.join()
+            assert len(connects) == 1
+            assert len(client._idle) == 1
+            assert len(daemon._connections) == 1
+        finally:
+            client.close()
 
-        def worker() -> None:
-            try:
-                client.health()
-                mine = client._connection().sock
-                barrier.wait(timeout=10)  # both connections open at once
-                for _ in range(20):
-                    assert client.plan("gold", TINY_REQUEST).ok
-                    assert client._connection().sock is mine
-                socks.append(mine)
-                barrier.wait(timeout=10)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        client.close()
-        assert not errors
-        assert len(socks) == 2 and socks[0] is not socks[1]
-        assert socks[0].fileno() == socks[1].fileno() == -1  # close() shut both
+    def test_close_spares_a_socket_until_its_request_ends(self, taken):
+        """close() shuts an idle socket at once but never one a request
+        is reading from: that one closes when its reply is in."""
+        d = held_daemon(workers=1)
+        client = ServeClient(port=d.port, timeout=30.0)
+        try:
+            client.health()
+            (idle,) = taken
+            idle_sock = idle.sock
+            replies = in_threads(client, 1)
+            wait_for(lambda: d.scheduler.inflight == 1)
+            assert taken[1] is idle  # the held plan reuses it
+            assert client.health()["ok"]  # a second, idle connection
+            assert len(client._idle) == 1
+            spare = client._idle[0]
+            spare_sock = spare.sock
+            client.close()
+            assert spare_sock.fileno() == -1 and spare.sock is None
+            assert idle_sock.fileno() != -1  # still read by the held plan
+            d.service.release.set()
+            assert [r.status for r in replies()] == [200]
+            assert idle_sock.fileno() == -1 and not client._idle
+            assert client.health()["ok"]  # usable after close: reconnects
+        finally:
+            d.service.release.set()
+            client.close()
+            d.shutdown()
 
     def test_close_leaves_no_open_socket(self, daemon):
         """``-W error`` turns a leaked socket's ResourceWarning into
