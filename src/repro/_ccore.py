@@ -748,14 +748,13 @@ static int32_t hqr_simulate_cluster(
     const int32_t *rank, const int32_t *task_of_rank,
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
-    const int32_t *site_of, int32_t data_reuse,
+    const int32_t *site_of,
     double *out_makespan, double *out_busy, int64_t *out_messages)
 {
     int32_t rc = -1;
     int32_t *waiting = NULL, *free_cores = NULL;
     int64_t *sent_by = NULL;
     double *data_ready = NULL, *chan_free = NULL, *sent_at = NULL;
-    uint8_t *state = NULL;
     iheap *ready = NULL;
     evheap ev = {NULL, 0};
     evring fin[6];
@@ -774,13 +773,12 @@ static int32_t hqr_simulate_cluster(
     chan_free = (double *)calloc((size_t)nnodes, sizeof(double));
     sent_at = (double *)malloc((size_t)nnodes * sizeof(double));
     sent_by = (int64_t *)malloc((size_t)nnodes * sizeof(int64_t));
-    state = (uint8_t *)calloc((size_t)ntasks, 1);
     ready = (iheap *)calloc((size_t)nnodes, sizeof(iheap));
     /* at most one arrival event per task, and four HK_NONE slots */
     ev.k = (hkey *)malloc((size_t)(ntasks + 4) * sizeof(hkey));
     ring_keys = (hkey *)malloc((size_t)(6 * ring_cap) * sizeof(hkey));
     if (!waiting || !data_ready || !free_cores || !chan_free || !sent_at ||
-        !sent_by || !state || !ready || !ev.k || !ring_keys)
+        !sent_by || !ready || !ev.k || !ring_keys)
         goto done;
 
     for (int64_t t = 0; t < ntasks; t++) {
@@ -807,7 +805,6 @@ static int32_t hqr_simulate_cluster(
 
 #define LAUNCH(T, START)                                                      \
     do {                                                                      \
-        state[T] = 2;                                                         \
         double dur_ = dur_table[kind[T]];                                     \
         double end_ = (START) + dur_;                                         \
         busy += dur_;                                                         \
@@ -816,18 +813,18 @@ static int32_t hqr_simulate_cluster(
         ring_push(&fin[kind[T]], mask, hk_of(end_, T), &head[kind[T]]);       \
     } while (0)
 
+/* T's inputs are all at its node by NOW (a root at 0, a last input landed
+ * by the finish event, an arrival event at its own time), so T starts at
+ * NOW or, queued, at the later finish that pops it.  A task enters a ready
+ * heap once and leaves it only by that pop, so no entry is ever stale. */
 #define TRY_START(T, NOW)                                                     \
     do {                                                                      \
         int32_t node_ = node_of[T];                                           \
-        double start_ = data_ready[T] > (NOW) ? data_ready[T] : (NOW);        \
         if (free_cores[node_] > 0) {                                          \
             free_cores[node_]--;                                              \
-            LAUNCH(T, start_);                                                \
-        } else {                                                              \
-            state[T] = 1;                                                     \
-            if (ih_push(&ready[node_], RANK(T)) < 0)                          \
-                goto done;                                                    \
-        }                                                                     \
+            LAUNCH(T, NOW);                                                   \
+        } else if (ih_push(&ready[node_], RANK(T)) < 0)                       \
+            goto done;                                                        \
     } while (0)
 
     for (int64_t t = 0; t < ntasks; t++)
@@ -851,33 +848,12 @@ static int32_t hqr_simulate_cluster(
             /* task finished: free the core or start the next ready task */
             int64_t t = (int64_t)top;
             int32_t node = node_of[t];
-            int64_t nxt = -1;
-            if (data_reuse) {
-                int64_t best = -1;
-                for (int64_t i = succ_ptr[t]; i < succ_ptr[t + 1]; i++) {
-                    int32_t s = succ_idx[i];
-                    if (state[s] == 1 && node_of[s] == node &&
-                        data_ready[s] <= now &&
-                        (best < 0 || RANK(s) < RANK(best)))
-                        best = s;
-                }
-                nxt = best;
-            }
-            if (nxt < 0) {
-                iheap *h = &ready[node];
-                while (h->len > 0) {
-                    int32_t cand = ih_pop(h);
-                    if (task_of_rank)
-                        cand = task_of_rank[cand];
-                    if (state[cand] == 1) {
-                        nxt = cand;
-                        break;
-                    }
-                }
-            }
-            if (nxt >= 0) {
-                double st = data_ready[nxt] > now ? data_ready[nxt] : now;
-                LAUNCH(nxt, st);
+            iheap *h = &ready[node];
+            if (h->len > 0) {
+                int32_t nxt = ih_pop(h);
+                if (task_of_rank)
+                    nxt = task_of_rank[nxt];
+                LAUNCH(nxt, now);
             } else
                 free_cores[node]++;
             /* propagate data to successors */
@@ -955,7 +931,6 @@ done:
     free(chan_free);
     free(sent_at);
     free(sent_by);
-    free(state);
     free(ev.k);
     free(ring_keys);
     return rc;
@@ -1001,7 +976,7 @@ int32_t hqr_simulate_cluster_batch(
     int32_t nnodes, int32_t cores_per_node,
     int32_t serialized, int32_t hierarchical,
     double lat_intra, double bwt_intra, double lat_inter, double bwt_inter,
-    const int32_t *site_of, int32_t data_reuse,
+    const int32_t *site_of,
     double *out_makespan, double *out_busy, int64_t *out_messages,
     int32_t *out_rc)
 {
@@ -1018,8 +993,7 @@ int32_t hqr_simulate_cluster_batch(
             succ_ptr[p], succ_idx[p], rank[p], task_of_rank[p],
             serialized, hierarchical,
             lat_intra, bwt_intra, lat_inter, bwt_inter,
-            site_of, data_reuse,
-            out_makespan + p, out_busy + p, out_messages + p);
+            site_of, out_makespan + p, out_busy + p, out_messages + p);
     }
     return batch_rc(npoints, out_rc);
 }
@@ -1219,7 +1193,7 @@ int32_t hqr_answer_batch(
                 ntasks, nnodes, cores_per_node, dur_table, kind, node,
                 (uint8_t *)(kind + ntasks), ptr, idx, NULL, NULL,
                 serialized, hierarchical, lat_intra, bwt_intra, lat_inter,
-                bwt_inter, site_of, 0, out_makespan + p, out_busy + p,
+                bwt_inter, site_of, out_makespan + p, out_busy + p,
                 out_messages + p);
             ns[2] = now_ns() - t0;
         } else
@@ -1304,7 +1278,7 @@ def _build(source: str = _C_SOURCE) -> ctypes.CDLL | None:
         ("hqr_check_elims", i64, [i64, vp, vp, vp, i32, i32]),
         ("hqr_transpose", i64, [i64, vp, vp, vp, vp]),
         ("hqr_openmp", i32, []),
-        ("hqr_simulate_cluster_batch", i32, [i64, i32, *[vp] * 9, *machine, i32,
+        ("hqr_simulate_cluster_batch", i32, [i64, i32, *[vp] * 9, *machine,
                                              *[vp] * 4]),
         ("hqr_lower_bound", i32, [i64, i32, *[vp] * 6, *machine, *[vp] * 3]),
         ("hqr_answer_batch", i32, [i64, i32, vp, vp, vp, *machine, *[vp] * 6]),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -67,14 +68,21 @@ _TRACEPARENT_RE = re.compile(
 # --------------------------------------------------------------------------- #
 
 
+#: one id generator a process, seeded from ``os.urandom`` once rather than
+#: a syscall an id; a forked child reseeds it, so it repeats no parent id
+_ids = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_ids.seed)
+
+
 def mint_trace_id() -> str:
-    """A fresh random 32-hex trace id."""
-    return os.urandom(16).hex()
+    """A fresh random 32-hex trace id, never all zeros."""
+    return f"{_ids.getrandbits(128) or 1:032x}"
 
 
 def mint_span_id() -> str:
-    """A fresh random 16-hex span id."""
-    return os.urandom(8).hex()
+    """A fresh random 16-hex span id, never all zeros."""
+    return f"{_ids.getrandbits(64) or 1:016x}"
 
 
 def format_traceparent(trace_id: str, span_id: str) -> str:

@@ -94,7 +94,6 @@ def run_with_faults(
     *,
     baseline_makespan: float | None = None,
     prio=None,
-    data_reuse: bool = False,
     record_trace: bool = False,
 ) -> FaultyRunResult:
     """Simulate the elimination list ``elims`` of ``m x n`` tiles under
@@ -117,19 +116,14 @@ def run_with_faults(
         raise ValueError("schedule crashes every node; nothing survives")
     cg = compiled_from_eliminations(elims, m, n, layout, machine, b)
     if schedule.empty:
-        res = run_core(
-            cg, machine, b, prio=prio, data_reuse=data_reuse,
-            record_trace=record_trace,
-        ).result
+        res = run_core(cg, machine, b, prio=prio, record_trace=record_trace).result
         if baseline_makespan is None:
             baseline_makespan = res.makespan
         return FaultyRunResult(
             **res.__dict__, baseline_makespan=baseline_makespan
         )
     if baseline_makespan is None:
-        baseline_makespan = run_core(
-            cg, machine, b, prio=prio, data_reuse=data_reuse
-        ).result.makespan
+        baseline_makespan = run_core(cg, machine, b, prio=prio).result.makespan
 
     def replan(dead: set[int]) -> list[int]:
         """Post-crash node of every task: block-cyclic layouts re-place
@@ -151,8 +145,7 @@ def run_with_faults(
         {"type": "slowdown", **asdict(s)} for s in schedule.slowdowns
     ]
     out = run_core(
-        cg, machine, b, prio=prio, data_reuse=data_reuse,
-        record_trace=record_trace,
+        cg, machine, b, prio=prio, record_trace=record_trace,
         fault=FaultHooks(
             schedule=schedule, replan=replan, fault_events=fault_events
         ),

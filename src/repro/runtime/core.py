@@ -252,7 +252,6 @@ def _py_loop(
     ntasks, nnodes, cores_per_node, dur, node, waiting,
     sp, si, rank, task_of_rank,
     serialized, hierarchical, lat_intra, bwt_intra, lat_inter, bwt_inter, site,
-    data_reuse,
     *,
     record_trace=False,
     fault: FaultHooks | None = None,
@@ -546,27 +545,12 @@ def _py_loop(
             nd = node[t]
         # the freed core picks its next task
         nxt = -1
-        if data_reuse:
-            # DAGuE heuristic: prefer a ready successor of the task that
-            # just finished — its data is still hot
-            best = -1
-            for i in range(sp[t], sp[t + 1]):
-                s = si[i]
-                if (
-                    state[s] == 1
-                    and node[s] == nd
-                    and data_ready[s] <= now
-                    and (best < 0 or rank[s] < rank[best])
-                ):
-                    best = s
-            nxt = best
-        if nxt < 0:
-            heap = ready[nd]
-            while heap:
-                cand = task_of_rank[pop(heap)]
-                if state[cand] == 1:
-                    nxt = cand
-                    break
+        heap = ready[nd]
+        while heap:
+            cand = task_of_rank[pop(heap)]
+            if state[cand] == 1:
+                nxt = cand
+                break
         if nxt >= 0:
             if queue is not None:
                 queued[nd] -= 1
@@ -742,7 +726,7 @@ def _machine_args(machine: Machine, b: int) -> list:
     return [*params, (ctypes.c_int32 * len(site))(*site)]
 
 
-def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
+def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int):
     """One Python->C call over ``graphs``, each read where it lies.
 
     Returns ``(makespans, busys, messages)`` arrays, or ``None`` after an
@@ -766,7 +750,7 @@ def _c_cluster_batch(lib, graphs, prios, machine: Machine, b: int, data_reuse):
         npoints, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int32
     )
     if lib.hqr_simulate_cluster_batch(
-        npoints, sim_threads(), ntasks, *tables, *args, int(data_reuse),
+        npoints, sim_threads(), ntasks, *tables, *args,
         out_mk, out_busy, out_msgs, out_rc,
     ):
         _refuse(out_rc, args[0], (1, _WAIT_MISMATCH))
@@ -853,7 +837,6 @@ def run_core(
     b: int,
     *,
     prio=None,
-    data_reuse: bool = False,
     M: int | None = None,
     N: int | None = None,
     record_trace: bool = False,
@@ -885,7 +868,7 @@ def run_core(
         # the batch of one: the C entry derives wait counts, durations and
         # identity ranks itself, so a request prepares no per-task array
         lib = _ccore.get_lib() if not record_trace and fault is None else None
-        out = _c_cluster_batch(lib, [cg], [prio], machine, b, data_reuse) if lib else None
+        out = _c_cluster_batch(lib, [cg], [prio], machine, b) if lib else None
         if out is not None:
             (makespan,), (busy,), (messages,) = out
             trace = comm = queue = fault_out = None
@@ -912,7 +895,7 @@ def run_core(
                 [dur[k] for k in cg.kind.tolist()], cg.node.tolist(), cg.wait.tolist(),
                 cg.succ_ptr.tolist(), cg.succ_idx.tolist(),
                 rank.tolist(), task_of_rank.tolist(),
-                serialized, hierarchical, *links, site, data_reuse,
+                serialized, hierarchical, *links, site,
                 record_trace=record_trace, **kw,
             )
             engine = "python"
@@ -935,11 +918,10 @@ def run_core_batch(
     b: int,
     *,
     prios=None,
-    data_reuse: bool = False,
 ) -> list[SimulationResult]:
     """Run many compiled graphs through the cluster loop in one dispatch.
 
-    All graphs share the machine, tile size, and data-reuse flag;
+    All graphs share the machine and tile size;
     ``prios`` is an optional per-graph priority-vector list.  The C path
     is one ``hqr_simulate_cluster_batch`` call that reads every graph's
     arrays in place, fanned out over the graphs with OpenMP
@@ -956,12 +938,12 @@ def run_core_batch(
     out = sp = None
     if lib is not None:
         with span("simulate") as sp:
-            out = _c_cluster_batch(lib, graphs, prios, machine, b, data_reuse)
+            out = _c_cluster_batch(lib, graphs, prios, machine, b)
     if out is None:
         # bit-identical fallback: the scalar path per point (pure-Python
         # core, or C per point after an allocation failure in the batch);
         # each run_core call emits its own "simulate" span
-        return [run_core(cg, machine, b, prio=prio, data_reuse=data_reuse).result
+        return [run_core(cg, machine, b, prio=prio).result
                 for cg, prio in zip(graphs, prios)]
     if sp is not None:
         sp.attrs.update(

@@ -222,7 +222,6 @@ class FairScheduler:
         job = best.queue.popleft()
         self._vclock = best.vpass
         best.vpass += job.cost / best.spec.weight
-        best.served += 1
         self._inflight += 1
         self._inflight_cost += job.cost
         job.start = now
@@ -232,8 +231,10 @@ class FairScheduler:
         """Drop a queued job that was never dequeued (its caller gave up)."""
         self._tenants[job.tenant].queue.remove(job)
 
-    def finish(self, job: Job) -> None:
-        """Release the in-flight budget a dequeued job held."""
+    def finish(self, job: Job, *, served: bool = True) -> None:
+        """Release the in-flight budget a dequeued job held; ``served``:
+        its plan ran and answered, so its tenant's ``served`` counts it."""
+        self._tenants[job.tenant].served += served
         self._inflight -= 1
         self._inflight_cost -= job.cost
         if self._inflight == 0:

@@ -241,7 +241,7 @@ class PlanningDaemon:
         except Exception as exc:  # answer 500, keep serving
             pending.error = exc
         with self._cond:
-            self.scheduler.finish(job)
+            self.scheduler.finish(job, served=pending.error is None)
             self._grant(time.monotonic())
             self._cond.notify_all()
         done = time.monotonic()
@@ -334,7 +334,7 @@ class PlanningDaemon:
         if not pending.event.wait(timeout=REQUEST_TIMEOUT):
             with self._cond:
                 if pending.event.is_set():  # granted at the last moment
-                    self.scheduler.finish(job)
+                    self.scheduler.finish(job, served=False)
                     self._grant(time.monotonic())
                     self._cond.notify_all()
                 else:

@@ -90,7 +90,6 @@ def initial_case(
         latency=machine.latency,
         bandwidth=machine.bandwidth,
         priority=None,
-        data_reuse=False,
     )
 
 

@@ -436,7 +436,13 @@ class Annealer:
             field = "rng_state"
             self.rng.setstate(_rng_state_from_json(ck["rng_state"]))
             field = "best"
-            self._best = {entry["key"]: entry for entry in ck["best"]}
+            # each case through from_dict: a retired field's key is dropped
+            self._best = {
+                entry["key"]: {
+                    **entry, "case": VerifyCase.from_dict(entry["case"]).to_dict()
+                }
+                for entry in ck["best"]
+            }
             self._kth = self._kth_best(e["energy"] for e in ck["best"])
             field = "buffer"
             self.buffer.restore(ck["buffer"])

@@ -56,7 +56,6 @@ def _simulator(case, graph, cls=ClusterSimulator, **kwargs):
         case.layout(),
         case.b,
         priority=priority,
-        data_reuse=case.data_reuse,
         **kwargs,
     )
 
@@ -78,20 +77,8 @@ def core_c_engine(case, graph, built) -> SimulationResult:
     sim = _simulator(case, graph)
     prio = sim.priority_values(graph)
     if getattr(case, "batched", False):
-        return run_core_batch(
-            [built],
-            sim.machine,
-            case.b,
-            prios=[prio],
-            data_reuse=case.data_reuse,
-        )[0]
-    return run_core(
-        built,
-        sim.machine,
-        case.b,
-        prio=prio,
-        data_reuse=case.data_reuse,
-    ).result
+        return run_core_batch([built], sim.machine, case.b, prios=[prio])[0]
+    return run_core(built, sim.machine, case.b, prio=prio).result
 
 
 def available_engines() -> dict[str, Engine]:

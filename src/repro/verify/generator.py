@@ -3,7 +3,7 @@
 A :class:`VerifyCase` is one fully specified point of the verification
 space: matrix shape, tile size, HQR tree parameters, data layout, machine
 shape (including hierarchical site networks), scheduling priority, and the
-data-reuse flag.  :func:`generate_cases` draws a deterministic stream of
+batched-dispatch flag.  :func:`generate_cases` draws a deterministic stream of
 cases from ``(seed, index)`` — the same seed always yields the same cases,
 on any platform, so every failure report is replayable.
 
@@ -58,7 +58,6 @@ class VerifyCase:
     latency: float
     bandwidth: float
     priority: str | None
-    data_reuse: bool
     # defaulted so replay files predating the field still load
     batched: bool = False
 
@@ -118,7 +117,9 @@ class VerifyCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerifyCase":
-        d = dict(d)
+        # a retired field's key (the data-reuse flag) is dropped, so old
+        # reports and checkpoints still load
+        d = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
         if d.get("bandwidth") == "inf":
             d["bandwidth"] = float("inf")
         return cls(**d)
@@ -131,7 +132,7 @@ class VerifyCase:
             f"machine={self.nodes}x{self.cores_per_node}"
             f"{f' sites of {self.site_size}' if self.site_size else ''}, "
             f"{'serialized' if self.comm_serialized else 'contention-free'} "
-            f"comm, priority={prio}, data_reuse={self.data_reuse}"
+            f"comm, priority={prio}"
             f"{', batched dispatch' if self.batched else ''}"
         )
 
@@ -176,10 +177,10 @@ def sample_case(seed: int, index: int) -> VerifyCase:
         latency=rng.choice(_LATENCIES),
         bandwidth=rng.choice(_BANDWIDTHS),
         priority=rng.choice(PRIORITY_CHOICES),
-        data_reuse=rng.random() < 0.5,
-        # drawn LAST: every earlier field keeps its pre-batched value for
-        # a given (seed, index), so old failure reports stay replayable
-        batched=rng.random() < 0.4,
+        # drawn LAST, after the retired data-reuse flag's draw, which is
+        # kept: every field keeps its value for a given (seed, index), so
+        # old failure reports stay replayable
+        batched=(rng.random(), rng.random() < 0.4)[1],
     )
     return case
 

@@ -73,7 +73,6 @@ class ClusterSimulator:
         b: int,
         *,
         priority=None,
-        data_reuse: bool = False,
         record_trace: bool = False,
     ):
         if layout.nodes > machine.nodes:
@@ -86,7 +85,6 @@ class ClusterSimulator:
         # priority: callable task -> sortable (lower runs first), or a
         # precomputed per-task sequence of such keys
         self.priority = priority
-        self.data_reuse = data_reuse  # DAGuE's successor-affinity heuristic
         self.record_trace = record_trace
 
     # ------------------------------------------------------------------ #
@@ -129,7 +127,6 @@ class ClusterSimulator:
             self.machine,
             self.b,
             prio=self.priority_values(graph),
-            data_reuse=self.data_reuse,
             M=M,
             N=N,
             record_trace=record_trace,

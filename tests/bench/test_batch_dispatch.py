@@ -50,8 +50,7 @@ def _graphs(setup):
 
 
 @pytest.mark.parametrize("core", ["python", "c"])
-@pytest.mark.parametrize("data_reuse", [False, True])
-def test_batch_matches_scalar(core, data_reuse, request):
+def test_batch_matches_scalar(core, request):
     from repro._ccore import native_available
 
     if core == "python":
@@ -60,14 +59,9 @@ def test_batch_matches_scalar(core, data_reuse, request):
         pytest.skip("no C toolchain")
     setup = small_setup()
     graphs = _graphs(setup)
-    batched = run_core_batch(
-        graphs, setup.machine, setup.b, data_reuse=data_reuse
-    )
+    batched = run_core_batch(graphs, setup.machine, setup.b)
     for cg, got in zip(graphs, batched):
-        want = run_core(
-            cg, setup.machine, setup.b, data_reuse=data_reuse
-        ).result
-        assert got == want
+        assert got == run_core(cg, setup.machine, setup.b).result
 
 
 def test_batch_respects_priorities():

@@ -235,10 +235,7 @@ def test_cached_graphs_are_immutable(tmp_path):
                 arr[0] = 0
     before = {f: getattr(cg, f).tobytes() for f in cache_mod._ARRAY_FIELDS}
     prio = list(range(cg.ntasks))[::-1]
-    for data_reuse in (False, True):
-        run_core_batch(
-            [cg, cg], BASE_MACHINE, B, prios=[None, prio], data_reuse=data_reuse
-        )
+    run_core_batch([cg, cg], BASE_MACHINE, B, prios=[None, prio])
     assert {f: getattr(cg, f).tobytes() for f in cache_mod._ARRAY_FIELDS} == before
 
 

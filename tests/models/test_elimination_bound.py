@@ -85,7 +85,7 @@ def test_the_subgraph_bound_never_exceeds_the_makespan(core):
         assert node_work == gb.node_work and cp <= gb.critical_path
         makespan = run_core(
             cg, machine, case.b, prio=_simulator(case, graph).priority_values(graph),
-            data_reuse=case.data_reuse, record_trace=core == "python",
+            record_trace=core == "python",
         ).result.makespan
         assert max(cp, node_work) <= makespan, case.describe()
 

@@ -71,7 +71,7 @@ def test_bound_never_exceeds_the_simulated_makespan(core):
         assert gb == _graph_bound_py(cg, machine, case.b), case.describe()
         makespan = run_core(
             cg, machine, case.b, prio=sim.priority_values(graph),
-            data_reuse=case.data_reuse, record_trace=core == "python",
+            record_trace=core == "python",
         ).result.makespan
         assert gb.bound <= makespan, case.describe()
         checked += 1

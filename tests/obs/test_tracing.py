@@ -2,9 +2,13 @@
 flight recorder, export and pretty-printing."""
 
 import json
+import os
+import re
+import warnings
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
     ATTRIBUTION_STAGES,
     FlightRecorder,
@@ -30,6 +34,38 @@ class TestTraceContext:
         assert len(mint_trace_id()) == 32
         assert len(mint_span_id()) == 16
         int(mint_trace_id(), 16)  # valid hex
+
+    def test_ids_are_lowercase_hex_of_their_width_and_distinct(self):
+        trace_ids = {mint_trace_id() for _ in range(10_000)}
+        span_ids = {mint_span_id() for _ in range(10_000)}
+        assert len(trace_ids) == len(span_ids) == 10_000
+        assert all(re.fullmatch("[0-9a-f]{32}", t) for t in trace_ids)
+        assert all(re.fullmatch("[0-9a-f]{16}", s) for s in span_ids)
+
+    def test_a_zero_draw_gives_no_all_zero_id(self, monkeypatch):
+        monkeypatch.setattr(tracing._ids, "getrandbits", lambda bits: 0)
+        tid, sid = mint_trace_id(), mint_span_id()
+        assert parse_traceparent(format_traceparent(tid, sid)) == (tid, sid)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_a_forked_child_mints_other_ids_than_its_parent(self):
+        """The child reseeds at fork: its next ids are not the ones the
+        parent's generator, in the same state, mints next."""
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # threads
+            pid = os.fork()
+        if pid == 0:  # the child: report its next ids, and leave
+            try:
+                os.write(write, f"{mint_trace_id()} {mint_span_id()}".encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as fh:
+            child = fh.read().split()
+        os.waitpid(pid, 0)
+        assert len(child) == 2
+        assert child != [mint_trace_id(), mint_span_id()]
 
     def test_traceparent_round_trip(self):
         tid, sid = mint_trace_id(), mint_span_id()

@@ -113,7 +113,6 @@ class GoldenCase:
     config: HQRConfig
     machine: Machine
     layout_fn: Callable[[], Layout]
-    data_reuse: bool = False
     priority: str | None = None  # name in repro.verify.reference.priorities
 
     def layout(self) -> Layout:
@@ -186,9 +185,12 @@ def golden_cases() -> list[GoldenCase]:
             "flat-serialized", 16, 5, 28, cfg_a, base,
             lambda: BlockCyclic2D(4, 2),
         ),
+        # this case and "hierarchical-reuse" are named for a data-reuse
+        # flag the simulator no longer has (it never changed a run); the
+        # names stay, as the fixture's keys
         GoldenCase(
             "flat-data-reuse", 16, 5, 28, cfg_a, base,
-            lambda: BlockCyclic2D(4, 2), data_reuse=True,
+            lambda: BlockCyclic2D(4, 2),
         ),
         GoldenCase(
             "flat-critical-path", 16, 5, 28, cfg_b, base,
@@ -209,7 +211,7 @@ def golden_cases() -> list[GoldenCase]:
                 nodes=4, cores_per_node=2, latency=1.0e-5,
                 bandwidth=1.0e9, site_size=2,
             ),
-            lambda: BlockCyclic2D(2, 2), data_reuse=True,
+            lambda: BlockCyclic2D(2, 2),
         ),
         GoldenCase(
             "infinite-bandwidth", 16, 5, 28, cfg_a,
@@ -260,7 +262,6 @@ def _run_scalar(case: GoldenCase) -> dict:
         case.layout(),
         case.b,
         priority=case.priority_keys(graph),
-        data_reuse=case.data_reuse,
         record_trace=True,
     )
     res = sim.run(graph)
@@ -286,8 +287,7 @@ def _run_faulty(case: FaultGoldenCase) -> dict:
     def run(schedule, **kw):
         return run_with_faults(
             elims, base.m, base.n, base.layout(), base.machine, base.b,
-            schedule, prio=base.priority_values(base.graph()),
-            data_reuse=base.data_reuse, **kw,
+            schedule, prio=base.priority_values(base.graph()), **kw,
         )
 
     baseline = run(FaultSchedule()).makespan

@@ -65,26 +65,18 @@ CONFIGS = [
 
 @pytest.mark.parametrize("core", CORES)
 def test_cluster_grid_bit_identical(core, request):
-    """Config x machine x layout x data-reuse x priority grid."""
+    """Config x machine x layout x priority grid."""
     if core == "python":
         request.getfixturevalue("no_native")
-    for config, machine, layout, data_reuse, prio_name in itertools.product(
-        CONFIGS, MACHINES, LAYOUTS, (False, True), (None, "critical-path")
+    for config, machine, layout, prio_name in itertools.product(
+        CONFIGS, MACHINES, LAYOUTS, (None, "critical-path")
     ):
         graph = graph_for(config)
         prio = make_priority(prio_name, graph) if prio_name else None
-        sim = ClusterSimulator(
-            machine, layout, B, priority=prio, data_reuse=data_reuse
-        )
+        sim = ClusterSimulator(machine, layout, B, priority=prio)
         ref = sim.run_reference(graph)
         cg = compile_graph(graph, layout, machine, B)
-        res = run_core(
-            cg,
-            machine,
-            B,
-            prio=sim.priority_values(graph),
-            data_reuse=data_reuse,
-        ).result
+        res = run_core(cg, machine, B, prio=sim.priority_values(graph)).result
         exact(res, ref)
 
 
@@ -172,9 +164,8 @@ if HAVE_HYPOTHESIS:
         n=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         ts_probability=st.floats(min_value=0.0, max_value=1.0),
-        data_reuse=st.booleans(),
     )
-    def test_random_trees_bit_identical(m, n, seed, ts_probability, data_reuse):
+    def test_random_trees_bit_identical(m, n, seed, ts_probability):
         """Property: arbitrary valid elimination orders stay bit-identical."""
         n = min(n, m)
         elims = random_elimination_list(
@@ -183,7 +174,7 @@ if HAVE_HYPOTHESIS:
         graph = TaskGraph.from_eliminations(elims, m, n)
         machine = Machine(nodes=4, cores_per_node=2)
         layout = BlockCyclic2D(2, 2)
-        sim = ClusterSimulator(machine, layout, 40, data_reuse=data_reuse)
+        sim = ClusterSimulator(machine, layout, 40)
         ref = sim.run_reference(graph)
         cg = compiled_from_eliminations(elims, m, n, layout, machine, 40)
         want = compile_graph(graph, layout, machine, 40)
@@ -191,10 +182,4 @@ if HAVE_HYPOTHESIS:
         assert_derived_predecessors(want, graph.predecessors)
         assert np.array_equal(cg.kind, want.kind)
         for record_trace in (False, True):  # C where it loaded, Python
-            exact(
-                run_core(
-                    cg, machine, 40, data_reuse=data_reuse,
-                    record_trace=record_trace,
-                ).result,
-                ref,
-            )
+            exact(run_core(cg, machine, 40, record_trace=record_trace).result, ref)

@@ -55,7 +55,6 @@ def _compiled(case):
         case.layout(),
         case.b,
         priority=case.priority_keys(graph),
-        data_reuse=case.data_reuse,
     )
     cg = compile_graph(graph, sim.layout, sim.machine, case.b)
     return graph, sim, cg, sim.priority_values(graph)
@@ -77,10 +76,7 @@ def test_python_loop_with_traces_matches_golden(name):
     _, _, cg, prio = _compiled(case)
     frozen = FIXTURE["scalar"][name]
     assert cg.ntasks == frozen["ntasks"]
-    res = run_core(
-        cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse, record_trace=True,
-    ).result
+    res = run_core(cg, case.machine, case.b, prio=prio, record_trace=True).result
     _assert_scalar(res, frozen)
     assert trace_digest(res.trace) == frozen["trace"]
     assert comm_digest(res.comm_trace) == frozen["comm"]
@@ -90,10 +86,7 @@ def test_python_loop_with_traces_matches_golden(name):
 def test_python_loop_untraced_matches_golden(name, no_native):
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
-    res = run_core(
-        cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse,
-    ).result
+    res = run_core(cg, case.machine, case.b, prio=prio).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     assert res.trace is None and res.comm_trace is None
     assert res.queue_trace is None
@@ -104,10 +97,7 @@ def test_python_loop_untraced_matches_golden(name, no_native):
 def test_c_loop_matches_golden(name):
     case = CASES[name]
     _, _, cg, prio = _compiled(case)
-    out = run_core(
-        cg, case.machine, case.b,
-        prio=prio, data_reuse=case.data_reuse,
-    )
+    out = run_core(cg, case.machine, case.b, prio=prio)
     assert out.engine == "c"
     _assert_scalar(out.result, FIXTURE["scalar"][name])
 
@@ -116,11 +106,11 @@ def test_c_loop_matches_golden(name):
 def test_batched_dispatch_matches_golden(core, request):
     """One batched call over every golden case == per-case fixtures."""
     _use(core, request)
-    # all graphs in one dispatch must share machine/b/data_reuse: group
+    # all graphs in one dispatch must share machine and b: group
     groups = {}
     for name in sorted(FIXTURE["scalar"]):
         case = CASES[name]
-        key = (id(case.machine), case.b, case.data_reuse)
+        key = (id(case.machine), case.b)
         groups.setdefault(key, []).append(name)
     for names in groups.values():
         cases = [CASES[n] for n in names]
@@ -130,7 +120,6 @@ def test_batched_dispatch_matches_golden(core, request):
             cases[0].machine,
             cases[0].b,
             prios=[prio for _, _, _, prio in compiled],
-            data_reuse=cases[0].data_reuse,
         )
         for name, res in zip(names, results):
             _assert_scalar(res, FIXTURE["scalar"][name])
@@ -199,10 +188,9 @@ def test_batch_equals_per_graph_equals_golden(
     )
     graphs = [_foreign(cg), empty, cg, cg]
     prios = [prio, None, prio, None]
-    kw = dict(data_reuse=case.data_reuse)
-    batch = run_core_batch(graphs, case.machine, case.b, prios=prios, **kw)
+    batch = run_core_batch(graphs, case.machine, case.b, prios=prios)
     single = [
-        run_core(g, case.machine, case.b, prio=p, **kw).result
+        run_core(g, case.machine, case.b, prio=p).result
         for g, p in zip(graphs, prios)
     ]
     assert batch == single
@@ -231,12 +219,11 @@ def test_int64_offsets_give_the_same_result_by_value(core, request):
     )
     assert wide.pred_counts.tolist() == cg.pred_counts.tolist()
     assert np.array_equal(wide.pred_ptr, cg.pred_ptr)
-    kw = dict(data_reuse=case.data_reuse)
-    want = run_core(cg, case.machine, case.b, prio=prio, **kw).result
+    want = run_core(cg, case.machine, case.b, prio=prio).result
     _assert_scalar(want, FIXTURE["scalar"]["flat-serialized"])
-    assert run_core(wide, case.machine, case.b, prio=prio, **kw).result == want
+    assert run_core(wide, case.machine, case.b, prio=prio).result == want
     assert run_core_batch(
-        [wide, cg], case.machine, case.b, prios=[prio, prio], **kw
+        [wide, cg], case.machine, case.b, prios=[prio, prio]
     ) == [want, want]
 
 
@@ -400,17 +387,13 @@ def test_event_queue_orders_like_heapq(
         cg = dataclasses.replace(cg, dur_table=np.array(_QUEUE_DURS[durs]))
     # reversed: equal-time events enter a ring or the heap in descending code
     prio = list(range(cg.ntasks, 0, -1)) if reverse_prio else None
-    for reuse in (False, True):
-        kw = dict(prio=prio, data_reuse=reuse)
-        ref = run_core(cg, mach, case.b, record_trace=True, **kw)
-        out = run_core(cg, mach, case.b, **kw)
-        assert (ref.engine, out.engine) == ("python", "c")
-        want = _untraced(ref.result)
-        assert out.result == want
-        batch = run_core_batch(
-            [cg, cg], mach, case.b, prios=[prio, prio], data_reuse=reuse,
-        )
-        assert batch == [want, want]
+    ref = run_core(cg, mach, case.b, prio=prio, record_trace=True)
+    out = run_core(cg, mach, case.b, prio=prio)
+    assert (ref.engine, out.engine) == ("python", "c")
+    want = _untraced(ref.result)
+    assert out.result == want
+    batch = run_core_batch([cg, cg], mach, case.b, prios=[prio, prio])
+    assert batch == [want, want]
 
 
 @pytest.mark.parametrize("detail", ["summary", "tasks"])
@@ -427,9 +410,7 @@ def test_obs_recording_is_bitwise_neutral(name, detail):
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
     with attach(trace):
         res = run_core(
-            cg, case.machine, case.b,
-            prio=prio, data_reuse=case.data_reuse,
-            record_trace=detail == "tasks",
+            cg, case.machine, case.b, prio=prio, record_trace=detail == "tasks",
         ).result
     _assert_scalar(res, frozen)
     (sp,) = trace.root.children
@@ -453,10 +434,7 @@ def test_tracing_span_hook_is_bitwise_neutral(name):
     _, _, cg, prio = _compiled(case)
     trace = RequestTrace(mint_trace_id(), "test", 0.0)
     with attach(trace):
-        res = run_core(
-            cg, case.machine, case.b,
-            prio=prio, data_reuse=case.data_reuse,
-        ).result
+        res = run_core(cg, case.machine, case.b, prio=prio).result
     _assert_scalar(res, FIXTURE["scalar"][name])
     spans = [s for s in trace.root.children if s.name == "simulate"]
     assert len(spans) == 1
@@ -477,7 +455,6 @@ def test_tracing_span_hook_is_bitwise_neutral_batched():
             cases[0].machine,
             cases[0].b,
             prios=[prio for _, _, _, prio in compiled],
-            data_reuse=cases[0].data_reuse,
         )
     for name, res in zip(names, results):
         _assert_scalar(res, FIXTURE["scalar"][name])
@@ -524,9 +501,7 @@ def test_fault_hooks_match_golden(name):
     base = fcase.base
     graph, sim, cg, prio = _compiled(base)
     frozen = FIXTURE["faulty"][name]
-    baseline = run_core(
-        cg, base.machine, base.b, prio=prio, data_reuse=base.data_reuse
-    ).result.makespan
+    baseline = run_core(cg, base.machine, base.b, prio=prio).result.makespan
     assert float_hex(baseline) == frozen["baseline_makespan"]
     schedule = FaultSchedule.scenario(
         fcase.scenario,
@@ -543,7 +518,6 @@ def test_fault_hooks_match_golden(name):
     out = run_core(
         cg, base.machine, base.b,
         prio=prio,
-        data_reuse=base.data_reuse,
         record_trace=True,
         fault=hooks,
     )
@@ -572,7 +546,6 @@ def test_empty_schedule_fault_loop_is_bit_identical(name):
     out = run_core(
         cg, case.machine, case.b,
         prio=prio,
-        data_reuse=case.data_reuse,
         fault=FaultHooks(FaultSchedule(), replan=lambda dead: cg.node.tolist()),
     )
     frozen = FIXTURE["scalar"][name]

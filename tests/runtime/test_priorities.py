@@ -69,23 +69,3 @@ class TestSchedulingEffect:
                 base = res
             # same work executed regardless of order
             assert res.busy_seconds == pytest.approx(base.busy_seconds)
-
-    def test_data_reuse_completes_identically(self, graph):
-        sim_args = (Machine(nodes=4, cores_per_node=2), BlockCyclic2D(2, 2), 40)
-        plain = ClusterSimulator(*sim_args).run(graph)
-        reuse = ClusterSimulator(*sim_args, data_reuse=True).run(graph)
-        assert reuse.busy_seconds == pytest.approx(plain.busy_seconds)
-        # data-reuse is a heuristic: it must not break anything and should
-        # stay within a sane band of the baseline
-        assert 0.5 < reuse.makespan / plain.makespan < 2.0
-
-    def test_data_reuse_with_trace_consistent(self, graph):
-        sim = ClusterSimulator(
-            Machine(nodes=4, cores_per_node=2),
-            BlockCyclic2D(2, 2),
-            40,
-            data_reuse=True,
-            record_trace=True,
-        )
-        res = sim.run(graph)
-        assert len(res.trace) == len(graph)

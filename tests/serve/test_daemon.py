@@ -332,7 +332,11 @@ class TestPlanningOnTheHandler:
         assert held.scheduler.inflight == 0
         assert held.scheduler.backlog() == 0
         assert service.begun == [8]
+        # the late grant planned nothing: it is not counted as served
+        tenants = held.scheduler.snapshot()["tenants"]
+        assert (tenants["interactive"]["served"], tenants["batch"]["served"]) == (1, 0)
         assert held.submit("batch", dict(TINY_REQUEST))[0] == 200
+        assert held.scheduler.snapshot()["tenants"]["batch"]["served"] == 1
 
 
 class TestGracefulShutdown:

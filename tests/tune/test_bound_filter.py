@@ -255,14 +255,14 @@ def _sha256(data: bytes) -> str:
 #: writes them, keys sorted), and (evaluations, bounded, memo_hits, accepted)
 STREAMS = {
     11: (
-        "f3552a60cd5a203b72bd770748429813931ed15bcfa23c79906437e8eb06fe68",
-        "95eedf775f2cda17caec861d6d37b74481e36db82cca5a02c796f8a46692883d",
+        "cf448198d696c05c19af9c08ead8f915319e798103af264ff1ed35efd6000d76",
+        "a476dc57074f17330c714be402cd4b8cc2a5192f062f6b18f01e4097d4475b40",
         "9a7f361c46d65deeeb2534a35e430a4aef7a772fae80fb3229abcb55e30dc470",
         (41, 195, 165, 30),
     ),
     12: (
-        "832c452f33f8c6ab2ef9d608d508239f145caf1b948cb073db74b51dc918557e",
-        "6da1b81c75856f34f8806df44746f5d4499edf357aff6d93aee041ecb1c148c9",
+        "86e337d786499c72c915314952b596536b78e43da401a2f5f977d35f7601ed2e",
+        "91233ccb378114769c96a69937f4b831e03c009ba0a889380d34c65a70c204fa",
         "73826ce7653075d5c750f83538d736d07073ea657b3abba376abb7fc3ec2495b",
         (62, 219, 120, 54),
     ),

@@ -147,3 +147,70 @@ def test_resume_without_checkpoint_exits_cleanly(tmp_path):
     )
     assert proc.returncode == 2
     assert "checkpoint" in proc.stderr.lower()
+
+
+def _with_retired_key(case: dict) -> dict:
+    """``case`` as a run before the data-reuse flag was deleted wrote it."""
+    return {**case, "data_reuse": False}
+
+
+def test_a_checkpoint_with_the_retired_data_reuse_key_resumes(tmp_path):
+    """A checkpoint and sample file written while every case carried a
+    ``data_reuse`` flag resume: the stream is the uninterrupted run's once
+    that key is dropped, the lines written after the resume byte for byte,
+    and the final best-k carries no such key."""
+    from repro.runtime.machine import Machine
+    from repro.tune import Annealer, CoolingSchedule, EnergyEvaluator, initial_case
+
+    machine = Machine(nodes=4, cores_per_node=2)
+
+    def annealer(out, resume=False):
+        return Annealer(
+            EnergyEvaluator(8, 2, 16, machine),
+            initial_case(8, 2, 16, machine), str(out),
+            seed=0, budget=40, batch_size=4,
+            schedule=CoolingSchedule(t0=0.05, alpha=0.85, floor=1e-4),
+            resume=resume,
+        )
+
+    ref = annealer(tmp_path / "ref").run()
+    first = annealer(tmp_path / "run")
+    run_batch = first._run_batch
+
+    def stop_after_four():
+        run_batch()
+        if first.batch_idx == 4:
+            first.request_stop()
+
+    first._run_batch = stop_after_four
+    assert first.run().interrupted
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    samples = tmp_path / "run" / "samples.jsonl"
+    checkpoint = json.loads(ckpt.read_text())
+    checkpoint["current"]["case"] = _with_retired_key(checkpoint["current"]["case"])
+    for entry in checkpoint["best"]:
+        entry["case"] = _with_retired_key(entry["case"])
+    ckpt.write_text(json.dumps(checkpoint, sort_keys=True) + "\n")
+    old_lines = [
+        json.dumps({**s, "case": _with_retired_key(s["case"])}, sort_keys=True)
+        + "\n"
+        for s in map(json.loads, samples.read_text().splitlines())
+    ]
+    assert old_lines, "the interrupted run kept no sample"
+    samples.write_text("".join(old_lines))
+
+    resumed = annealer(tmp_path / "run", resume=True).run()
+    assert resumed.best == ref.best
+    assert resumed.accept_history == ref.accept_history
+    lines = samples.read_text().splitlines(keepends=True)
+    ref_lines = (tmp_path / "ref" / "samples.jsonl").read_text().splitlines(
+        keepends=True
+    )
+    assert len(lines) == len(ref_lines) > len(old_lines)
+    assert lines[: len(old_lines)] == old_lines
+    for line, want in zip(lines, ref_lines):
+        sample = json.loads(line)
+        sample["case"].pop("data_reuse", None)
+        assert sample == json.loads(want)
+    assert lines[len(old_lines):] == ref_lines[len(old_lines):]
+    assert "data_reuse" not in ckpt.read_text()

@@ -24,7 +24,7 @@ def make_case(**over):
         low_tree="greedy", high_tree="binary", domino=False,
         layout_kind="grid", nodes=4, cores_per_node=2,
         comm_serialized=True, site_size=0, latency=2.0e-6, bandwidth=1.4e9,
-        priority=None, data_reuse=False,
+        priority=None,
     )
     base.update(over)
     return VerifyCase(**base)

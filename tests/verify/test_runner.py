@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,26 @@ def test_replay_reports_still_broken_failures():
     }
     # the real engines agree on this case, so nothing reproduces
     assert replay_report(report) == []
+
+
+#: a report written before the data-reuse flag was deleted: a perturbed
+#: engine's failure at seed 1, budget 1, its cases carrying the flag
+OLD_REPORT = Path(__file__).parent / "fixtures" / "report_with_data_reuse.json"
+
+
+def test_a_report_written_with_the_data_reuse_flag_replays(capsys):
+    """Its cases load with the key dropped, the case the seed draws is
+    still that case apart from the key (the flag's draw is kept), and
+    ``repro verify --replay`` finds the failure fixed."""
+    from repro.cli import main
+
+    entry = json.loads(OLD_REPORT.read_text())["failures"][0]
+    assert entry["case"]["data_reuse"] is entry["minimized"]["data_reuse"] is True
+    drawn = {k: v for k, v in entry["case"].items() if k != "data_reuse"}
+    assert sample_case(1, 0).to_dict() == drawn
+    assert VerifyCase.from_dict(entry["minimized"]).m == 2
+    assert main(["verify", "--replay", str(OLD_REPORT)]) == 0
+    assert "all 1 reported failures are fixed" in capsys.readouterr().out
 
 
 def test_format_report_clean_summary():

@@ -16,7 +16,9 @@ workloads, the 60 cold questions of ``serve_mix`` and the 73 graphs the two
 ``hqr_simulate_cluster_batch`` call per side and set (best of
 ``--repeat``), the side going first alternating by round, so host drift
 lands on both sides alike and no packing, planning or interpreter time is
-in the numbers.
+in the numbers.  Each side's entry is declared and called with the
+signature in its own source (a core from before the data-reuse flag was
+deleted takes that flag, passed as 0).
 
 Prints nanoseconds a task per side and set (median, quartiles, min), the
 rounds B won and a verdict: B is faster only when it wins at least nine
@@ -32,6 +34,7 @@ import argparse
 import ast
 import ctypes
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -79,11 +82,54 @@ def c_source(rev: str | None) -> str:
     die(f"{rev or 'working tree'}: no _C_SOURCE in {path}")
 
 
-def compile_side(rev: str | None):
-    """``rev``'s C core, built by ``_ccore._build`` with its flags, with
-    the one entry this tool calls declared as the working tree declares
-    it (a core older than another entry the tree declares lacks that one,
-    which ``_build`` then refuses to load)."""
+#: a parameter's ctypes type by its C type; every pointer is an address
+_CTYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
+           "double": ctypes.c_double}
+
+
+def batch_signature(source: str) -> list[tuple[str, type]]:
+    """``(name, ctypes type)`` of each parameter of ``source``'s
+    ``hqr_simulate_cluster_batch``, in order: revisions differ in them
+    (a core before the data-reuse flag was deleted takes one more)."""
+    match = re.search(r"\bhqr_simulate_cluster_batch\(([^)]*)\)\s*\{", source)
+    if match is None:
+        die("no hqr_simulate_cluster_batch definition in the C source")
+    params = []
+    for decl in match.group(1).split(","):
+        words = re.findall(r"\w+", decl)
+        ctype = ctypes.c_void_p if "*" in decl else _CTYPES.get(words[-2])
+        if ctype is None:
+            die(f"hqr_simulate_cluster_batch: cannot pass {decl.strip()!r}")
+        params.append((words[-1], ctype))
+    return params
+
+
+class Side:
+    """A built C core's ``hqr_simulate_cluster_batch``, declared with the
+    signature of the source it was built from."""
+
+    def __init__(self, lib, source: str):
+        self.params = batch_signature(source)
+        # a fresh function object: the library's own attribute keeps its
+        # declaration
+        self.entry = lib["hqr_simulate_cluster_batch"]
+        self.entry.restype = ctypes.c_int32
+        self.entry.argtypes = [ctype for _, ctype in self.params]
+
+    def __call__(self, **values):
+        """Call the entry with the values of its own parameters, by name:
+        a value it has no parameter for is left out, and a parameter with
+        no value is refused."""
+        missing = [name for name, _ in self.params if name not in values]
+        if missing:
+            die(f"hqr_simulate_cluster_batch: no value for {missing}")
+        return self.entry(*[values[name] for name, _ in self.params])
+
+
+def compile_side(rev: str | None) -> Side:
+    """``rev``'s C core, built by ``_ccore._build`` with its flags (a core
+    older than an entry the tree declares lacks that one, which ``_build``
+    then refuses to load: the library is opened here instead)."""
     source = c_source(rev)
     try:
         _ccore._build(source)
@@ -93,11 +139,7 @@ def compile_side(rev: str | None):
     path = _ccore.cache_root() / "ccore" / f"hqr_ccore_{digest}.so"
     if not path.exists():
         die(f"{rev or 'working tree'}: the C core did not build")
-    lib = ctypes.CDLL(str(path))
-    declared = _ccore.get_lib().hqr_simulate_cluster_batch
-    lib.hqr_simulate_cluster_batch.restype = declared.restype
-    lib.hqr_simulate_cluster_batch.argtypes = declared.argtypes
-    return lib
+    return Side(ctypes.CDLL(str(path)), source)
 
 
 def graph_sets():
@@ -157,6 +199,12 @@ def tune_graphs(setup):
 class Batch:
     """One graph set packed once for ``hqr_simulate_cluster_batch``."""
 
+    #: the entry's names for ``tables`` and ``params``
+    TABLES = ("dur_table", "kind", "node_of", "wait", "succ_ptr", "succ_idx",
+              "rank", "task_of_rank")
+    MACHINE = ("nnodes", "cores_per_node", "serialized", "hierarchical",
+               "lat_intra", "bwt_intra", "lat_inter", "bwt_inter")
+
     def __init__(self, graphs, setup):
         self.columns = _graph_columns(graphs)
         nulls = [None] * len(graphs)
@@ -166,18 +214,21 @@ class Batch:
         self.params = [int(v) for v in params[:4]] + list(params[4:8])
         self.site_of = np.asarray(params[8], dtype=np.int32)
 
-    def run(self, lib):
+    def run(self, side: Side):
         """(seconds, outputs) of one single-thread call."""
         n = len(self.ntasks)
         mk, busy = np.zeros(n), np.zeros(n)
         msgs, rc = np.zeros(n, np.int64), np.zeros(n, np.int32)
-        t0 = time.perf_counter()
-        lib.hqr_simulate_cluster_batch(
-            n, 1, self.ntasks.ctypes.data,
-            *self.tables,
-            *self.params, self.site_of.ctypes.data, 0,
-            mk.ctypes.data, busy.ctypes.data, msgs.ctypes.data, rc.ctypes.data,
+        values = dict(
+            zip(self.TABLES, self.tables),
+            **dict(zip(self.MACHINE, self.params)),
+            npoints=n, nthreads=1, ntasks=self.ntasks.ctypes.data,
+            site_of=self.site_of.ctypes.data, data_reuse=0,
+            out_makespan=mk.ctypes.data, out_busy=busy.ctypes.data,
+            out_messages=msgs.ctypes.data, out_rc=rc.ctypes.data,
         )
+        t0 = time.perf_counter()
+        side(**values)
         elapsed = time.perf_counter() - t0
         if rc.any():
             bad = np.flatnonzero(rc)
@@ -198,13 +249,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="loop_ab_") as tmp:
         # every library this process builds, its planner's included
         os.environ["REPRO_CACHE_DIR"] = tmp
-        libs = {
+        sides = {
             side: compile_side(rev)
             for side, rev in (("A", args.rev_a), ("B", args.rev_b))
         }
         setup, sets = graph_sets()
         batches = {name: Batch(graphs, setup) for name, graphs in sets.items()}
-        ns = {(name, side): [] for name in batches for side in libs}
+        ns = {(name, side): [] for name in batches for side in sides}
         mismatched = []
         for r in range(args.rounds):
             order = ("A", "B") if r % 2 == 0 else ("B", "A")
@@ -214,7 +265,7 @@ def main(argv=None) -> int:
                 for side in order:
                     best = float("inf")
                     for _ in range(args.repeat):
-                        elapsed, out[side] = batch.run(libs[side])
+                        elapsed, out[side] = batch.run(sides[side])
                         best = min(best, elapsed)
                     ns[name, side].append(best / tasks * 1e9)
                 if any(
@@ -228,7 +279,7 @@ def main(argv=None) -> int:
     print(f"{'set':<11} {'graphs':>6} {'tasks':>9}  side  "
           f"{'median':>7} {'q1':>7} {'q3':>7} {'min':>7}  (ns a task)")
     for name, batch in batches.items():
-        for side in libs:
+        for side in sides:
             xs = ns[name, side]
             q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
             print(f"{name:<11} {len(batch.ntasks):>6} "

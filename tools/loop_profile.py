@@ -155,11 +155,12 @@ def main(argv=None) -> int:
             name: loop_ab.Batch(graphs, setup) for name, graphs in sets.items()
         }
         lib, so = build(SAMPLER + c_source)
+        side = loop_ab.Side(lib, c_source)
         for _ in range(args.rounds):
             for batch in batches.values():
                 if lib.prof_timer(PERIOD_US):
                     die("setitimer refused the sampler")
-                batch.run(lib)
+                batch.run(side)
                 lib.prof_timer(0)
         cap = 1 << 20
         pcs = (ctypes.c_size_t * cap)()
