@@ -430,7 +430,7 @@ static void finish_successors(
  * Kind codes follow the KernelKind declaration order: GEQRT=0 UNMQR=1
  * TSQRT=2 TSMQR=3 TTQRT=4 TTMQR=5.
  *
- * One emit loop serves three passes.  With mode == 0 it only counts: no
+ * One emit loop serves four passes.  With mode == 0 it only counts: no
  * output array is touched (all may be NULL), the return value is the
  * number of predecessor edges and the task count lands in *out_ntasks.
  * With mode == 1 it fills the five arrays the caller sized from those
@@ -446,16 +446,30 @@ static void finish_successors(
  * With mode == 2 it counts and bounds the graph, writing no task array.
  * cost: the six kernel seconds, then lat, bwt within a site and across
  * sites; site_of is NULL on a flat network.  out[1 + i]: node i's work,
- * summed in program order as lower_bound_one sums it.  out[0]: the longest
- * path, (end + lat) + bwt on a cross-node edge, through the subgraph of
- * the factorization kernels and the updates of the column next to their
- * panel, over the builder's own edges - a path of the graph, so never
- * above lower_bound_one's term 1.  Per tile it keeps the last subgraph
- * task that wrote it, that task's end and node: an edge is in the
- * subgraph when that task is still the tile's last writer.
+ * summed in program order.  out[0]: the longest path, (end + lat) + bwt
+ * on a cross-node edge - the event loop's own operations on its own
+ * doubles, so never above its makespan - through the subgraph of the
+ * factorization kernels and the updates of the column next to their
+ * panel, over the builder's own edges.  Per tile it keeps the last
+ * subgraph task that wrote it, that task's end and node: an edge is in
+ * the subgraph when that task is still the tile's last writer.
+ *
+ * With mode == 3 the subgraph is the whole graph, and out (3 + 3 nnodes
+ * doubles) also holds, after mode 2's entries: the longest path with no
+ * communication, the total work (both summed in program order), then per
+ * node the messages it sends or receives within its site, then across
+ * sites - the loop's messages, one per producer and destination node.
+ * The edges come by consumer, so a producer's destinations are told
+ * apart by the graph's shape: its consumers are one contiguous block of
+ * readers right after it (a GEQRT's UNMQRs, a kill's updates: the tiles
+ * of its row right of its panel) and at most one next writer of each
+ * tile it wrote.  A per-node stamp counts each block node once; a
+ * next-writer edge counts unless it reaches the producer's own node, a
+ * node owning a tile of the block, or the node its other next-writer
+ * edge reached.
  *
  * Refusals, all -2: an elimination outside m x n, an owner entry outside
- * [0, min(nnodes, INT16_MAX + 1)) in modes 1 and 2, counts above
+ * [0, min(nnodes, INT16_MAX + 1)) in modes 1 to 3, counts above
  * INT32_MAX (the offsets are 32-bit), an in-degree above UINT8_MAX, or a
  * write pass that would produce more tasks or edges than the counts it
  * was given, or ends with fewer - checked before each write, so a
@@ -476,7 +490,7 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
     int32_t mode, BUILD_DAG_PARAMS)
 {
     int64_t rc = -1;
-    int write = mode == 1, bound = mode == 2;
+    int write = mode == 1, bound = mode >= 2, full = mode == 3;
     int64_t tid = 0;   /* next task id */
     int64_t ne = 0;    /* predecessor edges so far */
     int64_t first = 0; /* ne when the task being emitted began */
@@ -484,8 +498,15 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
     int32_t home = 0;  /* bound: its node */
     int keep = 0;      /* bound: it is in the subgraph */
     double ready = 0.0, cp = 0.0;  /* bound: its latest input, the path */
-    int32_t *pred_idx = NULL;
+    double plain = 0.0, cp_plain = 0.0, total = 0.0;  /* full: the same
+                                  with no communication, the work */
+    int32_t *pred_idx = NULL, *stamp = NULL;
     struct { double end; int32_t node, by; } *mark = NULL;
+    /* full, per tile: its last writer's end with no communication, the
+     * writer's block (its own tile if a factorization kernel, else -1),
+     * the other tile it wrote (or -1) and the node the next-writer edge
+     * of that other tile reached (or -1) */
+    struct { double plain; int64_t block, other; int32_t sent; } *more = NULL;
     int32_t *last_writer = (int32_t *)malloc((size_t)m * n * sizeof(int32_t));
     uint8_t *triangled = (uint8_t *)calloc((size_t)m * n, 1);
     if (!last_writer || !triangled)
@@ -496,7 +517,15 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
             goto done;
         for (int64_t i = 0; i < (int64_t)m * n; i++)
             mark[i].by = -1;
-        memset(out, 0, (size_t)(nnodes + 1) * sizeof(double));
+        memset(out, 0, (size_t)(full ? 3 + 3 * nnodes : nnodes + 1) * sizeof(double));
+    }
+    if (full) {
+        more = malloc((size_t)m * n * sizeof(*more));
+        stamp = (int32_t *)malloc((size_t)(nnodes > 0 ? nnodes : 1) * sizeof(int32_t));
+        if (!more || !stamp)
+            goto done;
+        for (int32_t i = 0; i < nnodes; i++)
+            stamp[i] = -1;
     }
     rc = -2;
     for (int64_t i = 0; i < (int64_t)m * n; i++)
@@ -517,18 +546,25 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
     }
 
 /* a task on tile (ROW, COL) begins: COL is an update's trailing column,
- * else the panel; KEEP says whether the bound's subgraph holds it */
+ * else the panel; KEEP says whether mode 2's subgraph holds it */
 #define BEGIN(ROW, COL, KEEP)                                                 \
     do {                                                                      \
         here = (int64_t)(ROW) * n + (COL);                                    \
-        keep = bound && (KEEP);                                               \
+        keep = full || (bound && (KEEP));                                     \
         if (bound)                                                            \
             home = owner[here];                                               \
-        ready = 0.0;                                                          \
+        ready = plain = 0.0;                                                  \
     } while (0)
 
-/* an edge from W, the last writer of tile TILE, to the task begun */
-#define DEP(W, TILE)                                                          \
+/* full: a message from node FROM to the task begun's node, across sites
+ * if X */
+#define SEND(FROM, X)                                                         \
+    (out[3 + (X) * nnodes + nnodes + (FROM)] += 1.0,                          \
+     out[3 + (X) * nnodes + nnodes + home] += 1.0)
+
+/* an edge from W, the last writer of tile TILE, to the task begun; READ:
+ * the task begun only reads TILE, so it is in W's block */
+#define DEP(W, TILE, READ)                                                    \
     do {                                                                      \
         if (write) {                                                          \
             if (ne >= nedges)                                                 \
@@ -541,14 +577,43 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
             if (from_ != home) {                                              \
                 int x_ = site_of && site_of[from_] != site_of[home];          \
                 at_ = at_ + cost[6 + 2 * x_] + cost[7 + 2 * x_];              \
+                if (full && (READ)) {                                         \
+                    if (stamp[home] != (W))                                   \
+                        SEND(from_, x_);                                      \
+                    stamp[home] = (W);                                        \
+                } else if (full) {                                            \
+                    int64_t b_ = more[TILE].block, o_ = more[TILE].other;     \
+                    int fresh_ = more[TILE].sent != home;                     \
+                    for (int64_t i_ = b_ + 1; fresh_ && b_ >= 0 &&            \
+                         i_ < (b_ / n + 1) * n; i_++)                         \
+                        fresh_ = owner[i_] != home;                           \
+                    if (fresh_)                                               \
+                        SEND(from_, x_);                                      \
+                    if (o_ >= 0 && mark[o_].by == (W))                        \
+                        more[o_].sent = home;                                 \
+                }                                                             \
             }                                                                 \
             ready = at_ > ready ? at_ : ready;                                \
+            if (full && more[TILE].plain > plain)                             \
+                plain = more[TILE].plain;                                     \
         }                                                                     \
         ne++;                                                                 \
     } while (0)
 
-/* a kept task ending at END_ wrote tile T */
-#define MARK(T) (mark[T].end = end_, mark[T].node = home, mark[T].by = (int32_t)tid)
+/* a kept task ending at END_ wrote tile T; full: OTHER is the other tile
+ * it wrote, BLOCK its block */
+#define MARK(T, OTHER, BLOCK)                                                 \
+    do {                                                                      \
+        mark[T].end = end_;                                                   \
+        mark[T].node = home;                                                  \
+        mark[T].by = (int32_t)tid;                                            \
+        if (full) {                                                           \
+            more[T].plain = pend_;                                            \
+            more[T].block = (BLOCK);                                          \
+            more[T].other = (OTHER);                                          \
+            more[T].sent = -1;                                                \
+        }                                                                     \
+    } while (0)
 
 /* the task begun ends; it wrote its own tile and, if OTHER >= 0, that one */
 #define TASK(KIND, OTHER)                                                     \
@@ -563,11 +628,18 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
         } else if (bound) {                                                   \
             out[1 + home] += cost[KIND];                                      \
             if (keep) {                                                       \
-                double end_ = ready + cost[KIND];                             \
+                double end_ = ready + cost[KIND], pend_ = 0.0;                \
+                /* a factorization kernel (even KIND) has a block */          \
+                int64_t block_ = (KIND) % 2 ? -1 : here;                      \
                 cp = end_ > cp ? end_ : cp;                                   \
-                MARK(here);                                                   \
+                if (full) {                                                   \
+                    pend_ = plain + cost[KIND];                               \
+                    cp_plain = pend_ > cp_plain ? pend_ : cp_plain;           \
+                    total += cost[KIND];                                      \
+                }                                                             \
+                MARK(here, (OTHER), block_);                                  \
                 if ((OTHER) >= 0)                                             \
-                    MARK(OTHER);                                              \
+                    MARK((OTHER), here, block_);                              \
             }                                                                 \
         }                                                                     \
         tid++;                                                                \
@@ -584,13 +656,13 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
             kix_ = (int64_t)(KILLER) * n + (PANEL);                           \
             first_ = last_writer[kix_];                                       \
             if (first_ >= 0)                                                  \
-                DEP(first_, kix_);                                            \
+                DEP(first_, kix_, 0);                                         \
             last_writer[kix_] = (int32_t)tid;                                 \
         }                                                                     \
         {                                                                     \
             int32_t w_ = last_writer[here];                                   \
             if (w_ >= 0 && w_ != first_)                                      \
-                DEP(w_, here);                                                \
+                DEP(w_, here, 0);                                             \
             last_writer[here] = (int32_t)tid;                                 \
         }                                                                     \
         TASK((KIND), kix_);                                                   \
@@ -607,9 +679,9 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
             for (int32_t col_ = (PANEL) + 1; col_ < n; col_++) {              \
                 BEGIN((ROW), col_, col_ == (PANEL) + 1);                      \
                 int32_t w_ = last_writer[here];                               \
-                DEP(fact_, tix_);                                             \
+                DEP(fact_, tix_, 1);                                          \
                 if (w_ >= 0)                                                  \
-                    DEP(w_, here);                                            \
+                    DEP(w_, here, 0);                                         \
                 last_writer[here] = (int32_t)tid;                             \
                 TASK(1, -1); /* UNMQR */                                      \
             }                                                                 \
@@ -636,15 +708,15 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
         EMIT(kkill, victim, pan, kil);
         for (int32_t c = pan + 1; c < n; c++) {
             BEGIN(victim, c, c == pan + 1);
-            DEP(kid, vix);
+            DEP(kid, vix, 1);
             int64_t idx_k = (int64_t)kil * n + c;
             int32_t w = last_writer[idx_k];
             if (w >= 0)
-                DEP(w, idx_k);
+                DEP(w, idx_k, 0);
             last_writer[idx_k] = (int32_t)tid;
             w = last_writer[here];
             if (w >= 0)
-                DEP(w, here);
+                DEP(w, here, 0);
             last_writer[here] = (int32_t)tid;
             TASK(kupd, idx_k);
         }
@@ -658,11 +730,16 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
 #undef TASK
 #undef MARK
 #undef DEP
+#undef SEND
 #undef BEGIN
 
     *out_ntasks = tid;
     if (bound)
         out[0] = cp;
+    if (full) {
+        out[1 + nnodes] = cp_plain;
+        out[2 + nnodes] = total;
+    }
     if (!write) {
         rc = ne;
         goto done;
@@ -675,6 +752,8 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
 done:
     free(pred_idx);
     free(mark);
+    free(more);
+    free(stamp);
     free(last_writer);
     free(triangled);
     return rc;
@@ -684,7 +763,8 @@ done:
 int64_t hqr_build_dag(int32_t mode, BUILD_DAG_PARAMS)
 {
     return mode == 1 ? emit_dag(1, BUILD_DAG_ARGS)
-        : mode == 2 ? emit_dag(2, BUILD_DAG_ARGS) : emit_dag(0, BUILD_DAG_ARGS);
+        : mode == 2 ? emit_dag(2, BUILD_DAG_ARGS)
+        : mode == 3 ? emit_dag(3, BUILD_DAG_ARGS) : emit_dag(0, BUILD_DAG_ARGS);
 }
 #undef BUILD_DAG_ARGS
 #undef BUILD_DAG_PARAMS

@@ -116,26 +116,55 @@ def elimination_bound(
     for an elimination outside ``m x n`` or a tile owner outside the machine.
     """
     from repro import _ccore
+
+    lib = _ccore.get_lib()
+    if lib is None:
+        return None
+    out, size = _list_pass(lib, 2, elims, m, n, layout, machine, b)
+    return out[0], _node_term(out[1 : machine.nodes + 1], machine, size)
+
+
+def list_bound(elims, m: int, n: int, layout, machine: Machine, b: int) -> GraphBound:
+    """The :class:`GraphBound` of the graph ``elims`` expands to on
+    ``layout``, from ``hqr_build_dag``'s full bound mode: no graph is
+    built.  Without the native core the graph is built in Python and
+    walked by :func:`_graph_bound_py`.  Raises ``ValueError`` for an
+    elimination outside ``m x n`` or a tile owner outside the machine."""
+    from repro import _ccore
+
+    lib = _ccore.get_lib()
+    if lib is None:
+        from repro.dag.compiled import compiled_from_eliminations
+
+        graph = compiled_from_eliminations(elims, m, n, layout, machine, b)
+        return _graph_bound_py(graph, machine, b)
+    nn = machine.nodes
+    out, size = _list_pass(lib, 3, elims, m, n, layout, machine, b)
+    return _terms(
+        machine, b, size, out[0], out[1 : nn + 1], out[nn + 2], out[nn + 1],
+        out[nn + 3 : 2 * nn + 3], out[2 * nn + 3 : 3 * nn + 3],
+    )
+
+
+def _list_pass(lib, mode: int, elims, m: int, n: int, layout, machine: Machine, b: int):
+    """``hqr_build_dag``'s bound mode ``mode`` over ``elims``: its ``out``
+    doubles and the graph's tasks plus edges."""
     from repro._ccore import address
     from repro.dag.compiled import _kind_seconds, tile_owners
     from repro.runtime.core import _machine_params
     from repro.trees.base import EliminationArray
 
-    lib = _ccore.get_lib()
-    if lib is None:
-        return None
     elims = EliminationArray.of(elims)
-    nnodes, cores, _, hierarchical, *links, site = _machine_params(machine, b)
+    nnodes, _, _, hierarchical, *links, site = _machine_params(machine, b)
     cost = (ctypes.c_double * 10)(*_kind_seconds(machine, b), *links)
     site_of = (ctypes.c_int32 * nnodes)(*site) if hierarchical else None
-    owner = tile_owners(layout, m, n)
-    out = (ctypes.c_double * (nnodes + 1))()
+    out = (ctypes.c_double * (3 + 3 * nnodes if mode == 3 else nnodes + 1))()
     ntasks = ctypes.c_int64()
     nedges = lib.hqr_build_dag(
-        2, m, n, len(elims),
+        mode, m, n, len(elims),
         *map(address, (elims.panel, elims.victim, elims.killer, elims.ts)),
-        address(owner), nnodes, 0, 0, *[None] * 5, ctypes.byref(ntasks),
-        cost, site_of, out,
+        address(tile_owners(layout, m, n)), nnodes, 0, 0, *[None] * 5,
+        ctypes.byref(ntasks), cost, site_of, out,
     )
     if nedges == -1:
         raise MemoryError("hqr_build_dag: per-tile scratch")
@@ -144,9 +173,43 @@ def elimination_bound(
             f"an elimination outside {m} x {n} tiles or a tile owner "
             f"outside [0, {nnodes})"
         )
+    return out, ntasks.value + nedges
+
+
+#: scales a sum taken in an order the event loop does not use, so that it
+#: stays below the makespan while a graph has fewer than 2**21 tasks plus
+#: edges (the term is 0 beyond)
+_MARGIN = 1.0 - 2.0**-30
+
+
+def _node_term(work, machine: Machine, size: int) -> float:
+    """The busiest node's work over its cores, with the margin."""
     # dividing and scaling round monotonically, so they commute with max
-    busiest = max(out[1:]) / cores * (1.0 - 2.0**-30)
-    return out[0], busiest if ntasks.value + nedges < 2**21 else 0.0
+    return max(work) / machine.cores_per_node * _MARGIN if size < 2**21 else 0.0
+
+
+def _terms(
+    machine: Machine, b: int, size: int, critical_path: float, work,
+    total: float, plain: float, intra, inter,
+) -> GraphBound:
+    """A :class:`GraphBound` from one pass's sums: per node its work and
+    the messages it sends or receives within its site (``intra``) and
+    across sites (``inter``).  A node's channel time is its counts times
+    the two links' bandwidth terms, so every pass that counts the same
+    messages gets the same doubles."""
+    from repro.runtime.core import _machine_params
+
+    _, _, serialized, _, _, bwt_intra, _, bwt_inter, _ = _machine_params(machine, b)
+    loads = [i + x for i, x in zip(intra, inter)]
+    channel = 0.0
+    if serialized and size < 2**21:
+        channel = max(
+            i * bwt_intra + x * bwt_inter for i, x in zip(intra, inter)
+        ) * _MARGIN
+    return GraphBound(
+        critical_path, _node_term(work, machine, size), channel, total, plain,
+        int(max(loads)),
+    )
 
 
 def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:

@@ -135,3 +135,52 @@ def test_edge_not_pointing_forward_is_refused(small):
         graph_bounds([bad], machine, b)
     with pytest.raises(ValueError, match="point forward"):
         _graph_bound_py(bad, machine, b)
+
+
+def figure6_points():
+    """Figure 6(a): low tree greedy, no domino, 16 tile columns."""
+    from repro.hqr import HQRConfig
+
+    for high in ("greedy", "binary", "flat", "fibonacci"):
+        for a in (1, 4, 8):
+            for m in (16, 32, 64, 128, 256, 512):
+                yield m, 16, HQRConfig(
+                    p=15, q=4, a=a, low_tree="greedy", high_tree=high,
+                    domino=False,
+                )
+
+
+@pytest.mark.skipif(not native_available(), reason="the full mode is native")
+@pytest.mark.parametrize("points", ["verify", "figure6"])
+def test_the_list_pass_is_the_graph_pass(points):
+    """The full mode of the elimination-list pass reads the graph pass's
+    critical path, node work, work, plain critical path and channel load
+    bitwise on every ``repro verify --seed 0 --budget 200`` case and the 72
+    Figure 6(a) points (the channel term sums by count, not by producer)."""
+    from repro.bench.runner import BenchSetup
+    from repro.dag.compiled import compiled_from_eliminations
+    from repro.models.bounds import list_bound
+
+    if points == "verify":
+        shapes = [
+            (c.m, c.n, c.config(), c.layout(), c.machine(), c.b)
+            for c in generate_cases(0, 200)
+        ]
+    else:
+        setup = BenchSetup()
+        shapes = [
+            (m, n, cfg, setup.layout, setup.machine, setup.b)
+            for m, n, cfg in figure6_points()
+        ]
+    fields = ("critical_path", "node_work", "work", "plain_critical_path",
+              "channel_load")
+    for m, n, cfg, layout, machine, b in shapes:
+        elims = hqr_elimination_list(m, n, cfg)
+        cg = compiled_from_eliminations(elims, m, n, layout, machine, b)
+        graph, listed = graph_bounds([cg], machine, b)[0], list_bound(
+            elims, m, n, layout, machine, b
+        )
+        assert [getattr(listed, f) for f in fields] == [
+            getattr(graph, f) for f in fields
+        ], (m, n, cfg)
+    assert len(shapes) in (200, 72)
