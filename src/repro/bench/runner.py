@@ -117,8 +117,9 @@ def compiled_graph_for(
     m: int, n: int, config: HQRConfig, layout: Layout, machine: Machine, b: int
 ):
     """Build (or fetch from the in-memory cache) one compiled graph, for a
-    caller that reads it again: the explorer's ranking (predict, then
-    verify).  A layout with no stable serialization (no key) builds uncached.
+    caller that reads it again: no code in the package does any more;
+    ``tools/loop_ab.py`` builds its graph sets with it.  A layout with no
+    stable serialization (no key) builds uncached.
     """
     build = partial(_build_graph, m, n, config, layout, machine, b)
     with span("graph", m=m, n=n):
@@ -174,9 +175,9 @@ def _record(m, n, start, ntasks, seconds) -> None:
 
 def _answer(asked, machine: Machine, b: int, out) -> None:
     """Fill ``out`` for each question no racing flight answered: in one
-    native call, or by ``run_core`` on a graph the cache holds (the
-    explorer's ranking kept it) or one built, for a question the call
-    does not take and every one without the native core."""
+    native call, or by ``run_core`` on a graph the cache holds (one
+    :func:`compiled_graph_for` stored) or one built, for a question the
+    call does not take and every one without the native core."""
     from repro.runtime.core import _c_answers, run_core
 
     lib, todo = _ccore.get_lib(), []

@@ -421,7 +421,7 @@ def _instrumented_run(args):
     from repro.bench.runner import BenchSetup
     from repro.dag.compiled import compiled_from_eliminations, task_coordinates
     from repro.hqr.hierarchy import hqr_elimination_list
-    from repro.models.bounds import graph_bounds
+    from repro.models.bounds import list_bound
     from repro.obs.metrics import derive_run_metrics
     from repro.obs.tracing import RequestTrace, attach, mint_trace_id
     from repro.runtime.core import run_core
@@ -434,7 +434,7 @@ def _instrumented_run(args):
     trace = RequestTrace(mint_trace_id(), "metrics", time.monotonic())
     with attach(trace):
         res = run_core(cg, mach, b, record_trace=True).result
-    cp = graph_bounds([cg], mach, b)[0].plain_critical_path
+    cp = list_bound(elims, args.m, args.n, setup.layout, mach, b).plain_critical_path
     reg = derive_run_metrics(
         res, cg, runs=trace.root.children,
         coords=task_coordinates(elims, args.m, args.n),

@@ -11,13 +11,14 @@ Three classical bounds apply to any execution of a tiled QR DAG:
   ``F / sqrt(8 W) - W`` words; with the usual balanced-work assumption the
   per-node volume is ``Omega(#flops / (P sqrt(W)))``.
 
-:func:`graph_bounds` computes the first two, sharpened per node and with
-the links' cost on every cross-node edge, in one pass over a
-:class:`~repro.dag.compiled.CompiledGraph` — native (``hqr_lower_bound``,
-GIL-free, batched) or, without the C core, the same pass in Python.  The
-simulator's makespan never beats it (checked by the verifier's oracle),
-and every algorithm's measured message volume must dominate the
-bandwidth bound.
+:func:`list_bound` computes the first two, sharpened per node and with
+the links' cost on every cross-node edge, and the busiest serialized
+channel, in one pass over an elimination list: ``hqr_build_dag``'s full
+bound mode walks the graph the list expands to without building it
+(without the C core, :func:`_graph_bound_py` walks the built graph in
+Python).  The simulator's makespan never beats it, and its message count
+is the simulator's (both checked by the verifier's oracle); every
+algorithm's measured message volume must dominate the bandwidth bound.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def bandwidth_lower_bound_words(
 
 @dataclass(frozen=True)
 class GraphBound:
-    """What one pass over a compiled graph knows before simulating it.
+    """What one pass over an elimination list knows before simulating it.
 
     ``critical_path`` (link latency and bandwidth on every cross-node
     edge, summed as the loop sums them), ``node_work`` (the busiest
@@ -57,7 +58,8 @@ class GraphBound:
     channel) can never exceed the simulated makespan; the last two carry
     a ``1 - 2**-30`` rounding margin.  ``work``, ``plain_critical_path``
     and ``channel_load`` (most messages any node sends or receives) are
-    the performance model's inputs.
+    the performance model's inputs; ``messages`` is how many the
+    simulator sends, one per producer and destination node.
     """
 
     critical_path: float
@@ -66,6 +68,7 @@ class GraphBound:
     work: float
     plain_critical_path: float
     channel_load: int
+    messages: int
 
     @property
     def bound(self) -> float:
@@ -81,25 +84,6 @@ class GraphBound:
             "channel": self.channel,
         }
         return max(terms, key=terms.get)
-
-
-def graph_bounds(graphs, machine: Machine, b: int) -> list[GraphBound]:
-    """One :class:`GraphBound` per compiled graph, all graphs in one native
-    call (the Python pass without the C core).  Raises ``ValueError`` for a
-    kind or node the event loop would refuse, or an edge that does not
-    point forward (program order is the pass's topological order)."""
-    from repro import _ccore
-    from repro.runtime.core import _c_lower_bound
-
-    lib = _ccore.get_lib()
-    out = _c_lower_bound(lib, graphs, machine, b) if lib is not None else None
-    if out is None:
-        return [_graph_bound_py(cg, machine, b) for cg in graphs]
-    terms, loads = out
-    return [
-        GraphBound(*row[1:], load)
-        for row, load in zip(terms, loads)
-    ]
 
 
 def elimination_bound(
@@ -208,27 +192,26 @@ def _terms(
         ) * _MARGIN
     return GraphBound(
         critical_path, _node_term(work, machine, size), channel, total, plain,
-        int(max(loads)),
+        int(max(loads)), int(sum(loads)) // 2,
     )
 
 
 def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:
-    """``hqr_lower_bound`` in Python, operation for operation."""
+    """:func:`list_bound` over a built graph, in Python: the path without
+    the C core, and the tests' mirror of the full mode.  It walks the
+    successor lists in program order and tells a producer's messages
+    apart as the event loop does, by destination node."""
     from repro.runtime.core import _machine_params
 
-    nnodes, cores, serialized, hierarchical, *links, site = _machine_params(
-        machine, b
-    )
+    nnodes, _, _, hierarchical, *links, site = _machine_params(machine, b)
     kind, node = cg.kind.tolist(), cg.node.tolist()
     sp, si, dur = cg.succ_ptr.tolist(), cg.succ_idx.tolist(), cg.dur_table.tolist()
     ntasks = len(kind)
-    if not all(0 <= k < 6 for k in kind) or not all(0 <= v < nnodes for v in node):
-        raise ValueError(
-            f"a task kind outside [0, 6) or a node outside [0, {nnodes})"
-        )
+    if not all(0 <= v < nnodes for v in node):
+        raise ValueError(f"a tile owner outside [0, {nnodes})")
     ready, plain = [0.0] * ntasks, [0.0] * ntasks
-    work, chan = [0.0] * nnodes, [0.0] * nnodes
-    msgs, marked_by = [0] * nnodes, [-1] * nnodes
+    work, marked_by = [0.0] * nnodes, [-1] * nnodes
+    counts = [0] * nnodes, [0] * nnodes  # within a site, across sites
     cp = cp_plain = total = 0.0
     for t in range(ntasks):
         home, d = node[t], dur[kind[t]]
@@ -237,8 +220,6 @@ def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:
         work[home] += d
         cp, cp_plain = max(cp, fin), max(cp_plain, pfin)
         for s in si[sp[t]:sp[t + 1]]:
-            if not t < s < ntasks:
-                raise ValueError("a successor edge that does not point forward")
             dest = node[s]
             arrival = fin
             if dest != home:
@@ -247,14 +228,8 @@ def _graph_bound_py(cg, machine: Machine, b: int) -> GraphBound:
                 arrival = fin + lat + bwt
                 if marked_by[dest] != t:
                     marked_by[dest] = t
-                    chan[home] += bwt
-                    chan[dest] += bwt
-                    msgs[home] += 1
-                    msgs[dest] += 1
+                    counts[inter][home] += 1
+                    counts[inter][dest] += 1
             ready[s] = max(ready[s], arrival)
             plain[s] = max(plain[s], pfin)
-    small = ntasks + sp[-1] < 2**21
-    margin = 1.0 - 2.0**-30
-    node_term = max(w / cores * margin for w in work) if small else 0.0
-    chan_term = max(c * margin for c in chan) if small and serialized else 0.0
-    return GraphBound(cp, node_term, chan_term, total, cp_plain, max(msgs))
+    return _terms(machine, b, ntasks + sp[-1], cp, work, total, cp_plain, *counts)

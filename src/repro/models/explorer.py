@@ -5,7 +5,8 @@ costs, and because of the huge parameter space to explore" — the explorer
 enumerates (a, low tree, high tree, domino) for a fixed shape/grid, ranks
 configurations with the cheap three-term model, and can verify the top
 candidates against the event simulator (one
-:func:`~repro.bench.runner.answers` call over the graphs ranked).
+:func:`~repro.bench.runner.answers` call over the picks).  Ranking builds
+no graph: each candidate is predicted from its elimination list.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.bench.runner import answers, compiled_graph_for
+from repro.bench.runner import answers
+from repro.hqr.hierarchy import hqr_elimination_list
 from repro.hqr.config import HQRConfig
 from repro.models.performance import PerformanceModel, Prediction
 from repro.runtime.machine import Machine
@@ -70,16 +72,16 @@ class ConfigExplorer:
     def rank(self, configs=None) -> list[RankedConfig]:
         """Model-predicted ranking, best first.
 
-        Each candidate is predicted from its compiled graph, built or
-        fetched through the graph cache; ties keep enumeration order
-        (stable sort).
+        Each candidate is predicted from its elimination list; no graph
+        is built or cached.  Ties keep enumeration order (stable sort).
         """
         cfgs = list(configs) if configs is not None else list(self.space())
         model = PerformanceModel(self.machine, self.b)
+        m, n = self.m, self.n
         out = [
-            RankedConfig(config=cfg, prediction=model.predict(compiled_graph_for(
-                self.m, self.n, cfg, self.layout, self.machine, self.b
-            )))
+            RankedConfig(config=cfg, prediction=model.predict(
+                hqr_elimination_list(m, n, cfg), m, n, self.layout
+            ))
             for cfg in cfgs
         ]
         out.sort(key=lambda rc: -rc.gflops)
@@ -89,7 +91,7 @@ class ConfigExplorer:
         self, ranked: list[RankedConfig], top: int = 3
     ) -> list[tuple[RankedConfig, float]]:
         """(pick, simulated GF/s) for the ``top`` model picks; a pick whose
-        graph's cache entry remembers its result is answered from there."""
+        cache entry remembers its result is answered from there."""
         picks = ranked[:top]
         got = answers([(self.m, self.n, rc.config, self.layout) for rc in picks],
                       self.machine, self.b, reuse=True)

@@ -9,15 +9,15 @@ This is deliberately an *optimistic* model (each term ignores the others'
 interference), so ``predicted <= simulated`` makespan always holds; across
 configurations the ranking correlates well with the simulator (tested),
 which is what a tuning search needs.  All three terms come from the one
-pass of :func:`repro.models.bounds.graph_bounds` over a compiled graph.
+pass of :func:`repro.models.bounds.list_bound` over an elimination list,
+which builds no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dag.compiled import CompiledGraph
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime.machine import Machine
 from repro.runtime.core import qr_flops
 
@@ -59,17 +59,11 @@ class PerformanceModel:
         self.machine = machine
         self.b = b
 
-    def predict(
-        self,
-        graph: CompiledGraph,
-        M: int | None = None,
-        N: int | None = None,
-    ) -> Prediction:
-        """Predict from a compiled graph (its tasks already placed)."""
+    def predict(self, elims, m: int, n: int, layout) -> Prediction:
+        """Predict the graph an ``m x n``-tile elimination list expands
+        to, its tasks placed by ``layout``."""
         machine, b = self.machine, self.b
-        M = graph.m * b if M is None else M
-        N = graph.n * b if N is None else N
-        gb = graph_bounds([graph], machine, b)[0]
+        gb = list_bound(elims, m, n, layout, machine, b)
         # busiest channel: its distinct messages (one per producer and
         # destination node, as the simulator sends them), each charged the
         # bandwidth term at both endpoints
@@ -83,5 +77,5 @@ class PerformanceModel:
             work_term=gb.work / machine.cores,
             cp_term=gb.plain_critical_path,
             comm_term=comm,
-            flops=qr_flops(M, N),
+            flops=qr_flops(m * b, n * b),
         )

@@ -326,7 +326,7 @@ def derive_run_metrics(
     attribution from its ``kind`` codes; ``coords`` (its
     :func:`~repro.dag.compiled.task_coordinates`) and ``config``
     additionally enable per-hierarchy-level attribution; ``critical_path``
-    (seconds, the graph pass's ``plain_critical_path``) enables the
+    (seconds, the list pass's ``plain_critical_path``) enables the
     critical-path-slack gauges.  All are optional — missing context
     simply skips the derived metric.
     """

@@ -768,27 +768,6 @@ def _refuse(out_rc, nnodes: int, *codes) -> None:
             raise ValueError(f"graph {rcs.index(code)}: {what}")
 
 
-def _c_lower_bound(lib, graphs, machine: Machine, b: int):
-    """``hqr_lower_bound`` over ``graphs`` in one call, GIL-free: per graph
-    a list of six terms (the C comment lists them), and the per-graph
-    channel loads, or ``None`` after an allocation failure.
-    Refuses, with ``ValueError``, what the loop refuses and a graph whose
-    successor edges do not all point forward."""
-    npoints = len(graphs)
-    dur_table, kind, node, _, succ_ptr, succ_idx = _graph_columns(graphs)
-    tables = _address_tables([dur_table, kind, node, succ_ptr, succ_idx])
-    ntasks = (ctypes.c_int64 * npoints)(*[len(k) for k in kind])
-    args = _machine_args(machine, b)
-    out = (ctypes.c_double * (6 * npoints))()
-    out_load, out_rc = _outputs(npoints, ctypes.c_int64, ctypes.c_int32)
-    if lib.hqr_lower_bound(
-        npoints, sim_threads(), ntasks, *tables, *args, out, out_load, out_rc,
-    ):
-        _refuse(out_rc, args[0], (3, "a successor edge that does not point forward"))
-        return None
-    return [out[6 * p : 6 * p + 6] for p in range(npoints)], list(out_load)
-
-
 def _c_answers(lib, questions, machine: Machine, b: int) -> list:
     """``hqr_answer_batch`` over ``(m, n, config, layout)`` questions, one
     GIL-free call that expands, builds and runs each, keeping no graph:

@@ -16,22 +16,25 @@ constraint from the machine description alone:
 4.  **data arrivals** — no task starts before its last input lands (local
     predecessor finish, or the recorded message arrival for cross-node
     edges, which must exist);
-5.  **makespan bound** — the makespan dominates the compiled graph's
-    :func:`~repro.models.bounds.graph_bounds` bound (critical path with
-    link costs, busiest node's work, busiest serialized channel); with
-    the native core, the list pass
-    (:func:`~repro.models.bounds.elimination_bound`) over the
-    eliminations the graph's kill kernels record reads the same node
-    work bitwise and a critical path at most the graph pass's and the
-    makespan;
-6.  **bandwidth bound** — for balanced (cyclic) layouts on more than one
-    node, per-node message volume dominates the communication-avoiding
-    lower bound.
+5.  **makespan bound** — the makespan dominates the
+    :func:`~repro.models.bounds.list_bound` bound (critical path with
+    link costs, busiest node's work, busiest serialized channel) of the
+    elimination list the graph's kill kernels record; with the native
+    core, tune's two-column pass
+    (:func:`~repro.models.bounds.elimination_bound`) over the same list
+    reads the same node work bitwise and a critical path at most the
+    full pass's and the makespan;
+6.  **message accounting** — the run's message count is the comm
+    trace's length and the list pass's count (one message per producer
+    and destination node, read from the list with no event loop), and
+    its bytes are that many tiles; for balanced (cyclic) layouts on more
+    than one node, per-node message volume dominates the
+    communication-avoiding lower bound.
 
 Resource checks compare exact doubles: the oracle re-performs the same
 float operations the engines do (``tile_bytes / bandwidth``, ``depart +
 latency + bwt``), so a violation is a scheduling bug, never rounding.
-The makespan bound takes no slack: the graph pass keeps its own
+The makespan bound takes no slack: the list pass keeps its own
 ``1 - 2**-30`` rounding margin.  Only the bandwidth bound, a formula
 rather than a replay, gets a 1e-9 relative slack.
 """
@@ -44,12 +47,12 @@ from repro.kernels.weights import KernelKind
 from repro.models.bounds import (
     bandwidth_lower_bound_words,
     elimination_bound,
-    graph_bounds,
+    list_bound,
 )
 from repro.runtime.core import SimulationResult
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 from repro.trees.base import EliminationArray
-from repro.verify.reference import TaskGraph, compile_graph
+from repro.verify.reference import TaskGraph
 
 #: relative slack for the bandwidth formula only
 _BOUND_SLACK = 1e-9
@@ -208,15 +211,6 @@ def check_schedule(
         break
 
     # -- 5. makespan lower bound ----------------------------------------- #
-    cg = compile_graph(graph, layout, machine, b)
-    gb = graph_bounds([cg], machine, b)[0]
-    if result.makespan < gb.bound:
-        out.append(
-            OracleViolation(
-                "makespan-bound",
-                f"makespan {result.makespan} beats the lower bound {gb.bound}",
-            )
-        )
     # a kill kernel is its elimination: (panel, victim, killer, ts)
     kill_kinds = (KernelKind.TSQRT, KernelKind.TTQRT)
     kills = [t for t in graph.tasks if t.kind in kill_kinds]
@@ -224,6 +218,14 @@ def check_schedule(
         [t.panel for t in kills], [t.row for t in kills],
         [t.killer for t in kills], [t.kind is KernelKind.TSQRT for t in kills],
     )
+    gb = list_bound(elims, case.m, case.n, layout, machine, b)
+    if result.makespan < gb.bound:
+        out.append(
+            OracleViolation(
+                "makespan-bound",
+                f"makespan {result.makespan} beats the lower bound {gb.bound}",
+            )
+        )
     listed = elimination_bound(elims, case.m, case.n, layout, machine, b)
     if listed is not None:  # None without the native core
         path, work = listed
@@ -231,17 +233,17 @@ def check_schedule(
             out.append(
                 OracleViolation(
                     "list-bound",
-                    f"list pass (path {path}, node work {work}) against "
-                    f"the graph pass (path {gb.critical_path}, node work "
-                    f"{gb.node_work})",
+                    f"two-column pass (path {path}, node work {work}) "
+                    f"against the full pass (path {gb.critical_path}, node "
+                    f"work {gb.node_work})",
                 )
             )
         if result.makespan < path:
             out.append(
                 OracleViolation(
                     "makespan-bound",
-                    f"makespan {result.makespan} beats the list pass's "
-                    f"critical path {path}",
+                    f"makespan {result.makespan} beats the two-column "
+                    f"pass's critical path {path}",
                 )
             )
     if ntasks and result.makespan != max(end):
@@ -260,6 +262,14 @@ def check_schedule(
                 "message-count",
                 f"{result.messages} messages reported, "
                 f"{len(result.comm_trace)} in the comm trace",
+            )
+        )
+    if result.messages != gb.messages:
+        out.append(
+            OracleViolation(
+                "message-count",
+                f"{result.messages} messages reported, {gb.messages} by the "
+                f"list pass",
             )
         )
     if result.bytes_sent != result.messages * tile_bytes:

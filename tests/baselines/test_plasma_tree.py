@@ -49,7 +49,7 @@ class TestPlasmaTree:
         """Small bs -> more parallelism (shorter CP); big bs -> more TS."""
         from repro.dag.compiled import compiled_from_eliminations
         from repro.hqr.stats import kernel_mix
-        from repro.models.bounds import graph_bounds
+        from repro.models.bounds import list_bound
         from repro.runtime import Machine
         from repro.tiles.layout import SingleNode
 
@@ -58,10 +58,9 @@ class TestPlasmaTree:
         m, n = 32, 4
         cp, ts = {}, {}
         for bs in (1, 4, 32):
-            cg = compiled_from_eliminations(
-                plasma_tree(m, n, bs), m, n, SingleNode(), mach, 280
-            )
-            cp[bs] = graph_bounds([cg], mach, 280)[0].plain_critical_path
+            elims = plasma_tree(m, n, bs)
+            cg = compiled_from_eliminations(elims, m, n, SingleNode(), mach, 280)
+            cp[bs] = list_bound(elims, m, n, SingleNode(), mach, 280).plain_critical_path
             ts[bs] = kernel_mix(cg).ts_fraction
         assert cp[1] < cp[32]
         assert ts[1] == 0.0 < ts[4] < ts[32]

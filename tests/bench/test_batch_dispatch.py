@@ -535,8 +535,9 @@ def test_repeated_points_are_simulated_once(batched_path):
 def test_a_sweep_after_ranking_reuses_the_resident_graphs(
     batched_path, monkeypatch
 ):
-    """Graphs the explorer's ranking stored (``compiled_graph_for``) are
-    read by a later sweep, not built again."""
+    """Graphs stored through ``compiled_graph_for`` (no ranking stores one
+    any more; ``tools/loop_ab.py`` does) are read by a later sweep, not
+    built again."""
     from repro.bench import runner
     from repro.dag import compiled
 

@@ -1,5 +1,5 @@
-"""§V's "who is critical-path-bound where", as numbers: the graph bound
-over the simulated makespan on the 72 Figure 6(a) points (EXPERIMENTS.md
+"""§V's "who is critical-path-bound where", as numbers: the list pass's
+bound over the simulated makespan on the 72 Figure 6(a) points (EXPERIMENTS.md
 §"Simulate less" holds the table)."""
 
 import pytest
@@ -8,7 +8,7 @@ from repro._ccore import native_available
 from repro.bench.runner import BenchSetup
 from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime.core import run_core_batch
 
 pytestmark = pytest.mark.skipif(
@@ -26,17 +26,23 @@ def table():
     """(high, a, m) -> (bound / simulated makespan, binding term)."""
     setup = BenchSetup()
     keys = [(h, a, m) for h in HIGH for a in A_VALUES for m in M_VALUES]
-    graphs = [  # built outside the graph cache: freed with the module
-        compiled_from_eliminations(
-            hqr_elimination_list(m, 16, HQRConfig(
-                p=15, q=4, a=a, low_tree="greedy", high_tree=h, domino=False,
-            )),
-            m, 16, setup.layout, setup.machine, setup.b,
-        )
+    lists = [
+        hqr_elimination_list(m, 16, HQRConfig(
+            p=15, q=4, a=a, low_tree="greedy", high_tree=h, domino=False,
+        ))
         for h, a, m in keys
     ]
+    graphs = [  # built outside the graph cache: freed with the module
+        compiled_from_eliminations(
+            elims, m, 16, setup.layout, setup.machine, setup.b
+        )
+        for elims, (_, _, m) in zip(lists, keys)
+    ]
     results = run_core_batch(graphs, setup.machine, setup.b)
-    bounds = graph_bounds(graphs, setup.machine, setup.b)
+    bounds = [
+        list_bound(elims, m, 16, setup.layout, setup.machine, setup.b)
+        for elims, (_, _, m) in zip(lists, keys)
+    ]
     for gb, res in zip(bounds, results):
         assert gb.bound <= res.makespan
     return {

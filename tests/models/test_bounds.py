@@ -3,10 +3,10 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import bandwidth_lower_bound_words
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
 
@@ -16,8 +16,10 @@ def graph(m, n, cfg=None):
     return TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
 
 
-def bounds(g, mach, b):
-    return graph_bounds([compile_graph(g, SingleNode(), mach, b)], mach, b)[0]
+def bounds(m, n, cfg, mach, b, lay=None):
+    """The list pass over ``cfg``'s list, on one node unless ``lay``."""
+    elims = hqr_elimination_list(m, n, cfg or HQRConfig(p=3, a=2))
+    return list_bound(elims, m, n, lay or SingleNode(), mach, b)
 
 
 class TestSchedulingBounds:
@@ -29,25 +31,23 @@ class TestSchedulingBounds:
         mach = Machine(nodes=nodes, cores_per_node=cores)
         lay = Cyclic1D(nodes)
         res = ClusterSimulator(mach, lay, b).run(g)
-        assert res.makespan >= graph_bounds(
-            [compile_graph(g, lay, mach, b)], mach, b
-        )[0].bound
+        assert res.makespan >= bounds(m, n, None, mach, b, lay).bound
 
     def test_cp_decreasing_in_parallel_trees(self):
         b = 40
         mach = Machine.edel()
-        flat = graph(32, 4, HQRConfig(p=1, a=1, low_tree="flat", domino=False))
-        greedy = graph(32, 4, HQRConfig(p=1, a=1, low_tree="greedy", domino=False))
-        cp = bounds(greedy, mach, b).plain_critical_path
-        assert cp < bounds(flat, mach, b).plain_critical_path
+        flat = HQRConfig(p=1, a=1, low_tree="flat", domino=False)
+        greedy = HQRConfig(p=1, a=1, low_tree="greedy", domino=False)
+        cp = bounds(32, 4, greedy, mach, b).plain_critical_path
+        assert cp < bounds(32, 4, flat, mach, b).plain_critical_path
 
     def test_work_independent_of_tree(self):
         """Same shape, different trees — total seconds differ only through
         the TS/TT kernel mix, never by more than the rate ratio."""
         b = 40
         mach = Machine.edel()
-        w1 = bounds(graph(16, 8, HQRConfig(p=2, a=1)), mach, b).work
-        w2 = bounds(graph(16, 8, HQRConfig(p=2, a=8)), mach, b).work
+        w1 = bounds(16, 8, HQRConfig(p=2, a=1), mach, b).work
+        w2 = bounds(16, 8, HQRConfig(p=2, a=8), mach, b).work
         ratio = mach.rates.ts_rate / mach.rates.tt_rate
         assert 1 / ratio <= w1 / w2 <= ratio * 1.01
 

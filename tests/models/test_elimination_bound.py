@@ -1,7 +1,7 @@
-"""The bound read from an elimination list (``hqr_build_dag``'s bound mode):
+"""Tune's bound read from an elimination list (``hqr_build_dag``'s mode 2):
 exactly the two-column subgraph's longest path, admissible with no
-tolerance, equal to the graph pass on the benchmark's shapes, and refusing
-what the builder refuses."""
+tolerance, equal to the full pass (``list_bound``) on the benchmark's
+shapes, and refusing what the builder refuses, as the full pass does."""
 
 import random
 
@@ -10,9 +10,9 @@ import pytest
 from repro._ccore import native_available
 from repro.bench.runner import BenchSetup
 from repro.verify.reference import TaskGraph, compile_graph
-from repro.dag.compiled import compiled_from_eliminations, task_coordinates
+from repro.dag.compiled import task_coordinates
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models.bounds import elimination_bound, graph_bounds
+from repro.models.bounds import elimination_bound, list_bound
 from repro.runtime.core import _machine_params, run_core
 from repro.runtime.machine import Machine
 from repro.tiles.layout import BlockCyclic2D
@@ -28,7 +28,7 @@ TREES = ("flat", "binary", "greedy", "fibonacci")
 
 
 def subgraph_bound(cg, elims, machine, b):
-    """The oracle: the graph pass (``_graph_bound_py``) restricted to every
+    """The oracle: the graph walk (``_graph_bound_py``) restricted to every
     factorization kernel and every update of the column next to its panel
     (``task_coordinates``), over the graph's own edges between them; node
     work over every task.  ``(critical_path, node_work)``."""
@@ -71,7 +71,7 @@ def verify_cases():
 def test_the_subgraph_bound_never_exceeds_the_makespan(core):
     """Site networks, unserialized channels, the ideal machine, priorities
     and data reuse: the bound mode is the oracle bit for bit, its node work
-    is the graph pass's, its path is at most the graph pass's, and
+    is the full pass's, its path is at most the full pass's, and
     ``max(path, node work) <= makespan`` with no tolerance."""
     for case, machine in verify_cases():
         elims = hqr_elimination_list(case.m, case.n, case.config())
@@ -81,7 +81,7 @@ def test_the_subgraph_bound_never_exceeds_the_makespan(core):
             elims, case.m, case.n, case.layout(), machine, case.b
         )
         assert (cp, node_work) == subgraph_bound(cg, elims, machine, case.b)
-        gb = graph_bounds([cg], machine, case.b)[0]
+        gb = list_bound(elims, case.m, case.n, case.layout(), machine, case.b)
         assert node_work == gb.node_work and cp <= gb.critical_path
         makespan = run_core(
             cg, machine, case.b, prio=_simulator(case, graph).priority_values(graph),
@@ -132,7 +132,7 @@ def tune_neighbours():
 @pytest.mark.parametrize("points", ["figure6", "serve_cold", "tune"])
 def test_the_path_is_the_graph_pass_on_the_benchmark_shapes(points):
     """Where the repository benchmark bounds, a longest path stays in the
-    two columns: the bound mode's terms are the graph pass's, bitwise."""
+    two columns: the bound mode's terms are the full pass's, bitwise."""
     setup = BenchSetup()
     if points == "tune":
         shapes = tune_neighbours()
@@ -142,11 +142,9 @@ def test_the_path_is_the_graph_pass_on_the_benchmark_shapes(points):
         shapes = [(m, n, cfg, setup.layout) for m, n, cfg in chosen]
     for m, n, cfg, layout in shapes:
         elims = hqr_elimination_list(m, n, cfg)
-        cg = compiled_from_eliminations(elims, m, n, layout, setup.machine, setup.b)
-        gb = graph_bounds([cg], setup.machine, setup.b)[0]
+        gb = list_bound(elims, m, n, layout, setup.machine, setup.b)
         cp, node_work = elimination_bound(elims, m, n, layout, setup.machine, setup.b)
         assert (cp, node_work) == (gb.critical_path, gb.node_work), (m, n, cfg)
-        del cg
 
 
 @needs_native
@@ -156,18 +154,19 @@ def test_an_elimination_outside_the_matrix_is_refused():
     assert elimination_bound(elims, 6, 3, layout, machine, 16) is not None
     for panel, victim, killer in ((0, 6, 0), (3, 4, 3), (0, 1, 7), (-1, 0, 1)):
         bad = EliminationArray([panel], [victim], [killer], [1])
-        with pytest.raises(ValueError, match="outside 6 x 3 tiles"):
-            elimination_bound(bad, 6, 3, layout, machine, 16)
+        for bound in (elimination_bound, list_bound):
+            with pytest.raises(ValueError, match="outside 6 x 3 tiles"):
+                bound(bad, 6, 3, layout, machine, 16)
 
 
 @needs_native
 def test_an_owner_outside_the_machine_is_refused():
     """A 3 x 2 grid needs six nodes: on four, tiles land on nodes 4 and 5."""
     elims = hqr_elimination_list(6, 3, HQRConfig(p=3))
-    with pytest.raises(ValueError, match=r"owner outside \[0, 4\)"):
-        elimination_bound(
-            elims, 6, 3, BlockCyclic2D(3, 2), Machine(nodes=4, cores_per_node=2), 16
-        )
+    machine = Machine(nodes=4, cores_per_node=2)
+    for bound in (elimination_bound, list_bound):
+        with pytest.raises(ValueError, match=r"owner outside \[0, 4\)"):
+            bound(elims, 6, 3, BlockCyclic2D(3, 2), machine, 16)
 
 
 def test_no_bound_without_the_native_core(no_native):

@@ -1,19 +1,15 @@
-"""The one-pass graph bound: admissible with no tolerance, exact where it
-must be, and refusing what the event loop refuses."""
+"""The one-pass bound of an elimination list: admissible with no
+tolerance, exact where it must be, the same with and without the native
+core, and counting the messages the event loop sends."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro._ccore import native_available
+from repro.bench.runner import BenchSetup
+from repro.dag.compiled import compiled_from_eliminations
 from repro.verify.reference import TaskGraph, compile_graph
-from repro.hqr import hqr_elimination_list
-from repro.models.bounds import (
-    GraphBound,
-    _graph_bound_py,
-    graph_bounds,
-)
+from repro.hqr import HQRConfig, hqr_elimination_list
+from repro.models.bounds import GraphBound, _graph_bound_py, list_bound
 from repro.runtime.core import run_core
 from repro.runtime.machine import Machine
 from repro.verify.engines import _simulator
@@ -42,11 +38,11 @@ def critical_path_seconds(graph, machine, b):
 
 
 def compiled(case, machine=None):
-    graph = TaskGraph.from_eliminations(
-        hqr_elimination_list(case.m, case.n, case.config()), case.m, case.n
-    )
+    """The case's list, its object graph, that graph compiled, the machine."""
+    elims = hqr_elimination_list(case.m, case.n, case.config())
+    graph = TaskGraph.from_eliminations(elims, case.m, case.n)
     machine = machine or case.machine()
-    return graph, compile_graph(graph, case.layout(), machine, case.b), machine
+    return elims, graph, compile_graph(graph, case.layout(), machine, case.b), machine
 
 
 def verify_cases():
@@ -60,14 +56,14 @@ def verify_cases():
 
 @pytest.mark.parametrize("core", CORES)
 def test_bound_never_exceeds_the_simulated_makespan(core):
-    """Site networks, unserialized channels, the ideal machine,
-    priorities and data reuse: ``bound <= makespan`` with no tolerance,
-    and the native pass is the Python pass bit for bit."""
+    """Site networks, unserialized channels, the ideal machine and
+    priorities: ``bound <= makespan`` with no tolerance, and the list pass
+    is the Python walk of the object graph's compiled form bit for bit."""
     checked = 0
     for case, machine in verify_cases():
-        graph, cg, machine = compiled(case, machine)
+        elims, graph, cg, machine = compiled(case, machine)
         sim = _simulator(case, graph)
-        gb = graph_bounds([cg], machine, case.b)[0]
+        gb = list_bound(elims, case.m, case.n, case.layout(), machine, case.b)
         assert gb == _graph_bound_py(cg, machine, case.b), case.describe()
         makespan = run_core(
             cg, machine, case.b, prio=sim.priority_values(graph),
@@ -79,12 +75,13 @@ def test_bound_never_exceeds_the_simulated_makespan(core):
 
 
 def test_object_quantities_are_reproduced_bit_for_bit():
-    """Total work and the plain critical path are the object walkers'
-    numbers; on the ideal machine (no latency, no bandwidth term) the
-    communication-aware critical path is the plain one."""
+    """Total work and the plain critical path of the list pass are the
+    object walkers' numbers; on the ideal machine (no latency, no
+    bandwidth term) the communication-aware critical path is the plain
+    one."""
     for case, machine in verify_cases():
-        graph, cg, machine = compiled(case, machine)
-        gb = graph_bounds([cg], machine, case.b)[0]
+        elims, graph, _, machine = compiled(case, machine)
+        gb = list_bound(elims, case.m, case.n, case.layout(), machine, case.b)
         cp = critical_path_seconds(graph, machine, case.b)
         assert gb.work == work_seconds(graph, machine, case.b)
         assert gb.plain_critical_path == cp
@@ -92,55 +89,30 @@ def test_object_quantities_are_reproduced_bit_for_bit():
             assert gb.critical_path == cp
 
 
-def test_batch_equals_one_by_one():
-    machine = Machine(nodes=6, cores_per_node=2, site_size=2)
-    graphs = [
-        compile_graph(compiled(case)[0], case.layout(), machine, 40)
-        for case, _ in verify_cases()
-        if case.nodes <= 6
-    ][:24]
-    batch = graph_bounds(graphs, machine, 40)
-    assert batch == [graph_bounds([g], machine, 40)[0] for g in graphs]
-
-
-def test_binding_term_is_named():
-    gb = GraphBound(1.0, 2.0, 0.5, 9.0, 0.9, 3)
-    assert gb.bound == 2.0 and gb.binding == "node-work"
-
-
-@pytest.fixture
-def small():
-    case = next(c for c, _ in verify_cases() if c.nodes > 1)
-    return compiled(case)[1:] + (case.b,)
-
-
-@pytest.mark.parametrize("field,value", [("kind", 6), ("node", -1)])
-def test_bad_kind_or_node_is_refused(small, field, value):
-    cg, machine, b = small
-    arr = np.array(getattr(cg, field))
-    arr[len(arr) // 2] = value
-    bad = dataclasses.replace(cg, **{field: arr})
-    with pytest.raises(ValueError, match="kind outside"):
-        graph_bounds([bad], machine, b)
-    with pytest.raises(ValueError, match="kind outside"):
-        _graph_bound_py(bad, machine, b)
-
-
-def test_edge_not_pointing_forward_is_refused(small):
-    cg, machine, b = small
-    succ_idx = np.array(cg.succ_idx)
-    succ_idx[np.argmax(np.diff(cg.succ_ptr) > 0)] = 0
-    bad = dataclasses.replace(cg, succ_idx=succ_idx)
-    with pytest.raises(ValueError, match="point forward"):
-        graph_bounds([bad], machine, b)
-    with pytest.raises(ValueError, match="point forward"):
-        _graph_bound_py(bad, machine, b)
+@pytest.mark.parametrize(
+    "core", ("native", "python") if native_available() else ("python",)
+)
+def test_the_list_pass_is_the_graph_walk_on_every_verify_case(core, request):
+    """On every ``repro verify --seed 0 --budget 200`` case the list pass
+    equals the Python walk of the built graph in every field, and its
+    message count is the simulator's: the native full mode with the native
+    core, the Python builder and walk without it."""
+    if core == "python":
+        request.getfixturevalue("no_native")
+    checked = 0
+    for case in generate_cases(0, 200):
+        machine, layout = case.machine(), case.layout()
+        elims = hqr_elimination_list(case.m, case.n, case.config())
+        cg = compiled_from_eliminations(elims, case.m, case.n, layout, machine, case.b)
+        gb = list_bound(elims, case.m, case.n, layout, machine, case.b)
+        assert gb == _graph_bound_py(cg, machine, case.b), case.describe()
+        assert gb.messages == run_core(cg, machine, case.b).result.messages
+        checked += 1
+    assert checked == 200
 
 
 def figure6_points():
     """Figure 6(a): low tree greedy, no domino, 16 tile columns."""
-    from repro.hqr import HQRConfig
-
     for high in ("greedy", "binary", "flat", "fibonacci"):
         for a in (1, 4, 8):
             for m in (16, 32, 64, 128, 256, 512):
@@ -150,37 +122,18 @@ def figure6_points():
                 )
 
 
-@pytest.mark.skipif(not native_available(), reason="the full mode is native")
-@pytest.mark.parametrize("points", ["verify", "figure6"])
-def test_the_list_pass_is_the_graph_pass(points):
-    """The full mode of the elimination-list pass reads the graph pass's
-    critical path, node work, work, plain critical path and channel load
-    bitwise on every ``repro verify --seed 0 --budget 200`` case and the 72
-    Figure 6(a) points (the channel term sums by count, not by producer)."""
-    from repro.bench.runner import BenchSetup
-    from repro.dag.compiled import compiled_from_eliminations
-    from repro.models.bounds import list_bound
+def test_the_list_pass_counts_figure6s_messages():
+    """The 72 Figure 6(a) points send 909,064 messages as the simulator
+    counts them, one per producer and destination node."""
+    setup = BenchSetup()
+    total = sum(
+        list_bound(hqr_elimination_list(m, n, cfg), m, n, setup.layout,
+                   setup.machine, setup.b).messages
+        for m, n, cfg in figure6_points()
+    )
+    assert total == 909_064
 
-    if points == "verify":
-        shapes = [
-            (c.m, c.n, c.config(), c.layout(), c.machine(), c.b)
-            for c in generate_cases(0, 200)
-        ]
-    else:
-        setup = BenchSetup()
-        shapes = [
-            (m, n, cfg, setup.layout, setup.machine, setup.b)
-            for m, n, cfg in figure6_points()
-        ]
-    fields = ("critical_path", "node_work", "work", "plain_critical_path",
-              "channel_load")
-    for m, n, cfg, layout, machine, b in shapes:
-        elims = hqr_elimination_list(m, n, cfg)
-        cg = compiled_from_eliminations(elims, m, n, layout, machine, b)
-        graph, listed = graph_bounds([cg], machine, b)[0], list_bound(
-            elims, m, n, layout, machine, b
-        )
-        assert [getattr(listed, f) for f in fields] == [
-            getattr(graph, f) for f in fields
-        ], (m, n, cfg)
-    assert len(shapes) in (200, 72)
+
+def test_binding_term_is_named():
+    gb = GraphBound(1.0, 2.0, 0.5, 9.0, 0.9, 3, 4)
+    assert gb.bound == 2.0 and gb.binding == "node-work"

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro._ccore import native_available
 from repro.verify.reference import ClusterSimulator, TaskGraph
-from repro.dag.compiled import compiled_from_eliminations
 from repro.hqr import HQRConfig, hqr_elimination_list
 from repro.models import ConfigExplorer, PerformanceModel
 from repro.runtime import Machine
@@ -17,9 +17,10 @@ def graph(m, n, cfg):
     return TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
 
 
-def compiled(m, n, cfg, mach, lay):
-    elims = hqr_elimination_list(m, n, cfg)
-    return compiled_from_eliminations(elims, m, n, lay, mach, B)
+def predict(m, n, cfg, mach, lay):
+    return PerformanceModel(mach, B).predict(
+        hqr_elimination_list(m, n, cfg), m, n, lay
+    )
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +32,13 @@ class TestPrediction:
     def test_model_is_optimistic(self, setup):
         """predicted makespan <= simulated makespan, always."""
         mach, lay = setup
-        model = PerformanceModel(mach, B)
         sim = ClusterSimulator(mach, lay, B)
         for m, n, cfg in [
             (64, 16, HQRConfig(p=15, q=4, a=4)),
             (32, 32, HQRConfig(p=15, q=4, a=4, domino=False)),
             (128, 8, HQRConfig(p=15, q=4, a=1, low_tree="flat")),
         ]:
-            pred = model.predict(compiled(m, n, cfg, mach, lay))
+            pred = predict(m, n, cfg, mach, lay)
             res = sim.run(graph(m, n, cfg))
             assert pred.makespan <= res.makespan * 1.0001
             # and not absurdly loose
@@ -47,27 +47,22 @@ class TestPrediction:
     def test_binding_term_tall_skinny_is_cp(self, setup):
         """Very tall-skinny with a serial flat tree is critical-path-bound."""
         mach, lay = setup
-        model = PerformanceModel(mach, B)
-        g = compiled(256, 4, HQRConfig(p=15, q=4, a=1, low_tree="flat",
-                                       high_tree="flat", domino=False), mach, lay)
-        assert model.predict(g).binding == "critical-path"
+        cfg = HQRConfig(p=15, q=4, a=1, low_tree="flat", high_tree="flat",
+                        domino=False)
+        assert predict(256, 4, cfg, mach, lay).binding == "critical-path"
 
     def test_binding_term_square_is_work(self, setup):
         """Square matrices with the paper's square settings (no domino —
         its serial coupling chain would otherwise stretch the critical
         path) are throughput-bound."""
         mach, lay = setup
-        model = PerformanceModel(mach, B)
-        g = compiled(96, 96, HQRConfig(p=15, q=4, a=4, low_tree="greedy",
-                                       high_tree="flat", domino=False), mach, lay)
-        assert model.predict(g).binding == "work"
+        cfg = HQRConfig(p=15, q=4, a=4, low_tree="greedy", high_tree="flat",
+                        domino=False)
+        assert predict(96, 96, cfg, mach, lay).binding == "work"
 
     def test_gflops_positive(self, setup):
         mach, lay = setup
-        pred = PerformanceModel(mach, B).predict(
-            compiled(16, 8, HQRConfig(p=15, q=4), mach, lay)
-        )
-        assert pred.gflops > 0
+        assert predict(16, 8, HQRConfig(p=15, q=4), mach, lay).gflops > 0
 
 
 class TestExplorer:
@@ -106,17 +101,14 @@ class TestExplorer:
         for rc, gf in verified:
             assert gf > 0
 
-    def test_verify_builds_nothing_the_ranking_built(self, setup, monkeypatch):
-        """The ranking keeps its graphs (predict, then verify): verifying
-        its picks simulates them without building any graph again."""
+    def test_ranking_keeps_no_graph(self, setup, monkeypatch):
+        """The ranking predicts each candidate from its elimination list:
+        it stores no graph, and with the native core neither it nor the
+        verification of its picks (one native call) builds one."""
         import repro.dag.cache as cache_mod
         import repro.dag.compiled as compiled_mod
 
         monkeypatch.setattr(cache_mod, "_default", cache_mod.CompiledGraphCache())
-        mach, lay = setup
-        exp = ConfigExplorer(32, 8, mach, lay, B, grid_p=15, grid_q=4)
-        ranked = exp.rank(list(exp.space(a_values=(1, 4), trees=("greedy",),
-                                         dominos=(False,))))
         builds = []
         real = compiled_mod.compiled_from_eliminations
 
@@ -125,6 +117,12 @@ class TestExplorer:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(compiled_mod, "compiled_from_eliminations", counted)
+        mach, lay = setup
+        exp = ConfigExplorer(32, 8, mach, lay, B, grid_p=15, grid_q=4)
+        ranked = exp.rank(list(exp.space(a_values=(1, 4), trees=("greedy",),
+                                         dominos=(False,))))
+        assert cache_mod.default_cache().stats()["store"] == 0
         verified = exp.verify(ranked, top=2)
-        assert builds == []
         assert len(verified) == 2
+        if native_available():
+            assert builds == []

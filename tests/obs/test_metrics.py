@@ -6,7 +6,7 @@ from repro.bench.runner import BenchSetup
 from repro.dag.compiled import compiled_from_eliminations, task_coordinates
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -141,8 +141,10 @@ class TestDerivation:
 
     def test_makespan_and_critical_path(self):
         setup, cfg, _, res, graph, _ = self.recorded()
-        mach, b = setup.machine, setup.b
-        cp = graph_bounds([graph], mach, b)[0].plain_critical_path
+        elims = hqr_elimination_list(graph.m, graph.n, cfg)
+        cp = list_bound(
+            elims, graph.m, graph.n, setup.layout, setup.machine, setup.b
+        ).plain_critical_path
         reg = derive_run_metrics(res, graph, critical_path=cp)
         assert reg["repro_makespan_seconds"].value() == pytest.approx(
             res.makespan

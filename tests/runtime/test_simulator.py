@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines.bbd10 import bbd10_elimination_list
-from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime import Machine
 from repro.runtime.core import qr_flops
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D, SingleNode
@@ -37,7 +37,9 @@ class TestLowerBounds:
         mach = Machine.edel()
         lay = BlockCyclic2D(3, 2)
         res = ClusterSimulator(mach, lay, b).run(g)
-        bound = graph_bounds([compile_graph(g, lay, mach, b)], mach, b)[0].bound
+        cfg = HQRConfig(p=3, a=2, low_tree="greedy", high_tree="binary")
+        elims = hqr_elimination_list(m, n, cfg)
+        bound = list_bound(elims, m, n, lay, mach, b).bound
         assert res.makespan >= bound
 
     def test_work_bound(self):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.verify.reference import ClusterSimulator, TaskGraph, compile_graph
+from repro.verify.reference import ClusterSimulator, TaskGraph
 from repro.hqr import HQRConfig, hqr_elimination_list
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime import Machine
 from repro.tiles.layout import BlockCyclic2D, Cyclic1D
 
@@ -32,14 +32,13 @@ configs = st.builds(
 )
 def test_simulation_respects_bounds_and_conserves_work(m, n, cfg, nodes, cores):
     b = 40
-    g = TaskGraph.from_eliminations(hqr_elimination_list(m, n, cfg), m, n)
+    elims = hqr_elimination_list(m, n, cfg)
+    g = TaskGraph.from_eliminations(elims, m, n)
     mach = Machine(nodes=nodes, cores_per_node=cores)
     lay = Cyclic1D(nodes)
     res = ClusterSimulator(mach, lay, b).run(g)
-    # 1. no schedule beats the graph pass's bound
-    assert res.makespan >= graph_bounds(
-        [compile_graph(g, lay, mach, b)], mach, b
-    )[0].bound
+    # 1. no schedule beats the list pass's bound
+    assert res.makespan >= list_bound(elims, m, n, lay, mach, b).bound
     # 2. work conservation: busy time equals the sum of kernel durations
     work = sum(mach.task_seconds(t.kind, b) for t in g.tasks)
     assert res.busy_seconds == pytest.approx(work)

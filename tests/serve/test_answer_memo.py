@@ -1,8 +1,8 @@
 """The planner's answer memo: a repeated question is one lookup on its
 cache entry, and the stored answer lives exactly as long as the entry
 does.  The entry keeps no graph the planner built for it: a graph stays
-resident only when something else (the explorer's ranking, through
-``compiled_graph_for``) stored it."""
+resident only when something else stored it through
+``compiled_graph_for``, as ``tools/loop_ab.py`` does."""
 
 import dataclasses
 import threading
@@ -85,7 +85,7 @@ def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
     compiled_graph_for(
         req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
         service.setup.machine, service.setup.b,
-    )  # the explorer's ranking, say: stores the graph, simulates nothing
+    )  # stores the graph, simulates nothing
     assert simulations == []
     assert cache.answer(cache_mod.fingerprint(
         req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),

@@ -5,16 +5,15 @@ and the pure trees' order in seconds.
 the low-level-tree results with [1]'s asymptotic estimates for an
 ``m' x n`` (local) tile matrix: flat ``~ m' + 2n``, greedy
 ``~ log2(m') + 2n``.  ``coarse_schedule`` (and the global GREEDY's own
-steps) is the exact unit-time critical path they estimate; the graph pass
-(``graph_bounds``) is the one in seconds, with the kernels' weights.
+steps) is the exact unit-time critical path they estimate; the list pass
+(``list_bound``) is the one in seconds, with the kernels' weights.
 """
 
 import math
 
 import pytest
 
-from repro.dag.compiled import compiled_from_eliminations
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.runtime.machine import Machine
 from repro.tiles.layout import SingleNode
 from repro.trees import (
@@ -121,13 +120,9 @@ def seconds(p, q):
         "flat TS": panel_elimination_list(p, q, FlatTree(), ts=True),
     }
     mach = Machine.ideal(nodes=1)
-    cgs = [
-        compiled_from_eliminations(e, p, q, SingleNode(), mach, 280)
-        for e in lists.values()
-    ]
     return {
-        name: gb.critical_path
-        for name, gb in zip(lists, graph_bounds(cgs, mach, 280))
+        name: list_bound(e, p, q, SingleNode(), mach, 280).critical_path
+        for name, e in lists.items()
     }
 
 

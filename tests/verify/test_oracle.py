@@ -9,9 +9,9 @@ import dataclasses
 
 import pytest
 
-from repro.verify.reference import TaskGraph, compile_graph
+from repro.verify.reference import TaskGraph
 from repro.hqr.hierarchy import hqr_elimination_list
-from repro.models.bounds import graph_bounds
+from repro.models.bounds import list_bound
 from repro.verify.engines import core_engine
 from repro.verify.generator import VerifyCase
 from repro.verify.oracle import check_schedule
@@ -157,17 +157,32 @@ def test_bandwidth_bound_fires_when_strictly_positive():
 
 
 def test_makespan_bound_counts_the_links(base):
-    """The bound is the compiled graph pass's, with no slack: a makespan
-    that clears ``max(work / cores, plain critical path)`` but not the
-    link costs on the critical path is caught."""
+    """The bound is the list pass's, with no slack: a makespan that clears
+    ``max(work / cores, plain critical path)`` but not the link costs on
+    the critical path is caught."""
     case, graph, result = base
     machine = case.machine()
-    cg = compile_graph(graph, case.layout(), machine, case.b)
-    gb = graph_bounds([cg], machine, case.b)[0]
+    elims = hqr_elimination_list(case.m, case.n, case.config())
+    gb = list_bound(elims, case.m, case.n, case.layout(), machine, case.b)
     plain = max(gb.work / machine.cores, gb.plain_critical_path)
     assert plain < gb.bound <= result.makespan
     between = dataclasses.replace(result, makespan=(plain + gb.bound) / 2)
     assert "makespan-bound" in fired(case, graph, between)
+
+
+def test_a_message_count_the_list_pass_does_not_reach_is_caught(base):
+    """A run that reports one message more, with a comm trace and bytes
+    that agree with it, is caught by the list pass's count alone."""
+    case, graph, result = base
+    extra = dataclasses.replace(
+        result, messages=result.messages + 1,
+        comm_trace=[*result.comm_trace, result.comm_trace[-1]],
+        bytes_sent=result.bytes_sent + case.machine().tile_bytes(case.b),
+    )
+    violations = check_schedule(case, graph, extra)
+    assert [v.detail for v in violations if v.invariant == "message-count"] == [
+        f"{extra.messages} messages reported, {result.messages} by the list pass"
+    ]
 
 
 def test_zero_message_tiny_case_is_legal():
