@@ -455,8 +455,8 @@ static void finish_successors(
  * the subgraph when that task is still the tile's last writer.
  *
  * With mode == 3 the subgraph is the whole graph, and out (3 + 3 nnodes
- * doubles) also holds, after mode 2's entries: the longest path with no
- * communication, the total work (both summed in program order), then per
+ * doubles) also holds, after mode 2's entries: the total work and the
+ * longest path with no communication (both in program order), then per
  * node the messages it sends or receives within its site, then across
  * sites - the loop's messages, one per producer and destination node.
  * The edges come by consumer, so a producer's destinations are told
@@ -498,8 +498,8 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
     int32_t home = 0;  /* bound: its node */
     int keep = 0;      /* bound: it is in the subgraph */
     double ready = 0.0, cp = 0.0;  /* bound: its latest input, the path */
-    double plain = 0.0, cp_plain = 0.0, total = 0.0;  /* full: the same
-                                  with no communication, the work */
+    /* full: the same two with no communication, and the total work */
+    double plain = 0.0, cp_plain = 0.0, total = 0.0;
     int32_t *pred_idx = NULL, *stamp = NULL;
     struct { double end; int32_t node, by; } *mark = NULL;
     /* full, per tile: its last writer's end with no communication, the
@@ -737,8 +737,8 @@ static inline __attribute__((always_inline)) int64_t emit_dag(
     if (bound)
         out[0] = cp;
     if (full) {
-        out[1 + nnodes] = cp_plain;
-        out[2 + nnodes] = total;
+        out[1 + nnodes] = total;
+        out[2 + nnodes] = cp_plain;
     }
     if (!write) {
         rc = ne;

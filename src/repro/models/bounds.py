@@ -125,7 +125,7 @@ def list_bound(elims, m: int, n: int, layout, machine: Machine, b: int) -> Graph
     nn = machine.nodes
     out, size = _list_pass(lib, 3, elims, m, n, layout, machine, b)
     return _terms(
-        machine, b, size, out[0], out[1 : nn + 1], out[nn + 2], out[nn + 1],
+        machine, b, size, out[0], out[1 : nn + 1], *out[nn + 1 : nn + 3],
         out[nn + 3 : 2 * nn + 3], out[2 * nn + 3 : 3 * nn + 3],
     )
 

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from repro.bench.runner import answers
-from repro.hqr.hierarchy import hqr_elimination_list
 from repro.hqr.config import HQRConfig
+from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.performance import PerformanceModel, Prediction
 from repro.runtime.machine import Machine
 from repro.tiles.layout import Layout

@@ -169,6 +169,14 @@ def test_an_owner_outside_the_machine_is_refused():
             bound(elims, 6, 3, BlockCyclic2D(3, 2), machine, 16)
 
 
+def test_an_owner_outside_the_machine_is_refused_without_the_native_core(no_native):
+    """The Python walk behind ``list_bound`` refuses it as the full mode does."""
+    elims = hqr_elimination_list(6, 3, HQRConfig(p=3))
+    machine = Machine(nodes=4, cores_per_node=2)
+    with pytest.raises(ValueError, match=r"owner outside \[0, 4\)"):
+        list_bound(elims, 6, 3, BlockCyclic2D(3, 2), machine, 16)
+
+
 def test_no_bound_without_the_native_core(no_native):
     elims = hqr_elimination_list(6, 3, HQRConfig(p=2))
     machine = Machine(nodes=4, cores_per_node=2)
