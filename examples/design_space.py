@@ -14,7 +14,7 @@ from repro.models import ConfigExplorer
 from repro.runtime import Machine
 from repro.runtime.executor import numeric_graph
 from repro.tiles.layout import BlockCyclic2D
-from repro.viz import parallelism_profile, render_parallelism_profile
+from viz import parallelism_profile, render_parallelism_profile
 
 
 def main() -> None:

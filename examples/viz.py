@@ -1,8 +1,10 @@
-"""Parallelism profiles and their rendering.
+"""Terminal pictures of a task graph: parallelism profiles and sparklines.
 
 The profile (tasks eligible per unit step, :func:`parallelism_profile`)
 shows a tree's pipeline behaviour at a glance: flat trees ramp up one task
 at a time, greedy fans out immediately — §III-B's discussion as a picture.
+Everything renders to plain text.  ``design_space.py`` prints it; this
+module is imported by that example, not run.
 """
 
 from __future__ import annotations

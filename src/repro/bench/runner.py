@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro import _ccore
-from repro.dag.cache import default_cache, fingerprint
+from repro.dag.cache import default_cache, fingerprint, fingerprints
 from repro.hqr.config import HQRConfig
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.obs.tracing import Span, current_span, current_trace, span
@@ -133,25 +134,31 @@ def compiled_graph_for(
 def _ask(questions, machine: Machine, b: int, reuse: bool):
     """Lookup: ``out``, ``(result, resident, remembered)`` per question
     (``result`` ``None`` until answered), and ``asked``, ``(key or None,
-    question, indices)`` per distinct unanswered question; with ``reuse``
-    one fingerprint and one ``answer`` call a question."""
+    question, indices)`` per distinct unanswered question.  With ``reuse``
+    the batch is keyed in one :func:`~repro.dag.cache.fingerprints` pass
+    and probed in one locked :meth:`~repro.dag.cache.CompiledGraphCache.answer`
+    call; a ``cache`` span covers both only when a trace is attached."""
+    keys = [None] * len(questions)
+    found = [(False, None)] * len(questions)
+    if reuse:
+        traced = current_trace() is not None
+        with span("cache") if traced else nullcontext() as sp:
+            keys = fingerprints(questions, machine, b)
+            found = default_cache().answer(keys)
+            if sp is not None and len(found) == 1:
+                sp.attrs.update(hit=found[0][0], answer=found[0][1] is not None)
+            elif sp is not None:
+                sp.attrs.update(
+                    questions=len(found),
+                    hits=sum(resident for resident, _ in found),
+                    answers=sum(result is not None for _, result in found),
+                )
     out, asked, first = [], [], {}
-    for m, n, config, layout in questions:
-        key, resident, result = None, False, None
-        if reuse:
-            with span("cache") as sp:
-                try:
-                    key = fingerprint(m, n, config, layout, machine, b)
-                except TypeError:
-                    pass  # no stable key: no entry to ask or to tell
-                else:
-                    resident, result = default_cache().answer(key)
-                    if sp is not None:
-                        sp.attrs.update(hit=resident, answer=result is not None)
+    for question, key, (resident, result) in zip(questions, keys, found):
         if result is None:  # a repeated key joins its first copy
             idx = first.setdefault(key, []) if key else []
             if not idx:
-                asked.append((key, (m, n, config, layout), idx))
+                asked.append((key, question, idx))
             idx.append(len(out))
         out.append((result, resident, result is not None))
     return out, asked
@@ -181,8 +188,8 @@ def _answer(asked, machine: Machine, b: int, out) -> None:
     from repro.runtime.core import _c_answers, run_core
 
     lib, todo = _ccore.get_lib(), []
-    for key, question, idx in asked:
-        got = default_cache().answer(key, count=False)[1] if key else None
+    found = default_cache().answer([key for key, *_ in asked], count=False)
+    for (key, question, idx), (_, got) in zip(asked, found):
         if got is not None:  # a racing caller's flight answered it
             for i in idx:
                 out[i] = (got, out[i][1], True)
@@ -207,12 +214,16 @@ def _answer(asked, machine: Machine, b: int, out) -> None:
 
 def answers(questions, machine: Machine, b: int, *, reuse: bool) -> list:
     """``(result, resident, remembered)`` per ``(m, n, config, layout)``
-    question.  With ``reuse`` a keyed question asks its cache entry first
-    and a distinct miss is answered and remembered once, under its key's
-    gate; without, no fingerprint is taken and every question is answered
-    and dropped.  The misses are one native call (:func:`_answer`) that
-    keeps no graph.  An unkeyable layout remembers nothing."""
+    question of the list ``questions``.  With ``reuse`` the batch is keyed
+    once and its cache entries are read under one lock (:func:`_ask`); a
+    batch answered there returns at once, and otherwise each distinct miss
+    is answered and remembered once, under its key's gate; without, no
+    fingerprint is taken and every question is answered and dropped.  The
+    misses are one native call (:func:`_answer`) that keeps no graph.  An
+    unkeyable layout remembers nothing."""
     out, asked = _ask(questions, machine, b, reuse)
+    if not asked:
+        return out
     with default_cache().flights({key for key, *_ in asked if key}):
         _answer(asked, machine, b, out)
         for key, _, (i, *_) in asked:  # what no racing flight gave, in order
@@ -247,6 +258,7 @@ def run_config_sweep(
     :func:`answers` call with ``reuse``.  ``workers`` is accepted and
     ignored, only because the benchmark in ``perf/`` passes ``workers=1``."""
     setup = setup or BenchSetup()
-    got = answers([(m, n, cfg, setup.layout) for m, n, cfg in points],
+    layout = setup.layout
+    got = answers([(m, n, cfg, layout) for m, n, cfg in points],
                   setup.machine, setup.b, reuse=True)
     return [result for result, *_ in got]

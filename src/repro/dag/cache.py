@@ -12,7 +12,9 @@ An entry can also carry the fault-free simulation result of its graph
 a makespan is a pure function of the same inputs, so the planning service
 answers a repeated question from the entry instead of re-simulating it;
 the entry needs no graph for that (:func:`~repro.bench.runner.answers`
-lets it go).  So is the makespan lower bound the tuner reads from an
+lets it go).  A batch of questions costs one probe: :func:`fingerprints`
+keys it in one pass, hashing each layout's ``(b, layout, machine)`` part
+once, and ``answer`` reads every key's entry under one lock.  So is the makespan lower bound the tuner reads from an
 elimination list: ``CompiledGraphCache.bounds`` keeps it by key, once per
 process, with no entry at all.
 
@@ -44,6 +46,7 @@ __all__ = [
     "CompiledGraphCache",
     "default_cache",
     "fingerprint",
+    "fingerprints",
 ]
 
 #: salt of the fingerprint.  An array-layout change does not bump it: with
@@ -122,22 +125,64 @@ def fingerprint(
     inputs over and over, so the digest is memoised on the inputs'
     hashable form and computed once per distinct input (inputs that
     compare equal, such as ``latency=0`` and ``0.0``, share the digest
-    of whichever was seen first).
+    of whichever was seen first).  This is the one-question case of
+    :func:`fingerprints`.
     """
-    args = (
-        m, n, b, config, type(layout),
-        tuple(sorted(vars(layout).items())), machine,
-    )
-    try:
-        return _digest(*args)
-    except TypeError:
-        # an unhashable layout attribute cannot be memoised: compute it
-        # directly (an unserializable one raises the same error again)
-        return _digest.__wrapped__(*args)
+    return fingerprints([(m, n, config, layout)], machine, b, strict=True)[0]
+
+
+def fingerprints(
+    questions, machine: Machine, b: int, *, strict: bool = False
+) -> list[str | None]:
+    """:func:`fingerprint` of each ``(m, n, config, layout)`` question, or
+    ``None`` where it raises ``TypeError`` (raised with ``strict``).
+
+    The layout, machine and ``b`` part of the key (the layout's sorted
+    parameters included) is read and hashed once per layout object of
+    the batch, so a sweep on one layout pays for it once.
+    """
+    parts, keys = {}, []  # id(layout) -> (layout, part, digest)
+    for m, n, config, layout in questions:
+        seen = parts.get(id(layout))
+        if seen is None:  # holding the layout keeps its id from reuse
+            part = _Part(b, layout, machine)
+            # an unhashable layout attribute cannot be memoised: computed
+            # directly (an unserializable one raises the same error again)
+            digest = _digest if part.hash is not None else _digest.__wrapped__
+            seen = parts[id(layout)] = (layout, part, digest)
+        try:
+            keys.append(seen[2](m, n, config, seen[1]))
+        except TypeError:
+            if strict:
+                raise
+            keys.append(None)  # no stable key: no entry to ask or to tell
+    return keys
+
+
+class _Part:
+    """The ``(b, layout, machine)`` part of a key, hashed once."""
+
+    __slots__ = ("args", "hash")
+
+    def __init__(self, b: int, layout: Layout, machine: Machine):
+        self.args = (
+            b, type(layout), tuple(sorted(vars(layout).items())), machine,
+        )
+        try:
+            self.hash = hash(self.args)
+        except TypeError:  # an unhashable layout attribute
+            self.hash = None
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Part) and self.args == other.args
 
 
 @lru_cache(maxsize=4096)
-def _digest(m, n, b, config, layout_type, layout_params, machine) -> str:
+def _digest(m, n, config, part: _Part) -> str:
+    b, layout_type, layout_params, machine = part.args
     payload = {
         "version": CACHE_VERSION,
         "m": m,
@@ -241,28 +286,37 @@ class CompiledGraphCache:
                 arr.flags.writeable = False
         self._store(key, 0, cg)
 
-    def answer(self, key: str, count: bool = True):
-        """``(resident, result)`` of one locked lookup.
+    def answer(self, keys, count: bool = True) -> list[tuple[bool, object]]:
+        """``(resident, result)`` per key in ``keys``, under one lock.
 
-        ``resident`` says whether ``key`` has an entry, with or without
+        ``resident`` says whether the key has an entry, with or without
         a graph; ``result`` is what :meth:`remember` stored on it, else
         ``None``.  Finding a result is a use of the entry: it counts as
         ``hit_memory`` (and ``answer_hit``) and touches the LRU order.
         Finding none counts ``answer_miss`` only — the caller goes on to
-        :meth:`get`, which counts the graph lookup itself.  With
-        ``count=False`` the lookup counts and touches nothing: the
-        re-check of a caller that waited at a gate of :meth:`flights`.
+        :meth:`get`, which counts the graph lookup itself.  A ``None`` key
+        (a question :func:`fingerprints` could not key) has no entry and
+        counts nothing.  With ``count=False`` the lookup counts and
+        touches nothing: the re-check of a caller that waited at a gate of
+        :meth:`flights`.
         """
+        memory, out, found, missed = self._memory, [], 0, 0
         with self._lock:
-            entry = self._memory.get(key)
-            result = entry[1] if entry is not None else None
-            if count and result is not None:
-                self._memory.move_to_end(key)
-                self._stats["hit_memory"] += 1
-                self._stats["answer_hit"] += 1
-            elif count:
-                self._stats["answer_miss"] += 1
-        return entry is not None, result
+            for key in keys:
+                entry = memory.get(key)
+                result = entry[1] if entry is not None else None
+                if result is not None:
+                    found += 1
+                    if count:
+                        memory.move_to_end(key)
+                elif key is not None:
+                    missed += 1
+                out.append((entry is not None, result))
+            if count:
+                self._stats["hit_memory"] += found
+                self._stats["answer_hit"] += found
+                self._stats["answer_miss"] += missed
+        return out
 
     def remember(self, key: str, result) -> None:
         """Store ``result`` on the entry of ``key``.  A key with no entry

@@ -4,9 +4,10 @@ The annealer's energy function is the simulated makespan of one HQR
 configuration on the target machine.  :class:`EnergyEvaluator` evaluates
 a whole proposal batch per call:
 
-* every unique configuration in the batch is fingerprinted with the
-  compiled-graph cache key, so repeat visits along the chain cost a
-  dictionary lookup (``memo_hits``) instead of a simulation;
+* a batch's proposals are keyed with the compiled-graph cache key in
+  one :func:`~repro.dag.cache.fingerprints` pass, so repeat visits along
+  the chain cost a dictionary lookup (``memo_hits``) instead of a
+  simulation;
 * :meth:`~EnergyEvaluator.bounds` answers with an admissible lower bound
   (:func:`~repro.models.bounds.elimination_bound`, one native pass over
   the elimination list, memoised by key for every later chain of the
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro import _ccore
 from repro.bench.runner import answers
-from repro.dag.cache import default_cache, fingerprint
+from repro.dag.cache import default_cache, fingerprint, fingerprints
 from repro.hqr.hierarchy import hqr_elimination_list
 from repro.models.bounds import elimination_bound
 from repro.runtime.machine import Machine
@@ -113,18 +114,19 @@ class EnergyEvaluator:
     memo_hits: int = 0
     #: the run's energy memo: key -> exact energy
     memo: dict[str, float] = field(default_factory=dict)
-    _keys: dict[VerifyCase, str] = field(default_factory=dict)
 
     def energy_key(self, case: VerifyCase) -> str:
-        """Memo key: the compiled-graph cache fingerprint of the case,
-        kept per case (a chain revisits most cases)."""
-        key = self._keys.get(case)
-        if key is None:
-            key = self._keys[case] = fingerprint(
-                self.m, self.n, case.config(), case.layout(), self.machine,
-                self.b,
-            )
-        return key
+        """Memo key: the compiled-graph cache fingerprint of the case."""
+        return fingerprint(
+            self.m, self.n, case.config(), case.layout(), self.machine, self.b
+        )
+
+    def keys(self, cases: list[VerifyCase]) -> list[str]:
+        """:meth:`energy_key` of each case, in one keying pass."""
+        return fingerprints(
+            [(self.m, self.n, case.config(), case.layout()) for case in cases],
+            self.machine, self.b,
+        )
 
     def bounds(self, cases: list[VerifyCase], keys: list[str]) -> list[float]:
         """Per case and its key: the memoised energy, else a lower bound on it.
@@ -148,10 +150,13 @@ class EnergyEvaluator:
             out.append(value)
         return out
 
-    def evaluate(self, cases: list[VerifyCase]) -> list[float]:
-        """Exact makespan per case; the fresh keys are one :func:`answers`
-        call."""
-        keys = [self.energy_key(c) for c in cases]
+    def evaluate(
+        self, cases: list[VerifyCase], keys: list[str] | None = None
+    ) -> list[float]:
+        """Exact makespan per case (and its key, when the caller has it);
+        the fresh keys are one :func:`answers` call."""
+        if keys is None:
+            keys = self.keys(cases)
         fresh = {key: case for case, key in zip(cases, keys) if key not in self.memo}
         if fresh:
             self.evaluations += len(fresh)

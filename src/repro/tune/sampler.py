@@ -477,9 +477,9 @@ class Annealer:
         """Walk until the proposal budget is spent or a stop is requested."""
         wall0 = time.perf_counter()
         if not self._started:
-            self.energy = self.evaluator.evaluate([self.current])[0]
-            self.e0 = self.energy if self.energy > 0 else 1.0
             key = self.evaluator.energy_key(self.current)
+            self.energy = self.evaluator.evaluate([self.current], [key])[0]
+            self.e0 = self.energy if self.energy > 0 else 1.0
             self._note(key, self.current, self.energy)
             self._started = True
             self._checkpoint()
@@ -532,7 +532,7 @@ class Annealer:
             self.current, self.rng, self.rng.choice(self.axes) if self.axes else None,
             fixed_machine=True, max_a=self.max_a,
         ) for _ in range(k)]
-        keys = [ev.energy_key(case) for case in cases]
+        keys = ev.keys(cases)
         # bounded once: later rounds read the memo for energies obtained since
         batch = list(zip(cases, keys, ev.bounds(cases, keys)))
         accepted_before = self.accepted
@@ -543,7 +543,7 @@ class Annealer:
         while done < k:
             needed = self._needed(batch[done:], t)
             if needed:
-                ev.evaluate(list(needed.values()))
+                ev.evaluate(list(needed.values()), list(needed))
                 # the replay counts a known proposal a memo hit: one per
                 # key evaluated here is a needed energy instead
                 ev.memo_hits -= len(needed)

@@ -14,6 +14,8 @@ No program code calls any of them, so they live with the tests.
 * The matrix generators produce the standard stress cases (graded,
   ill-conditioned, near rank-deficient, Vandermonde, Kahan) QR's
   applications feed it, far from i.i.d. Gaussian.
+* :func:`example` imports a module of ``examples/`` (they are scripts,
+  not a package), such as the ``viz`` profiles ``design_space.py`` prints.
 * :func:`simulated_points` records every question the answers path
   simulates, whichever way it runs it.
 * :func:`study` factors one matrix under several tree configurations and
@@ -25,8 +27,11 @@ No program code calls any of them, so they live with the tests.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -199,3 +204,14 @@ def simulated_points(monkeypatch) -> list[tuple[int, int]]:
     monkeypatch.setattr(core_mod, "_c_answers", native)
     monkeypatch.setattr(core_mod, "run_core", run)
     return seen
+
+
+def example(name: str):
+    """The module ``examples/<name>.py``, imported once."""
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "examples" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]

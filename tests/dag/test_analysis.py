@@ -8,7 +8,9 @@ from repro.runtime.executor import numeric_graph
 from repro.trees import BinaryTree, FlatTree, GreedyTree, panel_elimination_list
 from repro.verify.reference import TaskGraph
 from repro.verify.reference.analysis import theoretical_total_weight, total_weight
-from repro.viz import parallelism_profile
+from _support import example
+
+parallelism_profile = example("viz").parallelism_profile
 
 
 def build(m, n, elims):

@@ -173,11 +173,8 @@ def test_fingerprint_memo_returns_the_unmemoised_digest():
     hits = cache_mod._digest.cache_info().hits
     assert base_key() == cold
     assert cache_mod._digest.cache_info().hits == hits + 1
-    args = (
-        M_TILES, N_TILES, B, BASE_CONFIG, type(BASE_LAYOUT),
-        tuple(sorted(vars(BASE_LAYOUT).items())), BASE_MACHINE,
-    )
-    assert cache_mod._digest.__wrapped__(*args) == cold
+    part = cache_mod._Part(B, BASE_LAYOUT, BASE_MACHINE)
+    assert cache_mod._digest.__wrapped__(M_TILES, N_TILES, BASE_CONFIG, part) == cold
 
     class ListLayout(Cyclic1D):
         def __init__(self, nodes, extra):
@@ -287,12 +284,12 @@ def test_answer_is_kept_on_the_entry(tmp_path):
     use of that entry: a memory hit that also refreshes its LRU slot."""
     cache = CompiledGraphCache(root=tmp_path, memory_slots=2)
     cg, result = build_graph(), object()
-    assert cache.answer("k0") == (False, None)
+    assert cache.answer(["k0"]) == [(False, None)]
     cache.put("k0", cg)
     cache.put("k1", cg)
-    assert cache.answer("k0") == (True, None)  # resident, nothing stored
+    assert cache.answer(["k0"]) == [(True, None)]  # resident, nothing stored
     cache.remember("k0", result)
-    assert cache.answer("k0") == (True, result)
+    assert cache.answer(["k0"]) == [(True, result)]
     stats = cache.stats()
     assert (stats["answer_hit"], stats["answer_miss"]) == (1, 2)
     assert (stats["hit_memory"], stats["miss"]) == (1, 0)
@@ -307,12 +304,12 @@ def test_eviction_and_clear_memory_forget_the_answer(tmp_path):
     cache.put("k0", cg)
     cache.remember("k0", result)
     cache.put("k1", cg)  # one slot: k0 and its answer go together
-    assert cache.answer("k0") == (False, None)
+    assert cache.answer(["k0"]) == [(False, None)]
     cache.put("k0", cg)  # rebuilt: a new entry starts without an answer
-    assert cache.answer("k0") == (True, None)
+    assert cache.answer(["k0"]) == [(True, None)]
     cache.remember("k0", result)
     cache.clear_memory()
-    assert cache.answer("k0") == (False, None)
+    assert cache.answer(["k0"]) == [(False, None)]
     assert cache.stats()["answer_hit"] == 0
 
 
@@ -325,18 +322,18 @@ def test_remember_on_a_key_with_no_entry_makes_a_graphless_one(tmp_path):
     cache.remember("never-built", result)
     assert cache._memory["never-built"] == [None, result]
     assert cache.stats()["store"] == 1
-    assert cache.answer("never-built") == (True, result)
+    assert cache.answer(["never-built"]) == [(True, result)]
     assert cache.get("never-built") is None  # no graph to hand out
     cache.remember("other", object())  # one slot: the answer is evicted
-    assert cache.answer("never-built") == (False, None)
+    assert cache.answer(["never-built"]) == [(False, None)]
     assert cache.stats()["evict"] == 1
     cache.remember("never-built", result)
     cache.clear_memory()
-    assert cache.answer("never-built") == (False, None)
+    assert cache.answer(["never-built"]) == [(False, None)]
     cache.remember("never-built", result)
     cg = cache.get_or_build("never-built", build_graph)
     assert cache._memory["never-built"] == [cg, result]
-    assert cache.answer("never-built") == (True, result)
+    assert cache.answer(["never-built"]) == [(True, result)]
     assert cache.get("never-built") is cg
 
 
@@ -527,7 +524,7 @@ def test_concurrent_mixed_traffic_stays_consistent(tmp_path):
                 cache.get(key)
                 cache.contains(key)
                 cache.remember(key, key)  # evicted meanwhile: a graphless entry
-                resident, answer = cache.answer(key)
+                [(resident, answer)] = cache.answer([key])
                 assert answer in (None, key)
                 assert resident or answer is None
         except Exception as exc:  # pragma: no cover - failure detail
@@ -568,8 +565,7 @@ def test_cache_metrics_exported_through_registry(tmp_path):
     assert "repro_cache_answer_hits_total 0" in text
     assert 'event="answer_hit"' not in text
     cache.remember("k", object())
-    cache.answer("k")
-    cache.answer("missing")
+    cache.answer(["k", "missing"])
     reg = MetricsRegistry()
     cache_metrics_into(reg, cache.stats())
     text = reg.to_prometheus()

@@ -87,10 +87,10 @@ def test_resident_graph_without_an_answer_is_a_hit_that_simulates(
         service.setup.machine, service.setup.b,
     )  # stores the graph, simulates nothing
     assert simulations == []
-    assert cache.answer(cache_mod.fingerprint(
+    assert cache.answer([cache_mod.fingerprint(
         req.m, req.n, req.config, BlockCyclic2D(req.config.p, req.config.q),
         service.setup.machine, service.setup.b,
-    )) == (True, None)
+    )]) == [(True, None)]
     first, again = service.plan(req), service.plan(req)
     assert simulations == [(8, 2)]
     assert (first.cache_hit, again.cache_hit) == (True, True)

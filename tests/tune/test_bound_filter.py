@@ -284,15 +284,16 @@ def test_a_benchmark_chain_writes_its_pinned_stream(tmp_path, native, seed):
 
 
 def test_a_batch_keys_and_bounds_its_proposals_once(tmp_path, monkeypatch, native):
-    """Chain 11's per-batch work: one ``bounds`` call a batch, one
-    fingerprint a distinct case, at most one RNG state copy a round (plus
-    one a checkpoint) and no ``random.Random`` built while it runs."""
+    """Chain 11's per-batch work: one ``bounds`` call and one keying pass
+    (``fingerprints``) a batch, at most one RNG state copy a round (plus
+    one a checkpoint) and no ``random.Random`` built while it runs; the
+    start keys its case with ``fingerprint``."""
     from repro.tune import energy, sampler
 
     calls = dict.fromkeys(
-        ("bounds", "fingerprint", "rounds", "checkpoints", "getstate", "Random"), 0
+        ("bounds", "fingerprint", "fingerprints", "rounds", "checkpoints",
+         "getstate", "Random"), 0
     )
-    cases = set()  # every proposal and what it was proposed from
 
     def counting(owner, name, tally):
         real = getattr(owner, name)
@@ -303,15 +304,9 @@ def test_a_batch_keys_and_bounds_its_proposals_once(tmp_path, monkeypatch, nativ
 
         monkeypatch.setattr(owner, name, spy)
 
-    def proposing(case, *args, **kwargs):
-        moved = propose(case, *args, **kwargs)
-        cases.update((case, moved))
-        return moved
-
-    propose = sampler.propose_neighbor
-    monkeypatch.setattr(sampler, "propose_neighbor", proposing)
     counting(energy.EnergyEvaluator, "bounds", "bounds")
     counting(energy, "fingerprint", "fingerprint")
+    counting(energy, "fingerprints", "fingerprints")
     counting(sampler.Annealer, "_needed", "rounds")
     counting(sampler.Annealer, "_checkpoint", "checkpoints")
     run = sampler.Annealer.run
@@ -325,7 +320,7 @@ def test_a_batch_keys_and_bounds_its_proposals_once(tmp_path, monkeypatch, nativ
     monkeypatch.setattr(sampler.Annealer, "run", running)
     result = benchmark_chain(tmp_path, 11)
     assert result.batches == calls["bounds"] == 50
-    assert calls["fingerprint"] == len(cases)
+    assert (calls["fingerprint"], calls["fingerprints"]) == (1, result.batches)
     assert calls["getstate"] <= calls["rounds"] + calls["checkpoints"]
     assert calls["Random"] == 0
 

@@ -1,6 +1,9 @@
-"""Visualization helpers."""
+"""The text pictures of ``examples/viz.py``."""
 
-from repro.viz import render_parallelism_profile, sparkline
+from _support import example
+
+viz = example("viz")
+render_parallelism_profile, sparkline = viz.render_parallelism_profile, viz.sparkline
 
 
 class TestSparkline:
@@ -21,10 +24,8 @@ class TestSparkline:
     def test_profile_rendering(self):
         from repro.hqr import HQRConfig, hqr_elimination_list
         from repro.runtime.executor import numeric_graph
-        from repro.viz import parallelism_profile
-
         g, _ = numeric_graph(hqr_elimination_list(16, 4, HQRConfig(p=2, a=2)), 16, 4)
-        text = render_parallelism_profile(parallelism_profile(g), label="hqr")
+        text = render_parallelism_profile(viz.parallelism_profile(g), label="hqr")
         assert "peak=" in text and "steps=" in text
 
     def test_profile_empty(self):
