@@ -138,11 +138,9 @@ def _ask(questions, machine: Machine, b: int, reuse: bool):
     the batch is keyed in one :func:`~repro.dag.cache.fingerprints` pass
     and probed in one locked :meth:`~repro.dag.cache.CompiledGraphCache.answer`
     call; a ``cache`` span covers both only when a trace is attached."""
-    keys = [None] * len(questions)
-    found = [(False, None)] * len(questions)
+    keys, found = [None] * len(questions), [(False, None)] * len(questions)
     if reuse:
-        traced = current_trace() is not None
-        with span("cache") if traced else nullcontext() as sp:
+        with span("cache") if current_trace() is not None else nullcontext() as sp:
             keys = fingerprints(questions, machine, b)
             found = default_cache().answer(keys)
             if sp is not None and len(found) == 1:

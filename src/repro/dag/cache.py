@@ -14,9 +14,10 @@ answers a repeated question from the entry instead of re-simulating it;
 the entry needs no graph for that (:func:`~repro.bench.runner.answers`
 lets it go).  A batch of questions costs one probe: :func:`fingerprints`
 keys it in one pass, hashing each layout's ``(b, layout, machine)`` part
-once, and ``answer`` reads every key's entry under one lock.  So is the makespan lower bound the tuner reads from an
-elimination list: ``CompiledGraphCache.bounds`` keeps it by key, once per
-process, with no entry at all.
+once, and ``answer`` reads every key's entry under one lock.  The
+makespan lower bound the tuner reads from an elimination list is kept
+too: ``CompiledGraphCache.bounds`` keeps it by key, once per process,
+with no entry at all.
 
 There is no disk tier: rebuilding a graph costs less than writing it out
 (EXPERIMENTS.md, "Zero-copy handoff"), so a new process rebuilds.
@@ -150,8 +151,9 @@ def fingerprints(
             # directly (an unserializable one raises the same error again)
             digest = _digest if part.hash is not None else _digest.__wrapped__
             seen = parts[id(layout)] = (layout, part, digest)
+        _, part, digest = seen
         try:
-            keys.append(seen[2](m, n, config, seen[1]))
+            keys.append(digest(m, n, config, part))
         except TypeError:
             if strict:
                 raise
